@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-gate serve smoke smoke-cluster
+.PHONY: check fmt vet build test zero-alloc race bench bench-layers bench-json bench-gate serve smoke smoke-cluster
 
-check: fmt vet build test
+check: fmt vet build test zero-alloc
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -26,6 +26,12 @@ build:
 
 test:
 	$(GO) test ./...
+
+# The FM steady state (execute, journal, commit, rollback) allocates nothing.
+# `make test` already runs this; naming it keeps the guarantee visible in the
+# gate and re-checks it uncached.
+zero-alloc:
+	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fm
 
 race:
 	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... \
@@ -54,6 +60,11 @@ smoke-cluster:
 # table/figure benchmark.
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
+
+# Layer benchmarks live next to their packages and iterate for real
+# (time-based, never 1x): ns/op is per target instruction or target byte.
+bench-layers:
+	$(GO) test -run '^$$' -bench 'JournalCommit|RepStos|Rollback' -benchtime=200ms ./internal/fm
 
 # bench-json reruns the bench suite through test2json and distils the
 # results into bench.json (see cmd/benchgate). Each benchmark runs

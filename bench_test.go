@@ -232,7 +232,9 @@ func BenchmarkServerWorkloads(b *testing.B) {
 // --- Genuine Go performance benchmarks of the simulator itself ---
 
 // BenchmarkFMExecution measures raw functional-model interpretation speed
-// (simulated instructions per host second).
+// (simulated instructions per host second), committing at the TM's chunk
+// cadence like BenchmarkFMDecodeLoop: without commits it would measure the
+// growth of an unbounded journal instead.
 func BenchmarkFMExecution(b *testing.B) {
 	prog := isa.MustAssemble(`
 		movi r0, 1000000000
@@ -247,10 +249,14 @@ func BenchmarkFMExecution(b *testing.B) {
 	`, 0x1000)
 	m := fm.New(fm.Config{DisableInterrupts: true})
 	m.LoadProgram(prog)
+	const commitStride = 64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, ok := m.Step(); !ok {
 			b.Fatal("halted early")
+		}
+		if i%commitStride == commitStride-1 {
+			m.Commit(m.IN() - 1)
 		}
 	}
 	b.ReportMetric(float64(b.N), "target-insts")

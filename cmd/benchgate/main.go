@@ -65,6 +65,11 @@ type testEvent struct {
 // the result line `go test -bench` prints per benchmark.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+(\d+)\s+(.+)$`)
 
+// procSuffix is the "-8" go test appends to a benchmark's name when
+// GOMAXPROCS is not 1. It is dropped, or a baseline recorded on one host
+// would read as MISSING on a host with a different CPU count.
+var procSuffix = regexp.MustCompile(`-\d+$`)
+
 func main() {
 	emit := flag.String("emit", "", "parse `go test -bench -json` on stdin and write bench.json to this path (\"-\" = stdout)")
 	compare := flag.Bool("compare", false, "compare -current against -baseline and exit non-zero on regression")
@@ -191,7 +196,7 @@ func parseBenchLine(line string) (Bench, bool) {
 	if err != nil {
 		return Bench{}, false
 	}
-	b := Bench{Name: m[1], Iterations: iters, Metrics: map[string]float64{}}
+	b := Bench{Name: procSuffix.ReplaceAllString(m[1], ""), Iterations: iters, Metrics: map[string]float64{}}
 	// The tail is value/unit pairs: "123456 ns/op  98 B/op  7 allocs/op".
 	fields := strings.Fields(m[3])
 	for i := 0; i+1 < len(fields); i += 2 {

@@ -709,34 +709,88 @@ func (m *Model) execString(inst isa.Inst, e *trace.Entry) *fault {
 			return nil
 		}
 	}
-	first := true
-	done := uint32(0)
-	for i := 0; i < iters; i++ {
+	var done int
+	var f *fault
+	if inst.Op == isa.OpMovs || inst.Op == isa.OpStos {
+		done, f = m.execStringStore(inst.Op == isa.OpMovs, iters, e)
+	} else {
+		done, f = m.execStringLoad(inst, iters, e)
+	}
+	if inst.Rep {
+		// Partial progress is architectural (x86 REP semantics): on a fault
+		// the count register reflects completed iterations and the trap
+		// retries the instruction.
+		m.GPR[2] -= isa.Word(done)
+		e.RepIterations = uint32(done)
+	}
+	return f
+}
+
+// stringRun translates va and returns the physical address plus the length
+// of the longest run of at most limit bytes from va that stays inside va's
+// page and inside physical memory. Within such a run a byte-at-a-time loop
+// would translate to consecutive physical addresses and could not fault.
+func (m *Model) stringRun(va isa.Word, limit int, wr bool) (isa.Word, int, *fault) {
+	pa, f := m.translate(va, wr)
+	if f != nil {
+		return 0, 0, f
+	}
+	if !m.Mem.InRange(pa, 1) {
+		return 0, 0, &fault{vector: isa.VecProt, faultVA: va, retry: true}
+	}
+	return pa, min(limit, int(fullsys.PageSize-va&(fullsys.PageSize-1)), m.Mem.Size()-int(pa)), nil
+}
+
+// execStringStore runs movs/stos a run at a time instead of a byte at a
+// time: each run is one physically contiguous span inside one page, so it
+// costs one translation per side, ONE journal entry holding the old
+// destination bytes, one predecode-cache notification and one bulk copy or
+// fill. The architectural outcome — memory, registers, the faulting
+// address and the iterations completed before it — is that of the byte loop.
+// It returns the completed iterations.
+func (m *Model) execStringStore(movs bool, iters int, e *trace.Entry) (int, *fault) {
+	for done := 0; done < iters; {
+		n := iters - done
+		va, store := m.GPR[0], false
+		var spa, dpa isa.Word
+		var f *fault
+		if movs {
+			spa, n, f = m.stringRun(va, n, false)
+		}
+		if f == nil {
+			va, store = m.GPR[1], true
+			dpa, n, f = m.stringRun(va, n, true)
+		}
+		if done == 0 {
+			// The trace records the first access: the destination, or the
+			// source when its load faulted before any store was attempted.
+			pa, _ := m.translate(va, store)
+			e.MemVA, e.MemPA, e.MemSize, e.IsStore = va, pa, 1, store
+		}
+		if f != nil {
+			return done, f
+		}
+		m.journalMem(dpa, n)
+		m.noteStore(dpa, n)
+		if movs {
+			m.Mem.CopyForward(dpa, spa, n)
+			m.GPR[0] += isa.Word(n)
+		} else {
+			m.Mem.Fill(dpa, n, byte(m.GPR[3]))
+		}
+		m.GPR[1] += isa.Word(n)
+		done += n
+	}
+	return iters, nil
+}
+
+// execStringLoad runs lods/cmps/scas: loads only, nothing to journal. It
+// returns the completed iterations.
+func (m *Model) execStringLoad(inst isa.Inst, iters int, e *trace.Entry) (int, *fault) {
+	for done := 0; done < iters; done++ {
 		var f *fault
 		var va isa.Word
-		var store bool
 		switch inst.Op {
-		case isa.OpMovs:
-			var v uint64
-			v, _, f = m.load(m.GPR[0], 1)
-			if f == nil {
-				va = m.GPR[1]
-				store = true
-				_, f = m.store(va, v, 1)
-			} else {
-				va = m.GPR[0]
-			}
-			if f == nil {
-				m.GPR[0]++
-				m.GPR[1]++
-			}
-		case isa.OpStos:
-			va = m.GPR[1]
-			store = true
-			_, f = m.store(va, uint64(m.GPR[3]&0xFF), 1)
-			if f == nil {
-				m.GPR[1]++
-			}
 		case isa.OpLods:
 			va = m.GPR[0]
 			var v uint64
@@ -767,35 +821,19 @@ func (m *Model) execString(inst isa.Inst, e *trace.Entry) *fault {
 				m.GPR[1]++
 			}
 		}
-		if first {
-			pa, _ := m.translate(va, store)
-			e.MemVA, e.MemPA = va, pa
-			e.MemSize, e.IsStore = 1, store
-			first = false
+		if done == 0 {
+			pa, _ := m.translate(va, false)
+			e.MemVA, e.MemPA, e.MemSize, e.IsStore = va, pa, 1, false
 		}
 		if f != nil {
-			// Partial progress is architectural (x86 REP semantics): the
-			// count register reflects completed iterations and the trap
-			// retries the instruction.
-			if inst.Rep {
-				m.GPR[2] -= done
-				e.RepIterations = done
-			}
-			return f
+			return done, f
 		}
-		done++
-		if inst.Rep {
-			// REPE termination for the compare forms: stop when not equal.
-			if (inst.Op == isa.OpCmps || inst.Op == isa.OpScas) && m.Flags&isa.FlagZ == 0 {
-				break
-			}
+		// REPE termination for the compare forms: stop when not equal.
+		if inst.Rep && (inst.Op == isa.OpCmps || inst.Op == isa.OpScas) && m.Flags&isa.FlagZ == 0 {
+			return done + 1, nil
 		}
 	}
-	if inst.Rep {
-		m.GPR[2] -= done
-		e.RepIterations = done
-	}
-	return nil
+	return iters, nil
 }
 
 // fillRegs derives the trace's architectural register names from the

@@ -790,13 +790,6 @@ func TestCoverageAccounting(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // entriesEqual compares trace entries including their µop slices (Entry
 // contains a slice, so == does not apply).
 func entriesEqual(a, b trace.Entry) bool {

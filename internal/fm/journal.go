@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/fullsys"
@@ -39,7 +40,8 @@ type rollbackEngine interface {
 	begin(m *Model)
 	// abort discards begin's work when no instruction was produced.
 	abort(m *Model)
-	// noteMem is called with the bytes about to be overwritten.
+	// noteMem is called with the n bytes about to be overwritten: a scalar
+	// store, or one run of a rep string store that stays inside a page.
 	noteMem(m *Model, pa uint32, n int)
 	// noteTLB is called before the instruction's first TLB mutation.
 	noteTLB(m *Model)
@@ -55,22 +57,110 @@ type rollbackEngine interface {
 	window(m *Model) int
 }
 
-type memUndo struct {
-	pa   uint32
-	old  uint64
-	size uint8
+// memLog is an engine-owned arena of old memory bytes, shared by every
+// record (or checkpoint segment) of one engine. Each note appends one entry
+// — the n bytes about to be overwritten, then pa and n as little-endian
+// uint32s — and the owner counts the bytes its record appended. The header
+// trails the payload so the log can be walked newest-first. Release follows
+// the owners' lifetimes: FIFO at the head when the timing model commits,
+// LIFO at the tail on rollback; neither moves a byte, and the steady state
+// allocates nothing.
+type memLog struct {
+	buf  []byte
+	head int // buf[:head] is committed space awaiting reuse
 }
 
-// undoMem applies a memory undo list newest-first. The rewrites bypass
-// Model.store, so the predecode cache is notified here: an undone store
-// changes code bytes just as surely as the store did.
-func undoMem(m *Model, undos []memUndo) {
-	for i := len(undos) - 1; i >= 0; i-- {
-		u := undos[i]
-		m.noteStore(u.pa, int(u.size))
-		m.Mem.Write(u.pa, u.old, int(u.size))
+const memLogHeader = 8
+
+// note saves the n bytes at pa and returns the log bytes appended. n bytes
+// at pa must span at most two pages (undo issues one noteStore per entry).
+func (l *memLog) note(m *Model, pa uint32, n int) int {
+	size := n + memLogHeader
+	if len(l.buf)+size > cap(l.buf) {
+		l.makeRoom(size)
+	}
+	end := len(l.buf)
+	l.buf = l.buf[:end+size]
+	copy(l.buf[end:], m.Mem.Bytes(pa, n))
+	binary.LittleEndian.PutUint32(l.buf[end+n:], pa)
+	binary.LittleEndian.PutUint32(l.buf[end+n+4:], uint32(n))
+	return size
+}
+
+// makeRoom reclaims the released prefix by sliding the live span to the
+// front, but only once the prefix is at least as long as the span, so each
+// byte moves O(1) times amortised; otherwise the buffer doubles.
+func (l *memLog) makeRoom(size int) {
+	live := len(l.buf) - l.head
+	if l.head < live || live+size > cap(l.buf) {
+		grown := make([]byte, live, max(2*cap(l.buf), live+size, 4096))
+		copy(grown, l.buf[l.head:])
+		l.buf, l.head = grown, 0
+		return
+	}
+	copy(l.buf, l.buf[l.head:])
+	l.buf, l.head = l.buf[:live], 0
+}
+
+// release frees the oldest n bytes (commit).
+func (l *memLog) release(n int) {
+	if l.head += n; l.head == len(l.buf) {
+		l.buf, l.head = l.buf[:0], 0
 	}
 }
+
+// drop discards the newest n bytes without applying them (abort).
+func (l *memLog) drop(n int) { l.buf = l.buf[:len(l.buf)-n] }
+
+// reset empties the log (state restore).
+func (l *memLog) reset() { l.buf, l.head = l.buf[:0], 0 }
+
+// undo writes the newest n bytes' worth of entries back to memory,
+// newest-first, and discards them. The rewrites bypass Model.store, so the
+// predecode cache is notified here: an undone store changes code bytes just
+// as surely as the store did.
+func (l *memLog) undo(m *Model, n int) {
+	end := len(l.buf)
+	stop := end - n
+	for end > stop {
+		size := int(binary.LittleEndian.Uint32(l.buf[end-4:]))
+		pa := binary.LittleEndian.Uint32(l.buf[end-memLogHeader:])
+		end -= memLogHeader + size
+		m.noteStore(pa, size)
+		m.Mem.Load(pa, l.buf[end:end+size])
+	}
+	l.buf = l.buf[:stop]
+}
+
+// ring is a queue of T in a power-of-two circular buffer. Elements are
+// numbered from 0 in push order and number n lives in buf[n&(len(buf)-1)],
+// so push and popBack at the tail and popFront at the head move no element.
+type ring[T any] struct {
+	buf        []T
+	head, tail uint64 // live elements are numbers [head, tail)
+}
+
+func (r *ring[T]) len() int       { return int(r.tail - r.head) }
+func (r *ring[T]) at(n uint64) *T { return &r.buf[n&uint64(len(r.buf)-1)] }
+func (r *ring[T]) back() *T       { return r.at(r.tail - 1) }
+
+// push appends a slot and returns it; the caller overwrites it whole.
+func (r *ring[T]) push() *T {
+	if r.len() == len(r.buf) {
+		grown := make([]T, max(2*len(r.buf), 64))
+		for n := r.head; n != r.tail; n++ {
+			grown[n&uint64(len(grown)-1)] = *r.at(n)
+		}
+		r.buf = grown
+	}
+	r.tail++
+	return r.back()
+}
+
+// popFront and popBack return the removed slot, valid until the next push,
+// so the caller can read it and clear whatever it references.
+func (r *ring[T]) popFront() *T { r.head++; return r.at(r.head - 1) }
+func (r *ring[T]) popBack() *T  { r.tail--; return r.at(r.tail) }
 
 // ---------------------------------------------------------------------------
 // journalEngine
@@ -79,33 +169,63 @@ func undoMem(m *Model, undos []memUndo) {
 // held when the record opened. A record normally spans one instruction; the
 // superblock executor (superblock.go) opens one record per *block*, so a
 // record spans [startIN, next record's startIN) — or [startIN, m.in) for
-// the open tail record.
+// the open tail record. Memory, TLB and device pre-images live in the
+// engine's shared stores; the record only says how much of each is its own.
+//
+// Commit reads startIN, memLen and side of records written a whole window
+// ago, long out of the host's L1: they lead the struct so that a release
+// touches one cache line of it, not the Scalars behind them.
 type undoRecord struct {
 	startIN uint64 // IN of the first instruction the record covers
-	pre     Scalars
-	mem     []memUndo
-	tlbSet  bool
-	tlbPre  fullsys.TLB
-	busPre  func()
+	memLen  int    // bytes this record appended to journalEngine.mem
+	side    bool   // the record owns one journalEngine.side entry
 	halted  bool
 	idle    uint64
+	pre     Scalars
 }
 
+// sideUndo is the TLB and device pre-image of a record that touched either
+// (busPre first: release clears it without touching the TLB image).
+type sideUndo struct {
+	busPre func()
+	tlbSet bool
+	tlbPre fullsys.TLB
+}
+
+// journalEngine keeps three flat stores released by index only: records and
+// side entries in rings, old memory bytes in one log. All three are FIFO at
+// commit and LIFO at rollback, in record order.
 type journalEngine struct {
-	journal []undoRecord
+	recs ring[undoRecord]
+	side ring[sideUndo]
+	mem  memLog
 }
 
 func (j *journalEngine) begin(m *Model) {
-	j.journal = append(j.journal, undoRecord{
+	*j.recs.push() = undoRecord{
 		startIN: m.in,
 		pre:     m.Scalars,
 		halted:  m.halted,
 		idle:    m.idle,
-	})
+	}
 }
 
-func (j *journalEngine) abort(m *Model) {
-	j.journal = j.journal[:len(j.journal)-1]
+// abort discards the open record without applying it: its instruction never
+// mutated anything, or its partial effects are deliberately left in place
+// on a fatal stop, matching Step.
+func (j *journalEngine) abort(*Model) {
+	r := j.recs.popBack()
+	j.mem.drop(r.memLen)
+	if r.side {
+		j.side.popBack().busPre = nil
+	}
+}
+
+// reset empties the journal (state restore).
+func (j *journalEngine) reset() {
+	for j.recs.len() > 0 {
+		j.abort(nil)
+	}
 }
 
 // beginBlock opens one record covering a whole superblock: the snapshot at
@@ -123,49 +243,53 @@ func (j *journalEngine) endBlock(m *Model, retired int) {
 	}
 }
 
-func (j *journalEngine) current() *undoRecord { return &j.journal[len(j.journal)-1] }
-
 func (j *journalEngine) noteMem(m *Model, pa uint32, n int) {
-	r := j.current()
-	r.mem = append(r.mem, memUndo{pa: pa, old: m.Mem.Read(pa, n), size: uint8(n)})
+	j.recs.back().memLen += j.mem.note(m, pa, n)
+}
+
+// sideFor returns the open record's side entry, creating it on first use.
+func (j *journalEngine) sideFor() *sideUndo {
+	if r := j.recs.back(); !r.side {
+		r.side = true
+		*j.side.push() = sideUndo{}
+	}
+	return j.side.back()
 }
 
 func (j *journalEngine) noteTLB(m *Model) {
-	r := j.current()
-	if !r.tlbSet {
-		r.tlbPre = m.TLB.Snapshot()
-		r.tlbSet = true
+	if s := j.sideFor(); !s.tlbSet {
+		s.tlbPre = m.TLB.Snapshot()
+		s.tlbSet = true
 	}
 }
 
 func (j *journalEngine) noteBus(m *Model) {
-	r := j.current()
-	if r.busPre == nil {
-		r.busPre = m.Bus.CaptureRollback()
+	if s := j.sideFor(); s.busPre == nil {
+		s.busPre = m.Bus.CaptureRollback()
 	}
 }
 
 func (j *journalEngine) noteIdle(*Model, uint64) {}
 
-// commit trims records from the front while they are fully committed: a
+// commit releases records from the head while they are fully committed: a
 // record is releasable only once every instruction it covers is <= in (for
-// one-instruction records this reduces to startIN <= in, the pre-superblock
-// behaviour).
+// one-instruction records this reduces to startIN <= in). Release advances
+// indices; the only slot contents touched are references that would
+// otherwise pin a device capture until the ring wraps.
 func (j *journalEngine) commit(m *Model, in uint64) {
-	k := 0
-	for k < len(j.journal) {
+	for j.recs.len() > 0 {
 		end := m.in
-		if k+1 < len(j.journal) {
-			end = j.journal[k+1].startIN
+		if j.recs.len() > 1 {
+			end = j.recs.at(j.recs.head + 1).startIN
 		}
 		if end > in+1 {
 			break
 		}
-		k++
-	}
-	if k > 0 {
-		n := copy(j.journal, j.journal[k:])
-		j.journal = j.journal[:n]
+		r := j.recs.popFront()
+		j.mem.release(r.memLen)
+		if r.side {
+			j.side.popFront().busPre = nil
+		}
 	}
 }
 
@@ -179,8 +303,8 @@ func (j *journalEngine) commit(m *Model, in uint64) {
 // in ReExecuted (m.replay suppresses all statistics).
 func (j *journalEngine) setPC(m *Model, in uint64, pc uint32) error {
 	base := m.in
-	if len(j.journal) > 0 {
-		base = j.journal[0].startIN
+	if j.recs.len() > 0 {
+		base = j.recs.at(j.recs.head).startIN
 	}
 	if in < base {
 		return fmt.Errorf("fm: set_pc(%d) below committed window (base %d)", in, base)
@@ -205,33 +329,34 @@ func (j *journalEngine) setPC(m *Model, in uint64, pc uint32) error {
 
 // undoTop restores everything the newest record captured — memory, TLB,
 // device, scalar state and the instruction counter — and removes it. This
-// is a real state rewind, unlike abort, which merely discards a record
-// whose instruction never mutated anything (or whose partial effects are
-// deliberately left in place on a fatal stop, matching Step).
+// is a real state rewind, unlike abort.
 func (j *journalEngine) undoTop(m *Model) {
-	r := &j.journal[len(j.journal)-1]
-	undoMem(m, r.mem)
-	if r.tlbSet {
-		m.TLB.Restore(r.tlbPre)
-	}
-	if r.busPre != nil {
-		r.busPre()
+	r := j.recs.popBack()
+	j.mem.undo(m, r.memLen)
+	if r.side {
+		s := j.side.popBack()
+		if s.tlbSet {
+			m.TLB.Restore(s.tlbPre)
+		}
+		if s.busPre != nil {
+			s.busPre()
+			s.busPre = nil
+		}
 	}
 	m.Scalars = r.pre
 	m.halted = r.halted
 	m.idle = r.idle
 	m.in = r.startIN
-	j.journal = j.journal[:len(j.journal)-1]
 }
 
 // window reports uncommitted instructions. With block-granularity records
-// len(journal) undercounts, so the span is measured in INs — identical to
-// the record count in the per-instruction case.
+// the record count undercounts, so the span is measured in INs — identical
+// to the record count in the per-instruction case.
 func (j *journalEngine) window(m *Model) int {
-	if len(j.journal) == 0 {
+	if j.recs.len() == 0 {
 		return 0
 	}
-	return int(m.in - j.journal[0].startIN)
+	return int(m.in - j.recs.at(j.recs.head).startIN)
 }
 
 // ---------------------------------------------------------------------------
@@ -246,8 +371,8 @@ type segment struct {
 	halted  bool
 	idle    uint64
 
-	count   int       // instructions executed in this segment
-	mem     []memUndo // memory undo across the whole segment
+	count   int // instructions executed in this segment
+	memLen  int // bytes of checkpointEngine.mem logged across the segment
 	idleLog []idleEvent
 }
 
@@ -259,6 +384,7 @@ type idleEvent struct {
 type checkpointEngine struct {
 	interval int
 	segs     []segment
+	mem      memLog // memory undo of every live segment, oldest first
 	// ReExecuted counts instructions replayed during rollbacks — the §3.1
 	// αBA extra work.
 	reExecuted uint64
@@ -298,8 +424,7 @@ func (c *checkpointEngine) abort(m *Model) {
 }
 
 func (c *checkpointEngine) noteMem(m *Model, pa uint32, n int) {
-	s := c.cur()
-	s.mem = append(s.mem, memUndo{pa: pa, old: m.Mem.Read(pa, n), size: uint8(n)})
+	c.cur().memLen += c.mem.note(m, pa, n)
 }
 
 // noteTLB/noteBus: nothing per-instruction — the segment snapshot taken at
@@ -325,6 +450,7 @@ func (c *checkpointEngine) commit(m *Model, in uint64) {
 	// keeping the one covering the first uncommitted instruction — the
 	// "checkpoints are released and others are taken" leapfrog.
 	for len(c.segs) > 1 && c.segs[1].startIN <= in+1 {
+		c.mem.release(c.segs[0].memLen)
 		c.segs = c.segs[1:]
 	}
 }
@@ -344,9 +470,11 @@ func (c *checkpointEngine) setPC(m *Model, in uint64, pc uint32) error {
 	}
 	// Undo memory newest-segment-first, including the containing segment
 	// (replay regenerates its prefix).
-	for i := len(c.segs) - 1; i >= k; i-- {
-		undoMem(m, c.segs[i].mem)
+	undo := 0
+	for i := k; i < len(c.segs); i++ {
+		undo += c.segs[i].memLen
 	}
+	c.mem.undo(m, undo)
 	s := c.segs[k]
 	m.Scalars = s.pre
 	m.TLB.Restore(s.tlb)

@@ -183,10 +183,11 @@ func (m *Model) LoadState(r *snap.Reader, wantMem bool) error {
 		// lands exactly where the cold run's would have.
 		c.reExecuted = reExec
 		c.segs = c.segs[:0]
+		c.mem.reset()
 		c.take(m)
 		c.cur().count = int(segCount)
 	} else if m.jeng != nil {
-		m.jeng.journal = m.jeng.journal[:0]
+		m.jeng.reset()
 	}
 	// Memory contents changed under the host-side caches: rebuild on demand.
 	m.icache.flush()

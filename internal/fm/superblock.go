@@ -92,10 +92,11 @@ type sbEntry struct {
 // path (stores, coherence fan-out, rollback memory undo) covers blocks
 // for free.
 type sbCache struct {
-	slots  []sbEntry
-	mask   isa.Word
-	maxLen int
-	ic     *icache
+	slots   []sbEntry
+	mask    isa.Word
+	maxLen  int
+	ic      *icache
+	forming []sbOp // form's scratch: blocks are installed at their exact length
 
 	// Statistics, published as fm_superblock_* by Model.PublishTelemetry.
 	hits          uint64
@@ -169,7 +170,7 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbEntry {
 	page := pa >> fullsys.PageShift
 	pageEnd := (page + 1) << fullsys.PageShift
 	paged := !m.Kernel() && m.CR[isa.CRPaging] != 0
-	ops := make([]sbOp, 0, c.maxLen)
+	ops := c.forming[:0]
 	off := isa.Word(0)
 	for len(ops) < c.maxLen {
 		cur := pa + off
@@ -221,11 +222,12 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbEntry {
 		}
 		off += isa.Word(op.size)
 	}
+	c.forming = ops[:0]
 	if len(ops) == 0 {
 		return nil
 	}
 	e := &c.slots[pa&c.mask]
-	*e = sbEntry{pa: pa, page: page, gen: c.ic.pageGen[page], ops: ops}
+	*e = sbEntry{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append([]sbOp(nil), ops...)}
 	return e
 }
 

@@ -6,6 +6,8 @@ package fullsys
 // undo journal) and SaveState/LoadState (state.go; the versioned binary
 // form warm-start snapshots persist).
 
+import "maps"
+
 // Console is a character console: an always-ready output port and an input
 // FIFO pre-scripted at construction (a deterministic stand-in for keyboard
 // input). Input arrival times are in target time units.
@@ -207,7 +209,11 @@ type Disk struct {
 	Latency     uint64
 
 	sectors map[uint32][]uint32
-	now     uint64
+	// shared marks the sector map as referenced by a rollback capture: the
+	// next mutation clones it first (installSector), so captures cost
+	// nothing until the disk is actually written.
+	shared bool
+	now    uint64
 
 	// secBlob caches the canonical sector-map encoding; secDirty marks it
 	// stale after a sector mutation. See sectorBlob in state.go.
@@ -231,7 +237,18 @@ func NewDisk(sectorWords int, latency uint64) *Disk {
 
 // Preload fills a sector image before boot (e.g. the "compressed kernel").
 func (d *Disk) Preload(sector uint32, words []uint32) {
-	d.sectors[sector] = append([]uint32(nil), words...)
+	d.installSector(sector, append([]uint32(nil), words...))
+}
+
+// installSector is the one place the sector map is mutated. A map a
+// rollback capture still references is cloned first — shallowly: installed
+// sector slices are never mutated in place, so captures and the live map
+// may share them.
+func (d *Disk) installSector(sector uint32, words []uint32) {
+	if d.shared {
+		d.sectors, d.shared = maps.Clone(d.sectors), false
+	}
+	d.sectors[sector] = words
 	d.secDirty = true
 }
 
@@ -257,8 +274,7 @@ func (d *Disk) Tick(now uint64) {
 		if d.writing {
 			sec := make([]uint32, d.SectorWords)
 			copy(sec, d.buf)
-			d.sectors[d.sector] = sec
-			d.secDirty = true
+			d.installSector(d.sector, sec)
 		}
 	}
 }
@@ -315,7 +331,7 @@ func (d *Disk) Out(port uint16, v uint32) {
 			d.busy = true
 			d.doneAt = d.now + d.Latency
 		case 2: // write
-			d.buf = make([]uint32, 0, d.SectorWords)
+			d.buf = nil
 			d.bufPos = 0
 			d.writing = true
 			d.busy = true
@@ -323,7 +339,9 @@ func (d *Disk) Out(port uint16, v uint32) {
 		}
 	case PortDiskData:
 		if d.writing && len(d.buf) < d.SectorWords {
-			d.buf = append(d.buf, v)
+			// Rollback captures share d.buf, so a buffer is never written
+			// in place once installed: append into a fresh array.
+			d.buf = append(d.buf[:len(d.buf):len(d.buf)], v)
 			// The write completes Latency after the *last* streamed word,
 			// not after the command: PIO streaming a full sector takes
 			// longer than the device latency, and completing mid-stream
@@ -343,32 +361,22 @@ func (d *Disk) IRQ() int {
 	return -1
 }
 
-// copySectors shallow-copies the sector map. Installed sector slices are
-// never mutated in place (Tick and Preload always install fresh slices), so
-// sharing them between the live map and a rollback capture is safe.
-func copySectors(m map[uint32][]uint32) map[uint32][]uint32 {
-	out := make(map[uint32][]uint32, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-// CaptureRollback implements Device. The sector map is shallow-copied —
-// O(sectors), not O(disk words) — and restore copies again so a checkpoint
-// capture survives being restored more than once.
+// CaptureRollback implements Device. The sector map is shared with the
+// capture, copy-on-write (installSector), and so is the transfer buffer,
+// which is never written in place: capture and restore are O(1) in the disk
+// and sector size, and because neither side ever writes shared storage, a
+// checkpoint capture survives being restored more than once.
 func (d *Disk) CaptureRollback() func() {
-	sectors := copySectors(d.sectors)
+	sectors := d.sectors
+	d.shared = true
 	secBlob, secDirty := d.secBlob, d.secDirty
 	sector, busy, doneAt, done := d.sector, d.busy, d.doneAt, d.done
-	buf := append([]uint32(nil), d.buf...)
-	bufPos, writing := d.bufPos, d.writing
+	buf, bufPos, writing := d.buf, d.bufPos, d.writing
 	return func() {
-		d.sectors = copySectors(sectors)
+		d.sectors, d.shared = sectors, true
 		d.secBlob, d.secDirty = secBlob, secDirty
 		d.sector, d.busy, d.doneAt, d.done = sector, busy, doneAt, done
-		d.buf = append([]uint32(nil), buf...)
-		d.bufPos, d.writing = bufPos, writing
+		d.buf, d.bufPos, d.writing = buf, bufPos, writing
 	}
 }
 
@@ -459,9 +467,10 @@ func (n *NIC) IRQ() int {
 }
 
 // CaptureRollback implements Device. The tx FIFO is append-only, so the
-// capture records only its length and restore truncates.
+// capture records only its length and restore truncates; pending arrivals
+// are only ever re-sliced from the front, so the capture shares them.
 func (n *NIC) CaptureRollback() func() {
-	arrivals := append([]ScriptedInput(nil), n.arrivals...)
+	arrivals := n.arrivals
 	rx := append([]uint32(nil), n.rx...)
 	txLen := len(n.tx)
 	return func() {

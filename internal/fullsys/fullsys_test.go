@@ -64,6 +64,49 @@ func TestMemoryLoad(t *testing.T) {
 	m.Load(0xFFF, []byte{1, 2})
 }
 
+// TestMemoryRecycle: a recycled memory is dead (size 0, recycling twice is
+// harmless), its dirty storage comes back zeroed, a different size never
+// receives it, and the spare list stays bounded.
+func TestMemoryRecycle(t *testing.T) {
+	for round := 0; round < 2*maxSpare; round++ {
+		m := NewMemory(4 * PageSize)
+		for _, b := range m.Bytes(0, m.Size()) {
+			if b != 0 {
+				t.Fatalf("round %d: fresh memory is not zero", round)
+			}
+		}
+		m.Write(100, 0xDEADBEEF, 4)
+		m.Fill(3*PageSize+5, 900, 0xAB)
+		m.Recycle()
+		m.Recycle()
+		if m.Size() != 0 {
+			t.Fatalf("recycled memory still has size %d", m.Size())
+		}
+		if other := NewMemory(8 * PageSize); other.Size() != 8*PageSize {
+			t.Fatalf("asked for %d bytes, got %d", 8*PageSize, other.Size())
+		}
+	}
+	var held []*Memory
+	for i := 0; i < 3*maxSpare; i++ {
+		held = append(held, NewMemory(PageSize))
+	}
+	for _, m := range held {
+		m.Recycle()
+	}
+	if n := len(spare.bufs); n > maxSpare {
+		t.Fatalf("%d spare buffers kept, want at most %d", n, maxSpare)
+	}
+	// A buffer handed out again must not stay reachable from the list.
+	for n := len(spare.bufs); n > 0; n = len(spare.bufs) {
+		NewMemory(len(spare.bufs[n-1]))
+	}
+	for i, b := range spare.bufs[:cap(spare.bufs)] {
+		if b != nil {
+			t.Fatalf("spare slot %d still pins a %d-byte buffer after it was taken", i, len(b))
+		}
+	}
+}
+
 func TestTLBInsertLookupReplace(t *testing.T) {
 	var tlb TLB
 	tlb.Insert(TLBEntry{VPN: 5, PFN: 9, Valid: true, User: true})

@@ -12,6 +12,7 @@ package fullsys
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"repro/internal/isa"
 )
@@ -27,12 +28,61 @@ type Memory struct {
 	data []byte
 }
 
+// spare holds the storage of recycled memories. One run's 16 MiB of target
+// memory outweighs everything else it allocates; left to the collector, at a
+// job server's run rate those buffers set its pace and its peak heap. The
+// list is short on purpose: it bounds what an idle process keeps.
+var spare struct {
+	sync.Mutex
+	bufs [][]byte
+}
+
+const maxSpare = 2
+
 // NewMemory allocates size bytes of zeroed physical memory.
 func NewMemory(size int) *Memory {
 	if size <= 0 || size%PageSize != 0 {
 		panic(fmt.Sprintf("fullsys: memory size %d not a positive page multiple", size))
 	}
-	return &Memory{data: make([]byte, size)}
+	spare.Lock()
+	var data []byte
+	if n := len(spare.bufs); n > 0 && len(spare.bufs[n-1]) == size {
+		data, spare.bufs[n-1] = spare.bufs[n-1], nil // the slot must not pin the buffer
+		spare.bufs = spare.bufs[:n-1]
+	}
+	spare.Unlock()
+	if data == nil {
+		return &Memory{data: make([]byte, size)}
+	}
+	m := &Memory{data: data}
+	m.zero()
+	return m
+}
+
+// zero clears the memory by writing only the pages that hold data. Writing a
+// page makes it resident; reading one the host never touched does not, and a
+// target touches a small part of its 16 MiB — so a memory that is zeroed this
+// way (when recycled, or under a restored snapshot) stays as small in the
+// host as the first run left it.
+func (m *Memory) zero() {
+	for off := 0; off < len(m.data); off += PageSize {
+		if page := m.data[off : off+PageSize]; !pageIsZero(page) {
+			clear(page)
+		}
+	}
+}
+
+// Recycle hands the memory's storage to a later NewMemory of the same size.
+// The caller must hold the last reference to m: afterwards m has size 0 and
+// any access panics.
+func (m *Memory) Recycle() {
+	data := m.data
+	m.data = nil
+	spare.Lock()
+	if data != nil && len(spare.bufs) < maxSpare {
+		spare.bufs = append(spare.bufs, data)
+	}
+	spare.Unlock()
 }
 
 // Size returns the physical memory size in bytes.
@@ -84,7 +134,31 @@ func (m *Memory) Bytes(pa isa.Word, n int) []byte {
 	return m.data[pa:end]
 }
 
-// Load copies a program image into physical memory.
+// Fill sets the n bytes at pa to b (one run of a rep stos).
+func (m *Memory) Fill(pa isa.Word, n int, b byte) {
+	run := m.data[pa : int(pa)+n]
+	for i := range run {
+		run[i] = b
+	}
+}
+
+// CopyForward copies n bytes from src to dst in ascending address order, the
+// way a byte-at-a-time rep movs does. Unlike memmove, a destination that
+// starts inside (src, src+n) re-reads bytes the copy has already written, so
+// the leading dst-src bytes repeat through the run.
+func (m *Memory) CopyForward(dst, src isa.Word, n int) {
+	step := n
+	if dst > src && int(dst-src) < n {
+		step = int(dst - src)
+	}
+	for off := 0; off < n; off += step {
+		k := min(step, n-off)
+		copy(m.data[int(dst)+off:int(dst)+off+k], m.data[int(src)+off:int(src)+off+k])
+	}
+}
+
+// Load copies a program image (or any saved run of bytes) into physical
+// memory.
 func (m *Memory) Load(base isa.Word, code []byte) {
 	if !m.InRange(base, len(code)) {
 		panic(fmt.Sprintf("fullsys: image [%#x,%#x) outside memory", base, int(base)+len(code)))

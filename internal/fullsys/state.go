@@ -17,6 +17,8 @@ package fullsys
 // encoding a pure function of observable device state.
 
 import (
+	"bytes"
+
 	"repro/internal/snap"
 )
 
@@ -217,7 +219,8 @@ func (d *Disk) LoadState(r *snap.Reader) error {
 	if err != nil {
 		return err
 	}
-	d.sectors, d.secBlob, d.secDirty = sectors, secBlob, false
+	d.sectors, d.shared = sectors, false // freshly decoded: no capture references it
+	d.secBlob, d.secDirty = secBlob, false
 	d.sector, d.busy, d.doneAt, d.done = sector, busy, doneAt, done
 	d.buf, d.bufPos, d.writing = buf, bufPos, writing
 	return nil
@@ -371,23 +374,16 @@ func (m *Memory) LoadState(r *snap.Reader) error {
 		pages = append(pages, page{idx, raw})
 	}
 	// Validation done: apply. Zero everything, then lay in the saved pages.
-	for i := range m.data {
-		m.data[i] = 0
-	}
+	m.zero()
 	for _, p := range pages {
 		copy(m.data[int(p.idx)<<PageShift:], p.raw)
 	}
 	return nil
 }
 
-func pageIsZero(page []byte) bool {
-	for _, b := range page {
-		if b != 0 {
-			return false
-		}
-	}
-	return true
-}
+var zeroPage [PageSize]byte
+
+func pageIsZero(page []byte) bool { return bytes.Equal(page, zeroPage[:]) }
 
 // ---------------------------------------------------------------------------
 // TLB

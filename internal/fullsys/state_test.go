@@ -207,6 +207,93 @@ func TestDiskSnapshotAliasing(t *testing.T) {
 	}
 }
 
+// TestDiskCaptureRestoreTwice: rollback captures share the sector map with
+// the live disk copy-on-write, and the checkpoint engine restores one
+// capture several times. Every mutation path after a capture — Preload, a
+// port-protocol write completing in Tick, LoadState — must leave the
+// capture intact, on the first restore and on the second, and two captures
+// sharing one map must not disturb each other.
+func TestDiskCaptureRestoreTwice(t *testing.T) {
+	d := NewDisk(4, 10)
+	d.Preload(1, []uint32{1, 1, 1, 1})
+	portWrite := func(now uint64, sector uint32, v uint32) {
+		d.Tick(now)
+		d.Out(PortDiskSector, sector)
+		d.Out(PortDiskCmd, 2)
+		for i := 0; i < d.SectorWords; i++ {
+			d.Out(PortDiskData, v)
+		}
+		d.Tick(now + d.Latency)
+		d.Out(PortDiskAck, 1)
+	}
+	check := func(when string, want map[uint32]uint32) {
+		t.Helper()
+		for sec := uint32(0); sec < 5; sec++ {
+			got := d.Sector(sec)
+			v, ok := want[sec]
+			if !ok {
+				if got != nil {
+					t.Errorf("%s: sector %d = %v, want absent", when, sec, got)
+				}
+				continue
+			}
+			if len(got) != d.SectorWords || got[0] != v || got[d.SectorWords-1] != v {
+				t.Errorf("%s: sector %d = %v, want all %d", when, sec, got, v)
+			}
+		}
+	}
+
+	capA := d.CaptureRollback() // {1:1}
+	blobA := snap.NewWriter(64)
+	d.SaveState(blobA)
+	portWrite(100, 2, 2)
+	capB := d.CaptureRollback() // {1:1, 2:2}; shares the post-write map
+	d.Preload(1, []uint32{9, 9, 9, 9})
+	portWrite(200, 3, 3)
+	check("live", map[uint32]uint32{1: 9, 2: 2, 3: 3})
+
+	capB()
+	check("B restored", map[uint32]uint32{1: 1, 2: 2})
+	portWrite(300, 4, 4) // mutate on top of the restored, still-shared map
+	d.Preload(2, []uint32{7, 7, 7, 7})
+	capB()
+	check("B restored twice", map[uint32]uint32{1: 1, 2: 2})
+
+	capA()
+	check("A restored", map[uint32]uint32{1: 1})
+	if err := d.LoadState(snap.NewReader(blobA.Bytes())); err != nil {
+		t.Fatal(err)
+	}
+	portWrite(400, 1, 5)
+	check("after LoadState + write", map[uint32]uint32{1: 5})
+	capA()
+	check("A restored twice", map[uint32]uint32{1: 1})
+	capB()
+	check("B restored after A", map[uint32]uint32{1: 1, 2: 2})
+
+	// The transfer buffer is shared with captures too: one taken mid-stream
+	// keeps exactly the words streamed before it, whatever follows.
+	stream := func(words ...uint32) {
+		for _, w := range words {
+			d.Out(PortDiskData, w)
+		}
+	}
+	d.Tick(1000)
+	d.Out(PortDiskSector, 4)
+	d.Out(PortDiskCmd, 2)
+	stream(1, 2)
+	mid := d.CaptureRollback()
+	stream(3, 4)
+	mid()
+	stream(8)
+	mid()
+	stream(5, 6)
+	d.Tick(1000 + d.Latency)
+	if got := d.Sector(4); len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 5 || got[3] != 6 {
+		t.Errorf("sector streamed across two restores of a mid-stream capture = %v, want [1 2 5 6]", got)
+	}
+}
+
 // TestDiskWriteCompletesAfterLastWord pins the device-side torn-write
 // guard: a write command's completion clock restarts with every streamed
 // data word, so while the kernel keeps streaming (each word within the
