@@ -1,5 +1,5 @@
 # Developer entry points. `make check` is the tier-1 gate: formatting,
-# vet, build, full test suite. `make race` exercises the concurrent paths
+# vet, build, full test suite, and a compile of the bench/ yardstick. `make race` exercises the concurrent paths
 # (the goroutine-parallel coupling, the sim.Fleet sweep runner, the fastd
 # job service and the cluster coordinator) under the race detector.
 # `make serve` boots the job server; `make smoke` drives a built fastd end
@@ -8,9 +8,9 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test zero-alloc race bench bench-layers bench-json bench-gate serve smoke smoke-cluster
+.PHONY: check fmt vet build test zero-alloc yardstick race bench bench-layers bench-json bench-gate serve smoke smoke-cluster
 
-check: fmt vet build test zero-alloc
+check: fmt vet build test zero-alloc yardstick
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
@@ -32,6 +32,14 @@ test:
 # gate and re-checks it uncached.
 zero-alloc:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fm
+
+# bench/ is a module of its own (it imports repro/internal/... through a
+# replace), so `go build ./...` and `go vet ./...` at the root never see it:
+# compile it here, offline like bench/run.sh does, so a signature change the
+# benchmark depends on fails the gate instead of the next benchmark run.
+yardstick:
+	cd bench && GOFLAGS=-mod=mod GOPROXY=off $(GO) vet . && \
+		GOFLAGS=-mod=mod GOPROXY=off $(GO) build -o /dev/null .
 
 race:
 	$(GO) test -race -timeout 30m ./internal/obs/... ./internal/core/... \

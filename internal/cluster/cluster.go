@@ -219,16 +219,6 @@ func (c *Coordinator) candidates(key string, skip *node) []*node {
 	return nodes
 }
 
-// shardKey is the rendezvous key of a job: its content address when it
-// has one, else the coordinator job id — so uncacheable work still
-// spreads deterministically.
-func shardKey(coordID, engine string, p sim.Params) string {
-	if k := service.JobKey(engine, p); k != "" {
-		return k
-	}
-	return coordID
-}
-
 // place submits j to the best available node (in rendezvous order,
 // excluding skip), marking nodes that fail transport as unhealthy along
 // the way. Returns the accepting node's job view. Caller must hold j.busy

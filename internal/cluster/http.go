@@ -92,7 +92,7 @@ func (c *Coordinator) mintJob(engine string, rawParams json.RawMessage, p sim.Pa
 		submitted: time.Now(),
 	}
 	c.mu.Unlock()
-	j.key = shardKey(j.id, engine, p)
+	j.key = service.JobKey(engine, p)
 	return j
 }
 
@@ -216,7 +216,7 @@ func (c *Coordinator) handleSubmitSweep(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 		j.rawParams = raw
-		j.key = shardKey(j.id, pt.Engine, pt.Params)
+		j.key = service.JobKey(pt.Engine, pt.Params)
 	}
 
 	// Place children in spec order. Sweep admission is all-or-nothing on a

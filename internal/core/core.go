@@ -3,21 +3,47 @@
 // (internal/tm) through the trace buffer (internal/trace), over the DRC
 // host link (internal/hostlink).
 //
-// Two coupling modes are provided:
+// There is one coupled core, Sim: FM + trace buffer + appender + host link +
+// host-time accounting, one tm.ChunkSource and one tm.Control. Every TM→FM
+// message is a command handed to the single apply — a commit releases
+// rollback resources (TB.Commit + FM.Commit); a re-steer (mispredict or
+// resolve) rewinds the trace, SetPCs the FM, flips wrongPath, marks the
+// timeline and charges the poll, the rollback and the replay. What differs
+// between the engines is only the scheduling policy — who runs when, and
+// therefore who calls apply — chosen once per run:
 //
-//   - Serial (default): a deterministic co-simulation. Each target cycle
-//     the timing model executes, and the functional model receives a host
-//     time budget equal to the host time the TM just consumed; it produces
-//     trace entries (including speculative wrong-path run-ahead) as that
-//     budget allows. This models the two components running in parallel at
-//     their real relative rates — reproducibly.
+//	engine         policy             apply is called by       a fetch miss
+//	fast           inline             Control, directly        returns FetchWait (a bubble)
+//	fast-parallel  producer           the FM goroutine, from   blocks until the producer
+//	                                  the command channel      publishes or the stream ends
+//	fast -cores N  round-robin quanta Control, directly (per   returns FetchWait; converge
+//	                                  core, one goroutine)     drains it at the boundary
 //
-//   - Parallel: the FM and TM actually run in separate goroutines coupled
-//     by the blocking trace buffer, with TM→FM commands (commit,
-//     mispredict, resolve) on a channel. This realizes §3's claim that the
-//     speculative functional model makes the functional/timing boundary
-//     latency-tolerant: the producer runs ahead of the consumer and is
-//     only re-steered on round trips.
+// The policies in turn:
+//
+//   - Inline (New): a deterministic co-simulation. Each target cycle the FM
+//     receives a host-time budget equal to the host time the TM consumed
+//     last cycle, produces trace entries (including wrong-path run-ahead)
+//     as that budget allows, then the TM executes one cycle (stepCycle).
+//     This models the two components running in parallel at their real
+//     relative rates — reproducibly.
+//
+//   - Producer (NewParallel): the same Sim plus an asyncLink. The FM runs
+//     free in its own goroutine (produce, parallel.go) and Control posts
+//     commands instead of applying them: commits one-way and batched,
+//     re-steers as round trips (§3.1). This realizes §3's claim that the
+//     speculative FM makes the functional/timing boundary latency-tolerant.
+//
+//   - Round-robin quanta (NewMulticore): N inline cores over one shared
+//     memory, L2 and directory, each advanced a quantum at a time through
+//     the same run loop, with converge as the quantum-boundary step.
+//
+// Four constraints hold the design in place. The hot path is direct: the
+// policy is a nil check on Sim.async, never an interface or func value per
+// entry or per cycle. A single core is not a 1-core container: Cores <= 1
+// keeps the private cache hierarchy and Sim.Snapshot's layout. The producer
+// goroutine never reads TM state (onFlush keeps each policy's own timeline
+// clock). And the names bench/ builds against keep their signatures.
 //
 // The performance model (Result) accounts host time the way §4.5 does:
 // trace burst writes at the link's per-word cost, blocking poll reads every
@@ -31,6 +57,8 @@ package core
 import (
 	"context"
 	"fmt"
+	"math"
+	"sync"
 
 	"repro/internal/fm"
 	"repro/internal/fpga"
@@ -148,7 +176,9 @@ func (r Result) String() string {
 		r.FMNanos/1e6, r.TMNanos/1e6)
 }
 
-// Sim is a coupled FAST simulator instance.
+// Sim is the coupled FAST simulator: one FM/TM pair around a trace buffer.
+// It is the whole simulator under the inline and producer policies and one
+// core of a Multicore under round-robin quanta.
 type Sim struct {
 	cfg Config
 	FM  *fm.Model
@@ -161,12 +191,12 @@ type Sim struct {
 	// therefore every architectural result — is independent of the chunk
 	// size.
 	app     *trace.Appender
-	viewBuf []trace.Entry // serialSource.FetchChunk scratch
+	viewBuf []trace.Entry // source.FetchChunk scratch (TM side)
 
 	link *hostlink.Link
 	// pendingWords accumulates the trace words of the open chunk; the
 	// flush records them as one link burst (each entry's cost still enters
-	// the FM budget per entry, keeping the serial host-time arithmetic
+	// the FM budget per entry, keeping the inline host-time arithmetic
 	// identical to per-entry coupling).
 	pendingWords int
 	chunkH       *obs.Histogram
@@ -176,23 +206,36 @@ type Sim struct {
 	tlog *obs.TraceLog
 	pid  int
 
-	// FM-side accounting.
+	// FM-side accounting. Under the producer policy these are owned by the
+	// FM goroutine (apply and entryCost run there, so no lock is needed);
+	// RunContext reads them only after the producer's WaitGroup establishes
+	// the happens-before edge.
 	fmNanos       float64
-	budget        float64 // host nanoseconds available to the FM (serial mode)
 	bbSincePoll   int
 	wrongPath     bool
-	wrongIN       uint64
 	wrongProduced uint64
-	committed     uint64
-	lastHost      uint64
+
+	// TM-side accounting, owned by the goroutine that steps the TM under
+	// every policy. committed counts this core's retirements; total is the
+	// whole-target count the instruction cap checks — the core's own under
+	// New/NewParallel, the container's shared one in a Multicore.
+	budget    float64 // host nanoseconds available to the FM (inline policy)
+	lastHost  uint64
+	committed uint64
+	total     *uint64
+	ticks     uint64 // run-loop iterations, for ctxCheckInterval
+
+	// async is the producer policy's TM→FM transport; nil means commands
+	// are applied inline by the caller.
+	async *asyncLink
 
 	// Warm-start capture: trackUser latches sawUser at the FM's first
-	// user-mode instruction; snapHook is the armed one-shot capture
-	// callback (serial runs own theirs, multicore containers keep it at
-	// the container and arm only the tracking on the boot core).
+	// user-mode instruction. The armed one-shot callback is
+	// cfg.SnapshotHook, cleared when it fires (single-core runs own
+	// theirs, multicore containers keep it at the container and arm only
+	// the tracking on the boot core).
 	trackUser bool
 	sawUser   bool
-	snapHook  func(in uint64, blob []byte)
 
 	// sink is the bound pumpSink handed to FM.StepBlock, created once at
 	// construction (a fresh method value per call would allocate). nil
@@ -209,16 +252,13 @@ const (
 	tidLink = 3 // host CPU↔FPGA channel
 )
 
-// openTraceTracks labels a run's process and phase tracks in the timeline.
-func openTraceTracks(tlog *obs.TraceLog, pid int, coupling string) {
-	tlog.ProcessName(pid, "FAST "+coupling+" run")
-	tlog.ThreadName(pid, tidTM, "TM (timing model)")
-	tlog.ThreadName(pid, tidFM, "FM (functional model)")
-	tlog.ThreadName(pid, tidLink, "host link")
-}
+// New builds a simulator under the inline policy; load a program into s.FM
+// before Run.
+func New(cfg Config) (*Sim, error) { return newSim(cfg, nil) }
 
-// New builds a simulator; load a program into s.FM before Run.
-func New(cfg Config) (*Sim, error) {
+// newSim assembles the coupled core; a non-nil async link selects the
+// producer policy.
+func newSim(cfg Config, async *asyncLink) (*Sim, error) {
 	if cfg.TBCapacity == 0 {
 		cfg.TBCapacity = 512
 	}
@@ -232,12 +272,19 @@ func New(cfg Config) (*Sim, error) {
 		cfg.MaxCycles = 2_000_000_000
 	}
 	cfg.FM.Telemetry = cfg.Telemetry
-	s := &Sim{
-		cfg:  cfg,
-		FM:   fm.New(cfg.FM),
-		TB:   trace.NewBuffer(cfg.TBCapacity),
-		link: hostlink.New(cfg.Link),
+	coupling := "serial"
+	if async != nil {
+		coupling = "parallel"
 	}
+	s := &Sim{
+		cfg:       cfg,
+		FM:        fm.New(cfg.FM),
+		TB:        trace.NewBuffer(cfg.TBCapacity),
+		link:      hostlink.New(cfg.Link),
+		async:     async,
+		trackUser: cfg.SnapshotHook != nil,
+	}
+	s.total = &s.committed
 	s.link.Attach(cfg.Telemetry)
 	if s.FM.SuperblocksEnabled() {
 		s.sink = s.pumpSink
@@ -246,14 +293,15 @@ func New(cfg Config) (*Sim, error) {
 	s.app.OnFlush = s.onFlush
 	s.viewBuf = make([]trace.Entry, s.app.ChunkSize())
 	s.chunkH = cfg.Telemetry.Histogram(
-		obs.L("core_trace_chunk_entries", "coupling", "serial"), obs.ChunkBuckets)
+		obs.L("core_trace_chunk_entries", "coupling", coupling), obs.ChunkBuckets)
 	if tlog := cfg.Telemetry.TraceLog(); tlog != nil {
 		s.tlog, s.pid = tlog, obs.NextPID()
-		openTraceTracks(tlog, s.pid, "serial")
+		tlog.ProcessName(s.pid, "FAST "+coupling+" run")
+		tlog.ThreadName(s.pid, tidTM, "TM (timing model)")
+		tlog.ThreadName(s.pid, tidFM, "FM (functional model)")
+		tlog.ThreadName(s.pid, tidLink, "host link")
 	}
-	s.snapHook = cfg.SnapshotHook
-	s.trackUser = s.snapHook != nil
-	t, err := tm.New(cfg.TM, (*serialSource)(s), (*serialControl)(s))
+	t, err := tm.New(cfg.TM, (*source)(s), (*control)(s))
 	if err != nil {
 		return nil, err
 	}
@@ -282,21 +330,8 @@ func (s *Sim) terminal() bool {
 // pumpSink re-checks the loop predicates after every entry, so the block
 // path stops at exactly the instruction per-instruction stepping would.
 func (s *Sim) pump() {
-	for {
-		if s.terminal() {
-			break
-		}
-		if s.FM.Halted() {
-			// Idle time passes at the TM's rate; nothing to produce.
-			break
-		}
-		if s.app.Live() >= s.TB.Cap() {
-			break
-		}
-		// Peek at the cost of one more instruction.
-		if s.budget < s.cfg.FMNanosPerInst {
-			break
-		}
+	// A halted FM produces nothing: idle time passes at the TM's rate.
+	for !s.terminal() && !s.FM.Halted() && s.room() {
 		if s.sink != nil {
 			if s.FM.StepBlock(s.sink) == 0 {
 				break
@@ -314,25 +349,28 @@ func (s *Sim) pump() {
 	s.app.Flush()
 }
 
-// pumpSink accounts one produced entry and reports whether the current
-// superblock may keep running: the same budget and occupancy predicates
-// the pump loop checks between instructions.
-func (s *Sim) pumpSink(e trace.Entry) bool {
-	cost := s.entryCost(e)
-	s.budget -= cost
-	s.fmNanos += cost
-	if s.wrongPath {
-		s.wrongProduced++
-	}
-	if !s.app.TryAppend(e) {
-		panic("core: trace buffer overflow despite occupancy check")
-	}
+// room reports whether the inline FM may produce one more entry: the
+// budget covers the cost of an instruction and the trace buffer has a free
+// slot. pump checks it between instructions and pumpSink inside a
+// superblock.
+func (s *Sim) room() bool {
 	return s.budget >= s.cfg.FMNanosPerInst && s.app.Live() < s.TB.Cap()
 }
 
-// onFlush observes every published chunk: the accumulated words of its
-// entries ship as one link burst, and telemetry sees the chunk size and
-// post-publish TB occupancy.
+// pumpSink accounts one produced entry and reports whether the current
+// superblock may keep running.
+func (s *Sim) pumpSink(e trace.Entry) bool {
+	s.budget -= s.entryCost(e)
+	if !s.app.TryAppend(e) {
+		panic("core: trace buffer overflow despite occupancy check")
+	}
+	return s.room()
+}
+
+// onFlush observes every published chunk, on whichever goroutine runs the
+// FM: the accumulated words of its entries ship as one link burst,
+// telemetry sees the chunk size and post-publish TB occupancy, and under
+// the producer policy a blocked consumer is woken.
 func (s *Sim) onFlush(entries, occupancy int) {
 	if s.pendingWords > 0 {
 		s.link.BurstWrite(s.pendingWords)
@@ -340,19 +378,29 @@ func (s *Sim) onFlush(entries, occupancy int) {
 	}
 	s.chunkH.Observe(float64(entries))
 	if s.tlog != nil {
-		s.tlog.CounterSample("tb_occupancy", s.pid,
-			s.cfg.Clock.Nanos(s.TM.HostCycles()),
+		// Each policy samples on its own clock. The producer goroutine
+		// must not read TM state (a data race), so it stamps FM host time.
+		ts := s.fmNanos
+		if s.async == nil {
+			ts = s.cfg.Clock.Nanos(s.TM.HostCycles())
+		}
+		s.tlog.CounterSample("tb_occupancy", s.pid, ts,
 			map[string]any{"entries": occupancy})
+	}
+	if s.async != nil {
+		s.async.tick()
 	}
 }
 
-// entryCost is the FM host time to produce and ship one entry. The burst
-// cost enters the budget here, per entry (keeping the serial host-time
-// arithmetic chunk-size-independent); the words accumulate and are
-// recorded against the link when the chunk publishes.
+// entryCost charges one produced entry to the FM side — execution, its
+// share of the chunk's burst write, the periodic poll, and the wrong-path
+// count — and returns the host time it cost. The burst cost is charged
+// here, per entry (keeping the host-time arithmetic chunk-size-independent);
+// the words accumulate and are recorded against the link when the chunk
+// publishes.
 func (s *Sim) entryCost(e trace.Entry) float64 {
 	cost := s.cfg.FMNanosPerInst
-	words := s.encWords(e)
+	words := trace.DefaultEncoding.Words(e)
 	cost += s.link.BurstNanos(words)
 	s.pendingWords += words
 	if e.Branch {
@@ -362,53 +410,86 @@ func (s *Sim) entryCost(e trace.Entry) float64 {
 			cost += s.link.Poll(1)
 		}
 	}
+	s.fmNanos += cost
+	if s.wrongPath {
+		s.wrongProduced++
+	}
 	return cost
-}
-
-func (s *Sim) encWords(e trace.Entry) int {
-	return trace.DefaultEncoding.Words(e)
 }
 
 // Run executes the coupled simulation to completion (or the configured
 // limits) and returns the result.
 func (s *Sim) Run() (Result, error) { return s.RunContext(context.Background()) }
 
-// ctxCheckInterval is how many iterations of a run loop pass between
+// ctxCheckInterval is how many iterations of the run loop pass between
 // context-cancellation checks: frequent enough that SIGINT lands within
 // microseconds of simulated work, rare enough to cost nothing.
 const ctxCheckInterval = 1024
 
 // RunContext is Run with cooperative cancellation: when ctx is cancelled
 // the loop stops at the next cycle boundary and returns the partial result
-// alongside ctx.Err().
+// alongside ctx.Err(). Under the producer policy the FM goroutine lives
+// exactly as long as this call: it is shut down through the done channel
+// and waited for, so no goroutine is abandoned and its accounting fields
+// are safe to read in result.
 func (s *Sim) RunContext(ctx context.Context) (Result, error) {
-	var ticks uint64
-	for !s.TM.Done() {
-		if s.cfg.MaxInstructions > 0 && s.committed >= s.cfg.MaxInstructions {
+	var wg sync.WaitGroup
+	if s.async != nil {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.produce()
+		}()
+	}
+	s.advance(ctx, math.MaxUint64)
+	if s.async != nil {
+		close(s.async.done)
+		wg.Wait()
+	}
+	return s.result(), s.err
+}
+
+// advance is the one run loop: it steps the core until its TM drains or
+// reaches target cycle end (a quantum boundary; MaxUint64 for a whole run),
+// or until a limit stops it — the whole-target instruction cap, the cycle
+// cap, or a cancelled context (the latter two leave s.err set).
+func (s *Sim) advance(ctx context.Context, end uint64) {
+	for s.TM.Cycle() < end && !s.TM.Done() {
+		if s.capped() {
 			break
 		}
 		if s.TM.Cycle() >= s.cfg.MaxCycles {
 			s.err = fmt.Errorf("core: exceeded max cycles %d", s.cfg.MaxCycles)
 			break
 		}
-		if ticks++; ticks%ctxCheckInterval == 0 {
+		if s.ticks++; s.ticks%ctxCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				s.err = err
 				break
 			}
 		}
+		if s.async != nil {
+			// The FM side runs itself; a fetch miss blocks inside Step.
+			s.TM.Step()
+			continue
+		}
 		s.stepCycle()
 		// Deadlock guard: if the FM is terminally halted and the TB is
 		// drained, the TM will see FetchEnd and drain itself.
 	}
-	return s.result(), s.err
 }
 
-// stepCycle advances the coupled simulation by one target cycle: the FM is
+// capped reports whether the whole-target committed-instruction budget is
+// exhausted.
+func (s *Sim) capped() bool {
+	return s.cfg.MaxInstructions > 0 && *s.total >= s.cfg.MaxInstructions
+}
+
+// stepCycle advances the inline coupling by one target cycle: the FM is
 // granted the host time the TM consumed last cycle, produces trace entries
-// as that budget allows, then the TM executes one cycle. The serial run
-// loop and the multicore quantum scheduler share this body, so a one-core
-// multicore run is cycle-for-cycle the serial simulation.
+// as that budget allows, then the TM executes one cycle. Single-core runs
+// and the multicore quanta share this body, so a core inside a container
+// runs exactly the single-core coupled simulation within its quantum.
 func (s *Sim) stepCycle() {
 	if s.trackUser {
 		s.observeBoot()
@@ -433,8 +514,9 @@ func (s *Sim) converged() bool {
 }
 
 // converge steps the TM — without granting the FM budget to produce new
-// entries — until the core converges or its TM drains. The cycles spent
-// here are the modeled cost of quantum synchronization.
+// entries (new entries would be new unstable state, and the boundary would
+// never arrive) — until the core converges or its TM drains. The cycles
+// spent here are the modeled cost of quantum synchronization.
 func (s *Sim) converge() {
 	s.app.Flush()
 	for !s.TM.Done() && !s.converged() {
@@ -449,40 +531,33 @@ func (s *Sim) converge() {
 	}
 }
 
+// result assembles the canonical run summary and publishes it to the
+// configured telemetry.
 func (s *Sim) result() Result {
 	// Drain trace words whose chunk was discarded by a re-steer before it
-	// ever published: their burst cost entered the FM budget at production
-	// time (as in per-entry coupling) and must reach the link totals.
+	// ever published: their burst cost was charged at production time (as
+	// in per-entry coupling) and must reach the link totals.
 	if s.pendingWords > 0 {
 		s.link.BurstWrite(s.pendingWords)
 		s.pendingWords = 0
 	}
-	return buildResult(s.cfg, s.TM, s.FM, s.TB, s.link, s.fmNanos, s.wrongProduced, s.tlog, s.pid)
-}
-
-// buildResult assembles the canonical run summary from a finished coupled
-// simulation — shared by the serial and goroutine-parallel engines, which
-// account host time identically.
-func buildResult(cfg Config, t *tm.TM, f *fm.Model, tb *trace.Buffer,
-	link *hostlink.Link, fmNanos float64, wrongProduced uint64,
-	tlog *obs.TraceLog, pid int) Result {
-	st := t.Stats
-	tmNanos := cfg.Clock.Nanos(t.HostCycles())
+	st := s.TM.Stats
+	tmNanos := s.cfg.Clock.Nanos(s.TM.HostCycles())
 	r := Result{
 		Instructions:   st.Instructions,
-		WrongPath:      wrongProduced,
+		WrongPath:      s.wrongProduced,
 		TargetCycles:   st.Cycles,
 		IPC:            st.IPC(),
-		FMNanos:        fmNanos,
+		FMNanos:        s.fmNanos,
 		TMNanos:        tmNanos,
 		SimNanos:       tmNanos,
-		BPAccuracy:     t.BPStats.Accuracy(),
+		BPAccuracy:     s.TM.BPStats.Accuracy(),
 		Mispredicts:    st.Mispredicts,
-		Rollbacks:      f.Rollbacks,
-		TraceWords:     f.TraceWords,
-		LinkStats:      link.Stats(),
+		Rollbacks:      s.FM.Rollbacks,
+		TraceWords:     s.FM.TraceWords,
+		LinkStats:      s.link.Stats(),
 		TM:             st,
-		TBMaxOccupancy: tb.MaxOccupancy(),
+		TBMaxOccupancy: s.TB.MaxOccupancy(),
 	}
 	if r.SimNanos < r.FMNanos {
 		// The FM never finished streaming inside the TM's time: it is the
@@ -492,126 +567,180 @@ func buildResult(cfg Config, t *tm.TM, f *fm.Model, tb *trace.Buffer,
 	if r.SimNanos > 0 {
 		r.TargetMIPS = float64(r.Instructions+r.WrongPath) / r.SimNanos * 1e3
 	}
-	publishRun(cfg, t, f, r, tlog, pid)
+	s.publishRun(r)
 	return r
 }
 
 // publishRun flushes the finished run into the configured telemetry: the
 // per-layer metric series and the FM/TM/link phase spans of the timeline.
-func publishRun(cfg Config, t *tm.TM, f *fm.Model, r Result, tlog *obs.TraceLog, pid int) {
-	tel := cfg.Telemetry
+func (s *Sim) publishRun(r Result) {
+	tel := s.cfg.Telemetry
 	if tel == nil {
 		return
 	}
-	t.PublishTelemetry(tel)
-	f.PublishTelemetry(tel)
+	s.TM.PublishTelemetry(tel)
+	s.FM.PublishTelemetry(tel)
 	tel.Counter("core_runs_total").Inc()
 	tel.Counter("core_wrong_path_instructions_total").Add(r.WrongPath)
 	tel.Counter("core_fm_nanos_total").Add(uint64(r.FMNanos))
 	tel.Counter("core_tm_nanos_total").Add(uint64(r.TMNanos))
 	tel.Counter("core_link_nanos_total").Add(uint64(r.LinkStats.Nanos))
 	tel.Gauge("core_tb_max_occupancy").SetMax(int64(r.TBMaxOccupancy))
-	if tlog != nil {
+	if s.tlog != nil {
 		// Phase spans: the modeled host time each side consumed, starting
 		// at t=0 of the run's process — the §3.1 FM ∥ TM picture rendered
 		// literally.
-		tlog.Complete("phase", "TM: target execution", pid, tidTM, 0, r.TMNanos,
+		s.tlog.Complete("phase", "TM: target execution", s.pid, tidTM, 0, r.TMNanos,
 			map[string]any{"cycles": r.TargetCycles, "instructions": r.Instructions})
-		tlog.Complete("phase", "FM: trace production", pid, tidFM, 0, r.FMNanos,
+		s.tlog.Complete("phase", "FM: trace production", s.pid, tidFM, 0, r.FMNanos,
 			map[string]any{"rollbacks": r.Rollbacks, "wrong_path": r.WrongPath})
-		tlog.Complete("phase", "link: trace stream + polls", pid, tidLink, 0, r.LinkStats.Nanos,
+		s.tlog.Complete("phase", "link: trace stream + polls", s.pid, tidLink, 0, r.LinkStats.Nanos,
 			map[string]any{"reads": r.LinkStats.Reads, "writes": r.LinkStats.Writes,
 				"burst_words": r.LinkStats.BurstWords})
 	}
 }
 
-// serialSource adapts the Sim to the TM's Source interface.
-type serialSource Sim
-
-// Fetch implements tm.Source.
-func (s *serialSource) Fetch(in uint64) (trace.Entry, tm.FetchStatus) {
-	sim := (*Sim)(s)
-	if e, ok := sim.TB.TryFetch(in); ok {
-		return e, tm.FetchOK
-	}
-	// End of stream only when the FM is halted forever on the RIGHT path:
-	// a wrong-path HALT is speculative and the pending resolution will
-	// roll it back.
-	if in >= sim.app.NextIN() && sim.terminal() && !sim.wrongPath {
-		return trace.Entry{}, tm.FetchEnd
-	}
-	return trace.Entry{}, tm.FetchWait
-}
+// source adapts the Sim to the TM's ChunkSource interface (TM side).
+type source Sim
 
 // FetchChunk implements tm.ChunkSource: the TM pulls a run of live entries
-// with one buffer lock instead of one per fetch slot. pump flushes before
-// every TM.Step, so the live set the view captures is exactly the set
-// per-entry fetches would have seen.
-func (s *serialSource) FetchChunk(in uint64) ([]trace.Entry, tm.FetchStatus) {
-	sim := (*Sim)(s)
-	if n := sim.TB.TryFetchChunk(in, sim.viewBuf); n > 0 {
-		return sim.viewBuf[:n], tm.FetchOK
+// with one buffer lock, then consumes the view lock-free until it drains or
+// a re-steer drops it. What a miss does is the policy's: inline it is a
+// fetch bubble (pump flushes before every TM.Step, so the live set the view
+// captures is exactly what per-entry fetches would have seen); under the
+// producer policy it blocks until the FM goroutine publishes — there the
+// trace buffer is the synchronizer, so host-scheduling hiccups do not
+// masquerade as target fetch bubbles.
+//
+// The stream ends only when the FM is halted forever on the RIGHT path (a
+// wrong-path HALT is speculative and the pending resolution will roll it
+// back) and the TM — which only fetches when not recovering — wants an
+// entry past everything produced. Inline, the TM side reads the FM
+// directly; under the producer policy it may not, so the producer publishes
+// the condition through the link's terminal flag.
+func (src *source) FetchChunk(in uint64) ([]trace.Entry, tm.FetchStatus) {
+	s := (*Sim)(src)
+	for {
+		if n := s.TB.TryFetchChunk(in, s.viewBuf); n > 0 {
+			return s.viewBuf[:n], tm.FetchOK
+		}
+		if s.async == nil {
+			if in >= s.app.NextIN() && s.terminal() && !s.wrongPath {
+				return nil, tm.FetchEnd
+			}
+			return nil, tm.FetchWait
+		}
+		if (s.async.terminal.Load() && in >= s.TB.Produced()) || !s.async.wait() {
+			return nil, tm.FetchEnd
+		}
 	}
-	if in >= sim.app.NextIN() && sim.terminal() && !sim.wrongPath {
-		return nil, tm.FetchEnd
-	}
-	return nil, tm.FetchWait
 }
 
-// serialControl adapts the Sim to the TM's Control interface.
-type serialControl Sim
+// Fetch implements tm.Source. The TM prefers FetchChunk and falls back
+// here only for a source that returns an empty FetchOK view, which this
+// one never does.
+func (src *source) Fetch(in uint64) (trace.Entry, tm.FetchStatus) {
+	es, st := src.FetchChunk(in)
+	if st != tm.FetchOK {
+		return trace.Entry{}, st
+	}
+	return es[0], st
+}
 
-// Commit implements tm.Control.
-func (c *serialControl) Commit(in uint64) {
-	sim := (*Sim)(c)
-	sim.TB.Commit(in)
-	sim.FM.Commit(in)
-	sim.committed++
+// control adapts the Sim to the TM's Control interface (TM side): each
+// method builds a command and sends it.
+type control Sim
+
+// Commit implements tm.Control. The retirement is counted here, on the TM
+// side, because the run loop's instruction cap reads the count and apply
+// may run on another goroutine.
+func (c *control) Commit(in uint64) {
+	s := (*Sim)(c)
+	s.committed++
+	if s.total != &s.committed {
+		*s.total++
+	}
+	s.send(command{kind: cmdCommit, in: in})
 }
 
 // Mispredict implements tm.Control: re-steer the FM down the predicted
 // (wrong) path.
-func (c *serialControl) Mispredict(in uint64, wrongPC isa.Word) {
-	sim := (*Sim)(c)
-	rolledBefore := sim.FM.RolledBack
-	reExecBefore := sim.FM.ReExecuted()
-	sim.app.Rewind(in)
-	if err := sim.FM.SetPC(in, wrongPC); err != nil {
-		// The FM had not yet produced in (it is behind): it will fetch
-		// from wrongPC when it gets there only if redirected; a pure
-		// redirect handles it.
-		panic(fmt.Sprintf("core: mispredict re-steer failed: %v", err))
-	}
-	sim.wrongPath = true
-	sim.wrongIN = in
-	if sim.tlog != nil {
-		sim.tlog.Instant("resteer", "mispredict", sim.pid, tidFM, sim.fmNanos,
-			map[string]any{"in": in, "rolled_back": sim.FM.RolledBack - rolledBefore})
-	}
-	if !sim.cfg.BPP {
-		sim.fmNanos += sim.link.Poll(1) // the extra mispredict read (§4.5)
-		sim.fmNanos += float64(sim.FM.RolledBack-rolledBefore) * sim.cfg.FMRollbackNanosPerInst
-		// Checkpoint-engine rollbacks really re-execute instructions;
-		// charge them at full FM speed (§3.1's αBA).
-		sim.fmNanos += float64(sim.FM.ReExecuted()-reExecBefore) * sim.cfg.FMNanosPerInst
-	}
+func (c *control) Mispredict(in uint64, wrongPC isa.Word) {
+	(*Sim)(c).send(command{kind: cmdMispredict, in: in, pc: wrongPC})
 }
 
 // Resolve implements tm.Control: return the FM to the right path.
-func (c *serialControl) Resolve(in uint64, rightPC isa.Word) {
-	sim := (*Sim)(c)
-	rolledBefore := sim.FM.RolledBack
-	reExecBefore := sim.FM.ReExecuted()
-	sim.app.Rewind(in)
-	if err := sim.FM.SetPC(in, rightPC); err != nil {
-		panic(fmt.Sprintf("core: resolve re-steer failed: %v", err))
+func (c *control) Resolve(in uint64, rightPC isa.Word) {
+	(*Sim)(c).send(command{kind: cmdResolve, in: in, pc: rightPC})
+}
+
+// send hands a command to the policy: applied here and now, or posted to
+// the FM goroutine. Either way a commit is one-way and a re-steer returns
+// only once the FM has been rewound — a round-trip communication (§3.1),
+// which is also what makes it safe for the TM to resume fetching after a
+// recovery: the stale wrong-path entries are guaranteed gone.
+func (s *Sim) send(c command) {
+	if s.async != nil {
+		// The chunk size is fixed at construction, so reading it from the
+		// TM side is safe.
+		s.async.post(c, s.app.ChunkSize())
+		return
 	}
-	sim.wrongPath = false
-	if sim.tlog != nil {
-		sim.tlog.Instant("resteer", "resolve", sim.pid, tidFM, sim.fmNanos,
-			map[string]any{"in": in, "rolled_back": sim.FM.RolledBack - rolledBefore})
+	s.apply(c)
+}
+
+type cmdKind uint8
+
+const (
+	cmdCommit cmdKind = iota
+	cmdMispredict
+	cmdResolve
+)
+
+func (k cmdKind) String() string {
+	return [...]string{"commit", "mispredict", "resolve"}[k]
+}
+
+// command is one TM→FM message.
+type command struct {
+	kind cmdKind
+	in   uint64
+	pc   isa.Word
+	// ack, set only on a re-steer posted over an asyncLink, is closed by
+	// the producer once the command has been applied.
+	ack chan struct{}
+}
+
+// apply executes one TM→FM command against the FM side. It is the only
+// place a commit releases rollback resources and the only place a re-steer
+// is performed and charged, under every policy; it runs on whichever
+// goroutine owns the FM.
+func (s *Sim) apply(c command) {
+	if c.kind == cmdCommit {
+		s.TB.Commit(c.in)
+		s.FM.Commit(c.in)
+		return
 	}
-	sim.fmNanos += sim.link.Poll(1)
-	sim.fmNanos += float64(sim.FM.RolledBack-rolledBefore) * sim.cfg.FMRollbackNanosPerInst
-	sim.fmNanos += float64(sim.FM.ReExecuted()-reExecBefore) * sim.cfg.FMNanosPerInst
+	rolled, reExec := s.FM.RolledBack, s.FM.ReExecuted()
+	s.app.Rewind(c.in)
+	if err := s.FM.SetPC(c.in, c.pc); err != nil {
+		// The TM only re-steers to an IN it has fetched, which the FM has
+		// therefore produced.
+		panic(fmt.Sprintf("core: %v re-steer failed: %v", c.kind, err))
+	}
+	s.wrongPath = c.kind == cmdMispredict
+	rolled = s.FM.RolledBack - rolled
+	if s.tlog != nil {
+		s.tlog.Instant("resteer", c.kind.String(), s.pid, tidFM, s.fmNanos,
+			map[string]any{"in": c.in, "rolled_back": rolled})
+	}
+	if c.kind == cmdMispredict && s.cfg.BPP {
+		// The FM anticipated the divergence: no extra read, no undo work.
+		return
+	}
+	s.fmNanos += s.link.Poll(1) // the extra re-steer read (§4.5)
+	s.fmNanos += float64(rolled) * s.cfg.FMRollbackNanosPerInst
+	// Checkpoint-engine rollbacks really re-execute instructions; charge
+	// them at full FM speed (§3.1's αBA).
+	s.fmNanos += float64(s.FM.ReExecuted()-reExec) * s.cfg.FMNanosPerInst
 }

@@ -21,7 +21,7 @@ func TestParallelFullSystemBoot(t *testing.T) {
 		t.Fatal("spec missing")
 	}
 
-	run := func(parallel bool) (Result, string) {
+	run := func(newSim func(Config) (*Sim, error)) (Result, string) {
 		boot, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
@@ -29,31 +29,20 @@ func TestParallelFullSystemBoot(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.FM.Devices = boot.Devices()
 		cfg.MaxInstructions = 420_000 // past user-mode entry (~270k) so TLB misses and timer IRQs occur
-		var r Result
-		if parallel {
-			sim, err := NewParallel(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim.LoadProgram(boot.Kernel)
-			if r, err = sim.Run(); err != nil {
-				t.Fatal(err)
-			}
-		} else {
-			sim, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sim.LoadProgram(boot.Kernel)
-			if r, err = sim.Run(); err != nil {
-				t.Fatal(err)
-			}
+		sim, err := newSim(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sim.LoadProgram(boot.Kernel)
+		r, err := sim.Run()
+		if err != nil {
+			t.Fatal(err)
 		}
 		return r, string(boot.Console.Output())
 	}
 
-	serial, serialOut := run(false)
-	par, parOut := run(true)
+	serial, serialOut := run(New)
+	par, parOut := run(NewParallel)
 
 	if !strings.Contains(serialOut, "toyOS 2.4 booting") {
 		t.Errorf("serial boot banner missing: %q", serialOut)

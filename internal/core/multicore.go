@@ -16,20 +16,18 @@ type MulticoreConfig struct {
 	// InterconnectLatency is the per-hop core↔L2 delay of the shared
 	// hierarchy (0 selects cache.DefaultInterconnectLatency).
 	InterconnectLatency int
-	// QuantumCycles is the bounded-lag quantum: how many target cycles a
-	// core advances before the scheduler moves on. 0 derives it from the
-	// trace chunk size, making the skew bound ride the same granule as the
-	// FM→TM coupling.
-	QuantumCycles uint64
 }
 
-// Multicore couples N FM/TM pairs over one shared physical memory and a
-// modeled shared L2 + directory. The cores advance round-robin in bounded
-// quanta on a single goroutine, and every quantum ends with a convergence
-// phase (Sim.converge) that retires the core's speculative run-ahead, so a
-// core only ever observes the *stable* memory state of its peers:
+// Multicore is the round-robin-quanta policy: N coupled cores over one
+// shared physical memory and a modeled shared L2 + directory. It owns what
+// is whole-target — the shared hierarchy, the committed-instruction total,
+// result aggregation and the snapshot — and runs each core through the
+// same run loop as a single Sim (Sim.advance), a bounded quantum at a time
+// on a single goroutine. Every quantum ends with a convergence phase
+// (Sim.converge) that retires the core's speculative run-ahead, so a core
+// only ever observes the *stable* memory state of its peers:
 //
-//   - Within its quantum a core runs exactly the serial coupled
+//   - Within its quantum a core runs exactly the inline coupled
 //     simulation, including wrong-path FM run-ahead into shared memory.
 //   - At the quantum boundary the core's TM has consumed every produced
 //     entry and no wrong-path episode is in flight, so every store it has
@@ -39,12 +37,12 @@ type MulticoreConfig struct {
 //     whole schedule is a deterministic function of the configuration —
 //     byte-identical results at any host parallelism, by construction.
 type Multicore struct {
-	cfg       Config
-	mc        MulticoreConfig
 	cores     []*Sim
 	shared    *cache.Coherent
 	sharedMem *fullsys.Memory
-	quantum   uint64
+	// committed is the whole-target retirement count every core's
+	// instruction cap checks (Sim.total points here).
+	committed uint64
 	// snapHook is the container-owned warm-start capture: it fires at the
 	// first round boundary where the boot core has reached user mode and
 	// every core is quiescent (state.go).
@@ -62,7 +60,7 @@ type MulticoreResult struct {
 
 // NewMulticore builds an N-core simulator from the per-core configuration:
 // one shared physical memory and predecode-coherence domain on the FM side,
-// one shared L2 + directory on the TM side, and N serial Sims around them.
+// one shared L2 + directory on the TM side, and N inline Sims around them.
 func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 	if mc.Cores < 1 || mc.Cores > 64 {
 		return nil, fmt.Errorf("core: multicore supports 1..64 cores, got %d", mc.Cores)
@@ -81,8 +79,7 @@ func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 		InterconnectLatency: mc.InterconnectLatency,
 		Cores:               mc.Cores,
 	})
-	m := &Multicore{cfg: cfg, mc: mc, shared: shared, sharedMem: sharedMem}
-	m.snapHook = cfg.SnapshotHook
+	m := &Multicore{shared: shared, sharedMem: sharedMem, snapHook: cfg.SnapshotHook}
 	for i := 0; i < mc.Cores; i++ {
 		ci := cfg
 		// Capture is a whole-target decision: the container owns the hook
@@ -93,9 +90,6 @@ func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 		ci.FM.CoreID = i
 		ci.TM.Shared = shared
 		ci.TM.CoreID = i
-		// The instruction cap is a whole-target budget; the scheduler
-		// enforces it across cores.
-		ci.MaxInstructions = 0
 		if i > 0 {
 			// Boot devices (disk, NIC) hang off core 0; secondaries get
 			// the default per-core console + timer.
@@ -108,15 +102,11 @@ func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 		if s.tlog != nil {
 			s.tlog.ProcessName(s.pid, fmt.Sprintf("FAST core %d", i))
 		}
+		// The instruction cap is a whole-target budget.
+		s.total = &m.committed
 		m.cores = append(m.cores, s)
 	}
-	m.quantum = mc.QuantumCycles
-	if m.quantum == 0 {
-		m.quantum = uint64(m.cores[0].app.ChunkSize())
-	}
-	if m.snapHook != nil {
-		m.cores[0].trackUser = true
-	}
+	m.cores[0].trackUser = m.snapHook != nil
 	return m, nil
 }
 
@@ -136,7 +126,9 @@ func (m *Multicore) Run() (MulticoreResult, error) { return m.RunContext(context
 
 // RunContext is Run with cooperative cancellation.
 func (m *Multicore) RunContext(ctx context.Context) (MulticoreResult, error) {
-	var ticks uint64
+	// The bounded-lag quantum is the trace chunk size, so the cross-core
+	// skew bound rides the same granule as the FM→TM coupling.
+	quantum := uint64(m.cores[0].app.ChunkSize())
 	for m.err == nil {
 		if m.snapHook != nil {
 			m.maybeCapture()
@@ -147,23 +139,7 @@ func (m *Multicore) RunContext(ctx context.Context) (MulticoreResult, error) {
 				continue
 			}
 			live = true
-			end := s.TM.Cycle() + m.quantum
-			for s.TM.Cycle() < end && !s.TM.Done() {
-				if m.capped() {
-					break
-				}
-				if s.TM.Cycle() >= s.cfg.MaxCycles {
-					s.err = fmt.Errorf("core %d: exceeded max cycles %d", s.cfg.FM.CoreID, s.cfg.MaxCycles)
-					break
-				}
-				if ticks++; ticks%ctxCheckInterval == 0 {
-					if err := ctx.Err(); err != nil {
-						s.err = err
-						break
-					}
-				}
-				s.stepCycle()
-			}
+			s.advance(ctx, s.TM.Cycle()+quantum)
 			// Quantum boundary: retire the run-ahead so the next core sees
 			// only stable memory.
 			s.converge()
@@ -171,24 +147,11 @@ func (m *Multicore) RunContext(ctx context.Context) (MulticoreResult, error) {
 				m.err = s.err
 			}
 		}
-		if !live || m.capped() {
+		if !live || m.cores[0].capped() {
 			break
 		}
 	}
 	return m.result(), m.err
-}
-
-// capped reports whether the whole-target committed-instruction budget is
-// exhausted.
-func (m *Multicore) capped() bool {
-	if m.cfg.MaxInstructions == 0 {
-		return false
-	}
-	var total uint64
-	for _, s := range m.cores {
-		total += s.committed
-	}
-	return total >= m.cfg.MaxInstructions
 }
 
 // result aggregates the per-core runs. Host-time semantics: the N
@@ -198,10 +161,10 @@ func (m *Multicore) capped() bool {
 func (m *Multicore) result() MulticoreResult {
 	var r MulticoreResult
 	var weightedBP float64
+	a := &r.Aggregate
 	for _, s := range m.cores {
 		cr := s.result()
 		r.PerCore = append(r.PerCore, cr)
-		a := &r.Aggregate
 		a.Instructions += cr.Instructions
 		a.WrongPath += cr.WrongPath
 		a.FMNanos += cr.FMNanos
@@ -235,7 +198,6 @@ func (m *Multicore) result() MulticoreResult {
 			a.TM.Cycles = cr.TM.Cycles
 		}
 	}
-	a := &r.Aggregate
 	if a.Instructions > 0 {
 		a.BPAccuracy = weightedBP / float64(a.Instructions)
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/isa"
 	"repro/internal/workload"
 )
 
@@ -86,51 +85,6 @@ func TestMulticoreDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("results diverged:\n%+v\nvs\n%+v", a, b)
-	}
-}
-
-// TestMulticoreSingleCoreArchMatchesSerial runs a deterministic kernel-mode
-// program through a 1-core Multicore and the plain serial Sim: the shared
-// hierarchy adds interconnect latency (so cycles differ) but the
-// architectural work must be identical.
-func TestMulticoreSingleCoreArchMatchesSerial(t *testing.T) {
-	prog := isa.MustAssemble(testProgram, 0x1000)
-
-	cfg := DefaultConfig()
-	cfg.FM.DisableInterrupts = true
-	m, err := NewMulticore(cfg, MulticoreConfig{Cores: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.LoadProgram(prog)
-	mr, err := m.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg2 := DefaultConfig()
-	cfg2.FM.DisableInterrupts = true
-	s, err := New(cfg2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.LoadProgram(prog)
-	sr, err := s.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if mr.Aggregate.Instructions != sr.Instructions {
-		t.Errorf("instructions: multicore %d, serial %d", mr.Aggregate.Instructions, sr.Instructions)
-	}
-	if mr.Aggregate.TM.Instructions != sr.TM.Instructions {
-		t.Errorf("TM instructions: multicore %d, serial %d", mr.Aggregate.TM.Instructions, sr.TM.Instructions)
-	}
-	if mr.Aggregate.TM.UOps != sr.TM.UOps {
-		t.Errorf("TM µops: multicore %d, serial %d", mr.Aggregate.TM.UOps, sr.TM.UOps)
-	}
-	if mr.Coherence.Invalidations != 0 || mr.Coherence.Transfers != 0 {
-		t.Errorf("coherence events on a single core: %+v", mr.Coherence)
 	}
 }
 

@@ -1,264 +1,183 @@
 package core
 
 import (
-	"context"
-	"fmt"
-	"sync"
 	"sync/atomic"
 
-	"repro/internal/fm"
-	"repro/internal/fpga"
-	"repro/internal/hostlink"
-	"repro/internal/isa"
-	"repro/internal/obs"
-	"repro/internal/tm"
 	"repro/internal/trace"
 )
 
-// ParallelSim runs the functional model and the timing model in separate
-// goroutines, coupled only by the trace buffer and a TM→FM command channel
-// — the software realization of §3's parallelization across the
-// functional/timing boundary. The FM runs ahead speculatively; round trips
-// occur only on mispredicts, resolutions and the commit stream.
+// asyncLink is what the producer policy adds to a Sim: the FM runs free in
+// its own goroutine (produce) while the TM runs on the caller's, coupled
+// only by the trace buffer and this TM→FM command channel — the software
+// realization of §3's parallelization across the functional/timing
+// boundary. The FM runs ahead speculatively; round trips occur only on
+// mispredicts and resolutions.
 //
 // Cross-goroutine synchronization is chunked (§3.1's Amdahl argument made
-// concrete): the producer publishes trace entries a chunk at a time through
-// a trace.Appender, the TM consumes chunk views, and the commit stream is
-// batched at the chunk stride — one channel send per chunk instead of one
-// per instruction. The producer's accounting fields are goroutine-local
-// (the command loop runs on the producer), so the steady-state entry path
-// acquires no locks at all.
+// concrete): the producer publishes trace entries a chunk at a time, the TM
+// consumes chunk views, and the commit stream is batched at the chunk
+// stride — one channel send per chunk instead of one per instruction. The
+// FM-side accounting is goroutine-local (apply runs on the producer), so
+// the steady-state entry path acquires no locks at all.
 //
 // Architectural results (instructions, branch outcomes, basic blocks) are
-// identical to the serial mode; cycle counts can differ slightly because
+// identical to the inline policy; cycle counts can differ slightly because
 // fetch-bubble timing depends on real goroutine scheduling rather than the
 // modeled production rate.
-type ParallelSim struct {
-	cfg Config
-	FM  *fm.Model
-	TM  *tm.TM
-	TB  *trace.Buffer
-
-	// Producer-side chunking over TB, plus the TM-side view scratch.
-	app     *trace.Appender
-	viewBuf []trace.Entry // parSource.FetchChunk scratch (TM goroutine)
-	chunkH  *obs.Histogram
-
-	link *hostlink.Link
-
-	// Observability (tlog nil unless the run captures a timeline).
-	tlog *obs.TraceLog
-	pid  int
-
+type asyncLink struct {
+	// cmds is deep enough that the TM never blocks posting the one-way
+	// commit stream while the producer is inside a long superblock.
 	cmds   chan command
-	done   chan struct{}
+	done   chan struct{} // closed by RunContext to stop the producer
 	notify chan struct{} // producer progress ticks for blocking fetches
-
-	// Producer-goroutine-owned accounting (the command loop runs on the
-	// producer, so no lock is needed; RunContext reads them only after the
-	// producer's WaitGroup establishes the happens-before edge).
-	fmNanos       float64
-	bbSincePoll   int
-	pendingWords  int
-	wrongPath     bool
-	wrongProduced uint64
 
 	// TM-goroutine-owned commit batching: retirements accumulate and one
 	// cmdCommit carrying the latest IN covers the whole batch (the commit
 	// pointer is monotone).
-	commitStride int
-	commitPend   int
-	lastCommit   uint64
+	commitPend int
+	lastCommit uint64
 
-	// terminalFlag is set by the producer when the FM is halted forever
-	// *on the right path*: only then may the TM treat the stream as ended.
-	// A wrong-path HALT is speculative and will be rolled back by the
-	// pending resolution.
-	terminalFlag atomic.Bool
-
-	err error
+	// terminal is set by the producer when the FM is halted forever *on
+	// the right path*: only then may the TM treat the stream as ended. A
+	// wrong-path HALT is speculative and will be rolled back by the pending
+	// resolution.
+	terminal atomic.Bool
 }
 
-type cmdKind uint8
-
-const (
-	cmdCommit cmdKind = iota
-	cmdMispredict
-	cmdResolve
-)
-
-type command struct {
-	kind cmdKind
-	in   uint64
-	pc   isa.Word
-	// ack is closed by the producer once the command has been applied.
-	// Mispredict and Resolve are round-trip communications (§3.1): the TM
-	// waits for the FM to be re-steered — which is also what makes it safe
-	// for the TM to resume fetching after a recovery (the stale wrong-path
-	// entries are guaranteed rewound). Commits are one-way (ack == nil).
-	ack chan struct{}
-}
-
-// NewParallel builds a goroutine-coupled simulator.
-func NewParallel(cfg Config) (*ParallelSim, error) {
-	if cfg.TBCapacity == 0 {
-		cfg.TBCapacity = 512
-	}
-	if cfg.Clock.MHz == 0 {
-		cfg.Clock = fpga.DefaultClock
-	}
-	if cfg.FMNanosPerInst == 0 {
-		cfg.FMNanosPerInst = 87
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
-	cfg.FM.Telemetry = cfg.Telemetry
-	p := &ParallelSim{
-		cfg:    cfg,
-		FM:     fm.New(cfg.FM),
-		TB:     trace.NewBuffer(cfg.TBCapacity),
-		link:   hostlink.New(cfg.Link),
+// NewParallel builds a simulator under the producer policy: the same
+// coupled core as New, with the FM on its own goroutine for the duration of
+// RunContext. Single-core, and no snapshot capture — both ride the inline
+// scheduler.
+func NewParallel(cfg Config) (*Sim, error) {
+	return newSim(cfg, &asyncLink{
 		cmds:   make(chan command, 4096),
 		done:   make(chan struct{}),
 		notify: make(chan struct{}, 1),
-	}
-	p.link.Attach(cfg.Telemetry)
-	p.app = p.TB.NewAppender(cfg.TraceChunk)
-	p.app.OnFlush = p.onFlush
-	p.viewBuf = make([]trace.Entry, p.app.ChunkSize())
-	p.commitStride = p.app.ChunkSize()
-	p.chunkH = cfg.Telemetry.Histogram(
-		obs.L("core_trace_chunk_entries", "coupling", "parallel"), obs.ChunkBuckets)
-	if tlog := cfg.Telemetry.TraceLog(); tlog != nil {
-		p.tlog, p.pid = tlog, obs.NextPID()
-		openTraceTracks(tlog, p.pid, "parallel")
-	}
-	t, err := tm.New(cfg.TM, (*parSource)(p), (*parControl)(p))
-	if err != nil {
-		return nil, err
-	}
-	p.TM = t
-	return p, nil
+	})
 }
 
-// LoadProgram loads an assembled image into the functional model.
-func (p *ParallelSim) LoadProgram(prog *isa.Program) { p.FM.LoadProgram(prog) }
+// post delivers one command from the TM side. Commits are one-way and
+// batched: the commit pointer is monotone, so one command carrying the
+// newest IN releases the whole batch, and a batch is sent per stride
+// retirements — one channel send per chunk. A re-steer is a round trip: it
+// flushes the batch (so the producer observes the commits ahead of the
+// rewind) and waits for the producer to apply it.
+func (a *asyncLink) post(c command, stride int) {
+	if c.kind == cmdCommit {
+		a.lastCommit = c.in
+		if a.commitPend++; a.commitPend >= stride {
+			a.flushCommits()
+		}
+		return
+	}
+	a.flushCommits()
+	c.ack = make(chan struct{})
+	a.cmds <- c
+	<-c.ack
+}
 
-func (p *ParallelSim) terminal() bool {
-	if p.FM.Fatal() != nil {
+// flushCommits posts the batched commit pointer to the producer. Also
+// called before the TM blocks on producer progress: withholding retirements
+// while the producer waits for buffer space would deadlock.
+func (a *asyncLink) flushCommits() {
+	if a.commitPend == 0 {
+		return
+	}
+	a.commitPend = 0
+	a.cmds <- command{kind: cmdCommit, in: a.lastCommit}
+}
+
+// wait blocks the TM side until the producer makes progress; false means
+// the run is shutting down.
+func (a *asyncLink) wait() bool {
+	a.flushCommits()
+	select {
+	case <-a.notify:
 		return true
+	case <-a.done:
+		return false
 	}
-	return p.FM.Halted() && p.FM.Flags&isa.FlagI == 0
 }
 
-// Run executes the coupled simulation with the FM as a producer goroutine
-// and the TM on the calling goroutine.
-func (p *ParallelSim) Run() (Result, error) { return p.RunContext(context.Background()) }
-
-// RunContext is Run with cooperative cancellation: on ctx cancellation the
-// TM loop stops at a cycle boundary, the producer goroutine is shut down
-// through the done channel (no goroutine is abandoned), and the partial
-// result returns alongside ctx.Err().
-func (p *ParallelSim) RunContext(ctx context.Context) (Result, error) {
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		p.producer()
-	}()
-
-	var ticks uint64
-	for !p.TM.Done() {
-		if p.cfg.MaxInstructions > 0 && p.TM.Stats.Instructions >= p.cfg.MaxInstructions {
-			break
-		}
-		if p.TM.Cycle() >= p.cfg.MaxCycles {
-			p.err = fmt.Errorf("core: exceeded max cycles %d", p.cfg.MaxCycles)
-			break
-		}
-		if ticks++; ticks%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				p.err = err
-				break
-			}
-		}
-		p.TM.Step()
+// tick wakes a TM goroutine blocked waiting for producer progress.
+func (a *asyncLink) tick() {
+	select {
+	case a.notify <- struct{}{}:
+	default:
 	}
-	close(p.done)
-	wg.Wait()
-
-	// The producer has exited: its accounting fields are safe to read, and
-	// trace words from a chunk a re-steer discarded before publish still
-	// owe their link burst.
-	if p.pendingWords > 0 {
-		p.link.BurstWrite(p.pendingWords)
-		p.pendingWords = 0
-	}
-	return buildResult(p.cfg, p.TM, p.FM, p.TB, p.link, p.fmNanos, p.wrongProduced, p.tlog, p.pid), p.err
 }
 
-// producer is the FM goroutine: it speculatively runs ahead, appending
-// trace entries into the chunk, and services TM commands.
-func (p *ParallelSim) producer() {
+// produce is the FM goroutine under the producer policy: it speculatively
+// runs ahead, appending trace entries into the chunk, and applies the TM's
+// commands. It never reads TM state.
+func (s *Sim) produce() {
+	a := s.async
 	var pending *trace.Entry
 	// idleLimit guards against a hung target (HALT with interrupts enabled
 	// but no interrupt source): after this many idle ticks with no wake,
 	// the stream is declared over.
 	const idleLimit = 50_000_000
 	idleTicks := uint64(0)
-	// sink accounts one block-produced entry and parks the first that does
-	// not fit, stopping the block. Hoisted out of the loop (one closure for
-	// the goroutine's lifetime) and parking a fresh copy so the parameter
-	// itself never escapes — the hot path stays allocation-free.
-	sink := func(e trace.Entry) bool {
-		p.fmNanos += p.entryCost(e)
-		if p.wrongPath {
-			p.wrongProduced++
-		}
-		if !p.app.TryAppend(e) {
+	// emit accounts one produced entry and parks the first that does not
+	// fit (stopping a superblock). One closure for the goroutine's
+	// lifetime, parking a fresh copy so the parameter itself never escapes
+	// — the hot path stays allocation-free.
+	emit := func(e trace.Entry) bool {
+		s.entryCost(e)
+		if !s.app.TryAppend(e) {
 			parked := e
 			pending = &parked
 			return false
 		}
 		return true
 	}
-	blocks := p.FM.SuperblocksEnabled()
+	// serve applies one command; a re-steer additionally invalidates the
+	// parked entry and revives the stream — the end-of-stream hint clears
+	// before the TM resumes (the ack provides the happens-before edge).
+	serve := func(c command) {
+		s.apply(c)
+		if c.ack != nil {
+			pending = nil
+			a.terminal.Store(false)
+			close(c.ack)
+		}
+	}
+	blocks := s.FM.SuperblocksEnabled()
 	for {
 		// Drain pending commands first — they may roll the FM back and
 		// invalidate the pending entry.
 		for {
 			select {
-			case c := <-p.cmds:
-				p.apply(c, &pending)
+			case c := <-a.cmds:
+				serve(c)
 				continue
-			case <-p.done:
+			case <-a.done:
 				return
 			default:
 			}
 			break
 		}
 		if pending != nil {
-			if pending.IN >= p.FM.IN() {
+			if pending.IN >= s.FM.IN() {
 				pending = nil // rolled back underneath us
-			} else if p.app.TryAppend(*pending) {
+			} else if s.app.TryAppend(*pending) {
 				pending = nil
 			} else {
 				// Buffer full: we have run as far ahead as allowed. Publish
 				// the partial chunk (the capacity gate guarantees it fits)
 				// so the TM can drain it, then block on the next command (a
 				// commit frees space, a re-steer rewinds).
-				p.app.Flush()
+				s.app.Flush()
 				select {
-				case c := <-p.cmds:
-					p.apply(c, &pending)
-				case <-p.done:
+				case c := <-a.cmds:
+					serve(c)
+				case <-a.done:
 					return
 				}
 				continue
 			}
 		}
-		if p.terminal() || idleTicks > idleLimit {
+		if s.terminal() || idleTicks > idleLimit {
 			// The FM can do nothing more on its own. This is NOT
 			// necessarily the end of the run: the TM may still re-steer
 			// us into a wrong path (a mispredicted branch it has not
@@ -267,220 +186,43 @@ func (p *ParallelSim) producer() {
 			// terminal state — in that order, so the TM never sees
 			// end-of-stream with entries still unpublished — and service
 			// commands.
-			if p.app.Flush() {
-				p.terminalFlag.Store(true)
+			if s.app.Flush() {
+				a.terminal.Store(true)
 			}
-			p.tick()
+			a.tick()
 			select {
-			case c := <-p.cmds:
-				p.apply(c, &pending)
-				if !p.terminal() {
+			case c := <-a.cmds:
+				serve(c)
+				if !s.terminal() {
 					idleTicks = 0
 				}
-			case <-p.done:
+			case <-a.done:
 				return
 			}
 			continue
 		}
-		if p.FM.Halted() {
+		if s.FM.Halted() {
 			// Waiting for a timer wake: publish what the TM can already
 			// consume, then let idle time pass.
-			p.app.Flush()
-			p.FM.AdvanceIdle(1)
+			s.app.Flush()
+			s.FM.AdvanceIdle(1)
 			idleTicks++
 			continue
 		}
 		idleTicks = 0
 		if blocks {
-			// Run a superblock at a time. The sink parks the first entry
-			// that does not fit and stops the block — the loop top then
-			// flushes and blocks on commands exactly as the
-			// per-instruction path did. Commands are drained once per
-			// block rather than per instruction; fast-parallel coupling
-			// is asynchronous by design (§3.3), so command latency is a
-			// performance knob, not an architectural one.
-			p.FM.StepBlock(sink)
+			// Run a superblock at a time. emit parks the first entry that
+			// does not fit and stops the block — the loop top then flushes
+			// and blocks on commands exactly as the per-instruction path
+			// does. Commands are drained once per block rather than per
+			// instruction; this coupling is asynchronous by design (§3.3),
+			// so command latency is a performance knob, not an
+			// architectural one.
+			s.FM.StepBlock(emit)
 			continue
 		}
-		e, ok := p.FM.Step()
-		if !ok {
-			continue
-		}
-		p.fmNanos += p.entryCost(e)
-		if p.wrongPath {
-			p.wrongProduced++
-		}
-		if !p.app.TryAppend(e) {
-			pending = &e
+		if e, ok := s.FM.Step(); ok {
+			emit(e)
 		}
 	}
-}
-
-// onFlush observes every published chunk on the producer goroutine: one
-// link burst for the accumulated words, a consumer wake-up, and telemetry.
-func (p *ParallelSim) onFlush(entries, occupancy int) {
-	if p.pendingWords > 0 {
-		p.link.BurstWrite(p.pendingWords)
-		p.pendingWords = 0
-	}
-	p.chunkH.Observe(float64(entries))
-	if p.tlog != nil {
-		p.tlog.CounterSample("tb_occupancy", p.pid, p.fmNanos,
-			map[string]any{"entries": occupancy})
-	}
-	p.tick()
-}
-
-// tick wakes a TM goroutine blocked waiting for producer progress.
-func (p *ParallelSim) tick() {
-	select {
-	case p.notify <- struct{}{}:
-	default:
-	}
-}
-
-// entryCost prices one entry into the FM's host time: execution, its share
-// of the chunk's burst write, and the periodic poll. Producer-owned — no
-// lock.
-func (p *ParallelSim) entryCost(e trace.Entry) float64 {
-	cost := p.cfg.FMNanosPerInst
-	words := trace.DefaultEncoding.Words(e)
-	cost += p.link.BurstNanos(words)
-	p.pendingWords += words
-	if e.Branch {
-		p.bbSincePoll++
-		if p.cfg.PollEveryBBs > 0 && p.bbSincePoll >= p.cfg.PollEveryBBs {
-			p.bbSincePoll = 0
-			cost += p.link.Poll(1)
-		}
-	}
-	return cost
-}
-
-func (p *ParallelSim) apply(c command, pending **trace.Entry) {
-	switch c.kind {
-	case cmdCommit:
-		p.TB.Commit(c.in)
-		p.FM.Commit(c.in)
-	case cmdMispredict, cmdResolve:
-		p.app.Rewind(c.in)
-		// The re-steer revives the FM; clear the end-of-stream hint before
-		// the TM resumes (the ack provides the happens-before edge).
-		p.terminalFlag.Store(false)
-		defer close(c.ack)
-		rolledBefore := p.FM.RolledBack
-		if err := p.FM.SetPC(c.in, c.pc); err != nil {
-			panic(fmt.Sprintf("core: parallel re-steer failed: %v", err))
-		}
-		*pending = nil
-		if c.kind == cmdMispredict {
-			p.wrongPath = true
-			if !p.cfg.BPP {
-				p.fmNanos += p.link.Poll(1)
-				p.fmNanos += float64(p.FM.RolledBack-rolledBefore) * p.cfg.FMRollbackNanosPerInst
-			}
-		} else {
-			p.wrongPath = false
-			p.fmNanos += p.link.Poll(1)
-			p.fmNanos += float64(p.FM.RolledBack-rolledBefore) * p.cfg.FMRollbackNanosPerInst
-		}
-	}
-}
-
-// parSource adapts the parallel sim to tm.Source (runs on the TM
-// goroutine).
-type parSource ParallelSim
-
-// flushCommits sends the batched commit pointer to the producer. Called
-// before the TM blocks on producer progress: withholding retirements while
-// the producer waits for buffer space would deadlock, so any pending batch
-// is released at the block boundary.
-func (ps *ParallelSim) flushCommits() {
-	if ps.commitPend == 0 {
-		return
-	}
-	ps.commitPend = 0
-	ps.cmds <- command{kind: cmdCommit, in: ps.lastCommit}
-}
-
-// Fetch implements tm.Source. It blocks until the producer delivers the
-// entry or the stream genuinely ends: in the parallel coupling the trace
-// buffer is the synchronizer, so host-scheduling hiccups do not masquerade
-// as target fetch bubbles. (The modeled FM-rate bubbles are the serial
-// mode's job.) The end-of-stream condition needs both sides: the producer
-// says the FM is stuck (terminalFlag) and the TM — which only fetches when
-// not recovering — wants an entry past everything produced.
-func (p *parSource) Fetch(in uint64) (trace.Entry, tm.FetchStatus) {
-	ps := (*ParallelSim)(p)
-	for {
-		if e, ok := ps.TB.TryFetch(in); ok {
-			return e, tm.FetchOK
-		}
-		if ps.terminalFlag.Load() && in >= ps.TB.Produced() {
-			return trace.Entry{}, tm.FetchEnd
-		}
-		ps.flushCommits()
-		select {
-		case <-ps.notify:
-		case <-ps.done:
-			return trace.Entry{}, tm.FetchEnd
-		}
-	}
-}
-
-// FetchChunk implements tm.ChunkSource: one buffer lock hands the TM a run
-// of entries it then consumes lock-free until the view drains or a re-steer
-// drops it.
-func (p *parSource) FetchChunk(in uint64) ([]trace.Entry, tm.FetchStatus) {
-	ps := (*ParallelSim)(p)
-	for {
-		if n := ps.TB.TryFetchChunk(in, ps.viewBuf); n > 0 {
-			return ps.viewBuf[:n], tm.FetchOK
-		}
-		if ps.terminalFlag.Load() && in >= ps.TB.Produced() {
-			return nil, tm.FetchEnd
-		}
-		ps.flushCommits()
-		select {
-		case <-ps.notify:
-		case <-ps.done:
-			return nil, tm.FetchEnd
-		}
-	}
-}
-
-// parControl adapts the parallel sim to tm.Control (runs on the TM
-// goroutine); commands travel to the producer over the channel.
-type parControl ParallelSim
-
-// Commit implements tm.Control. Retirements batch at the chunk stride: the
-// commit pointer is monotone, so one command carrying the newest IN
-// releases the whole batch — one channel send per chunk of instructions.
-func (p *parControl) Commit(in uint64) {
-	ps := (*ParallelSim)(p)
-	ps.lastCommit = in
-	if ps.commitPend++; ps.commitPend >= ps.commitStride {
-		ps.commitPend = 0
-		ps.cmds <- command{kind: cmdCommit, in: in}
-	}
-}
-
-// Mispredict implements tm.Control. Re-steers are round trips: the call
-// returns only after the producer has rewound the FM. The batched commits
-// flush first so the producer observes them before the rewind.
-func (p *parControl) Mispredict(in uint64, wrongPC isa.Word) {
-	ps := (*ParallelSim)(p)
-	ps.flushCommits()
-	ack := make(chan struct{})
-	ps.cmds <- command{kind: cmdMispredict, in: in, pc: wrongPC, ack: ack}
-	<-ack
-}
-
-// Resolve implements tm.Control (round trip, like Mispredict).
-func (p *parControl) Resolve(in uint64, rightPC isa.Word) {
-	ps := (*ParallelSim)(p)
-	ps.flushCommits()
-	ack := make(chan struct{})
-	ps.cmds <- command{kind: cmdResolve, in: in, pc: rightPC, ack: ack}
-	<-ack
 }

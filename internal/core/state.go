@@ -91,7 +91,7 @@ func (s *Sim) LoadState(r *snap.Reader, wantMem bool) error {
 	s.fmNanos, s.budget = fmNanos, budget
 	s.bbSincePoll, s.pendingWords = int(bbSincePoll), int(pendingWords)
 	s.wrongProduced, s.committed, s.lastHost = wrongProduced, committed, lastHost
-	s.wrongPath, s.wrongIN = false, 0
+	s.wrongPath = false
 	s.err = nil
 	s.sawUser = true // a warm start resumes past boot by construction
 	s.TB.ResetDrained(nextIN, int(maxOcc))
@@ -132,11 +132,11 @@ func (s *Sim) observeBoot() {
 		}
 		s.sawUser = true
 	}
-	if s.snapHook == nil || !s.Quiescent() {
+	if s.cfg.SnapshotHook == nil || !s.Quiescent() {
 		return
 	}
-	hook := s.snapHook
-	s.snapHook = nil
+	hook := s.cfg.SnapshotHook
+	s.cfg.SnapshotHook = nil
 	blob, err := s.Snapshot()
 	if err != nil {
 		return
@@ -209,6 +209,10 @@ func (m *Multicore) Restore(blob []byte) error {
 	if err := r.Close(); err != nil {
 		return err
 	}
+	m.committed = 0
+	for _, s := range m.cores {
+		m.committed += s.committed
+	}
 	m.err = nil
 	return nil
 }
@@ -226,9 +230,5 @@ func (m *Multicore) maybeCapture() {
 	if err != nil {
 		return
 	}
-	var committed uint64
-	for _, s := range m.cores {
-		committed += s.committed
-	}
-	hook(committed, blob)
+	hook(m.committed, blob)
 }

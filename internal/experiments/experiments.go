@@ -108,8 +108,7 @@ func runFM(spec workload.Spec, maxInst uint64) (*fm.Model, *workload.Boot, error
 }
 
 // fastParams is the shared parameter shape of a capped FAST run. Ablation
-// knobs overlay named Params fields via sim.Merge — Params.Mutate is
-// deprecated for sweep axes and no experiment uses it anymore.
+// knobs overlay named Params fields via sim.Merge.
 func fastParams(workloadName, predictor string) sim.Params {
 	return sim.Params{
 		Workload:        workloadName,

@@ -50,7 +50,7 @@ type job struct {
 	seq     uint64 // admission order; the pagination cursor
 	engine  string
 	params  sim.Params
-	key     string // content address ("" when uncacheable); see jobKey
+	key     string // content address; see jobKey
 	timeout time.Duration
 
 	tel *obs.Telemetry // per-job registry, served at /v1/jobs/{id}/metrics
@@ -74,14 +74,11 @@ type job struct {
 // cluster coordinator uses the same key as its shard address, so a point
 // always lands on the node whose cache can already hold it.
 func jobKey(engine string, p sim.Params) string {
-	if !p.Cacheable() {
-		return ""
-	}
 	return engine + "\x00" + p.Key()
 }
 
 // JobKey is jobKey for external callers (the cluster coordinator shards on
-// it). Empty means the params are not content-addressable.
+// it).
 func JobKey(engine string, p sim.Params) string { return jobKey(engine, p) }
 
 // JobView is the stable JSON shape of GET /v1/jobs/{id} and the elements
@@ -164,18 +161,16 @@ func (s *Server) admitLocked(engine string, p sim.Params, timeout time.Duration)
 		submitted: time.Now(),
 		done:      make(chan struct{}),
 	}
-	if j.key != "" {
-		if res, raw, ok := s.cache.get(j.key); ok {
-			j.status = StatusDone
-			j.cached = true
-			j.result, j.raw = res, raw
-			j.finished = j.submitted
-			close(j.done)
-			s.jobs[j.id] = j
-			s.jobsSubmitted.Inc()
-			s.jobsByStatus("cached").Inc()
-			return j, nil
-		}
+	if res, raw, ok := s.cache.get(j.key); ok {
+		j.status = StatusDone
+		j.cached = true
+		j.result, j.raw = res, raw
+		j.finished = j.submitted
+		close(j.done)
+		s.jobs[j.id] = j
+		s.jobsSubmitted.Inc()
+		s.jobsByStatus("cached").Inc()
+		return j, nil
 	}
 	j.status = StatusQueued
 	select {
@@ -227,17 +222,15 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	if j.key != "" {
-		if res, raw, ok := s.cache.get(j.key); ok {
-			j.status = StatusDone
-			j.cached = true
-			j.result, j.raw = res, raw
-			j.finished = time.Now()
-			close(j.done)
-			s.jobsByStatus("cached").Inc()
-			s.mu.Unlock()
-			return
-		}
+	if res, raw, ok := s.cache.get(j.key); ok {
+		j.status = StatusDone
+		j.cached = true
+		j.result, j.raw = res, raw
+		j.finished = time.Now()
+		close(j.done)
+		s.jobsByStatus("cached").Inc()
+		s.mu.Unlock()
+		return
 	}
 	j.status = StatusRunning
 	j.started = time.Now()
@@ -253,9 +246,8 @@ func (s *Server) runJob(j *job) {
 	}
 	// Warm-start tier: the engine resumes from a stored boot snapshot when
 	// one matches, or captures one for the next run of this boot prefix.
-	// Attached only for cacheable params — an uncacheable run has no
-	// prefix key — and never overriding a caller-supplied store.
-	if p.Snapshots == nil && s.snaps != nil && p.Cacheable() {
+	// Never overrides a caller-supplied store.
+	if p.Snapshots == nil && s.snaps != nil {
 		p.Snapshots = s.snaps
 	}
 	s.engineRuns.Inc()
@@ -277,9 +269,7 @@ func (s *Server) runJob(j *job) {
 		}
 		j.status = StatusDone
 		j.result, j.raw = res, raw
-		if j.key != "" {
-			s.cache.put(j.key, res, raw)
-		}
+		s.cache.put(j.key, res, raw)
 	case errors.Is(err, context.DeadlineExceeded):
 		j.status = StatusFailed
 		j.errMsg = fmt.Sprintf("deadline exceeded after %s: %v", j.timeout, err)
@@ -394,8 +384,7 @@ func (s *Server) submitSweep(spec sim.Sweep, timeout time.Duration) (*sweepJob, 
 	// fit in the queue's free space right now.
 	need := 0
 	for _, pt := range points {
-		key := jobKey(pt.Engine, pt.Params)
-		if key == "" || !s.cache.contains(key) {
+		if !s.cache.contains(jobKey(pt.Engine, pt.Params)) {
 			need++
 		}
 	}

@@ -86,8 +86,8 @@ func TestParamsValidation(t *testing.T) {
 	}
 }
 
-// TestNamedAblationParams checks the named fields that replaced the Mutate
-// escape hatch actually change engine behaviour.
+// TestNamedAblationParams checks the named ablation fields actually change
+// engine behaviour.
 func TestNamedAblationParams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled runs")

@@ -13,8 +13,8 @@ import (
 )
 
 // The five simulator families of the paper's comparison, as registry
-// entries. "fast" and "fast-parallel" are the same coupled simulator in its
-// deterministic serial and goroutine-parallel forms; "monolithic" and
+// entries. "fast" and "fast-parallel" are the same coupled core (core.Sim)
+// under its deterministic inline and goroutine-producer scheduling policies; "monolithic" and
 // "gems" are the same integrated software simulator under two calibrated
 // cost models (Table 3's sim-outorder and GEMS rows); "lockstep" is the
 // round-trip-per-cycle partitioning (§5); "fsbcache" is the Intel
@@ -61,14 +61,15 @@ func prepare(p Params) (*isa.Program, *workload.Boot, fm.Config, error) {
 	return boot.Kernel, boot, fm.Config{Devices: boot.Devices(), ICacheEntries: p.ICacheEntries, SuperblockLen: p.SuperblockLen}, nil
 }
 
-// fastEngine runs the FAST simulator proper in either coupling mode.
+// fastEngine runs the FAST simulator proper. The engine name selects the
+// scheduling policy (parallel = the producer-goroutine policy); Cores > 1
+// wraps the core in an N-core container.
 type fastEngine struct {
 	parallel bool
 	params   Params
 	boot     *workload.Boot
-	serial   *core.Sim
-	par      *core.ParallelSim
-	multi    *core.Multicore
+	sim      *core.Sim       // the coupled core; core 0 of multi when set
+	multi    *core.Multicore // non-nil only for an N-core target
 
 	resumed   bool   // warm-started from a stored snapshot
 	resumedIN uint64 // committed instructions skipped by the warm start
@@ -117,26 +118,21 @@ func (e *fastEngine) Configure(p Params) error {
 	if p.FutureMicroarch {
 		cfg.TM = cfg.TM.WithFutureMicroarch()
 	}
-	if p.Mutate != nil {
-		p.Mutate(&cfg)
-	}
 	e.params, e.boot = p, boot
 	if p.Cores > 1 && e.parallel {
-		// The goroutine-parallel coupling owes its determinism to the
-		// single-core rate-matching protocol; the multicore scheduler is
-		// serial-only (and deterministic by construction).
+		// The round-robin quanta run inline cores (deterministic by
+		// construction); multicore under the producer policy does not exist.
 		return fmt.Errorf("sim: fast-parallel runs single-core targets only (got %d cores); use the fast engine", p.Cores)
 	}
 
 	// Warm-start tier. A stored snapshot whose prefix matches (and whose
 	// capture point sits inside this run's instruction budget) seeds the
 	// simulator past boot; a miss arms the one-shot capture hook instead.
-	// Excluded: fast-parallel (capture rides the serial scheduler), raw
-	// bare-metal programs (no boot to skip) and uncacheable params (an
-	// opaque Mutate hook makes the prefix key blind).
+	// Excluded: fast-parallel (capture rides the inline scheduler) and raw
+	// bare-metal programs (no boot to skip).
 	var resume *Snapshot
 	var capture func(in uint64, blob []byte)
-	if p.Snapshots != nil && p.Cacheable() && !e.parallel && p.Program == nil {
+	if p.Snapshots != nil && !e.parallel && p.Program == nil {
 		store, prefix := p.Snapshots, p.SnapshotPrefix()
 		capture = func(in uint64, blob []byte) {
 			store.PutSnapshot(Snapshot{Prefix: prefix, IN: in, Blob: blob})
@@ -150,8 +146,11 @@ func (e *fastEngine) Configure(p Params) error {
 		}
 	}
 
+	newCore := core.New
+	if e.parallel {
+		newCore = core.NewParallel
+	}
 	build := func() error {
-		e.serial, e.par, e.multi = nil, nil, nil
 		if p.Cores > 1 {
 			m, err := core.NewMulticore(cfg, core.MulticoreConfig{
 				Cores:               p.Cores,
@@ -161,37 +160,26 @@ func (e *fastEngine) Configure(p Params) error {
 				return err
 			}
 			m.LoadProgram(prog)
-			e.multi = m
+			e.sim, e.multi = m.Cores()[0], m
 			return nil
 		}
-		if e.parallel {
-			s, err := core.NewParallel(cfg)
-			if err != nil {
-				return err
-			}
-			s.LoadProgram(prog)
-			e.par = s
-			return nil
-		}
-		s, err := core.New(cfg)
+		s, err := newCore(cfg)
 		if err != nil {
 			return err
 		}
 		s.LoadProgram(prog)
-		e.serial = s
+		e.sim = s
 		return nil
 	}
 	if err := build(); err != nil {
 		return err
 	}
 	if resume != nil {
-		var rerr error
+		restore := e.sim.Restore
 		if e.multi != nil {
-			rerr = e.multi.Restore(resume.Blob)
-		} else {
-			rerr = e.serial.Restore(resume.Blob)
+			restore = e.multi.Restore
 		}
-		if rerr != nil {
+		if err := restore(resume.Blob); err != nil {
 			// A corrupt stored snapshot must not fail the run: rebuild cold
 			// with the capture hook armed, so the bad blob is overwritten.
 			cfg.SnapshotHook = capture
@@ -213,46 +201,22 @@ func (e *fastEngine) RunContext(ctx context.Context) (Result, error) {
 		mr, err := e.multi.RunContext(ctx)
 		return fromMulticore(e.params, mr), err
 	}
-	var (
-		r   core.Result
-		err error
-	)
-	name := "fast"
-	if e.parallel {
-		name = "fast-parallel"
-		r, err = e.par.RunContext(ctx)
-	} else {
-		r, err = e.serial.RunContext(ctx)
-	}
-	return fromCore(name, e.params, r), err
+	r, err := e.sim.RunContext(ctx)
+	return fromCore(e.name(), e.params, r), err
 }
 
-// TimingModel and FunctionalModel expose core 0's pair on a multicore
-// engine; Multicore.Cores reaches the siblings.
-func (e *fastEngine) TimingModel() *tm.TM {
-	if e.multi != nil {
-		return e.multi.Cores()[0].TM
-	}
+func (e *fastEngine) name() string {
 	if e.parallel {
-		return e.par.TM
+		return "fast-parallel"
 	}
-	return e.serial.TM
+	return "fast"
 }
 
-func (e *fastEngine) FunctionalModel() *fm.Model {
-	if e.multi != nil {
-		return e.multi.Cores()[0].FM
-	}
-	if e.parallel {
-		return e.par.FM
-	}
-	return e.serial.FM
-}
+// TimingModel and FunctionalModel expose the coupled core's pair — core 0's
+// on a multicore engine.
+func (e *fastEngine) TimingModel() *tm.TM { return e.sim.TM }
 
-// Multicore exposes the N-core simulator when the engine was configured
-// with Cores > 1 (nil otherwise) — per-core results and the directory live
-// there.
-func (e *fastEngine) Multicore() *core.Multicore { return e.multi }
+func (e *fastEngine) FunctionalModel() *fm.Model { return e.sim.FM }
 
 func (e *fastEngine) Boot() *workload.Boot { return e.boot }
 

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -79,7 +78,6 @@ func (s Sweep) Points() []Point {
 }
 
 // Merge overlays v on base: non-zero fields of v win, zero fields inherit.
-// Mutate hooks chain (base first, then the variant's).
 func Merge(base, v Params) Params {
 	p := base
 	if v.Workload != "" {
@@ -141,14 +139,6 @@ func Merge(base, v Params) Params {
 	}
 	if v.Snapshots != nil {
 		p.Snapshots = v.Snapshots
-	}
-	if v.Mutate != nil {
-		if base.Mutate != nil {
-			baseMut, varMut := base.Mutate, v.Mutate
-			p.Mutate = func(c *core.Config) { baseMut(c); varMut(c) }
-		} else {
-			p.Mutate = v.Mutate
-		}
 	}
 	return p
 }

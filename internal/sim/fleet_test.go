@@ -1,10 +1,19 @@
 package sim
 
 import (
+	"context"
+	"strings"
 	"testing"
-
-	"repro/internal/core"
 )
+
+// panicEngine panics in Configure: TestFleetPanicCapture registers it as
+// the injection point for Fleet's per-point panic capture.
+type panicEngine struct{}
+
+func (panicEngine) Describe() string                           { return "test engine that panics" }
+func (panicEngine) Configure(Params) error                     { panic("injected") }
+func (panicEngine) Run() (Result, error)                       { return Result{}, nil }
+func (panicEngine) RunContext(context.Context) (Result, error) { return Result{}, nil }
 
 // TestSweepPoints checks the deterministic expansion order: workloads
 // outermost, then engines, then variants — and the base/variant merge.
@@ -48,19 +57,6 @@ func TestSweepDefaults(t *testing.T) {
 	pts := Sweep{Base: Params{Workload: "w"}}.Points()
 	if len(pts) != 1 || pts[0].Engine != "fast" || pts[0].Params.Workload != "w" {
 		t.Fatalf("unexpected default expansion: %+v", pts)
-	}
-}
-
-// TestMergeMutateChains checks that variant Mutate hooks compose with the
-// base hook instead of replacing it.
-func TestMergeMutateChains(t *testing.T) {
-	var order []string
-	base := Params{Mutate: func(*core.Config) { order = append(order, "base") }}
-	v := Params{Mutate: func(*core.Config) { order = append(order, "variant") }}
-	merged := Merge(base, v)
-	merged.Mutate(&core.Config{})
-	if len(order) != 2 || order[0] != "base" || order[1] != "variant" {
-		t.Fatalf("mutate chain order = %v", order)
 	}
 }
 
@@ -145,15 +141,17 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 
 // TestFleetPanicCapture turns an engine panic into a per-point error.
 func TestFleetPanicCapture(t *testing.T) {
-	points := []Point{{
-		Engine: "fast",
-		Params: Params{
-			Workload: "164.gzip", MaxInstructions: 500,
-			Mutate: func(*core.Config) { panic("injected") },
-		},
-	}}
+	Register("test-panic", func() Engine { return panicEngine{} })
+	t.Cleanup(func() { delete(registry, "test-panic") })
+	points := []Point{
+		{Engine: "test-panic"},
+		{Engine: "fast", Params: Params{Workload: "164.gzip", MaxInstructions: 500}},
+	}
 	results := Fleet{Workers: 2}.Run(points)
-	if results[0].Err == nil {
-		t.Fatal("panicking point should surface an error")
+	if err := results[0].Err; err == nil || !strings.Contains(err.Error(), "panicked: injected") {
+		t.Fatalf("panicking point should surface its panic as an error, got %v", err)
+	}
+	if results[1].Err != nil {
+		t.Fatalf("a panicking neighbour took down a healthy point: %v", results[1].Err)
 	}
 }

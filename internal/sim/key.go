@@ -53,8 +53,6 @@ const (
 //     every length including disabled
 //     (TestFastEngineSuperblockInvariance).
 //   - Telemetry: instrumentation reads the run, it never steers it.
-//   - Mutate: an opaque code hook cannot be hashed — Cacheable reports
-//     such Params as unaddressable and callers must not cache them.
 type canonicalParams struct {
 	Version         int    `json:"v"` // bump when canonicalization rules change
 	Workload        string `json:"workload"`
@@ -161,9 +159,6 @@ func (p Params) canonical() canonicalParams {
 // simulation — spelled with explicit defaults or left zero, differing only
 // in result-invariant knobs (ICacheEntries) or instrumentation (Telemetry)
 // — return the same key; changing any result-affecting knob changes it.
-//
-// Key ignores a Mutate hook: check Cacheable before using a key to index
-// cached results.
 func (p Params) Key() string {
 	raw, err := json.Marshal(p.canonical())
 	if err != nil {
@@ -173,12 +168,6 @@ func (p Params) Key() string {
 	sum := sha256.Sum256(raw)
 	return hex.EncodeToString(sum[:])
 }
-
-// Cacheable reports whether p is fully described by its declarative fields,
-// i.e. whether Key addresses the run's Result. A Mutate hook is opaque code
-// the key cannot see, so such Params must never be served from (or fill) a
-// result cache.
-func (p Params) Cacheable() bool { return p.Mutate == nil }
 
 // DecodeParams is the strict JSON boundary for Params: unknown fields and
 // trailing data are rejected, so a typo'd knob in an API request fails loud

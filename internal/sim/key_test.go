@@ -155,17 +155,6 @@ func TestKeyDefaultConstantsPinned(t *testing.T) {
 	}
 }
 
-// TestParamsCacheable: a Mutate hook makes params unaddressable; everything
-// declarative stays cacheable.
-func TestParamsCacheable(t *testing.T) {
-	if !(Params{Workload: "164.gzip", BPP: true}).Cacheable() {
-		t.Error("declarative params should be cacheable")
-	}
-	if (Params{Mutate: func(*core.Config) {}}).Cacheable() {
-		t.Error("a Mutate hook should make params uncacheable")
-	}
-}
-
 // TestParamsJSONRoundTrip pins the API-boundary schema: a fully-populated
 // Params survives marshal → strict decode unchanged, and the zero value
 // serializes as the empty object (so overlays stay minimal on the wire).
@@ -204,12 +193,12 @@ func TestParamsJSONRoundTrip(t *testing.T) {
 	}
 	// The unserializable fields stay off the wire entirely.
 	var m map[string]any
-	full, _ := json.Marshal(Params{Program: &isa.Program{}, Telemetry: nil, Mutate: func(*core.Config) {}})
+	full, _ := json.Marshal(Params{Program: &isa.Program{}, Telemetry: nil})
 	if err := json.Unmarshal(full, &m); err != nil {
 		t.Fatal(err)
 	}
 	if len(m) != 0 {
-		t.Errorf("Program/Telemetry/Mutate leaked into JSON: %v", m)
+		t.Errorf("Program/Telemetry leaked into JSON: %v", m)
 	}
 }
 

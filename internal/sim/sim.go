@@ -1,6 +1,6 @@
 // Package sim is the unified simulator-engine layer. The paper's headline
-// results (Figure 4, Table 3) are *comparisons* of simulators — FAST in its
-// serial and goroutine-parallel couplings against the monolithic, lockstep
+// results (Figure 4, Table 3) are *comparisons* of simulators — FAST under
+// its inline and goroutine-producer policies against the monolithic, lockstep
 // and FPGA-cache-on-FSB baselines — so every engine lives behind one
 // interface (Engine), is configured by one parameter struct (Params),
 // populates one canonical result shape (Result), and is constructed by name
@@ -18,7 +18,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/core"
 	"repro/internal/fm"
 	"repro/internal/hostlink"
 	"repro/internal/isa"
@@ -39,9 +38,9 @@ const PollOnResteer = -1
 // The JSON tags are a stable serialization schema: internal/service accepts
 // a Params overlay on its API boundary (strictly — unknown fields are
 // rejected, see DecodeParams) and the omitempty tags make the zero value
-// round-trip as `{}`. Program, Telemetry and Mutate deliberately carry no
-// tag: raw images, live instrumentation and code hooks never cross the
-// wire. Add fields freely; never rename or repurpose a tag.
+// round-trip as `{}`. Program, Telemetry and Snapshots deliberately carry
+// `json:"-"`: raw images, live instrumentation and local stores never cross
+// the wire. Add fields freely; never rename or repurpose a tag.
 type Params struct {
 	// Workload names a workload from internal/workload ("Linux-2.4",
 	// "164.gzip", ...). Empty selects Linux-2.4 unless Program is set.
@@ -71,7 +70,7 @@ type Params struct {
 	// Cores is the number of coupled FM/TM pairs in the target. 0 or 1 is
 	// the single-core target (bit-identical to builds predating the knob);
 	// 2..64 instantiates N cores over shared memory and a modeled coherent
-	// interconnect. Only the serial FAST engine runs multicore targets.
+	// interconnect. Only the "fast" engine runs multicore targets.
 	Cores int `json:"cores,omitempty"`
 	// InterconnectLatency is the per-hop core↔L2 interconnect delay of the
 	// multicore target, in target cycles; 0 = the default
@@ -142,18 +141,6 @@ type Params struct {
 	// the tier trades host time only — so the field never reaches Key.
 	// Local infrastructure, like Telemetry: it never crosses the wire.
 	Snapshots SnapshotStore `json:"-"`
-
-	// Mutate, when non-nil, is applied to the assembled core.Config just
-	// before construction.
-	//
-	// Deprecated for sweep axes: anything a sweep varies should be a named
-	// Params field (as Rollback, UncompressedTrace, FutureMicroarch now
-	// are) so points stay comparable, serializable and printable. Mutate
-	// remains only as the escape hatch for one-off instrumentation hooks
-	// that have no business in the schema. Only the FAST engines honour
-	// it; baselines ignore it. Params carrying a Mutate hook are not
-	// content-addressable: see Cacheable.
-	Mutate func(*core.Config) `json:"-"`
 }
 
 // validate rejects parameter values no engine can honour. Engines call it

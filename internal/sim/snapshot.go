@@ -79,12 +79,8 @@ type SnapshotStore interface {
 // Two sweep points that differ only in MaxInstructions boot identically,
 // so they share a prefix key and one captured snapshot serves both — the
 // cap is carried by the artifact (Snapshot.IN) and checked at resume time
-// instead. Every other result-affecting knob separates, exactly as in
-// Key. Empty when p is not content-addressable (Cacheable).
+// instead. Every other result-affecting knob separates, exactly as in Key.
 func (p Params) SnapshotPrefix() string {
-	if !p.Cacheable() {
-		return ""
-	}
 	c := p.canonical()
 	c.MaxInstructions = 0
 	raw, err := json.Marshal(c)

@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
-
-	"repro/internal/core"
 )
 
 // memSnapshots is the minimal SnapshotStore: a mutex-guarded map plus
@@ -69,11 +67,6 @@ func TestSnapshotPrefixSharesBootAcrossCaps(t *testing.T) {
 	}
 	if base.SnapshotPrefix() == base.Key() {
 		t.Error("prefix key collides with the result key")
-	}
-	withHook := base
-	withHook.Mutate = func(*core.Config) {}
-	if got := withHook.SnapshotPrefix(); got != "" {
-		t.Errorf("uncacheable params produced prefix %q", got)
 	}
 }
 
