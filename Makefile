@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test zero-alloc yardstick race bench bench-layers bench-json bench-gate serve smoke smoke-cluster
+.PHONY: check fmt vet build test zero-alloc yardstick race loc bench bench-layers bench-json bench-gate serve smoke smoke-cluster
 
 check: fmt vet build test zero-alloc yardstick
 
@@ -46,6 +46,12 @@ race:
 		./internal/sim/... ./internal/trace/... ./internal/fm ./internal/tm \
 		./internal/fullsys ./internal/service/... ./internal/cluster \
 		./internal/cache ./internal/workload ./internal/workload/fs
+
+# The one way code size is counted here (non-blank, non-comment, non-test
+# Go lines per package directory): every "net -N lines" claim in CHANGES.md
+# and ROADMAP.md is this table at two commits.
+loc:
+	@./scripts/loc.sh $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u)
 
 # Run the simulation-as-a-service daemon locally (ctrl-C drains gracefully).
 serve:

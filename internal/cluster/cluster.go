@@ -1,6 +1,7 @@
 // Package cluster shards the fastd /v1 API across worker nodes: a
-// coordinator (fastd -coordinator -nodes host1,host2,...) that speaks the
-// exact same HTTP surface as a single node, but places every job on a
+// coordinator (fastd -coordinator -nodes host1,host2,...) that implements
+// service.Backend — so the single v1 handler set of internal/service
+// serves it exactly as it serves a node — but places every job on a
 // worker chosen by rendezvous hashing of its content address
 // (engine + sim.Params.Key() — the cache key from internal/service), so
 // identical submissions always land where their result is already cached,
@@ -97,32 +98,46 @@ type node struct {
 // per job so two pollers never race a reassignment.
 type remoteJob struct {
 	id        string // coordinator id (job-%06d), what clients see
-	seq       uint64
 	engine    string
-	rawParams json.RawMessage // forwarded verbatim on every (re)submission
+	rawParams json.RawMessage // marshaled once, forwarded on every (re)submission
 	key       string          // shard key: service.JobKey(engine, params)
-	timeoutMS int64
-	submitted time.Time
+	timeout   time.Duration
 
-	node     *node  // current owner (nil only before first placement)
+	node     *node  // current owner; set by the placement that precedes publication
 	remoteID string // the owner's id for this job
 	assigned time.Time
 
-	busy      bool
-	view      service.JobView // last known view, ID rewritten to coordinator id
-	terminal  bool            // view is final and raw (for done) is resident
-	raw       []byte          // result bytes, pulled eagerly at completion
-	reassigns int
+	busy bool
+	view service.JobView // last known view, ID rewritten to coordinator id
+	raw  []byte          // result bytes, pulled eagerly at completion
+}
+
+// state is the job as the shared handlers see it. A job is finished for
+// the coordinator exactly when its state is Settled: terminal, and for a
+// done job the bytes are resident too — a done job whose bytes were not
+// pulled yet must stay pollable, or a node death in that window would
+// lose the result. Caller holds c.mu.
+func (j *remoteJob) state() service.JobState {
+	return service.JobState{View: j.view, Raw: j.raw}
 }
 
 // remoteSweep is a sharded sim.Sweep: coordinator-minted sweep id plus
 // children in spec order, placed independently by their shard keys.
 type remoteSweep struct {
 	id        string
-	seq       uint64
 	submitted time.Time
 	points    []sim.Point
 	children  []*remoteJob
+}
+
+// state snapshots the sweep for the shared handlers. Caller holds c.mu.
+func (sw *remoteSweep) state() service.SweepState {
+	st := service.SweepState{ID: sw.id, SubmittedAt: sw.submitted, Points: sw.points,
+		Children: make([]service.JobState, len(sw.children))}
+	for i, j := range sw.children {
+		st.Children[i] = j.state()
+	}
+	return st
 }
 
 // New builds a coordinator over cfg.Nodes and starts the prober.
@@ -171,15 +186,15 @@ func New(cfg Config) (*Coordinator, error) {
 		n.healthy.Store(true)
 		c.nodes = append(c.nodes, n)
 	}
-	c.mux = http.NewServeMux()
-	c.routes()
+	c.mux = service.NewMux(c)
+	c.mux.HandleFunc("GET /v1/cluster", c.handleClusterView)
 	c.probers.Add(1)
 	go c.probeLoop()
 	return c, nil
 }
 
-// Handler returns the coordinator's HTTP surface (the same /v1 API a
-// single node serves, plus GET /v1/cluster).
+// Handler returns the coordinator's HTTP surface: the shared v1 routes
+// (service.NewMux) plus GET /v1/cluster.
 func (c *Coordinator) Handler() http.Handler { return c.mux }
 
 // Close stops the prober. In-flight work on the nodes is untouched.
@@ -219,40 +234,54 @@ func (c *Coordinator) candidates(key string, skip *node) []*node {
 	return nodes
 }
 
+// unavailable is the rejection for work no node can take right now; the
+// hint gives the prober one interval to act before the client retries.
+func (c *Coordinator) unavailable(format string, args ...any) *service.APIError {
+	err := service.Errorf(http.StatusServiceUnavailable, service.CodeNodeUnavailable, format, args...)
+	err.RetryAfterSec = int(c.cfg.ProbeInterval/time.Second) + 1
+	return err
+}
+
+// assign records that n accepted j as v.
+func (c *Coordinator) assign(j *remoteJob, n *node, v service.JobView) {
+	n.jobs.Inc()
+	c.mu.Lock()
+	j.node, j.remoteID, j.assigned = n, v.ID, time.Now()
+	v.ID = j.id
+	j.view = v
+	c.mu.Unlock()
+}
+
 // place submits j to the best available node (in rendezvous order,
-// excluding skip), marking nodes that fail transport as unhealthy along
-// the way. Returns the accepting node's job view. Caller must hold j.busy
-// (or exclusive ownership of a job not yet published).
-func (c *Coordinator) place(ctx context.Context, j *remoteJob, skip *node) (service.JobView, *node, error) {
-	var lastErr error
+// excluding skip) and assigns it there, marking nodes that fail transport
+// as unhealthy along the way. The error is always an *APIError: a live
+// node's own rejection, or node_unavailable. Caller must hold j.busy (or
+// exclusive ownership of a job not yet published).
+func (c *Coordinator) place(ctx context.Context, j *remoteJob, skip *node) error {
+	lastErr := c.unavailable("no healthy node available")
 	for _, n := range c.candidates(j.key, skip) {
-		v, err := n.cli.SubmitJob(ctx, j.engine, j.rawParams, time.Duration(j.timeoutMS)*time.Millisecond)
+		v, err := n.cli.SubmitJob(ctx, j.engine, j.rawParams, j.timeout)
 		if err == nil {
-			n.jobs.Inc()
-			return v, n, nil
-		}
-		lastErr = err
-		var ae *client.APIError
-		if !errors.As(err, &ae) {
-			// Transport failure: the node is gone until a probe revives it.
-			n.errors.Inc()
-			n.healthy.Store(false)
-			continue
+			c.assign(j, n, v)
+			return nil
 		}
 		n.errors.Inc()
-		if ae.Status == 429 || ae.Status == 503 {
-			// Backpressure: spill to the next node in rendezvous order.
+		var ae *service.APIError
+		if !errors.As(err, &ae) {
+			// Transport failure: the node is gone until a probe revives it.
+			n.healthy.Store(false)
+			lastErr = c.unavailable("node rpc failed: %v", err)
 			continue
 		}
-		// A live node rejected the job itself (bad params, unknown
-		// engine): every node shares the registry, so propagate.
-		return service.JobView{}, nil, err
+		lastErr = ae
+		if ae.Status != http.StatusTooManyRequests && ae.Status != http.StatusServiceUnavailable {
+			// A live node rejected the job itself (bad params, unknown
+			// engine): every node shares the registry, so propagate.
+			// Backpressure (429/503) spills to the next node instead.
+			break
+		}
 	}
-	if lastErr == nil {
-		lastErr = &client.APIError{Status: 503, Code: service.CodeNodeUnavailable,
-			Message: "no healthy node available", RetryAfterSec: int(c.cfg.ProbeInterval/time.Second) + 1}
-	}
-	return service.JobView{}, nil, lastErr
+	return lastErr
 }
 
 // acquire marks j busy for an RPC-bearing operation. Returns false when j
@@ -260,7 +289,7 @@ func (c *Coordinator) place(ctx context.Context, j *remoteJob, skip *node) (serv
 func (c *Coordinator) acquire(j *remoteJob) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if j.terminal || j.busy {
+	if j.busy || j.state().Settled() {
 		return false
 	}
 	j.busy = true
@@ -287,84 +316,68 @@ func (c *Coordinator) refreshJob(ctx context.Context, j *remoteJob) {
 	c.mu.Lock()
 	n, rid := j.node, j.remoteID
 	c.mu.Unlock()
-	if n == nil {
-		c.reassign(ctx, j, nil)
-		return
-	}
 
 	v, err := n.cli.Job(ctx, rid)
 	if err != nil {
-		var ae *client.APIError
-		if errors.As(err, &ae) {
-			n.errors.Inc()
-			if ae.Code == service.CodeNotFound {
-				// The node restarted and lost the job: run it again.
-				c.reassign(ctx, j, nil)
-			}
-			return
-		}
 		n.errors.Inc()
-		n.healthy.Store(false)
-		c.reassign(ctx, j, n)
+		var ae *service.APIError
+		switch {
+		case !errors.As(err, &ae):
+			n.healthy.Store(false)
+			c.reassign(ctx, j, n)
+		case ae.Code == service.CodeNotFound:
+			// The node restarted and lost the job: run it again.
+			c.reassign(ctx, j, nil)
+		}
 		return
 	}
-
 	var raw []byte
 	if v.Status == service.StatusDone {
-		res, ok, rerr := n.cli.JobResult(ctx, rid)
-		if rerr != nil || !ok {
-			// Couldn't pull the bytes yet; stay non-terminal and retry on
-			// the next poll (or reassign if the node died in between).
-			c.storeView(j, v, nil, false)
-			return
-		}
-		raw = res
+		// Nil when the bytes cannot be had yet: the job stays unsettled and
+		// the next poll retries (or reassigns, if the node died in between).
+		raw, _, _ = n.cli.JobResult(ctx, rid)
 	}
-	c.storeView(j, v, raw, service.Terminal(v.Status))
+	c.storeView(j, v, raw)
 }
 
-// storeView records the latest remote view under mu, rewriting the id to
-// the coordinator's.
-func (c *Coordinator) storeView(j *remoteJob, v service.JobView, raw []byte, terminal bool) {
+// storeView records the latest remote view (and the result bytes, once
+// pulled) under mu, rewriting the id to the coordinator's.
+func (c *Coordinator) storeView(j *remoteJob, v service.JobView, raw []byte) service.JobView {
 	v.ID = j.id
 	c.mu.Lock()
 	j.view = v
 	if raw != nil {
 		j.raw = raw
 	}
-	if terminal {
-		j.terminal = true
-	}
 	c.mu.Unlock()
+	return v
 }
 
 // reassign moves j to the best node excluding failed (nil = just place it
 // again). Caller must hold j.busy. No-op when no healthy node remains —
 // the next probe or poll retries.
 func (c *Coordinator) reassign(ctx context.Context, j *remoteJob, failed *node) {
-	v, n, err := c.place(ctx, j, failed)
-	if err != nil {
+	if c.place(ctx, j, failed) != nil {
 		return
 	}
-	remoteID := v.ID
-	c.mu.Lock()
-	j.node = n
-	j.remoteID = remoteID
-	j.assigned = time.Now()
-	j.reassigns++
-	v.ID = j.id
-	j.view = v
-	terminal := service.Terminal(v.Status)
-	c.mu.Unlock()
 	c.reassignments.Inc()
-	if terminal {
-		// Placed straight into a cache hit: pull the bytes now.
-		if raw, ok, err := n.cli.JobResult(ctx, remoteID); err == nil && ok {
-			c.mu.Lock()
-			j.raw = raw
-			j.terminal = true
-			c.mu.Unlock()
-		}
+	c.pullPlaced(ctx, j)
+}
+
+// pullPlaced fetches the bytes right away when a placement landed straight
+// on a cache hit, while the node is known alive. Same ownership rule as
+// place.
+func (c *Coordinator) pullPlaced(ctx context.Context, j *remoteJob) {
+	c.mu.Lock()
+	n, rid, done := j.node, j.remoteID, j.view.Status == service.StatusDone
+	c.mu.Unlock()
+	if !done {
+		return
+	}
+	if raw, _, _ := n.cli.JobResult(ctx, rid); raw != nil {
+		c.mu.Lock()
+		j.raw = raw
+		c.mu.Unlock()
 	}
 }
 
@@ -374,7 +387,7 @@ func (c *Coordinator) reassignNode(n *node) {
 	c.mu.Lock()
 	var victims []*remoteJob
 	for _, j := range c.jobs {
-		if j.node == n && !j.terminal && !j.busy {
+		if j.node == n && !j.busy && !j.state().Settled() {
 			victims = append(victims, j)
 		}
 	}
@@ -428,8 +441,7 @@ func (c *Coordinator) stealStragglers(ctx context.Context, sw *remoteSweep) {
 	c.mu.Lock()
 	var stuck []*remoteJob
 	for _, j := range sw.children {
-		if !j.terminal && !j.busy && j.node != nil &&
-			j.view.Status == service.StatusQueued &&
+		if !j.busy && j.view.Status == service.StatusQueued &&
 			time.Since(j.assigned) > c.cfg.StealAfter {
 			stuck = append(stuck, j)
 		}
@@ -452,9 +464,6 @@ func (c *Coordinator) stealJob(ctx context.Context, j *remoteJob) {
 	owner := j.node
 	oldRemote := j.remoteID
 	c.mu.Unlock()
-	if owner == nil {
-		return
-	}
 	var target *node
 	for _, n := range c.nodes {
 		if n == owner || !n.healthy.Load() {
@@ -467,25 +476,17 @@ func (c *Coordinator) stealJob(ctx context.Context, j *remoteJob) {
 	if target == nil || target.queueDepth.Load() >= owner.queueDepth.Load() {
 		return
 	}
-	v, err := target.cli.SubmitJob(ctx, j.engine, j.rawParams, time.Duration(j.timeoutMS)*time.Millisecond)
+	v, err := target.cli.SubmitJob(ctx, j.engine, j.rawParams, j.timeout)
 	if err != nil {
-		var ae *client.APIError
+		var ae *service.APIError
 		if !errors.As(err, &ae) {
 			target.errors.Inc()
 			target.healthy.Store(false)
 		}
 		return
 	}
-	target.jobs.Inc()
+	c.assign(j, target, v)
 	c.steals.Inc()
-	c.mu.Lock()
-	j.node = target
-	j.remoteID = v.ID
-	j.assigned = time.Now()
-	j.reassigns++
-	v.ID = j.id
-	j.view = v
-	c.mu.Unlock()
 	// Best-effort: free the old owner's queue slot. If the job started
 	// running in the race window this kills a run whose twin is now
 	// queued elsewhere — identical bytes either way.
@@ -500,7 +501,7 @@ func (c *Coordinator) refreshSweep(ctx context.Context, sw *remoteSweep) {
 	c.mu.Lock()
 	pending := make([]*remoteJob, 0, len(sw.children))
 	for _, j := range sw.children {
-		if !j.terminal {
+		if !j.state().Settled() {
 			pending = append(pending, j)
 		}
 	}

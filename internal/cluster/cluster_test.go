@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -14,76 +13,16 @@ import (
 	"repro/internal/service"
 	"repro/internal/service/client"
 	"repro/internal/service/diskcache"
-	"repro/internal/sim"
+	"repro/internal/service/servicetest"
 )
 
-// Test engines, mirroring the service package's: clu-stub completes
-// instantly with a params-derived result (checkable, byte-stable),
-// clu-block parks until the gate opens (reachable mid-sweep states).
-func init() {
-	sim.Register("clu-stub", func() sim.Engine { return &stubEngine{} })
-	sim.Register("clu-block", func() sim.Engine { return &blockEngine{} })
-}
+// Test engines, shared with the service package's tests: clu-stub
+// completes instantly with a params-derived result (checkable,
+// byte-stable), clu-block parks until the gate opens (reachable mid-sweep
+// states).
+func init() { servicetest.Register("clu") }
 
-type stubEngine struct{ p sim.Params }
-
-func (e *stubEngine) Describe() string             { return "test stub: result derived from params" }
-func (e *stubEngine) Configure(p sim.Params) error { e.p = p; return nil }
-func (e *stubEngine) Run() (sim.Result, error)     { return e.RunContext(context.Background()) }
-func (e *stubEngine) RunContext(ctx context.Context) (sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Result{
-		Engine:       "clu-stub",
-		Workload:     e.p.Workload,
-		Instructions: e.p.MaxInstructions,
-		TargetCycles: 2 * e.p.MaxInstructions,
-		IPC:          0.5,
-	}, nil
-}
-
-var gate = struct {
-	sync.Mutex
-	ch     chan struct{}
-	closed bool
-}{ch: make(chan struct{})}
-
-func resetGate() {
-	gate.Lock()
-	gate.ch = make(chan struct{})
-	gate.closed = false
-	gate.Unlock()
-}
-
-func openGate() {
-	gate.Lock()
-	if !gate.closed {
-		close(gate.ch)
-		gate.closed = true
-	}
-	gate.Unlock()
-}
-
-func gateCh() chan struct{} {
-	gate.Lock()
-	defer gate.Unlock()
-	return gate.ch
-}
-
-type blockEngine struct{ p sim.Params }
-
-func (e *blockEngine) Describe() string             { return "test stub: blocks until released" }
-func (e *blockEngine) Configure(p sim.Params) error { e.p = p; return nil }
-func (e *blockEngine) Run() (sim.Result, error)     { return e.RunContext(context.Background()) }
-func (e *blockEngine) RunContext(ctx context.Context) (sim.Result, error) {
-	select {
-	case <-ctx.Done():
-		return sim.Result{}, ctx.Err()
-	case <-gateCh():
-		return sim.Result{Engine: "clu-block", Workload: e.p.Workload, Instructions: e.p.MaxInstructions}, nil
-	}
-}
+var resetGate, openGate = servicetest.ResetGate, servicetest.OpenGate
 
 // workerNode is one real service.Server behind an httptest listener.
 type workerNode struct {

@@ -1,8 +1,7 @@
 // Package client is the typed Go client of the fastd /v1 API
 // (internal/service): submit jobs and sweeps, wait for results, list and
 // cancel work — context-aware throughout, with non-2xx responses decoded
-// into *APIError (the service.ErrorBody envelope plus the HTTP status)
-// and 429/503 backpressure honored via Retry-After with capped backoff.
+// into *APIError (the service's error envelope plus the HTTP status) and 429/503 backpressure honored via Retry-After with capped backoff.
 //
 // Everything that drives the API programmatically goes through this
 // package: cmd/fastctl (the operator CLI), scripts/service_smoke.sh via
@@ -58,18 +57,10 @@ func New(base string) *Client {
 // Base returns the node URL this client targets.
 func (c *Client) Base() string { return c.base }
 
-// APIError is a non-2xx response: the service's ErrorBody envelope plus
-// the HTTP status. Dispatch on Code (the service.Code* constants).
-type APIError struct {
-	Status        int    // HTTP status code
-	Code          string // stable machine-readable code (service.Code*)
-	Message       string
-	RetryAfterSec int
-}
-
-func (e *APIError) Error() string {
-	return fmt.Sprintf("%s (http %d): %s", e.Code, e.Status, e.Message)
-}
+// APIError is a non-2xx response: the service's error envelope plus the
+// HTTP status — the very type the server side returns and writes. Dispatch
+// on Code (the service.Code* constants).
+type APIError = service.APIError
 
 // ErrorCode extracts the stable code from an error returned by this
 // package ("" when err is not an *APIError).
@@ -120,11 +111,12 @@ func (c *Client) doRaw(ctx context.Context, method, path string, body []byte) ([
 		return nil, resp.StatusCode, err
 	}
 	if resp.StatusCode >= 400 {
-		ae := &APIError{Status: resp.StatusCode, Code: service.CodeInternal, Message: strings.TrimSpace(string(raw))}
-		var eb service.ErrorBody
-		if json.Unmarshal(raw, &eb) == nil && eb.Code != "" {
-			ae.Code, ae.Message, ae.RetryAfterSec = eb.Code, eb.Message, eb.RetryAfterSec
+		ae := &APIError{}
+		if json.Unmarshal(raw, ae) != nil || ae.Code == "" {
+			// Not an envelope (a proxy's error page, a draining /healthz).
+			*ae = APIError{Code: service.CodeInternal, Message: strings.TrimSpace(string(raw))}
 		}
+		ae.Status = resp.StatusCode
 		if ae.RetryAfterSec == 0 {
 			if s, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
 				ae.RetryAfterSec = s

@@ -2,12 +2,13 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 )
 
 // Stable machine-readable error codes. Every non-2xx /v1 response carries
-// exactly one of these in its ErrorBody; clients dispatch on the code, the
+// exactly one of these in its APIError envelope; clients dispatch on the code, the
 // message is for humans. Codes are part of the API contract (DESIGN.md
 // §11): add freely, never rename or repurpose.
 const (
@@ -34,58 +35,54 @@ const (
 	CodeNodeUnavailable = "node_unavailable"
 )
 
-// ErrorBody is the single error envelope of the /v1 API: every non-2xx
-// response body is exactly this shape. Code is stable and machine-readable
-// (the Code* constants); RetryAfterSec, when non-zero, mirrors the
-// Retry-After header on 429/503 responses.
-type ErrorBody struct {
+// APIError is the one error type of the /v1 API, end to end: backends
+// return it, the shared handlers write it as the response envelope, and the
+// typed client decodes that envelope back into it (client.APIError is an
+// alias), so a node-side rejection crosses the coordinator unchanged. Every
+// non-2xx /v1 response body is exactly its JSON form. Code is stable and
+// machine-readable (the Code* constants); RetryAfterSec, when non-zero,
+// mirrors the Retry-After header on 429/503 responses.
+type APIError struct {
+	Status        int    `json:"-"` // HTTP status code
 	Code          string `json:"code"`
 	Message       string `json:"message"`
 	RetryAfterSec int    `json:"retry_after_sec,omitempty"`
 }
 
-// Error makes ErrorBody usable as a Go error (the typed client returns it
-// wrapped in client.APIError; the server side uses httpError internally).
-func (e ErrorBody) Error() string { return fmt.Sprintf("%s: %s", e.Code, e.Message) }
+func (e *APIError) Error() string {
+	return fmt.Sprintf("%s (http %d): %s", e.Code, e.Status, e.Message)
+}
 
-// WriteAPIError writes the envelope with its status code (and Retry-After
-// header when the body carries a retry hint). Exported so the cluster
-// coordinator emits the exact same wire shape as a single node.
-func WriteAPIError(w http.ResponseWriter, status int, body ErrorBody) {
-	if body.Code == "" {
-		body.Code = CodeInternal
+// Errorf builds an APIError with a formatted message.
+func Errorf(status int, code, format string, args ...any) *APIError {
+	return &APIError{Status: status, Code: code, Message: fmt.Sprintf(format, args...)}
+}
+
+// NotFound is the rejection for an id no backend table holds; kind is
+// "job" or "sweep".
+func NotFound(kind, id string) *APIError {
+	return Errorf(http.StatusNotFound, CodeNotFound, "no %s %q", kind, id)
+}
+
+// writeError is the one error→envelope mapping: an *APIError is written
+// as-is (with its Retry-After header when it carries a hint), anything
+// else is a 500 internal.
+func writeError(w http.ResponseWriter, err error) {
+	var ae *APIError
+	if !errors.As(err, &ae) {
+		ae = Errorf(http.StatusInternalServerError, CodeInternal, "%v", err)
 	}
-	if body.RetryAfterSec > 0 {
-		w.Header().Set("Retry-After", fmt.Sprintf("%d", body.RetryAfterSec))
+	if ae.RetryAfterSec > 0 {
+		w.Header().Set("Retry-After", fmt.Sprintf("%d", ae.RetryAfterSec))
 	}
-	WriteJSON(w, status, body)
+	WriteJSON(w, ae.Status, ae)
 }
 
 // WriteJSON writes v as a compact JSON body with a trailing newline — the
-// canonical response framing of the whole /v1 surface (shared with the
-// cluster coordinator so proxied and local responses are byte-identical).
+// canonical response framing of the whole /v1 surface.
 func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.Encode(v)
-}
-
-// httpError carries a status code, a stable error code and an optional
-// Retry-After hint out of the submit path to the handler layer.
-type httpError struct {
-	status     int
-	code       string // one of the Code* constants
-	retryAfter int    // seconds; 0 = no header
-	msg        string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func (s *Server) writeError(w http.ResponseWriter, err error) {
-	he, ok := err.(*httpError)
-	if !ok {
-		he = &httpError{status: 500, code: CodeInternal, msg: err.Error()}
-	}
-	WriteAPIError(w, he.status, ErrorBody{Code: he.code, Message: he.msg, RetryAfterSec: he.retryAfter})
 }

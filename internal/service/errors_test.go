@@ -4,10 +4,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/obs"
 	"repro/internal/service"
 )
 
@@ -24,84 +29,153 @@ func envelopeCode(t *testing.T, m map[string]any) string {
 	return code
 }
 
-// TestErrorEnvelopeCodes drives every /v1 failure path and asserts the
-// (HTTP status, stable code) pair of the envelope — the contract clients
-// and the cluster coordinator dispatch on.
+// conformanceBackends are the two real implementations of service.Backend
+// the conformance tests run against: one node, and a coordinator over two
+// nodes. The v1 surface is one handler set, so every shared row must read
+// the same on both.
+var conformanceBackends = []struct {
+	name string
+	new  func(t *testing.T) *harness
+}{
+	{"node", func(t *testing.T) *harness { return newHarness(t, service.Config{Workers: 1, QueueDepth: 1}) }},
+	{"coordinator", newCoordinatorHarness},
+}
+
+// newCoordinatorHarness fronts two one-worker nodes with a coordinator and
+// returns a harness aimed at the coordinator's listener.
+func newCoordinatorHarness(t *testing.T) *harness {
+	t.Helper()
+	var nodes []string
+	for i := 0; i < 2; i++ {
+		nodes = append(nodes, newHarness(t, service.Config{Workers: 1, QueueDepth: 8}).ts.URL)
+	}
+	tel := obs.New()
+	coord, err := cluster.New(cluster.Config{Nodes: nodes, Telemetry: tel})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(coord.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		coord.Close()
+	})
+	return &harness{t: t, ts: ts, tel: tel}
+}
+
+// TestErrorEnvelopeCodes is the conformance table of the v1 surface: every
+// failure path (and the routes whose mere presence is the contract) with
+// its HTTP status, stable envelope code, Content-Type and Retry-After, on
+// both backends. Rows marked for one backend are the genuine differences:
+// queue capacity exists only on a node, and the two node-only routes
+// answer not_found on a coordinator.
 func TestErrorEnvelopeCodes(t *testing.T) {
 	resetGate()
-	h := newHarness(t, service.Config{Workers: 1, QueueDepth: 1})
-
-	// A terminal (canceled) job for the conflict paths: cancel it while
-	// the queue is still free.
-	st, m, _ := h.do("POST", "/v1/jobs", `{"engine":"svc-block","params":{"workload":"164.gzip"}}`)
-	if st != http.StatusAccepted {
-		t.Fatalf("seed submit: %d %v", st, m)
+	type backend struct {
+		name       string
+		h          *harness
+		doneID     string
+		canceledID string
 	}
-	blockID := m["id"].(string)
-	// Park the worker on it, then cancel a second queued job so it
-	// terminates without ever running.
-	for {
-		_, jm, _ := h.do("GET", "/v1/jobs/"+blockID, "")
-		if jm["status"] == "running" {
-			break
+	var backends []backend
+	for _, b := range conformanceBackends {
+		h := b.new(t)
+		// A finished job for the per-job routes.
+		doneID := h.submit(`{"engine":"svc-stub","params":{"workload":"164.gzip","max_instructions":9}}`)
+		h.wait(doneID)
+		// A terminal (canceled) job for the conflict paths: park a worker
+		// on one blocking job, then cancel a second. On the node (one
+		// worker, one queue slot) the second never runs and keeps the slot
+		// occupied — the parked worker never dequeues it — so the
+		// queue-full rows reject naturally.
+		h.waitStatus(h.submit(`{"engine":"svc-block","params":{"workload":"164.gzip"}}`), "running")
+		canceledID := h.submit(`{"engine":"svc-block","params":{"workload":"176.gcc"}}`)
+		if st, m, _ := h.do("DELETE", "/v1/jobs/"+canceledID, ""); st != http.StatusOK {
+			t.Fatalf("%s: cancel: %d %v", b.name, st, m)
 		}
-		time.Sleep(time.Millisecond)
-	}
-	st, m, _ = h.do("POST", "/v1/jobs", `{"engine":"svc-block","params":{"workload":"176.gcc"}}`)
-	if st != http.StatusAccepted {
-		t.Fatalf("queued submit: %d %v", st, m)
-	}
-	canceledID := m["id"].(string)
-	if st, m, _ = h.do("DELETE", "/v1/jobs/"+canceledID, ""); st != http.StatusOK {
-		t.Fatalf("cancel: %d %v", st, m)
+		h.waitStatus(canceledID, "canceled")
+		backends = append(backends, backend{b.name, h, doneID, canceledID})
 	}
 
 	cases := []struct {
 		name         string
-		method, path string
+		method, path string // {done} and {canceled} expand to the seeded job ids
 		body         string
 		wantStatus   int
-		wantCode     string
+		wantCode     string // "" = a success: only status and Content-Type are checked
+		only         string // "" = both backends
 	}{
-		{"malformed body", "POST", "/v1/jobs", `{`, 400, service.CodeBadParams},
-		{"unknown request field", "POST", "/v1/jobs", `{"engine":"fast","bogus":1}`, 400, service.CodeBadParams},
-		{"trailing data", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"164.gzip"}} {}`, 400, service.CodeBadParams},
-		{"unknown params field", "POST", "/v1/jobs", `{"engine":"fast","params":{"frobnicate":1}}`, 400, service.CodeBadParams},
-		{"unknown engine", "POST", "/v1/jobs", `{"engine":"warp-drive","params":{"workload":"164.gzip"}}`, 400, service.CodeUnknownEngine},
-		{"invalid params", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"no-such-workload"}}`, 400, service.CodeBadParams},
-		{"queue full", "POST", "/v1/jobs", `{"engine":"svc-block","params":{"workload":"186.crafty"}}`, 429, service.CodeQueueFull},
-		{"job not found", "GET", "/v1/jobs/job-999999", "", 404, service.CodeNotFound},
-		{"result not found", "GET", "/v1/jobs/job-999999/result", "", 404, service.CodeNotFound},
-		{"cancel not found", "DELETE", "/v1/jobs/job-999999", "", 404, service.CodeNotFound},
-		{"result of canceled job", "GET", "/v1/jobs/" + canceledID + "/result", "", 409, service.CodeConflict},
-		{"cancel terminal job", "DELETE", "/v1/jobs/" + canceledID, "", 409, service.CodeConflict},
-		{"sweep not found", "GET", "/v1/sweeps/sweep-999999", "", 404, service.CodeNotFound},
-		{"sweep invalid point", "POST", "/v1/sweeps", `{"sweep":{"workloads":["no-such-workload"],"base":{}}}`, 400, service.CodeBadParams},
-		{"sweep unknown engine", "POST", "/v1/sweeps", `{"sweep":{"engines":["warp-drive"],"base":{"workload":"164.gzip"}}}`, 400, service.CodeUnknownEngine},
-		{"sweep over capacity", "POST", "/v1/sweeps", `{"sweep":{"engines":["svc-block"],"workloads":["164.gzip","176.gcc","186.crafty"],"base":{}}}`, 429, service.CodeQueueFull},
-		{"list bad status", "GET", "/v1/jobs?status=zombie", "", 400, service.CodeBadParams},
-		{"list bad limit", "GET", "/v1/jobs?limit=-1", "", 400, service.CodeBadParams},
-		{"list bad cursor", "GET", "/v1/jobs?after=nonsense", "", 400, service.CodeBadParams},
-		{"sweep list bad status", "GET", "/v1/sweeps?status=queued", "", 400, service.CodeBadParams},
+		{"malformed body", "POST", "/v1/jobs", `{`, 400, service.CodeBadParams, ""},
+		{"unknown request field", "POST", "/v1/jobs", `{"engine":"fast","bogus":1}`, 400, service.CodeBadParams, ""},
+		{"trailing data", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"164.gzip"}} {}`, 400, service.CodeBadParams, ""},
+		{"unknown params field", "POST", "/v1/jobs", `{"engine":"fast","params":{"frobnicate":1}}`, 400, service.CodeBadParams, ""},
+		{"unknown engine", "POST", "/v1/jobs", `{"engine":"warp-drive","params":{"workload":"164.gzip"}}`, 400, service.CodeUnknownEngine, ""},
+		{"invalid params", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"no-such-workload"}}`, 400, service.CodeBadParams, ""},
+		{"queue full", "POST", "/v1/jobs", `{"engine":"svc-block","params":{"workload":"186.crafty"}}`, 429, service.CodeQueueFull, "node"},
+		{"job not found", "GET", "/v1/jobs/job-999999", "", 404, service.CodeNotFound, ""},
+		{"result not found", "GET", "/v1/jobs/job-999999/result", "", 404, service.CodeNotFound, ""},
+		{"cancel not found", "DELETE", "/v1/jobs/job-999999", "", 404, service.CodeNotFound, ""},
+		{"result of canceled job", "GET", "/v1/jobs/{canceled}/result", "", 409, service.CodeConflict, ""},
+		{"cancel terminal job", "DELETE", "/v1/jobs/{canceled}", "", 409, service.CodeConflict, ""},
+		{"sweep not found", "GET", "/v1/sweeps/sweep-999999", "", 404, service.CodeNotFound, ""},
+		{"sweep result not found", "GET", "/v1/sweeps/sweep-999999/result", "", 404, service.CodeNotFound, ""},
+		{"sweep invalid point", "POST", "/v1/sweeps", `{"sweep":{"workloads":["no-such-workload"],"base":{}}}`, 400, service.CodeBadParams, ""},
+		{"sweep unknown engine", "POST", "/v1/sweeps", `{"sweep":{"engines":["warp-drive"],"base":{"workload":"164.gzip"}}}`, 400, service.CodeUnknownEngine, ""},
+		{"sweep over capacity", "POST", "/v1/sweeps", `{"sweep":{"engines":["svc-block"],"workloads":["164.gzip","176.gcc","186.crafty"],"base":{}}}`, 429, service.CodeQueueFull, "node"},
+		{"list bad status", "GET", "/v1/jobs?status=zombie", "", 400, service.CodeBadParams, ""},
+		{"list bad limit", "GET", "/v1/jobs?limit=-1", "", 400, service.CodeBadParams, ""},
+		{"list bad cursor", "GET", "/v1/jobs?after=nonsense", "", 400, service.CodeBadParams, ""},
+		{"sweep list bad status", "GET", "/v1/sweeps?status=queued", "", 400, service.CodeBadParams, ""},
+		// One mux, one catch-all: whatever no route matches is the envelope.
+		{"unknown route", "GET", "/v1/nope", "", 404, service.CodeNotFound, ""},
+		{"wrong method", "PUT", "/v1/jobs", `{}`, 404, service.CodeNotFound, ""},
+		{"outside v1", "GET", "/nope", "", 404, service.CodeNotFound, ""},
+		// Same binary, same registries: both backends answer both listings.
+		{"engines served", "GET", "/v1/engines", "", 200, "", ""},
+		{"workloads served", "GET", "/v1/workloads", "", 200, "", ""},
+		// The node-only routes: present on a node, the envelope elsewhere.
+		{"snapshots on node", "GET", "/v1/snapshots", "", 200, "", "node"},
+		{"snapshots on coordinator", "GET", "/v1/snapshots", "", 404, service.CodeNotFound, "coordinator"},
+		{"job metrics on coordinator", "GET", "/v1/jobs/{done}/metrics", "", 404, service.CodeNotFound, "coordinator"},
 	}
-	// The canceled job still occupies the single queue slot (the parked
-	// worker never dequeued it), so the queue-full rows reject naturally.
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			st, m, hdr := h.do(tc.method, tc.path, tc.body)
-			if st != tc.wantStatus {
-				t.Fatalf("%s %s: status %d, want %d (%v)", tc.method, tc.path, st, tc.wantStatus, m)
-			}
-			if code := envelopeCode(t, m); code != tc.wantCode {
-				t.Fatalf("%s %s: code %q, want %q", tc.method, tc.path, code, tc.wantCode)
-			}
-			if tc.wantStatus == 429 {
-				if hdr.Get("Retry-After") == "" {
-					t.Error("429 without Retry-After header")
+			for _, b := range backends {
+				if tc.only != "" && tc.only != b.name {
+					continue
 				}
-				if ra, _ := m["retry_after_sec"].(float64); ra <= 0 {
-					t.Errorf("429 envelope without retry_after_sec: %v", m)
-				}
+				t.Run(b.name, func(t *testing.T) {
+					path := strings.NewReplacer("{done}", b.doneID, "{canceled}", b.canceledID).Replace(tc.path)
+					req, err := http.NewRequest(tc.method, b.h.ts.URL+path, strings.NewReader(tc.body))
+					if err != nil {
+						t.Fatal(err)
+					}
+					resp, err := http.DefaultClient.Do(req)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer resp.Body.Close()
+					raw, _ := io.ReadAll(resp.Body)
+					if resp.StatusCode != tc.wantStatus {
+						t.Fatalf("%s %s: status %d, want %d (%s)", tc.method, path, resp.StatusCode, tc.wantStatus, raw)
+					}
+					if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+						t.Fatalf("%s %s: Content-Type %q, want application/json (%s)", tc.method, path, ct, raw)
+					}
+					if tc.wantCode == "" {
+						return
+					}
+					var m map[string]any
+					if err := json.Unmarshal(raw, &m); err != nil {
+						t.Fatalf("%s %s: body is not JSON: %q", tc.method, path, raw)
+					}
+					if code := envelopeCode(t, m); code != tc.wantCode {
+						t.Fatalf("%s %s: code %q, want %q", tc.method, path, code, tc.wantCode)
+					}
+					ra, _ := m["retry_after_sec"].(float64)
+					if backoff := tc.wantStatus == 429 || tc.wantStatus == 503; backoff != (resp.Header.Get("Retry-After") != "") || backoff != (ra > 0) {
+						t.Errorf("status %d with Retry-After %q and retry_after_sec %v", tc.wantStatus, resp.Header.Get("Retry-After"), ra)
+					}
+				})
 			}
 		})
 	}
@@ -132,10 +206,15 @@ func TestErrorEnvelopeDraining(t *testing.T) {
 }
 
 // TestListPagination exercises the cursor walk over /v1/jobs and
-// /v1/sweeps: newest-first order, page boundaries, exhaustion, and the
-// status filter.
+// /v1/sweeps on both backends: newest-first order, page boundaries,
+// exhaustion, and the status filter.
 func TestListPagination(t *testing.T) {
-	h := newHarness(t, service.Config{Workers: 2, QueueDepth: 32})
+	for _, b := range conformanceBackends {
+		t.Run(b.name, func(t *testing.T) { listPagination(t, b.new(t)) })
+	}
+}
+
+func listPagination(t *testing.T, h *harness) {
 
 	// 5 instantly-completing jobs with distinct params, submitted in order.
 	var ids []string

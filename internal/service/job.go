@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"repro/internal/obs"
@@ -43,14 +44,12 @@ func KnownStatus(status string) bool {
 }
 
 // job is one accepted simulation. Mutable fields are guarded by the
-// server's mu; done closes exactly once, at the terminal transition, so
-// waiters can block without polling.
+// server's mu.
 type job struct {
 	id      string
-	seq     uint64 // admission order; the pagination cursor
 	engine  string
 	params  sim.Params
-	key     string // content address; see jobKey
+	key     string // content address; see JobKey
 	timeout time.Duration
 
 	tel *obs.Telemetry // per-job registry, served at /v1/jobs/{id}/metrics
@@ -61,25 +60,18 @@ type job struct {
 	started   time.Time
 	finished  time.Time
 	cancel    context.CancelFunc // non-nil while running
-	result    sim.Result
-	raw       []byte // canonical result JSON; read-only once set
+	raw       []byte             // canonical result JSON; read-only once set
 	errMsg    string
-
-	done chan struct{}
 }
 
-// jobKey combines the engine name with the Params content address into the
+// JobKey combines the engine name with the Params content address into the
 // cache key. Engines model different cost structures over the same target,
 // so the same Params under two engines are two different results. The
 // cluster coordinator uses the same key as its shard address, so a point
 // always lands on the node whose cache can already hold it.
-func jobKey(engine string, p sim.Params) string {
+func JobKey(engine string, p sim.Params) string {
 	return engine + "\x00" + p.Key()
 }
-
-// JobKey is jobKey for external callers (the cluster coordinator shards on
-// it).
-func JobKey(engine string, p sim.Params) string { return jobKey(engine, p) }
 
 // JobView is the stable JSON shape of GET /v1/jobs/{id} and the elements
 // of GET /v1/jobs.
@@ -95,14 +87,8 @@ type JobView struct {
 	FinishedAt  time.Time `json:"finished_at"` // zero until the job is terminal
 }
 
-// view snapshots a job under the server lock.
-func (s *Server) view(j *job) JobView {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.viewLocked(j)
-}
-
-func (s *Server) viewLocked(j *job) JobView {
+// view and state snapshot a job; the caller holds the server's mu.
+func (j *job) view() JobView {
 	return JobView{
 		ID:          j.id,
 		Engine:      j.engine,
@@ -116,35 +102,79 @@ func (s *Server) viewLocked(j *job) JobView {
 	}
 }
 
-// submitJob validates, resolves the cache, and either completes the job
-// instantly (hit) or enqueues it (miss). The whole step holds mu, so a
-// sweep's batch of submissions is atomic with respect to draining and
-// queue capacity.
-func (s *Server) submitJob(engine string, p sim.Params, timeout time.Duration) (*job, error) {
-	if !sim.Registered(engine) {
-		s.rejected("invalid").Inc()
-		return nil, &httpError{status: 400, code: CodeUnknownEngine,
-			msg: fmt.Sprintf("unknown engine %q (registered: %v)", engine, sim.Names())}
-	}
-	if err := p.Validate(); err != nil {
-		s.rejected("invalid").Inc()
-		return nil, &httpError{status: 400, code: CodeBadParams, msg: err.Error()}
-	}
+func (j *job) state() JobState { return JobState{View: j.view(), Raw: j.raw} }
+
+// SubmitJob implements Backend: resolve the cache, and either complete the
+// job instantly (hit) or enqueue it (miss).
+func (s *Server) SubmitJob(_ context.Context, pt sim.Point, timeout time.Duration) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, err := s.admitLocked(engine, p, timeout)
+	j, err := s.admitLocked(pt, timeout)
 	if err != nil {
-		return nil, err
+		return JobView{}, err
 	}
-	return j, nil
+	return j.view(), nil
+}
+
+// Job implements Backend.
+func (s *Server) Job(_ context.Context, id string) (JobState, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return JobState{}, NotFound("job", id)
+	}
+	return j.state(), nil
+}
+
+// CancelJob implements Backend.
+func (s *Server) CancelJob(_ context.Context, id string) (JobView, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	j, ok := s.jobs[id]
+	if !ok {
+		return JobView{}, NotFound("job", id)
+	}
+	if !s.cancelLocked(j) {
+		return JobView{}, Errorf(http.StatusConflict, CodeConflict, "job %s already %s", j.id, j.status)
+	}
+	return j.view(), nil
+}
+
+// Jobs implements Backend.
+func (s *Server) Jobs() []JobView {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]JobView, 0, len(s.jobs))
+	for _, j := range s.jobs {
+		out = append(out, j.view())
+	}
+	return out
+}
+
+// drainingLocked is the rejection every admission path answers once
+// Shutdown has begun (nil before).
+func (s *Server) drainingLocked() error {
+	if !s.draining {
+		return nil
+	}
+	s.rejected("draining").Inc()
+	return &APIError{Status: http.StatusServiceUnavailable, Code: CodeDraining, RetryAfterSec: 10, Message: "server is draining"}
+}
+
+// queueFullLocked builds the backpressure rejection.
+func (s *Server) queueFullLocked(format string, args ...any) error {
+	s.rejected("queue_full").Inc()
+	err := Errorf(http.StatusTooManyRequests, CodeQueueFull, format, args...)
+	err.RetryAfterSec = s.retryAfterSeconds()
+	return err
 }
 
 // admitLocked is the mu-held core of submission, shared by single jobs and
 // sweep fan-out. It never blocks: a full queue is a 429, not a wait.
-func (s *Server) admitLocked(engine string, p sim.Params, timeout time.Duration) (*job, error) {
-	if s.draining {
-		s.rejected("draining").Inc()
-		return nil, &httpError{status: 503, code: CodeDraining, retryAfter: 10, msg: "server is draining"}
+func (s *Server) admitLocked(pt sim.Point, timeout time.Duration) (*job, error) {
+	if err := s.drainingLocked(); err != nil {
+		return nil, err
 	}
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
@@ -152,21 +182,18 @@ func (s *Server) admitLocked(engine string, p sim.Params, timeout time.Duration)
 	s.seq++
 	j := &job{
 		id:        fmt.Sprintf("job-%06d", s.seq),
-		seq:       s.seq,
-		engine:    engine,
-		params:    p,
-		key:       jobKey(engine, p),
+		engine:    pt.Engine,
+		params:    pt.Params,
+		key:       JobKey(pt.Engine, pt.Params),
 		timeout:   timeout,
 		tel:       obs.New(),
 		submitted: time.Now(),
-		done:      make(chan struct{}),
 	}
-	if res, raw, ok := s.cache.get(j.key); ok {
+	if raw, ok := s.cache.get(j.key); ok {
 		j.status = StatusDone
 		j.cached = true
-		j.result, j.raw = res, raw
+		j.raw = raw
 		j.finished = j.submitted
-		close(j.done)
 		s.jobs[j.id] = j
 		s.jobsSubmitted.Inc()
 		s.jobsByStatus("cached").Inc()
@@ -176,8 +203,7 @@ func (s *Server) admitLocked(engine string, p sim.Params, timeout time.Duration)
 	select {
 	case s.queue <- j:
 	default:
-		s.rejected("queue_full").Inc()
-		return nil, &httpError{status: 429, code: CodeQueueFull, retryAfter: s.retryAfterSeconds(), msg: "job queue is full"}
+		return nil, s.queueFullLocked("job queue is full")
 	}
 	s.jobs[j.id] = j
 	s.jobsSubmitted.Inc()
@@ -222,12 +248,11 @@ func (s *Server) runJob(j *job) {
 		s.mu.Unlock()
 		return
 	}
-	if res, raw, ok := s.cache.get(j.key); ok {
+	if raw, ok := s.cache.get(j.key); ok {
 		j.status = StatusDone
 		j.cached = true
-		j.result, j.raw = res, raw
+		j.raw = raw
 		j.finished = time.Now()
-		close(j.done)
 		s.jobsByStatus("cached").Inc()
 		s.mu.Unlock()
 		return
@@ -268,8 +293,8 @@ func (s *Server) runJob(j *job) {
 			break
 		}
 		j.status = StatusDone
-		j.result, j.raw = res, raw
-		s.cache.put(j.key, res, raw)
+		j.raw = raw
+		s.cache.put(j.key, raw)
 	case errors.Is(err, context.DeadlineExceeded):
 		j.status = StatusFailed
 		j.errMsg = fmt.Sprintf("deadline exceeded after %s: %v", j.timeout, err)
@@ -281,7 +306,6 @@ func (s *Server) runJob(j *job) {
 		j.errMsg = err.Error()
 	}
 	s.jobsByStatus(j.status).Inc()
-	close(j.done)
 }
 
 // cancelLocked moves a job toward termination: a queued job terminates
@@ -295,7 +319,6 @@ func (s *Server) cancelLocked(j *job) bool {
 		j.errMsg = "canceled while queued"
 		j.finished = time.Now()
 		s.jobsByStatus(StatusCanceled).Inc()
-		close(j.done)
 		return true
 	case StatusRunning:
 		if j.cancel != nil {
@@ -311,10 +334,17 @@ func (s *Server) cancelLocked(j *job) bool {
 // aggregates back in spec order.
 type sweepJob struct {
 	id        string
-	seq       uint64 // admission order; the pagination cursor
 	submitted time.Time
 	points    []sim.Point
 	children  []*job
+}
+
+func (sw *sweepJob) state() SweepState {
+	st := SweepState{ID: sw.id, SubmittedAt: sw.submitted, Points: sw.points, Children: make([]JobState, len(sw.children))}
+	for i, j := range sw.children {
+		st.Children[i] = j.state()
+	}
+	return st
 }
 
 // SweepView is the stable JSON shape of GET /v1/sweeps/{id} and the
@@ -329,80 +359,35 @@ type SweepView struct {
 	SubmittedAt time.Time      `json:"submitted_at"`
 }
 
-func (s *Server) sweepViewLocked(sw *sweepJob) SweepView {
-	v := SweepView{
-		ID:          sw.id,
-		Total:       len(sw.children),
-		ByStatus:    map[string]int{},
-		JobIDs:      make([]string, len(sw.children)),
-		SubmittedAt: sw.submitted,
-	}
-	terminal := 0
-	for i, j := range sw.children {
-		v.JobIDs[i] = j.id
-		v.ByStatus[j.status]++
-		if j.cached {
-			v.Cached++
-		}
-		if Terminal(j.status) {
-			terminal++
-		}
-	}
-	v.Status = StatusRunning
-	if terminal == len(sw.children) {
-		v.Status = StatusDone
-	}
-	return v
-}
-
-// submitSweep expands the spec and admits every point atomically: either
+// SubmitSweep implements Backend, admitting every point atomically: either
 // the whole sweep is accepted (cache hits resolved, the rest enqueued) or
 // nothing is, so a half-admitted sweep can never wedge the queue.
-func (s *Server) submitSweep(spec sim.Sweep, timeout time.Duration) (*sweepJob, error) {
-	points := spec.Points()
-	if len(points) == 0 {
-		return nil, &httpError{status: 400, code: CodeBadParams, msg: "sweep expands to zero points"}
-	}
-	for i, pt := range points {
-		if !sim.Registered(pt.Engine) {
-			s.rejected("invalid").Inc()
-			return nil, &httpError{status: 400, code: CodeUnknownEngine,
-				msg: fmt.Sprintf("point %d: unknown engine %q", i, pt.Engine)}
-		}
-		if err := pt.Params.Validate(); err != nil {
-			s.rejected("invalid").Inc()
-			return nil, &httpError{status: 400, code: CodeBadParams, msg: fmt.Sprintf("point %d (%s): %v", i, pt, err)}
-		}
-	}
+func (s *Server) SubmitSweep(_ context.Context, points []sim.Point, timeout time.Duration) (SweepState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.draining {
-		s.rejected("draining").Inc()
-		return nil, &httpError{status: 503, code: CodeDraining, retryAfter: 10, msg: "server is draining"}
+	if err := s.drainingLocked(); err != nil {
+		return SweepState{}, err
 	}
 	// All-or-nothing capacity check: points not already resident must all
 	// fit in the queue's free space right now.
 	need := 0
 	for _, pt := range points {
-		if !s.cache.contains(jobKey(pt.Engine, pt.Params)) {
+		if !s.cache.contains(JobKey(pt.Engine, pt.Params)) {
 			need++
 		}
 	}
 	if free := cap(s.queue) - len(s.queue); need > free {
-		s.rejected("queue_full").Inc()
-		return nil, &httpError{status: 429, code: CodeQueueFull, retryAfter: s.retryAfterSeconds(),
-			msg: fmt.Sprintf("sweep needs %d queue slots, %d free", need, free)}
+		return SweepState{}, s.queueFullLocked("sweep needs %d queue slots, %d free", need, free)
 	}
 	s.seq++
 	sw := &sweepJob{
 		id:        fmt.Sprintf("sweep-%06d", s.seq),
-		seq:       s.seq,
 		submitted: time.Now(),
 		points:    points,
 		children:  make([]*job, len(points)),
 	}
 	for i, pt := range points {
-		j, err := s.admitLocked(pt.Engine, pt.Params, timeout)
+		j, err := s.admitLocked(pt, timeout)
 		if err != nil {
 			// Capacity was checked above; only a concurrent drain could get
 			// here, and draining flips under mu — so this is unreachable.
@@ -410,22 +395,33 @@ func (s *Server) submitSweep(spec sim.Sweep, timeout time.Duration) (*sweepJob, 
 			for _, prev := range sw.children[:i] {
 				s.cancelLocked(prev)
 			}
-			return nil, err
+			return SweepState{}, err
 		}
 		sw.children[i] = j
 	}
 	s.sweeps[sw.id] = sw
 	s.sweepsTotal.Inc()
-	return sw, nil
+	return sw.state(), nil
 }
 
-// contains reports residency without touching hit/miss accounting or LRU
-// order — the sweep capacity pre-check must not distort cache metrics.
-// Memory-resident entries only: a disk-store hit still resolves at admit
-// time, the pre-check just stays conservative about queue slots.
-func (c *resultCache) contains(key string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	_, ok := c.byKey[key]
-	return ok
+// Sweep implements Backend.
+func (s *Server) Sweep(_ context.Context, id string) (SweepState, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw, ok := s.sweeps[id]
+	if !ok {
+		return SweepState{}, NotFound("sweep", id)
+	}
+	return sw.state(), nil
+}
+
+// Sweeps implements Backend.
+func (s *Server) Sweeps() []SweepState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]SweepState, 0, len(s.sweeps))
+	for _, sw := range s.sweeps {
+		out = append(out, sw.state())
+	}
+	return out
 }

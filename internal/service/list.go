@@ -48,36 +48,32 @@ type listQuery struct {
 	afterSeq uint64
 }
 
-// ParseListQuery validates the shared listing parameters. knownStatus
+// parseListQuery validates the shared listing parameters. knownStatus
 // guards the status filter (job and sweep states differ); the after cursor
 // is any well-formed id — it need not name a live entry, so a page cursor
 // stays valid even if its last entry is gone by the next request.
-// Exported so the cluster coordinator lists with identical semantics.
-func ParseListQuery(q url.Values, knownStatus func(string) bool) (status string, limit int, afterSeq uint64, err error) {
-	status = q.Get("status")
-	if status != "" && !knownStatus(status) {
-		return "", 0, 0, fmt.Errorf("unknown status %q", status)
+func parseListQuery(v url.Values, knownStatus func(string) bool) (listQuery, error) {
+	q := listQuery{status: v.Get("status"), limit: DefaultListLimit}
+	if q.status != "" && !knownStatus(q.status) {
+		return q, Errorf(http.StatusBadRequest, CodeBadParams, "unknown status %q", q.status)
 	}
-	limit = DefaultListLimit
-	if raw := q.Get("limit"); raw != "" {
-		limit, err = strconv.Atoi(raw)
-		if err != nil || limit < 0 {
-			return "", 0, 0, fmt.Errorf("limit must be a non-negative integer, got %q", raw)
+	if raw := v.Get("limit"); raw != "" {
+		n, err := strconv.Atoi(raw)
+		if err != nil || n < 0 {
+			return q, Errorf(http.StatusBadRequest, CodeBadParams, "limit must be a non-negative integer, got %q", raw)
 		}
-		if limit == 0 {
-			limit = DefaultListLimit
-		}
-		if limit > MaxListLimit {
-			limit = MaxListLimit
+		if n > 0 {
+			q.limit = min(n, MaxListLimit)
 		}
 	}
-	if after := q.Get("after"); after != "" {
-		afterSeq, err = idSeq(after)
+	if after := v.Get("after"); after != "" {
+		seq, err := idSeq(after)
 		if err != nil {
-			return "", 0, 0, err
+			return q, Errorf(http.StatusBadRequest, CodeBadParams, "%v", err)
 		}
+		q.afterSeq = seq
 	}
-	return status, limit, afterSeq, nil
+	return q, nil
 }
 
 // idSeq recovers the admission sequence number from a job/sweep id
@@ -95,86 +91,38 @@ func idSeq(id string) (uint64, error) {
 	return n, nil
 }
 
-func (s *Server) parseListQuery(w http.ResponseWriter, r *http.Request, knownStatus func(string) bool) (listQuery, bool) {
-	status, limit, afterSeq, err := ParseListQuery(r.URL.Query(), knownStatus)
-	if err != nil {
-		s.writeError(w, &httpError{status: 400, code: CodeBadParams, msg: err.Error()})
-		return listQuery{}, false
-	}
-	return listQuery{status: status, limit: limit, afterSeq: afterSeq}, true
-}
-
-func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.parseListQuery(w, r, KnownStatus)
-	if !ok {
-		return
-	}
-	type row struct {
-		seq  uint64
-		view JobView
-	}
-	s.mu.Lock()
-	rows := make([]row, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		if q.afterSeq != 0 && j.seq >= q.afterSeq {
-			continue
-		}
-		if q.status != "" && j.status != q.status {
-			continue
-		}
-		rows = append(rows, row{seq: j.seq, view: s.viewLocked(j)})
-	}
-	s.mu.Unlock()
-	sort.Slice(rows, func(i, k int) bool { return rows[i].seq > rows[k].seq })
-
-	out := JobList{Jobs: []JobView{}}
-	for i, rw := range rows {
-		if i == q.limit {
-			out.NextAfter = out.Jobs[len(out.Jobs)-1].ID
-			break
-		}
-		out.Jobs = append(out.Jobs, rw.view)
-	}
-	WriteJSON(w, http.StatusOK, out)
-}
-
 // knownSweepStatus guards the sweep list filter: a sweep is only ever
-// running (some child not terminal) or done.
+// running (some child not settled) or done.
 func knownSweepStatus(status string) bool {
 	return status == StatusRunning || status == StatusDone
 }
 
-func (s *Server) handleListSweeps(w http.ResponseWriter, r *http.Request) {
-	q, ok := s.parseListQuery(w, r, knownSweepStatus)
-	if !ok {
-		return
+// page is the one newest-first cursor pager: it keeps the rows matching
+// the status filter and older than the cursor, orders them by the
+// admission sequence their ids carry, and cuts one page. next is set only
+// while older matching rows remain. key returns a row's (id, status).
+func page[T any](rows []T, q listQuery, key func(T) (id, status string)) (out []T, next string) {
+	type keyed struct {
+		seq uint64
+		row T
 	}
-	type row struct {
-		seq  uint64
-		view SweepView
-	}
-	s.mu.Lock()
-	rows := make([]row, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		if q.afterSeq != 0 && sw.seq >= q.afterSeq {
+	kept := make([]keyed, 0, len(rows))
+	for _, row := range rows {
+		id, status := key(row)
+		seq, _ := idSeq(id)
+		if (q.afterSeq != 0 && seq >= q.afterSeq) || (q.status != "" && status != q.status) {
 			continue
 		}
-		v := s.sweepViewLocked(sw)
-		if q.status != "" && v.Status != q.status {
-			continue
-		}
-		rows = append(rows, row{seq: sw.seq, view: v})
+		kept = append(kept, keyed{seq, row})
 	}
-	s.mu.Unlock()
-	sort.Slice(rows, func(i, k int) bool { return rows[i].seq > rows[k].seq })
-
-	out := SweepList{Sweeps: []SweepView{}}
-	for i, rw := range rows {
-		if i == q.limit {
-			out.NextAfter = out.Sweeps[len(out.Sweeps)-1].ID
+	sort.Slice(kept, func(i, k int) bool { return kept[i].seq > kept[k].seq })
+	out = make([]T, 0, min(len(kept), q.limit))
+	for _, k := range kept {
+		if len(out) == q.limit {
+			next, _ = key(out[len(out)-1])
 			break
 		}
-		out.Sweeps = append(out.Sweeps, rw.view)
+		out = append(out, k.row)
 	}
-	WriteJSON(w, http.StatusOK, out)
+	return out, next
 }

@@ -7,7 +7,10 @@
 // result cache keyed by engine name + sim.Params.Key() without simulating.
 //
 // API (all request/response bodies are JSON; unknown fields are rejected;
-// every non-2xx response is an ErrorBody envelope with a stable code):
+// every non-2xx response — an unmatched route included — is an APIError
+// envelope with a stable code). The surface is written once, over the
+// Backend interface (api.go); Server is the local implementation and adds
+// the two node-only routes, /v1/jobs/{id}/metrics and /v1/snapshots:
 //
 //	POST   /v1/jobs             {"engine","params","timeout_ms"} → 202 job view
 //	GET    /v1/jobs             list, newest first (?status=&limit=&after=)
@@ -21,6 +24,7 @@
 //	GET    /v1/sweeps/{id}/result spec-order aggregation of child results
 //	GET    /v1/engines          registry names + descriptions
 //	GET    /v1/workloads        workload registry names + descriptions
+//	GET    /v1/snapshots        memory-resident warm-start snapshot index
 //	GET    /metrics             server-wide Prometheus dump (service_* series
 //	                            plus every per-run series of runs that
 //	                            inherited the server telemetry)
@@ -37,16 +41,12 @@ package service
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
-	"repro/internal/sim"
-	"repro/internal/workload"
 )
 
 // Config sizes the server. The zero value is a usable single-host default.
@@ -87,7 +87,7 @@ type Server struct {
 	cfg   Config
 	tel   *obs.Telemetry
 	mux   *http.ServeMux
-	cache *resultCache
+	cache *tier[[]byte]
 	snaps *snapshotStore // nil when warm starts are disabled
 	queue chan *job
 
@@ -106,6 +106,8 @@ type Server struct {
 	queueWait     *obs.Histogram
 	jobSeconds    *obs.Histogram
 }
+
+var _ Backend = (*Server)(nil)
 
 // New builds a server and starts its worker pool.
 func New(cfg Config) *Server {
@@ -148,8 +150,9 @@ func New(cfg Config) *Server {
 		}
 		s.snaps = newSnapshotStore(backing, cfg.Telemetry)
 	}
-	s.mux = http.NewServeMux()
-	s.routes()
+	s.mux = NewMux(s)
+	s.mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleJobMetrics)
+	s.mux.HandleFunc("GET /v1/snapshots", s.handleSnapshots)
 	s.workers.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		go s.worker()
@@ -167,293 +170,34 @@ func (s *Server) rejected(reason string) *obs.Counter {
 	return s.tel.Counter(obs.L("service_jobs_rejected_total", "reason", reason))
 }
 
-// Handler returns the HTTP surface.
+// Handler returns the HTTP surface: the shared v1 routes (NewMux) plus the
+// two that only a node can answer.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-func (s *Server) routes() {
-	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmitJob)
-	s.mux.HandleFunc("GET /v1/jobs", s.handleListJobs)
-	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJobStatus)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleJobResult)
-	s.mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleJobMetrics)
-	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleJobCancel)
-	s.mux.HandleFunc("POST /v1/sweeps", s.handleSubmitSweep)
-	s.mux.HandleFunc("GET /v1/sweeps", s.handleListSweeps)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}", s.handleSweepStatus)
-	s.mux.HandleFunc("GET /v1/sweeps/{id}/result", s.handleSweepResult)
-	s.mux.HandleFunc("GET /v1/engines", s.handleEngines)
-	s.mux.HandleFunc("GET /v1/workloads", s.handleWorkloads)
-	s.mux.HandleFunc("GET /v1/snapshots", s.handleSnapshots)
-	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealth)
-}
+// Telemetry implements Backend.
+func (s *Server) Telemetry() *obs.Telemetry { return s.tel }
 
-// maxBodyBytes bounds request bodies: the largest legitimate submission is
-// a sweep spec a few KB long; anything bigger is a client bug or abuse.
-const maxBodyBytes = 1 << 20
-
-// JobRequest is the POST /v1/jobs body. Params stays raw so the strict
-// decode (sim.DecodeParams — unknown fields, trailing data) is the single
-// authority for the overlay schema. Exported: the typed client and the
-// cluster coordinator assemble the exact same body.
-type JobRequest struct {
-	Engine    string          `json:"engine"`
-	Params    json.RawMessage `json:"params"`
-	TimeoutMS int64           `json:"timeout_ms,omitempty"`
-}
-
-// SweepRequest is the POST /v1/sweeps body.
-type SweepRequest struct {
-	Sweep     sim.Sweep `json:"sweep"`
-	TimeoutMS int64     `json:"timeout_ms,omitempty"`
-}
-
-func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	p, err := sim.DecodeParams(req.Params)
-	if err != nil {
-		s.rejected("invalid").Inc()
-		s.writeError(w, &httpError{status: 400, code: CodeBadParams, msg: err.Error()})
-		return
-	}
-	j, err := s.submitJob(req.Engine, p, time.Duration(req.TimeoutMS)*time.Millisecond)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	WriteJSON(w, http.StatusAccepted, s.view(j))
-}
-
-func (s *Server) handleSubmitSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !s.decodeBody(w, r, &req) {
-		return
-	}
-	sw, err := s.submitSweep(req.Sweep, time.Duration(req.TimeoutMS)*time.Millisecond)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
+// Health implements Backend.
+func (s *Server) Health() Health {
 	s.mu.Lock()
-	v := s.sweepViewLocked(sw)
-	s.mu.Unlock()
-	WriteJSON(w, http.StatusAccepted, v)
+	defer s.mu.Unlock()
+	h := Health{Status: "ok", QueueDepth: len(s.queue)}
+	if s.draining {
+		h.Status = "draining"
+	}
+	return h
 }
 
-func (s *Server) lookupJob(w http.ResponseWriter, r *http.Request) (*job, bool) {
+func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
 	j, ok := s.jobs[r.PathValue("id")]
 	s.mu.Unlock()
 	if !ok {
-		s.writeError(w, &httpError{status: 404, code: CodeNotFound, msg: fmt.Sprintf("no job %q", r.PathValue("id"))})
-	}
-	return j, ok
-}
-
-func (s *Server) handleJobStatus(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	WriteJSON(w, http.StatusOK, s.view(j))
-}
-
-// handleJobResult serves the canonical result JSON — the exact bytes
-// marshaled when the run (or its cache ancestor) completed, so identical
-// submissions are byte-identical on the wire.
-func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	status, raw, errMsg := j.status, j.raw, j.errMsg
-	s.mu.Unlock()
-	switch status {
-	case StatusDone:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw)
-		w.Write([]byte("\n"))
-	case StatusFailed, StatusCanceled:
-		s.writeError(w, &httpError{status: 409, code: CodeConflict,
-			msg: fmt.Sprintf("job %s %s: %s", j.id, status, errMsg)})
-	default:
-		WriteJSON(w, http.StatusAccepted, s.view(j))
-	}
-}
-
-func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
+		writeError(w, NotFound("job", r.PathValue("id")))
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	j.tel.Metrics.WritePrometheus(w)
-}
-
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.lookupJob(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	changed := s.cancelLocked(j)
-	v := s.viewLocked(j)
-	s.mu.Unlock()
-	if !changed {
-		s.writeError(w, &httpError{status: 409, code: CodeConflict, msg: fmt.Sprintf("job %s already %s", j.id, v.Status)})
-		return
-	}
-	WriteJSON(w, http.StatusOK, v)
-}
-
-func (s *Server) lookupSweep(w http.ResponseWriter, r *http.Request) (*sweepJob, bool) {
-	s.mu.Lock()
-	sw, ok := s.sweeps[r.PathValue("id")]
-	s.mu.Unlock()
-	if !ok {
-		s.writeError(w, &httpError{status: 404, code: CodeNotFound, msg: fmt.Sprintf("no sweep %q", r.PathValue("id"))})
-	}
-	return sw, ok
-}
-
-func (s *Server) handleSweepStatus(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	v := s.sweepViewLocked(sw)
-	s.mu.Unlock()
-	WriteJSON(w, http.StatusOK, v)
-}
-
-// SweepResult is one spec-order slot of GET /v1/sweeps/{id}/result.
-type SweepResult struct {
-	Index  int             `json:"index"`
-	JobID  string          `json:"job_id"`
-	Point  string          `json:"point"`
-	Cached bool            `json:"cached"`
-	Result json.RawMessage `json:"result,omitempty"`
-	Error  string          `json:"error,omitempty"`
-}
-
-// SweepResults is the GET /v1/sweeps/{id}/result body: every expanded
-// point in spec order. The cluster coordinator emits the identical shape,
-// so a sharded sweep aggregates byte-identically to a single-node one.
-type SweepResults struct {
-	ID      string        `json:"id"`
-	Results []SweepResult `json:"results"`
-}
-
-func (s *Server) handleSweepResult(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.lookupSweep(w, r)
-	if !ok {
-		return
-	}
-	s.mu.Lock()
-	v := s.sweepViewLocked(sw)
-	if v.Status != StatusDone {
-		s.mu.Unlock()
-		WriteJSON(w, http.StatusAccepted, v)
-		return
-	}
-	out := SweepResults{ID: sw.id, Results: make([]SweepResult, len(sw.children))}
-	for i, j := range sw.children {
-		out.Results[i] = SweepResult{
-			Index:  i,
-			JobID:  j.id,
-			Point:  sw.points[i].String(),
-			Cached: j.cached,
-			Result: json.RawMessage(j.raw),
-			Error:  j.errMsg,
-		}
-	}
-	s.mu.Unlock()
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// EngineView is one element of GET /v1/engines.
-type EngineView struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-}
-
-func (s *Server) handleEngines(w http.ResponseWriter, r *http.Request) {
-	var out []EngineView
-	for _, name := range sim.Names() {
-		eng, err := sim.New(name, sim.Params{Workload: "164.gzip"})
-		if err != nil {
-			s.writeError(w, &httpError{status: 500, code: CodeInternal, msg: err.Error()})
-			return
-		}
-		out = append(out, EngineView{Name: name, Description: eng.Describe()})
-	}
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// WorkloadView is one element of GET /v1/workloads.
-type WorkloadView struct {
-	Name        string `json:"name"`
-	Description string `json:"description"`
-}
-
-func (s *Server) handleWorkloads(w http.ResponseWriter, r *http.Request) {
-	var out []WorkloadView
-	for _, e := range workload.Registry() {
-		out = append(out, WorkloadView{Name: e.Name, Description: e.Description})
-	}
-	WriteJSON(w, http.StatusOK, out)
-}
-
-// handleSnapshots lists the warm-start snapshots resident in this
-// process's memory tier (an empty list when the tier is disabled).
-func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.listSnapshots())
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	s.tel.Metrics.WritePrometheus(w)
-}
-
-// Health is the GET /healthz body.
-type Health struct {
-	Status     string `json:"status"` // "ok" | "draining"
-	QueueDepth int    `json:"queue_depth"`
-}
-
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	s.mu.Lock()
-	draining := s.draining
-	s.mu.Unlock()
-	status := "ok"
-	code := http.StatusOK
-	if draining {
-		status, code = "draining", http.StatusServiceUnavailable
-	}
-	WriteJSON(w, code, Health{Status: status, QueueDepth: len(s.queue)})
-}
-
-// decodeBody strictly decodes a bounded JSON request body into dst.
-func (s *Server) decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		s.rejected("invalid").Inc()
-		s.writeError(w, &httpError{status: 400, code: CodeBadParams, msg: fmt.Sprintf("decode request: %v", err)})
-		return false
-	}
-	if dec.More() {
-		s.rejected("invalid").Inc()
-		s.writeError(w, &httpError{status: 400, code: CodeBadParams, msg: "trailing data after JSON body"})
-		return false
-	}
-	return true
 }
 
 // Shutdown drains the server: new submissions are refused with 503, the

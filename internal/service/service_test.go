@@ -15,82 +15,15 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/sim"
+	"repro/internal/service/servicetest"
 )
 
-// Two test engines keep the lifecycle tests fast and deterministic without
-// giving up the real submission path: "svc-stub" completes instantly with a
-// result derived from its params (so spec-order aggregation is checkable),
-// "svc-block" parks until the test opens the gate or the job deadline
-// fires (so queue-full, timeout, cancel and drain states are reachable on
-// demand). Both accept the same Params every real engine does, so the
-// validation and cache layers treat them identically.
-func init() {
-	sim.Register("svc-stub", func() sim.Engine { return &stubEngine{} })
-	sim.Register("svc-block", func() sim.Engine { return &blockEngine{} })
-}
+// The fake engines ("svc-stub" completes instantly with a params-derived
+// result, "svc-block" parks on the gate) live in servicetest, shared with
+// the cluster tests.
+func init() { servicetest.Register("svc") }
 
-type stubEngine struct{ p sim.Params }
-
-func (e *stubEngine) Describe() string             { return "test stub: result derived from params" }
-func (e *stubEngine) Configure(p sim.Params) error { e.p = p; return nil }
-func (e *stubEngine) Run() (sim.Result, error)     { return e.RunContext(context.Background()) }
-func (e *stubEngine) RunContext(ctx context.Context) (sim.Result, error) {
-	if err := ctx.Err(); err != nil {
-		return sim.Result{}, err
-	}
-	return sim.Result{
-		Engine:       "svc-stub",
-		Workload:     e.p.Workload,
-		Instructions: e.p.MaxInstructions,
-		TargetCycles: 2 * e.p.MaxInstructions,
-		IPC:          0.5,
-	}, nil
-}
-
-// gate is the shared release signal for svc-block runs. Tests that use the
-// blocking engine call resetGate first and must not run in parallel.
-var gate = struct {
-	sync.Mutex
-	ch     chan struct{}
-	closed bool
-}{ch: make(chan struct{})}
-
-func resetGate() {
-	gate.Lock()
-	gate.ch = make(chan struct{})
-	gate.closed = false
-	gate.Unlock()
-}
-
-func openGate() {
-	gate.Lock()
-	if !gate.closed {
-		close(gate.ch)
-		gate.closed = true
-	}
-	gate.Unlock()
-}
-
-func gateCh() chan struct{} {
-	gate.Lock()
-	defer gate.Unlock()
-	return gate.ch
-}
-
-type blockEngine struct{ p sim.Params }
-
-func (e *blockEngine) Describe() string             { return "test stub: blocks until released" }
-func (e *blockEngine) Configure(p sim.Params) error { e.p = p; return nil }
-func (e *blockEngine) Run() (sim.Result, error)     { return e.RunContext(context.Background()) }
-func (e *blockEngine) RunContext(ctx context.Context) (sim.Result, error) {
-	select {
-	case <-ctx.Done():
-		return sim.Result{}, ctx.Err()
-	case <-gateCh():
-		return sim.Result{Engine: "svc-block", Instructions: e.p.MaxInstructions}, nil
-	}
-}
+var resetGate, openGate = servicetest.ResetGate, servicetest.OpenGate
 
 // harness spins up a server + httptest listener and tears both down.
 type harness struct {

@@ -1,9 +1,8 @@
 package service
 
 import (
-	"container/list"
+	"net/http"
 	"sort"
-	"sync"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -13,7 +12,7 @@ import (
 // by sim.Params.SnapshotPrefix(), handed to every engine run the server
 // executes. A miss costs nothing (the engine boots cold and captures);
 // a hit skips the boot instructions entirely. Like the result cache it is
-// a memory LRU over the optional persistent Store, and because the blob
+// a tier (memory LRU over the optional persistent Store), and because the blob
 // Store can be a shared disk directory, a snapshot captured by one node
 // (or one fastd incarnation) warm-starts every other.
 //
@@ -21,26 +20,19 @@ import (
 // the engine contract — so this tier needs none of the result cache's
 // correctness machinery; it only trades host time.
 
-// snapshotKey namespaces warm-start artifacts inside the shared blob
+// snapshotNS namespaces warm-start artifacts inside the shared blob
 // store, disjoint from result keys ("<engine>\x00<params key>") by the
 // leading tag.
-func snapshotKey(prefix string) string { return "snapshot\x00" + prefix }
+const snapshotNS = "snapshot\x00"
 
 // snapshotMemEntries bounds the memory tier: snapshots embed a sparse
 // physical-memory image, so they are orders of magnitude bigger than
 // result JSON and the LRU stays small.
 const snapshotMemEntries = 8
 
-// snapshotStore implements sim.SnapshotStore over the memory LRU +
-// optional Store pair.
+// snapshotStore implements sim.SnapshotStore over a tier keyed by prefix.
 type snapshotStore struct {
-	mu       sync.Mutex
-	store    Store      // nil = memory only
-	ll       *list.List // front = most recently used; values are sim.Snapshot
-	byPrefix map[string]*list.Element
-
-	hits     *obs.Counter
-	misses   *obs.Counter
+	tier     *tier[sim.Snapshot]
 	bytes    *obs.Counter
 	resumedI *obs.Counter
 }
@@ -57,12 +49,16 @@ func NewSnapshotStore(store Store, tel *obs.Telemetry) sim.SnapshotStore {
 }
 
 func newSnapshotStore(store Store, tel *obs.Telemetry) *snapshotStore {
+	// A blob written under another prefix (or that no longer decodes) is
+	// absent: the run boots cold and its capture overwrites it.
+	t := newTier(snapshotMemEntries, store, snapshotNS, sim.Snapshot.Encode, func(prefix string, raw []byte) (sim.Snapshot, bool) {
+		s, err := sim.DecodeSnapshot(raw)
+		return s, err == nil && s.Prefix == prefix
+	})
+	t.hits = tel.Counter("service_snapshot_hits_total")
+	t.misses = tel.Counter("service_snapshot_misses_total")
 	return &snapshotStore{
-		store:    store,
-		ll:       list.New(),
-		byPrefix: map[string]*list.Element{},
-		hits:     tel.Counter("service_snapshot_hits_total"),
-		misses:   tel.Counter("service_snapshot_misses_total"),
+		tier:     t,
 		bytes:    tel.Counter("service_snapshot_bytes_total"),
 		resumedI: tel.Counter("service_snapshot_resumed_instructions_total"),
 	}
@@ -70,57 +66,21 @@ func newSnapshotStore(store Store, tel *obs.Telemetry) *snapshotStore {
 
 // GetSnapshot resolves a prefix key: memory first, then the blob store
 // (so snapshots written by other processes sharing the directory are
-// found and promoted). A blob that no longer decodes is treated as
-// absent — the run boots cold and its capture overwrites it.
+// found and promoted).
 func (c *snapshotStore) GetSnapshot(prefix string) (sim.Snapshot, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.byPrefix[prefix]; ok {
-		c.ll.MoveToFront(el)
-		s := el.Value.(sim.Snapshot)
-		c.hits.Inc()
+	s, ok := c.tier.get(prefix)
+	if ok {
 		c.resumedI.Add(s.IN)
-		return s, true
 	}
-	if c.store != nil {
-		if raw, ok := c.store.Get(snapshotKey(prefix)); ok {
-			if s, err := sim.DecodeSnapshot(raw); err == nil && s.Prefix == prefix {
-				c.insertLocked(s)
-				c.hits.Inc()
-				c.resumedI.Add(s.IN)
-				return s, true
-			}
-		}
-	}
-	c.misses.Inc()
-	return sim.Snapshot{}, false
+	return s, ok
 }
 
 // PutSnapshot inserts a freshly captured snapshot and writes it through
 // to the blob store. Determinism makes racing captures idempotent: any
 // two runs of the prefix capture the identical blob.
 func (c *snapshotStore) PutSnapshot(s sim.Snapshot) {
-	c.mu.Lock()
-	c.insertLocked(s)
-	c.mu.Unlock()
 	c.bytes.Add(uint64(len(s.Blob)))
-	if c.store != nil {
-		c.store.Put(snapshotKey(s.Prefix), s.Encode())
-	}
-}
-
-func (c *snapshotStore) insertLocked(s sim.Snapshot) {
-	if el, ok := c.byPrefix[s.Prefix]; ok {
-		c.ll.MoveToFront(el)
-		el.Value = s
-		return
-	}
-	c.byPrefix[s.Prefix] = c.ll.PushFront(s)
-	for c.ll.Len() > snapshotMemEntries {
-		tail := c.ll.Back()
-		c.ll.Remove(tail)
-		delete(c.byPrefix, tail.Value.(sim.Snapshot).Prefix)
-	}
+	c.tier.put(s.Prefix, s)
 }
 
 // SnapshotView is one element of GET /v1/snapshots: the memory-resident
@@ -132,25 +92,17 @@ type SnapshotView struct {
 	Bytes  int    `json:"bytes"`
 }
 
-// list snapshots the memory tier, most recently used first.
-func (c *snapshotStore) list() []SnapshotView {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]SnapshotView, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		s := el.Value.(sim.Snapshot)
-		out = append(out, SnapshotView{Prefix: s.Prefix, IN: s.IN, Bytes: len(s.Blob)})
+// handleSnapshots lists the warm-start snapshots resident in this
+// process's memory tier (an empty list when the tier is disabled), sorted
+// by prefix for a stable wire shape: concurrent touches must not reorder
+// the listing mid-scrape.
+func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
+	views := []SnapshotView{}
+	if s.snaps != nil {
+		for _, sn := range s.snaps.tier.resident() {
+			views = append(views, SnapshotView{Prefix: sn.Prefix, IN: sn.IN, Bytes: len(sn.Blob)})
+		}
 	}
-	return out
-}
-
-// listSnapshots backs GET /v1/snapshots. Sorted by prefix for a stable
-// wire shape: concurrent touches must not reorder the listing mid-scrape.
-func (s *Server) listSnapshots() []SnapshotView {
-	if s.snaps == nil {
-		return []SnapshotView{}
-	}
-	views := s.snaps.list()
 	sort.Slice(views, func(i, k int) bool { return views[i].Prefix < views[k].Prefix })
-	return views
+	WriteJSON(w, http.StatusOK, views)
 }

@@ -285,18 +285,19 @@ func FuzzDecodeParams(f *testing.F) {
 	})
 }
 
-// TestResultValueCopyIsDeep enforces the property Result.Clone documents:
-// no field of Result, recursively, is a slice, map, pointer, interface,
-// channel or function, so a value copy is a deep copy. Adding a
-// reference-typed field trips this test and forces Clone (and the
-// internal/service cache) to learn about it.
+// TestResultValueCopyIsDeep enforces that Result is a pure value type: no
+// field, recursively, is a slice, map, pointer, interface, channel or
+// function, so a value copy is a deep copy. sim.Fleet hands PointResults
+// across goroutines and the goldens compare Results by value on that
+// assumption; adding a reference-typed field trips this test and forces
+// those copies to be revisited.
 func TestResultValueCopyIsDeep(t *testing.T) {
 	var check func(path string, ty reflect.Type)
 	check = func(path string, ty reflect.Type) {
 		switch ty.Kind() {
 		case reflect.Slice, reflect.Map, reflect.Ptr, reflect.Interface,
 			reflect.Chan, reflect.Func, reflect.UnsafePointer:
-			t.Errorf("%s is a %s: value copies of Result are no longer deep — teach Result.Clone to copy it", path, ty.Kind())
+			t.Errorf("%s is a %s: value copies of Result are no longer deep — revisit every place that copies one", path, ty.Kind())
 		case reflect.Struct:
 			for i := 0; i < ty.NumField(); i++ {
 				f := ty.Field(i)

@@ -292,18 +292,6 @@ func (r Result) String() string {
 		100*r.BPAccuracy, r.TargetMIPS, r.KIPS)
 }
 
-// Clone returns an independent copy of r that is safe to hand to a
-// concurrent reader while the original (or another copy) is being read or
-// mutated elsewhere — the contract the internal/service result cache
-// depends on when it serves one completed Result to many requests.
-//
-// Result is a pure value type: every field, recursively, is a scalar,
-// string or fixed-size array (TestResultValueCopyIsDeep enforces this with
-// reflection), so a value copy IS a deep copy. If a slice, map or pointer
-// field is ever added, that test fails and this method is the single place
-// that must learn to copy it.
-func (r Result) Clone() Result { return r }
-
 // Engine is one simulator behind the registry. Configure validates the
 // parameters and builds the underlying simulator (so instrumentation — a
 // stats sampler, a power model — can be attached before execution);

@@ -8,7 +8,9 @@
 #   2. after BOTH workers restart (fresh processes, same store directory),
 #      the repeated sweep is served entirely from the disk cache — zero
 #      engine runs on either worker — with identical per-point results,
-#   3. the coordinator's topology view and cluster_* metrics are live,
+#   3. the coordinator's topology view and cluster_* metrics are live, it
+#      serves the shared registry listings (workloads), and a node-only
+#      route asked of it answers the not_found envelope,
 #   4. warm-start survives the restart: a NEW sweep point sharing the
 #      boot prefix of a pre-restart run (so it misses the result cache
 #      and must simulate) resumes from the boot snapshot in the shared
@@ -109,6 +111,17 @@ case "${view}" in
 esac
 ctl "${P_COORD}" metrics | grep -q '^cluster_reassignments_total' ||
     fail "coordinator metrics missing cluster_* series"
+
+echo "== one v1 surface: shared listings served, node-only routes are the envelope"
+case "$(ctl "${P_COORD}" workloads)" in
+*'"name":"164.gzip"'*) ;;
+*) fail "coordinator does not serve /v1/workloads" ;;
+esac
+if ctl "${P_COORD}" snapshots >/dev/null 2>"${TMP}/err.json"; then
+    fail "coordinator answered the node-only /v1/snapshots"
+fi
+grep -q '"code":"not_found"' "${TMP}/err.json" ||
+    fail "node-only route on the coordinator is not the not_found envelope: $(cat "${TMP}/err.json")"
 
 echo "== restart BOTH workers (fresh processes, same store directory)"
 kill -TERM "${W1_PID}" "${W2_PID}"

@@ -7,6 +7,7 @@
 #   2. the second is served from the content-addressed cache
 #      (cached=true, service_cache_hits_total=1, exactly one engine run),
 #   3. rejections carry the typed error envelope (stable machine codes),
+#      an unknown route included,
 #   4. the collection endpoint lists and paginates,
 #   5. warm-start: on a second fastd (result cache disabled so engines
 #      really run), the same instruction-cap sweep twice — the second run
@@ -88,6 +89,14 @@ if ctl submit -engine fast -params '{"frobnicate":1}' >/dev/null 2>"${TMP}/err.j
 fi
 grep -q '"code":"bad_params"' "${TMP}/err.json" ||
     fail "bad-params rejection lacks its envelope code: $(cat "${TMP}/err.json")"
+
+# A route no handler matches (a plain node has no /v1/cluster) must answer
+# the same envelope, not the mux's text/plain 404.
+if ctl cluster >/dev/null 2>"${TMP}/err.json"; then
+    fail "a plain node answered /v1/cluster"
+fi
+grep -q '"code":"not_found"' "${TMP}/err.json" ||
+    fail "unknown route did not answer the not_found envelope: $(cat "${TMP}/err.json")"
 
 echo "== collection endpoint lists and paginates"
 page="$(ctl jobs -limit 1)"
