@@ -1,5 +1,6 @@
 # Developer entry points. `make check` is the tier-1 gate: formatting,
-# vet, build, full test suite, and a compile of the bench/ yardstick. `make race` exercises the concurrent paths
+# vet, build, full test suite (which includes the host-knob invariance
+# table), and a compile of the bench/ yardstick. `make race` exercises the concurrent paths
 # (the goroutine-parallel coupling, the sim.Fleet sweep runner, the fastd
 # job service and the cluster coordinator) under the race detector.
 # `make serve` boots the job server; `make smoke` drives a built fastd end
@@ -8,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test zero-alloc yardstick race loc bench bench-layers bench-json bench-gate serve smoke smoke-cluster
+.PHONY: check fmt vet build test zero-alloc yardstick race loc bench bench-layers bench-compare serve smoke smoke-cluster
 
 check: fmt vet build test zero-alloc yardstick
 
@@ -70,28 +71,21 @@ smoke:
 smoke-cluster:
 	./scripts/cluster_smoke.sh
 
-# The same harness the paper tables come from: one pass over every
-# table/figure benchmark.
+# The reproduction record: one pass over every table/figure benchmark (one
+# iteration is one whole experiment, so 1x is right here and only here).
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x
 
 # Layer benchmarks live next to their packages and iterate for real
-# (time-based, never 1x): ns/op is per target instruction or target byte.
+# (time-based, never 1x), each reporting a rate in its layer's own unit: ns
+# per target instruction or byte (fm), per target cycle (tm), per trace
+# entry (trace), per committed instruction and policy (core), per Configure
+# (sim), per submit→result (service). Nothing gates on them.
 bench-layers:
-	$(GO) test -run '^$$' -bench 'JournalCommit|RepStos|Rollback' -benchtime=200ms ./internal/fm
+	$(GO) test -run '^$$' -bench . -benchmem -benchtime=200ms ./internal/fm \
+		./internal/tm ./internal/trace ./internal/core ./internal/sim ./internal/service
 
-# bench-json reruns the bench suite through test2json and distils the
-# results into bench.json (see cmd/benchgate). Each benchmark runs
-# BENCH_COUNT times and benchgate keeps the per-benchmark minimum, so one
-# noisy runner stroke can neither trip nor mask the gate. bench-gate then
-# compares that file against the committed BENCH_baseline.json with a ±15%
-# wall-time threshold — the CI regression gate.
-BENCH_COUNT ?= 3
-bench-json:
-	$(GO) test -bench=. -benchmem -benchtime=1x -count=$(BENCH_COUNT) \
-		-timeout 60m -json > bench_raw.tmp
-	$(GO) run ./cmd/benchgate -emit bench.json < bench_raw.tmp
-	@rm -f bench_raw.tmp
-
-bench-gate: bench-json
-	$(GO) run ./cmd/benchgate -compare -baseline BENCH_baseline.json -current bench.json
+# "Did it get faster" has one answer: the bench/ yardstick at BASE against
+# this tree, judged by the bounds in BENCHMARK.json.
+bench-compare:
+	./scripts/bench_compare.sh $(BASE)

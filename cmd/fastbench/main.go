@@ -1,12 +1,11 @@
 // fastbench regenerates every table and figure of the paper's evaluation
-// section (plus the DESIGN.md ablations) and prints them with the published
-// values alongside.
+// section (plus the DESIGN.md ablations and the multicore and server
+// studies) and prints them with the published values alongside.
 //
 // Usage:
 //
-//	fastbench                 # everything
-//	fastbench -only table1    # table1, table2, table3, fig4 (includes fig5),
-//	                          # fig6, analytic, bottleneck, ablations
+//	fastbench                 # everything, in the order of `sections`
+//	fastbench -only table1    # one section (see -h for the names)
 //	fastbench -quiet          # suppress the stderr fleet progress line
 //
 // ctrl-C cancels the in-flight sweep cooperatively and exits non-zero.
@@ -18,21 +17,45 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 
 	"repro/internal/experiments"
-	"repro/internal/fm"
 	"repro/internal/service"
 	"repro/internal/service/diskcache"
 	"repro/internal/sim"
 )
 
+// sections is the one list of what fastbench prints: the -only names, the
+// flag help and the run order all come from it.
+var sections = []struct {
+	name   string
+	render func(experiments.Runner) (string, error)
+}{
+	{"analytic", func(experiments.Runner) (string, error) { return experiments.Analytical(), nil }},
+	{"table1", func(experiments.Runner) (string, error) { return experiments.Table1() }},
+	{"fig4", experiments.Runner.Figure4And5},
+	{"fig6", func(r experiments.Runner) (string, error) {
+		_, out, err := r.Figure6(2000, 400_000)
+		return out, err
+	}},
+	{"table2", func(experiments.Runner) (string, error) { return experiments.Table2(), nil }},
+	{"table3", experiments.Runner.Table3},
+	{"bottleneck", experiments.Runner.Bottleneck},
+	{"ablations", experiments.Runner.Ablations},
+	{"smp", experiments.Runner.SMP},
+	{"servers", experiments.Runner.Servers},
+}
+
+const rule = "\n────────────────────────────────────────────────────────"
+
 func main() {
-	only := flag.String("only", "", "run a single experiment (table1|table2|table3|fig4|fig6|analytic|bottleneck|ablations|smp|servers)")
+	names := make([]string, len(sections))
+	for i, s := range sections {
+		names[i] = s.name
+	}
+	only := flag.String("only", "", "run a single section ("+strings.Join(names, "|")+")")
 	workers := flag.Int("workers", 0, "sim.Fleet workers for swept experiments (0 = GOMAXPROCS, 1 = sequential)")
-	traceChunk := flag.Int("tracechunk", 0, "FM→TM trace-buffer publish granularity for every run (0 = default; printed numbers are identical for any value ≥ 1)")
-	icacheEnt := flag.Int("icache", fm.DefaultICacheEntries, "FM predecode-cache entries for every run (0 = disable; printed numbers are identical at any value)")
-	superblock := flag.Int("superblock", fm.DefaultSuperblockLen, "FM superblock length cap for every run (0 = disable; printed numbers are identical at any value)")
 	snapshotDir := flag.String("snapshot-dir", "", "warm-start boot-snapshot directory shared by every run (empty = disabled; printed numbers are identical either way)")
 	quiet := flag.Bool("quiet", false, "suppress the stderr fleet progress line")
 	flag.Parse()
@@ -50,72 +73,22 @@ func main() {
 	runner := experiments.Runner{
 		Ctx:     ctx,
 		Fleet:   sim.Fleet{Workers: *workers},
-		Overlay: sim.Params{TraceChunk: *traceChunk, ICacheEntries: *icacheEnt, SuperblockLen: *superblock, Snapshots: snaps},
+		Overlay: sim.Params{Snapshots: snaps},
 	}
 	if !*quiet {
 		runner.Fleet.Progress = progressLine
 	}
 
-	want := func(name string) bool { return *only == "" || *only == name }
-	bar := func() {
-		fmt.Println("\n" + string(make([]byte, 0)) + "────────────────────────────────────────────────────────")
-	}
-
-	if want("analytic") {
-		fmt.Println(experiments.Analytical())
-		bar()
-	}
-	if want("table1") {
-		out, err := experiments.Table1()
+	for i, s := range sections {
+		if *only != "" && *only != s.name {
+			continue
+		}
+		out, err := s.render(runner)
 		check(err)
 		fmt.Println(out)
-		bar()
-	}
-	if want("fig4") {
-		rows, out, err := runner.Figure4()
-		check(err)
-		fmt.Println(out)
-		fmt.Println(experiments.Figure5(rows))
-		bar()
-	}
-	if want("fig6") {
-		_, out, err := runner.Figure6(2000, 400_000)
-		check(err)
-		fmt.Println(out)
-		bar()
-	}
-	if want("table2") {
-		fmt.Println(experiments.Table2())
-		bar()
-	}
-	if want("table3") {
-		out, err := runner.Table3()
-		check(err)
-		fmt.Println(out)
-		bar()
-	}
-	if want("bottleneck") {
-		out, err := runner.Bottleneck()
-		check(err)
-		fmt.Println(out)
-		bar()
-	}
-	if want("ablations") {
-		out, err := runner.Ablations()
-		check(err)
-		fmt.Println(out)
-		bar()
-	}
-	if want("smp") {
-		out, err := runner.SMP()
-		check(err)
-		fmt.Println(out)
-		bar()
-	}
-	if want("servers") {
-		out, err := runner.Servers()
-		check(err)
-		fmt.Println(out)
+		if i < len(sections)-1 {
+			fmt.Println(rule)
+		}
 	}
 }
 

@@ -61,8 +61,8 @@ func main() {
 		diskLatency = flag.Int("disk-latency", 0, "disk device latency in target time units (0 = workload default; only meaningful for booted workloads)")
 		link        = flag.String("link", "drc", "host link: drc, pins, coherent")
 		traceChunk  = flag.Int("tracechunk", 0, "FM→TM trace-buffer publish granularity in entries (0 = default, 1 = per-entry; architectural results are identical for any value)")
-		icacheEnt   = flag.Int("icache", fm.DefaultICacheEntries, "FM predecode-cache entries, rounded up to a power of two (0 = disable; architected results and modeled times are bit-identical at any value)")
-		superblock  = flag.Int("superblock", fm.DefaultSuperblockLen, "FM superblock length cap (0 = disable; requires -icache > 0 and the journal rollback engine; architected results and modeled times are bit-identical at any value)")
+		icacheEnt   = flag.Int("icache", 0, "FM predecode-cache entries, rounded up to a power of two (0 = default, -1 = disable; architected results and modeled times are bit-identical at any value)")
+		superblock  = flag.Int("superblock", 0, "FM superblock length cap (0 = default, -1 = disable; requires the predecode cache and the journal rollback engine; architected results and modeled times are bit-identical at any value)")
 		printConfig = flag.Bool("print-config", false, "print the Figure 3 target configuration and exit")
 		printKernel = flag.Bool("print-kernel", false, "print the generated toyOS kernel assembly and exit")
 		disasm      = flag.Bool("disasm", false, "print the workload's kernel and user program disassembly and exit")

@@ -14,5 +14,5 @@
 // The benchmarks in bench_test.go regenerate every table and figure of the
 // paper's evaluation:
 //
-//	go test -bench=. -benchtime=1x
+//	make bench
 package repro

@@ -94,8 +94,9 @@ func runTarget(ctx context.Context, prog *isa.Program, fmCfg fm.Config, maxInst 
 			if m.Fatal() != nil {
 				return nil, nil, fmt.Errorf("baseline: functional model: %w", m.Fatal())
 			}
-			// Idle-wait for the next interrupt, bounded.
-			if m.Halted() && m.Flags&isa.FlagI != 0 && idle < idleLimit {
+			// Idle-wait for the next interrupt, bounded; bare metal
+			// delivers none, so there HALT is final whatever FlagI says.
+			if m.Halted() && m.Flags&isa.FlagI != 0 && !fmCfg.DisableInterrupts && idle < idleLimit {
 				m.AdvanceIdle(1)
 				idle++
 				continue

@@ -5,7 +5,10 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"testing"
 	"time"
 
@@ -488,5 +491,40 @@ func TestClusterViewAndListing(t *testing.T) {
 	}
 	if view.Jobs != 3 {
 		t.Fatalf("view.Jobs = %d, want 3", view.Jobs)
+	}
+}
+
+// TestCoordinatorJobRunsFMDefaults: a job submitted through the coordinator
+// with no host knobs reaches the worker's engine as the zero Params, which
+// means the FM defaults — predecode cache and superblocks on — as it does
+// on a bare node (service.TestCacheHitByteIdentical).
+func TestCoordinatorJobRunsFMDefaults(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled run")
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	w := newWorker(t, service.Config{Workers: 1})
+	h := newCluster(t, Config{}, w)
+	v, err := h.cli.SubmitJob(ctx, "fast", json.RawMessage(`{"workload":"164.gzip","max_instructions":3000}`), 0)
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if _, err := h.cli.WaitResult(ctx, v.ID); err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	// Per-job metrics are a node-only route: ask the worker that ran it.
+	jobs, err := client.New(w.ts.URL).ListJobs(ctx, "", 0, "")
+	if err != nil || len(jobs.Jobs) != 1 {
+		t.Fatalf("worker jobs = %+v, %v", jobs.Jobs, err)
+	}
+	resp, err := http.Get(w.ts.URL + "/v1/jobs/" + jobs.Jobs[0].ID + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	prom, _ := io.ReadAll(resp.Body)
+	if !regexp.MustCompile(`(?m)^fm_superblock_hits_total [1-9]`).Match(prom) {
+		t.Error("coordinator job without host knobs formed no superblocks (no fm_superblock_hits_total in its metrics)")
 	}
 }

@@ -318,8 +318,9 @@ func (s *Sim) terminal() bool {
 		return true
 	}
 	// HALT with interrupts disabled is the shutdown idiom: nothing can
-	// ever wake the target.
-	return s.FM.Halted() && s.FM.Flags&isa.FlagI == 0
+	// ever wake the target. Bare metal (no autonomous delivery) cannot be
+	// woken with them enabled either.
+	return s.FM.Halted() && (s.FM.Flags&isa.FlagI == 0 || s.cfg.FM.DisableInterrupts)
 }
 
 // pump lets the functional model spend its accumulated host-time budget
@@ -452,7 +453,8 @@ func (s *Sim) RunContext(ctx context.Context) (Result, error) {
 // advance is the one run loop: it steps the core until its TM drains or
 // reaches target cycle end (a quantum boundary; MaxUint64 for a whole run),
 // or until a limit stops it — the whole-target instruction cap, the cycle
-// cap, or a cancelled context (the latter two leave s.err set).
+// cap, or a cancelled context (the latter two, and a target that died,
+// leave s.err set).
 func (s *Sim) advance(ctx context.Context, end uint64) {
 	for s.TM.Cycle() < end && !s.TM.Done() {
 		if s.capped() {
@@ -476,6 +478,12 @@ func (s *Sim) advance(ctx context.Context, end uint64) {
 		s.stepCycle()
 		// Deadlock guard: if the FM is terminally halted and the TB is
 		// drained, the TM will see FetchEnd and drain itself.
+	}
+	// A drained TM has committed everything the FM will ever produce, so a
+	// fatal FM stop is on the committed path: the target died. That is an
+	// error here as it is in the trace-replay baselines, not a short run.
+	if s.err == nil && s.TM.Done() && s.FM.Fatal() != nil {
+		s.err = fmt.Errorf("core: functional model: %w", s.FM.Fatal())
 	}
 }
 

@@ -43,7 +43,7 @@ type outcome struct {
 	coh     cache.CoherentStats
 }
 
-func (p policyCase) run(t *testing.T, ctx context.Context, cfg Config, prog *isa.Program) (outcome, error) {
+func (p policyCase) run(t testing.TB, ctx context.Context, cfg Config, prog *isa.Program) (outcome, error) {
 	t.Helper()
 	if p.cores == 0 {
 		s, err := p.new(cfg)

@@ -14,7 +14,8 @@ package core
 // Capture is pure observation. The boot-complete trigger (SnapshotHook)
 // fires at the first quiescent boundary at or after the FM's first
 // user-mode instruction; whether it is armed or not changes no modeled
-// quantity, a property the determinism CI matrix locks.
+// quantity, a property experiments.TestStudyInvariance's capturing and
+// resuming rows lock.
 
 import (
 	"errors"

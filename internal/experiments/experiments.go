@@ -40,8 +40,9 @@ type Runner struct {
 
 	// Overlay is merged (sim.Merge, non-zero fields win) into every point
 	// an experiment runs — single runs and sweeps alike. It carries
-	// host-side knobs that must not change any printed number, like
-	// Params.TraceChunk; the experiment's own fields always take
+	// host-side knobs that must not change any printed number — TraceChunk,
+	// ICacheEntries, SuperblockLen, Snapshots: the rows of
+	// TestStudyInvariance — and the experiment's own fields always take
 	// precedence over the zero-value semantics of Merge, so an overlay
 	// cannot silently alter an experiment's axes.
 	Overlay sim.Params
@@ -54,13 +55,19 @@ func (r Runner) ctx() context.Context {
 	return r.Ctx
 }
 
-// run executes one engine point under the runner's context and telemetry.
-func (r Runner) run(engine string, p sim.Params) (sim.Result, error) {
+// point is p as the runner executes it: the overlay merged under it and
+// the fleet's telemetry attached.
+func (r Runner) point(p sim.Params) sim.Params {
 	p = sim.Merge(r.Overlay, p)
 	if p.Telemetry == nil {
 		p.Telemetry = r.Fleet.Telemetry
 	}
-	return sim.RunContext(r.ctx(), engine, p)
+	return p
+}
+
+// run executes one engine point under the runner's context and telemetry.
+func (r Runner) run(engine string, p sim.Params) (sim.Result, error) {
+	return sim.RunContext(r.ctx(), engine, r.point(p))
 }
 
 // sweep executes a sweep through the runner's fleet.
@@ -178,13 +185,7 @@ func Figure4Sweep() sim.Sweep {
 // Figure4 reproduces simulator performance under the three predictor
 // configurations (gshare, 97%, perfect), fanning the sweep out over
 // GOMAXPROCS fleet workers.
-func Figure4() ([]Figure4Row, string, error) { return Figure4Workers(0) }
-
-// Figure4Workers is Figure4 with an explicit fleet width (1 = the
-// sequential path; output is byte-identical at any width).
-func Figure4Workers(workers int) ([]Figure4Row, string, error) {
-	return Runner{Fleet: sim.Fleet{Workers: workers}}.Figure4()
-}
+func Figure4() ([]Figure4Row, string, error) { return Runner{}.Figure4() }
 
 // Figure4 runs the figure's sweep through the runner's fleet.
 func (r Runner) Figure4() ([]Figure4Row, string, error) {
@@ -221,6 +222,16 @@ func (r Runner) Figure4() ([]Figure4Row, string, error) {
 	fmt.Fprintf(&b, "%-14s %8.2f %26s\n", "amean", sum/float64(len(rows)),
 		"(paper average: 1.2 MIPS)")
 	return rows, b.String(), nil
+}
+
+// Figure4And5 renders both figures of the one sweep: fastbench's fig4
+// section.
+func (r Runner) Figure4And5() (string, error) {
+	rows, out, err := r.Figure4()
+	if err != nil {
+		return "", err
+	}
+	return out + "\n" + Figure5(rows), nil
 }
 
 // Figure5 reproduces branch-prediction accuracy (all branches) per
@@ -575,8 +586,8 @@ func (r Runner) Ablations() (string, error) {
 	// leapfrog checkpoints + replay (§3.2), whose re-execution is the αBA
 	// of §3.1. Needs the live functional model, so it uses the two-phase
 	// engine API instead of sim.Run.
-	cpEng, err := sim.New("fast", sim.Merge(fastParams(app, "gshare"),
-		sim.Params{Rollback: "checkpoint", CheckpointInterval: 64}))
+	cpEng, err := sim.New("fast", r.point(sim.Merge(fastParams(app, "gshare"),
+		sim.Params{Rollback: "checkpoint", CheckpointInterval: 64})))
 	if err != nil {
 		return "", err
 	}

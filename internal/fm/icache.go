@@ -41,11 +41,12 @@ import (
 // All methods are nil-receiver-safe; a disabled cache (Config.ICacheEntries
 // == 0) costs one nil check on the fetch path and nothing on stores.
 
-// DefaultICacheEntries is the predecode-cache size the CLIs and the
-// direct core.DefaultConfig use. 4 Ki direct-mapped slots cover the
-// resident code of every bundled workload while keeping the zeroed
-// footprint small enough to construct per run; the knob only trades host
-// memory for FM speed — architected results are identical at any size.
+// DefaultICacheEntries is the predecode-cache size a zero
+// sim.Params.ICacheEntries and core.DefaultConfig select. 4 Ki
+// direct-mapped slots cover the resident code of every bundled workload
+// while keeping the zeroed footprint small enough to construct per run; the
+// knob only trades host memory for FM speed — architected results are
+// identical at any size.
 const DefaultICacheEntries = 4096
 
 // icEntry is one direct-mapped predecode-cache slot. size == 0 marks an

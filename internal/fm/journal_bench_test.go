@@ -8,12 +8,13 @@ import (
 	"repro/internal/trace"
 )
 
-// Layer benchmarks for the undo journal. Run them time-based
-// (-benchtime=200ms or longer, never 1x): every op below is one target
-// instruction or one target byte, so a single iteration measures nothing.
+// Layer benchmarks for the FM: the fetch/decode path and the undo journal.
+// Run them time-based (make bench-layers: -benchtime=200ms or longer, never
+// 1x): every op below is one target instruction or one target byte, so a
+// single iteration measures nothing.
 
-// benchLoop is BenchmarkFMExecution's instruction mix without an exit: ALU
-// work plus a scalar store and load per iteration.
+// benchLoop is an endless ALU loop with a scalar store and load per
+// iteration.
 const benchLoop = `
 loop:	addi r1, 3
 	mov  r2, r1
@@ -24,9 +25,55 @@ loop:	addi r1, 3
 `
 
 func benchModel(src string) *Model {
-	m := New(Config{DisableInterrupts: true, ICacheEntries: DefaultICacheEntries, SuperblockLen: DefaultSuperblockLen})
+	return benchModelWith(src, DefaultICacheEntries, DefaultSuperblockLen)
+}
+
+func benchModelWith(src string, icache, superblock int) *Model {
+	m := New(Config{DisableInterrupts: true, ICacheEntries: icache, SuperblockLen: superblock})
 	m.LoadProgram(isa.MustAssemble(src, 0x1000))
 	return m
+}
+
+// BenchmarkDecodeLoop isolates the fetch/decode/crack path: the same loop
+// FM-only with superblocks over the predecode cache (the default), the
+// cache alone, and neither, committing at the TM's chunk cadence (an
+// uncommitted journal grows without bound and would swamp the spread).
+// ns/op is per target instruction; the spread between the three is what
+// each fast path buys with no TM in the loop to dilute it.
+func BenchmarkDecodeLoop(b *testing.B) {
+	for _, bc := range []struct {
+		name               string
+		icache, superblock int
+	}{
+		{"superblock", DefaultICacheEntries, DefaultSuperblockLen},
+		{"icache", DefaultICacheEntries, 0},
+		{"nocache", 0, 0},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			driveCommitting(b, benchModelWith(benchLoop, bc.icache, bc.superblock), 0)
+		})
+	}
+}
+
+// driveCommitting runs m for b.N target instructions the way the coupled
+// pump does — StepBlock, which without superblocks degrades to a single
+// Step — committing at the TM's chunk cadence of 64 with the commit
+// frontier lagging window instructions behind.
+func driveCommitting(b *testing.B, m *Model, window uint64) {
+	sink := func(trace.Entry) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for next := uint64(64); m.IN() < uint64(b.N); {
+		if m.StepBlock(sink) == 0 {
+			b.Fatal("halted")
+		}
+		if in := m.IN(); in >= next {
+			next = in + 64
+			if in > window {
+				m.Commit(in - window - 1)
+			}
+		}
+	}
 }
 
 // BenchmarkJournalCommit is FM execution with the commit frontier lagging
@@ -37,21 +84,7 @@ func benchModel(src string) *Model {
 func BenchmarkJournalCommit(b *testing.B) {
 	for _, window := range []uint64{64, 512} {
 		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
-			m := benchModel(benchLoop)
-			sink := func(trace.Entry) bool { return true }
-			b.ReportAllocs()
-			b.ResetTimer()
-			for next := uint64(64); m.IN() < uint64(b.N); {
-				if m.StepBlock(sink) == 0 {
-					b.Fatal("halted")
-				}
-				if in := m.IN(); in >= next {
-					next = in + 64
-					if in > window {
-						m.Commit(in - window - 1)
-					}
-				}
-			}
+			driveCommitting(b, benchModel(benchLoop), window)
 		})
 	}
 }

@@ -56,10 +56,10 @@ import (
 //
 // When any condition fails, StepBlock degrades to a single Step().
 
-// DefaultSuperblockLen is the superblock length cap the CLIs and the
-// direct core.DefaultConfig use. Like ICacheEntries, the knob only trades
-// host memory for FM speed — architected results are identical at any
-// value, including 0 (disabled).
+// DefaultSuperblockLen is the superblock length cap a zero
+// sim.Params.SuperblockLen and core.DefaultConfig select. Like
+// ICacheEntries, the knob only trades host memory for FM speed —
+// architected results are identical at any value, including 0 (disabled).
 const DefaultSuperblockLen = 32
 
 // sbOp is one predecoded instruction inside a superblock. Register names

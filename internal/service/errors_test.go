@@ -215,12 +215,24 @@ func TestListPagination(t *testing.T) {
 }
 
 func listPagination(t *testing.T, h *harness) {
+	// submit posts body, waiting out 429s: the node backend's queue is one
+	// deep, and on a loaded host its worker may not have taken the previous
+	// submission yet.
+	submit := func(path, body string) (int, map[string]any) {
+		for {
+			st, m, _ := h.do("POST", path, body)
+			if st != http.StatusTooManyRequests {
+				return st, m
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
 
 	// 5 instantly-completing jobs with distinct params, submitted in order.
 	var ids []string
 	for i := 0; i < 5; i++ {
 		body := fmt.Sprintf(`{"engine":"svc-stub","params":{"workload":"164.gzip","max_instructions":%d}}`, 1000+i)
-		st, m, _ := h.do("POST", "/v1/jobs", body)
+		st, m := submit("/v1/jobs", body)
 		if st != http.StatusAccepted {
 			t.Fatalf("submit %d: %d %v", i, st, m)
 		}
@@ -331,7 +343,7 @@ func listPagination(t *testing.T, h *harness) {
 	var sweepIDs []string
 	for i := 0; i < 3; i++ {
 		body := fmt.Sprintf(`{"sweep":{"engines":["svc-stub"],"base":{"workload":"164.gzip","max_instructions":%d}}}`, 2000+i)
-		st, m, _ := h.do("POST", "/v1/sweeps", body)
+		st, m := submit("/v1/sweeps", body)
 		if st != http.StatusAccepted {
 			t.Fatalf("sweep %d: %d %v", i, st, m)
 		}

@@ -69,7 +69,7 @@ type Config struct {
 	Snapshots Store
 	// DisableWarmStart turns the snapshot tier off entirely: every run
 	// boots cold and captures nothing. Results are bit-identical either
-	// way (the determinism CI matrix locks this); the switch only exists
+	// way (experiments.TestStudyInvariance locks this); the switch only exists
 	// to trade the snapshot disk/memory footprint back for boot time.
 	DisableWarmStart bool
 	// DefaultTimeout is the per-job deadline applied when a submission

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -178,6 +179,12 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	id1 := h.submit(body)
 	if v := h.wait(id1); v["status"] != "done" {
 		t.Fatalf("first run: %v", v)
+	}
+	// A job that names no host knob runs the FM at its defaults — predecode
+	// cache and superblocks on — not with both silently off.
+	_, jobProm := h.raw("GET", "/v1/jobs/"+id1+"/metrics", "")
+	if !regexp.MustCompile(`(?m)^fm_superblock_hits_total [1-9]`).Match(jobProm) {
+		t.Error("job without host knobs formed no superblocks (no fm_superblock_hits_total in its metrics)")
 	}
 	// Spell the same simulation differently: explicit defaults must land on
 	// the same content address.

@@ -36,13 +36,31 @@ func init() {
 	Register("fsbcache", func() Engine { return &fsbEngine{} })
 }
 
-// prepare resolves the shared parts of Params: the program image and the
-// boot environment (nil for raw bare-metal programs).
+// hostKnob resolves a Params host knob whose engine-side zero means "off"
+// (fm.Config) under the one Params rule: 0 = def, N>0 = N, negative = off.
+func hostKnob(v, def int) int {
+	switch {
+	case v == 0:
+		return def
+	case v < 0:
+		return 0
+	}
+	return v
+}
+
+// prepare resolves the shared parts of Params: the program image, the boot
+// environment (nil for raw bare-metal programs) and the FM configuration —
+// the one place the predecode-cache and superblock defaults are applied.
 func prepare(p Params) (*isa.Program, *workload.Boot, fm.Config, error) {
+	fmCfg := fm.Config{
+		ICacheEntries: hostKnob(p.ICacheEntries, fm.DefaultICacheEntries),
+		SuperblockLen: hostKnob(p.SuperblockLen, fm.DefaultSuperblockLen),
+	}
 	if p.Program != nil {
 		// Bare metal: no toyOS underneath, so nothing can service
 		// interrupts.
-		return p.Program, nil, fm.Config{DisableInterrupts: true, ICacheEntries: p.ICacheEntries, SuperblockLen: p.SuperblockLen}, nil
+		fmCfg.DisableInterrupts = true
+		return p.Program, nil, fmCfg, nil
 	}
 	// workloadSpec resolves through the registry, which already builds the
 	// spec at p.Cores (smp-* bake the count into the user program; other
@@ -58,7 +76,8 @@ func prepare(p Params) (*isa.Program, *workload.Boot, fm.Config, error) {
 	if err != nil {
 		return nil, nil, fm.Config{}, err
 	}
-	return boot.Kernel, boot, fm.Config{Devices: boot.Devices(), ICacheEntries: p.ICacheEntries, SuperblockLen: p.SuperblockLen}, nil
+	fmCfg.Devices = boot.Devices()
+	return boot.Kernel, boot, fmCfg, nil
 }
 
 // fastEngine runs the FAST simulator proper. The engine name selects the

@@ -11,7 +11,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/fm"
 	"repro/internal/sim"
 )
 
@@ -112,99 +111,95 @@ func diffMaps(prefix string, want, got map[string]any) []string {
 	return diffs
 }
 
+// allOff is p with the FM's two host-side fast paths — predecode cache and
+// superblocks — explicitly disabled: the per-instruction fetch/decode/crack
+// path the seed goldens were captured on, and the reference every host-knob
+// row below compares with. (The zero Params no longer means this: zero is
+// the engine default, like every other field.)
+func allOff(p sim.Params) sim.Params {
+	p.ICacheEntries, p.SuperblockLen = sim.Off, sim.Off
+	return p
+}
+
+func expectSame(t *testing.T, want, got map[string]any) {
+	t.Helper()
+	for _, d := range diffMaps("", want, got) {
+		t.Error(d)
+	}
+}
+
 // TestFastEngineMatchesSeedGoldens pins the serial fast engine to the
-// seed-tree results: the chunked coupling is a host-side optimization and
-// must not move a single architectural or modeled-time number.
+// seed-tree results, with the FM fast paths off and at the zero-Params
+// defaults: chunked coupling, predecode and superblocks are host-side
+// optimizations and must not move a single architectural or modeled-time
+// number.
 func TestFastEngineMatchesSeedGoldens(t *testing.T) {
 	for _, golden := range loadGoldens(t) {
 		w := golden["workload"].(string)
 		t.Run(w, func(t *testing.T) {
-			got := runFast(t, sim.Params{Workload: w, MaxInstructions: 50_000})
-			if diffs := diffMaps("", golden, got); len(diffs) != 0 {
-				for _, d := range diffs {
-					t.Error(d)
-				}
-			}
+			p := sim.Params{Workload: w, MaxInstructions: 50_000}
+			t.Run("off", func(t *testing.T) { expectSame(t, golden, runFast(t, allOff(p))) })
+			t.Run("default", func(t *testing.T) { expectSame(t, golden, runFast(t, p)) })
 		})
 	}
 }
 
-// TestFastEngineTraceChunkInvariance checks the ISSUE acceptance bar
-// directly: every TraceChunk ≥ 1 — per-entry, odd, default, bigger than
-// the trace buffer — yields the identical Result (modulo link.writes).
-func TestFastEngineTraceChunkInvariance(t *testing.T) {
-	base := runFast(t, sim.Params{Workload: "164.gzip", MaxInstructions: 50_000})
-	for _, chunk := range []int{1, 3, 64, 512} {
-		chunk := chunk
-		t.Run(fmt.Sprintf("chunk%d", chunk), func(t *testing.T) {
-			got := runFast(t, sim.Params{
-				Workload:        "164.gzip",
-				MaxInstructions: 50_000,
-				TraceChunk:      chunk,
-			})
-			if diffs := diffMaps("", base, got); len(diffs) != 0 {
-				for _, d := range diffs {
-					t.Error(d)
-				}
-			}
+// hostKnobRows is the one per-point invariance table: every bit-invariant
+// host knob of Params, one axis each, at the values that stress it — trace
+// chunk per-entry, odd, default and bigger than the trace buffer; predecode
+// cache off, one-slot (constant conflict evictions), tiny and default;
+// superblocks off, degenerate single-instruction blocks, short and longer
+// than the default. Unnamed fields stay zero, i.e. at the engine default.
+// A row must yield the identical Result (modulo link.writes) as the all-off
+// reference, which is what lets Params.Key() omit ICacheEntries and
+// SuperblockLen and fold TraceChunk's default.
+var hostKnobRows = map[string][]struct {
+	name string
+	knob sim.Params
+}{
+	"chunk": {
+		{"chunk1", sim.Params{TraceChunk: 1}},
+		{"chunk3", sim.Params{TraceChunk: 3}},
+		{"chunk64", sim.Params{TraceChunk: 64}},
+		{"chunk512", sim.Params{TraceChunk: 512}},
+	},
+	"icache": {
+		{"icacheoff", sim.Params{ICacheEntries: sim.Off}},
+		{"icache1", sim.Params{ICacheEntries: 1}},
+		{"icache16", sim.Params{ICacheEntries: 16}},
+		{"icache4096", sim.Params{ICacheEntries: 4096}},
+	},
+	"superblock": {
+		{"superblockoff", sim.Params{SuperblockLen: sim.Off}},
+		{"superblock1", sim.Params{SuperblockLen: 1}},
+		{"superblock8", sim.Params{SuperblockLen: 8}},
+		{"superblock64", sim.Params{SuperblockLen: 64}},
+	},
+}
+
+// hostKnobInvariance runs one axis of hostKnobRows on one workload.
+func hostKnobInvariance(t *testing.T, w, axis string) {
+	p := sim.Params{Workload: w, MaxInstructions: 50_000}
+	ref := runFast(t, allOff(p))
+	for _, row := range hostKnobRows[axis] {
+		t.Run(row.name, func(t *testing.T) {
+			expectSame(t, ref, runFast(t, sim.Merge(p, row.knob)))
 		})
 	}
 }
 
-// TestFastEngineSuperblockInvariance is the superblock acceptance bar: any
-// superblock length — disabled, degenerate single-instruction blocks, short
-// or CLI-default-exceeding — must yield the identical Result as the
-// superblock-free configuration the seed goldens pin. This is what lets
-// Params.Key() omit SuperblockLen.
-func TestFastEngineSuperblockInvariance(t *testing.T) {
+// One entry point per axis, so a failure names the knob that leaked (and
+// the test names the tier-1 floor pins keep their meaning). The FM-side
+// knobs also run on the Linux boot: interrupts, paging and device I/O are
+// where a predecode or superblock shortcut could go wrong.
+func TestFastEngineTraceChunkInvariance(t *testing.T) { hostKnobInvariance(t, "164.gzip", "chunk") }
+
+func TestFastEngineICacheInvariance(t *testing.T) { onBoth(t, "icache") }
+
+func TestFastEngineSuperblockInvariance(t *testing.T) { onBoth(t, "superblock") }
+
+func onBoth(t *testing.T, axis string) {
 	for _, w := range []string{"164.gzip", "Linux-2.4"} {
-		w := w
-		t.Run(w, func(t *testing.T) {
-			base := runFast(t, sim.Params{Workload: w, MaxInstructions: 50_000})
-			for _, sblen := range []int{1, 8, 64} {
-				sblen := sblen
-				t.Run(fmt.Sprintf("superblock%d", sblen), func(t *testing.T) {
-					got := runFast(t, sim.Params{
-						Workload:        w,
-						MaxInstructions: 50_000,
-						ICacheEntries:   fm.DefaultICacheEntries,
-						SuperblockLen:   sblen,
-					})
-					if diffs := diffMaps("", base, got); len(diffs) != 0 {
-						for _, d := range diffs {
-							t.Error(d)
-						}
-					}
-				})
-			}
-		})
-	}
-}
-
-// TestFastEngineICacheInvariance is the predecode-cache acceptance bar:
-// any cache size — tiny (constant conflict evictions), one-slot, or the
-// CLI default — must yield the identical Result as running with the cache
-// disabled, which is the configuration the seed goldens pin.
-func TestFastEngineICacheInvariance(t *testing.T) {
-	for _, w := range []string{"164.gzip", "Linux-2.4"} {
-		w := w
-		t.Run(w, func(t *testing.T) {
-			base := runFast(t, sim.Params{Workload: w, MaxInstructions: 50_000})
-			for _, entries := range []int{1, 16, 4096} {
-				entries := entries
-				t.Run(fmt.Sprintf("icache%d", entries), func(t *testing.T) {
-					got := runFast(t, sim.Params{
-						Workload:        w,
-						MaxInstructions: 50_000,
-						ICacheEntries:   entries,
-					})
-					if diffs := diffMaps("", base, got); len(diffs) != 0 {
-						for _, d := range diffs {
-							t.Error(d)
-						}
-					}
-				})
-			}
-		})
+		t.Run(w, func(t *testing.T) { hostKnobInvariance(t, w, axis) })
 	}
 }

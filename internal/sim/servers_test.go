@@ -3,17 +3,17 @@ package sim_test
 import (
 	"testing"
 
-	"repro/internal/fm"
 	"repro/internal/sim"
 )
 
 // TestFastEngineServerWorkloads is the sim-level acceptance bar for the
 // toyFS server workloads: each runs to completion on the fast engine
 // (they power off well under any cap), produces sane counters, and is
-// bit-identical under the superblock fast path — which is what lets the
-// CI determinism matrix diff fastbench output across -superblock
-// settings. An explicitly spelled default disk latency must also leave
-// every result bit untouched, matching the Key() fold.
+// bit-identical with the FM fast paths off (the reference), at their
+// defaults and under longer superblocks — the per-point half of what
+// experiments.TestStudyInvariance checks on the rendered servers study. An
+// explicitly spelled default disk latency must also leave every result bit
+// untouched, matching the Key() fold.
 func TestFastEngineServerWorkloads(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled full-boot runs")
@@ -21,7 +21,7 @@ func TestFastEngineServerWorkloads(t *testing.T) {
 	for _, w := range []string{"shell-fork", "logwrite", "nicserv"} {
 		w := w
 		t.Run(w, func(t *testing.T) {
-			base := runFast(t, sim.Params{Workload: w})
+			base := runFast(t, allOff(sim.Params{Workload: w}))
 			if base["instructions"].(float64) == 0 || base["target_cycles"].(float64) == 0 {
 				t.Fatalf("zero architectural counters: %v", base)
 			}
@@ -29,7 +29,7 @@ func TestFastEngineServerWorkloads(t *testing.T) {
 				t.Errorf("Result.Workload = %q", base["workload"])
 			}
 			for name, p := range map[string]sim.Params{
-				"superblock64":     {Workload: w, ICacheEntries: fm.DefaultICacheEntries, SuperblockLen: 64},
+				"superblock64":     {Workload: w, SuperblockLen: 64},
 				"explicit disklat": {Workload: w, DiskLatency: 200},
 			} {
 				got := runFast(t, p)

@@ -31,9 +31,15 @@ import (
 // re-steers instead of every N basic blocks (ablation A2/A6).
 const PollOnResteer = -1
 
-// Params configures any engine. The zero value means "engine defaults":
-// the Linux-boot workload, gshare prediction, the prototype issue width,
-// the DRC link, per-2-basic-block polling and no instruction cap.
+// Off disables Params.ICacheEntries or Params.SuperblockLen (any negative
+// value does): zero is taken, as for every other field, so "off" needs a
+// value of its own.
+const Off = -1
+
+// Params configures any engine. The zero value of every field means "engine
+// default": the Linux-boot workload, gshare prediction, the prototype issue
+// width, the DRC link, per-2-basic-block polling, the default trace chunk,
+// predecode cache and superblock length, and no instruction cap.
 //
 // The JSON tags are a stable serialization schema: internal/service accepts
 // a Params overlay on its API boundary (strictly — unknown fields are
@@ -97,19 +103,22 @@ type Params struct {
 	// (direct-mapped slots keyed by physical address, rounded up to a
 	// power of two): code is decoded and µop-instantiated once and
 	// replayed from the cache until a store, rollback or mapping change
-	// invalidates it. 0 disables the cache. Architected state, the
-	// emitted trace and every modeled number are bit-identical at any
-	// value — the knob trades host memory for FM speed only.
+	// invalidates it. 0 = the engine default (fm.DefaultICacheEntries),
+	// N>0 = N slots, Off (or any negative value) disables the cache.
+	// Architected state, the emitted trace and every modeled number are
+	// bit-identical at any value — the knob trades host memory for FM
+	// speed only.
 	ICacheEntries int `json:"icache_entries,omitempty"`
 
 	// SuperblockLen caps the functional model's superblock length:
 	// straight-line runs of predecoded instructions executed as a fused
 	// closure chain with one rollback/interrupt/device check per block.
-	// 0 disables superblocks; they additionally require the predecode
-	// cache (ICacheEntries > 0) and are ignored under Rollback
-	// "checkpoint". Like ICacheEntries the knob is bit-invariant:
-	// architected state, the emitted trace and every modeled number are
-	// identical at any value. FAST engines only.
+	// 0 = the engine default (fm.DefaultSuperblockLen), N>0 = N, Off (or
+	// any negative value) disables superblocks; they additionally require
+	// the predecode cache and are ignored under Rollback "checkpoint".
+	// Like ICacheEntries the knob is bit-invariant: architected state, the
+	// emitted trace and every modeled number are identical at any value.
+	// FAST engines only.
 	SuperblockLen int `json:"superblock_len,omitempty"`
 
 	// Rollback selects the FM recovery mechanism: "" or "journal" (the
@@ -157,12 +166,6 @@ func (p Params) validate() error {
 	}
 	if p.TraceChunk < 0 {
 		return fmt.Errorf("sim: negative trace chunk %d", p.TraceChunk)
-	}
-	if p.ICacheEntries < 0 {
-		return fmt.Errorf("sim: negative icache entries %d", p.ICacheEntries)
-	}
-	if p.SuperblockLen < 0 {
-		return fmt.Errorf("sim: negative superblock length %d", p.SuperblockLen)
 	}
 	if p.Cores < 0 || p.Cores > 64 {
 		return fmt.Errorf("sim: cores %d out of range (want 0..64)", p.Cores)

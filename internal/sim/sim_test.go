@@ -246,3 +246,43 @@ func TestPollPolicyMapping(t *testing.T) {
 			perBB, def, resteer)
 	}
 }
+
+// TestHostKnobMapping checks the ICacheEntries/SuperblockLen tri-state, the
+// same rule as PollEveryBBs: zero is the engine default (fast paths on), a
+// positive value is itself, Off — or any negative value — disables. The
+// zero row is every caller that never spells the knobs: fastd jobs,
+// experiments, the goldens.
+func TestHostKnobMapping(t *testing.T) {
+	for _, tc := range []struct {
+		name                   string
+		icache, superblock     int
+		wantICache, wantBlocks bool
+	}{
+		{"zero is the default", 0, 0, true, true},
+		{"explicit sizes", 16, 8, true, true},
+		{"superblocks off", 0, Off, true, false},
+		{"icache off takes superblocks with it", Off, 0, false, false},
+		{"any negative is off", -7, -7, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := New("fast", Params{Workload: "164.gzip", MaxInstructions: confCap,
+				ICacheEntries: tc.icache, SuperblockLen: tc.superblock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Run(); err != nil {
+				t.Fatal(err)
+			}
+			m := eng.(Coupled).FunctionalModel()
+			icHits, _, _, _ := m.ICacheStats()
+			sbHits, _, _, _ := m.SuperblockStats()
+			if got := icHits > 0; got != tc.wantICache {
+				t.Errorf("predecode hits = %d, want cache on = %v", icHits, tc.wantICache)
+			}
+			if m.SuperblocksEnabled() != tc.wantBlocks || (sbHits > 0) != tc.wantBlocks {
+				t.Errorf("SuperblocksEnabled = %v with %d block hits, want on = %v",
+					m.SuperblocksEnabled(), sbHits, tc.wantBlocks)
+			}
+		})
+	}
+}

@@ -16,7 +16,7 @@ import (
 // core.Multicore snapshots) and later runs resume from it, skipping the
 // boot instructions entirely. Determinism makes this safe — a resumed run
 // is bit-identical to the uninterrupted one (locked by the warm-start
-// goldens and the snapshots-on/off determinism matrix) — and
+// goldens and experiments.TestStudyInvariance's snapshot rows) — and
 // SnapshotPrefix makes it addressable: a second canonical key that drops
 // exactly the fields a boot cannot depend on.
 
