@@ -9,7 +9,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test zero-alloc yardstick race loc bench bench-layers bench-compare serve smoke smoke-cluster
+.PHONY: check fmt vet build test zero-alloc yardstick race fuzz-smoke loc bench bench-layers bench-compare serve smoke smoke-cluster
 
 check: fmt vet build test zero-alloc yardstick
 
@@ -47,6 +47,27 @@ race:
 		./internal/sim/... ./internal/trace/... ./internal/fm ./internal/tm \
 		./internal/fullsys ./internal/service/... ./internal/cluster \
 		./internal/cache ./internal/workload ./internal/workload/fs
+
+# Fuzz smokes, exactly as CI's static job runs them: each target is a
+# never-panic check plus its own oracle, one package:target:seconds entry
+# per line — a new fuzz target is one more line. Minimisation is capped
+# because the snapshot blobs FuzzRestore mutates are hundreds of KB: at the
+# default 60 s per new interesting input it would eat the whole smoke.
+FUZZ_SMOKES := \
+	./internal/isa:FuzzDecode:30 \
+	./internal/sim:FuzzDecodeParams:20 \
+	./internal/fm:FuzzSuperblockForm:20 \
+	./internal/fullsys:FuzzSnapshotDecode:20 \
+	./internal/workload/fs:FuzzFsckDecode:20 \
+	./internal/sim:FuzzEngineAgreement:20 \
+	./internal/core:FuzzRestore:20
+
+fuzz-smoke:
+	@set -e; for smoke in $(FUZZ_SMOKES); do \
+		pkg=$${smoke%%:*}; rest=$${smoke#*:}; \
+		echo "fuzz smoke: $$pkg $${rest%%:*} ($${rest#*:}s)"; \
+		$(GO) test -run '^$$' -fuzz "^$${rest%%:*}\$$" -fuzztime "$${rest#*:}s" -fuzzminimizetime 2s "$$pkg"; \
+	done
 
 # The one way code size is counted here (non-blank, non-comment, non-test
 # Go lines per package directory): every "net -N lines" claim in CHANGES.md

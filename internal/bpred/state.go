@@ -2,8 +2,8 @@ package bpred
 
 // Warm-start serialization of predictor state. Predictor is an interface
 // with small concrete implementations, so rather than widen the interface
-// (and every test fake) the codec lives here as a pair of free functions
-// that switch on the concrete type. A resumed run must replay predictions
+// (and every test fake) the walk lives here as a free function that
+// switches on the concrete type. A resumed run must replay predictions
 // bit-identically, so everything that influences a Prediction is carried:
 // PHT/counter tables, global history, the BTB arrays including LRU ages,
 // and the fixed predictor's branch count.
@@ -14,141 +14,48 @@ import (
 
 const predStateV = 1
 
-func saveBTB(w *snap.Writer, b *BTB) {
-	w.U32(uint32(len(b.tags)))
-	for _, t := range b.tags {
-		w.U32(t)
-	}
-	for _, t := range b.targets {
-		w.U32(t)
-	}
-	for _, v := range b.valid {
-		w.Bool(v)
-	}
-	w.Raw(b.lru)
+func (b *BTB) state(c *snap.Codec) {
+	c.Len("btb entries", len(b.tags))
+	c.U32s(b.tags)
+	c.U32s(b.targets)
+	c.Bools(b.valid)
+	c.Raw(b.lru)
 }
 
-func loadBTB(r *snap.Reader, b *BTB) error {
-	if n := r.U32(); r.Err() == nil && int(n) != len(b.tags) {
-		return snap.Corruptf("btb: %d entries, want %d", n, len(b.tags))
+// counters walks a table of saturating counters, one byte each.
+func counters(c *snap.Codec, t []counter) {
+	for i := range t {
+		c.U8((*uint8)(&t[i]))
 	}
-	tags := make([]uint32, len(b.tags))
-	for i := range tags {
-		tags[i] = r.U32()
-	}
-	targets := make([]uint32, len(b.targets))
-	for i := range targets {
-		targets[i] = r.U32()
-	}
-	valid := make([]bool, len(b.valid))
-	for i := range valid {
-		valid[i] = r.Bool()
-	}
-	lru := r.Raw(len(b.lru))
-	if err := r.Err(); err != nil {
-		return err
-	}
-	copy(b.tags, tags)
-	copy(b.targets, targets)
-	copy(b.valid, valid)
-	copy(b.lru, lru)
-	return nil
 }
 
-func counterBytes(t []counter) []byte {
-	b := make([]byte, len(t))
-	for i, c := range t {
-		b[i] = byte(c)
-	}
-	return b
-}
-
-// SaveState appends p's versioned dynamic state. Predictors are tagged by
-// name so a blob restored onto a differently configured predictor fails
-// decode rather than silently diverging.
-func SaveState(w *snap.Writer, p Predictor) {
-	w.U8(predStateV)
-	w.String(p.Name())
+// State walks p's versioned dynamic state. Predictors are tagged by name so
+// a blob restored onto a differently configured predictor fails decode
+// rather than silently diverging.
+func State(c *snap.Codec, p Predictor) {
+	c.Version("predictor", predStateV)
+	c.Tag("predictor", p.Name())
 	switch v := p.(type) {
 	case Perfect:
 	case *Fixed:
-		w.U64(v.period)
-		w.U64(v.n)
+		c.Size("fixed predictor period", v.period)
+		c.U64(&v.n)
 	case *TwoBit:
-		w.Raw(counterBytes(v.table))
-		saveBTB(w, v.btb)
+		counters(c, v.table)
+		v.btb.state(c)
 	case *Gshare:
-		w.Raw(counterBytes(v.pht))
-		w.U32(v.history)
-		saveBTB(w, v.btb)
+		counters(c, v.pht)
+		c.U32(&v.history)
+		v.btb.state(c)
 	default:
-		panic("bpred: SaveState: unknown predictor type " + p.Name())
+		panic("bpred: State: unknown predictor type " + p.Name())
 	}
 }
 
-// LoadState decodes state written by SaveState onto an identically
-// configured predictor.
-func LoadState(r *snap.Reader, p Predictor) error {
-	if ver := r.U8(); r.Err() == nil && ver != predStateV {
-		return snap.Corruptf("predictor state version %d, want %d", ver, predStateV)
-	}
-	name := r.String()
-	if r.Err() == nil && name != p.Name() {
-		return snap.Corruptf("predictor %q, want %q", name, p.Name())
-	}
-	switch v := p.(type) {
-	case Perfect:
-		return r.Err()
-	case *Fixed:
-		period, n := r.U64(), r.U64()
-		if r.Err() == nil && period != v.period {
-			return snap.Corruptf("fixed predictor period %d, want %d", period, v.period)
-		}
-		if err := r.Err(); err != nil {
-			return err
-		}
-		v.n = n
-		return nil
-	case *TwoBit:
-		table := r.Raw(len(v.table))
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if err := loadBTB(r, v.btb); err != nil {
-			return err
-		}
-		for i := range v.table {
-			v.table[i] = counter(table[i])
-		}
-		return nil
-	case *Gshare:
-		pht := r.Raw(len(v.pht))
-		history := r.U32()
-		if err := r.Err(); err != nil {
-			return err
-		}
-		if err := loadBTB(r, v.btb); err != nil {
-			return err
-		}
-		for i := range v.pht {
-			v.pht[i] = counter(pht[i])
-		}
-		v.history = history
-		return nil
-	default:
-		return snap.Corruptf("predictor %q has no decoder", p.Name())
-	}
-}
-
-// SaveStats appends the accuracy counters.
-func SaveStats(w *snap.Writer, s Stats) {
-	w.U64(s.Branches)
-	w.U64(s.Correct)
-	w.U64(s.DirWrong)
-	w.U64(s.TargetWrong)
-}
-
-// LoadStats decodes counters written by SaveStats.
-func LoadStats(r *snap.Reader) Stats {
-	return Stats{Branches: r.U64(), Correct: r.U64(), DirWrong: r.U64(), TargetWrong: r.U64()}
+// State walks the accuracy counters.
+func (s *Stats) State(c *snap.Codec) {
+	c.U64(&s.Branches)
+	c.U64(&s.Correct)
+	c.U64(&s.DirWrong)
+	c.U64(&s.TargetWrong)
 }

@@ -2,213 +2,99 @@ package cache
 
 // Warm-start serialization of the timing-model memory hierarchy. Geometry
 // (set count, ways, latencies) is configuration and is not serialized; the
-// encodings carry only dynamic state and validate that the receiver was
-// built with matching geometry, so a blob restored onto a differently
-// configured hierarchy fails decode instead of silently diverging.
+// walks carry only dynamic state and pin the geometry the receiver was
+// built with, so a blob restored onto a differently configured hierarchy
+// fails decode instead of silently diverging.
 
 import "repro/internal/snap"
 
 const cacheStateV = 1
 
-func checkVersion(r *snap.Reader, what string) error {
-	v := r.U8()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if v != cacheStateV {
-		return snap.Corruptf("%s state version %d, want %d", what, v, cacheStateV)
-	}
-	return nil
+func (s *Stats) state(c *snap.Codec) {
+	c.U64(&s.Accesses)
+	c.U64(&s.Hits)
+	c.U64(&s.Misses)
+	c.U64(&s.Evictions)
 }
 
-func writeBools(w *snap.Writer, b []bool) {
-	for _, v := range b {
-		w.Bool(v)
-	}
-}
-
-func readBools(r *snap.Reader, b []bool) {
-	for i := range b {
-		b[i] = r.Bool()
-	}
-}
-
-func (s *Stats) save(w *snap.Writer) {
-	w.U64(s.Accesses)
-	w.U64(s.Hits)
-	w.U64(s.Misses)
-	w.U64(s.Evictions)
-}
-
-func (s *Stats) load(r *snap.Reader) {
-	s.Accesses, s.Hits, s.Misses, s.Evictions = r.U64(), r.U64(), r.U64(), r.U64()
-}
-
-// SaveState appends the cache's dynamic state (tags, valid/dirty bits,
+// State walks the cache's dynamic state (tags, valid/dirty bits,
 // replacement metadata, counters).
-func (c *Cache) SaveState(w *snap.Writer) {
-	w.U8(cacheStateV)
-	w.U32(uint32(len(c.tags)))
-	for _, t := range c.tags {
-		w.U32(t)
-	}
-	writeBools(w, c.valid)
-	writeBools(w, c.dirty)
-	w.Raw(c.meta)
-	w.Raw(c.rrPtr)
-	c.stats.save(w)
-}
-
-// LoadState decodes state written by SaveState onto a cache of identical
-// geometry.
-func (c *Cache) LoadState(r *snap.Reader) error {
-	if err := checkVersion(r, "cache"); err != nil {
-		return err
-	}
-	if n := r.U32(); r.Err() == nil && int(n) != len(c.tags) {
-		return snap.Corruptf("cache %s: %d lines, want %d", c.cfg.Name, n, len(c.tags))
-	}
-	tags := make([]uint32, len(c.tags))
-	for i := range tags {
-		tags[i] = r.U32()
-	}
-	valid := make([]bool, len(c.valid))
-	dirty := make([]bool, len(c.dirty))
-	readBools(r, valid)
-	readBools(r, dirty)
-	meta := r.Raw(len(c.meta))
-	rrPtr := r.Raw(len(c.rrPtr))
-	var st Stats
-	st.load(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	copy(c.tags, tags)
-	copy(c.valid, valid)
-	copy(c.dirty, dirty)
-	copy(c.meta, meta)
-	copy(c.rrPtr, rrPtr)
-	c.stats = st
-	return nil
-}
-
-// SaveState appends the DRAM delay model's counters (latency is config).
-func (m *FixedMemory) SaveState(w *snap.Writer) {
-	w.U8(cacheStateV)
-	m.stats.save(w)
-}
-
-// LoadState decodes FixedMemory counters.
-func (m *FixedMemory) LoadState(r *snap.Reader) error {
-	if err := checkVersion(r, "memory"); err != nil {
-		return err
-	}
-	var st Stats
-	st.load(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	m.stats = st
-	return nil
-}
-
-// SaveState appends the TLB timing structure's dynamic state.
-func (t *TLBTiming) SaveState(w *snap.Writer) {
-	w.U8(cacheStateV)
-	w.U32(uint32(len(t.entries)))
-	for _, e := range t.entries {
-		w.U32(e)
-	}
-	writeBools(w, t.valid)
-	w.Raw(t.age)
-	t.stats.save(w)
-}
-
-// LoadState decodes state written by SaveState onto a same-size TLB.
-func (t *TLBTiming) LoadState(r *snap.Reader) error {
-	if err := checkVersion(r, "tlb"); err != nil {
-		return err
-	}
-	if n := r.U32(); r.Err() == nil && int(n) != len(t.entries) {
-		return snap.Corruptf("tlb timing: %d entries, want %d", n, len(t.entries))
-	}
-	entries := make([]uint32, len(t.entries))
-	for i := range entries {
-		entries[i] = r.U32()
-	}
-	valid := make([]bool, len(t.valid))
-	readBools(r, valid)
-	age := r.Raw(len(t.age))
-	var st Stats
-	st.load(r)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	copy(t.entries, entries)
-	copy(t.valid, valid)
-	copy(t.age, age)
-	t.stats = st
-	return nil
-}
-
-// SaveState appends the shared hierarchy's state: the L2 array, the DRAM
-// counters, the directory (sorted by line for a canonical byte stream) and
-// the coherence counters. The attached L1s are serialized by their owning
-// timing models, not here.
-func (c *Coherent) SaveState(w *snap.Writer) {
-	w.U8(cacheStateV)
-	c.l2.SaveState(w)
-	c.mem.SaveState(w)
-
-	keys := make([]uint32, 0, len(c.dir))
-	for k := range c.dir {
-		keys = append(keys, k)
-	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
+func (c *Cache) State(s *snap.Codec) {
+	s.Version("cache", cacheStateV)
+	s.Len("cache "+c.cfg.Name+" lines", len(c.tags))
+	s.U32s(c.tags)
+	s.Bools(c.valid)
+	s.Bools(c.dirty)
+	s.Raw(c.meta)
+	s.Raw(c.rrPtr)
+	for set, p := range c.rrPtr {
+		if int(p) >= c.cfg.Ways { // victim returns it as a way index
+			s.Failf("cache %s: set %d round-robin pointer %d of %d ways", c.cfg.Name, set, p, c.cfg.Ways)
 		}
 	}
-	w.U32(uint32(len(keys)))
-	for _, k := range keys {
-		d := c.dir[k]
-		w.U32(k)
-		w.U64(d.sharers)
-		w.U8(uint8(d.owner))
-		w.Bool(d.dirty)
-	}
-	w.U64(c.stats.Transfers)
-	w.U64(c.stats.Invalidations)
-	w.U64(c.stats.Hops)
+	c.stats.state(s)
 }
 
-// LoadState decodes state written by SaveState.
-func (c *Coherent) LoadState(r *snap.Reader) error {
-	if err := checkVersion(r, "coherent"); err != nil {
-		return err
+// State walks the DRAM delay model's counters (latency is config).
+func (m *FixedMemory) State(s *snap.Codec) {
+	s.Version("memory", cacheStateV)
+	m.stats.state(s)
+}
+
+// State walks the TLB timing structure's dynamic state.
+func (t *TLBTiming) State(s *snap.Codec) {
+	s.Version("tlb", cacheStateV)
+	s.Len("tlb timing entries", len(t.entries))
+	s.U32s(t.entries)
+	s.Bools(t.valid)
+	s.Raw(t.age)
+	t.stats.state(s)
+}
+
+// state walks one directory entry. Sharer bits and the owner index the
+// per-core L1 lists on the next write to the line, so both are bounded by
+// the configured core count here.
+func (d *dirLine) state(s *snap.Codec, line *uint32, cores int) {
+	owner := uint8(d.owner)
+	s.U32(line)
+	s.U64(&d.sharers)
+	s.U8(&owner)
+	s.Bool(&d.dirty)
+	d.owner = int8(owner)
+	if d.sharers>>cores != 0 || int(owner) >= cores {
+		s.Failf("coherent directory line %#x: sharers %#x owner %d in a %d-core hierarchy", *line, d.sharers, owner, cores)
 	}
-	if err := c.l2.LoadState(r); err != nil {
-		return err
+}
+
+// State walks the shared hierarchy's state: the L2 array, the DRAM
+// counters, the directory and the coherence counters. The attached L1s are
+// serialized by their owning timing models, not here. The directory is a
+// map, so its two directions differ: it is written sorted by line for a
+// canonical byte stream, and a blob in any other order is rejected.
+func (c *Coherent) State(s *snap.Codec) {
+	s.Version("coherent", cacheStateV)
+	c.l2.State(s)
+	c.mem.State(s)
+	n := s.Count(len(c.dir), 14)
+	if s.Loading() {
+		c.dir = make(map[uint32]dirLine, n)
+		prev := int64(-1)
+		for i := 0; i < n && s.Err() == nil; i++ {
+			var line uint32
+			var d dirLine
+			d.state(s, &line, c.cfg.Cores)
+			if int64(line) <= prev {
+				s.Failf("coherent directory line %#x not in ascending order", line)
+			}
+			prev, c.dir[line] = int64(line), d
+		}
+	} else {
+		for _, line := range snap.SortedKeys(c.dir) {
+			d := c.dir[line]
+			d.state(s, &line, c.cfg.Cores)
+		}
 	}
-	if err := c.mem.LoadState(r); err != nil {
-		return err
-	}
-	n := r.U32()
-	if r.Err() == nil && uint64(n)*14 > uint64(r.Remaining()) {
-		return snap.Corruptf("coherent directory: %d entries exceeds remaining input", n)
-	}
-	dir := make(map[uint32]dirLine, n)
-	for i := uint32(0); i < n && r.Err() == nil; i++ {
-		k := r.U32()
-		d := dirLine{sharers: r.U64(), owner: int8(r.U8()), dirty: r.Bool()}
-		dir[k] = d
-	}
-	var st CoherentStats
-	st.Transfers, st.Invalidations, st.Hops = r.U64(), r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.dir = dir
-	c.stats = st
-	return nil
+	s.U64(&c.stats.Transfers)
+	s.U64(&c.stats.Invalidations)
+	s.U64(&c.stats.Hops)
 }

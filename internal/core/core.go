@@ -4,7 +4,7 @@
 // host link (internal/hostlink).
 //
 // There is one coupled core, Sim: FM + trace buffer + appender + host link +
-// host-time accounting, one tm.ChunkSource and one tm.Control. Every TM→FM
+// host-time accounting, one tm.Source and one tm.Control. Every TM→FM
 // message is a command handed to the single apply — a commit releases
 // rollback resources (TB.Commit + FM.Commit); a re-steer (mispredict or
 // resolve) rewinds the trace, SetPCs the FM, flips wrongPath, marks the
@@ -608,10 +608,10 @@ func (s *Sim) publishRun(r Result) {
 	}
 }
 
-// source adapts the Sim to the TM's ChunkSource interface (TM side).
+// source adapts the Sim to the TM's Source interface (TM side).
 type source Sim
 
-// FetchChunk implements tm.ChunkSource: the TM pulls a run of live entries
+// FetchChunk implements tm.Source: the TM pulls a run of live entries
 // with one buffer lock, then consumes the view lock-free until it drains or
 // a re-steer drops it. What a miss does is the policy's: inline it is a
 // fetch bubble (pump flushes before every TM.Step, so the live set the view
@@ -642,17 +642,6 @@ func (src *source) FetchChunk(in uint64) ([]trace.Entry, tm.FetchStatus) {
 			return nil, tm.FetchEnd
 		}
 	}
-}
-
-// Fetch implements tm.Source. The TM prefers FetchChunk and falls back
-// here only for a source that returns an empty FetchOK view, which this
-// one never does.
-func (src *source) Fetch(in uint64) (trace.Entry, tm.FetchStatus) {
-	es, st := src.FetchChunk(in)
-	if st != tm.FetchOK {
-		return trace.Entry{}, st
-	}
-	return es[0], st
 }
 
 // control adapts the Sim to the TM's Control interface (TM side): each

@@ -29,7 +29,7 @@ const (
 )
 
 // Quiescent reports whether the coupled simulation is at a boundary where
-// SaveState's drained-pipeline encoding is faithful: the FM idle-halted on
+// State's drained-pipeline encoding is faithful: the FM idle-halted on
 // the right path with nothing unpublished, the TB fully committed, and the
 // TM drained with its fetch frontier caught up.
 func (s *Sim) Quiescent() bool {
@@ -42,62 +42,33 @@ func (s *Sim) Quiescent() bool {
 		s.TM.NextFetchIN() >= s.app.NextIN()
 }
 
-// SaveState appends the coupled state. withMem selects whether the FM blob
-// carries physical memory (single-core) or leaves it to a multicore
-// container that serializes the shared memory once.
-func (s *Sim) SaveState(w *snap.Writer, withMem bool) {
-	w.U8(coreStateV)
-	w.F64(s.fmNanos)
-	w.F64(s.budget)
-	w.I64(int64(s.bbSincePoll))
-	w.I64(int64(s.pendingWords))
-	w.U64(s.wrongProduced)
-	w.U64(s.committed)
-	w.U64(s.lastHost)
-	w.U64(s.app.NextIN())
-	w.I64(int64(s.TB.MaxOccupancy()))
-	w.U64(s.app.Flushes())
-	w.U64(s.app.Entries())
-	s.link.SaveState(w)
-	s.FM.SaveState(w, withMem)
-	s.TM.SaveState(w)
-}
-
-// LoadState decodes state written by SaveState onto a freshly built Sim of
-// identical configuration.
-func (s *Sim) LoadState(r *snap.Reader, wantMem bool) error {
-	if v := r.U8(); r.Err() == nil && v != coreStateV {
-		return snap.Corruptf("core state version %d, want %d", v, coreStateV)
+// State walks the coupled state: the host-accounting scalars, the trace
+// buffer's drained position, then the link, FM and TM in turn. Decoding
+// targets a freshly built Sim of identical configuration.
+func (s *Sim) State(c *snap.Codec) {
+	c.Version("core", coreStateV)
+	c.F64(&s.fmNanos)
+	c.F64(&s.budget)
+	c.Int(&s.bbSincePoll)
+	c.Int(&s.pendingWords)
+	c.U64(&s.wrongProduced)
+	c.U64(&s.committed)
+	c.U64(&s.lastHost)
+	nextIN, maxOcc := s.app.NextIN(), s.TB.MaxOccupancy()
+	flushes, entries := s.app.Flushes(), s.app.Entries()
+	c.U64(&nextIN)
+	c.Int(&maxOcc)
+	c.U64(&flushes)
+	c.U64(&entries)
+	s.link.State(c)
+	s.FM.State(c)
+	s.TM.State(c)
+	if c.Loading() {
+		s.wrongPath, s.err = false, nil
+		s.sawUser = true // a warm start resumes past boot by construction
+		s.TB.ResetDrained(nextIN, maxOcc)
+		s.app.Rebase(flushes, entries)
 	}
-	fmNanos, budget := r.F64(), r.F64()
-	bbSincePoll, pendingWords := r.I64(), r.I64()
-	wrongProduced, committed, lastHost := r.U64(), r.U64(), r.U64()
-	nextIN := r.U64()
-	maxOcc := r.I64()
-	flushes, entries := r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if err := s.link.LoadState(r); err != nil {
-		return err
-	}
-	if err := s.FM.LoadState(r, wantMem); err != nil {
-		return err
-	}
-	if err := s.TM.LoadState(r); err != nil {
-		return err
-	}
-
-	// Decode complete: apply.
-	s.fmNanos, s.budget = fmNanos, budget
-	s.bbSincePoll, s.pendingWords = int(bbSincePoll), int(pendingWords)
-	s.wrongProduced, s.committed, s.lastHost = wrongProduced, committed, lastHost
-	s.wrongPath = false
-	s.err = nil
-	s.sawUser = true // a warm start resumes past boot by construction
-	s.TB.ResetDrained(nextIN, int(maxOcc))
-	s.app.Rebase(flushes, entries)
-	return nil
 }
 
 // Snapshot serializes the coupled simulation at a quiescent boundary.
@@ -105,20 +76,13 @@ func (s *Sim) Snapshot() ([]byte, error) {
 	if !s.Quiescent() {
 		return nil, errors.New("core: snapshot outside a quiescent boundary")
 	}
-	w := snap.NewWriter(1 << 16)
-	s.SaveState(w, true)
-	return w.Bytes(), nil
+	return snap.Marshal(s), nil
 }
 
 // Restore reinstates a Snapshot blob onto a freshly built, identically
-// configured Sim; Run then continues the captured run.
-func (s *Sim) Restore(blob []byte) error {
-	r := snap.NewReader(blob)
-	if err := s.LoadState(r, true); err != nil {
-		return err
-	}
-	return r.Close()
-}
+// configured Sim; Run then continues the captured run. After an error the
+// Sim is undefined: build another.
+func (s *Sim) Restore(blob []byte) error { return snap.Unmarshal(blob, s) }
 
 // observeBoot runs once per target cycle while user-mode tracking is
 // armed: it latches the FM's first user-mode instruction and, when this
@@ -169,54 +133,36 @@ func (m *Multicore) Quiescent() bool {
 	return true
 }
 
-// Snapshot serializes the whole target: the shared physical memory once,
-// the shared L2 + directory once, then each core without its memory.
+// State walks the whole target: the shared physical memory once, the
+// shared L2 + directory once, then each core (whose FM leaves the shared
+// memory out).
+func (m *Multicore) State(c *snap.Codec) {
+	c.Version("multicore", multicoreStateV)
+	c.Len("multicore cores", len(m.cores))
+	m.sharedMem.State(c)
+	m.shared.State(c)
+	for _, s := range m.cores {
+		s.State(c)
+	}
+	if c.Loading() {
+		m.committed, m.err = 0, nil
+		for _, s := range m.cores {
+			m.committed += s.committed
+		}
+	}
+}
+
+// Snapshot serializes the whole target at a quiescent boundary.
 func (m *Multicore) Snapshot() ([]byte, error) {
 	if !m.Quiescent() {
 		return nil, errors.New("core: multicore snapshot outside a quiescent boundary")
 	}
-	w := snap.NewWriter(1 << 16)
-	w.U8(multicoreStateV)
-	w.U32(uint32(len(m.cores)))
-	m.sharedMem.SaveState(w)
-	m.shared.SaveState(w)
-	for _, s := range m.cores {
-		s.SaveState(w, false)
-	}
-	return w.Bytes(), nil
+	return snap.Marshal(m), nil
 }
 
 // Restore reinstates a Snapshot blob onto a freshly built, identically
-// configured Multicore.
-func (m *Multicore) Restore(blob []byte) error {
-	r := snap.NewReader(blob)
-	if v := r.U8(); r.Err() == nil && v != multicoreStateV {
-		return snap.Corruptf("multicore state version %d, want %d", v, multicoreStateV)
-	}
-	if n := r.U32(); r.Err() == nil && int(n) != len(m.cores) {
-		return snap.Corruptf("multicore snapshot with %d cores, want %d", n, len(m.cores))
-	}
-	if err := m.sharedMem.LoadState(r); err != nil {
-		return err
-	}
-	if err := m.shared.LoadState(r); err != nil {
-		return err
-	}
-	for _, s := range m.cores {
-		if err := s.LoadState(r, false); err != nil {
-			return err
-		}
-	}
-	if err := r.Close(); err != nil {
-		return err
-	}
-	m.committed = 0
-	for _, s := range m.cores {
-		m.committed += s.committed
-	}
-	m.err = nil
-	return nil
-}
+// configured Multicore (undefined after an error, like Sim.Restore).
+func (m *Multicore) Restore(blob []byte) error { return snap.Unmarshal(blob, m) }
 
 // maybeCapture fires the container's one-shot SnapshotHook when the boot
 // core has reached user mode and every core is quiescent at this round

@@ -1,16 +1,18 @@
 package core
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
+	"repro/internal/snap"
 	"repro/internal/workload"
 )
 
 // perlbmkCfg builds the serial configuration for the 253.perlbmk workload,
 // whose periodic sleep system calls provide the quiescent boundaries the
 // warm-start capture needs.
-func perlbmkCfg(t *testing.T, maxInst uint64) (Config, *workload.Boot) {
+func perlbmkCfg(t testing.TB, maxInst uint64) (Config, *workload.Boot) {
 	t.Helper()
 	spec, ok := workload.ByName("253.perlbmk")
 	if !ok {
@@ -105,7 +107,7 @@ func TestWarmStartSkipsBoot(t *testing.T) {
 // smpSleepCfg builds the n-core sleeping SMP workload: every core sleeps
 // each work iteration, so the whole target hits simultaneous quiescent
 // round boundaries — the multicore capture condition.
-func smpSleepCfg(t *testing.T, n, iters int) (Config, *workload.Boot) {
+func smpSleepCfg(t testing.TB, n, iters int) (Config, *workload.Boot) {
 	t.Helper()
 	k := workload.FastBoot()
 	k.Cores = n
@@ -207,4 +209,79 @@ func TestSnapshotRejectsCorruptBlob(t *testing.T) {
 	if err := fresh().Restore(flipped); err == nil {
 		t.Error("restore with corrupt version succeeded")
 	}
+}
+
+// FuzzRestore drives Sim.Restore and Multicore.Restore with arbitrary byte
+// soup, seeded with really captured blobs, their halves and single-bit
+// flips: a restore must reject malformed input with an error — never panic
+// — and any blob it accepts must re-encode through the same State walk to
+// the identical bytes. The re-encode calls snap.Marshal directly: Snapshot
+// would refuse outside a quiescent boundary, which a fuzzed blob need not
+// describe.
+func FuzzRestore(f *testing.F) {
+	const cores = 2
+	freshSim := func(t testing.TB, hook func(uint64, []byte)) *Sim {
+		cfg, boot := perlbmkCfg(t, 260_000)
+		cfg.SnapshotHook = hook
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.LoadProgram(boot.Kernel)
+		return s
+	}
+	freshMulti := func(t testing.TB, hook func(uint64, []byte)) *Multicore {
+		cfg, boot := smpSleepCfg(t, cores, 30)
+		cfg.SnapshotHook = hook
+		m, err := NewMulticore(cfg, MulticoreConfig{Cores: cores})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.LoadProgram(boot.Kernel)
+		return m
+	}
+
+	var single, multi []byte
+	if _, err := freshSim(f, func(_ uint64, b []byte) { single = b }).Run(); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := freshMulti(f, func(_ uint64, b []byte) { multi = b }).Run(); err != nil {
+		f.Fatal(err)
+	}
+	if single == nil || multi == nil {
+		f.Fatal("no snapshot captured to seed the corpus")
+	}
+	for _, seed := range []struct {
+		multi bool
+		blob  []byte
+	}{{false, single}, {true, multi}} {
+		f.Add(seed.multi, seed.blob)
+		f.Add(seed.multi, seed.blob[:len(seed.blob)/2])
+		f.Add(seed.multi, seed.blob[len(seed.blob)/2:])
+		for _, at := range []int{0, 9, len(seed.blob) / 5, len(seed.blob) / 2, len(seed.blob) - 100, len(seed.blob) - 1} {
+			flipped := append([]byte(nil), seed.blob...)
+			flipped[at] ^= 0x10
+			f.Add(seed.multi, flipped)
+		}
+	}
+
+	f.Fuzz(func(t *testing.T, multicore bool, data []byte) {
+		var target snap.Stater
+		var err error
+		if multicore {
+			m := freshMulti(t, nil)
+			defer m.sharedMem.Recycle()
+			target, err = m, m.Restore(data)
+		} else {
+			s := freshSim(t, nil)
+			defer s.FM.Mem.Recycle()
+			target, err = s, s.Restore(data)
+		}
+		if err != nil {
+			return
+		}
+		if again := snap.Marshal(target); !bytes.Equal(again, data) {
+			t.Fatalf("accepted blob is not canonical: re-encoded %d bytes from %d input", len(again), len(data))
+		}
+	})
 }

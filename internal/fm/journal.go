@@ -372,6 +372,7 @@ type segment struct {
 	idle    uint64
 
 	count   int // instructions executed in this segment
+	base    int // the part of count that ran before the anchor (see take)
 	memLen  int // bytes of checkpointEngine.mem logged across the segment
 	idleLog []idleEvent
 }
@@ -402,14 +403,21 @@ func (c *checkpointEngine) cur() *segment { return &c.segs[len(c.segs)-1] }
 
 func (c *checkpointEngine) begin(m *Model) {
 	if len(c.segs) == 0 || (!c.replaying && c.cur().count >= c.interval) {
-		c.take(m)
+		c.take(m, 0)
 	}
 	c.cur().count++
 }
 
-// take opens a new checkpoint at the current state.
-func (c *checkpointEngine) take(m *Model) {
+// take opens a new checkpoint at the current state, standing for a segment
+// already base instructions deep. base is non-zero only for the segment a
+// snapshot load rebuilds: it is anchored at the restored state but stands
+// for the cold run's segment, which began base instructions earlier. A
+// replay cannot re-run those, but it counts and charges them, so checkpoint
+// placement and ReExecuted continue the cold run's exactly.
+func (c *checkpointEngine) take(m *Model, base int) {
 	c.segs = append(c.segs, segment{
+		count:   base,
+		base:    base,
 		startIN: m.in,
 		pre:     m.Scalars,
 		tlb:     m.TLB.Snapshot(),
@@ -484,7 +492,8 @@ func (c *checkpointEngine) setPC(m *Model, in uint64, pc uint32) error {
 	m.in = s.startIN
 	idleLog := s.idleLog
 	c.segs = c.segs[:k]
-	c.take(m)
+	c.take(m, s.base)
+	c.reExecuted += uint64(s.base)
 
 	// Replay forward to in, feeding the logged idle periods so interrupt
 	// timing reproduces exactly. Statistics are suppressed: the replayed
@@ -506,6 +515,10 @@ func (c *checkpointEngine) setPC(m *Model, in uint64, pc uint32) error {
 		}
 		c.reExecuted++
 	}
+	// noteIdle is muted during replay, so the re-taken segment must inherit
+	// the idle events the replay consumed: a second rollback into it replays
+	// them again.
+	c.cur().idleLog = idleLog[:li]
 	m.PC = pc
 	return nil
 }

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/fullsys"
 	"repro/internal/isa"
+	"repro/internal/snap"
 	"repro/internal/trace"
 )
 
@@ -369,7 +370,7 @@ func TestRepRollbackDifferential(t *testing.T) {
 			if got.m.TLB != ref.m.TLB {
 				t.Fatalf("seed %d %s: TLB differs", seed, name)
 			}
-			if !bytes.Equal(got.m.Bus.Snapshot(), ref.m.Bus.Snapshot()) {
+			if !bytes.Equal(snap.Marshal(got.m.Bus), snap.Marshal(ref.m.Bus)) {
 				t.Fatalf("seed %d %s: device state differs", seed, name)
 			}
 			if got.m.Rollbacks < 20 {
@@ -442,7 +443,7 @@ func TestJournalRingWindows(t *testing.T) {
 			}
 		}
 		sbCompare(t, fmt.Sprintf("window %d", window), got, want, m, ref)
-		if !bytes.Equal(m.Bus.Snapshot(), ref.Bus.Snapshot()) {
+		if !bytes.Equal(snap.Marshal(m.Bus), snap.Marshal(ref.Bus)) {
 			t.Fatalf("window %d: console state differs", window)
 		}
 
@@ -609,10 +610,7 @@ func TestRestoreOverRolledBackWindow(t *testing.T) {
 			src.Step()
 		}
 		src.Commit(src.IN() - 1)
-		blob, err := src.Snapshot(true)
-		if err != nil {
-			t.Fatal(err)
-		}
+		blob := snap.Marshal(src)
 
 		dirty := fresh()
 		for i := 0; i < 900; i++ {
@@ -624,7 +622,7 @@ func TestRestoreOverRolledBackWindow(t *testing.T) {
 		}
 		clean := fresh()
 		for _, m := range []*Model{dirty, clean} {
-			if err := m.Restore(blob); err != nil {
+			if err := snap.Unmarshal(blob, m); err != nil {
 				t.Fatal(err)
 			}
 			if m.jeng != nil && m.JournalLen() != 0 {
@@ -653,7 +651,7 @@ func TestRestoreOverRolledBackWindow(t *testing.T) {
 		}
 		sbCompare(t, "restore over rolled-back window", entries[0], entries[1], dirty, clean)
 		if !bytes.Equal(dirty.Mem.Bytes(0, 1<<20), clean.Mem.Bytes(0, 1<<20)) ||
-			!bytes.Equal(dirty.Bus.Snapshot(), clean.Bus.Snapshot()) {
+			!bytes.Equal(snap.Marshal(dirty.Bus), snap.Marshal(clean.Bus)) {
 			t.Fatal("memory or device state differs after restore over a rolled-back window")
 		}
 	}

@@ -28,18 +28,18 @@ type Device interface {
 	// relative is the caller's concern) or -1. Level-triggered: it stays
 	// pending until the device is acknowledged through its ports.
 	IRQ() int
-	// SaveState appends the device's versioned, deterministic binary state;
-	// LoadState decodes it, rejecting truncated or corrupt input with an
-	// error. This is the serialization contract warm-start snapshots
-	// persist through the content-addressed store; see state.go.
-	SaveState(w *snap.Writer)
-	LoadState(r *snap.Reader) error
+	// State walks the device's versioned, deterministic binary state: the
+	// one field list that both encodes it and decodes it, failing the codec
+	// on truncated or corrupt input. This is the serialization contract
+	// warm-start snapshots persist through the content-addressed store; see
+	// state.go.
+	State(c *snap.Codec)
 	// CaptureRollback returns a closure that reinstates the device's
 	// current state. This is the in-memory capture the functional model's
 	// undo journal stores on every device-touching instruction — it
 	// structure-shares immutable internals (e.g. installed disk sectors)
 	// instead of serializing, because it sits on the FM hot path; the
-	// binary SaveState/LoadState form is reserved for persistence.
+	// binary State form is reserved for persistence.
 	CaptureRollback() func()
 }
 
@@ -201,7 +201,7 @@ func (b *Bus) Pending() int { return b.PIC.Pending() }
 // controller mask and every device — to its state at the call. This is
 // the undo journal's per-record capture: devices structure-share their
 // immutable internals, so capture and restore cost O(registers + FIFOs),
-// never O(disk image). Persistence goes through Snapshot/Restore instead.
+// never O(disk image). Persistence goes through State instead.
 func (b *Bus) CaptureRollback() func() {
 	mask := b.PIC.mask
 	devs := make([]func(), len(b.Devices))

@@ -3,8 +3,8 @@ package fullsys
 // Concrete device models. Each is deterministic in target time and small
 // enough that its whole state is capturable two ways: CaptureRollback
 // (structure-sharing closures for the functional model's per-instruction
-// undo journal) and SaveState/LoadState (state.go; the versioned binary
-// form warm-start snapshots persist).
+// undo journal) and State (state.go; the versioned binary form warm-start
+// snapshots persist).
 
 import "maps"
 
@@ -215,11 +215,6 @@ type Disk struct {
 	shared bool
 	now    uint64
 
-	// secBlob caches the canonical sector-map encoding; secDirty marks it
-	// stale after a sector mutation. See sectorBlob in state.go.
-	secBlob  []byte
-	secDirty bool
-
 	sector  uint32
 	busy    bool
 	doneAt  uint64
@@ -249,7 +244,6 @@ func (d *Disk) installSector(sector uint32, words []uint32) {
 		d.sectors, d.shared = maps.Clone(d.sectors), false
 	}
 	d.sectors[sector] = words
-	d.secDirty = true
 }
 
 // Sector returns a copy of a sector's current contents.
@@ -369,12 +363,10 @@ func (d *Disk) IRQ() int {
 func (d *Disk) CaptureRollback() func() {
 	sectors := d.sectors
 	d.shared = true
-	secBlob, secDirty := d.secBlob, d.secDirty
 	sector, busy, doneAt, done := d.sector, d.busy, d.doneAt, d.done
 	buf, bufPos, writing := d.buf, d.bufPos, d.writing
 	return func() {
 		d.sectors, d.shared = sectors, true
-		d.secBlob, d.secDirty = secBlob, secDirty
 		d.sector, d.busy, d.doneAt, d.done = sector, busy, doneAt, done
 		d.buf, d.bufPos, d.writing = buf, bufPos, writing
 	}

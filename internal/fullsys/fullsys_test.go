@@ -302,13 +302,13 @@ func TestBusSnapshotRestore(t *testing.T) {
 	tm := NewTimer()
 	b := NewBus(con, tm)
 	b.Out(PortTimerInterval, 3, 0)
-	blob := b.Snapshot()
+	blob := snap.Marshal(b)
 	b.Tick(10) // timer fires, console input arrives
 	b.Out(PortConOut, 'q', 10)
 	if b.Pending() < 0 {
 		t.Fatal("nothing pending before restore")
 	}
-	if err := b.Restore(blob); err != nil {
+	if err := snap.Unmarshal(blob, b); err != nil {
 		t.Fatal(err)
 	}
 	if b.Pending() != -1 {
@@ -339,9 +339,7 @@ func TestDueMatchesTick(t *testing.T) {
 	tm := NewTimer()
 	tm.Out(PortTimerInterval, 7)
 	state := func() string {
-		var w snap.Writer
-		tm.SaveState(&w)
-		return string(w.Bytes())
+		return string(snap.Marshal(tm))
 	}
 	for now := uint64(1); now < 40; now++ {
 		due := tm.Due(now)

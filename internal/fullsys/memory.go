@@ -59,14 +59,20 @@ func NewMemory(size int) *Memory {
 	return m
 }
 
+// page returns the storage of 4 KiB page p.
+func (m *Memory) page(p int) []byte { return m.data[p<<PageShift:][:PageSize] }
+
 // zero clears the memory by writing only the pages that hold data. Writing a
 // page makes it resident; reading one the host never touched does not, and a
 // target touches a small part of its 16 MiB — so a memory that is zeroed this
 // way (when recycled, or under a restored snapshot) stays as small in the
 // host as the first run left it.
-func (m *Memory) zero() {
-	for off := 0; off < len(m.data); off += PageSize {
-		if page := m.data[off : off+PageSize]; !pageIsZero(page) {
+func (m *Memory) zero() { m.zeroPages(0, len(m.data)>>PageShift) }
+
+// zeroPages is zero over pages [from, to).
+func (m *Memory) zeroPages(from, to int) {
+	for p := from; p < to; p++ {
+		if page := m.page(p); !pageIsZero(page) {
 			clear(page)
 		}
 	}

@@ -62,13 +62,13 @@ func TestBusSnapshotRoundTrip(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		src := populatedBus(rng)
-		blob := src.Snapshot()
+		blob := snap.Marshal(src)
 
 		dst := freshBus()
-		if err := dst.Restore(blob); err != nil {
+		if err := snap.Unmarshal(blob, dst); err != nil {
 			t.Fatalf("seed %d: restore: %v", seed, err)
 		}
-		again := dst.Snapshot()
+		again := snap.Marshal(dst)
 		if !bytes.Equal(blob, again) {
 			t.Fatalf("seed %d: snapshot not canonical after round trip", seed)
 		}
@@ -78,11 +78,11 @@ func TestBusSnapshotRoundTrip(t *testing.T) {
 
 		// Every truncation must error, never panic or succeed.
 		for cut := 0; cut < len(blob); cut += 7 {
-			if err := freshBus().Restore(blob[:cut]); err == nil {
+			if err := snap.Unmarshal(blob[:cut], freshBus()); err == nil {
 				t.Fatalf("seed %d: restore of %d/%d bytes succeeded", seed, cut, len(blob))
 			}
 		}
-		if err := freshBus().Restore(append(append([]byte(nil), blob...), 0xAA)); err == nil {
+		if err := snap.Unmarshal(append(append([]byte(nil), blob...), 0xAA), freshBus()); err == nil {
 			t.Fatalf("seed %d: restore with trailing garbage succeeded", seed)
 		}
 	}
@@ -92,17 +92,17 @@ func TestBusSnapshotRoundTrip(t *testing.T) {
 // split: blobs only restore onto a bus with the identical device
 // complement and geometry.
 func TestBusRestoreRejectsMismatchedShape(t *testing.T) {
-	blob := freshBus().Snapshot()
-	if err := NewBus(NewConsole(), NewTimer(), NewDisk(16, 500)).Restore(blob); err == nil {
+	blob := snap.Marshal(freshBus())
+	if err := snap.Unmarshal(blob, NewBus(NewConsole(), NewTimer(), NewDisk(16, 500))); err == nil {
 		t.Error("restore onto a bus missing a device succeeded")
 	}
-	if err := NewBus(NewTimer(), NewConsole(), NewDisk(16, 500), NewNIC()).Restore(blob); err == nil {
+	if err := snap.Unmarshal(blob, NewBus(NewTimer(), NewConsole(), NewDisk(16, 500), NewNIC())); err == nil {
 		t.Error("restore onto a bus with reordered devices succeeded")
 	}
-	if err := NewBus(NewConsole(), NewTimer(), NewDisk(32, 500), NewNIC()).Restore(blob); err == nil {
+	if err := snap.Unmarshal(blob, NewBus(NewConsole(), NewTimer(), NewDisk(32, 500), NewNIC())); err == nil {
 		t.Error("restore onto a disk with different geometry succeeded")
 	}
-	if err := NewBus(NewConsole(), NewTimer(), NewDisk(16, 900), NewNIC()).Restore(blob); err == nil {
+	if err := snap.Unmarshal(blob, NewBus(NewConsole(), NewTimer(), NewDisk(16, 900), NewNIC())); err == nil {
 		t.Error("restore onto a disk with different latency succeeded")
 	}
 }
@@ -119,7 +119,7 @@ func TestDiskSnapshotAliasing(t *testing.T) {
 		}
 	}
 	disk.Preload(3, []uint32{0x11111111, 0x22222222})
-	blob := src.Snapshot()
+	blob := snap.Marshal(src)
 
 	// Mutate the live disk every way a caller can.
 	disk.Preload(3, []uint32{0xBAD0BAD0, 0xBAD1BAD1})
@@ -127,7 +127,7 @@ func TestDiskSnapshotAliasing(t *testing.T) {
 	disk.Sector(3)[0] = 0xDEADBEEF
 
 	dst := freshBus()
-	if err := dst.Restore(blob); err != nil {
+	if err := snap.Unmarshal(blob, dst); err != nil {
 		t.Fatal(err)
 	}
 	var got *Disk
@@ -168,7 +168,7 @@ func TestDiskSnapshotAliasing(t *testing.T) {
 	now := diskWrite(disk, 10_000, 7, full)
 
 	dst2 := freshBus()
-	if err := dst2.Restore(blob); err != nil {
+	if err := snap.Unmarshal(blob, dst2); err != nil {
 		t.Fatal(err)
 	}
 	var got2 *Disk
@@ -184,10 +184,10 @@ func TestDiskSnapshotAliasing(t *testing.T) {
 	// And the converse: a snapshot taken after the port-protocol write
 	// restores the modified sector bit-identically — the property the
 	// warm-start tier needs for FS workloads that write before a capture.
-	blob2 := src.Snapshot()
+	blob2 := snap.Marshal(src)
 	diskWrite(disk, now+1, 7, make([]uint32, disk.SectorWords)) // clobber after capture
 	dst3 := freshBus()
-	if err := dst3.Restore(blob2); err != nil {
+	if err := snap.Unmarshal(blob2, dst3); err != nil {
 		t.Fatal(err)
 	}
 	var got3 *Disk
@@ -210,7 +210,7 @@ func TestDiskSnapshotAliasing(t *testing.T) {
 // TestDiskCaptureRestoreTwice: rollback captures share the sector map with
 // the live disk copy-on-write, and the checkpoint engine restores one
 // capture several times. Every mutation path after a capture — Preload, a
-// port-protocol write completing in Tick, LoadState — must leave the
+// port-protocol write completing in Tick, a State load — must leave the
 // capture intact, on the first restore and on the second, and two captures
 // sharing one map must not disturb each other.
 func TestDiskCaptureRestoreTwice(t *testing.T) {
@@ -244,8 +244,7 @@ func TestDiskCaptureRestoreTwice(t *testing.T) {
 	}
 
 	capA := d.CaptureRollback() // {1:1}
-	blobA := snap.NewWriter(64)
-	d.SaveState(blobA)
+	blobA := snap.Marshal(d)
 	portWrite(100, 2, 2)
 	capB := d.CaptureRollback() // {1:1, 2:2}; shares the post-write map
 	d.Preload(1, []uint32{9, 9, 9, 9})
@@ -261,11 +260,11 @@ func TestDiskCaptureRestoreTwice(t *testing.T) {
 
 	capA()
 	check("A restored", map[uint32]uint32{1: 1})
-	if err := d.LoadState(snap.NewReader(blobA.Bytes())); err != nil {
+	if err := snap.Unmarshal(blobA, d); err != nil {
 		t.Fatal(err)
 	}
 	portWrite(400, 1, 5)
-	check("after LoadState + write", map[uint32]uint32{1: 5})
+	check("after State load + write", map[uint32]uint32{1: 5})
 	capA()
 	check("A restored twice", map[uint32]uint32{1: 1})
 	capB()
@@ -341,17 +340,11 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 	m.Write(isa.Word(5*PageSize+123), 0x55, 1)           // middle page
 	m.Write(isa.Word(15*PageSize+PageSize-4), 0xFEFE, 2) // last page
 
-	w := snap.NewWriter(64)
-	m.SaveState(w)
-	blob := w.Bytes()
+	blob := snap.Marshal(m)
 
 	dst := NewMemory(16 * PageSize)
 	dst.Write(isa.Word(7*PageSize), 0x1234, 4) // must be zeroed by the restore
-	r := snap.NewReader(blob)
-	if err := dst.LoadState(r); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Close(); err != nil {
+	if err := snap.Unmarshal(blob, dst); err != nil {
 		t.Fatal(err)
 	}
 	if got := dst.Read(0, 4); got != 0xAABBCCDD {
@@ -368,8 +361,58 @@ func TestMemoryStateRoundTrip(t *testing.T) {
 	}
 
 	wrong := NewMemory(8 * PageSize)
-	if err := wrong.LoadState(snap.NewReader(blob)); err == nil {
+	if err := snap.Unmarshal(blob, wrong); err == nil {
 		t.Error("restore onto differently sized memory succeeded")
+	}
+}
+
+// TestStateRejectsNonCanonical: a keyed collection has one encoding —
+// ascending keys, no all-zero page — so that anything a decode accepts
+// re-encodes to the identical bytes. Every row here is a well-formed blob
+// that differs from a valid one only in order or redundancy.
+func TestStateRejectsNonCanonical(t *testing.T) {
+	disk := NewDisk(2, 500)
+	disk.Preload(3, []uint32{1, 2})
+	disk.Preload(9, []uint32{3, 4})
+	diskBlob := snap.Marshal(disk)
+	// version, words/sector, latency, frame length, count — then 16-byte
+	// entries (sector, word count, two words).
+	const sec0, sec1 = 21, 37
+
+	mem := NewMemory(8 * PageSize)
+	mem.Write(isa.Word(2*PageSize), 0xAA, 1)
+	mem.Write(isa.Word(5*PageSize), 0xBB, 1)
+	memBlob := snap.Marshal(mem)
+	// version, size, count — then (index, raw page) entries.
+	const page0, page1 = 13, 13 + 4 + PageSize
+
+	for _, tc := range []struct {
+		name   string
+		blob   []byte
+		mutate func(b []byte)
+		target snap.Stater
+	}{
+		{"disk sectors descending", diskBlob, func(b []byte) {
+			first := append([]byte(nil), b[sec0:sec1]...)
+			copy(b[sec0:], b[sec1:sec1+16])
+			copy(b[sec1:], first)
+		}, NewDisk(2, 500)},
+		{"disk sector repeated", diskBlob, func(b []byte) { copy(b[sec1:sec1+4], b[sec0:sec0+4]) }, NewDisk(2, 500)},
+		{"memory pages descending", memBlob, func(b []byte) { b[page0], b[page1] = b[page1], b[page0] }, NewMemory(8 * PageSize)},
+		{"memory page repeated", memBlob, func(b []byte) { b[page1] = b[page0] }, NewMemory(8 * PageSize)},
+		{"memory page stored all-zero", memBlob, func(b []byte) { b[page1+4] = 0 }, NewMemory(8 * PageSize)},
+	} {
+		if err := snap.Unmarshal(tc.blob, tc.target); err != nil {
+			t.Fatalf("%s: the unmutated blob is rejected: %v", tc.name, err)
+		}
+		bad := append([]byte(nil), tc.blob...)
+		tc.mutate(bad)
+		if bytes.Equal(bad, tc.blob) {
+			t.Fatalf("%s: mutation changed nothing", tc.name)
+		}
+		if err := snap.Unmarshal(bad, tc.target); err == nil {
+			t.Errorf("%s: decode succeeded", tc.name)
+		}
 	}
 }
 
@@ -378,13 +421,10 @@ func TestTLBStateRoundTrip(t *testing.T) {
 	var src TLB
 	src.Insert(TLBEntry{VPN: 0x10, PFN: 0x20, Valid: true, User: true, Write: true})
 	src.Insert(TLBEntry{VPN: 0x11, PFN: 0x21, Valid: true})
-	w := snap.NewWriter(64)
-	src.SaveState(w)
-	blob := w.Bytes()
+	blob := snap.Marshal(&src)
 
 	var dst TLB
-	r := snap.NewReader(blob)
-	if err := dst.LoadState(r); err != nil {
+	if err := snap.Unmarshal(blob, &dst); err != nil {
 		t.Fatal(err)
 	}
 	if dst != src {
@@ -396,7 +436,7 @@ func TestTLBStateRoundTrip(t *testing.T) {
 // reject malformed input with an error — never panic — and any blob it
 // accepts must re-encode to the identical bytes (canonical encoding).
 func FuzzSnapshotDecode(f *testing.F) {
-	valid := populatedBus(rand.New(rand.NewSource(1))).Snapshot()
+	valid := snap.Marshal(populatedBus(rand.New(rand.NewSource(1))))
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
 	f.Add(valid[:1])
@@ -407,10 +447,10 @@ func FuzzSnapshotDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		b := freshBus()
-		if err := b.Restore(data); err != nil {
+		if err := snap.Unmarshal(data, b); err != nil {
 			return
 		}
-		if again := b.Snapshot(); !bytes.Equal(again, data) {
+		if again := snap.Marshal(b); !bytes.Equal(again, data) {
 			t.Fatalf("accepted blob is not canonical: re-encoded %d bytes from %d input", len(again), len(data))
 		}
 	})

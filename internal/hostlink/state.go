@@ -9,25 +9,11 @@ import "repro/internal/snap"
 
 const linkStateV = 1
 
-// SaveState appends the link's accumulated counters.
-func (l *Link) SaveState(w *snap.Writer) {
-	w.U8(linkStateV)
-	w.U64(l.stats.Reads)
-	w.U64(l.stats.Writes)
-	w.U64(l.stats.BurstWords)
-	w.F64(l.stats.Nanos)
-}
-
-// LoadState decodes counters written by SaveState.
-func (l *Link) LoadState(r *snap.Reader) error {
-	if v := r.U8(); r.Err() == nil && v != linkStateV {
-		return snap.Corruptf("hostlink state version %d, want %d", v, linkStateV)
-	}
-	var st Stats
-	st.Reads, st.Writes, st.BurstWords, st.Nanos = r.U64(), r.U64(), r.U64(), r.F64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	l.stats = st
-	return nil
+// State walks the link's accumulated counters.
+func (l *Link) State(c *snap.Codec) {
+	c.Version("hostlink", linkStateV)
+	c.U64(&l.stats.Reads)
+	c.U64(&l.stats.Writes)
+	c.U64(&l.stats.BurstWords)
+	c.F64(&l.stats.Nanos)
 }

@@ -255,6 +255,24 @@ func TestJobTimeout(t *testing.T) {
 	}
 }
 
+// TestEnginePanicFailsJobOnly: a panic inside an engine run ends that one
+// job as failed, with the panic in its error; the worker survives it, the
+// server keeps answering /healthz and the next job runs.
+func TestEnginePanicFailsJobOnly(t *testing.T) {
+	h := newHarness(t, service.Config{Workers: 1, QueueDepth: 4})
+	v := h.wait(h.submit(`{"engine":"svc-panic","params":{"workload":"164.gzip"}}`))
+	if v["status"] != "failed" || !strings.Contains(v["error"].(string), "panicked: injected engine bug") {
+		t.Fatalf("panicking job: %v", v)
+	}
+	if code, _ := h.raw("GET", "/healthz", ""); code != http.StatusOK {
+		t.Fatalf("/healthz after an engine panic: %d", code)
+	}
+	next := h.wait(h.submit(`{"engine":"svc-stub","params":{"workload":"164.gzip","max_instructions":5}}`))
+	if next["status"] != "done" {
+		t.Errorf("job after the panicking one: %v", next)
+	}
+}
+
 // TestJobCancel covers DELETE in both preemption windows: a running job is
 // cancelled through its context, a queued job terminates without running.
 func TestJobCancel(t *testing.T) {

@@ -12,15 +12,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Register adds two engines to the sim registry: prefix+"-stub" completes
+// Register adds three engines to the sim registry: prefix+"-stub" completes
 // instantly with a result derived from its params (checkable, byte-stable,
 // so spec-order aggregation can be asserted), prefix+"-block" parks until
 // OpenGate or the job deadline (so queue-full, timeout, cancel, drain and
-// mid-sweep states are reachable on demand). Call once, from a test
-// package's init.
+// mid-sweep states are reachable on demand), prefix+"-panic" panics
+// mid-run the way a model bug would. Call once, from a test package's init.
 func Register(prefix string) {
 	sim.Register(prefix+"-stub", func() sim.Engine { return &engine{name: prefix + "-stub"} })
 	sim.Register(prefix+"-block", func() sim.Engine { return &engine{name: prefix + "-block", block: true} })
+	sim.Register(prefix+"-panic", func() sim.Engine { return &engine{name: prefix + "-panic", panics: true} })
 }
 
 // gate is the shared release signal for "-block" runs. Tests that use a
@@ -56,15 +57,19 @@ func gateCh() chan struct{} {
 }
 
 type engine struct {
-	name  string
-	block bool
-	p     sim.Params
+	name   string
+	block  bool
+	panics bool
+	p      sim.Params
 }
 
 func (e *engine) Describe() string             { return "test engine " + e.name }
 func (e *engine) Configure(p sim.Params) error { e.p = p; return nil }
 func (e *engine) Run() (sim.Result, error)     { return e.RunContext(context.Background()) }
 func (e *engine) RunContext(ctx context.Context) (sim.Result, error) {
+	if e.panics {
+		panic("injected engine bug")
+	}
 	if e.block {
 		select {
 		case <-ctx.Done():

@@ -281,21 +281,15 @@ func (f Fleet) RunContext(ctx context.Context, points []Point) []PointResult {
 // RunSweep expands and executes a sweep.
 func (f Fleet) RunSweep(s Sweep) []PointResult { return f.Run(s.Points()) }
 
-// runPoint executes one point, converting panics into per-point errors so
-// a corrupt configuration cannot take the whole fleet down. The fleet's
+// runPoint executes one point (RunContext turns an engine panic into the
+// point's error, so one bad point cannot take the fleet down). The fleet's
 // telemetry flows into the point unless the point carries its own.
-func runPoint(ctx context.Context, i int, pt Point, tel *obs.Telemetry) (pr PointResult) {
-	pr = PointResult{Index: i, Point: pt}
-	defer func() {
-		if rec := recover(); rec != nil {
-			pr.Err = fmt.Errorf("sim: point %d (%s) panicked: %v", i, pt, rec)
-		}
-	}()
+func runPoint(ctx context.Context, i int, pt Point, tel *obs.Telemetry) PointResult {
 	if pt.Params.Telemetry == nil {
 		pt.Params.Telemetry = tel
 	}
-	pr.Result, pr.Err = RunContext(ctx, pt.Engine, pt.Params)
-	return pr
+	r, err := RunContext(ctx, pt.Engine, pt.Params)
+	return PointResult{Index: i, Point: pt, Result: r, Err: err}
 }
 
 // FirstErr returns the first captured error in spec order, or nil. Sweeps

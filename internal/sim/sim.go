@@ -379,13 +379,21 @@ func Run(name string, p Params) (Result, error) {
 	return RunContext(context.Background(), name, p)
 }
 
-// RunContext is Run with cooperative cancellation.
-func RunContext(ctx context.Context, name string, p Params) (Result, error) {
+// RunContext is Run with cooperative cancellation. An engine panic — a
+// model bug, whatever input reached it — ends this run with an error rather
+// than the process, which may be a fleet mid-sweep or a fastd serving other
+// jobs.
+func RunContext(ctx context.Context, name string, p Params) (r Result, err error) {
+	defer func() {
+		if rec := recover(); rec != nil {
+			r, err = Result{}, fmt.Errorf("engine %s panicked: %v", name, rec)
+		}
+	}()
 	e, err := New(name, p)
 	if err != nil {
 		return Result{}, err
 	}
-	r, err := e.RunContext(ctx)
+	r, err = e.RunContext(ctx)
 	// The engine dies here and the Result references none of it, so its
 	// target memory — the largest thing a run allocates — can back the next
 	// run's instead of becoming garbage.

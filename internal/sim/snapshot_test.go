@@ -2,6 +2,8 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"sync"
 	"testing"
@@ -116,57 +118,83 @@ func runFastJSON(t *testing.T, p Params) ([]byte, Engine) {
 	return raw, eng
 }
 
+// sameArchitecture holds a checkpoint-rollback run to the journal engine's
+// committed path and modeled time: the two rollback engines differ only in
+// host cost (re-execution), never in what the target did.
+func sameArchitecture(t *testing.T, journal, checkpoint []byte) {
+	t.Helper()
+	var j, c Result
+	if err := json.Unmarshal(journal, &j); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(checkpoint, &c); err != nil {
+		t.Fatal(err)
+	}
+	if c.Instructions != j.Instructions || c.TargetCycles != j.TargetCycles {
+		t.Errorf("checkpoint rollback ran %d inst / %d cycles, journal %d / %d",
+			c.Instructions, c.TargetCycles, j.Instructions, j.TargetCycles)
+	}
+}
+
 // TestFastEngineWarmStartBitIdentical is the engine-level warm-start
-// contract: with a snapshot store attached, the first run captures at
-// boot completion, the second resumes — and every run's canonical result
-// JSON is byte-identical to the storeless run at the same cap, including
-// a second sweep point at a different cap served by the same snapshot.
+// contract, under both rollback engines: with a snapshot store attached,
+// the first run captures at boot completion, the second resumes — and
+// every run's canonical result JSON is byte-identical to the storeless run
+// at the same cap, including a second sweep point at a different cap
+// served by the same snapshot.
 func TestFastEngineWarmStartBitIdentical(t *testing.T) {
-	p := Params{Workload: "253.perlbmk", MaxInstructions: 260_000}
-	cold, _ := runFastJSON(t, p)
+	colds := map[string][]byte{}
+	for _, rollback := range []string{"journal", "checkpoint"} {
+		t.Run(rollback, func(t *testing.T) {
+			p := Params{Workload: "253.perlbmk", MaxInstructions: 260_000, Rollback: rollback}
+			cold, _ := runFastJSON(t, p)
+			colds[rollback] = cold
 
-	store := newMemSnapshots()
-	p.Snapshots = store
-	first, eng1 := runFastJSON(t, p)
-	if !bytes.Equal(cold, first) {
-		t.Fatalf("capture run diverged from the cold run:\n%s\nvs\n%s", cold, first)
-	}
-	if _, ok := eng1.(WarmStarted); !ok {
-		t.Fatal("fast engine does not implement WarmStarted")
-	}
-	if _, resumed := eng1.(WarmStarted).ResumedFrom(); resumed {
-		t.Fatal("first run claims to have warm-started from an empty store")
-	}
-	if store.puts != 1 {
-		t.Fatalf("capture run stored %d snapshots, want 1", store.puts)
-	}
+			store := newMemSnapshots()
+			p.Snapshots = store
+			first, eng1 := runFastJSON(t, p)
+			if !bytes.Equal(cold, first) {
+				t.Fatalf("capture run diverged from the cold run:\n%s\nvs\n%s", cold, first)
+			}
+			if _, ok := eng1.(WarmStarted); !ok {
+				t.Fatal("fast engine does not implement WarmStarted")
+			}
+			if _, resumed := eng1.(WarmStarted).ResumedFrom(); resumed {
+				t.Fatal("first run claims to have warm-started from an empty store")
+			}
+			if store.puts != 1 {
+				t.Fatalf("capture run stored %d snapshots, want 1", store.puts)
+			}
 
-	warm, eng2 := runFastJSON(t, p)
-	in, resumed := eng2.(WarmStarted).ResumedFrom()
-	if !resumed {
-		t.Fatal("second run did not warm-start")
-	}
-	if in == 0 || in >= p.MaxInstructions {
-		t.Fatalf("resumed at IN %d, want inside (0, %d)", in, p.MaxInstructions)
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("warm run diverged from the cold run:\n%s\nvs\n%s", cold, warm)
-	}
+			warm, eng2 := runFastJSON(t, p)
+			in, resumed := eng2.(WarmStarted).ResumedFrom()
+			if !resumed {
+				t.Fatal("second run did not warm-start")
+			}
+			if in == 0 || in >= p.MaxInstructions {
+				t.Fatalf("resumed at IN %d, want inside (0, %d)", in, p.MaxInstructions)
+			}
+			if !bytes.Equal(cold, warm) {
+				t.Fatalf("warm run diverged from the cold run:\n%s\nvs\n%s", cold, warm)
+			}
 
-	// A different cap shares the boot prefix: the same snapshot serves it.
-	p2 := p
-	p2.MaxInstructions = 300_000
-	cold2, _ := runFastJSON(t, Params{Workload: "253.perlbmk", MaxInstructions: 300_000})
-	warm2, eng3 := runFastJSON(t, p2)
-	if _, resumed := eng3.(WarmStarted).ResumedFrom(); !resumed {
-		t.Fatal("sweep point at a different cap did not share the snapshot")
+			// A different cap shares the boot prefix: the same snapshot serves it.
+			p2 := p
+			p2.MaxInstructions = 300_000
+			cold2, _ := runFastJSON(t, Params{Workload: "253.perlbmk", MaxInstructions: 300_000, Rollback: rollback})
+			warm2, eng3 := runFastJSON(t, p2)
+			if _, resumed := eng3.(WarmStarted).ResumedFrom(); !resumed {
+				t.Fatal("sweep point at a different cap did not share the snapshot")
+			}
+			if !bytes.Equal(cold2, warm2) {
+				t.Fatalf("warm run at cap 300k diverged:\n%s\nvs\n%s", cold2, warm2)
+			}
+			if store.puts != 1 {
+				t.Fatalf("store has %d puts after three runs, want 1", store.puts)
+			}
+		})
 	}
-	if !bytes.Equal(cold2, warm2) {
-		t.Fatalf("warm run at cap 300k diverged:\n%s\nvs\n%s", cold2, warm2)
-	}
-	if store.puts != 1 {
-		t.Fatalf("store has %d puts after three runs, want 1", store.puts)
-	}
+	sameArchitecture(t, colds["journal"], colds["checkpoint"])
 }
 
 // TestFastEngineWarmStartMulticore runs the engine-level multicore
@@ -195,30 +223,37 @@ func TestFastEngineWarmStartMulticore(t *testing.T) {
 }
 
 // TestFastEngineWarmStartServerWorkload runs warm-start over a toyFS
-// server workload: the boot that the snapshot elides here includes mkfs
-// disk writes and the FS kernel's sector-cache warmup, so a resumed run
-// only matches the cold run if the disk sector map (not just CPU and
-// memory) round-trips through the snapshot blob.
+// server workload, under both rollback engines: the boot that the snapshot
+// elides here includes mkfs disk writes and the FS kernel's sector-cache
+// warmup, so a resumed run only matches the cold run if the disk sector
+// map (not just CPU and memory) round-trips through the snapshot blob.
 func TestFastEngineWarmStartServerWorkload(t *testing.T) {
-	p := Params{Workload: "nicserv"}
-	cold, _ := runFastJSON(t, p)
+	colds := map[string][]byte{}
+	for _, rollback := range []string{"journal", "checkpoint"} {
+		t.Run(rollback, func(t *testing.T) {
+			p := Params{Workload: "nicserv", Rollback: rollback}
+			cold, _ := runFastJSON(t, p)
+			colds[rollback] = cold
 
-	store := newMemSnapshots()
-	p.Snapshots = store
-	first, _ := runFastJSON(t, p)
-	if !bytes.Equal(cold, first) {
-		t.Fatalf("server capture run diverged from the cold run:\n%s\nvs\n%s", cold, first)
+			store := newMemSnapshots()
+			p.Snapshots = store
+			first, _ := runFastJSON(t, p)
+			if !bytes.Equal(cold, first) {
+				t.Fatalf("server capture run diverged from the cold run:\n%s\nvs\n%s", cold, first)
+			}
+			if store.puts != 1 {
+				t.Fatalf("capture run stored %d snapshots, want 1", store.puts)
+			}
+			warm, eng := runFastJSON(t, p)
+			if _, resumed := eng.(WarmStarted).ResumedFrom(); !resumed {
+				t.Fatal("server second run did not warm-start")
+			}
+			if !bytes.Equal(cold, warm) {
+				t.Fatalf("server warm run diverged from the cold run:\n%s\nvs\n%s", cold, warm)
+			}
+		})
 	}
-	if store.puts != 1 {
-		t.Fatalf("capture run stored %d snapshots, want 1", store.puts)
-	}
-	warm, eng := runFastJSON(t, p)
-	if _, resumed := eng.(WarmStarted).ResumedFrom(); !resumed {
-		t.Fatal("server second run did not warm-start")
-	}
-	if !bytes.Equal(cold, warm) {
-		t.Fatalf("server warm run diverged from the cold run:\n%s\nvs\n%s", cold, warm)
-	}
+	sameArchitecture(t, colds["journal"], colds["checkpoint"])
 }
 
 // TestFastEngineWarmStartRejectsCorruptBlob: a mangled stored snapshot
@@ -261,5 +296,44 @@ func TestFastEngineWarmStartSkipsTooDeepSnapshot(t *testing.T) {
 	_, eng := runFastJSON(t, shallow)
 	if _, resumed := eng.(WarmStarted).ResumedFrom(); resumed {
 		t.Fatalf("run capped at %d resumed from a snapshot at IN %d", shallow.MaxInstructions, snap.IN)
+	}
+}
+
+// TestSnapshotBlobStable pins the snapshot byte format: the SHA-256 of the
+// blob each run captures at boot completion. A stored blob is a
+// content-addressed artifact shared across fastd restarts and cluster
+// nodes, so a refactor of the State walks must not move a byte without
+// bumping a layer's version. The digests were computed at commit 650d7ca,
+// the tree before the snap.Codec refactor (separate hand-written save and
+// load functions per type), by adding this test there with empty digests
+// and reading them off the failure output of
+//
+//	go test ./internal/sim -run '^TestSnapshotBlobStable$'
+func TestSnapshotBlobStable(t *testing.T) {
+	for _, tc := range []struct {
+		p      Params
+		digest string
+	}{
+		{Params{Workload: "253.perlbmk", MaxInstructions: 260_000},
+			"778fa5ea2b7ff0ba2db6c210f216fe4627353216ccc3ac28335242882163a4bd"},
+		{Params{Workload: "smp-sleep", Cores: 4},
+			"917eb42eb5b7d274cc66e150fea4633bc7161de88c079c0f47b151e2069f38eb"},
+		{Params{Workload: "nicserv"}, // disk sector map + NIC state
+			"41f66d6026f398e812c5eb814c62dc4e87569d35d42ea58c51016f315d6364bd"},
+	} {
+		store := newMemSnapshots()
+		tc.p.Snapshots = store
+		if _, err := Run("fast", tc.p); err != nil {
+			t.Fatal(err)
+		}
+		s, ok := store.byPrefix[tc.p.SnapshotPrefix()]
+		if !ok {
+			t.Fatalf("%s: no snapshot captured", tc.p.Workload)
+		}
+		sum := sha256.Sum256(s.Blob)
+		if got := hex.EncodeToString(sum[:]); got != tc.digest {
+			t.Errorf("%s (cores %d): blob digest %s (%d bytes), want %s",
+				tc.p.Workload, tc.p.Cores, got, len(s.Blob), tc.digest)
+		}
 	}
 }

@@ -10,15 +10,7 @@ type SliceSource struct {
 	Entries []trace.Entry
 }
 
-// Fetch implements Source.
-func (s *SliceSource) Fetch(in uint64) (trace.Entry, FetchStatus) {
-	if in >= uint64(len(s.Entries)) {
-		return trace.Entry{}, FetchEnd
-	}
-	return s.Entries[in], FetchOK
-}
-
-// FetchChunk implements ChunkSource: the whole remaining trace is one view,
+// FetchChunk implements Source: the whole remaining trace is one view,
 // so replay pays a single bounds check per run instead of one per entry.
 func (s *SliceSource) FetchChunk(in uint64) ([]trace.Entry, FetchStatus) {
 	if in >= uint64(len(s.Entries)) {

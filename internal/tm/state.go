@@ -15,17 +15,15 @@ package tm
 // was taken from and refuses to restore onto the other.
 
 import (
-	"repro/internal/snap"
-
 	"repro/internal/bpred"
-	"repro/internal/isa"
+	"repro/internal/snap"
 )
 
 const tmStateV = 1
 
 // Quiescent reports whether the pipeline is fully drained: nothing
 // in-flight anywhere, no mispredict recovery pending, and the trace not
-// yet ended. Only in this state is SaveState's pipeline-free encoding
+// yet ended. Only in this state is State's pipeline-free encoding
 // faithful. The unresolved counter is not required to be zero — it is a
 // drifting accounting value that gates the nested-branch fetch limit, so
 // it is serialized as-is rather than assumed drained.
@@ -47,202 +45,94 @@ func (t *TM) Drained() bool {
 		!t.recovering
 }
 
-// saveState appends the connector's rate-limiter clocks and counters. The
+// state walks the connector's rate-limiter clocks and counters. The
 // transaction queue must be empty (quiescence); the count is encoded so a
 // blob captured otherwise fails decode.
-func (c *Connector[T]) saveState(w *snap.Writer) {
-	w.U32(uint32(len(c.items)))
-	w.U64(c.putCycle)
-	w.U32(uint32(c.putsThis))
-	w.U64(c.getCycle)
-	w.U32(uint32(c.getsThis))
-	w.U64(c.stats.Puts)
-	w.U64(c.stats.Gets)
-	w.U64(c.stats.PutStalls)
-	w.U64(c.stats.GetStalls)
-	w.U64(c.stats.OccupancySum)
+func (c *Connector[T]) state(s *snap.Codec) {
+	s.Len("connector "+c.name+" in-flight items", len(c.items))
+	s.U64(&c.putCycle)
+	s.Int32(&c.putsThis)
+	s.U64(&c.getCycle)
+	s.Int32(&c.getsThis)
+	s.U64(&c.stats.Puts)
+	s.U64(&c.stats.Gets)
+	s.U64(&c.stats.PutStalls)
+	s.U64(&c.stats.GetStalls)
+	s.U64(&c.stats.OccupancySum)
 }
 
-func (c *Connector[T]) loadState(r *snap.Reader) error {
-	if n := r.U32(); r.Err() == nil && n != 0 {
-		return snap.Corruptf("connector %s: %d in-flight items in snapshot", c.name, n)
-	}
-	putCycle, putsThis := r.U64(), r.U32()
-	getCycle, getsThis := r.U64(), r.U32()
-	var st ConnectorStats
-	st.Puts, st.Gets = r.U64(), r.U64()
-	st.PutStalls, st.GetStalls, st.OccupancySum = r.U64(), r.U64(), r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.items = c.items[:0]
-	c.putCycle, c.putsThis = putCycle, int(putsThis)
-	c.getCycle, c.getsThis = getCycle, int(getsThis)
-	c.stats = st
-	return nil
-}
-
-// SaveState appends the timing model's versioned binary state. It must be
-// called only when Quiescent().
-func (t *TM) SaveState(w *snap.Writer) {
-	w.U8(tmStateV)
+// State walks the timing model's versioned binary state. Encoding is legal
+// only when Quiescent(); decoding targets a freshly built TM of identical
+// configuration, whose in-flight pipeline structures are left in their
+// freshly-built empty state — the encoding guarantees the capture was
+// quiescent.
+func (t *TM) State(c *snap.Codec) {
+	c.Version("tm", tmStateV)
 
 	// Target clock and fetch frontier. ended distinguishes a live core's
 	// boundary from a terminal core that has consumed FetchEnd: restoring
 	// it keeps the scheduler skipping the core instead of re-draining it
 	// (which would re-advance its cycle counters and break bit-identity).
-	w.Bool(t.ended)
-	w.U64(t.cycle)
-	w.U64(t.fetchIN)
-	w.U64(t.refillUntil)
-	w.U64(t.icacheStallUntil)
+	c.Bool(&t.ended)
+	c.U64(&t.cycle)
+	c.U64(&t.fetchIN)
+	c.U64(&t.refillUntil)
+	c.U64(&t.icacheStallUntil)
 
 	// Return-address stack and the nested-branch gate counter.
-	for _, v := range t.ras {
-		w.U32(v)
-	}
-	w.I64(int64(t.rasTop))
-	w.I64(int64(t.unresolved))
+	c.U32s(t.ras[:])
+	c.Int(&t.rasTop)
+	c.Int(&t.unresolved)
 
 	// LSU port reservations (absolute cycles; may be in the future even
 	// with an empty ROB — a just-committed memory op holds its port).
-	w.U64Slice(t.lsuFreeAt)
+	c.Len("tm LSU ports", len(t.lsuFreeAt))
+	c.U64s(t.lsuFreeAt)
 
 	// Front-end connectors.
-	t.fetchQ.saveState(w)
-	t.uopQ.saveState(w)
+	t.fetchQ.state(c)
+	t.uopQ.state(c)
 
 	// Predictor and accuracy counters.
-	bpred.SaveState(w, t.BP)
-	bpred.SaveStats(w, t.BPStats)
+	bpred.State(c, t.BP)
+	t.BPStats.State(c)
 
 	// Memory hierarchy. Private L1s and TLB timing structures always;
 	// L2/DRAM only when privately owned.
-	t.IL1.SaveState(w)
-	t.DL1.SaveState(w)
-	t.ITLB.SaveState(w)
-	t.DTLB.SaveState(w)
-	shared := t.cfg.Shared != nil
-	w.Bool(!shared)
-	if !shared {
-		t.L2.SaveState(w)
-		t.Memory.SaveState(w)
+	t.IL1.State(c)
+	t.DL1.State(c)
+	t.ITLB.State(c)
+	t.DTLB.State(c)
+	owned := t.cfg.Shared == nil
+	c.Flag("tm private L2/DRAM", owned)
+	if owned {
+		t.L2.State(c)
+		t.Memory.State(c)
 	}
 
 	// Cumulative counters.
-	w.U64(t.Stats.Cycles)
-	w.U64(t.Stats.Instructions)
-	w.U64(t.Stats.UOps)
-	w.U64(t.Stats.BasicBlocks)
-	w.U64(t.Stats.DrainCycles)
-	w.U64(t.Stats.FetchBubbles)
-	w.U64(t.Stats.ICacheStalls)
-	w.U64(t.Stats.Mispredicts)
-	w.U64(t.Stats.Exceptions)
-	w.U64(t.Stats.Serializes)
-	w.U64(t.Stats.RSFullStalls)
-	w.U64(t.Stats.ROBFullStalls)
-	w.U64(t.Stats.LSQFullStalls)
-	w.U32(uint32(len(t.Stats.IssuedByClass)))
-	for _, v := range t.Stats.IssuedByClass {
-		w.U64(v)
-	}
+	c.U64(&t.Stats.Cycles)
+	c.U64(&t.Stats.Instructions)
+	c.U64(&t.Stats.UOps)
+	c.U64(&t.Stats.BasicBlocks)
+	c.U64(&t.Stats.DrainCycles)
+	c.U64(&t.Stats.FetchBubbles)
+	c.U64(&t.Stats.ICacheStalls)
+	c.U64(&t.Stats.Mispredicts)
+	c.U64(&t.Stats.Exceptions)
+	c.U64(&t.Stats.Serializes)
+	c.U64(&t.Stats.RSFullStalls)
+	c.U64(&t.Stats.ROBFullStalls)
+	c.U64(&t.Stats.LSQFullStalls)
+	c.Len("tm issue classes", len(t.Stats.IssuedByClass))
+	c.U64s(t.Stats.IssuedByClass[:])
 
 	// Host-model accumulator.
-	w.U64(t.host.total)
-}
+	c.U64(&t.host.total)
 
-// LoadState decodes state written by SaveState onto a freshly built TM of
-// identical configuration. In-flight pipeline structures are left in their
-// freshly-built empty state — the encoding guarantees the capture was
-// quiescent.
-func (t *TM) LoadState(r *snap.Reader) error {
-	if v := r.U8(); r.Err() == nil && v != tmStateV {
-		return snap.Corruptf("tm state version %d, want %d", v, tmStateV)
+	if c.Loading() {
+		t.recovering, t.recoverIN = false, 0
+		t.dropView()
+		t.viewBase = 0
 	}
-
-	ended := r.Bool()
-	cycle, fetchIN := r.U64(), r.U64()
-	refillUntil, icacheStallUntil := r.U64(), r.U64()
-
-	var ras [8]isa.Word
-	for i := range ras {
-		ras[i] = r.U32()
-	}
-	rasTop := r.I64()
-	unresolved := r.I64()
-
-	lsuFreeAt := r.U64Slice()
-	if r.Err() == nil && len(lsuFreeAt) != len(t.lsuFreeAt) {
-		return snap.Corruptf("tm: %d LSU ports, want %d", len(lsuFreeAt), len(t.lsuFreeAt))
-	}
-
-	if err := t.fetchQ.loadState(r); err != nil {
-		return err
-	}
-	if err := t.uopQ.loadState(r); err != nil {
-		return err
-	}
-
-	if err := bpred.LoadState(r, t.BP); err != nil {
-		return err
-	}
-	bpStats := bpred.LoadStats(r)
-
-	if err := t.IL1.LoadState(r); err != nil {
-		return err
-	}
-	if err := t.DL1.LoadState(r); err != nil {
-		return err
-	}
-	if err := t.ITLB.LoadState(r); err != nil {
-		return err
-	}
-	if err := t.DTLB.LoadState(r); err != nil {
-		return err
-	}
-	private := r.Bool()
-	if r.Err() == nil && private != (t.cfg.Shared == nil) {
-		return snap.Corruptf("tm: hierarchy ownership mismatch (blob private=%v)", private)
-	}
-	if private {
-		if err := t.L2.LoadState(r); err != nil {
-			return err
-		}
-		if err := t.Memory.LoadState(r); err != nil {
-			return err
-		}
-	}
-
-	var st Stats
-	st.Cycles, st.Instructions, st.UOps = r.U64(), r.U64(), r.U64()
-	st.BasicBlocks, st.DrainCycles, st.FetchBubbles = r.U64(), r.U64(), r.U64()
-	st.ICacheStalls, st.Mispredicts, st.Exceptions = r.U64(), r.U64(), r.U64()
-	st.Serializes, st.RSFullStalls, st.ROBFullStalls = r.U64(), r.U64(), r.U64()
-	st.LSQFullStalls = r.U64()
-	if n := r.U32(); r.Err() == nil && int(n) != len(st.IssuedByClass) {
-		return snap.Corruptf("tm: %d issue classes, want %d", n, len(st.IssuedByClass))
-	}
-	for i := range st.IssuedByClass {
-		st.IssuedByClass[i] = r.U64()
-	}
-	hostTotal := r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-
-	// Decode complete: apply.
-	t.cycle, t.fetchIN = cycle, fetchIN
-	t.refillUntil, t.icacheStallUntil = refillUntil, icacheStallUntil
-	t.ras, t.rasTop = ras, int(rasTop)
-	t.unresolved = int(unresolved)
-	copy(t.lsuFreeAt, lsuFreeAt)
-	t.BPStats = bpStats
-	t.Stats = st
-	t.host.total = hostTotal
-	t.ended = ended
-	t.recovering, t.recoverIN = false, 0
-	t.dropView()
-	t.viewBase = 0
-	return nil
 }

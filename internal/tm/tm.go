@@ -26,20 +26,14 @@ const (
 	FetchEnd
 )
 
-// Source supplies functional-path trace entries by instruction number.
-// After a re-steer, re-fetching an IN returns the replacement entry.
-type Source interface {
-	Fetch(in uint64) (trace.Entry, FetchStatus)
-}
-
-// ChunkSource is an optional Source extension that hands the TM a run of
-// consecutive entries starting at in with one call — the consumer half of
-// the chunked coupling. The returned slice is a view the TM may read until
+// Source supplies functional-path trace entries by instruction number: a
+// run of consecutive entries starting at in with one call — the consumer
+// half of the chunked coupling. After a re-steer, re-fetching an IN returns
+// the replacement entry. The returned slice is a view the TM may read until
 // it issues a re-steer (Mispredict/Resolve), which invalidates it; the
-// source must not mutate a returned view before the next FetchChunk call.
-// A source that returns (nil, FetchOK) forces a per-entry fetch instead.
-type ChunkSource interface {
-	Source
+// source must not mutate a returned view before the next FetchChunk call,
+// and a FetchOK view is never empty.
+type Source interface {
 	FetchChunk(in uint64) ([]trace.Entry, FetchStatus)
 }
 
@@ -133,12 +127,10 @@ type TM struct {
 	src Source
 	ctl Control
 
-	// Chunked consumption: when src implements ChunkSource, fetch reads
-	// from view (a run of entries starting at IN viewBase) and refills it
-	// with one FetchChunk per chunk instead of one Source.Fetch per
-	// instruction. A re-steer invalidates the view: the entries past the
-	// re-steered IN are wrong-path and will be overwritten (Figure 2).
-	chunkSrc ChunkSource
+	// Chunked consumption: fetch reads from view (a run of entries starting
+	// at IN viewBase) and refills it with one FetchChunk per chunk. A
+	// re-steer invalidates the view: the entries past the re-steered IN are
+	// wrong-path and will be overwritten (Figure 2).
 	view     []trace.Entry
 	viewBase uint64
 
@@ -257,29 +249,19 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 		// transitions back-invalidate this core's copies.
 		cfg.Shared.AttachL1(cfg.CoreID, t.IL1, t.DL1)
 	}
-	if cs, ok := src.(ChunkSource); ok {
-		t.chunkSrc = cs
-	}
 	t.host.init(cfg)
 	return t, nil
 }
 
-// fetchEntry returns the entry for in, serving from the chunk view when the
-// source supports chunked fetches. On a view miss it pulls the next run of
-// live entries with one synchronized call; consecutive fetch-group slots
-// then hit the view for free.
+// fetchEntry returns the entry for in, serving from the chunk view. On a
+// view miss it pulls the next run of live entries with one synchronized
+// call; consecutive fetch-group slots then hit the view for free.
 func (t *TM) fetchEntry(in uint64) (trace.Entry, FetchStatus) {
-	if t.chunkSrc == nil {
-		return t.src.Fetch(in)
-	}
 	if off := in - t.viewBase; in >= t.viewBase && off < uint64(len(t.view)) {
 		return t.view[off], FetchOK
 	}
-	es, st := t.chunkSrc.FetchChunk(in)
-	if st != FetchOK || len(es) == 0 {
-		if st == FetchOK {
-			return t.src.Fetch(in)
-		}
+	es, st := t.src.FetchChunk(in)
+	if st != FetchOK {
 		return trace.Entry{}, st
 	}
 	t.view, t.viewBase = es, in
