@@ -71,9 +71,14 @@ fuzz-smoke:
 
 # The one way code size is counted here (non-blank, non-comment, non-test
 # Go lines per package directory): every "net -N lines" claim in CHANGES.md
-# and ROADMAP.md is this table at two commits.
+# and ROADMAP.md is this table at two commits — `make loc BASE=<ref>` prints
+# both and the delta (parent, head, head - parent) over every package
+# directory either side has.
 loc:
-	@./scripts/loc.sh $$(find internal cmd -name '*.go' ! -name '*_test.go' -exec dirname {} \; | sort -u)
+	@./scripts/loc.sh $(if $(BASE),--base $(BASE)) $$({ \
+		find internal cmd -name '*.go' ! -name '*_test.go'; \
+		$(if $(BASE),git ls-tree -r --name-only $(BASE) internal cmd | grep '\.go$$' | grep -v '_test\.go$$';) \
+		} | xargs -n1 dirname | sort -u)
 
 # Run the simulation-as-a-service daemon locally (ctrl-C drains gracefully).
 serve:

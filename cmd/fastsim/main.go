@@ -10,7 +10,7 @@
 //	fastsim -workload nicserv -console
 //	fastsim -workload logwrite -disk-latency 1000
 //	fastsim -workload 164.gzip [-predictor gshare] [-max 250000]
-//	fastsim -workload Linux-2.4 -parallel
+//	fastsim -workload Linux-2.4 -simulator fast-parallel
 //	fastsim -workload 176.gcc -simulator monolithic
 //	fastsim -workload Linux-2.4 -metrics - -tracefile boot.trace.json
 //	fastsim -workload 164.gzip -json
@@ -28,6 +28,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/core"
 	"repro/internal/fm"
 	"repro/internal/fpga"
 	"repro/internal/isa"
@@ -53,7 +54,6 @@ func main() {
 		name        = flag.String("workload", "Linux-2.4", "workload name (see -list)")
 		predictor   = flag.String("predictor", "gshare", "branch predictor: gshare, 2bit, 97%, 95%, perfect")
 		maxInst     = flag.Uint64("max", 250_000, "maximum committed instructions (0 = to completion)")
-		parallel    = flag.Bool("parallel", false, "run FM and TM in separate goroutines (fast engine only)")
 		simulator   = flag.String("simulator", "fast", "simulator engine (see -engines)")
 		issueWidth  = flag.Int("issue", 2, "target issue width")
 		cores       = flag.Int("cores", 1, "target core count (1 = the single-core target; >1 = N coupled FM/TM pairs over the modeled coherent interconnect, fast engine only)")
@@ -112,16 +112,6 @@ func main() {
 		fatal(fmt.Errorf("unknown simulator %q (registered: %s)",
 			engine, strings.Join(sim.Names(), ", ")))
 	}
-	if *parallel {
-		switch engine {
-		case "fast":
-			engine = "fast-parallel"
-		case "fast-parallel":
-		default:
-			fatal(fmt.Errorf("-parallel selects the goroutine-parallel FAST coupling "+
-				"and does not apply to -simulator %s", engine))
-		}
-	}
 	// Reject instrumentation flags the selected engine cannot honour —
 	// previously they were silently ignored.
 	if *power && engine != "fast" {
@@ -163,7 +153,9 @@ func main() {
 		if terr != nil {
 			fatal(terr)
 		}
-		m := fm.New(fm.Config{Devices: tb.Devices()})
+		fmCfg := core.DefaultConfig().FM // the host defaults: predecode cache on
+		fmCfg.Devices = tb.Devices()
+		m := fm.New(fmCfg)
 		m.LoadProgram(tb.Kernel)
 		for i := 0; i < *traceN; i++ {
 			e, ok := m.Step()

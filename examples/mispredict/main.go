@@ -41,6 +41,9 @@ func main() {
 	model := fm.New(fm.Config{DisableInterrupts: true})
 	model.LoadProgram(prog)
 	tb := trace.NewBuffer(32)
+	// A chunk of one publishes every entry as it is produced, so the walk
+	// below reads like the figure; real couplings publish 64 at a time.
+	app := tb.NewAppender(1)
 
 	produce := func(n int) {
 		for i := 0; i < n; i++ {
@@ -48,7 +51,7 @@ func main() {
 			if !ok {
 				return
 			}
-			tb.TryPush(e)
+			app.TryAppend(e)
 			star := ""
 			if model.JournalLen() > 0 && e.IN >= 5 && model.Rollbacks > 0 && model.Rollbacks%2 == 1 {
 				star = "*" // wrong-path marker, as in the figure
@@ -61,14 +64,16 @@ func main() {
 	produce(6) // through the branch and beyond
 
 	branchIN := uint64(5) // the jz
-	entry, _ := tb.TryFetch(branchIN)
+	var view [1]trace.Entry
+	tb.TryFetchChunk(branchIN, view[:])
+	entry := view[0]
 	fmt.Printf("\nTM    fetches the branch #%d: architecturally %v (taken=%v)\n",
 		branchIN, isa.Lookup(entry.Op).Name, entry.Taken)
 	fmt.Println("TM    predicts TAKEN -> mis-speculation: notify the FM to produce")
 	fmt.Println("      the wrong-path instructions (set_pc to L1)")
 
 	wrongPC := prog.Symbols["L1"]
-	tb.Rewind(branchIN + 1)
+	app.Rewind(branchIN + 1)
 	if err := model.SetPC(branchIN+1, wrongPC); err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +82,7 @@ func main() {
 	fmt.Printf("      wrong-path R0 would be %d (took the +1000 path)\n", model.GPR[0])
 
 	fmt.Println("\nT=3+m branch resolves NOT taken: set_pc back to the right path")
-	tb.Rewind(branchIN + 1)
+	app.Rewind(branchIN + 1)
 	if err := model.SetPC(branchIN+1, entry.NextPC); err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,8 @@
 package baseline
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/fm"
@@ -32,78 +34,67 @@ func load() *isa.Program { return isa.MustAssemble(prog, 0x1000) }
 
 func fmCfg() fm.Config { return fm.Config{DisableInterrupts: true} }
 
-func TestMonolithicRuns(t *testing.T) {
-	b := Monolithic{TM: tm.DefaultConfig(), FM: fmCfg(), Cost: SimOutorderCost(), Label: "sim-outorder-class"}
-	r, err := b.Run(load())
+// replay drains the test program (or p) under the default timing model.
+func replay(t *testing.T, p *isa.Program, maxInst uint64) tm.Stats {
+	t.Helper()
+	model, err := Replay(context.Background(), p, tm.DefaultConfig(), fmCfg(), maxInst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Instructions == 0 || r.KIPS <= 0 {
-		t.Fatalf("bad result %+v", r)
+	return model.Stats
+}
+
+// kips is the Table 3 unit: committed instructions per host millisecond.
+func kips(st tm.Stats, nanos float64) float64 { return float64(st.Instructions) / nanos * 1e6 }
+
+func TestMonolithicRuns(t *testing.T) {
+	st := replay(t, load(), 0)
+	k := kips(st, SimOutorderCost().Nanos(st))
+	if st.Instructions == 0 || st.Cycles == 0 || k <= 0 {
+		t.Fatalf("bad replay %+v (%.0f KIPS)", st, k)
 	}
 	// Table 3 territory: a software cycle-accurate simulator runs at
 	// hundreds of KIPS, far below FAST's 1.2+ MIPS.
-	if r.KIPS < 100 || r.KIPS > 2000 {
-		t.Errorf("monolithic %.0f KIPS outside software-simulator range", r.KIPS)
-	}
-	if r.String() == "" {
-		t.Error("empty String")
+	if k < 100 || k > 2000 {
+		t.Errorf("monolithic %.0f KIPS outside software-simulator range", k)
 	}
 }
 
 func TestGEMSClassSlower(t *testing.T) {
-	fast, err := Monolithic{TM: tm.DefaultConfig(), FM: fmCfg(), Cost: SimOutorderCost()}.Run(load())
-	if err != nil {
-		t.Fatal(err)
+	st := replay(t, load(), 0)
+	fast, slow := kips(st, SimOutorderCost().Nanos(st)), kips(st, GEMSCost().Nanos(st))
+	if slow*5 > fast {
+		t.Errorf("GEMS-class (%.0f KIPS) not ≫ slower than sim-outorder-class (%.0f)", slow, fast)
 	}
-	slow, err := Monolithic{TM: tm.DefaultConfig(), FM: fmCfg(), Cost: GEMSCost()}.Run(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if slow.KIPS*5 > fast.KIPS {
-		t.Errorf("GEMS-class (%.0f KIPS) not ≫ slower than sim-outorder-class (%.0f)",
-			slow.KIPS, fast.KIPS)
-	}
-	if slow.TargetCycles != fast.TargetCycles {
-		t.Error("cost model changed target timing")
+	// A cost model prices a replay; it cannot change target timing. Two
+	// replays of the same program agree on it too.
+	if again := replay(t, load(), 0); again.Cycles != st.Cycles {
+		t.Errorf("replay not deterministic: %d vs %d target cycles", again.Cycles, st.Cycles)
 	}
 }
 
 func TestLockstepLimitedByRoundTrips(t *testing.T) {
-	b := Lockstep{
-		TM: tm.DefaultConfig(), FM: fmCfg(),
-		Link:                    hostlink.DRC(),
-		FunctionalNanosPerCycle: 50,
-		FPGANanosPerCycle:       300,
-	}
-	r, err := b.Run(load())
-	if err != nil {
-		t.Fatal(err)
-	}
+	st := replay(t, load(), 0)
+	k := kips(st, LockstepNanos(st, hostlink.DRC()))
 	// Per-cycle round trips bound the rate at ~1/(469+307+350)ns cycles/s;
 	// with IPC < 1 the KIPS must be below that.
 	maxKIPS := 1e6 / (469 + 307 + 350)
-	if r.KIPS >= maxKIPS*1000 {
-		t.Errorf("lockstep %.0f KIPS above the round-trip bound", r.KIPS)
+	if k >= maxKIPS*1000 {
+		t.Errorf("lockstep %.0f KIPS above the round-trip bound", k)
 	}
-	if r.KIPS <= 0 {
+	if k <= 0 {
 		t.Error("lockstep produced nothing")
 	}
 }
 
 func TestFSBCacheSlowerThanSoftware(t *testing.T) {
 	// The [30] result: adding the FPGA cache makes the simulator slower.
-	b := FSBCache{TM: tm.DefaultConfig(), FM: fmCfg(), Cost: SimOutorderCost(), Link: hostlink.DRC()}
-	withFPGA, sw, err := b.Run(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if withFPGA.KIPS >= sw.KIPS {
+	st := replay(t, load(), 0)
+	sw := kips(st, SimOutorderCost().Nanos(st))
+	withFPGA := kips(st, FSBCacheNanos(st, SimOutorderCost(), hostlink.DRC()))
+	if withFPGA >= sw {
 		t.Errorf("FPGA-on-FSB (%.0f KIPS) not slower than pure software (%.0f): "+
-			"the Intel experiment's outcome is lost", withFPGA.KIPS, sw.KIPS)
-	}
-	if withFPGA.TargetCycles != sw.TargetCycles {
-		t.Error("cost model changed target timing")
+			"the Intel experiment's outcome is lost", withFPGA, sw)
 	}
 }
 
@@ -129,20 +120,22 @@ func TestPublishedRows(t *testing.T) {
 }
 
 func TestMaxInstructionsBound(t *testing.T) {
-	b := Monolithic{TM: tm.DefaultConfig(), FM: fmCfg(), Cost: SimOutorderCost(), MaxInstructions: 50}
-	r, err := b.Run(load())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Instructions > 60 {
-		t.Errorf("bound ignored: %d instructions", r.Instructions)
+	if st := replay(t, load(), 50); st.Instructions > 60 {
+		t.Errorf("bound ignored: %d instructions", st.Instructions)
 	}
 }
 
 func TestFatalPropagates(t *testing.T) {
 	bad := isa.MustAssemble("movi r0, 0\nmovi r1, 0\ndiv r0, r1\n", 0x1000)
-	_, err := Monolithic{TM: tm.DefaultConfig(), FM: fmCfg(), Cost: SimOutorderCost()}.Run(bad)
-	if err == nil {
+	if _, err := Replay(context.Background(), bad, tm.DefaultConfig(), fmCfg(), 0); err == nil {
 		t.Error("fatal functional-model error not propagated")
+	}
+}
+
+func TestReplayCancelled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := Replay(ctx, load(), tm.DefaultConfig(), fmCfg(), 0); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
 	}
 }

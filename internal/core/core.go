@@ -313,15 +313,7 @@ func newSim(cfg Config, async *asyncLink) (*Sim, error) {
 func (s *Sim) LoadProgram(p *isa.Program) { s.FM.LoadProgram(p) }
 
 // terminal reports whether the FM can make no further progress on its own.
-func (s *Sim) terminal() bool {
-	if s.FM.Fatal() != nil {
-		return true
-	}
-	// HALT with interrupts disabled is the shutdown idiom: nothing can
-	// ever wake the target. Bare metal (no autonomous delivery) cannot be
-	// woken with them enabled either.
-	return s.FM.Halted() && (s.FM.Flags&isa.FlagI == 0 || s.cfg.FM.DisableInterrupts)
-}
+func (s *Sim) terminal() bool { return s.FM.Terminal() }
 
 // pump lets the functional model spend its accumulated host-time budget
 // producing trace entries (running ahead speculatively, §3). Entries land
@@ -616,9 +608,9 @@ type source Sim
 // a re-steer drops it. What a miss does is the policy's: inline it is a
 // fetch bubble (pump flushes before every TM.Step, so the live set the view
 // captures is exactly what per-entry fetches would have seen); under the
-// producer policy it blocks until the FM goroutine publishes — there the
-// trace buffer is the synchronizer, so host-scheduling hiccups do not
-// masquerade as target fetch bubbles.
+// producer policy it blocks on the link's notify channel (the buffer itself
+// never blocks) until the FM goroutine publishes, so host-scheduling hiccups
+// do not masquerade as target fetch bubbles.
 //
 // The stream ends only when the FM is halted forever on the RIGHT path (a
 // wrong-path HALT is speculative and the pending resolution will roll it

@@ -186,9 +186,8 @@ func (s *Sim) produce() {
 			// terminal state — in that order, so the TM never sees
 			// end-of-stream with entries still unpublished — and service
 			// commands.
-			if s.app.Flush() {
-				a.terminal.Store(true)
-			}
+			s.app.Flush()
+			a.terminal.Store(true)
 			a.tick()
 			select {
 			case c := <-a.cmds:

@@ -17,10 +17,10 @@ import (
 
 	"repro/internal/analytic"
 	"repro/internal/baseline"
+	"repro/internal/core"
 	"repro/internal/fm"
 	"repro/internal/fpga"
 	"repro/internal/hostlink"
-	"repro/internal/isa"
 	"repro/internal/microcode"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -92,7 +92,11 @@ func runFM(spec workload.Spec, maxInst uint64) (*fm.Model, *workload.Boot, error
 	if err != nil {
 		return nil, nil, err
 	}
-	m := fm.New(fm.Config{Devices: boot.Devices()})
+	// Zero at the fm.Config layer means off: take the host defaults
+	// (predecode cache, superblocks) from the coupled core's configuration.
+	cfg := core.DefaultConfig().FM
+	cfg.Devices = boot.Devices()
+	m := fm.New(cfg)
 	m.LoadProgram(boot.Kernel)
 	idle := 0
 	for m.IN() < maxInst {
@@ -103,7 +107,7 @@ func runFM(spec workload.Spec, maxInst uint64) (*fm.Model, *workload.Boot, error
 		if m.Fatal() != nil {
 			return nil, nil, fmt.Errorf("%s: %w", spec.Name, m.Fatal())
 		}
-		if m.Halted() && m.Flags&isa.FlagI == 0 {
+		if m.Terminal() {
 			break
 		}
 		m.AdvanceIdle(100)

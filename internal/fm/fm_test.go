@@ -911,3 +911,29 @@ func TestPageCrossingFetch(t *testing.T) {
 		t.Errorf("page-crossing instruction executed wrong: R7 = %#x", m.GPR[7])
 	}
 }
+
+// TestTerminal pins the one definition of "the target can never wake" that
+// every run loop (coupled, replay, FM-only) stops on.
+func TestTerminal(t *testing.T) {
+	for _, tc := range []struct {
+		name, src  string
+		bareMetal  bool
+		halted, ok bool
+	}{
+		{"still running", "movi r0, 1\nmovi r1, 2\nmovi r2, 3\n", false, false, false},
+		{"cli; halt is shutdown", "cli\nhalt\n", false, true, true},
+		{"sti; halt waits for an interrupt", "sti\nhalt\n", false, true, false},
+		{"sti; halt on bare metal never wakes", "sti\nhalt\n", true, true, true},
+		{"fatal trap", "movi r0, 0\nmovi r1, 0\ndiv r0, r1\n", true, false, true},
+	} {
+		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: tc.bareMetal})
+		m.LoadProgram(isa.MustAssemble(tc.src, 0x1000))
+		for i := 0; i < 3; i++ {
+			m.Step()
+		}
+		if m.Halted() != tc.halted || m.Terminal() != tc.ok {
+			t.Errorf("%s: halted=%v terminal=%v, want %v/%v (fatal: %v)",
+				tc.name, m.Halted(), m.Terminal(), tc.halted, tc.ok, m.Fatal())
+		}
+	}
+}

@@ -271,6 +271,14 @@ func (m *Model) IN() uint64 { return m.in }
 // woken it yet.
 func (m *Model) Halted() bool { return m.halted }
 
+// Terminal reports whether the target can never execute another
+// instruction: it hit a fatal condition, or it halted where nothing can wake
+// it. HALT with interrupts masked is the shutdown idiom; a model configured
+// with DisableInterrupts (bare metal) delivers none whatever FlagI says.
+func (m *Model) Terminal() bool {
+	return m.fatal != nil || m.halted && (m.Flags&isa.FlagI == 0 || m.cfg.DisableInterrupts)
+}
+
 // Now is the model's device time: retired instructions plus idle ticks.
 func (m *Model) Now() uint64 { return m.in + m.idle }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/core"
 	"repro/internal/fm"
+	"repro/internal/hostlink"
 	"repro/internal/isa"
 	"repro/internal/tm"
 	"repro/internal/workload"
@@ -14,26 +15,38 @@ import (
 
 // The five simulator families of the paper's comparison, as registry
 // entries. "fast" and "fast-parallel" are the same coupled core (core.Sim)
-// under its deterministic inline and goroutine-producer scheduling policies; "monolithic" and
-// "gems" are the same integrated software simulator under two calibrated
-// cost models (Table 3's sim-outorder and GEMS rows); "lockstep" is the
-// round-trip-per-cycle partitioning (§5); "fsbcache" is the Intel
+// under its deterministic inline and goroutine-producer scheduling policies.
+// The other four are the same trace replay (replayEngine) under four
+// host-time cost functions: "monolithic" and "gems" are the integrated
+// software simulator under two calibrated cost models (Table 3's
+// sim-outorder and GEMS rows); "lockstep" is the round-trip-per-cycle
+// partitioning (§5); "fsbcache" is the Intel
 // FPGA-L1-on-the-front-side-bus experiment [30].
 func init() {
 	Register("fast", func() Engine { return &fastEngine{} })
 	Register("fast-parallel", func() Engine { return &fastEngine{parallel: true} })
+	software := func(cost baseline.SoftwareCost) func(tm.Stats, hostlink.Config) float64 {
+		return func(st tm.Stats, _ hostlink.Config) float64 { return cost.Nanos(st) }
+	}
 	Register("monolithic", func() Engine {
-		return &monoEngine{name: "monolithic", cost: baseline.SimOutorderCost(),
-			label: "monolithic (sim-outorder-class)",
-			desc:  "integrated software simulator, sim-outorder-class cost model (Table 3)"}
+		return &replayEngine{name: "monolithic", nanos: software(baseline.SimOutorderCost()),
+			desc: "integrated software simulator, sim-outorder-class cost model (Table 3)"}
 	})
 	Register("gems", func() Engine {
-		return &monoEngine{name: "gems", cost: baseline.GEMSCost(),
-			label: "monolithic (GEMS-class)",
-			desc:  "integrated full-system software simulator, GEMS-class cost model (Table 3)"}
+		return &replayEngine{name: "gems", nanos: software(baseline.GEMSCost()),
+			desc: "integrated full-system software simulator, GEMS-class cost model (Table 3)"}
 	})
-	Register("lockstep", func() Engine { return &lockstepEngine{} })
-	Register("fsbcache", func() Engine { return &fsbEngine{} })
+	Register("lockstep", func() Engine {
+		return &replayEngine{name: "lockstep", nanos: baseline.LockstepNanos,
+			desc: "lockstep timing-directed partitioning, one link round trip per target cycle (§5)"}
+	})
+	Register("fsbcache", func() Engine {
+		return &fsbEngine{replayEngine: replayEngine{name: "fsbcache",
+			nanos: func(st tm.Stats, link hostlink.Config) float64 {
+				return baseline.FSBCacheNanos(st, baseline.SimOutorderCost(), link)
+			},
+			desc: "software simulator with its L1 data cache offloaded to an FPGA on the FSB [30]"}}
+	})
 }
 
 // hostKnob resolves a Params host knob whose engine-side zero means "off"
@@ -275,33 +288,6 @@ func fromMulticore(p Params, mr core.MulticoreResult) Result {
 	return r
 }
 
-// fromBaseline lifts a baseline.Result into the canonical shape.
-func fromBaseline(engine string, p Params, r baseline.Result) Result {
-	return Result{
-		Engine:       engine,
-		Workload:     workloadName(p),
-		Instructions: r.Instructions,
-		BasicBlocks:  r.TM.BasicBlocks,
-		TargetCycles: r.TargetCycles,
-		IPC:          r.IPC,
-		SimNanos:     r.SimNanos,
-		TargetMIPS:   r.KIPS / 1000,
-		KIPS:         r.KIPS,
-		BPAccuracy:   r.BPAccuracy,
-		Mispredicts:  r.TM.Mispredicts,
-		TM:           r.TM,
-	}
-}
-
-// rejectMulticore is the shared guard for the baseline engines: none of the
-// comparison simulators models a multicore target.
-func rejectMulticore(name string, p Params) error {
-	if p.Cores > 1 {
-		return fmt.Errorf("sim: engine %s runs single-core targets only (got %d cores); use the fast engine", name, p.Cores)
-	}
-	return nil
-}
-
 func workloadName(p Params) string {
 	if p.Program != nil {
 		return "(raw program)"
@@ -312,149 +298,100 @@ func workloadName(p Params) string {
 	return p.Workload
 }
 
-// monoEngine is the integrated software simulator under a calibrated cost
-// model (Table 3's sim-outorder and GEMS rows).
-type monoEngine struct {
-	name, label, desc string
-	cost              baseline.SoftwareCost
-	params            Params
-	boot              *workload.Boot
-	run               func(context.Context) (baseline.Result, error)
-}
+// replayEngine is every comparison simulator of the paper: each runs the
+// one baseline.Replay of the target and differs only in nanos, the host-time
+// cost function that prices the drained timing model's statistics (the
+// monolithic engines ignore the link). None models a multicore target.
+type replayEngine struct {
+	name, desc string
+	nanos      func(tm.Stats, hostlink.Config) float64
 
-func (e *monoEngine) Describe() string { return e.desc }
-
-func (e *monoEngine) Configure(p Params) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	if err := rejectMulticore(e.name, p); err != nil {
-		return err
-	}
-	prog, boot, fmCfg, err := prepare(p)
-	if err != nil {
-		return err
-	}
-	if _, err := p.link(); err != nil {
-		return err // validated for uniformity; the cost model has no link
-	}
-	b := baseline.Monolithic{
-		TM: p.tmConfig(), FM: fmCfg, Cost: e.cost,
-		Label: e.label, MaxInstructions: p.MaxInstructions,
-	}
-	e.params, e.boot = p, boot
-	e.run = func(ctx context.Context) (baseline.Result, error) { return b.RunContext(ctx, prog) }
-	return nil
-}
-
-func (e *monoEngine) Run() (Result, error) { return e.RunContext(context.Background()) }
-
-func (e *monoEngine) RunContext(ctx context.Context) (Result, error) {
-	r, err := e.run(ctx)
-	return fromBaseline(e.name, e.params, r), err
-}
-
-func (e *monoEngine) Boot() *workload.Boot { return e.boot }
-
-// lockstepEngine is the timing-directed partitioning that round-trips the
-// host link every target cycle (Asim/Timing-First/HASim class, §5).
-type lockstepEngine struct {
 	params Params
 	boot   *workload.Boot
-	run    func(context.Context) (baseline.Result, error)
+	prog   *isa.Program
+	fm     fm.Config
+	link   hostlink.Config
 }
 
-func (e *lockstepEngine) Describe() string {
-	return "lockstep timing-directed partitioning, one link round trip per target cycle (§5)"
-}
+func (e *replayEngine) Describe() string { return e.desc }
 
-func (e *lockstepEngine) Configure(p Params) error {
+func (e *replayEngine) Configure(p Params) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
-	if err := rejectMulticore("lockstep", p); err != nil {
+	if p.Cores > 1 {
+		return fmt.Errorf("sim: engine %s runs single-core targets only (got %d cores); use the fast engine", e.name, p.Cores)
+	}
+	var err error
+	if e.prog, e.boot, e.fm, err = prepare(p); err != nil {
 		return err
 	}
-	prog, boot, fmCfg, err := prepare(p)
-	if err != nil {
+	if e.link, err = p.link(); err != nil {
 		return err
 	}
-	link, err := p.link()
-	if err != nil {
-		return err
-	}
-	b := baseline.Lockstep{
-		TM: p.tmConfig(), FM: fmCfg, Link: link,
-		FunctionalNanosPerCycle: 50, FPGANanosPerCycle: 300,
-		MaxInstructions: p.MaxInstructions,
-	}
-	e.params, e.boot = p, boot
-	e.run = func(ctx context.Context) (baseline.Result, error) { return b.RunContext(ctx, prog) }
+	e.params = p
 	return nil
 }
 
-func (e *lockstepEngine) Run() (Result, error) { return e.RunContext(context.Background()) }
-
-func (e *lockstepEngine) RunContext(ctx context.Context) (Result, error) {
-	r, err := e.run(ctx)
-	return fromBaseline("lockstep", e.params, r), err
+// replay runs the configured target once and returns the drained model.
+func (e *replayEngine) replay(ctx context.Context) (*tm.TM, error) {
+	return baseline.Replay(ctx, e.prog, e.params.tmConfig(), e.fm, e.params.MaxInstructions)
 }
 
-func (e *lockstepEngine) Boot() *workload.Boot { return e.boot }
+func (e *replayEngine) Run() (Result, error) { return e.RunContext(context.Background()) }
+
+func (e *replayEngine) RunContext(ctx context.Context) (Result, error) {
+	model, err := e.replay(ctx)
+	if err != nil {
+		return Result{}, err
+	}
+	return e.result(e.name, model, e.nanos(model.Stats, e.link)), nil
+}
+
+// result lifts a drained replay priced at nanos of host time into the
+// canonical shape.
+func (e *replayEngine) result(engine string, model *tm.TM, nanos float64) Result {
+	st := model.Stats
+	r := Result{
+		Engine:       engine,
+		Workload:     workloadName(e.params),
+		Instructions: st.Instructions,
+		BasicBlocks:  st.BasicBlocks,
+		TargetCycles: st.Cycles,
+		IPC:          st.IPC(),
+		SimNanos:     nanos,
+		BPAccuracy:   model.BPStats.Accuracy(),
+		Mispredicts:  st.Mispredicts,
+		TM:           st,
+	}
+	if nanos > 0 {
+		r.KIPS = float64(st.Instructions) / nanos * 1e6
+	}
+	r.TargetMIPS = r.KIPS / 1000
+	return r
+}
+
+func (e *replayEngine) Boot() *workload.Boot { return e.boot }
 
 // fsbEngine is the Intel FPGA-L1-cache-on-the-front-side-bus experiment:
-// the result is the FPGA-assisted simulator; the pure-software simulator it
-// must be compared against is kept for Software().
+// the result is the FPGA-assisted simulator; the same drained replay priced
+// as the pure-software simulator it must be compared against is kept for
+// Software().
 type fsbEngine struct {
-	params   Params
-	boot     *workload.Boot
-	run      func(context.Context) (baseline.Result, baseline.Result, error)
+	replayEngine
 	software Result
-}
-
-func (e *fsbEngine) Describe() string {
-	return "software simulator with its L1 data cache offloaded to an FPGA on the FSB [30]"
-}
-
-func (e *fsbEngine) Configure(p Params) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	if err := rejectMulticore("fsbcache", p); err != nil {
-		return err
-	}
-	prog, boot, fmCfg, err := prepare(p)
-	if err != nil {
-		return err
-	}
-	link, err := p.link()
-	if err != nil {
-		return err
-	}
-	b := baseline.FSBCache{
-		TM: p.tmConfig(), FM: fmCfg, Cost: baseline.SimOutorderCost(),
-		Link: link, MaxInstructions: p.MaxInstructions,
-	}
-	e.params, e.boot = p, boot
-	e.run = func(ctx context.Context) (baseline.Result, baseline.Result, error) {
-		return b.RunContext(ctx, prog)
-	}
-	return nil
 }
 
 func (e *fsbEngine) Run() (Result, error) { return e.RunContext(context.Background()) }
 
 func (e *fsbEngine) RunContext(ctx context.Context) (Result, error) {
-	withFPGA, software, err := e.run(ctx)
+	model, err := e.replay(ctx)
 	if err != nil {
 		return Result{}, err
 	}
-	e.software = fromBaseline("fsbcache", e.params, software)
-	e.software.Engine = "fsbcache(software)"
-	return fromBaseline("fsbcache", e.params, withFPGA), nil
+	e.software = e.result("fsbcache(software)", model, baseline.SimOutorderCost().Nanos(model.Stats))
+	return e.result(e.name, model, e.nanos(model.Stats, e.link)), nil
 }
-
-func (e *fsbEngine) Boot() *workload.Boot { return e.boot }
 
 // Software returns the unmodified pure-software result of the same run —
 // the comparison point that shows the FSB cache makes things *slower*.

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -78,69 +79,16 @@ func (s Sweep) Points() []Point {
 }
 
 // Merge overlays v on base: non-zero fields of v win, zero fields inherit.
+// It walks the struct rather than naming fields, so a field added to Params
+// is merged into every sweep variant the day it lands.
 func Merge(base, v Params) Params {
-	p := base
-	if v.Workload != "" {
-		p.Workload = v.Workload
+	dst, src := reflect.ValueOf(&base).Elem(), reflect.ValueOf(v)
+	for i := 0; i < src.NumField(); i++ {
+		if f := src.Field(i); !f.IsZero() {
+			dst.Field(i).Set(f)
+		}
 	}
-	if v.Program != nil {
-		p.Program = v.Program
-	}
-	if v.Predictor != "" {
-		p.Predictor = v.Predictor
-	}
-	if v.IssueWidth != 0 {
-		p.IssueWidth = v.IssueWidth
-	}
-	if v.Link != "" {
-		p.Link = v.Link
-	}
-	if v.PollEveryBBs != 0 {
-		p.PollEveryBBs = v.PollEveryBBs
-	}
-	if v.BPP {
-		p.BPP = true
-	}
-	if v.MaxInstructions != 0 {
-		p.MaxInstructions = v.MaxInstructions
-	}
-	if v.Cores != 0 {
-		p.Cores = v.Cores
-	}
-	if v.InterconnectLatency != 0 {
-		p.InterconnectLatency = v.InterconnectLatency
-	}
-	if v.DiskLatency != 0 {
-		p.DiskLatency = v.DiskLatency
-	}
-	if v.TraceChunk != 0 {
-		p.TraceChunk = v.TraceChunk
-	}
-	if v.ICacheEntries != 0 {
-		p.ICacheEntries = v.ICacheEntries
-	}
-	if v.SuperblockLen != 0 {
-		p.SuperblockLen = v.SuperblockLen
-	}
-	if v.Rollback != "" {
-		p.Rollback = v.Rollback
-	}
-	if v.CheckpointInterval != 0 {
-		p.CheckpointInterval = v.CheckpointInterval
-	}
-	if v.UncompressedTrace {
-		p.UncompressedTrace = true
-	}
-	if v.FutureMicroarch {
-		p.FutureMicroarch = true
-	}
-	if v.Telemetry != nil {
-		p.Telemetry = v.Telemetry
-	}
-	if v.Snapshots != nil {
-		p.Snapshots = v.Snapshots
-	}
-	return p
+	return base
 }
 
 // PointResult is one executed sweep point. Err captures a per-point

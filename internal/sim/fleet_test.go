@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -47,6 +48,76 @@ func TestSweepPoints(t *testing.T) {
 		}
 		if pt.Params.MaxInstructions != 123 {
 			t.Errorf("point %d lost base MaxInstructions", i)
+		}
+	}
+}
+
+// setNonZero stores a non-zero value in one Params field, chosen by kind;
+// which of two distinct values is picked by alt. Pointer and interface
+// fields take a fresh allocation, so two calls never compare equal (Merge's
+// result is checked by identity there).
+func setNonZero(t *testing.T, name string, f reflect.Value, alt bool) {
+	n := int64(7)
+	if alt {
+		n = 11
+	}
+	switch f.Kind() {
+	case reflect.String:
+		f.SetString(strings.Repeat("x", int(n)))
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		f.SetInt(n)
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		f.SetUint(uint64(n))
+	case reflect.Float32, reflect.Float64:
+		f.SetFloat(float64(n))
+	case reflect.Bool:
+		f.SetBool(true)
+	case reflect.Pointer:
+		f.Set(reflect.New(f.Type().Elem()))
+	case reflect.Interface:
+		for _, impl := range []any{newMemSnapshots()} {
+			if v := reflect.ValueOf(impl); v.Type().AssignableTo(f.Type()) {
+				f.Set(v)
+				return
+			}
+		}
+		t.Fatalf("Params.%s: no test implementation of %s — add one to setNonZero", name, f.Type())
+	default:
+		t.Fatalf("Params.%s: kind %s not handled — extend setNonZero (and check Merge overlays it)", name, f.Kind())
+	}
+}
+
+// TestMergeEveryField walks Params by reflection instead of listing it: each
+// field set non-zero in the overlay must win over an empty and over a fully
+// populated base without disturbing any other field, and the zero overlay
+// must be the identity. A field added to Params is covered the day it lands.
+func TestMergeEveryField(t *testing.T) {
+	typ := reflect.TypeOf(Params{})
+	var full Params
+	for i := 0; i < typ.NumField(); i++ {
+		setNonZero(t, typ.Field(i).Name, reflect.ValueOf(&full).Elem().Field(i), false)
+	}
+	if got := Merge(full, Params{}); !reflect.DeepEqual(got, full) {
+		t.Errorf("zero overlay is not the identity:\n  base %+v\n  got  %+v", full, got)
+	}
+	if got := Merge(Params{}, Params{}); !reflect.DeepEqual(got, Params{}) {
+		t.Errorf("Merge of two zero values = %+v", got)
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		var overlay Params
+		setNonZero(t, name, reflect.ValueOf(&overlay).Elem().Field(i), true)
+		want := reflect.ValueOf(overlay).Field(i).Interface()
+		for _, base := range []Params{{}, full} {
+			got := Merge(base, overlay)
+			if f := reflect.ValueOf(got).Field(i).Interface(); f != want {
+				t.Errorf("Params.%s: overlay value %v dropped, merged value %v", name, want, f)
+			}
+			// Every other field inherits from the base.
+			reflect.ValueOf(&got).Elem().Field(i).Set(reflect.ValueOf(base).Field(i))
+			if !reflect.DeepEqual(got, base) {
+				t.Errorf("Params.%s: overlaying it disturbed another field:\n  base %+v\n  got  %+v", name, base, got)
+			}
 		}
 	}
 }

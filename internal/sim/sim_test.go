@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -284,5 +287,66 @@ func TestHostKnobMapping(t *testing.T) {
 					m.SuperblocksEnabled(), sbHits, tc.wantBlocks)
 			}
 		})
+	}
+}
+
+// TestReplayEnginesStable pins every byte the trace-replay comparison
+// engines report: the SHA-256 of json.Marshal(Result) for monolithic, gems,
+// lockstep, fsbcache and fsbcache's Software() on two parameter sets. The
+// engines differ only in how they price one drained replay, so a refactor
+// of that pricing must keep the floating-point evaluation order of each
+// cost expression. The digests were computed at commit 9bcb70a, the tree
+// before the three baseline simulators became one replay and three cost
+// functions, by adding this test there with empty digests and reading them
+// off the failure output of
+//
+//	go test ./internal/sim -run '^TestReplayEnginesStable$'
+func TestReplayEnginesStable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replay runs")
+	}
+	for _, tc := range []struct {
+		p       Params
+		digests map[string]string
+	}{
+		{Params{Workload: "164.gzip", MaxInstructions: 60_000}, map[string]string{
+			"monolithic":         "b6dcf2fa8c0a1da953ae31b4054bb9045d9470bdd6bbb76134304d41b9af8536",
+			"gems":               "60b17b37d296b9d8016fcc75cc8bba642dce0cf09e30004d1cdac7004dd18ef2",
+			"lockstep":           "0e82c13f97c9e5c62801732491d40239a09d7411e59d19cf9f9727ad1de10174",
+			"fsbcache":           "a8c6e8fecfb54c5246519df0d7aa6f568256e98ef92d7cdb59862e54a793a96c",
+			"fsbcache(software)": "745219fe74178376977e59ae674f33ee9d025b56da5d13638b71c9e4313576c4",
+		}},
+		{Params{Workload: "Linux-2.4", MaxInstructions: 80_000, Link: "coherent", Predictor: "2bit", IssueWidth: 4}, map[string]string{
+			"monolithic":         "65caf2d10cbb4b4668ea9dd67a2cf42c9a50ca0dc5c4d0b61c692b6f7aaae455",
+			"gems":               "0de403b3efd69522ef2ef08dd767e4db05368af46863a091f5a161eefc4b2218",
+			"lockstep":           "003e98e38581dae13a4dac35a62a5dddfe8b1bdc28ccb3ebfa630d0a224c87c9",
+			"fsbcache":           "d39a5c329167f29ec5ef957693e471081ef5f3bddf2b40d7e6da2a22184bf57d",
+			"fsbcache(software)": "8873e0bf69b5eb4d860c78fcfbc40d5a6341d7d35221c339c66f9d97ac7fce2c",
+		}},
+	} {
+		check := func(r Result) {
+			raw, err := json.Marshal(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(raw)
+			if got := hex.EncodeToString(sum[:]); got != tc.digests[r.Engine] {
+				t.Errorf("%s on %s: result digest %s, want %s", r.Engine, r.Workload, got, tc.digests[r.Engine])
+			}
+		}
+		for _, name := range []string{"monolithic", "gems", "lockstep", "fsbcache"} {
+			eng, err := New(name, tc.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(r)
+			if sc, ok := eng.(SoftwareComparison); ok {
+				check(sc.Software())
+			}
+		}
 	}
 }

@@ -8,8 +8,8 @@ import (
 // Buffer is the trace buffer (TB) coupling the functional model (producer)
 // to the timing model (consumer), with the semantics of Figures 1 and 2:
 //
-//   - Entries are indexed by instruction number (IN). The FM pushes entries
-//     in IN order at the tail.
+//   - Entries are indexed by instruction number (IN). The FM publishes
+//     entries in IN order at the tail.
 //   - An entry holds information used by multiple pipeline stages and "is
 //     thus not deallocated until the instruction is fully committed": the
 //     commit pointer, advanced by the TM, frees space.
@@ -17,22 +17,23 @@ import (
 //     to the re-steered IN and overwrites the incorrect-path entries, as I4*
 //     and I5* overwrite I3..I5 in Figure 2.
 //
-// The buffer is safe for one producer and one consumer goroutine; it also
-// supports non-blocking Try variants for deterministic serial coupling.
+// The buffer is safe for one producer and one consumer goroutine, and it
+// never blocks: a publish that does not fit and a fetch of an unproduced IN
+// report so and return. Under the inline and round-robin policies one
+// goroutine plays both sides; under the producer policy the two sides wait
+// on the coupling's own notify channel (core's asyncLink), not on the buffer.
 //
-// Synchronization granularity: the per-entry Push/Fetch calls take the lock
-// once per instruction — exactly the fine-grained cross-partition overhead
-// §3.1's Amdahl model warns about. The chunked API (TryPushChunk /
-// TryFetchChunk, and the Appender built on top) amortizes one lock acquire
-// and one condvar broadcast over a whole chunk of entries, the software
-// analogue of the paper's packed trace records streaming in bursts.
+// Synchronization granularity: taking the lock once per instruction is
+// exactly the fine-grained cross-partition overhead §3.1's Amdahl model
+// warns about, so the API is chunked end to end. TryPushChunk and
+// TryFetchChunk (and the Appender built on top) amortize one lock acquire
+// over a whole chunk of entries, the software analogue of the paper's packed
+// trace records streaming in bursts; per-entry coupling is a chunk of one.
 type Buffer struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
 	ring   []Entry
 	commit uint64 // oldest live IN (everything below is committed & freed)
 	next   uint64 // next IN to be produced (tail)
-	closed bool
 
 	// Peak occupancy statistic.
 	maxOccupancy int
@@ -45,130 +46,23 @@ func NewBuffer(capacity int) *Buffer {
 	if capacity < 1 {
 		panic("trace: buffer capacity must be positive")
 	}
-	b := &Buffer{ring: make([]Entry, capacity)}
-	b.cond = sync.NewCond(&b.mu)
-	return b
+	return &Buffer{ring: make([]Entry, capacity)}
 }
 
 // Cap returns the buffer capacity.
 func (b *Buffer) Cap() int { return len(b.ring) }
 
-func (b *Buffer) slot(in uint64) *Entry { return &b.ring[in%uint64(len(b.ring))] }
-
-// Push appends e (which must carry IN == next unproduced IN) at the tail,
-// blocking while the buffer is full. It returns false if the buffer was
-// closed.
-func (b *Buffer) Push(e Entry) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.next-b.commit >= uint64(len(b.ring)) && !b.closed {
-		b.cond.Wait()
-	}
-	if b.closed {
-		return false
-	}
-	b.pushLocked(e)
-	return true
-}
-
-// TryPush is Push without blocking; it reports whether the entry was stored.
-func (b *Buffer) TryPush(e Entry) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.closed || b.next-b.commit >= uint64(len(b.ring)) {
-		return false
-	}
-	b.pushLocked(e)
-	return true
-}
-
-func (b *Buffer) pushLocked(e Entry) {
-	if e.IN != b.next {
-		panic(fmt.Sprintf("trace: push IN %d, expected %d", e.IN, b.next))
-	}
-	*b.slot(e.IN) = e
-	b.next++
-	if occ := int(b.next - b.commit); occ > b.maxOccupancy {
-		b.maxOccupancy = occ
-	}
-	b.cond.Broadcast()
-}
-
-// Fetch returns the entry with instruction number in, blocking until the
-// producer has written it. ok is false if the buffer closed first.
-//
-// After a Rewind past in, the eventually produced entry is the
-// *replacement* (correct-path) instruction — exactly the Figure 2 overwrite
-// behaviour — so a TM that stalls waiting for IN k always receives the
-// current functional path's instruction k.
-func (b *Buffer) Fetch(in uint64) (Entry, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for in >= b.next && !b.closed {
-		b.cond.Wait()
-	}
-	if in >= b.next {
-		return Entry{}, false
-	}
-	if in < b.commit {
-		panic(fmt.Sprintf("trace: fetch of committed IN %d (commit=%d)", in, b.commit))
-	}
-	return *b.slot(in), true
-}
-
-// TryFetch is Fetch without blocking.
-func (b *Buffer) TryFetch(in uint64) (Entry, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if in >= b.next || in < b.commit {
-		return Entry{}, false
-	}
-	return *b.slot(in), true
-}
-
 // TryPushChunk publishes a contiguous run of entries — es[0] must carry the
-// next unproduced IN — with one lock acquire and one broadcast. It is
-// all-or-nothing: if the buffer lacks space for every entry, or is closed,
-// nothing is stored and ok is false. On success it returns the occupancy
-// after the publish (live entries, for producer-side flow control and
-// telemetry sampling).
+// next unproduced IN — with one lock acquire. It is all-or-nothing: if the
+// buffer lacks space for every entry nothing is stored and ok is false. It
+// returns the occupancy after the call (live entries, for producer-side flow
+// control and telemetry sampling).
 func (b *Buffer) TryPushChunk(es []Entry) (occupancy int, ok bool) {
-	if len(es) == 0 {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return int(b.next - b.commit), !b.closed
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.closed || b.next-b.commit+uint64(len(es)) > uint64(len(b.ring)) {
+	if b.next-b.commit+uint64(len(es)) > uint64(len(b.ring)) {
 		return int(b.next - b.commit), false
 	}
-	b.pushChunkLocked(es)
-	return int(b.next - b.commit), true
-}
-
-// PushChunk is TryPushChunk with blocking: it waits until the buffer has
-// room for the whole chunk. It returns false if the buffer was closed.
-func (b *Buffer) PushChunk(es []Entry) bool {
-	if len(es) == 0 {
-		return !b.Closed()
-	}
-	if len(es) > len(b.ring) {
-		panic(fmt.Sprintf("trace: chunk of %d entries exceeds buffer capacity %d", len(es), len(b.ring)))
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for b.next-b.commit+uint64(len(es)) > uint64(len(b.ring)) && !b.closed {
-		b.cond.Wait()
-	}
-	if b.closed {
-		return false
-	}
-	b.pushChunkLocked(es)
-	return true
-}
-
-func (b *Buffer) pushChunkLocked(es []Entry) {
 	for i := range es {
 		if es[i].IN != b.next+uint64(i) {
 			panic(fmt.Sprintf("trace: chunk entry %d has IN %d, expected %d",
@@ -183,25 +77,22 @@ func (b *Buffer) pushChunkLocked(es []Entry) {
 	if occ := int(b.next - b.commit); occ > b.maxOccupancy {
 		b.maxOccupancy = occ
 	}
-	b.cond.Broadcast()
+	return int(b.next - b.commit), true
 }
 
 // TryFetchChunk copies up to len(dst) consecutive live entries starting at
 // instruction number in into dst, under one lock acquire, and returns how
-// many were copied (0 if in is not live). The copies form a consumer-owned
-// view: a later Rewind past in invalidates the buffer's own entries but
-// never mutates dst — consumers that can observe re-steers must drop their
-// view when they issue one.
+// many were copied (0 if in is not live: unproduced, discarded by a rewind,
+// or already committed). The copies form a consumer-owned view: a later
+// Rewind past in invalidates the buffer's own entries but never mutates dst
+// — consumers that can observe re-steers must drop their view when they
+// issue one. After a Rewind past in, the entry eventually produced at in is
+// the *replacement* (correct-path) instruction — exactly the Figure 2
+// overwrite — so a TM that stalls waiting for IN k always receives the
+// current functional path's instruction k.
 func (b *Buffer) TryFetchChunk(in uint64, dst []Entry) int {
-	if len(dst) == 0 {
-		return 0
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.fetchChunkLocked(in, dst)
-}
-
-func (b *Buffer) fetchChunkLocked(in uint64, dst []Entry) int {
 	if in >= b.next || in < b.commit {
 		return 0
 	}
@@ -215,18 +106,6 @@ func (b *Buffer) fetchChunkLocked(in uint64, dst []Entry) int {
 	return n
 }
 
-// FetchChunk is TryFetchChunk with blocking: it waits until at least one
-// entry at or past in is live. ok is false if the buffer closed first.
-func (b *Buffer) FetchChunk(in uint64, dst []Entry) (int, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	for in >= b.next && !b.closed {
-		b.cond.Wait()
-	}
-	n := b.fetchChunkLocked(in, dst)
-	return n, n > 0
-}
-
 // Commit advances the commit pointer past in: the ROB has fully committed
 // instructions up to and including in, deallocating their TB entries and
 // releasing the FM's rollback resources.
@@ -238,7 +117,6 @@ func (b *Buffer) Commit(in uint64) {
 	}
 	if in+1 > b.commit {
 		b.commit = in + 1
-		b.cond.Broadcast()
 	}
 }
 
@@ -253,24 +131,7 @@ func (b *Buffer) Rewind(in uint64) {
 	}
 	if in < b.next {
 		b.next = in
-		b.cond.Broadcast()
 	}
-}
-
-// Close wakes all waiters; subsequent pushes fail and fetches past the tail
-// return ok=false.
-func (b *Buffer) Close() {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.closed = true
-	b.cond.Broadcast()
-}
-
-// Closed reports whether the producer closed the stream.
-func (b *Buffer) Closed() bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.closed
 }
 
 // Produced returns the next IN the producer will write.
@@ -311,6 +172,4 @@ func (b *Buffer) ResetDrained(in uint64, maxOccupancy int) {
 	defer b.mu.Unlock()
 	b.commit, b.next = in, in
 	b.maxOccupancy = maxOccupancy
-	b.closed = false
-	b.cond.Broadcast()
 }

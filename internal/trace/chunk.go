@@ -5,16 +5,15 @@ import "fmt"
 // DefaultChunk is the default number of entries the producer accumulates
 // locally before publishing them to the trace buffer in one synchronized
 // operation. 64 entries ≈ 9 basic blocks at the paper's dynamic branch
-// ratio: large enough to amortize the lock/notify to noise, small enough
+// ratio: large enough to amortize the lock to noise, small enough
 // that the TM never waits long for visibility.
 const DefaultChunk = 64
 
 // Appender is the producer-side chunking façade over a Buffer: the
 // functional model appends entries into a locally-owned chunk (no
 // synchronization at all) and the Appender publishes whole chunks with a
-// single lock acquire and condvar broadcast — the software realization of
-// streaming the paper's packed trace records in bursts rather than one
-// record at a time.
+// single lock acquire — the software realization of streaming the paper's
+// packed trace records in bursts rather than one record at a time.
 //
 // The Appender owns the producer side of the buffer: all pushes and rewinds
 // must go through it (mixing direct Buffer pushes with an active Appender
@@ -115,17 +114,15 @@ func (a *Appender) TryAppend(e Entry) bool {
 	return true
 }
 
-// Flush publishes the partial chunk, if any. It reports whether the chunk
-// is now empty (an empty chunk is trivially flushed; a publish into a
-// closed buffer fails and leaves the chunk pending). Capacity gating in
-// TryAppend guarantees an open buffer always has room for the chunk.
-func (a *Appender) Flush() bool {
+// Flush publishes the partial chunk, if any. Capacity gating in TryAppend
+// guarantees the buffer always has room for it.
+func (a *Appender) Flush() {
 	if len(a.chunk) == 0 {
-		return true
+		return
 	}
 	occ, ok := a.b.TryPushChunk(a.chunk)
 	if !ok {
-		return false
+		panic("trace: appender chunk does not fit (producer side shared with another writer?)")
 	}
 	n := len(a.chunk)
 	a.chunk = a.chunk[:0]
@@ -137,7 +134,6 @@ func (a *Appender) Flush() bool {
 	if a.OnFlush != nil {
 		a.OnFlush(n, occ)
 	}
-	return true
 }
 
 // Rebase re-synchronizes the appender with its buffer after an external

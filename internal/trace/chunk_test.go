@@ -65,7 +65,7 @@ func TestChunkPushWraps(t *testing.T) {
 	// A chunk that straddles the ring boundary must land in the right slots.
 	b := NewBuffer(8)
 	for i := uint64(0); i < 6; i++ {
-		b.TryPush(entry(i))
+		push1(b, entry(i))
 	}
 	b.Commit(5)
 	es := []Entry{entry(6), entry(7), entry(8), entry(9)} // slots 6,7,0,1
@@ -73,7 +73,7 @@ func TestChunkPushWraps(t *testing.T) {
 		t.Fatal("wrapping chunk push failed")
 	}
 	for in := uint64(6); in <= 9; in++ {
-		e, ok := b.TryFetch(in)
+		e, ok := fetch1(b, in)
 		if !ok || e.IN != in {
 			t.Errorf("fetch(%d) = %+v, %v", in, e, ok)
 		}
@@ -96,9 +96,7 @@ func TestAppenderFlushAtChunkSize(t *testing.T) {
 	if a.Pending() != 2 {
 		t.Errorf("pending = %d, want 2", a.Pending())
 	}
-	if !a.Flush() {
-		t.Fatal("flush failed")
-	}
+	a.Flush()
 	if b.Produced() != 10 || a.Pending() != 0 {
 		t.Errorf("after flush: produced = %d, pending = %d", b.Produced(), a.Pending())
 	}
@@ -160,11 +158,11 @@ func TestAppenderRewindMidChunk(t *testing.T) {
 	if b.Produced() != 8 {
 		t.Fatalf("produced = %d, want 8", b.Produced())
 	}
-	e, _ := b.TryFetch(3)
+	e, _ := fetch1(b, 3)
 	if e.Op != isa.OpHalt {
 		t.Errorf("fetch(3) = %v, want replacement OpHalt", e.Op)
 	}
-	e, _ = b.TryFetch(2)
+	e, _ = fetch1(b, 2)
 	if e.Op != isa.OpNop {
 		t.Errorf("fetch(2) = %v, want original OpNop", e.Op)
 	}
@@ -202,14 +200,14 @@ func TestAppenderRewindAcrossPublishedChunks(t *testing.T) {
 	if b.Produced() != 2 {
 		t.Errorf("produced = %d, want 2", b.Produced())
 	}
-	if _, ok := b.TryFetch(2); ok {
+	if _, ok := fetch1(b, 2); ok {
 		t.Error("fetch(2) returned a discarded wrong-path entry")
 	}
 	// Corrected path republishes through the appender.
 	for i := uint64(2); i < 6; i++ {
 		a.TryAppend(Entry{IN: i, Op: isa.OpHalt})
 	}
-	e, ok := b.TryFetch(2)
+	e, ok := fetch1(b, 2)
 	if !ok || e.Op != isa.OpHalt {
 		t.Errorf("fetch(2) after re-steer = %+v, %v", e, ok)
 	}
@@ -231,7 +229,7 @@ func TestAppenderRandomizedVsReference(t *testing.T) {
 			case r < 6: // append
 				e := Entry{IN: next, PC: isa.Word(seq)}
 				seq++
-				okRef := ref.TryPush(e)
+				okRef := push1(ref, e)
 				okChk := a.TryAppend(e)
 				if okRef != okChk {
 					t.Fatalf("chunk %d step %d: push ok mismatch ref=%v chk=%v", chunk, step, okRef, okChk)
@@ -244,8 +242,8 @@ func TestAppenderRandomizedVsReference(t *testing.T) {
 				if fetched >= next {
 					continue
 				}
-				eRef, okRef := ref.TryFetch(fetched)
-				eChk, okChk := chk.TryFetch(fetched)
+				eRef, okRef := fetch1(ref, fetched)
+				eChk, okChk := fetch1(chk, fetched)
 				if !okRef || !okChk {
 					t.Fatalf("chunk %d step %d: fetch(%d) ref=%v chk=%v", chunk, step, fetched, okRef, okChk)
 				}
@@ -267,8 +265,8 @@ func TestAppenderRandomizedVsReference(t *testing.T) {
 		}
 		a.Flush()
 		for ; fetched < next; fetched++ {
-			eRef, _ := ref.TryFetch(fetched)
-			eChk, _ := chk.TryFetch(fetched)
+			eRef, _ := fetch1(ref, fetched)
+			eChk, _ := fetch1(chk, fetched)
 			if eRef.IN != eChk.IN || eRef.PC != eChk.PC {
 				t.Fatalf("chunk %d drain: entry mismatch at %d", chunk, fetched)
 			}
@@ -317,21 +315,5 @@ func TestChunkConcurrentStress(t *testing.T) {
 		if b.MaxOccupancy() > 128 {
 			t.Errorf("chunk %d: max occupancy %d exceeded capacity", chunk, b.MaxOccupancy())
 		}
-	}
-}
-
-func TestFetchChunkBlockingClose(t *testing.T) {
-	b := NewBuffer(4)
-	done := make(chan bool)
-	go func() {
-		_, ok := b.FetchChunk(0, make([]Entry, 2))
-		done <- ok
-	}()
-	b.Close()
-	if ok := <-done; ok {
-		t.Error("FetchChunk after close reported ok")
-	}
-	if b.PushChunk([]Entry{entry(0)}) {
-		t.Error("PushChunk after close succeeded")
 	}
 }

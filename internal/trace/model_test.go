@@ -63,7 +63,7 @@ func TestBufferAgainstReferenceModel(t *testing.T) {
 		switch rng.Intn(10) {
 		case 0, 1, 2, 3: // push
 			e := mk(ref.next)
-			got := b.TryPush(e)
+			got := push1(b, e)
 			want := ref.tryPush(e)
 			if got != want {
 				t.Fatalf("step %d: push accepted=%v want %v", step, got, want)
@@ -71,7 +71,7 @@ func TestBufferAgainstReferenceModel(t *testing.T) {
 		case 4, 5, 6: // fetch a random IN in a plausible range
 			span := ref.next - ref.commit + 3
 			in := ref.commit + uint64(rng.Int63n(int64(span+1)))
-			ge, gok := b.TryFetch(in)
+			ge, gok := fetch1(b, in)
 			we, wok := ref.tryFetch(in)
 			if gok != wok {
 				t.Fatalf("step %d: fetch(%d) ok=%v want %v", step, in, gok, wok)

@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -10,32 +9,45 @@ import (
 
 func entry(in uint64) Entry { return Entry{IN: in, Op: isa.OpNop} }
 
+// push1 and fetch1 are per-entry coupling spelled on the chunk API: a
+// one-entry chunk is a single push, a one-slot view a single fetch.
+func push1(b *Buffer, e Entry) bool {
+	_, ok := b.TryPushChunk([]Entry{e})
+	return ok
+}
+
+func fetch1(b *Buffer, in uint64) (Entry, bool) {
+	var view [1]Entry
+	n := b.TryFetchChunk(in, view[:])
+	return view[0], n == 1
+}
+
 func TestBufferFIFO(t *testing.T) {
 	b := NewBuffer(4)
 	for i := uint64(0); i < 4; i++ {
-		if !b.TryPush(entry(i)) {
+		if !push1(b, entry(i)) {
 			t.Fatalf("push %d failed", i)
 		}
 	}
-	if b.TryPush(entry(4)) {
+	if push1(b, entry(4)) {
 		t.Error("push into full buffer succeeded")
 	}
 	if b.Occupancy() != 4 {
 		t.Errorf("occupancy = %d", b.Occupancy())
 	}
-	e, ok := b.TryFetch(2)
+	e, ok := fetch1(b, 2)
 	if !ok || e.IN != 2 {
 		t.Errorf("fetch(2) = %+v, %v", e, ok)
 	}
 	// Entries stay until committed: fetch(0) still works.
-	if _, ok := b.TryFetch(0); !ok {
+	if _, ok := fetch1(b, 0); !ok {
 		t.Error("uncommitted entry deallocated")
 	}
 	b.Commit(1)
 	if b.Occupancy() != 2 {
 		t.Errorf("occupancy after commit = %d", b.Occupancy())
 	}
-	if !b.TryPush(entry(4)) || !b.TryPush(entry(5)) {
+	if !push1(b, entry(4)) || !push1(b, entry(5)) {
 		t.Error("space not reclaimed by commit")
 	}
 }
@@ -45,21 +57,21 @@ func TestBufferRewindOverwrites(t *testing.T) {
 	// producer.
 	b := NewBuffer(8)
 	for i := uint64(0); i < 6; i++ {
-		b.TryPush(entry(i))
+		push1(b, entry(i))
 	}
 	b.Rewind(3)
 	if b.Produced() != 3 {
 		t.Fatalf("produced after rewind = %d", b.Produced())
 	}
 	repl := Entry{IN: 3, Op: isa.OpHalt}
-	if !b.TryPush(repl) {
+	if !push1(b, repl) {
 		t.Fatal("re-push failed")
 	}
-	e, _ := b.TryFetch(3)
+	e, _ := fetch1(b, 3)
 	if e.Op != isa.OpHalt {
 		t.Errorf("fetch(3) returned stale entry %v", e.Op)
 	}
-	if _, ok := b.TryFetch(4); ok {
+	if _, ok := fetch1(b, 4); ok {
 		t.Error("fetch(4) returned a discarded wrong-path entry")
 	}
 }
@@ -74,59 +86,25 @@ func TestBufferPanicsOnMisuse(t *testing.T) {
 		f()
 	}
 	b := NewBuffer(4)
-	b.TryPush(entry(0))
-	b.TryPush(entry(1))
-	expectPanic("out-of-order push", func() { b.TryPush(entry(5)) })
+	push1(b, entry(0))
+	push1(b, entry(1))
+	expectPanic("out-of-order push", func() { push1(b, entry(5)) })
 	expectPanic("commit unproduced", func() { b.Commit(7) })
 	b.Commit(0)
 	expectPanic("rewind committed", func() { b.Rewind(0) })
-	expectPanic("fetch committed", func() { b.Fetch(0) })
+	if _, ok := fetch1(b, 0); ok {
+		t.Error("fetch of a committed IN reported a live entry")
+	}
 	expectPanic("zero capacity", func() { NewBuffer(0) })
-}
 
-func TestBufferConcurrent(t *testing.T) {
-	// One producer, one consumer, interleaved commits: every fetched IN
-	// must match, and blocking push/fetch must not deadlock.
-	const n = 10000
-	b := NewBuffer(16)
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for i := uint64(0); i < n; i++ {
-			if !b.Push(entry(i)) {
-				t.Error("push failed")
-				return
-			}
-		}
-	}()
-	for i := uint64(0); i < n; i++ {
-		e, ok := b.Fetch(i)
-		if !ok || e.IN != i {
-			t.Fatalf("fetch(%d) = %+v, %v", i, e, ok)
-		}
-		b.Commit(i)
-	}
-	wg.Wait()
-	if b.MaxOccupancy() > 16 {
-		t.Errorf("max occupancy %d exceeded capacity", b.MaxOccupancy())
-	}
-}
-
-func TestBufferCloseUnblocks(t *testing.T) {
-	b := NewBuffer(2)
-	done := make(chan bool)
-	go func() {
-		_, ok := b.Fetch(0) // blocks: nothing produced
-		done <- ok
-	}()
-	b.Close()
-	if ok := <-done; ok {
-		t.Error("fetch after close reported ok")
-	}
-	if b.Push(entry(0)) {
-		t.Error("push after close succeeded")
-	}
+	// The appender owns the producer side: a direct push behind its back
+	// takes the room its capacity gate had promised the open chunk.
+	shared := NewBuffer(2)
+	a := shared.NewAppender(2)
+	a.TryAppend(entry(0))
+	push1(shared, entry(0))
+	push1(shared, entry(1))
+	expectPanic("flush into a buffer written behind the appender", a.Flush)
 }
 
 func TestEncodingWords(t *testing.T) {
