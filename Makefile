@@ -60,7 +60,8 @@ FUZZ_SMOKES := \
 	./internal/fullsys:FuzzSnapshotDecode:20 \
 	./internal/workload/fs:FuzzFsckDecode:20 \
 	./internal/sim:FuzzEngineAgreement:20 \
-	./internal/core:FuzzRestore:20
+	./internal/core:FuzzRestore:20 \
+	./internal/snap:FuzzCodec:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

@@ -47,19 +47,22 @@ type captureOnly struct{ sim.SnapshotStore }
 func (captureOnly) GetSnapshot(string) (sim.Snapshot, bool) { return sim.Snapshot{}, false }
 
 func main() {
+	// Engine defaults are not restated as flag defaults: an unset flag is a
+	// zero Params field, and the help text reads what that resolves to.
+	def := sim.Params{}.Resolved()
 	var (
 		list        = flag.Bool("list", false, "list workload names")
 		listLong    = flag.Bool("list-workloads", false, "list the workload registry with descriptions")
 		engines     = flag.Bool("engines", false, "list registered simulator engines")
-		name        = flag.String("workload", "Linux-2.4", "workload name (see -list)")
-		predictor   = flag.String("predictor", "gshare", "branch predictor: gshare, 2bit, 97%, 95%, perfect")
+		name        = flag.String("workload", "", fmt.Sprintf("workload name (see -list) (default %q)", def.Workload))
+		predictor   = flag.String("predictor", "", fmt.Sprintf("branch predictor: gshare, 2bit, 97%%, 95%%, perfect (default %q)", def.Predictor))
 		maxInst     = flag.Uint64("max", 250_000, "maximum committed instructions (0 = to completion)")
 		simulator   = flag.String("simulator", "fast", "simulator engine (see -engines)")
-		issueWidth  = flag.Int("issue", 2, "target issue width")
-		cores       = flag.Int("cores", 1, "target core count (1 = the single-core target; >1 = N coupled FM/TM pairs over the modeled coherent interconnect, fast engine only)")
+		issueWidth  = flag.Int("issue", 0, fmt.Sprintf("target issue width (default %d)", def.IssueWidth))
+		cores       = flag.Int("cores", 0, fmt.Sprintf("target core count (1 = the single-core target; >1 = N coupled FM/TM pairs over the modeled coherent interconnect, fast engine only) (default %d)", def.Cores))
 		hopLatency  = flag.Int("interconnect-latency", 0, "per-hop core↔L2 interconnect delay in target cycles (0 = default; only meaningful with -cores > 1)")
 		diskLatency = flag.Int("disk-latency", 0, "disk device latency in target time units (0 = workload default; only meaningful for booted workloads)")
-		link        = flag.String("link", "drc", "host link: drc, pins, coherent")
+		link        = flag.String("link", "", fmt.Sprintf("host link: drc, pins, coherent (default %q)", def.Link))
 		traceChunk  = flag.Int("tracechunk", 0, "FM→TM trace-buffer publish granularity in entries (0 = default, 1 = per-entry; architectural results are identical for any value)")
 		icacheEnt   = flag.Int("icache", 0, "FM predecode-cache entries, rounded up to a power of two (0 = default, -1 = disable; architected results and modeled times are bit-identical at any value)")
 		superblock  = flag.Int("superblock", 0, "FM superblock length cap (0 = default, -1 = disable; requires the predecode cache and the journal rollback engine; architected results and modeled times are bit-identical at any value)")
@@ -77,9 +80,23 @@ func main() {
 		jsonOut     = flag.Bool("json", false, "print the run result as one JSON object instead of text")
 	)
 	flag.Parse()
+	params := sim.Params{
+		Workload:            *name,
+		Predictor:           *predictor,
+		IssueWidth:          *issueWidth,
+		Cores:               *cores,
+		InterconnectLatency: *hopLatency,
+		DiskLatency:         *diskLatency,
+		Link:                *link,
+		MaxInstructions:     *maxInst,
+		TraceChunk:          *traceChunk,
+		ICacheEntries:       *icacheEnt,
+		SuperblockLen:       *superblock,
+	}
+	resolved := params.Resolved()
 
 	if *printConfig {
-		cfg := tm.DefaultConfig().WithIssueWidth(*issueWidth)
+		cfg := tm.DefaultConfig().WithIssueWidth(resolved.IssueWidth)
 		fmt.Print(cfg.Describe())
 		fmt.Printf("\nFPGA footprint: %s\n", cfg.AreaReport(fpga.Virtex4LX200))
 		return
@@ -123,9 +140,9 @@ func main() {
 			"-simulator %s cannot honour it", engine))
 	}
 
-	spec, ok := workload.ByName(*name)
+	spec, ok := workload.ByName(resolved.Workload)
 	if !ok {
-		fatal(fmt.Errorf("unknown workload %q (try -list)", *name))
+		fatal(fmt.Errorf("unknown workload %q (try -list)", resolved.Workload))
 	}
 	if *printKernel {
 		fmt.Print(workload.KernelSource(spec.Kernel))
@@ -190,21 +207,8 @@ func main() {
 		}
 	}
 
-	eng, err := sim.New(engine, sim.Params{
-		Workload:            *name,
-		Predictor:           *predictor,
-		IssueWidth:          *issueWidth,
-		Cores:               *cores,
-		InterconnectLatency: *hopLatency,
-		DiskLatency:         *diskLatency,
-		Link:                *link,
-		MaxInstructions:     *maxInst,
-		TraceChunk:          *traceChunk,
-		ICacheEntries:       *icacheEnt,
-		SuperblockLen:       *superblock,
-		Telemetry:           tel,
-		Snapshots:           snaps,
-	})
+	params.Telemetry, params.Snapshots = tel, snaps
+	eng, err := sim.New(engine, params)
 	if err != nil {
 		fatal(err)
 	}

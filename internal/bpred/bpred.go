@@ -291,20 +291,23 @@ func (g *Gshare) Update(pc isa.Word, taken bool, target isa.Word) {
 	}
 }
 
+// constructors maps each configuration name to its predictor.
+var constructors = map[string]func() Predictor{
+	"perfect": func() Predictor { return Perfect{} },
+	"gshare":  func() Predictor { return NewDefaultGshare() },
+	"2bit":    func() Predictor { return NewTwoBit(13, NewBTB(8192, 4)) },
+	"97%":     func() Predictor { return NewFixed(0.97) },
+	"95%":     func() Predictor { return NewFixed(0.95) },
+}
+
+// Known reports whether New accepts name, without building any tables.
+func Known(name string) bool { return constructors[name] != nil }
+
 // New constructs a predictor by configuration name: "perfect", "gshare",
-// "2bit", or "fixed:<accuracy>" handled by callers via NewFixed.
+// "2bit", "97%" or "95%".
 func New(name string) (Predictor, error) {
-	switch name {
-	case "perfect":
-		return Perfect{}, nil
-	case "gshare":
-		return NewDefaultGshare(), nil
-	case "2bit":
-		return NewTwoBit(13, NewBTB(8192, 4)), nil
-	case "97%":
-		return NewFixed(0.97), nil
-	case "95%":
-		return NewFixed(0.95), nil
+	if ctor := constructors[name]; ctor != nil {
+		return ctor(), nil
 	}
 	return nil, fmt.Errorf("bpred: unknown predictor %q", name)
 }

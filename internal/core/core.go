@@ -81,9 +81,9 @@ type Config struct {
 	// before publishing them to the TB with one synchronized operation
 	// (and one modeled link burst — the packed records stream a chunk at
 	// a time). 0 selects trace.DefaultChunk; 1 degenerates to per-entry
-	// coupling. Architectural results are identical for every value ≥ 1;
-	// only host-side synchronization cost and the modeled transfer count
-	// change.
+	// coupling. Architectural results are identical for every value ≥ 1,
+	// but the knob moves link.writes (the modeled transfer count) and is
+	// the multicore quantum, so sim.Params.Key hashes it.
 	TraceChunk int
 
 	// Link is the host CPU↔FPGA channel.

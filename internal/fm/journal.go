@@ -392,9 +392,13 @@ type checkpointEngine struct {
 	replaying  bool
 }
 
+// DefaultCheckpointInterval is the checkpoint spacing a zero
+// Config.CheckpointInterval selects.
+const DefaultCheckpointInterval = 64
+
 func newCheckpointEngine(interval int) *checkpointEngine {
 	if interval < 1 {
-		interval = 64
+		interval = DefaultCheckpointInterval
 	}
 	return &checkpointEngine{interval: interval}
 }

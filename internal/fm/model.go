@@ -83,7 +83,7 @@ type Config struct {
 	// journal (default) or the paper's leapfrog checkpoints + replay.
 	Rollback RollbackMode
 	// CheckpointInterval is the instruction distance between leapfrog
-	// checkpoints (RollbackCheckpoint only; default 64).
+	// checkpoints (RollbackCheckpoint only; 0 = DefaultCheckpointInterval).
 	CheckpointInterval int
 	// Telemetry, when non-nil, receives rollback/re-execution counters and
 	// the journal-depth distribution (fm_* series). Nil telemetry costs one

@@ -110,6 +110,9 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"unknown params field", "POST", "/v1/jobs", `{"engine":"fast","params":{"frobnicate":1}}`, 400, service.CodeBadParams, ""},
 		{"unknown engine", "POST", "/v1/jobs", `{"engine":"warp-drive","params":{"workload":"164.gzip"}}`, 400, service.CodeUnknownEngine, ""},
 		{"invalid params", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"no-such-workload"}}`, 400, service.CodeBadParams, ""},
+		{"negative issue width", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"164.gzip","issue_width":-3}}`, 400, service.CodeBadParams, ""},
+		{"poll cadence below resteer-only", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"164.gzip","poll_every_bbs":-7}}`, 400, service.CodeBadParams, ""},
+		{"unknown predictor", "POST", "/v1/jobs", `{"engine":"fast","params":{"workload":"164.gzip","predictor":"nope"}}`, 400, service.CodeBadParams, ""},
 		{"queue full", "POST", "/v1/jobs", `{"engine":"svc-block","params":{"workload":"186.crafty"}}`, 429, service.CodeQueueFull, "node"},
 		{"job not found", "GET", "/v1/jobs/job-999999", "", 404, service.CodeNotFound, ""},
 		{"result not found", "GET", "/v1/jobs/job-999999/result", "", 404, service.CodeNotFound, ""},

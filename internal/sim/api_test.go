@@ -68,6 +68,9 @@ func TestParamsValidation(t *testing.T) {
 		{"negative checkpoint interval", "fast", Params{Workload: "164.gzip", Rollback: "checkpoint", CheckpointInterval: -1}, "checkpoint interval"},
 		{"cores out of range", "fast", Params{Workload: "164.gzip", Cores: 65}, "cores"},
 		{"negative interconnect latency", "fast", Params{Workload: "164.gzip", Cores: 2, InterconnectLatency: -1}, "interconnect latency"},
+		{"negative issue width", "fast", Params{Workload: "164.gzip", IssueWidth: -3}, "issue width"},
+		{"poll cadence below PollOnResteer", "fast", Params{Workload: "164.gzip", PollEveryBBs: -7}, "poll cadence"},
+		{"unknown predictor", "fast", Params{Workload: "164.gzip", Predictor: "nope"}, "unknown predictor"},
 		{"multicore on fast-parallel", "fast-parallel", Params{Workload: "164.gzip", Cores: 2}, "single-core"},
 		{"multicore on monolithic", "monolithic", Params{Workload: "164.gzip", Cores: 2}, "single-core"},
 		{"multicore on lockstep", "lockstep", Params{Workload: "164.gzip", Cores: 2}, "single-core"},
@@ -81,6 +84,13 @@ func TestParamsValidation(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.wantSub) {
 				t.Errorf("error %q does not mention %q", err, tc.wantSub)
+			}
+			// Only an engine's own restriction (its name, its core limit)
+			// may wait for Configure: everything else Validate alone
+			// rejects, so an API can refuse it before admission.
+			engineRule := tc.wantSub == "unknown engine" || tc.wantSub == "single-core"
+			if verr := tc.params.Validate(); (verr == nil) != engineRule {
+				t.Errorf("Validate() = %v, want rejection = %v", verr, !engineRule)
 			}
 		})
 	}

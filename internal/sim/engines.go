@@ -49,25 +49,14 @@ func init() {
 	})
 }
 
-// hostKnob resolves a Params host knob whose engine-side zero means "off"
-// (fm.Config) under the one Params rule: 0 = def, N>0 = N, negative = off.
-func hostKnob(v, def int) int {
-	switch {
-	case v == 0:
-		return def
-	case v < 0:
-		return 0
-	}
-	return v
-}
-
-// prepare resolves the shared parts of Params: the program image, the boot
-// environment (nil for raw bare-metal programs) and the FM configuration —
-// the one place the predecode-cache and superblock defaults are applied.
+// prepare builds the shared parts of a Resolved parameter set: the program
+// image, the boot environment (nil for raw bare-metal programs) and the FM
+// configuration.
 func prepare(p Params) (*isa.Program, *workload.Boot, fm.Config, error) {
+	// Params spells "off" as a negative value, fm.Config as zero.
 	fmCfg := fm.Config{
-		ICacheEntries: hostKnob(p.ICacheEntries, fm.DefaultICacheEntries),
-		SuperblockLen: hostKnob(p.SuperblockLen, fm.DefaultSuperblockLen),
+		ICacheEntries: max(p.ICacheEntries, 0),
+		SuperblockLen: max(p.SuperblockLen, 0),
 	}
 	if p.Program != nil {
 		// Bare metal: no toyOS underneath, so nothing can service
@@ -75,16 +64,13 @@ func prepare(p Params) (*isa.Program, *workload.Boot, fm.Config, error) {
 		fmCfg.DisableInterrupts = true
 		return p.Program, nil, fmCfg, nil
 	}
-	// workloadSpec resolves through the registry, which already builds the
-	// spec at p.Cores (smp-* bake the count into the user program; other
-	// workloads park idle secondaries in the kernel).
-	spec, err := p.workloadSpec()
-	if err != nil {
-		return nil, nil, fm.Config{}, err
+	// The registry builds the spec at p.Cores (smp-* bake the count into the
+	// user program; other workloads park idle secondaries in the kernel).
+	spec, ok := workload.Lookup(p.Workload, p.Cores)
+	if !ok {
+		return nil, nil, fm.Config{}, fmt.Errorf("sim: unknown workload %q", p.Workload)
 	}
-	if p.DiskLatency > 0 {
-		spec.Kernel.DiskLatency = uint64(p.DiskLatency)
-	}
+	spec.Kernel.DiskLatency = uint64(p.DiskLatency)
 	boot, err := spec.Build()
 	if err != nil {
 		return nil, nil, fm.Config{}, err
@@ -115,31 +101,23 @@ func (e *fastEngine) Describe() string {
 }
 
 func (e *fastEngine) Configure(p Params) error {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
+	p = p.Resolved()
 	prog, boot, fmCfg, err := prepare(p)
-	if err != nil {
-		return err
-	}
-	link, err := p.link()
 	if err != nil {
 		return err
 	}
 	cfg := core.DefaultConfig()
 	cfg.TM = p.tmConfig()
 	cfg.FM = fmCfg
-	cfg.Link = link
+	cfg.Link = links[p.Link]()
 	cfg.BPP = p.BPP
 	cfg.MaxInstructions = p.MaxInstructions
 	cfg.TraceChunk = p.TraceChunk
 	cfg.Telemetry = p.Telemetry
-	switch {
-	case p.PollEveryBBs > 0:
-		cfg.PollEveryBBs = p.PollEveryBBs
-	case p.PollEveryBBs == PollOnResteer:
-		cfg.PollEveryBBs = 0
-	}
+	cfg.PollEveryBBs = max(p.PollEveryBBs, 0) // core spells PollOnResteer as 0
 	if p.Rollback == "checkpoint" {
 		cfg.FM.Rollback = fm.RollbackCheckpoint
 		cfg.FM.CheckpointInterval = p.CheckpointInterval
@@ -288,12 +266,10 @@ func fromMulticore(p Params, mr core.MulticoreResult) Result {
 	return r
 }
 
+// workloadName labels the target of a Resolved parameter set.
 func workloadName(p Params) string {
 	if p.Program != nil {
 		return "(raw program)"
-	}
-	if p.Workload == "" {
-		return "Linux-2.4"
 	}
 	return p.Workload
 }
@@ -316,21 +292,17 @@ type replayEngine struct {
 func (e *replayEngine) Describe() string { return e.desc }
 
 func (e *replayEngine) Configure(p Params) error {
-	if err := p.validate(); err != nil {
+	if err := p.Validate(); err != nil {
 		return err
 	}
 	if p.Cores > 1 {
 		return fmt.Errorf("sim: engine %s runs single-core targets only (got %d cores); use the fast engine", e.name, p.Cores)
 	}
+	p = p.Resolved()
+	e.params, e.link = p, links[p.Link]()
 	var err error
-	if e.prog, e.boot, e.fm, err = prepare(p); err != nil {
-		return err
-	}
-	if e.link, err = p.link(); err != nil {
-		return err
-	}
-	e.params = p
-	return nil
+	e.prog, e.boot, e.fm, err = prepare(p)
+	return err
 }
 
 // replay runs the configured target once and returns the drained model.

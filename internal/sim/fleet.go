@@ -19,7 +19,7 @@ type Point struct {
 }
 
 func (pt Point) String() string {
-	w := workloadName(pt.Params)
+	w := workloadName(pt.Params.Resolved())
 	if pt.Params.Predictor != "" {
 		return fmt.Sprintf("%s/%s/%s", pt.Engine, w, pt.Params.Predictor)
 	}

@@ -72,7 +72,7 @@ func resultMap(t *testing.T, r sim.Result) map[string]any {
 	return m
 }
 
-func runFast(t *testing.T, p sim.Params) map[string]any {
+func runFastResult(t *testing.T, p sim.Params) sim.Result {
 	t.Helper()
 	eng, err := sim.New("fast", p)
 	if err != nil {
@@ -82,7 +82,12 @@ func runFast(t *testing.T, p sim.Params) map[string]any {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return resultMap(t, r)
+	return r
+}
+
+func runFast(t *testing.T, p sim.Params) map[string]any {
+	t.Helper()
+	return resultMap(t, runFastResult(t, p))
 }
 
 // diffMaps reports the keys (recursively) whose values differ.
@@ -151,8 +156,10 @@ func TestFastEngineMatchesSeedGoldens(t *testing.T) {
 // superblocks off, degenerate single-instruction blocks, short and longer
 // than the default. Unnamed fields stay zero, i.e. at the engine default.
 // A row must yield the identical Result (modulo link.writes) as the all-off
-// reference, which is what lets Params.Key() omit ICacheEntries and
-// SuperblockLen and fold TraceChunk's default.
+// reference, and its Key() must say what the run did: the same key as the
+// reference exactly when the Result is the same down to link.writes. That
+// is what lets Params.Key() omit ICacheEntries and SuperblockLen, and what
+// keeps TraceChunk in it — a chunk is one modeled link transfer.
 var hostKnobRows = map[string][]struct {
 	name string
 	knob sim.Params
@@ -177,13 +184,20 @@ var hostKnobRows = map[string][]struct {
 	},
 }
 
-// hostKnobInvariance runs one axis of hostKnobRows on one workload.
-func hostKnobInvariance(t *testing.T, w, axis string) {
+// knobInvariance runs one axis of hostKnobRows on one workload.
+func knobInvariance(t *testing.T, w, axis string) {
 	p := sim.Params{Workload: w, MaxInstructions: 50_000}
-	ref := runFast(t, allOff(p))
+	ref := runFastResult(t, allOff(p))
 	for _, row := range hostKnobRows[axis] {
 		t.Run(row.name, func(t *testing.T) {
-			expectSame(t, ref, runFast(t, sim.Merge(p, row.knob)))
+			q := sim.Merge(p, row.knob)
+			got := runFastResult(t, q)
+			expectSame(t, resultMap(t, ref), resultMap(t, got))
+			sameKey, sameResult := q.Key() == allOff(p).Key(), got == ref
+			if sameKey != sameResult {
+				t.Errorf("same Key() = %v but same Result = %v: link.writes %d, reference %d",
+					sameKey, sameResult, got.LinkStats.Writes, ref.LinkStats.Writes)
+			}
 		})
 	}
 }
@@ -192,7 +206,7 @@ func hostKnobInvariance(t *testing.T, w, axis string) {
 // the test names the tier-1 floor pins keep their meaning). The FM-side
 // knobs also run on the Linux boot: interrupts, paging and device I/O are
 // where a predecode or superblock shortcut could go wrong.
-func TestFastEngineTraceChunkInvariance(t *testing.T) { hostKnobInvariance(t, "164.gzip", "chunk") }
+func TestFastEngineTraceChunkInvariance(t *testing.T) { knobInvariance(t, "164.gzip", "chunk") }
 
 func TestFastEngineICacheInvariance(t *testing.T) { onBoth(t, "icache") }
 
@@ -200,6 +214,6 @@ func TestFastEngineSuperblockInvariance(t *testing.T) { onBoth(t, "superblock") 
 
 func onBoth(t *testing.T, axis string) {
 	for _, w := range []string{"164.gzip", "Linux-2.4"} {
-		t.Run(w, func(t *testing.T) { hostKnobInvariance(t, w, axis) })
+		t.Run(w, func(t *testing.T) { knobInvariance(t, w, axis) })
 	}
 }

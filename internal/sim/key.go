@@ -8,166 +8,49 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-
-	"repro/internal/trace"
 )
 
-// This file is the content-addressing side of the Params schema: Key()
-// hashes the declarative fields into a canonical digest so that two
-// parameter sets which provably configure the identical simulation collide,
-// and any knob that can move a Result bit separates. Runs are deterministic
-// (the golden and invariance tests of internal/sim lock this), so
-// engine-name + Params.Key() fully addresses a sim.Result — which is what
-// lets internal/service serve repeated submissions from a cache instead of
-// simulating again.
+// This file is the content-addressing side of the Params schema. Runs are
+// deterministic (the golden and invariance tests of internal/sim lock
+// this), so engine-name + Params.Key() fully addresses a sim.Result — which
+// is what lets internal/service serve repeated submissions from a cache
+// instead of simulating again — and Params.SnapshotPrefix() addresses the
+// boot a run starts with.
 
-// keyDefaults are the engine defaults the canonical form folds in, one per
-// documented "0/empty means X" rule on Params. Each constant is pinned to
-// the layer that owns the default by a test in key_test.go, so a default
-// drifting there breaks the build here instead of silently splitting (or
-// worse, falsely merging) cache keys.
-const (
-	keyDefaultWorkload  = "Linux-2.4" // Params.workloadSpec
-	keyDefaultPredictor = "gshare"    // tm.DefaultConfig().Predictor
-	keyDefaultIssue     = 2           // tm.DefaultConfig().IssueWidth
-	keyDefaultLink      = "drc"       // Params.link
-	keyDefaultPollBBs   = 2           // core.DefaultConfig().PollEveryBBs
-	keyDefaultRollback  = "journal"   // fm's default recovery engine
-	keyDefaultCkptEvery = 64          // fm.newCheckpointEngine
-	keyDefaultCores     = 1           // Params.Cores: 0 means single-core
-	keyDefaultHopLat    = 4           // cache.DefaultInterconnectLatency
-	keyDefaultDiskLat   = 200         // workload.DiskLatency
-)
-
-// canonicalParams is the shape Key hashes: every Params field that can
-// change a Result, with defaults resolved and result-invariant knobs
-// dropped. The JSON encoding of this struct (fixed field order, no
-// omitempty) is the canonical byte string.
-//
-// Deliberately absent:
-//
-//   - ICacheEntries: the FM predecode cache is bit-invariant at every size
-//     including disabled (TestFastEngineICacheInvariance), so two
-//     submissions differing only in cache size are the same simulation.
-//   - SuperblockLen: the superblock fast path is likewise bit-invariant at
-//     every length including disabled
-//     (TestFastEngineSuperblockInvariance).
-//   - Telemetry: instrumentation reads the run, it never steers it.
-type canonicalParams struct {
-	Version         int    `json:"v"` // bump when canonicalization rules change
-	Workload        string `json:"workload"`
-	ProgramDigest   string `json:"program_digest,omitempty"`
-	Predictor       string `json:"predictor"`
-	IssueWidth      int    `json:"issue_width"`
-	Link            string `json:"link"`
-	PollEveryBBs    int    `json:"poll_every_bbs"`
-	BPP             bool   `json:"bpp"`
-	MaxInstructions uint64 `json:"max_instructions"`
-	TraceChunk      int    `json:"trace_chunk"`
-	Rollback        string `json:"rollback"`
-	CheckpointEvery int    `json:"checkpoint_every"`
-	Uncompressed    bool   `json:"uncompressed"`
-	FutureMicroarch bool   `json:"future_microarch"`
-	Cores           int    `json:"cores"`
-	HopLatency      int    `json:"hop_latency"`
-	DiskLatency     int    `json:"disk_latency"`
-}
-
-// canonical resolves p into the form Key hashes.
-func (p Params) canonical() canonicalParams {
-	c := canonicalParams{
-		Version:         3, // v3: boot-environment disk_latency
-		Workload:        p.Workload,
-		Predictor:       p.Predictor,
-		IssueWidth:      p.IssueWidth,
-		Link:            p.Link,
-		PollEveryBBs:    p.PollEveryBBs,
-		BPP:             p.BPP,
-		MaxInstructions: p.MaxInstructions,
-		TraceChunk:      p.TraceChunk,
-		Rollback:        p.Rollback,
-		CheckpointEvery: p.CheckpointInterval,
-		Uncompressed:    p.UncompressedTrace,
-		FutureMicroarch: p.FutureMicroarch,
-		Cores:           p.Cores,
-		HopLatency:      p.InterconnectLatency,
-		DiskLatency:     p.DiskLatency,
+// address hashes a Resolved parameter set under a domain tag (so the two
+// address spaces never collide) and a version tag (bump it when Resolved's
+// rules change; stored entries then miss cold). The wire JSON is the
+// canonical byte string: its tags are the stable schema, and Telemetry and
+// Snapshots — which read a run or trade host time, never steer it — are
+// already off the wire. A field added to Params is therefore hashed unless
+// it is zeroed here.
+func (p Params) address(domain string) string {
+	// The two bit-invariant knobs: identical Result bytes at every value,
+	// off included (TestFastEngine{ICache,Superblock}Invariance).
+	p.ICacheEntries, p.SuperblockLen = 0, 0
+	raw, err := json.Marshal(p)
+	if err != nil {
+		// Params' wire form is a flat object of scalars; Marshal cannot fail.
+		panic(fmt.Sprintf("sim: params encoding: %v", err))
 	}
+	h := sha256.New()
+	h.Write([]byte(domain + "\x00v4\x00"))
+	h.Write(raw)
 	if p.Program != nil {
-		// A raw image replaces the named workload entirely; only the parts
-		// the FM loads (base, entry, code bytes) reach the digest — symbol
-		// tables are assembler metadata.
-		h := sha256.New()
+		// Only the parts the FM loads (base, entry, code bytes) reach the
+		// digest — symbol tables are assembler metadata.
 		binary.Write(h, binary.LittleEndian, uint64(p.Program.Base))
 		binary.Write(h, binary.LittleEndian, uint64(p.Program.Entry))
 		h.Write(p.Program.Code)
-		c.Workload = ""
-		c.ProgramDigest = hex.EncodeToString(h.Sum(nil))
-	} else if c.Workload == "" {
-		c.Workload = keyDefaultWorkload
 	}
-	if c.Predictor == "" {
-		c.Predictor = keyDefaultPredictor
-	}
-	if c.IssueWidth == 0 {
-		c.IssueWidth = keyDefaultIssue
-	}
-	if c.Link == "" {
-		c.Link = keyDefaultLink
-	}
-	if c.PollEveryBBs == 0 {
-		c.PollEveryBBs = keyDefaultPollBBs
-	}
-	if c.TraceChunk == 0 {
-		c.TraceChunk = trace.DefaultChunk
-	}
-	if c.Rollback == "" {
-		c.Rollback = keyDefaultRollback
-	}
-	switch {
-	case c.Rollback != "checkpoint":
-		// The spacing knob only exists under checkpoint recovery; under the
-		// journal it is dead state and must not split keys.
-		c.CheckpointEvery = 0
-	case c.CheckpointEvery == 0:
-		c.CheckpointEvery = keyDefaultCkptEvery
-	}
-	if c.Cores == 0 {
-		c.Cores = keyDefaultCores
-	}
-	switch {
-	case c.Cores == 1:
-		// A single-core target has no interconnect; the hop knob is dead
-		// state there and must not split keys.
-		c.HopLatency = 0
-	case c.HopLatency == 0:
-		c.HopLatency = keyDefaultHopLat
-	}
-	switch {
-	case c.ProgramDigest != "":
-		// Bare-metal programs boot no devices; the disk knob is dead state
-		// there and must not split keys.
-		c.DiskLatency = 0
-	case c.DiskLatency == 0:
-		c.DiskLatency = keyDefaultDiskLat
-	}
-	return c
+	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Key returns the canonical content address of p: a SHA-256 hex digest over
-// the resolved parameter set. Two Params that configure the identical
-// simulation — spelled with explicit defaults or left zero, differing only
-// in result-invariant knobs (ICacheEntries) or instrumentation (Telemetry)
-// — return the same key; changing any result-affecting knob changes it.
-func (p Params) Key() string {
-	raw, err := json.Marshal(p.canonical())
-	if err != nil {
-		// canonicalParams is a flat struct of scalars; Marshal cannot fail.
-		panic(fmt.Sprintf("sim: canonical params encoding: %v", err))
-	}
-	sum := sha256.Sum256(raw)
-	return hex.EncodeToString(sum[:])
-}
+// Key returns the content address of p: two Params that configure the
+// identical simulation — spelled with explicit defaults or left zero,
+// differing only in dead or bit-invariant knobs or in instrumentation —
+// return the same key; anything that can move a Result byte changes it.
+func (p Params) Key() string { return p.Resolved().address("key") }
 
 // DecodeParams is the strict JSON boundary for Params: unknown fields and
 // trailing data are rejected, so a typo'd knob in an API request fails loud

@@ -1,17 +1,14 @@
 package sim
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/isa"
-	"repro/internal/tm"
 	"repro/internal/trace"
-	"repro/internal/workload"
 )
 
 // TestParamsKeyDefaultsCollide pins the "semantically equal params share a
@@ -55,6 +52,13 @@ func TestParamsKeyDefaultsCollide(t *testing.T) {
 	b = Params{Cores: 2, InterconnectLatency: 4}.Key()
 	if a != b {
 		t.Errorf("interconnect latency 0 and 4 should collide at 2 cores: %s vs %s", a, b)
+	}
+	// A chunk cannot exceed the trace buffer it publishes into: anything
+	// above the capacity is the capacity (trace.NewAppender's clamp).
+	a = Params{TraceChunk: 512}.Key()
+	b = Params{TraceChunk: 4096}.Key()
+	if a != b {
+		t.Errorf("trace chunks 512 and 4096 run the identical simulation and should collide: %s vs %s", a, b)
 	}
 }
 
@@ -122,36 +126,63 @@ func TestParamsKeyProgramDigest(t *testing.T) {
 	}
 }
 
-// TestKeyDefaultConstantsPinned ties the canonicalization constants to the
-// layers that own each default, so a default changing there breaks here
-// instead of silently corrupting the key space.
-func TestKeyDefaultConstantsPinned(t *testing.T) {
-	if got := tm.DefaultConfig().Predictor; got != keyDefaultPredictor {
-		t.Errorf("tm default predictor %q, key folds %q", got, keyDefaultPredictor)
+// TestKeyCoversEveryWireField states the exemption list once, against the
+// struct itself: setting any JSON-tagged field to a non-default value moves
+// Key unless the field is one of the two bit-invariant FM knobs, and moves
+// SnapshotPrefix unless it is one of those or the instruction cap. A field
+// added to Params is covered — hashed — the day it lands.
+func TestKeyCoversEveryWireField(t *testing.T) {
+	// No knob is dead on this base: checkpoints and an interconnect exist.
+	base := Params{Rollback: "checkpoint", Cores: 2}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		tag, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+		if tag == "-" {
+			continue
+		}
+		p := base
+		setNonZero(t, name, reflect.ValueOf(&p).Elem().Field(i), false)
+		invariant := tag == "icache_entries" || tag == "superblock_len"
+		if moved := p.Key() != base.Key(); moved == invariant {
+			t.Errorf("Params.%s: Key moved = %v, want %v", name, moved, !invariant)
+		}
+		invariant = invariant || tag == "max_instructions"
+		if moved := p.SnapshotPrefix() != base.SnapshotPrefix(); moved == invariant {
+			t.Errorf("Params.%s: SnapshotPrefix moved = %v, want %v", name, moved, !invariant)
+		}
 	}
-	if got := tm.DefaultConfig().IssueWidth; got != keyDefaultIssue {
-		t.Errorf("tm default issue width %d, key folds %d", got, keyDefaultIssue)
+}
+
+// checkResolved asserts Resolved is idempotent and is what Key hashes.
+func checkResolved(t *testing.T, p Params) {
+	t.Helper()
+	r := p.Resolved()
+	if again := r.Resolved(); again != r {
+		t.Errorf("Resolved is not idempotent:\n  once  %+v\n  twice %+v", r, again)
 	}
-	if got := core.DefaultConfig().PollEveryBBs; got != keyDefaultPollBBs {
-		t.Errorf("core default poll %d, key folds %d", got, keyDefaultPollBBs)
+	if r.Key() != p.Key() || r.SnapshotPrefix() != p.SnapshotPrefix() {
+		t.Errorf("resolving %+v moved its content address", p)
 	}
-	if spec, err := (Params{Workload: keyDefaultWorkload}).workloadSpec(); err != nil || spec.Name != keyDefaultWorkload {
-		t.Errorf("default workload %q not resolvable: %v", keyDefaultWorkload, err)
-	}
-	empty, err := Params{}.link()
-	if err != nil {
-		t.Fatalf("empty link: %v", err)
-	}
-	if named, err := (Params{Link: keyDefaultLink}).link(); err != nil || !reflect.DeepEqual(empty, named) {
-		t.Errorf("empty link should resolve to %q: %v", keyDefaultLink, err)
-	}
-	if cache.DefaultInterconnectLatency != keyDefaultHopLat {
-		t.Errorf("cache default hop latency %d, key folds %d",
-			cache.DefaultInterconnectLatency, keyDefaultHopLat)
-	}
-	if workload.DiskLatency != keyDefaultDiskLat {
-		t.Errorf("workload default disk latency %d, key folds %d",
-			workload.DiskLatency, keyDefaultDiskLat)
+}
+
+// TestResolvedIsAFixedPoint checks Resolved against the engines, not just
+// the hash: running the resolved spelling of a parameter set — every
+// default explicit, every dead knob cleared — yields the same Result bytes
+// as running the set itself, on a single-core, a multicore and a
+// checkpoint-rollback target.
+func TestResolvedIsAFixedPoint(t *testing.T) {
+	for _, p := range []Params{
+		{Workload: "164.gzip", MaxInstructions: 20_000},
+		{Workload: "smp-lock", Cores: 2, MaxInstructions: 20_000},
+		{Workload: "253.perlbmk", Rollback: "checkpoint", MaxInstructions: 20_000},
+	} {
+		checkResolved(t, p)
+		plain, _ := runFastJSON(t, p)
+		resolved, _ := runFastJSON(t, p.Resolved())
+		if !bytes.Equal(plain, resolved) {
+			t.Errorf("%s: the resolved params run a different simulation:\n%s\nvs\n%s", p.Workload, plain, resolved)
+		}
 	}
 }
 
@@ -282,6 +313,7 @@ func FuzzDecodeParams(f *testing.F) {
 		if p.Key() != again.Key() {
 			t.Fatal("round trip changed the content address")
 		}
+		checkResolved(t, p)
 	})
 }
 

@@ -13,16 +13,21 @@
 package sim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"sort"
 	"strings"
 
+	"repro/internal/bpred"
+	"repro/internal/cache"
+	"repro/internal/core"
 	"repro/internal/fm"
 	"repro/internal/hostlink"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/tm"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -31,25 +36,27 @@ import (
 // re-steers instead of every N basic blocks (ablation A2/A6).
 const PollOnResteer = -1
 
+// DefaultWorkload is the workload an empty Params.Workload selects.
+const DefaultWorkload = "Linux-2.4"
+
 // Off disables Params.ICacheEntries or Params.SuperblockLen (any negative
 // value does): zero is taken, as for every other field, so "off" needs a
 // value of its own.
 const Off = -1
 
 // Params configures any engine. The zero value of every field means "engine
-// default": the Linux-boot workload, gshare prediction, the prototype issue
-// width, the DRC link, per-2-basic-block polling, the default trace chunk,
-// predecode cache and superblock length, and no instruction cap.
+// default"; Resolved is the one place each default is applied.
 //
 // The JSON tags are a stable serialization schema: internal/service accepts
 // a Params overlay on its API boundary (strictly — unknown fields are
 // rejected, see DecodeParams) and the omitempty tags make the zero value
 // round-trip as `{}`. Program, Telemetry and Snapshots deliberately carry
 // `json:"-"`: raw images, live instrumentation and local stores never cross
-// the wire. Add fields freely; never rename or repurpose a tag.
+// the wire. Add fields freely — a tagged field is part of Key and
+// SnapshotPrefix the day it lands — but never rename or repurpose a tag.
 type Params struct {
-	// Workload names a workload from internal/workload ("Linux-2.4",
-	// "164.gzip", ...). Empty selects Linux-2.4 unless Program is set.
+	// Workload names a workload from internal/workload ("164.gzip",
+	// "nicserv", ...). Empty selects DefaultWorkload unless Program is set.
 	Workload string `json:"workload,omitempty"`
 	// Program, when non-nil, is a raw assembled image run bare-metal
 	// (no toyOS boot, interrupts disabled) instead of a named workload.
@@ -94,9 +101,11 @@ type Params struct {
 	// TraceChunk is the FM→TM trace-buffer publish granularity in entries:
 	// the FM accumulates a chunk locally and publishes it (one buffer
 	// synchronization, one modeled link transfer) when it fills. 0 = the
-	// engine default (trace.DefaultChunk); 1 = per-entry coupling.
-	// Architectural results are identical for every value ≥ 1 — the knob
-	// sweeps host-side synchronization cost only. FAST engines only.
+	// engine default (trace.DefaultChunk); 1 = per-entry coupling; values
+	// above the trace-buffer capacity mean the capacity. Architectural
+	// results are identical for every value ≥ 1, but the knob moves
+	// link.writes (one modeled transfer per chunk) and is the multicore
+	// quantum, so it is part of the content address. FAST engines only.
 	TraceChunk int `json:"trace_chunk,omitempty"`
 
 	// ICacheEntries sizes the functional model's predecode cache
@@ -152,14 +161,59 @@ type Params struct {
 	Snapshots SnapshotStore `json:"-"`
 }
 
-// validate rejects parameter values no engine can honour. Engines call it
-// from Configure; the named-field checks live here so every engine rejects
-// the same bad inputs with the same messages.
-func (p Params) validate() error {
-	switch p.Rollback {
-	case "", "journal", "checkpoint":
-	default:
-		return fmt.Errorf("sim: unknown rollback %q (want journal, checkpoint)", p.Rollback)
+// links are the host CPU↔FPGA channels Params.Link names.
+var links = map[string]func() hostlink.Config{
+	"drc":      hostlink.DRC,
+	"pins":     hostlink.DRCPinRegisters,
+	"coherent": hostlink.CoherentHT,
+}
+
+// Resolved returns the parameter set p actually configures, and is the only
+// place a "zero means default" or dead-knob rule is written: every zero
+// field takes its default from the layer that owns it, every knob the
+// selected target cannot feel is cleared, and the "off" spellings (Off,
+// PollOnResteer) pass through. It is idempotent. Key and SnapshotPrefix
+// hash the result and every Configure consumes it, so the content address
+// cannot drift from what an engine runs.
+func (p Params) Resolved() Params {
+	def := core.DefaultConfig()
+	p.Workload = cmp.Or(p.Workload, DefaultWorkload)
+	p.Predictor = cmp.Or(p.Predictor, def.TM.Predictor)
+	p.IssueWidth = cmp.Or(p.IssueWidth, def.TM.IssueWidth)
+	p.Link = cmp.Or(p.Link, "drc") // def.Link, by its name in links
+	p.PollEveryBBs = cmp.Or(p.PollEveryBBs, def.PollEveryBBs)
+	p.Cores = cmp.Or(p.Cores, 1)
+	p.InterconnectLatency = cmp.Or(p.InterconnectLatency, cache.DefaultInterconnectLatency)
+	p.DiskLatency = cmp.Or(p.DiskLatency, workload.DiskLatency)
+	// trace.NewAppender clamps a chunk to the buffer it publishes into.
+	p.TraceChunk = min(cmp.Or(p.TraceChunk, trace.DefaultChunk), def.TBCapacity)
+	p.ICacheEntries = cmp.Or(p.ICacheEntries, def.FM.ICacheEntries)
+	p.SuperblockLen = cmp.Or(p.SuperblockLen, def.FM.SuperblockLen)
+	p.Rollback = cmp.Or(p.Rollback, "journal") // fm's zero RollbackMode
+	p.CheckpointInterval = cmp.Or(p.CheckpointInterval, fm.DefaultCheckpointInterval)
+	if p.Program != nil {
+		// A raw image replaces the named workload and boots no devices.
+		p.Workload, p.DiskLatency = "", 0
+	}
+	if p.Cores == 1 {
+		p.InterconnectLatency = 0 // a single-core target has no interconnect
+	}
+	if p.Rollback != "checkpoint" {
+		p.CheckpointInterval = 0 // the journal has no checkpoints to space
+	}
+	return p
+}
+
+// Validate rejects parameters no engine can honour, without building
+// anything. Every Configure runs it, so every engine rejects the same bad
+// inputs with the same messages, and API boundaries (internal/service) call
+// it to fail a submission before it costs a queue slot.
+func (p Params) Validate() error {
+	if p.IssueWidth < 0 {
+		return fmt.Errorf("sim: negative issue width %d", p.IssueWidth)
+	}
+	if p.PollEveryBBs < PollOnResteer {
+		return fmt.Errorf("sim: poll cadence %d (want N > 0, 0 for the default or PollOnResteer)", p.PollEveryBBs)
 	}
 	if p.CheckpointInterval < 0 {
 		return fmt.Errorf("sim: negative checkpoint interval %d", p.CheckpointInterval)
@@ -176,70 +230,29 @@ func (p Params) validate() error {
 	if p.DiskLatency < 0 {
 		return fmt.Errorf("sim: negative disk latency %d", p.DiskLatency)
 	}
-	return nil
-}
-
-// Validate rejects parameters no engine can honour without building
-// anything: the named-field checks every Configure runs, plus the workload
-// and link name lookups that Configure would otherwise only hit after
-// assembling a boot image. API boundaries (internal/service) call it to
-// fail a submission before it costs a queue slot.
-func (p Params) Validate() error {
-	if err := p.validate(); err != nil {
-		return err
+	p = p.Resolved()
+	if p.Rollback != "journal" && p.Rollback != "checkpoint" {
+		return fmt.Errorf("sim: unknown rollback %q (want journal, checkpoint)", p.Rollback)
+	}
+	if !bpred.Known(p.Predictor) {
+		return fmt.Errorf("sim: unknown predictor %q", p.Predictor)
+	}
+	if links[p.Link] == nil {
+		return fmt.Errorf("sim: unknown link %q (want drc, pins, coherent)", p.Link)
 	}
 	if p.Program == nil {
-		if _, err := p.workloadSpec(); err != nil {
-			return err
+		if _, ok := workload.Lookup(p.Workload, p.Cores); !ok {
+			return fmt.Errorf("sim: unknown workload %q", p.Workload)
 		}
-	}
-	if _, err := p.link(); err != nil {
-		return err
 	}
 	return nil
 }
 
-// workloadSpec resolves the named workload from the registry at the
-// requested core count (the smp workloads bake the count into the user
-// program; everything else parks idle secondaries in the kernel).
-func (p Params) workloadSpec() (workload.Spec, error) {
-	name := p.Workload
-	if name == "" {
-		name = "Linux-2.4"
-	}
-	cores := p.Cores
-	if cores < 1 {
-		cores = 1
-	}
-	spec, ok := workload.Lookup(name, cores)
-	if !ok {
-		return workload.Spec{}, fmt.Errorf("sim: unknown workload %q", p.Workload)
-	}
-	return spec, nil
-}
-
-// link resolves the named host link.
-func (p Params) link() (hostlink.Config, error) {
-	switch p.Link {
-	case "", "drc":
-		return hostlink.DRC(), nil
-	case "pins":
-		return hostlink.DRCPinRegisters(), nil
-	case "coherent":
-		return hostlink.CoherentHT(), nil
-	}
-	return hostlink.Config{}, fmt.Errorf("sim: unknown link %q (want drc, pins, coherent)", p.Link)
-}
-
-// tmConfig assembles the timing-model configuration shared by every engine.
+// tmConfig assembles the timing-model configuration shared by every engine
+// from Resolved parameters.
 func (p Params) tmConfig() tm.Config {
-	cfg := tm.DefaultConfig()
-	if p.IssueWidth > 0 {
-		cfg = cfg.WithIssueWidth(p.IssueWidth)
-	}
-	if p.Predictor != "" {
-		cfg.Predictor = p.Predictor
-	}
+	cfg := tm.DefaultConfig().WithIssueWidth(p.IssueWidth)
+	cfg.Predictor = p.Predictor
 	return cfg
 }
 

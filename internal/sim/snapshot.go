@@ -1,13 +1,6 @@
 package sim
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
-
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
 // This file is the warm-start side of the content-addressing scheme. A
 // boot is the expensive shared prefix of every sweep point that differs
@@ -17,8 +10,8 @@ import (
 // boot instructions entirely. Determinism makes this safe — a resumed run
 // is bit-identical to the uninterrupted one (locked by the warm-start
 // goldens and experiments.TestStudyInvariance's snapshot rows) — and
-// SnapshotPrefix makes it addressable: a second canonical key that drops
-// exactly the fields a boot cannot depend on.
+// SnapshotPrefix makes it addressable: a second key that drops exactly the
+// field a boot cannot depend on.
 
 // Snapshot is one serialized warm-start artifact: the engine-level wrapper
 // around a core snapshot blob, carrying the prefix key it serves and the
@@ -74,26 +67,16 @@ type SnapshotStore interface {
 	PutSnapshot(s Snapshot)
 }
 
-// SnapshotPrefix is the second canonical content address of p: a SHA-256
-// digest over the resolved parameter set with the instruction cap dropped.
-// Two sweep points that differ only in MaxInstructions boot identically,
-// so they share a prefix key and one captured snapshot serves both — the
-// cap is carried by the artifact (Snapshot.IN) and checked at resume time
-// instead. Every other result-affecting knob separates, exactly as in Key.
+// SnapshotPrefix is the second content address of p: Key with the
+// instruction cap dropped. Two sweep points that differ only in
+// MaxInstructions boot identically, so they share a prefix key and one
+// captured snapshot serves both — the cap is carried by the artifact
+// (Snapshot.IN) and checked at resume time instead. Every other
+// result-affecting knob separates, exactly as in Key.
 func (p Params) SnapshotPrefix() string {
-	c := p.canonical()
-	c.MaxInstructions = 0
-	raw, err := json.Marshal(c)
-	if err != nil {
-		// canonicalParams is a flat struct of scalars; Marshal cannot fail.
-		panic(fmt.Sprintf("sim: canonical params encoding: %v", err))
-	}
-	// Domain-separated from Key: the two address spaces must never collide
-	// even for parameter sets whose canonical JSON coincides.
-	h := sha256.New()
-	h.Write([]byte("snapshot-prefix\x00"))
-	h.Write(raw)
-	return hex.EncodeToString(h.Sum(nil))
+	p = p.Resolved()
+	p.MaxInstructions = 0
+	return p.address("snapshot-prefix")
 }
 
 // WarmStarted is implemented by engines that can resume from a snapshot

@@ -70,6 +70,12 @@ func TestSnapshotPrefixSharesBootAcrossCaps(t *testing.T) {
 	if base.SnapshotPrefix() == base.Key() {
 		t.Error("prefix key collides with the result key")
 	}
+	// A chunk above the trace-buffer capacity is the capacity: one boot.
+	big, bigger := base, base
+	big.TraceChunk, bigger.TraceChunk = 512, 4096
+	if big.SnapshotPrefix() != bigger.SnapshotPrefix() {
+		t.Error("trace chunks 512 and 4096 boot identically but split the prefix key")
+	}
 }
 
 // TestSnapshotEncodeDecode round-trips the artifact wrapper and checks
