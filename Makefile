@@ -106,11 +106,13 @@ bench:
 # Layer benchmarks live next to their packages and iterate for real
 # (time-based, never 1x), each reporting a rate in its layer's own unit: ns
 # per target instruction or byte (fm), per target cycle (tm), per trace
-# entry (trace), per committed instruction and policy (core), per Configure
-# (sim), per submit→result (service). Nothing gates on them.
+# entry (trace), per committed instruction and policy (core), per replayed
+# instruction (baseline), per Configure (sim), per submit→result (service).
+# Nothing gates on them.
 bench-layers:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime=200ms ./internal/fm \
-		./internal/tm ./internal/trace ./internal/core ./internal/sim ./internal/service
+		./internal/tm ./internal/trace ./internal/core ./internal/baseline \
+		./internal/sim ./internal/service
 
 # "Did it get faster" has one answer: the bench/ yardstick at BASE against
 # this tree, judged by the bounds in BENCHMARK.json.

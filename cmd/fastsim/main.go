@@ -37,6 +37,7 @@ import (
 	"repro/internal/service/diskcache"
 	"repro/internal/sim"
 	"repro/internal/tm"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -71,7 +72,7 @@ func main() {
 		disasm      = flag.Bool("disasm", false, "print the workload's kernel and user program disassembly and exit")
 		console     = flag.Bool("console", false, "dump target console output")
 		power       = flag.Bool("power", false, "print the relative power estimate (§6 extension; serial fast engine only)")
-		traceN      = flag.Int("trace", 0, "dump the first N committed trace entries")
+		traceN      = flag.Int("trace", 0, "dump the first N committed trace entries (continues through idle waits)")
 		connectors  = flag.Bool("connectors", false, "print Connector statistics (serial fast engine only)")
 		snapshotDir = flag.String("snapshot-dir", "", "disk directory for warm-start boot snapshots: capture at boot-complete, resume later runs sharing the boot prefix (empty = disabled)")
 		resume      = flag.Bool("resume", true, "with -snapshot-dir: resume from a matching snapshot; false boots cold and (re)captures")
@@ -113,11 +114,8 @@ func main() {
 	}
 	if *engines {
 		for _, n := range sim.Names() {
-			eng, err := sim.New(n, sim.Params{Workload: "164.gzip"})
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("%-14s %s\n", n, eng.Describe())
+			desc, _ := sim.Describe(n)
+			fmt.Printf("%-14s %s\n", n, desc)
 		}
 		return
 	}
@@ -164,7 +162,8 @@ func main() {
 	}
 
 	// -trace: dump the first N trace entries from a fresh functional run
-	// of the same boot (every engine commits the identical right path).
+	// of the same boot (every engine commits the identical right path),
+	// idling through HALTs until the target can never wake.
 	if *traceN > 0 {
 		tb, terr := spec.Build()
 		if terr != nil {
@@ -174,12 +173,13 @@ func main() {
 		fmCfg.Devices = tb.Devices()
 		m := fm.New(fmCfg)
 		m.LoadProgram(tb.Kernel)
-		for i := 0; i < *traceN; i++ {
-			e, ok := m.Step()
-			if !ok {
-				break
-			}
+		n := 0
+		if err := m.Run(func(e trace.Entry) bool {
 			fmt.Println(" ", e)
+			n++
+			return n < *traceN
+		}); err != nil {
+			fatal(err)
 		}
 	}
 

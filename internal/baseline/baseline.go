@@ -1,7 +1,9 @@
 // Package baseline holds what the paper's comparison simulators share and
 // what sets them apart. They share the target: Replay executes a program on
 // the internal/fm functional model and replays its trace through the
-// internal/tm timing model, so architectural results are identical across
+// internal/tm timing model — streamed a chunk at a time, the functional model
+// committing behind the timing model's fetch, so a replay's memory does not
+// grow with the run — and architectural results are identical across
 // simulators by construction. They differ only in what a target cycle costs
 // on the host — which is exactly the paper's point — so each is one pure
 // cost function over the drained replay's tm.Stats: a monolithic software
@@ -15,6 +17,7 @@ package baseline
 import (
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/fm"
 	"repro/internal/hostlink"
@@ -89,54 +92,87 @@ func FSBCacheNanos(st tm.Stats, cost SoftwareCost, link hostlink.Config) float64
 
 // Replay is the one target run every comparison simulator prices: prog
 // executes on a fresh functional model to completion (or maxInst committed
-// instructions; 0 = no bound), the trace replays through a fresh timing
-// model, and the drained model — Stats, BPStats — comes back. A fatal
-// functional-model condition or a cancelled ctx is an error.
+// instructions; 0 = no bound) while a fresh timing model replays its trace,
+// pulling it a chunk at a time (stream), and the drained model — Stats,
+// BPStats — comes back. A fatal functional-model condition or a cancelled ctx
+// is an error.
 func Replay(ctx context.Context, prog *isa.Program, tmCfg tm.Config, fmCfg fm.Config, maxInst uint64) (*tm.TM, error) {
-	const (
-		idleLimit = 10_000_000 // hung-target guard
-		// Cancellation is tested once per this many FM steps (one counter
-		// increment otherwise) and once per this many TM cycles.
-		ctxCheckInterval = 1024
-		tmSlice          = 1 << 16
-	)
 	m := fm.New(fmCfg)
+	defer m.Mem.Recycle() // the drained model never fetches again
 	m.LoadProgram(prog)
-	var entries []trace.Entry
-	var ticks uint64
-	idle := 0
-	for maxInst == 0 || uint64(len(entries)) < maxInst {
-		if ticks++; ticks%ctxCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if e, ok := m.Step(); ok {
-			idle = 0
-			entries = append(entries, e)
-			continue
-		}
-		if m.Fatal() != nil {
-			return nil, fmt.Errorf("baseline: functional model: %w", m.Fatal())
-		}
-		if m.Terminal() || idle >= idleLimit {
-			break
-		}
-		// Idle-wait for the next interrupt, bounded.
-		m.AdvanceIdle(1)
-		idle++
-	}
-	model, err := tm.New(tmCfg, &tm.SliceSource{Entries: entries}, nil)
+	s := &stream{ctx: ctx, m: m, maxInst: maxInst, chunk: make([]trace.Entry, 0, streamChunk)}
+	model, err := tm.New(tmCfg, s, nil)
 	if err != nil {
 		return nil, err
 	}
-	for !model.Done() {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		model.Run(tmSlice)
+	// The stream ends at the first error, so the model always drains.
+	model.Run(math.MaxUint64)
+	if s.err != nil {
+		return nil, s.err
 	}
 	return model, nil
+}
+
+// streamChunk is how far the functional model runs ahead of the timing
+// model's fetch in a replay — the coupled core's default trace-buffer
+// capacity. It bounds the replay's memory: one chunk of entries and as many
+// uncommitted instructions in the rollback journal.
+const streamChunk = 512
+
+// stream is a replay's tm.Source: the right-path trace of m, produced a chunk
+// at a time as the timing model asks for it and never materialised whole.
+// Nothing re-steers a replay, so the timing model's fetch pointer only moves
+// forward: a fetch is either inside the current chunk (a mispredict dropped
+// the model's view and it re-fetches) or exactly the next instruction m will
+// produce — at which point everything before it is released (Commit) and the
+// chunk refilled.
+type stream struct {
+	ctx     context.Context
+	m       *fm.Model
+	maxInst uint64        // instruction bound; 0 = none
+	chunk   []trace.Entry // instructions [base, base+len(chunk))
+	base    uint64
+	err     error // what ended the stream early
+}
+
+// FetchChunk implements tm.Source.
+func (s *stream) FetchChunk(in uint64) ([]trace.Entry, tm.FetchStatus) {
+	if off := in - s.base; off < uint64(len(s.chunk)) {
+		return s.chunk[off:], tm.FetchOK
+	}
+	if in > 0 {
+		s.m.Commit(in - 1)
+	}
+	s.base, s.chunk = in, s.chunk[:0]
+	if s.err == nil {
+		s.err = s.refill()
+	}
+	if len(s.chunk) == 0 {
+		return nil, tm.FetchEnd
+	}
+	return s.chunk, tm.FetchOK
+}
+
+// refill runs m until the chunk is full, the instruction bound is reached or
+// the target can go no further.
+func (s *stream) refill() error {
+	if s.maxInst != 0 && s.base >= s.maxInst {
+		return nil
+	}
+	if err := s.ctx.Err(); err != nil {
+		return err
+	}
+	if err := s.m.Run(s.fill); err != nil {
+		return fmt.Errorf("baseline: functional model: %w", err)
+	}
+	return nil
+}
+
+// fill is the sink refill runs m into: it stops the run at a full chunk or
+// at the instruction bound.
+func (s *stream) fill(e trace.Entry) bool {
+	s.chunk = append(s.chunk, e)
+	return len(s.chunk) < cap(s.chunk) && e.IN+1 != s.maxInst
 }
 
 // PublishedRow is one published row of Table 3 that comes from a

@@ -3,12 +3,14 @@ package baseline
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"repro/internal/fm"
 	"repro/internal/hostlink"
 	"repro/internal/isa"
 	"repro/internal/tm"
+	"repro/internal/trace"
 )
 
 const prog = `
@@ -122,6 +124,43 @@ func TestPublishedRows(t *testing.T) {
 func TestMaxInstructionsBound(t *testing.T) {
 	if st := replay(t, load(), 50); st.Instructions > 60 {
 		t.Errorf("bound ignored: %d instructions", st.Instructions)
+	}
+}
+
+// TestStreamingReplayMatchesRecordedTrace: Replay never materialises the
+// trace, so a mispredict — which drops the timing model's view — makes it
+// re-fetch inside the stream's current chunk. The oracle is the recorded
+// trace replayed whole through tm.SliceSource; under the default gshare
+// predictor, which mispredicts on this program, the two agree cycle for
+// cycle.
+func TestStreamingReplayMatchesRecordedTrace(t *testing.T) {
+	m := fm.New(fmCfg())
+	m.LoadProgram(load())
+	var recorded []trace.Entry
+	if err := m.Run(func(e trace.Entry) bool { recorded = append(recorded, e); return true }); err != nil {
+		t.Fatal(err)
+	}
+	oracle, err := tm.New(tm.DefaultConfig(), &tm.SliceSource{Entries: recorded}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle.Run(math.MaxUint64)
+	if len(recorded) <= streamChunk || oracle.Stats.Mispredicts == 0 {
+		t.Fatalf("%d entries, %d mispredicts: the program no longer spans chunks or re-fetches", len(recorded), oracle.Stats.Mispredicts)
+	}
+	if got := replay(t, load(), 0); got != oracle.Stats {
+		t.Errorf("streamed replay diverged from the recorded trace:\n got %+v\nwant %+v", got, oracle.Stats)
+	}
+
+	// The re-fetch itself: after a mispredict at IN 2 the model asks for 3
+	// again, and is served the rest of the chunk it was already given.
+	m = fm.New(fmCfg())
+	m.LoadProgram(load())
+	s := &stream{ctx: context.Background(), m: m, chunk: make([]trace.Entry, 0, streamChunk)}
+	first, _ := s.FetchChunk(0)
+	again, st := s.FetchChunk(3)
+	if st != tm.FetchOK || len(first) != streamChunk || len(again) != streamChunk-3 || again[0].IN != 3 || m.IN() != streamChunk {
+		t.Errorf("re-fetch at 3: status %v, %d entries after a first view of %d, FM at %d", st, len(again), len(first), m.IN())
 	}
 }
 

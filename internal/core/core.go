@@ -238,8 +238,7 @@ type Sim struct {
 	sawUser   bool
 
 	// sink is the bound pumpSink handed to FM.StepBlock, created once at
-	// construction (a fresh method value per call would allocate). nil
-	// when superblocks are off — pump then takes the plain Step path.
+	// construction (a fresh method value per call would allocate).
 	sink func(trace.Entry) bool
 
 	err error
@@ -286,9 +285,7 @@ func newSim(cfg Config, async *asyncLink) (*Sim, error) {
 	}
 	s.total = &s.committed
 	s.link.Attach(cfg.Telemetry)
-	if s.FM.SuperblocksEnabled() {
-		s.sink = s.pumpSink
-	}
+	s.sink = s.pumpSink
 	s.app = s.TB.NewAppender(cfg.TraceChunk)
 	s.app.OnFlush = s.onFlush
 	s.viewBuf = make([]trace.Entry, s.app.ChunkSize())
@@ -319,25 +316,16 @@ func (s *Sim) terminal() bool { return s.FM.Terminal() }
 // producing trace entries (running ahead speculatively, §3). Entries land
 // in the appender's local chunk; the trailing Flush publishes the partial
 // chunk so the TM.Step that follows sees exactly what per-entry coupling
-// would have shown it. The FM runs a superblock at a time (StepBlock);
-// pumpSink re-checks the loop predicates after every entry, so the block
-// path stops at exactly the instruction per-instruction stepping would.
+// would have shown it. The FM runs a superblock at a time (StepBlock, which
+// degrades to one instruction where no block can run); pumpSink re-checks
+// the loop predicates after every entry, so the block path stops at exactly
+// the instruction per-instruction stepping would.
 func (s *Sim) pump() {
 	// A halted FM produces nothing: idle time passes at the TM's rate.
 	for !s.terminal() && !s.FM.Halted() && s.room() {
-		if s.sink != nil {
-			if s.FM.StepBlock(s.sink) == 0 {
-				break
-			}
-			continue
-		}
-		// Superblocks off: plain per-instruction stepping, no sink
-		// indirection on the hot path.
-		e, ok := s.FM.Step()
-		if !ok {
+		if s.FM.StepBlock(s.sink) == 0 {
 			break
 		}
-		s.pumpSink(e)
 	}
 	s.app.Flush()
 }
@@ -353,7 +341,7 @@ func (s *Sim) room() bool {
 // pumpSink accounts one produced entry and reports whether the current
 // superblock may keep running.
 func (s *Sim) pumpSink(e trace.Entry) bool {
-	s.budget -= s.entryCost(e)
+	s.budget -= s.entryCost(&e)
 	if !s.app.TryAppend(e) {
 		panic("core: trace buffer overflow despite occupancy check")
 	}
@@ -391,7 +379,7 @@ func (s *Sim) onFlush(entries, occupancy int) {
 // here, per entry (keeping the host-time arithmetic chunk-size-independent);
 // the words accumulate and are recorded against the link when the chunk
 // publishes.
-func (s *Sim) entryCost(e trace.Entry) float64 {
+func (s *Sim) entryCost(e *trace.Entry) float64 {
 	cost := s.cfg.FMNanosPerInst
 	words := trace.DefaultEncoding.Words(e)
 	cost += s.link.BurstNanos(words)

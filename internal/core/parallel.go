@@ -123,7 +123,7 @@ func (s *Sim) produce() {
 	// lifetime, parking a fresh copy so the parameter itself never escapes
 	// — the hot path stays allocation-free.
 	emit := func(e trace.Entry) bool {
-		s.entryCost(e)
+		s.entryCost(&e)
 		if !s.app.TryAppend(e) {
 			parked := e
 			pending = &parked
@@ -142,7 +142,6 @@ func (s *Sim) produce() {
 			close(c.ack)
 		}
 	}
-	blocks := s.FM.SuperblocksEnabled()
 	for {
 		// Drain pending commands first — they may roll the FM back and
 		// invalidate the pending entry.
@@ -209,19 +208,12 @@ func (s *Sim) produce() {
 			continue
 		}
 		idleTicks = 0
-		if blocks {
-			// Run a superblock at a time. emit parks the first entry that
-			// does not fit and stops the block — the loop top then flushes
-			// and blocks on commands exactly as the per-instruction path
-			// does. Commands are drained once per block rather than per
-			// instruction; this coupling is asynchronous by design (§3.3),
-			// so command latency is a performance knob, not an
-			// architectural one.
-			s.FM.StepBlock(emit)
-			continue
-		}
-		if e, ok := s.FM.Step(); ok {
-			emit(e)
-		}
+		// Run a superblock at a time (one instruction where no block can
+		// run). emit parks the first entry that does not fit and stops the
+		// block — the loop top then flushes and blocks on commands. Commands
+		// are drained once per block rather than per instruction; this
+		// coupling is asynchronous by design (§3.3), so command latency is a
+		// performance knob, not an architectural one.
+		s.FM.StepBlock(emit)
 	}
 }

@@ -25,6 +25,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/tm"
+	"repro/internal/trace"
 	"repro/internal/workload"
 )
 
@@ -98,22 +99,8 @@ func runFM(spec workload.Spec, maxInst uint64) (*fm.Model, *workload.Boot, error
 	cfg.Devices = boot.Devices()
 	m := fm.New(cfg)
 	m.LoadProgram(boot.Kernel)
-	idle := 0
-	for m.IN() < maxInst {
-		if _, ok := m.Step(); ok {
-			idle = 0
-			continue
-		}
-		if m.Fatal() != nil {
-			return nil, nil, fmt.Errorf("%s: %w", spec.Name, m.Fatal())
-		}
-		if m.Terminal() {
-			break
-		}
-		m.AdvanceIdle(100)
-		if idle++; idle > 1_000_000 {
-			break
-		}
+	if err := m.Run(func(e trace.Entry) bool { return e.IN+1 < maxInst }); err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	return m, boot, nil
 }

@@ -3,6 +3,7 @@ package fm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/fullsys"
 	"repro/internal/isa"
@@ -43,68 +44,76 @@ func (m *Model) Step() (trace.Entry, bool) {
 		}
 	}
 
-	e := trace.Entry{IN: m.in, PC: m.PC, Kernel: m.Kernel(), Interrupt: interrupted}
-
-	inst, ce, ppc, f := m.fetchDecode(m.PC)
-	if f != nil {
-		return m.faultEntry(e, isa.Inst{}, nil, f)
-	}
-	e.PPC = ppc
-	e.Op = inst.Op
-	e.Size = uint8(inst.Size)
-	var pre *microcode.Precracked
-	if ce != nil {
-		pre = &ce.pre
-		e.SrcA, e.SrcB, e.Dst = ce.srcA, ce.srcB, ce.dst
-		e.ReadsCC, e.WritesCC = ce.readsCC, ce.writesCC
+	e := &m.ent
+	p, ppc, f := m.fetchDecode(m.PC)
+	if f == nil {
+		f = m.issue(p, m.PC, ppc)
 	} else {
-		fillRegs(inst, &e)
+		// Fetch fault: nothing was decoded, the entry is a placeholder.
+		p = &undecoded
+		*e = trace.Entry{}
+		e.IN, e.PC, e.Kernel = m.in, m.PC, m.Kernel()
 	}
-
-	nextPC := m.PC + isa.Word(inst.Size)
-	f = m.execute(inst, nextPC, &e)
+	e.Interrupt = interrupted
 	if f != nil {
-		return m.faultEntry(e, inst, pre, f)
+		m.faultEntry(e, p, f)
 	}
 	if m.fatal != nil {
+		// An unhandled trap, raised by the instruction or for its fault.
 		m.abortInstruction()
 		return trace.Entry{}, false
 	}
-	return m.finishEntry(e, inst, pre)
+	m.finishEntry(e, p)
+	return *e, true
+}
+
+// issue is the per-instruction body Step and StepBlock share: it starts the
+// Model's scratch entry for the predecoded instruction p fetched from virtual
+// address pc / physical address ppc — cleared, then filled by field stores,
+// never built as a value and copied in — and executes it. The caller finishes
+// the entry in place (faultEntry on the returned fault, then finishEntry).
+func (m *Model) issue(p *predecoded, pc, ppc isa.Word) *fault {
+	e := &m.ent
+	*e = trace.Entry{}
+	e.IN, e.PC, e.PPC, e.Kernel = m.in, pc, ppc, m.Kernel()
+	e.Op, e.Size = p.inst.Op, uint8(p.inst.Size)
+	e.SrcA, e.SrcB, e.Dst = p.srcA, p.srcB, p.dst
+	e.ReadsCC, e.WritesCC = p.readsCC, p.writesCC
+	return m.execute(p.inst, pc+isa.Word(p.inst.Size), e)
 }
 
 // Fatal returns the unrecoverable condition that stopped the model, if any
 // (an unhandled trap with no vector table installed).
 func (m *Model) Fatal() error { return m.fatal }
 
-// fetchDecode fetches and decodes the instruction at virtual address pc.
-// With the predecode cache enabled (icache.go) the steady-state path is
-// translate → probe → done, with no byte copies and no isa.Decode call;
-// the slow path fills the cache on success. The returned cache entry
-// (nil when uncached) carries the memoized µop instantiation and
-// predecoded trace-entry register fields. It is only valid until the next
-// fetch — Step consumes it within the same instruction.
-func (m *Model) fetchDecode(pc isa.Word) (isa.Inst, *icEntry, isa.Word, *fault) {
+// fetchDecode fetches and decodes the instruction at virtual address pc and
+// returns its predecoded record and physical address. With the predecode
+// cache enabled (icache.go) the steady-state path is translate → probe →
+// done, with no byte copies and no isa.Decode call; the slow path fills the
+// cache on success. The record lives in the cache slot — or, with the cache
+// off, in the Model's scratch — so it is only valid until the next fetch:
+// the caller consumes it within the same instruction.
+func (m *Model) fetchDecode(pc isa.Word) (*predecoded, isa.Word, *fault) {
 	pa, f := m.translate(pc, false)
 	if f != nil {
-		return isa.Inst{}, nil, 0, f
+		return nil, 0, f
 	}
 	if !m.Mem.InRange(pa, 1) {
-		return isa.Inst{}, nil, 0, &fault{vector: isa.VecProt, faultVA: pc, retry: true}
+		return nil, 0, &fault{vector: isa.VecProt, faultVA: pc, retry: true}
 	}
 	paged := !m.Kernel() && m.CR[isa.CRPaging] != 0
 	if e, ok := m.icache.probe(pa, paged); ok {
-		return e.inst, e, pa, nil
+		return &e.predecoded, pa, nil
 	}
 	inst, crosses, page2, f := m.fetchDecodeSlow(pc, pa, paged)
 	if f != nil {
-		return isa.Inst{}, nil, 0, f
+		return nil, 0, f
 	}
-	if c := m.icache; c != nil {
-		c.fill(pa, inst, crosses, paged, page2, m.table.Precrack(inst))
-		return inst, &c.slots[pa&c.mask], pa, nil
+	if m.icache == nil {
+		m.decoded = predecode(inst)
+		return &m.decoded, pa, nil
 	}
-	return inst, nil, pa, nil
+	return &m.icache.fill(pa, inst, crosses, paged, page2).predecoded, pa, nil
 }
 
 // fetchDecodeSlow is the uncached fetch path: copy up to MaxInstLen bytes
@@ -170,48 +179,42 @@ func (m *Model) fetchDecodeSlow(pc, pa isa.Word, paged bool) (isa.Inst, bool, is
 	return inst, crosses, page2, nil
 }
 
-// faultEntry finalizes the trace entry for an instruction that raised an
-// exception: the FM indicates the exception in the trace (§3.4) and steers
-// to the handler.
-func (m *Model) faultEntry(e trace.Entry, inst isa.Inst, pre *microcode.Precracked, f *fault) (trace.Entry, bool) {
+// faultEntry marks, in place, the trace entry of an instruction that raised
+// an exception: the FM indicates the exception in the trace (§3.4) and steers
+// to the handler. A trap with no handler leaves the entry alone and the fatal
+// condition set; the caller aborts the instruction.
+func (m *Model) faultEntry(e *trace.Entry, p *predecoded, f *fault) {
 	if !m.replay {
 		m.Exceptions++
 	}
 	epc := m.PC
 	if !f.retry {
-		epc = m.PC + isa.Word(inst.Size)
+		epc = m.PC + isa.Word(p.inst.Size)
 	}
 	if !m.deliverTrap(f.vector, epc, f.faultVA) {
-		m.abortInstruction()
-		return trace.Entry{}, false
+		return
 	}
 	e.Exception = true
 	e.ExcVector = f.vector
 	e.Branch = true
 	e.Taken = true
 	e.NextPC = m.PC // handler address
-	if inst.Size == 0 {
+	if p.inst.Size == 0 {
 		e.Op = isa.OpNop // fetch fault: no opcode was decoded
 		e.Size = 0
 	}
-	return m.finishEntry(e, inst, pre)
 }
 
-// finishEntry cracks the instruction (from the cached Precracked when one
-// is available), accounts trace bandwidth and advances the instruction
-// number.
-func (m *Model) finishEntry(e trace.Entry, inst isa.Inst, pre *microcode.Precracked) (trace.Entry, bool) {
+// finishEntry completes the entry in place: it cracks the instruction from
+// its predecoded µop instantiation, accounts trace bandwidth and advances
+// the instruction number.
+func (m *Model) finishEntry(e *trace.Entry, p *predecoded) {
 	iters := int(e.RepIterations)
-	if !inst.Rep {
+	if !p.inst.Rep {
 		iters = 1
 	}
-	if isa.Valid(e.Op) && e.Op == inst.Op {
-		var c microcode.Crack
-		if pre != nil {
-			c = pre.Crack(iters)
-		} else {
-			c = m.table.Crack(inst, iters)
-		}
+	if isa.Valid(e.Op) && e.Op == p.inst.Op {
+		c := p.pre.Crack(iters)
 		if !m.replay {
 			m.Coverage.Add(c)
 		}
@@ -232,7 +235,6 @@ func (m *Model) finishEntry(e trace.Entry, inst isa.Inst, pre *microcode.Precrac
 		m.TraceWords += uint64(m.cfg.Encoding.Words(e))
 	}
 	m.in++
-	return e, true
 }
 
 // deliverTrap enters the kernel through the IVT. Returns false (and sets
@@ -836,63 +838,91 @@ func (m *Model) execStringLoad(inst isa.Inst, iters int, e *trace.Entry) (int, *
 	return iters, nil
 }
 
+// predecoded is everything the FM derives from an instruction's bytes alone:
+// the decoded instruction, its µop instantiation, and the trace entry's
+// architectural register names. It is computed once per static instruction
+// by predecode and is the one record the whole front end passes around — a
+// predecode-cache slot embeds it, a superblock op is an offset plus one, and
+// the cache-off fetch returns the Model's scratch copy.
+type predecoded struct {
+	inst isa.Inst
+	pre  microcode.Precracked
+
+	srcA, srcB, dst   isa.Reg
+	readsCC, writesCC bool
+}
+
+// undecoded stands in for the instruction of a fetch fault: nothing was
+// decoded, so the entry is finished as a one-µop placeholder.
+var undecoded predecoded
+
+// table is the one process-wide microcode table: immutable once compiled
+// (Precrack only reads it), so every model and every core shares it.
+var table = sync.OnceValue(microcode.NewTable)
+
+// predecode derives inst's static record.
+func predecode(inst isa.Inst) predecoded {
+	p := predecoded{inst: inst, pre: table().Precrack(inst)}
+	fillRegs(inst, &p)
+	return p
+}
+
 // fillRegs derives the trace's architectural register names from the
 // decoded instruction (§2: "source, destination and condition code
 // architectural register names").
-func fillRegs(inst isa.Inst, e *trace.Entry) {
+func fillRegs(inst isa.Inst, p *predecoded) {
 	in := inst.Info()
-	e.ReadsCC = in.ReadsCC
-	e.WritesCC = in.WritesCC
-	e.SrcA, e.SrcB, e.Dst = isa.RegNone, isa.RegNone, isa.RegNone
+	p.readsCC, p.writesCC = in.ReadsCC, in.WritesCC
+	p.srcA, p.srcB, p.dst = isa.RegNone, isa.RegNone, isa.RegNone
 	switch inst.Op {
 	case isa.OpMovRR, isa.OpFMov, isa.OpI2F, isa.OpF2I, isa.OpFSqrt, isa.OpFAbs, isa.OpFNeg:
-		e.SrcA, e.Dst = inst.Rs, inst.Rd
+		p.srcA, p.dst = inst.Rs, inst.Rd
 	case isa.OpMovRI, isa.OpMovRI8, isa.OpFLdI, isa.OpCpuid, isa.OpMovRC:
-		e.Dst = inst.Rd
+		p.dst = inst.Rd
 	case isa.OpLea:
-		e.SrcA, e.Dst = inst.Rs, inst.Rd
+		p.srcA, p.dst = inst.Rs, inst.Rd
 	case isa.OpLdW, isa.OpLdH, isa.OpLdB, isa.OpFLd, isa.OpLl:
-		e.SrcA, e.Dst = inst.Rs, inst.Rd
+		p.srcA, p.dst = inst.Rs, inst.Rd
 	case isa.OpStW, isa.OpStH, isa.OpStB, isa.OpFSt:
-		e.SrcA, e.SrcB = inst.Rs, inst.Rd
+		p.srcA, p.srcB = inst.Rs, inst.Rd
 	case isa.OpSc:
 		// Reads the address base and the store value, writes the success
 		// flag back into rd.
-		e.SrcA, e.SrcB, e.Dst = inst.Rs, inst.Rd, inst.Rd
+		p.srcA, p.srcB, p.dst = inst.Rs, inst.Rd, inst.Rd
 	case isa.OpPush:
-		e.SrcA, e.SrcB, e.Dst = isa.RegSP, inst.Rd, isa.RegSP
+		p.srcA, p.srcB, p.dst = isa.RegSP, inst.Rd, isa.RegSP
 	case isa.OpPop:
-		e.SrcA, e.Dst = isa.RegSP, inst.Rd
+		p.srcA, p.dst = isa.RegSP, inst.Rd
 	case isa.OpJmpR, isa.OpCallR:
-		e.SrcA = inst.Rd
+		p.srcA = inst.Rd
 		if inst.Op == isa.OpCallR {
-			e.Dst = isa.RegLR
+			p.dst = isa.RegLR
 		}
 	case isa.OpCall, isa.OpCallFar:
-		e.Dst = isa.RegLR
+		p.dst = isa.RegLR
 	case isa.OpRet:
-		e.SrcA = isa.RegLR
+		p.srcA = isa.RegLR
 	case isa.OpCmpRR, isa.OpTestRR, isa.OpFCmp:
-		e.SrcA, e.SrcB = inst.Rd, inst.Rs
+		p.srcA, p.srcB = inst.Rd, inst.Rs
 	case isa.OpCmpRI:
-		e.SrcA = inst.Rd
+		p.srcA = inst.Rd
 	case isa.OpLoop:
-		e.SrcA, e.Dst = 2, 2 // implicit count register
+		p.srcA, p.dst = 2, 2 // implicit count register
 	case isa.OpMovs, isa.OpStos, isa.OpLods, isa.OpCmps, isa.OpScas:
-		e.SrcA, e.SrcB = 0, 1 // fixed string registers
-		e.Dst = 3
+		p.srcA, p.srcB = 0, 1 // fixed string registers
+		p.dst = 3
 	case isa.OpMovCR, isa.OpOut, isa.OpTlbWr:
-		e.SrcA = inst.Rd
+		p.srcA = inst.Rd
 		if inst.Op == isa.OpTlbWr {
-			e.SrcB = inst.Rs
+			p.srcB = inst.Rs
 		}
 	case isa.OpIn:
-		e.Dst = inst.Rd
+		p.dst = inst.Rd
 	default:
 		if in.Format == isa.FmtRR {
-			e.SrcA, e.SrcB, e.Dst = inst.Rd, inst.Rs, inst.Rd
+			p.srcA, p.srcB, p.dst = inst.Rd, inst.Rs, inst.Rd
 		} else if in.Format == isa.FmtR || in.Format == isa.FmtRI8 || in.Format == isa.FmtRI32 {
-			e.SrcA, e.Dst = inst.Rd, inst.Rd
+			p.srcA, p.dst = inst.Rd, inst.Rd
 		}
 	}
 }

@@ -767,6 +767,119 @@ func TestHaltWakeByInterrupt(t *testing.T) {
 	}
 }
 
+// TestRollbackAcrossIdle pins the SetPC contract across an idle period: a
+// device event that fires while the target is halted (here the timer tick
+// that wakes it) must be rewound when a re-steer rolls back across the HALT.
+// The target sleeps on the timer eight times; after each wake the driver
+// lets five instructions run (the handler and the return), rolls back to
+// four instructions before the HALT and carries on. Every rollback engine
+// must reproduce the straight run exactly: same instruction count, device
+// time, final state and — per HALT — the same idle period before and after
+// the rollback.
+func TestRollbackAcrossIdle(t *testing.T) {
+	prog := isa.MustAssemble(`
+		.org 0
+		.space 256
+		.org 0x400
+	timer:	inc  r10
+		movi r9, 1
+		out  r9, 0x22    ; ack
+		iret
+		.org 0x1000
+	entry:
+		movi r8, timer
+		movi r9, 64      ; IVT[16] = timer handler
+		stw  r8, [r9]
+		movi r8, 700
+		out  r8, 0x20    ; timer interval
+		sti
+	work:	movi r7, 0
+	spin:	inc  r7
+		cmpi r7, 40
+		jl   spin
+		halt             ; sleep until the next tick
+		cmpi r10, 8
+		jl   work
+		cli
+		halt
+	.entry entry
+	`, 0)
+	type outcome struct {
+		in, now uint64
+		state   Scalars
+		idles   map[uint64][]uint64 // HALT's IN → the idle periods that followed it
+	}
+	drive := func(t *testing.T, cfg Config, resteer bool) outcome {
+		cfg.MemBytes = 1 << 20
+		m := New(cfg)
+		m.LoadProgram(prog)
+		out := outcome{idles: map[uint64][]uint64{}}
+		var pcs []isa.Word // PC by IN, rewritten on re-execution
+		budget := 0
+		sink := func(e trace.Entry) bool {
+			pcs = append(pcs[:e.IN], e.PC)
+			budget--
+			return budget != 0
+		}
+		resteered := uint64(0)
+		for !m.Terminal() {
+			budget = 0
+			if m.StepBlock(sink) > 0 {
+				continue
+			}
+			haltIN := m.IN() - 1
+			m.Commit(haltIN - 8)
+			ticks := uint64(0)
+			for !m.AdvanceIdle(1) {
+				if ticks++; ticks > 10_000 {
+					t.Fatalf("never woke after HALT %d", haltIN)
+				}
+			}
+			out.idles[haltIN] = append(out.idles[haltIN], ticks)
+			if resteer && haltIN > resteered {
+				resteered = haltIN
+				for budget = 5; budget > 0 && m.StepBlock(sink) > 0; {
+				}
+				if err := m.SetPC(haltIN-4, pcs[haltIN-4]); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if m.Fatal() != nil {
+			t.Fatal(m.Fatal())
+		}
+		out.in, out.now, out.state = m.IN(), m.Now(), m.Scalars
+		return out
+	}
+	want := drive(t, Config{}, false)
+	if want.state.GPR[10] != 8 || len(want.idles) != 8 {
+		t.Fatalf("straight run: %d ticks handled over %d sleeps, want 8 and 8", want.state.GPR[10], len(want.idles))
+	}
+	for _, row := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"journal", Config{}},
+		{"journal+superblocks", Config{ICacheEntries: 64, SuperblockLen: 8}},
+		{"checkpoint", Config{Rollback: RollbackCheckpoint, CheckpointInterval: 16}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			got := drive(t, row.cfg, true)
+			if got.in != want.in || got.now != want.now {
+				t.Errorf("ended at IN %d, device time %d; the straight run at %d, %d", got.in, got.now, want.in, want.now)
+			}
+			if got.state != want.state {
+				t.Errorf("final state diverged:\n%+v\n%+v", got.state, want.state)
+			}
+			for haltIN, periods := range want.idles {
+				if g := got.idles[haltIN]; len(g) != 2 || g[0] != periods[0] || g[1] != periods[0] {
+					t.Errorf("HALT %d: idle periods %v, want %d before and after the rollback", haltIN, g, periods[0])
+				}
+			}
+		})
+	}
+}
+
 func TestCoverageAccounting(t *testing.T) {
 	m, _ := run(t, `
 		movi r0, 5

@@ -3,8 +3,6 @@ package fm
 import (
 	"repro/internal/fullsys"
 	"repro/internal/isa"
-	"repro/internal/microcode"
-	"repro/internal/trace"
 )
 
 // The predecode cache is the FM's analogue of QEMU's translation cache
@@ -38,8 +36,9 @@ import (
 //
 //   - Program load: LoadProgram rewrites memory wholesale and flushes.
 //
-// All methods are nil-receiver-safe; a disabled cache (Config.ICacheEntries
-// == 0) costs one nil check on the fetch path and nothing on stores.
+// Every method but fill is nil-receiver-safe; a disabled cache
+// (Config.ICacheEntries == 0) costs one nil check on the fetch path and
+// nothing on stores.
 
 // DefaultICacheEntries is the predecode-cache size a zero
 // sim.Params.ICacheEntries and core.DefaultConfig select. 4 Ki
@@ -49,24 +48,17 @@ import (
 // identical at any size.
 const DefaultICacheEntries = 4096
 
-// icEntry is one direct-mapped predecode-cache slot. size == 0 marks an
+// icEntry is one direct-mapped predecode-cache slot. inst.Size == 0 marks an
 // empty slot (no legal instruction encodes in zero bytes).
 type icEntry struct {
 	pa      isa.Word // physical address of the first instruction byte
-	size    uint8    // fetch length in bytes; 0 = invalid slot
 	crosses bool     // instruction bytes span two physical pages
 	paged   bool     // filled from a paged user-mode fetch
 	gen1    uint32   // pageGen of the first page at fill time
 	gen2    uint32   // pageGen of the last page at fill time
 	page2   isa.Word // physical page number of the last instruction byte
 	mapGen  uint32   // mapping generation at fill time (paged crossers)
-	inst    isa.Inst
-	pre     microcode.Precracked
-
-	// Predecoded trace-entry register fields (fillRegs is pure in the
-	// decoded instruction, so its output is cached alongside it).
-	srcA, srcB, dst   isa.Reg
-	readsCC, writesCC bool
+	predecoded
 }
 
 // icache is the direct-mapped predecode cache.
@@ -116,7 +108,7 @@ func (c *icache) probe(pa isa.Word, paged bool) (*icEntry, bool) {
 		return nil, false
 	}
 	e := &c.slots[pa&c.mask]
-	if e.size == 0 || e.pa != pa || e.gen1 != c.pageGen[pa>>fullsys.PageShift] {
+	if e.inst.Size == 0 || e.pa != pa || e.gen1 != c.pageGen[pa>>fullsys.PageShift] {
 		c.misses++
 		return nil, false
 	}
@@ -132,38 +124,31 @@ func (c *icache) probe(pa isa.Word, paged bool) (*icEntry, bool) {
 	return e, true
 }
 
-// fill installs the freshly decoded instruction at pa. page2 is the
-// physical page holding the last instruction byte (== the first page for
-// non-crossing instructions).
-func (c *icache) fill(pa isa.Word, inst isa.Inst, crosses, paged bool, page2 isa.Word, pre microcode.Precracked) {
-	if c == nil {
-		return
-	}
+// fill predecodes the freshly decoded instruction at pa, installs it and
+// returns its slot. page2 is the physical page holding the last instruction
+// byte (== the first page for non-crossing instructions). Unlike the other
+// methods it needs a cache: both callers hold one.
+func (c *icache) fill(pa isa.Word, inst isa.Inst, crosses, paged bool, page2 isa.Word) *icEntry {
 	page1 := pa >> fullsys.PageShift
 	if !crosses {
 		page2 = page1
 	}
-	e := icEntry{
-		pa:      pa,
-		size:    uint8(inst.Size),
-		crosses: crosses,
-		paged:   paged,
-		gen1:    c.pageGen[page1],
-		gen2:    c.pageGen[page2],
-		page2:   page2,
-		mapGen:  c.mapGen,
-		inst:    inst,
-		pre:     pre,
+	e := &c.slots[pa&c.mask]
+	*e = icEntry{
+		pa:         pa,
+		crosses:    crosses,
+		paged:      paged,
+		gen1:       c.pageGen[page1],
+		gen2:       c.pageGen[page2],
+		page2:      page2,
+		mapGen:     c.mapGen,
+		predecoded: predecode(inst),
 	}
-	var scratch trace.Entry
-	fillRegs(inst, &scratch)
-	e.srcA, e.srcB, e.dst = scratch.SrcA, scratch.SrcB, scratch.Dst
-	e.readsCC, e.writesCC = scratch.ReadsCC, scratch.WritesCC
-	c.slots[pa&c.mask] = e
 	c.markCode(page1)
 	if crosses {
 		c.markCode(page2)
 	}
+	return e
 }
 
 // noteStore invalidates cached instructions overlapped by an n-byte write

@@ -269,7 +269,16 @@ func (j *journalEngine) noteBus(m *Model) {
 	}
 }
 
-func (j *journalEngine) noteIdle(*Model, uint64) {}
+// noteIdle: idle ticks advance the bus outside any instruction, so a device
+// event that fires during them would survive a rollback across the idle
+// period. Before a tick on which one is due, the bus is captured into the
+// newest record — the HALT (or whatever ran last before the idle) then
+// rewinds it with everything else.
+func (j *journalEngine) noteIdle(m *Model, ticks uint64) {
+	if j.recs.len() > 0 && m.Bus.Due(m.Now()+ticks) {
+		j.noteBus(m)
+	}
+}
 
 // commit releases records from the head while they are fully committed: a
 // record is releasable only once every instruction it covers is <= in (for

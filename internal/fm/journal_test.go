@@ -675,7 +675,7 @@ loop:
 
 // TestSteadyStateZeroAllocs: once the stores have reached their working
 // size, the FM loop with commits on allocates nothing — per-instruction and
-// block-at-a-time, rollbacks included.
+// block-at-a-time, rollbacks included, driven by hand or through Run.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	for _, sblen := range []int{0, DefaultSuperblockLen} {
 		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
@@ -699,6 +699,18 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}
 		if allocs := testing.AllocsPerRun(200, chunk); allocs != 0 {
 			t.Errorf("superblock len %d: %v allocs per 64-instruction chunk, want 0", sblen, allocs)
+		}
+		left := 0
+		until := func(trace.Entry) bool { left--; return left > 0 }
+		driven := func() {
+			left = 64
+			if err := m.Run(until); err != nil {
+				t.Fatal(err)
+			}
+			m.Commit(m.IN() - 1)
+		}
+		if allocs := testing.AllocsPerRun(200, driven); allocs != 0 {
+			t.Errorf("superblock len %d: %v allocs per 64 instructions through Run, want 0", sblen, allocs)
 		}
 	}
 }

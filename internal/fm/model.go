@@ -14,6 +14,16 @@
 // commits — functionally identical to leapfrog checkpoints + logs (a
 // checkpoint interval of one), and it makes the "rollback to any
 // non-committed instruction" invariant directly testable.
+//
+// The front end has one of each thing. predecode derives one record per
+// static instruction (predecoded: the decoded form, its µop instantiation,
+// the trace's register names); a predecode-cache slot embeds it, a superblock
+// op carries a copy, and the cache-off fetch returns it from a scratch. Step
+// and StepBlock run every instruction through one body (issue) that
+// assembles the trace entry in the Model's one scratch entry and finishes it
+// in place; the entry is copied only where the API is by value — Step's
+// return and StepBlock's sink call. Run is the one loop that drives the
+// target down the right path when no timing model is steering it.
 package fm
 
 import (
@@ -65,8 +75,8 @@ type Config struct {
 	// speed only.
 	ICacheEntries int
 	// SuperblockLen caps superblock length (superblock.go): straight-line
-	// runs of predecoded instructions executed as a fused closure chain
-	// with one rollback/interrupt/device check per block. 0 disables
+	// runs of predecoded instructions executed back to back with one
+	// rollback/interrupt/device check per block. 0 disables
 	// superblocks; they also require the predecode cache (ICacheEntries >
 	// 0) and the journal rollback engine — under RollbackCheckpoint,
 	// block-granular accounting would move checkpoint placement and hence
@@ -109,14 +119,15 @@ type Model struct {
 	TLB fullsys.TLB
 	Bus *fullsys.Bus
 
-	table  *microcode.Table
 	icache *icache  // predecode cache; nil when disabled
 	sb     *sbCache // superblock cache; nil when disabled
-	// sbEnt is StepBlock's scratch trace entry: its address crosses the
-	// op.run function-pointer boundary, so a loop-local would be forced to
-	// heap-allocate per instruction. execute never retains the pointer.
-	sbEnt trace.Entry
-	cfg   Config
+	// ent is the one scratch trace entry every instruction is assembled in
+	// (issue, finishEntry); it is copied out only where the API is by value:
+	// Step's return and StepBlock's sink call. decoded is the cache-off
+	// fetch's scratch record.
+	ent     trace.Entry
+	decoded predecoded
+	cfg     Config
 
 	in     uint64 // next instruction number to produce
 	halted bool
@@ -159,10 +170,9 @@ func New(cfg Config) *Model {
 		cfg.MemBytes = mem.Size()
 	}
 	m := &Model{
-		Mem:   mem,
-		Bus:   fullsys.NewBus(devs...),
-		table: microcode.NewTable(),
-		cfg:   cfg,
+		Mem: mem,
+		Bus: fullsys.NewBus(devs...),
+		cfg: cfg,
 	}
 	if cfg.Rollback == RollbackCheckpoint {
 		m.engine = newCheckpointEngine(cfg.CheckpointInterval)
@@ -251,9 +261,6 @@ func (m *Model) ICacheStats() (hits, misses, invalidations, flushes uint64) {
 	return m.icache.hits, m.icache.misses, m.icache.invalidations, m.icache.flushes
 }
 
-// Table exposes the microcode table (shared with the timing model).
-func (m *Model) Table() *microcode.Table { return m.table }
-
 // LoadProgram copies the image into physical memory and jumps to its entry.
 func (m *Model) LoadProgram(p *isa.Program) {
 	m.Mem.Load(p.Base, p.Code)
@@ -303,6 +310,36 @@ func (m *Model) AdvanceIdle(n uint64) bool {
 		return true
 	}
 	return false
+}
+
+// idleLimit is Run's hung-target guard: a target halted with interrupts
+// enabled that no device wakes within this many idle ticks is given up on.
+const idleLimit = 10_000_000
+
+// Run drives the target down the right path: the one loop every caller that
+// runs the FM without a timing model re-steering it needs (trace replay,
+// Table 1, fastsim -trace). The target executes a superblock at a time
+// (StepBlock) and, while halted, waits one idle tick at a time — the coupled
+// engines' stride — for a device to wake it. Every trace entry goes to sink
+// in order; sink returning false stops the run after that entry, and calling
+// Run again resumes there. Run also returns once the target is Terminal or
+// has idled idleLimit ticks without waking; a fatal condition is the
+// returned error.
+func (m *Model) Run(sink func(trace.Entry) bool) error {
+	more := true
+	each := func(e trace.Entry) bool {
+		more = sink(e)
+		return more
+	}
+	for idle := 0; more && !m.Terminal() && idle < idleLimit; {
+		if m.StepBlock(each) > 0 {
+			idle = 0
+			continue
+		}
+		m.AdvanceIdle(1)
+		idle++
+	}
+	return m.fatal
 }
 
 // Kernel reports whether the target is in kernel mode.

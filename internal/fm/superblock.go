@@ -3,20 +3,20 @@ package fm
 import (
 	"repro/internal/fullsys"
 	"repro/internal/isa"
-	"repro/internal/microcode"
 	"repro/internal/trace"
 )
 
-// Superblock threaded execution, built on top of the predecode cache
-// (icache.go): straight-line runs of predecoded instructions are formed
-// once and then executed as a chain of pre-bound closures with ONE
-// rollback record, ONE interrupt/device check and ONE translation per
-// block instead of one per instruction. Trace entries are assembled
-// block-at-a-time and handed to the caller's sink, which enforces the
-// coupling loop's per-entry predicates (budget, buffer occupancy) so a
-// block stops at exactly the instruction a per-instruction loop would
-// have stopped at — the property that keeps every architected and
-// modeled number bit-identical at any SuperblockLen.
+// Superblock execution, built on top of the predecode cache (icache.go):
+// straight-line runs of predecoded instructions are formed once and then
+// executed back to back with ONE rollback record, ONE interrupt/device
+// check and ONE translation per block instead of one per instruction. Each
+// instruction runs through Model.issue — the body Step shares — which
+// assembles its trace entry in the Model's one scratch entry; the finished
+// entry is handed (by value, the one copy) to the caller's sink, which
+// enforces the coupling loop's per-entry predicates (budget, buffer
+// occupancy) so a block stops at exactly the instruction a per-instruction
+// loop would have stopped at — the property that keeps every architected
+// and modeled number bit-identical at any SuperblockLen.
 //
 // Block formation walks physical memory forward from the entry PC's
 // translation, reusing (and filling) the predecode cache per candidate,
@@ -62,25 +62,17 @@ import (
 // architected results are identical at any value, including 0 (disabled).
 const DefaultSuperblockLen = 32
 
-// sbOp is one predecoded instruction inside a superblock. Register names
-// and the µop instantiation are copied out of the predecode-cache slot at
-// formation time (slots are direct-mapped and unstable); run is the
-// pre-bound execution closure — the "threaded code" dispatch.
+// sbOp is one instruction inside a superblock: its predecoded record, copied
+// out of the predecode-cache slot at formation time (slots are direct-mapped
+// and unstable), and where it sits in the block.
 type sbOp struct {
-	off  isa.Word // byte offset from the block's first instruction
-	size uint8
-	inst isa.Inst
-	pre  microcode.Precracked
-
-	srcA, srcB, dst   isa.Reg
-	readsCC, writesCC bool
-
-	run func(m *Model, nextPC isa.Word, e *trace.Entry) *fault
+	off isa.Word // byte offset from the block's first instruction
+	predecoded
 }
 
-// sbEntry is one direct-mapped superblock-cache slot. len(ops) == 0 marks
+// sbBlock is one direct-mapped superblock-cache slot. len(ops) == 0 marks
 // an empty slot.
-type sbEntry struct {
+type sbBlock struct {
 	pa   isa.Word // physical address of the first instruction byte
 	page isa.Word // pa >> PageShift (blocks never span pages)
 	gen  uint32   // the page's store generation at formation time
@@ -92,7 +84,7 @@ type sbEntry struct {
 // path (stores, coherence fan-out, rollback memory undo) covers blocks
 // for free.
 type sbCache struct {
-	slots   []sbEntry
+	slots   []sbBlock
 	mask    isa.Word
 	maxLen  int
 	ic      *icache
@@ -109,7 +101,7 @@ type sbCache struct {
 // (already a power of two) and caps blocks at maxLen instructions.
 func newSBCache(maxLen int, ic *icache) *sbCache {
 	return &sbCache{
-		slots:  make([]sbEntry, len(ic.slots)),
+		slots:  make([]sbBlock, len(ic.slots)),
 		mask:   isa.Word(len(ic.slots) - 1),
 		maxLen: maxLen,
 		ic:     ic,
@@ -117,7 +109,7 @@ func newSBCache(maxLen int, ic *icache) *sbCache {
 }
 
 // probe looks up the block starting at physical address pa.
-func (c *sbCache) probe(pa isa.Word) *sbEntry {
+func (c *sbCache) probe(pa isa.Word) *sbBlock {
 	e := &c.slots[pa&c.mask]
 	if len(e.ops) == 0 || e.pa != pa {
 		c.misses++
@@ -134,7 +126,7 @@ func (c *sbCache) probe(pa isa.Word) *sbEntry {
 
 // stale reports whether a store has hit the block's page since formation
 // (checked after every executed instruction to catch in-block SMC).
-func (c *sbCache) stale(e *sbEntry) bool { return e.gen != c.ic.pageGen[e.page] }
+func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.pageGen[e.page] }
 
 // flush empties the block cache (program load).
 func (c *sbCache) flush() {
@@ -162,11 +154,11 @@ func blockTerminator(op isa.Op) bool {
 }
 
 // form builds, installs and returns the superblock starting at (pc, pa),
-// or nil when not even one instruction qualifies. Candidates come from
-// the predecode cache when present (page-crossing entries stop the walk)
-// and are decoded-and-filled otherwise, so formation leaves the
-// per-instruction path's cache warm too.
-func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbEntry {
+// or nil when not even one instruction qualifies. Every candidate goes
+// through the predecode cache — probed, and decoded-and-filled on a miss, so
+// formation leaves the per-instruction path's cache warm too — and its slot's
+// record is copied into the block. A page-crossing entry stops the walk.
+func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 	page := pa >> fullsys.PageShift
 	pageEnd := (page + 1) << fullsys.PageShift
 	paged := !m.Kernel() && m.CR[isa.CRPaging] != 0
@@ -177,57 +169,32 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbEntry {
 		if cur >= pageEnd || !m.Mem.InRange(cur, 1) {
 			break
 		}
-		var op sbOp
-		if ce, ok := m.icache.probe(cur, paged); ok {
-			if ce.crosses {
-				break
-			}
-			op = sbOp{
-				off: off, size: ce.size, inst: ce.inst, pre: ce.pre,
-				srcA: ce.srcA, srcB: ce.srcB, dst: ce.dst,
-				readsCC: ce.readsCC, writesCC: ce.writesCC,
-			}
-		} else {
+		ce, ok := c.ic.probe(cur, paged)
+		if !ok {
 			// Decode with the byte window capped at the page end: a decode
 			// that succeeds cannot cross, and one that would have crossed
 			// fails here and ends the block instead.
-			n := isa.MaxInstLen
-			if rem := int(pageEnd - cur); rem < n {
-				n = rem
-			}
-			if rem := m.Mem.Size() - int(cur); rem < n {
-				n = rem
-			}
+			n := min(isa.MaxInstLen, int(pageEnd-cur), m.Mem.Size()-int(cur))
 			inst, derr := isa.Decode(m.Mem.Bytes(cur, n), pc+off)
 			if derr != nil {
 				break
 			}
-			pre := m.table.Precrack(inst)
-			m.icache.fill(cur, inst, false, paged, page, pre)
-			var scratch trace.Entry
-			fillRegs(inst, &scratch)
-			op = sbOp{
-				off: off, size: uint8(inst.Size), inst: inst, pre: pre,
-				srcA: scratch.SrcA, srcB: scratch.SrcB, dst: scratch.Dst,
-				readsCC: scratch.ReadsCC, writesCC: scratch.WritesCC,
-			}
-		}
-		bound := op.inst
-		op.run = func(m *Model, nextPC isa.Word, e *trace.Entry) *fault {
-			return m.execute(bound, nextPC, e)
-		}
-		ops = append(ops, op)
-		if blockTerminator(op.inst.Op) {
+			ce = c.ic.fill(cur, inst, false, paged, page)
+		} else if ce.crosses {
 			break
 		}
-		off += isa.Word(op.size)
+		ops = append(ops, sbOp{off: off, predecoded: ce.predecoded})
+		if blockTerminator(ce.inst.Op) {
+			break
+		}
+		off += isa.Word(ce.inst.Size)
 	}
 	c.forming = ops[:0]
 	if len(ops) == 0 {
 		return nil
 	}
 	e := &c.slots[pa&c.mask]
-	*e = sbEntry{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append([]sbOp(nil), ops...)}
+	*e = sbBlock{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append([]sbOp(nil), ops...)}
 	return e
 }
 
@@ -237,7 +204,7 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbEntry {
 // interrupt deliverable (or able to become deliverable mid-block), a
 // device event due inside the block's device-time span, a fetch that
 // faults (the per-instruction path raises it), or no formable block.
-func (m *Model) blockReady() *sbEntry {
+func (m *Model) blockReady() *sbBlock {
 	c := m.sb
 	if c == nil || m.halted || m.fatal != nil {
 		return nil
@@ -286,16 +253,7 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 	basePC := m.PC
 	for i := range blk.ops {
 		op := &blk.ops[i]
-		e := &m.sbEnt
-		*e = trace.Entry{IN: m.in, PC: basePC + op.off, Kernel: m.Kernel()}
-		e.PPC = blk.pa + op.off
-		e.Op = op.inst.Op
-		e.Size = op.size
-		e.SrcA, e.SrcB, e.Dst = op.srcA, op.srcB, op.dst
-		e.ReadsCC, e.WritesCC = op.readsCC, op.writesCC
-		nextPC := e.PC + isa.Word(op.size)
-		f := op.run(m, nextPC, e)
-		if f != nil || m.fatal != nil {
+		if f := m.issue(&op.predecoded, basePC+op.off, blk.pa+op.off); f != nil || m.fatal != nil {
 			// Rare slow path: an exception (or a fatal condition) inside the
 			// block. The block journal record cannot undo just the faulting
 			// instruction's partial effects without per-instruction
@@ -307,12 +265,9 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 			// Exceptions counter and the fatal abort.
 			return m.replayFault(sink, retired)
 		}
-		ent, _ := m.finishEntry(*e, op.inst, &op.pre)
+		m.finishEntry(&m.ent, &op.predecoded)
 		retired++
-		if !sink(ent) {
-			break
-		}
-		if m.halted {
+		if !sink(m.ent) || m.halted {
 			break
 		}
 		if m.sb.stale(blk) {
@@ -356,8 +311,7 @@ func (m *Model) replayFault(sink func(trace.Entry) bool, retired int) int {
 
 // SuperblocksEnabled reports whether the block fast path exists at all
 // (Config.SuperblockLen > 0 with the predecode cache and journal engine
-// present). Callers may use it to skip StepBlock's sink indirection and
-// drive Step directly when blocks can never form.
+// present); without it StepBlock is Step behind a sink.
 func (m *Model) SuperblocksEnabled() bool { return m.sb != nil }
 
 // SuperblockStats reports the superblock-cache counters (all zero when

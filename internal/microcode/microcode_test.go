@@ -351,9 +351,34 @@ func TestCompileArbitraryInputNeverPanics(t *testing.T) {
 	}
 }
 
+// referenceCrack is the independent cracking implementation
+// TestPrecrackMatchesCrack compares production against: it expands the table
+// templates afresh on every call, as Table.Crack did before it became
+// Precrack + Precracked.Crack.
+func referenceCrack(t *Table, inst isa.Inst, iterations int) Crack {
+	e := t.Entry(inst.Op)
+	body := instantiate(e.Template, inst)
+	c := Crack{Valid: e.Valid}
+	if !inst.Rep {
+		c.UOps = body
+		c.Count = len(body)
+		return c
+	}
+	over := instantiate(t.RepOverhead(), inst)
+	c.UOps = append(body, over...)
+	if iterations < 1 {
+		c.UOps = over
+		c.Count = len(over)
+		return c
+	}
+	c.Count = iterations * (len(body) + len(over))
+	return c
+}
+
 func TestPrecrackMatchesCrack(t *testing.T) {
-	// The predecode cache replays Precracked.Crack where the uncached path
-	// calls Table.Crack; bit-identical traces require exact equivalence for
+	// Production cracks through Precrack + Precracked.Crack (memoized by the
+	// predecode cache, and what Table.Crack itself calls); bit-identical
+	// traces require exact equivalence with the reference expansion for
 	// every opcode, with and without REP, at every iteration count shape
 	// (0 = loop-control only, 1, and >1).
 	tab := NewTable()
@@ -362,20 +387,21 @@ func TestPrecrackMatchesCrack(t *testing.T) {
 			inst := isa.Inst{Op: op, Rd: 3, Rs: 7, Imm: 5, Disp: -12, Size: 4, Rep: rep}
 			pre := tab.Precrack(inst)
 			for _, iters := range []int{0, 1, 3, 10} {
-				want := tab.Crack(inst, iters)
-				got := pre.Crack(iters)
-				if got.Valid != want.Valid || got.Count != want.Count {
-					t.Fatalf("%s rep=%v iters=%d: got {Valid:%v Count:%d}, want {Valid:%v Count:%d}",
-						isa.Lookup(op).Name, rep, iters, got.Valid, got.Count, want.Valid, want.Count)
-				}
-				if len(got.UOps) != len(want.UOps) {
-					t.Fatalf("%s rep=%v iters=%d: %d µops, want %d",
-						isa.Lookup(op).Name, rep, iters, len(got.UOps), len(want.UOps))
-				}
-				for i := range got.UOps {
-					if got.UOps[i] != want.UOps[i] {
-						t.Fatalf("%s rep=%v iters=%d µop %d: got %v, want %v",
-							isa.Lookup(op).Name, rep, iters, i, got.UOps[i], want.UOps[i])
+				want := referenceCrack(tab, inst, iters)
+				for _, got := range []Crack{pre.Crack(iters), tab.Crack(inst, iters)} {
+					if got.Valid != want.Valid || got.Count != want.Count {
+						t.Fatalf("%s rep=%v iters=%d: got {Valid:%v Count:%d}, want {Valid:%v Count:%d}",
+							isa.Lookup(op).Name, rep, iters, got.Valid, got.Count, want.Valid, want.Count)
+					}
+					if len(got.UOps) != len(want.UOps) {
+						t.Fatalf("%s rep=%v iters=%d: %d µops, want %d",
+							isa.Lookup(op).Name, rep, iters, len(got.UOps), len(want.UOps))
+					}
+					for i := range got.UOps {
+						if got.UOps[i] != want.UOps[i] {
+							t.Fatalf("%s rep=%v iters=%d µop %d: got %v, want %v",
+								isa.Lookup(op).Name, rep, iters, i, got.UOps[i], want.UOps[i])
+						}
 					}
 				}
 			}

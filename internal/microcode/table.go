@@ -184,31 +184,15 @@ type Crack struct {
 // instructions; a REP executed with count 0 still costs its loop-control
 // µops).
 func (t *Table) Crack(inst isa.Inst, iterations int) Crack {
-	e := t.entries[inst.Op]
-	body := instantiate(e.Template, inst)
-	c := Crack{Valid: e.Valid}
-	if !inst.Rep {
-		c.UOps = body
-		c.Count = len(body)
-		return c
-	}
-	over := instantiate(t.repOverhead, inst)
-	c.UOps = append(body, over...)
-	if iterations < 1 {
-		c.UOps = over
-		c.Count = len(over)
-		return c
-	}
-	c.Count = iterations * (len(body) + len(over))
-	return c
+	p := t.Precrack(inst)
+	return p.Crack(iterations)
 }
 
-// Precracked is the memoized crack of one *static* instruction: the
-// register/immediate-instantiated µop slices that Table.Crack would rebuild
-// for every dynamic execution. The functional model's predecode cache
-// stores one Precracked per cached instruction so steady-state execution
-// re-instantiates nothing; only the dynamic REP iteration count still
-// varies per execution and is supplied to Crack.
+// Precracked is the memoized crack of one *static* instruction: its
+// register/immediate-instantiated µop slices. The functional model's
+// predecode cache stores one Precracked per cached instruction so
+// steady-state execution re-instantiates nothing; only the dynamic REP
+// iteration count still varies per execution and is supplied to Crack.
 //
 // The memoized slices are shared by every Crack result (and therefore by
 // every trace entry) derived from them — they must be treated as
@@ -235,9 +219,9 @@ func (t *Table) Precrack(inst isa.Inst) Precracked {
 	return p
 }
 
-// Crack produces the same result as Table.Crack(inst, iterations) for the
-// instruction this Precracked was built from, without re-instantiating any
-// template (equivalence is locked by TestPrecrackMatchesCrack).
+// Crack is the cracked form of one dynamic execution of the instruction this
+// Precracked was built from, without re-instantiating any template
+// (TestPrecrackMatchesCrack checks it against an independent expansion).
 func (p *Precracked) Crack(iterations int) Crack {
 	c := Crack{Valid: p.valid}
 	if !p.rep {

@@ -373,12 +373,8 @@ func (a api) listSweeps(w http.ResponseWriter, r *http.Request) {
 func (a api) engines(w http.ResponseWriter, r *http.Request) {
 	var out []EngineView
 	for _, name := range sim.Names() {
-		eng, err := sim.New(name, sim.Params{Workload: "164.gzip"})
-		if err != nil {
-			writeError(w, err)
-			return
-		}
-		out = append(out, EngineView{Name: name, Description: eng.Describe()})
+		desc, _ := sim.Describe(name)
+		out = append(out, EngineView{Name: name, Description: desc})
 	}
 	WriteJSON(w, http.StatusOK, out)
 }

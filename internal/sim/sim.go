@@ -372,6 +372,16 @@ func Registered(name string) bool {
 	return ok
 }
 
+// Describe returns the named engine's description without configuring one:
+// a description reads nothing Configure sets, so listings need build nothing.
+func Describe(name string) (string, bool) {
+	ctor, ok := registry[name]
+	if !ok {
+		return "", false
+	}
+	return ctor().Describe(), true
+}
+
 // New constructs and configures the named engine.
 func New(name string, p Params) (Engine, error) {
 	ctor, ok := registry[name]

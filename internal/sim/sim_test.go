@@ -4,8 +4,10 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // confCap keeps conformance runs interactive: the architectural
@@ -348,5 +350,48 @@ func TestReplayEnginesStable(t *testing.T) {
 				check(sc.Software())
 			}
 		}
+	}
+}
+
+// TestReplayMemoryBounded: a comparison engine streams its trace — the
+// functional model commits behind the timing model's fetch — so a replay's
+// heap does not grow with the run. The whole Linux-2.4 boot (856 713
+// instructions) peaked at 713 MB when the trace was recorded first over a
+// model that never committed; an uncapped comparison job must not be the
+// cheapest way to OOM a fastd.
+func TestReplayMemoryBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a whole Linux-2.4 replay")
+	}
+	runtime.GC() // earlier tests' garbage is not this run's heap
+	stop, peak := make(chan struct{}), make(chan uint64)
+	go func() {
+		var ms runtime.MemStats
+		var high uint64
+		tick := time.NewTicker(5 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-tick.C:
+				runtime.ReadMemStats(&ms)
+				high = max(high, ms.HeapInuse)
+			case <-stop:
+				peak <- high
+				return
+			}
+		}
+	}()
+	r, err := Run("monolithic", Params{Workload: "Linux-2.4"})
+	close(stop)
+	high := <-peak
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Instructions < 800_000 {
+		t.Fatalf("replay committed %d instructions: not the whole boot", r.Instructions)
+	}
+	t.Logf("%d instructions, heap in use peaked at %d MB", r.Instructions, high>>20)
+	if high > 200<<20 {
+		t.Errorf("heap in use peaked at %d MB, want under 200 MB", high>>20)
 	}
 }

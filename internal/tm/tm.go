@@ -67,13 +67,11 @@ type instr struct {
 	e            trace.Entry
 	mispredicted bool
 	serialize    bool // exception/interrupt: fetch stalls until it commits
-	uopsLeft     int
 }
 
 // uop is one in-flight micro-operation.
 type uop struct {
 	ins      *instr
-	idx      int
 	last     bool
 	kind     microcode.UKind
 	class    isa.Class
@@ -89,7 +87,6 @@ type uop struct {
 	done       bool
 	doneCycle  uint64
 	isMem      bool
-	resolved   bool // branch µop: resolution handled
 }
 
 // Stats aggregates the timing model's counters. The JSON tags are a stable
@@ -142,8 +139,6 @@ type TM struct {
 	Memory  *cache.FixedMemory
 	ITLB    *cache.TLBTiming
 	DTLB    *cache.TLBTiming
-
-	table *microcode.Table
 
 	cycle   uint64
 	fetchIN uint64
@@ -228,7 +223,6 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 		Memory:    mem,
 		ITLB:      cache.NewTLBTiming(cfg.ITLBEntries),
 		DTLB:      cache.NewTLBTiming(cfg.DTLBEntries),
-		table:     microcode.NewTable(),
 		regWriter: make(map[microcode.MReg]*uop),
 		lsuFreeAt: make([]uint64, cfg.LoadStoreUnits),
 		fetchQ: NewConnector[*instr]("fetch→decode", ConnectorConfig{
@@ -333,7 +327,6 @@ func (t *TM) commit(w *workCounts) {
 		}
 		n++
 		t.Stats.UOps++
-		u.ins.uopsLeft--
 		if u.last {
 			t.Stats.Instructions++
 			e := u.ins.e
@@ -365,7 +358,6 @@ func (t *TM) resolveBranches() {
 		e := u.ins.e
 		t.BP.Update(e.PC, e.Taken, e.NextPC)
 		t.unresolved--
-		u.resolved = true
 		if u.ins.mispredicted {
 			t.dropView()
 			t.ctl.Resolve(e.IN+1, e.NextPC)
@@ -585,7 +577,6 @@ func (t *TM) expand(ins *instr) []*uop {
 		for _, mu := range tmpl {
 			u := &uop{
 				ins:   ins,
-				idx:   len(out),
 				kind:  mu.Kind,
 				class: mu.Kind.Class(),
 				dst:   mu.Dst,
@@ -599,7 +590,6 @@ func (t *TM) expand(ins *instr) []*uop {
 		out = append(out, &uop{ins: ins, kind: microcode.UNop, class: isa.ClassALU})
 	}
 	out[len(out)-1].last = true
-	ins.uopsLeft = len(out)
 	return out
 }
 

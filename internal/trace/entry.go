@@ -127,7 +127,7 @@ type EncodeOptions struct {
 var DefaultEncoding = EncodeOptions{SendPhysical: true}
 
 // Words returns how many 32-bit words e occupies on the host link under o.
-func (o EncodeOptions) Words(e Entry) int {
+func (o EncodeOptions) Words(e *Entry) int {
 	if o.Uncompressed {
 		// One word per instruction byte region (padded), plus every field
 		// uncompacted: opcode, size, 3 regs, flags, PC, next PC, VA, PA,

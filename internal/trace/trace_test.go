@@ -110,23 +110,23 @@ func TestBufferPanicsOnMisuse(t *testing.T) {
 func TestEncodingWords(t *testing.T) {
 	o := DefaultEncoding
 	alu := Entry{Op: isa.OpAddRR, Size: 2}
-	if w := o.Words(alu); w != 3 {
+	if w := o.Words(&alu); w != 3 {
 		t.Errorf("ALU entry = %d words, want 3", w)
 	}
 	br := Entry{Op: isa.OpJz, Size: 3, Branch: true}
-	if w := o.Words(br); w != 4 {
+	if w := o.Words(&br); w != 4 {
 		t.Errorf("branch entry = %d words, want 4", w)
 	}
 	mem := Entry{Op: isa.OpLdW, Size: 4, MemSize: 4}
-	if w := o.Words(mem); w != 5 {
+	if w := o.Words(&mem); w != 5 {
 		t.Errorf("mem entry = %d words, want 5 (with PA)", w)
 	}
 	noPA := EncodeOptions{SendPhysical: false}
-	if w := noPA.Words(mem); w != 4 {
+	if w := noPA.Words(&mem); w != 4 {
 		t.Errorf("mem entry without PA = %d words, want 4", w)
 	}
 	tlb := Entry{Op: isa.OpTlbWr, Size: 2, TLBWrite: true}
-	if w := o.Words(tlb); w != 5 {
+	if w := o.Words(&tlb); w != 5 {
 		t.Errorf("tlb entry = %d words, want 5", w)
 	}
 }
@@ -139,8 +139,8 @@ func TestEncodingCompressionWins(t *testing.T) {
 		if mem {
 			e.MemSize = 4
 		}
-		c := DefaultEncoding.Words(e)
-		u := EncodeOptions{Uncompressed: true}.Words(e)
+		c := DefaultEncoding.Words(&e)
+		u := EncodeOptions{Uncompressed: true}.Words(&e)
 		return c <= u
 	}
 	if err := quick.Check(f, nil); err != nil {

@@ -1,5 +1,7 @@
 package workload
 
+import "sync"
+
 // Entry is one registered workload: the name front ends accept, a
 // one-line description for listings (fastsim -list-workloads, fastctl
 // workloads, GET /v1/workloads), and a builder parameterised by core
@@ -16,22 +18,9 @@ type Entry struct {
 }
 
 // tableEntry wraps a Table 1 / figure workload already defined elsewhere.
-func tableEntry(name, desc string) Entry {
-	return Entry{Name: name, Description: desc, Build: func(cores int) Spec {
-		var spec Spec
-		if name == "WindowsXP" {
-			spec = WindowsXP()
-		} else {
-			for _, s := range All() {
-				if s.Name == name {
-					spec = s
-					break
-				}
-			}
-		}
-		if spec.Name == "" {
-			panic("workload: registry entry " + name + " missing from All()")
-		}
+func tableEntry(spec Spec, desc string) Entry {
+	return Entry{Name: spec.Name, Description: desc, Build: func(cores int) Spec {
+		spec := spec
 		if cores > 1 {
 			spec.Kernel.Cores = cores
 		}
@@ -48,8 +37,11 @@ func fsEntry(desc string, build func() Spec) Entry {
 
 // Registry returns every runnable workload in listing order: the sixteen
 // Table 1 entries, the extra boot workload of Figures 4-5, the multicore
-// pair, and the server-class FS workloads.
-func Registry() []Entry {
+// pair, and the server-class FS workloads. The slice is built once per
+// process and shared: callers must not modify it.
+func Registry() []Entry { return registry() }
+
+var registry = sync.OnceValue(func() []Entry {
 	tableDesc := map[string]string{
 		"Linux-2.4": "toyOS 2.4 boot into init (Table 1 boot workload)",
 		"Linux-2.6": "toyOS 2.6 boot into init (Table 1 boot workload)",
@@ -60,10 +52,10 @@ func Registry() []Entry {
 		if desc == "" {
 			desc = s.Name + " dynamic-profile user program over a fast boot (Table 1)"
 		}
-		entries = append(entries, tableEntry(s.Name, desc))
+		entries = append(entries, tableEntry(s, desc))
 	}
 	entries = append(entries,
-		tableEntry("WindowsXP", "Windows-class boot with a wider instruction mix (Figures 4-5)"),
+		tableEntry(WindowsXP(), "Windows-class boot with a wider instruction mix (Figures 4-5)"),
 		Entry{Name: SMPName,
 			Description: "N cores contending on an ll/sc spinlock over the modeled interconnect",
 			Build: func(cores int) Spec {
@@ -85,7 +77,7 @@ func Registry() []Entry {
 		fsEntry("FS kernel: polled NIC request/response server with hashed buckets and an audit log", NICServ),
 	)
 	return entries
-}
+})
 
 // Lookup finds a registered workload by name and builds it at the given
 // core count.
