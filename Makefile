@@ -28,11 +28,13 @@ build:
 test:
 	$(GO) test ./...
 
-# The FM steady state (execute, journal, commit, rollback) allocates nothing.
-# `make test` already runs this; naming it keeps the guarantee visible in the
-# gate and re-checks it uncached.
+# The FM steady state (execute, journal, commit, rollback) and a TM target
+# cycle (everything in flight lives in rings built once) allocate nothing.
+# `make test` already runs these; naming them keeps the guarantee visible in
+# the gate and re-checks it uncached.
 zero-alloc:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fm
+	$(GO) test -count=1 -run '^TestTMSteadyStateZeroAllocs$$' ./internal/tm
 
 # bench/ is a module of its own (it imports repro/internal/... through a
 # replace), so `go build ./...` and `go vet ./...` at the root never see it:
@@ -61,7 +63,8 @@ FUZZ_SMOKES := \
 	./internal/workload/fs:FuzzFsckDecode:20 \
 	./internal/sim:FuzzEngineAgreement:20 \
 	./internal/core:FuzzRestore:20 \
-	./internal/snap:FuzzCodec:20
+	./internal/snap:FuzzCodec:20 \
+	./internal/tm:FuzzTMAgreement:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

@@ -2,6 +2,16 @@
 // host-cycle-accounted model of the Figure 3 out-of-order target, built
 // from Modules wired by Connectors (§4), driven by the functional-path
 // instruction trace.
+//
+// Like the hardware it models, the TM keeps everything in flight in
+// fixed-size structures built once by New: µops and instructions are values
+// in two rings addressed by monotonic sequence number, the ROB and the
+// rename queue are ranges of the µop ring, producers and rename-table
+// entries are sequence numbers, the Connectors are rings of their
+// MaxTransactions, and a REP's iterations are cracked one µop at a time from
+// the trace entry's immutable microcode. A target cycle allocates nothing
+// (TestTMSteadyStateZeroAllocs); ref_test.go keeps the pointer-based model
+// this replaced as the oracle TestTMAgreement steps it against.
 package tm
 
 import "fmt"
@@ -15,7 +25,10 @@ type Connector[T any] struct {
 	name string
 	cfg  ConnectorConfig
 
-	items []connItem[T]
+	// items is a ring of MaxTransactions slots: n live items starting at
+	// head. The capacity is a Connector parameter, so the storage is fixed.
+	items   []connItem[T]
+	head, n int
 
 	// Per-cycle throughput bookkeeping.
 	putCycle uint64
@@ -54,7 +67,15 @@ func NewConnector[T any](name string, cfg ConnectorConfig) *Connector[T] {
 	if cfg.InputThroughput < 1 || cfg.OutputThroughput < 1 || cfg.MaxTransactions < 1 {
 		panic(fmt.Sprintf("tm: connector %s: bad config %+v", name, cfg))
 	}
-	return &Connector[T]{name: name, cfg: cfg}
+	return &Connector[T]{name: name, cfg: cfg, items: make([]connItem[T], cfg.MaxTransactions)}
+}
+
+// at returns the i-th oldest in-flight item.
+func (c *Connector[T]) at(i int) *connItem[T] {
+	if i += c.head; i >= len(c.items) {
+		i -= len(c.items)
+	}
+	return &c.items[i]
 }
 
 // Name returns the connector's instance name.
@@ -67,11 +88,11 @@ func (c *Connector[T]) Config() ConnectorConfig { return c.cfg }
 func (c *Connector[T]) Stats() ConnectorStats { return c.stats }
 
 // Len returns current occupancy.
-func (c *Connector[T]) Len() int { return len(c.items) }
+func (c *Connector[T]) Len() int { return c.n }
 
 // CanPut reports whether a Put at cycle would succeed.
 func (c *Connector[T]) CanPut(cycle uint64) bool {
-	if len(c.items) >= c.cfg.MaxTransactions {
+	if c.n >= len(c.items) {
 		return false
 	}
 	return cycle != c.putCycle || c.putsThis < c.cfg.InputThroughput
@@ -82,27 +103,28 @@ func (c *Connector[T]) Put(cycle uint64, v T) bool {
 	if cycle != c.putCycle {
 		c.putCycle, c.putsThis = cycle, 0
 	}
-	if len(c.items) >= c.cfg.MaxTransactions || c.putsThis >= c.cfg.InputThroughput {
+	if c.n >= len(c.items) || c.putsThis >= c.cfg.InputThroughput {
 		c.stats.PutStalls++
 		return false
 	}
 	c.putsThis++
 	c.stats.Puts++
-	c.stats.OccupancySum += uint64(len(c.items))
-	c.items = append(c.items, connItem[T]{v: v, ready: cycle + c.cfg.MinLatency})
+	c.stats.OccupancySum += uint64(c.n)
+	*c.at(c.n) = connItem[T]{v: v, ready: cycle + c.cfg.MinLatency}
+	c.n++
 	return true
 }
 
 // Peek returns the head item if one is gettable at cycle.
 func (c *Connector[T]) Peek(cycle uint64) (T, bool) {
 	var zero T
-	if len(c.items) == 0 || c.items[0].ready > cycle {
+	if c.n == 0 || c.items[c.head].ready > cycle {
 		return zero, false
 	}
 	if cycle == c.getCycle && c.getsThis >= c.cfg.OutputThroughput {
 		return zero, false
 	}
-	return c.items[0].v, true
+	return c.items[c.head].v, true
 }
 
 // Get removes and returns the head item, honoring latency and output
@@ -112,17 +134,19 @@ func (c *Connector[T]) Get(cycle uint64) (T, bool) {
 	if cycle != c.getCycle {
 		c.getCycle, c.getsThis = cycle, 0
 	}
-	if len(c.items) == 0 || c.items[0].ready > cycle || c.getsThis >= c.cfg.OutputThroughput {
+	if c.n == 0 || c.items[c.head].ready > cycle || c.getsThis >= c.cfg.OutputThroughput {
 		c.stats.GetStalls++
 		return zero, false
 	}
-	v := c.items[0].v
-	copy(c.items, c.items[1:])
-	c.items = c.items[:len(c.items)-1]
+	v := c.items[c.head].v
+	if c.head++; c.head == len(c.items) {
+		c.head = 0
+	}
+	c.n--
 	c.getsThis++
 	c.stats.Gets++
 	return v, true
 }
 
 // Flush discards all in-flight items (pipeline flush on recovery).
-func (c *Connector[T]) Flush() { c.items = c.items[:0] }
+func (c *Connector[T]) Flush() { c.head, c.n = 0, 0 }

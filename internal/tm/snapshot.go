@@ -33,28 +33,28 @@ func (t *TM) Snapshot() Snapshot {
 	s := Snapshot{
 		Cycle:      t.cycle,
 		FetchIN:    t.fetchIN,
-		DecodeBuf:  len(t.decodeBuf),
+		DecodeBuf:  int(t.decLeft),
 		Recovering: t.recovering,
 		DrainFor:   t.recoverIN,
 	}
-	for _, it := range t.fetchQ.items {
-		s.FetchQ = append(s.FetchQ, it.v.e.IN)
+	in := func(u *uop) uint64 { return t.instr(u.ins).e.IN }
+	for i := 0; i < t.fetchQ.Len(); i++ {
+		s.FetchQ = append(s.FetchQ, t.instr(t.fetchQ.at(i).v).e.IN)
 	}
-	for _, u := range t.uopQ.items {
-		s.RenameQ = append(s.RenameQ, u.v.ins.e.IN)
+	for seq := t.robTail; seq < t.nextUop; seq++ {
+		s.RenameQ = append(s.RenameQ, in(t.uop(seq)))
 	}
-	for _, u := range t.rob {
+	for seq := t.robHead; seq < t.robTail; seq++ {
+		u := t.uop(seq)
 		s.ROB = append(s.ROB, ROBSlot{
-			IN:     u.ins.e.IN,
+			IN:     in(u),
 			Kind:   u.kind.String(),
 			Issued: u.issued,
-			Done:   u.done && u.doneCycle <= t.cycle,
+			Done:   u.doneBy(t.cycle),
 		})
 	}
 	return s
 }
-
-// fetchQ items access needs a tiny accessor on Connector.
 
 func (s Snapshot) String() string {
 	var b strings.Builder

@@ -8,11 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestROBFullStalls: a long-latency load followed by a stream of
-// independent work must back up into ROB-full stalls once the window
-// fills (blocking caches keep the load outstanding).
-func TestStructuralStalls(t *testing.T) {
-	entries := record(t, `
+// The stall tests' programs, shared with TestTMAgreement.
+const (
+	structuralStallSrc = `
 		movi r1, 0x2000
 		ldw  r2, [r1]     ; cold miss: 34 cycles
 		movi r3, 1
@@ -27,7 +25,56 @@ func TestStructuralStalls(t *testing.T) {
 		cmpi r3, 400
 		jl   burn
 		halt
-	`, 10000)
+	`
+	storeBurstSrc = `
+		movi r1, 0x2000
+		movi r0, 200
+	loop:
+		stw  r0, [r1]
+		stw  r0, [r1+4]
+		stw  r0, [r1+8]
+		stw  r0, [r1+12]
+		dec  r0
+		jnz  loop
+		halt
+	`
+	missyLoadsSrc = `
+		movi r1, 0x2000
+		movi r0, 300
+	loop:
+		ldw  r2, [r1]
+		ldw  r3, [r1+4096]
+		ldw  r4, [r1+8192]
+		ldw  r5, [r1+12288]
+		addi r1, 64
+		dec  r0
+		jnz  loop
+		halt
+	`
+	branchySrc = `
+		movi r0, 2000
+		movi r5, 314159
+	loop:
+		movi r10, 1103515245
+		mul  r5, r10
+		addi r5, 12345
+		mov  r6, r5
+		shri r6, 16
+		andi r6, 1
+		cmpi r6, 0
+		jz   skip
+		addi r1, 1
+	skip:	dec r0
+		jnz  loop
+		halt
+	`
+)
+
+// TestROBFullStalls: a long-latency load followed by a stream of
+// independent work must back up into ROB-full stalls once the window
+// fills (blocking caches keep the load outstanding).
+func TestStructuralStalls(t *testing.T) {
+	entries := record(t, structuralStallSrc, 10000)
 	cfg := DefaultConfig()
 	cfg.Predictor = "perfect"
 	cfg.ROBEntries = 8
@@ -41,18 +88,7 @@ func TestStructuralStalls(t *testing.T) {
 func TestLSQFullStalls(t *testing.T) {
 	// A burst of independent stores exceeds a 2-entry LSQ behind the
 	// single blocking LSU.
-	entries := record(t, `
-		movi r1, 0x2000
-		movi r0, 200
-	loop:
-		stw  r0, [r1]
-		stw  r0, [r1+4]
-		stw  r0, [r1+8]
-		stw  r0, [r1+12]
-		dec  r0
-		jnz  loop
-		halt
-	`, 10000)
+	entries := record(t, storeBurstSrc, 10000)
 	cfg := DefaultConfig()
 	cfg.Predictor = "perfect"
 	cfg.LSQEntries = 2
@@ -139,19 +175,7 @@ func TestDTLBMissPenalty(t *testing.T) {
 // code.
 func TestFutureMicroarchFixes(t *testing.T) {
 	// Independent strided loads: misses can overlap only with MSHRs.
-	missy := record(t, `
-		movi r1, 0x2000
-		movi r0, 300
-	loop:
-		ldw  r2, [r1]
-		ldw  r3, [r1+4096]
-		ldw  r4, [r1+8192]
-		ldw  r5, [r1+12288]
-		addi r1, 64
-		dec  r0
-		jnz  loop
-		halt
-	`, 100000)
+	missy := record(t, missyLoadsSrc, 100000)
 	base := DefaultConfig()
 	base.Predictor = "perfect"
 	blocking := replay(t, missy, base)
@@ -164,23 +188,7 @@ func TestFutureMicroarchFixes(t *testing.T) {
 	}
 
 	// Mispredict-heavy code: fast recovery shortens the drain.
-	branchy := record(t, `
-		movi r0, 2000
-		movi r5, 314159
-	loop:
-		movi r10, 1103515245
-		mul  r5, r10
-		addi r5, 12345
-		mov  r6, r5
-		shri r6, 16
-		andi r6, 1
-		cmpi r6, 0
-		jz   skip
-		addi r1, 1
-	skip:	dec r0
-		jnz  loop
-		halt
-	`, 100000)
+	branchy := record(t, branchySrc, 100000)
 	slow := replay(t, branchy, DefaultConfig())
 	fastCfg := DefaultConfig()
 	fastCfg.FastRecovery = true

@@ -2,7 +2,7 @@ package tm
 
 // Warm-start serialization of the timing model. A TM snapshot is legal
 // only at a quiescent boundary (Quiescent below): the pipeline is empty —
-// ROB, front-end connectors, decode buffer, pending branch/miss lists all
+// ROB, front-end connectors, decode cursor, pending branch/miss lists all
 // drained, no recovery in flight. At that point the only state that must
 // survive is the target clock, the fetch frontier, the predictor and
 // memory-hierarchy structures, the return-address stack, the LSU port
@@ -36,10 +36,9 @@ func (t *TM) Quiescent() bool {
 // ended-but-drained TM, which is still snapshottable (the ended flag is
 // part of the encoding).
 func (t *TM) Drained() bool {
-	return len(t.rob) == 0 &&
+	return t.robHead == t.nextUop && // ROB and rename queue
 		t.fetchQ.Len() == 0 &&
-		t.uopQ.Len() == 0 &&
-		len(t.decodeBuf) == 0 &&
+		t.decLeft == 0 &&
 		len(t.pendingBranches) == 0 &&
 		len(t.pendingMisses) == 0 &&
 		!t.recovering
@@ -49,7 +48,7 @@ func (t *TM) Drained() bool {
 // transaction queue must be empty (quiescence); the count is encoded so a
 // blob captured otherwise fails decode.
 func (c *Connector[T]) state(s *snap.Codec) {
-	s.Len("connector "+c.name+" in-flight items", len(c.items))
+	s.Len("connector "+c.name+" in-flight items", c.n)
 	s.U64(&c.putCycle)
 	s.Int32(&c.putsThis)
 	s.U64(&c.getCycle)

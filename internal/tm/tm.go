@@ -2,6 +2,7 @@ package tm
 
 import (
 	"fmt"
+	"math/bits"
 	"strconv"
 
 	"repro/internal/bpred"
@@ -62,32 +63,30 @@ func (NopControl) Mispredict(uint64, isa.Word) {}
 // Resolve implements Control.
 func (NopControl) Resolve(uint64, isa.Word) {}
 
-// instr is one in-flight instruction.
+// instr is one in-flight instruction: a slot of the TM's instruction ring,
+// filled once at fetch with the only copy the TM makes of the trace entry.
 type instr struct {
 	e            trace.Entry
 	mispredicted bool
 	serialize    bool // exception/interrupt: fetch stalls until it commits
 }
 
-// uop is one in-flight micro-operation.
+// uop is one in-flight micro-operation: a slot of the TM's µop ring. It
+// names its instruction and its producers by sequence number, so the ring
+// holds no pointers and slot reuse needs no clean-up.
 type uop struct {
-	ins      *instr
-	last     bool
-	kind     microcode.UKind
-	class    isa.Class
-	dst      microcode.MReg
-	srcA     microcode.MReg
-	srcB     microcode.MReg
-	readsCC  bool
-	writesCC bool
-	deps     [3]*uop
-
-	dispatched bool
-	issued     bool
-	done       bool
-	doneCycle  uint64
-	isMem      bool
+	ins       uint64    // sequence number of the owning instruction
+	deps      [3]uint64 // producers' sequence numbers + 1 (0 = none): A, B, condition codes
+	doneCycle uint64    // result available from this cycle on, once issued
+	kind      microcode.UKind
+	class     isa.Class
+	last      bool // commits the instruction
+	isMem     bool
+	issued    bool
 }
+
+// doneBy reports whether the µop's result is available at cycle.
+func (u *uop) doneBy(cycle uint64) bool { return u.issued && u.doneCycle <= cycle }
 
 // Stats aggregates the timing model's counters. The JSON tags are a stable
 // serialization schema shared by `fastsim -json` and the obs exporters.
@@ -144,23 +143,51 @@ type TM struct {
 	fetchIN uint64
 	ended   bool
 
-	// Front-end connectors: Fetch→Decode and Decode→Rename. Their
-	// MinLatency values realize the front-end pipeline depth.
-	fetchQ *Connector[*instr]
-	uopQ   *Connector[*uop]
+	// In-flight storage is two fixed rings addressed by monotonic sequence
+	// number (slot = seq & mask), like the hardware's ROB and its
+	// instruction-side twin: nothing in flight is ever heap-allocated. µops
+	// are numbered at decode and rename is in order, so the ROB is the
+	// contiguous range [robHead, robTail) and the rename queue
+	// [robTail, nextUop). A slot is reused only by decode/fetch, which run
+	// last in Step: a µop that commits in cycle c is still intact when
+	// resolveBranches retires it from the pending lists in c.
+	uops      []uop
+	uopMask   uint64
+	robHead   uint64
+	robTail   uint64
+	nextUop   uint64
+	instrs    []instr
+	instrMask uint64
+	nextInstr uint64
 
-	decodeBuf []*uop // µops of the instruction currently being decoded
+	// Front-end connectors: Fetch→Decode and Decode→Rename, carrying
+	// instruction and µop sequence numbers. Their MinLatency values realize
+	// the front-end pipeline depth.
+	fetchQ *Connector[uint64]
+	uopQ   *Connector[uint64]
 
-	rob       []*uop
-	rsCount   int
-	lsqCount  int
-	regWriter map[microcode.MReg]*uop
-	ccWriter  *uop
+	// Decode cursor: the instruction being cracked, the template index of
+	// its next µop and how many µops (rep iterations included) it still
+	// owes. µops are cracked one at a time as the rename queue takes them,
+	// so a rep's cost is its bandwidth, never its iteration count in memory.
+	decIns  uint64
+	decIdx  int
+	decLeft uint64
+
+	// rs lists the µops renamed into the ROB and not yet issued, oldest
+	// first — the occupied reservation stations, which is all issue has to
+	// look at.
+	rs       []uint64
+	lsqCount int
+	// Rename table: the youngest writer of each µop register and of the
+	// condition codes, as sequence number + 1 (0 = none).
+	regWriter [256]uint64
+	ccWriter  uint64
 
 	lsuFreeAt []uint64
 
-	pendingBranches []*uop
-	pendingMisses   []*uop // outstanding non-blocking cache misses (MSHRs)
+	pendingBranches []uint64 // issued branch µops awaiting resolution
+	pendingMisses   []uint64 // outstanding non-blocking cache misses (MSHRs)
 
 	// Recovery state: a mispredicted branch or serializing instruction is
 	// in flight; fetch resumes FrontEndDepth cycles after it commits.
@@ -212,6 +239,13 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 		l2 = cache.New(cfg.L2, mem)
 		next = l2
 	}
+	// Ring capacities, the smallest power of two above the most that can be
+	// live: every live µop is in the ROB or the rename queue, and every live
+	// instruction is in the fetch queue, under the decode cursor or owns at
+	// least one live µop.
+	queue := 4 * cfg.IssueWidth
+	uopCap := 1 << bits.Len(uint(cfg.ROBEntries+queue))
+	instrCap := 1 << bits.Len(uint(queue+1+uopCap))
 	t := &TM{
 		cfg:       cfg,
 		src:       src,
@@ -223,19 +257,27 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 		Memory:    mem,
 		ITLB:      cache.NewTLBTiming(cfg.ITLBEntries),
 		DTLB:      cache.NewTLBTiming(cfg.DTLBEntries),
-		regWriter: make(map[microcode.MReg]*uop),
+		uops:      make([]uop, uopCap),
+		uopMask:   uint64(uopCap - 1),
+		instrs:    make([]instr, instrCap),
+		instrMask: uint64(instrCap - 1),
+		rs:        make([]uint64, 0, cfg.RSEntries),
 		lsuFreeAt: make([]uint64, cfg.LoadStoreUnits),
-		fetchQ: NewConnector[*instr]("fetch→decode", ConnectorConfig{
+		// An unresolved branch µop is still in the ROB; issue stops at MSHRs
+		// outstanding misses.
+		pendingBranches: make([]uint64, 0, cfg.ROBEntries),
+		pendingMisses:   make([]uint64, 0, cfg.MSHRs),
+		fetchQ: NewConnector[uint64]("fetch→decode", ConnectorConfig{
 			InputThroughput:  cfg.IssueWidth,
 			OutputThroughput: cfg.IssueWidth,
 			MinLatency:       uint64(cfg.FrontEndDepth) / 2,
-			MaxTransactions:  4 * cfg.IssueWidth,
+			MaxTransactions:  queue,
 		}),
-		uopQ: NewConnector[*uop]("decode→rename", ConnectorConfig{
+		uopQ: NewConnector[uint64]("decode→rename", ConnectorConfig{
 			InputThroughput:  cfg.IssueWidth,
 			OutputThroughput: cfg.IssueWidth,
 			MinLatency:       uint64((cfg.FrontEndDepth + 1) / 2),
-			MaxTransactions:  4 * cfg.IssueWidth,
+			MaxTransactions:  queue,
 		}),
 	}
 	if cfg.Shared != nil {
@@ -247,19 +289,26 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 	return t, nil
 }
 
+// uop returns the ring slot of µop seq.
+func (t *TM) uop(seq uint64) *uop { return &t.uops[seq&t.uopMask] }
+
+// instr returns the ring slot of instruction seq.
+func (t *TM) instr(seq uint64) *instr { return &t.instrs[seq&t.instrMask] }
+
 // fetchEntry returns the entry for in, serving from the chunk view. On a
 // view miss it pulls the next run of live entries with one synchronized
-// call; consecutive fetch-group slots then hit the view for free.
-func (t *TM) fetchEntry(in uint64) (trace.Entry, FetchStatus) {
+// call; consecutive fetch-group slots then hit the view for free. The
+// pointer is into the view: fetch copies it once, into the instruction ring.
+func (t *TM) fetchEntry(in uint64) (*trace.Entry, FetchStatus) {
 	if off := in - t.viewBase; in >= t.viewBase && off < uint64(len(t.view)) {
-		return t.view[off], FetchOK
+		return &t.view[off], FetchOK
 	}
 	es, st := t.src.FetchChunk(in)
 	if st != FetchOK {
-		return trace.Entry{}, st
+		return nil, st
 	}
 	t.view, t.viewBase = es, in
-	return es[0], FetchOK
+	return &es[0], FetchOK
 }
 
 // dropView discards the chunk view. Called when the TM re-steers the FM:
@@ -281,7 +330,7 @@ func (t *TM) NextFetchIN() uint64 { return t.fetchIN }
 
 // Done reports whether the stream ended and the pipeline fully drained.
 func (t *TM) Done() bool {
-	return t.ended && len(t.rob) == 0 && t.fetchQ.Len() == 0 && t.uopQ.Len() == 0 && len(t.decodeBuf) == 0
+	return t.ended && t.robHead == t.nextUop && t.fetchQ.Len() == 0 && t.decLeft == 0
 }
 
 // Run advances the model until Done or maxCycles elapses; it returns the
@@ -316,12 +365,12 @@ func (t *TM) Step() {
 // commit retires completed µops in order, up to IssueWidth per cycle.
 func (t *TM) commit(w *workCounts) {
 	n := 0
-	for n < t.cfg.IssueWidth && len(t.rob) > 0 {
-		u := t.rob[0]
-		if !u.done || u.doneCycle > t.cycle {
+	for n < t.cfg.IssueWidth && t.robHead < t.robTail {
+		u := t.uop(t.robHead)
+		if !u.doneBy(t.cycle) {
 			break
 		}
-		t.rob = t.rob[1:]
+		t.robHead++
 		if u.isMem {
 			t.lsqCount--
 		}
@@ -329,7 +378,7 @@ func (t *TM) commit(w *workCounts) {
 		t.Stats.UOps++
 		if u.last {
 			t.Stats.Instructions++
-			e := u.ins.e
+			e := &t.instr(u.ins).e
 			if e.Branch {
 				t.Stats.BasicBlocks++
 			}
@@ -350,15 +399,17 @@ func (t *TM) commit(w *workCounts) {
 // the predictor and, on a misprediction, re-steer the FM to the right path.
 func (t *TM) resolveBranches() {
 	keep := t.pendingBranches[:0]
-	for _, u := range t.pendingBranches {
-		if !u.done || u.doneCycle > t.cycle {
-			keep = append(keep, u)
+	for _, seq := range t.pendingBranches {
+		u := t.uop(seq)
+		if !u.doneBy(t.cycle) {
+			keep = append(keep, seq)
 			continue
 		}
-		e := u.ins.e
+		ins := t.instr(u.ins)
+		e := &ins.e
 		t.BP.Update(e.PC, e.Taken, e.NextPC)
 		t.unresolved--
-		if u.ins.mispredicted {
+		if ins.mispredicted {
 			t.dropView()
 			t.ctl.Resolve(e.IN+1, e.NextPC)
 			if t.cfg.FastRecovery && t.recovering && t.recoverIN == e.IN {
@@ -372,9 +423,9 @@ func (t *TM) resolveBranches() {
 	t.pendingBranches = keep
 	// Retire completed misses from the MSHRs.
 	misses := t.pendingMisses[:0]
-	for _, u := range t.pendingMisses {
-		if !u.done || u.doneCycle > t.cycle {
-			misses = append(misses, u)
+	for _, seq := range t.pendingMisses {
+		if !t.uop(seq).doneBy(t.cycle) {
+			misses = append(misses, seq)
 		}
 	}
 	t.pendingMisses = misses
@@ -392,37 +443,36 @@ func (t *TM) latency(u *uop) uint64 {
 	}
 }
 
-// depsReady reports whether all of u's producers have completed.
-func depsReady(u *uop, cycle uint64) bool {
+// depsReady reports whether all of u's producers have completed. A producer
+// below robHead has committed — so it completed in this cycle or an earlier
+// one, and cycles only grow; its slot may already hold a younger µop and is
+// not consulted.
+func (t *TM) depsReady(u *uop) bool {
 	for _, d := range u.deps {
-		if d != nil && (!d.done || d.doneCycle > cycle) {
+		if d > t.robHead && !t.uop(d-1).doneBy(t.cycle) {
 			return false
 		}
 	}
 	return true
 }
 
-// issue selects ready µops oldest-first and sends them to functional units.
+// issue selects ready µops oldest-first from the reservation stations and
+// sends them to functional units.
 func (t *TM) issue(w *workCounts) {
 	aluLeft := t.cfg.ALUs
 	bruLeft := t.cfg.BranchUnits
 	fpuLeft := t.cfg.FPUs
 	memIssued := false
-	for _, u := range t.rob {
-		if !u.dispatched || u.issued {
-			if u.isMem && !u.issued && u.dispatched {
-				// In-order memory issue (blocking caches): a younger
-				// memory µop cannot bypass this one.
-				memIssued = true
-			}
-			continue
-		}
+	for _, seq := range t.rs {
+		u := t.uop(seq)
 		if u.isMem {
 			if memIssued {
 				continue
 			}
-			memIssued = true // whether or not it issues, younger mem µops wait
-			if !depsReady(u, t.cycle) {
+			// In-order memory issue (blocking caches): whether or not the
+			// oldest waiting memory µop issues, younger ones cannot bypass it.
+			memIssued = true
+			if !t.depsReady(u) {
 				continue
 			}
 			lsu := -1
@@ -444,15 +494,15 @@ func (t *TM) issue(w *workCounts) {
 				// issue cycle; the miss rides an MSHR.
 				t.lsuFreeAt[lsu] = t.cycle + 1
 				if lat > uint64(t.cfg.L1D.HitLatency)+1 {
-					t.pendingMisses = append(t.pendingMisses, u)
+					t.pendingMisses = append(t.pendingMisses, seq)
 				}
 			} else {
 				t.lsuFreeAt[lsu] = t.cycle + lat // blocking LSU
 			}
-			t.issueUop(u, lat, w)
+			t.issueUop(seq, lat, w)
 			continue
 		}
-		if !depsReady(u, t.cycle) {
+		if !t.depsReady(u) {
 			continue
 		}
 		switch u.class {
@@ -472,29 +522,38 @@ func (t *TM) issue(w *workCounts) {
 			}
 			aluLeft--
 		}
-		t.issueUop(u, t.latency(u), w)
+		t.issueUop(seq, t.latency(u), w)
+	}
+	if w.issued > 0 {
+		// Free the stations of the µops that issued, keeping age order.
+		waiting := t.rs[:0]
+		for _, seq := range t.rs {
+			if !t.uop(seq).issued {
+				waiting = append(waiting, seq)
+			}
+		}
+		t.rs = waiting
 	}
 }
 
-func (t *TM) issueUop(u *uop, lat uint64, w *workCounts) {
+func (t *TM) issueUop(seq, lat uint64, w *workCounts) {
+	u := t.uop(seq)
 	u.issued = true
-	u.done = true
 	u.doneCycle = t.cycle + lat
-	t.rsCount--
 	t.Stats.IssuedByClass[u.class]++
 	w.issued++
 	if u.isMem {
 		w.memIssued = true
 	}
 	if u.kind == microcode.UBr {
-		t.pendingBranches = append(t.pendingBranches, u)
+		t.pendingBranches = append(t.pendingBranches, seq)
 	}
 }
 
 // memLatency models the data-side access: dTLB, then the blocking dL1/L2/
 // memory hierarchy.
 func (t *TM) memLatency(u *uop) uint64 {
-	e := u.ins.e
+	e := &t.instr(u.ins).e
 	lat := uint64(1) // address to the LSU
 	if e.MemSize != 0 {
 		if !e.Kernel && !t.DTLB.Access(e.MemVA>>fullsys.PageShift) {
@@ -516,26 +575,26 @@ func (t *TM) memLatency(u *uop) uint64 {
 // dispatch renames µops into the ROB/RS/LSQ, up to IssueWidth per cycle.
 func (t *TM) dispatch(w *workCounts) {
 	for n := 0; n < t.cfg.IssueWidth; n++ {
-		u, ok := t.uopQ.Peek(t.cycle)
+		seq, ok := t.uopQ.Peek(t.cycle)
 		if !ok {
 			return
 		}
-		if len(t.rob) >= t.cfg.ROBEntries {
+		if t.robTail-t.robHead >= uint64(t.cfg.ROBEntries) {
 			t.Stats.ROBFullStalls++
 			return
 		}
-		if t.rsCount >= t.cfg.RSEntries {
+		if len(t.rs) >= t.cfg.RSEntries {
 			t.Stats.RSFullStalls++
 			return
 		}
+		u := t.uop(seq)
 		if u.isMem && t.lsqCount >= t.cfg.LSQEntries {
 			t.Stats.LSQFullStalls++
 			return
 		}
 		t.uopQ.Get(t.cycle)
-		u.dispatched = true
-		t.rob = append(t.rob, u)
-		t.rsCount++
+		t.robTail++ // rename is in order: seq was the head of the rename queue
+		t.rs = append(t.rs, seq)
 		if u.isMem {
 			t.lsqCount++
 		}
@@ -544,81 +603,68 @@ func (t *TM) dispatch(w *workCounts) {
 }
 
 // decode cracks fetched instructions into µops via the microcode table and
-// feeds the rename queue; bandwidth is IssueWidth µops per cycle.
+// feeds the rename queue; bandwidth is IssueWidth µops per cycle. The queue
+// is asked first and the µop cracked only once it has a place, so a refused
+// put costs a PutStall and nothing else.
 func (t *TM) decode(w *workCounts) {
 	for n := 0; n < t.cfg.IssueWidth; n++ {
-		if len(t.decodeBuf) == 0 {
+		if t.decLeft == 0 {
 			ins, ok := t.fetchQ.Get(t.cycle)
 			if !ok {
 				return
 			}
-			t.decodeBuf = t.expand(ins)
+			e := &t.instr(ins).e
+			t.decIns, t.decIdx = ins, 0
+			t.decLeft = max(1, uint64(len(e.UOps))*uint64(max(1, e.RepIterations)))
 		}
-		u := t.decodeBuf[0]
-		if !t.uopQ.Put(t.cycle, u) {
+		if !t.uopQ.Put(t.cycle, t.nextUop) {
 			return
 		}
-		t.renameDeps(u)
-		t.decodeBuf = t.decodeBuf[1:]
+		t.crack()
 		w.decoded++
 	}
 }
 
-// expand cracks one instruction into its dynamic µop sequence (REP
-// iterations repeated) from the trace entry's instantiated microcode.
-func (t *TM) expand(ins *instr) []*uop {
-	tmpl := ins.e.UOps
-	iters := 1
-	if ins.e.RepIterations > 1 {
-		iters = int(ins.e.RepIterations)
-	}
-	out := make([]*uop, 0, len(tmpl)*iters)
-	for it := 0; it < iters; it++ {
-		for _, mu := range tmpl {
-			u := &uop{
-				ins:   ins,
-				kind:  mu.Kind,
-				class: mu.Kind.Class(),
-				dst:   mu.Dst,
-			}
-			u.isMem = mu.Kind == microcode.ULoad || mu.Kind == microcode.UStore
-			u.srcsFrom(mu)
-			out = append(out, u)
+// crack fills the next µop ring slot with the decode cursor's µop — the
+// entry's instantiated microcode, walked once per REP iteration — and renames
+// it: producers are linked through the register writer table (data
+// dependencies only — names, not values: §2's orthogonality).
+func (t *TM) crack() {
+	e := &t.instr(t.decIns).e
+	// An entry without µops is the FM's fetch-fault placeholder. It cracks
+	// to one nop whose operands are the zero MReg, not MRegNone: it reads
+	// and renames r0. Every golden was recorded with that, so it stays.
+	mu := microcode.UOp{Kind: microcode.UNop}
+	if len(e.UOps) > 0 {
+		mu = e.UOps[t.decIdx]
+		if t.decIdx++; t.decIdx == len(e.UOps) {
+			t.decIdx = 0
 		}
 	}
-	if len(out) == 0 {
-		out = append(out, &uop{ins: ins, kind: microcode.UNop, class: isa.ClassALU})
+	t.decLeft--
+	u := t.uop(t.nextUop)
+	*u = uop{
+		ins:   t.decIns,
+		kind:  mu.Kind,
+		class: mu.Kind.Class(),
+		last:  t.decLeft == 0,
+		isMem: mu.Kind == microcode.ULoad || mu.Kind == microcode.UStore,
 	}
-	out[len(out)-1].last = true
-	return out
-}
-
-// srcsFrom records the µop's source register names for rename.
-func (u *uop) srcsFrom(mu microcode.UOp) {
-	u.srcA, u.srcB = mu.A, mu.B
-	u.readsCC = mu.Kind == microcode.UBr && u.ins.e.ReadsCC
-	u.writesCC = mu.WritesCC
-}
-
-// renameDeps links the µop to its producers through the register writer
-// table (data dependencies only — names, not values: §2's orthogonality).
-func (t *TM) renameDeps(u *uop) {
-	look := func(r microcode.MReg) *uop {
-		if r == microcode.MRegNone {
-			return nil
-		}
-		return t.regWriter[r]
+	t.nextUop++
+	if mu.A != microcode.MRegNone {
+		u.deps[0] = t.regWriter[mu.A]
 	}
-	u.deps[0] = look(u.srcA)
-	u.deps[1] = look(u.srcB)
-	if u.readsCC {
+	if mu.B != microcode.MRegNone {
+		u.deps[1] = t.regWriter[mu.B]
+	}
+	if mu.Kind == microcode.UBr && e.ReadsCC {
 		u.deps[2] = t.ccWriter
 	}
-	if u.dst != microcode.MRegNone {
-		t.regWriter[u.dst] = u
+	if mu.Dst != microcode.MRegNone {
+		t.regWriter[mu.Dst] = t.nextUop
 	}
-	if u.writesCC {
-		t.ccWriter = u
+	if mu.WritesCC {
+		t.ccWriter = t.nextUop
 	}
 }
 
@@ -682,22 +728,17 @@ func (t *TM) fetch(w *workCounts) {
 			t.ITLB.Insert(e.TLBVPN)
 		}
 
-		ins := &instr{e: e}
+		// The one copy of the entry: e now points into the ring, which no
+		// re-steer below can invalidate.
+		ins := t.instr(t.nextInstr)
+		ins.e = *e
+		e = &ins.e
+		ins.mispredicted = false
+		ins.serialize = e.Exception || e.Interrupt
 		if e.Exception {
 			t.Stats.Exceptions++
-			ins.serialize = true
 		}
-		if e.Interrupt {
-			ins.serialize = true
-		}
-		hasBr := false
-		for _, mu := range e.UOps {
-			if mu.Kind == microcode.UBr {
-				hasBr = true
-				break
-			}
-		}
-		if e.Branch && hasBr && !ins.serialize {
+		if e.Branch && !ins.serialize && hasBranchUop(e.UOps) {
 			pred := t.BP.Predict(e.PC, e.Taken, e.NextPC)
 			if !e.Cond {
 				// Unconditional control transfers don't consult the
@@ -729,7 +770,8 @@ func (t *TM) fetch(w *workCounts) {
 				t.ctl.Mispredict(e.IN+1, wrongPC)
 			}
 		}
-		t.fetchQ.Put(t.cycle, ins)
+		t.fetchQ.Put(t.cycle, t.nextInstr)
+		t.nextInstr++
 		t.fetchIN = e.IN + 1
 		w.fetched++
 
@@ -750,6 +792,17 @@ func (t *TM) fetch(w *workCounts) {
 			return // miss latency applies to the following fetch group
 		}
 	}
+}
+
+// hasBranchUop reports whether the microcode resolves a branch in the back
+// end (only those instructions are predicted).
+func hasBranchUop(uops []microcode.UOp) bool {
+	for i := range uops {
+		if uops[i].Kind == microcode.UBr {
+			return true
+		}
+	}
+	return false
 }
 
 // PublishTelemetry flushes the timing model's statistics into tel as tm_*

@@ -3,6 +3,7 @@ package trace
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Buffer is the trace buffer (TB) coupling the functional model (producer)
@@ -29,11 +30,14 @@ import (
 // TryFetchChunk (and the Appender built on top) amortize one lock acquire
 // over a whole chunk of entries, the software analogue of the paper's packed
 // trace records streaming in bursts; per-entry coupling is a chunk of one.
+// The commit pointer is the one thing the producer polls every target cycle
+// while it is parked a full buffer ahead, so it alone is atomic: written
+// under mu, read by Committed with no lock.
 type Buffer struct {
 	mu     sync.Mutex
 	ring   []Entry
-	commit uint64 // oldest live IN (everything below is committed & freed)
-	next   uint64 // next IN to be produced (tail)
+	commit atomic.Uint64 // oldest live IN (everything below is committed & freed)
+	next   uint64        // next IN to be produced (tail)
 
 	// Peak occupancy statistic.
 	maxOccupancy int
@@ -60,8 +64,9 @@ func (b *Buffer) Cap() int { return len(b.ring) }
 func (b *Buffer) TryPushChunk(es []Entry) (occupancy int, ok bool) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.next-b.commit+uint64(len(es)) > uint64(len(b.ring)) {
-		return int(b.next - b.commit), false
+	commit := b.commit.Load()
+	if b.next-commit+uint64(len(es)) > uint64(len(b.ring)) {
+		return int(b.next - commit), false
 	}
 	for i := range es {
 		if es[i].IN != b.next+uint64(i) {
@@ -74,10 +79,11 @@ func (b *Buffer) TryPushChunk(es []Entry) (occupancy int, ok bool) {
 	n := copy(b.ring[idx:], es)
 	copy(b.ring, es[n:])
 	b.next += uint64(len(es))
-	if occ := int(b.next - b.commit); occ > b.maxOccupancy {
+	occ := int(b.next - commit)
+	if occ > b.maxOccupancy {
 		b.maxOccupancy = occ
 	}
-	return int(b.next - b.commit), true
+	return occ, true
 }
 
 // TryFetchChunk copies up to len(dst) consecutive live entries starting at
@@ -93,7 +99,7 @@ func (b *Buffer) TryPushChunk(es []Entry) (occupancy int, ok bool) {
 func (b *Buffer) TryFetchChunk(in uint64, dst []Entry) int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if in >= b.next || in < b.commit {
+	if in >= b.next || in < b.commit.Load() {
 		return 0
 	}
 	n := len(dst)
@@ -115,8 +121,8 @@ func (b *Buffer) Commit(in uint64) {
 	if in+1 > b.next {
 		panic(fmt.Sprintf("trace: commit of unproduced IN %d (next=%d)", in, b.next))
 	}
-	if in+1 > b.commit {
-		b.commit = in + 1
+	if in+1 > b.commit.Load() {
+		b.commit.Store(in + 1)
 	}
 }
 
@@ -126,8 +132,8 @@ func (b *Buffer) Commit(in uint64) {
 func (b *Buffer) Rewind(in uint64) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if in < b.commit {
-		panic(fmt.Sprintf("trace: rewind to committed IN %d (commit=%d)", in, b.commit))
+	if commit := b.commit.Load(); in < commit {
+		panic(fmt.Sprintf("trace: rewind to committed IN %d (commit=%d)", in, commit))
 	}
 	if in < b.next {
 		b.next = in
@@ -141,18 +147,15 @@ func (b *Buffer) Produced() uint64 {
 	return b.next
 }
 
-// Committed returns the commit pointer (first uncommitted IN).
-func (b *Buffer) Committed() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.commit
-}
+// Committed returns the commit pointer (first uncommitted IN) with one
+// atomic load.
+func (b *Buffer) Committed() uint64 { return b.commit.Load() }
 
 // Occupancy returns the number of live (produced, uncommitted) entries.
 func (b *Buffer) Occupancy() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return int(b.next - b.commit)
+	return int(b.next - b.commit.Load())
 }
 
 // MaxOccupancy returns the high-water mark of Occupancy.
@@ -170,6 +173,7 @@ func (b *Buffer) MaxOccupancy() int {
 func (b *Buffer) ResetDrained(in uint64, maxOccupancy int) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.commit, b.next = in, in
+	b.commit.Store(in)
+	b.next = in
 	b.maxOccupancy = maxOccupancy
 }

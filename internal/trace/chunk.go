@@ -33,8 +33,9 @@ type Appender struct {
 	next uint64
 	// commitCache is a monotone under-estimate of the buffer's commit
 	// pointer, refreshed lazily: Live() therefore over-estimates and only
-	// takes the lock when the estimate would gate the producer, so the
-	// steady-state append path costs zero synchronization.
+	// reads the shared pointer (one atomic load, no lock) when the estimate
+	// would gate the producer, so the steady-state append path costs zero
+	// synchronization.
 	commitCache uint64
 
 	flushes uint64
@@ -83,9 +84,9 @@ func (a *Appender) Entries() uint64 { return a.entries }
 // Live returns the exact number of live entries the producer is
 // responsible for: published-but-uncommitted entries plus the unpublished
 // chunk. The fast path uses the cached commit pointer (an over-estimate of
-// Live); the lock is taken only when that estimate reaches the buffer
-// capacity, so gating decisions match a per-entry occupancy check exactly
-// without paying for one.
+// Live); the buffer's atomic commit pointer is read only when that estimate
+// reaches the buffer capacity, so gating decisions match a per-entry
+// occupancy check exactly without paying for one.
 func (a *Appender) Live() int {
 	live := int(a.next - a.commitCache)
 	if live < a.b.Cap() {

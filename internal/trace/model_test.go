@@ -104,3 +104,81 @@ func TestBufferAgainstReferenceModel(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedMatchesLocked: Committed reads the commit pointer with no
+// lock, so after every operation that can move it — chunk pushes, commits,
+// rewinds and the warm-start ResetDrained — it must equal both the
+// reference model's pointer and the one the locked accessors imply. The
+// concurrent row is the producer policy's real access pattern (one goroutine
+// polling Committed while the other commits) and is what `make race` checks.
+func TestCommittedMatchesLocked(t *testing.T) {
+	t.Run("interleaved", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(23))
+		const capacity = 16
+		b := NewBuffer(capacity)
+		var commit, next uint64
+		for step := 0; step < 100000; step++ {
+			switch live := next - commit; rng.Intn(8) {
+			case 0, 1, 2: // push a chunk of 1..4
+				es := make([]Entry, 1+rng.Intn(4))
+				for i := range es {
+					es[i].IN = next + uint64(i)
+				}
+				if _, ok := b.TryPushChunk(es); ok != (live+uint64(len(es)) <= capacity) {
+					t.Fatalf("step %d: push of %d at occupancy %d accepted=%v", step, len(es), live, ok)
+				} else if ok {
+					next += uint64(len(es))
+				}
+			case 3, 4, 5: // commit inside the produced window
+				if live > 0 {
+					in := commit + uint64(rng.Int63n(int64(live)))
+					b.Commit(in)
+					commit = in + 1
+				}
+			case 6: // rewind to an uncommitted point
+				next = commit + uint64(rng.Int63n(int64(live+1)))
+				b.Rewind(next)
+			case 7: // warm-start restore somewhere else entirely
+				if rng.Intn(50) == 0 {
+					commit = uint64(rng.Int63n(1 << 40))
+					next = commit
+					b.ResetDrained(commit, 0)
+				}
+			}
+			if got := b.Committed(); got != commit || got != b.Produced()-uint64(b.Occupancy()) {
+				t.Fatalf("step %d: Committed() = %d, model %d, locked accessors %d",
+					step, got, commit, b.Produced()-uint64(b.Occupancy()))
+			}
+		}
+	})
+	t.Run("concurrent", func(t *testing.T) {
+		const total = 50000
+		b := NewBuffer(64)
+		polled := make(chan uint64)
+		go func() {
+			var last uint64
+			for last < total {
+				c := b.Committed()
+				if c < last {
+					t.Errorf("Committed() went backwards: %d after %d", c, last)
+					break
+				}
+				last = c
+			}
+			polled <- last
+		}()
+		es := make([]Entry, 8)
+		for in := uint64(0); in < total; in += uint64(len(es)) {
+			for i := range es {
+				es[i].IN = in + uint64(i)
+			}
+			if _, ok := b.TryPushChunk(es); !ok {
+				t.Fatalf("push at %d refused", in)
+			}
+			b.Commit(in + uint64(len(es)) - 1)
+		}
+		if last := <-polled; last != total && !t.Failed() {
+			t.Errorf("poller stopped at %d, want %d", last, total)
+		}
+	})
+}
