@@ -29,12 +29,14 @@ test:
 	$(GO) test ./...
 
 # The FM steady state (execute, journal, commit, rollback) and a TM target
-# cycle (everything in flight lives in rings built once) allocate nothing.
-# `make test` already runs these; naming them keeps the guarantee visible in
-# the gate and re-checks it uncached.
+# cycle (everything in flight lives in rings built once) allocate nothing,
+# and a Configure allocates its engine's caches and the pages its image
+# occupies, not the target's memory. `make test` already runs these; naming
+# them keeps the guarantee visible in the gate and re-checks it uncached.
 zero-alloc:
 	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fm
 	$(GO) test -count=1 -run '^TestTMSteadyStateZeroAllocs$$' ./internal/tm
+	$(GO) test -count=1 -run '^TestConfigureBudget$$' ./internal/sim
 
 # bench/ is a module of its own (it imports repro/internal/... through a
 # replace), so `go build ./...` and `go vet ./...` at the root never see it:
@@ -64,7 +66,8 @@ FUZZ_SMOKES := \
 	./internal/sim:FuzzEngineAgreement:20 \
 	./internal/core:FuzzRestore:20 \
 	./internal/snap:FuzzCodec:20 \
-	./internal/tm:FuzzTMAgreement:20
+	./internal/tm:FuzzTMAgreement:20 \
+	./internal/fullsys:FuzzMemoryAgreement:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

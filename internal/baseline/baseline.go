@@ -98,7 +98,6 @@ func FSBCacheNanos(st tm.Stats, cost SoftwareCost, link hostlink.Config) float64
 // is an error.
 func Replay(ctx context.Context, prog *isa.Program, tmCfg tm.Config, fmCfg fm.Config, maxInst uint64) (*tm.TM, error) {
 	m := fm.New(fmCfg)
-	defer m.Mem.Recycle() // the drained model never fetches again
 	m.LoadProgram(prog)
 	s := &stream{ctx: ctx, m: m, maxInst: maxInst, chunk: make([]trace.Entry, 0, streamChunk)}
 	model, err := tm.New(tmCfg, s, nil)

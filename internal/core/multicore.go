@@ -113,11 +113,16 @@ func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 // Cores exposes the per-core simulators (core 0 carries the boot devices).
 func (m *Multicore) Cores() []*Sim { return m.cores }
 
-// LoadProgram loads the image into the shared memory and points every
-// core's PC at its entry; the per-CPU boot path dispatches on CPUID.
+// LoadProgram loads the image into the shared memory — once, through core 0
+// — and points every core's PC at its entry; the per-CPU boot path
+// dispatches on CPUID. The other cores load the image without its bytes,
+// which is the rest of what a load does: flush the core's predecode and
+// superblock caches and take the entry.
 func (m *Multicore) LoadProgram(p *isa.Program) {
-	for _, s := range m.cores {
-		s.LoadProgram(p)
+	m.cores[0].LoadProgram(p)
+	entry := &isa.Program{Base: p.Base, Entry: p.Entry}
+	for _, s := range m.cores[1:] {
+		s.LoadProgram(entry)
 	}
 }
 

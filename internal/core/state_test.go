@@ -270,11 +270,9 @@ func FuzzRestore(f *testing.F) {
 		var err error
 		if multicore {
 			m := freshMulti(t, nil)
-			defer m.sharedMem.Recycle()
 			target, err = m, m.Restore(data)
 		} else {
 			s := freshSim(t, nil)
-			defer s.FM.Mem.Recycle()
 			target, err = s, s.Restore(data)
 		}
 		if err != nil {

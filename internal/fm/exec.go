@@ -131,7 +131,7 @@ func (m *Model) fetchDecodeSlow(pc, pa isa.Word, paged bool) (isa.Inst, bool, is
 		if rem := m.Mem.Size() - int(pa); rem < n {
 			n = rem
 		}
-		copy(buf[:n], m.Mem.Bytes(pa, n))
+		m.Mem.CopyOut(buf[:n], pa)
 		inst, derr := isa.Decode(buf[:n], pc)
 		if derr != nil {
 			return isa.Inst{}, false, 0, &fault{vector: isa.VecIllegal, faultVA: pc}
@@ -145,7 +145,7 @@ func (m *Model) fetchDecodeSlow(pc, pa isa.Word, paged bool) (isa.Inst, bool, is
 	if rem < n {
 		n = rem
 	}
-	copy(buf[:n], m.Mem.Bytes(pa, n))
+	m.Mem.CopyOut(buf[:n], pa)
 	crosses := false
 	var page2 isa.Word
 	if n < isa.MaxInstLen {
@@ -163,7 +163,7 @@ func (m *Model) fetchDecodeSlow(pc, pa isa.Word, paged bool) (isa.Inst, bool, is
 				if rem2 := m.Mem.Size() - int(pa2); rem2 < n2 {
 					n2 = rem2
 				}
-				copy(buf[n:n+n2], m.Mem.Bytes(pa2, n2))
+				m.Mem.CopyOut(buf[n:n+n2], pa2)
 				n += n2
 				// If the full decode below succeeds it consumed bytes the
 				// truncated decode lacked, so the instruction crosses.

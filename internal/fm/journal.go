@@ -81,7 +81,7 @@ func (l *memLog) note(m *Model, pa uint32, n int) int {
 	}
 	end := len(l.buf)
 	l.buf = l.buf[:end+size]
-	copy(l.buf[end:], m.Mem.Bytes(pa, n))
+	m.Mem.CopyOut(l.buf[end:end+n], pa)
 	binary.LittleEndian.PutUint32(l.buf[end+n:], pa)
 	binary.LittleEndian.PutUint32(l.buf[end+n+4:], uint32(n))
 	return size

@@ -12,6 +12,13 @@ import (
 	"repro/internal/trace"
 )
 
+// memCopy copies n bytes of m's memory at pa out for comparison.
+func memCopy(m *Model, pa isa.Word, n int) []byte {
+	b := make([]byte, n)
+	m.Mem.CopyOut(b, pa)
+	return b
+}
+
 // byteLoopString is the reference semantics of movs/stos: one translated
 // load and one journaled store per byte, exactly the loop execStringStore
 // replaced. It exists only so the run-granular executor has something
@@ -134,7 +141,7 @@ func TestRepStoreMatchesByteLoop(t *testing.T) {
 
 		run := func(exec func(*Model, isa.Inst, *trace.Entry) *fault) (*Model, trace.Entry, *fault, []byte) {
 			m := repTestModel(int64(trial), paged, repCap)
-			before := append([]byte(nil), m.Mem.Bytes(0, m.Mem.Size())...)
+			before := memCopy(m, 0, m.Mem.Size())
 			m.GPR[0], m.GPR[1], m.GPR[2], m.GPR[3] = src, dst, isa.Word(count), isa.Word(trial)
 			m.beginInstruction()
 			var e trace.Entry
@@ -153,12 +160,12 @@ func TestRepStoreMatchesByteLoop(t *testing.T) {
 		if got.Scalars != want.Scalars {
 			t.Fatalf("%s: registers\n got %+v\nwant %+v", name, got.GPR, want.GPR)
 		}
-		if !bytes.Equal(got.Mem.Bytes(0, got.Mem.Size()), want.Mem.Bytes(0, want.Mem.Size())) {
+		if !bytes.Equal(memCopy(got, 0, got.Mem.Size()), memCopy(want, 0, want.Mem.Size())) {
 			t.Fatalf("%s: memory differs from the byte loop", name)
 		}
 		for _, m := range []*Model{got, want} {
 			m.jeng.undoTop(m)
-			if !bytes.Equal(m.Mem.Bytes(0, m.Mem.Size()), before) {
+			if !bytes.Equal(memCopy(m, 0, m.Mem.Size()), before) {
 				t.Fatalf("%s: undo did not restore memory", name)
 			}
 		}
@@ -364,7 +371,7 @@ func TestRepRollbackDifferential(t *testing.T) {
 		} {
 			got := run(cfg, true)
 			sbCompare(t, fmt.Sprintf("seed %d %s", seed, name), got.entries, ref.entries, got.m, ref.m)
-			if !bytes.Equal(got.m.Mem.Bytes(0, memBytes), ref.m.Mem.Bytes(0, memBytes)) {
+			if !bytes.Equal(memCopy(got.m, 0, memBytes), memCopy(ref.m, 0, memBytes)) {
 				t.Fatalf("seed %d %s: memory differs from the straight-line run", seed, name)
 			}
 			if got.m.TLB != ref.m.TLB {
@@ -546,10 +553,10 @@ func TestJournalAbortAtWrap(t *testing.T) {
 	if wrapped.Scalars != plain.Scalars || wrapped.IN() != plain.IN() {
 		t.Fatalf("state after abort at the wrap point differs:\n got %+v\nwant %+v", wrapped.Scalars, plain.Scalars)
 	}
-	if !bytes.Equal(wrapped.Mem.Bytes(0, 1<<16), plain.Mem.Bytes(0, 1<<16)) {
+	if !bytes.Equal(memCopy(wrapped, 0, 1<<16), memCopy(plain, 0, 1<<16)) {
 		t.Fatal("memory after abort at the wrap point differs")
 	}
-	if !bytes.Equal(plain.Mem.Bytes(0xFFE0, 32), plain.Mem.Bytes(0x1000, 32)) {
+	if !bytes.Equal(memCopy(plain, 0xFFE0, 32), memCopy(plain, 0x1000, 32)) {
 		t.Fatal("the aborted rep's partial copy was not left in place")
 	}
 }
@@ -650,7 +657,7 @@ func TestRestoreOverRolledBackWindow(t *testing.T) {
 			}
 		}
 		sbCompare(t, "restore over rolled-back window", entries[0], entries[1], dirty, clean)
-		if !bytes.Equal(dirty.Mem.Bytes(0, 1<<20), clean.Mem.Bytes(0, 1<<20)) ||
+		if !bytes.Equal(memCopy(dirty, 0, 1<<20), memCopy(clean, 0, 1<<20)) ||
 			!bytes.Equal(snap.Marshal(dirty.Bus), snap.Marshal(clean.Bus)) {
 			t.Fatal("memory or device state differs after restore over a rolled-back window")
 		}

@@ -175,7 +175,9 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 			// that succeeds cannot cross, and one that would have crossed
 			// fails here and ends the block instead.
 			n := min(isa.MaxInstLen, int(pageEnd-cur), m.Mem.Size()-int(cur))
-			inst, derr := isa.Decode(m.Mem.Bytes(cur, n), pc+off)
+			var buf [isa.MaxInstLen]byte
+			m.Mem.CopyOut(buf[:n], cur)
+			inst, derr := isa.Decode(buf[:n], pc+off)
 			if derr != nil {
 				break
 			}

@@ -141,12 +141,21 @@ type Bus struct {
 	PIC     *PIC
 	Devices []Device
 	routes  map[uint16]Device
+	// NextDue's view of Devices, resolved once: those that schedule their
+	// events, and whether any does not.
+	schedulers  []eventScheduler
+	unscheduled bool
 }
 
 // NewBus wires devices and the controller into a port-decoding bus.
 func NewBus(devs ...Device) *Bus {
 	b := &Bus{PIC: NewPIC(devs...), Devices: devs, routes: make(map[uint16]Device)}
 	for _, d := range devs {
+		if s, ok := d.(eventScheduler); ok {
+			b.schedulers = append(b.schedulers, s)
+		} else {
+			b.unscheduled = true
+		}
 		for _, p := range d.Ports() {
 			if prev, dup := b.routes[p]; dup {
 				panic(fmt.Sprintf("fullsys: port %#x claimed by %s and %s", p, prev.Name(), d.Name()))
@@ -238,15 +247,12 @@ type eventScheduler interface {
 // does not implement eventScheduler contributes now — conservatively
 // disabling any event-free window.
 func (b *Bus) NextDue(now uint64) uint64 {
-	min := uint64(NoNextEvent)
-	for _, d := range b.Devices {
-		t := now
-		if s, ok := d.(eventScheduler); ok {
-			t = s.NextDue(now)
-		}
-		if t < min {
-			min = t
-		}
+	due := uint64(NoNextEvent)
+	if b.unscheduled {
+		due = now
 	}
-	return min
+	for _, s := range b.schedulers {
+		due = min(due, s.NextDue(now))
+	}
+	return due
 }

@@ -230,6 +230,14 @@ func NewDisk(sectorWords int, latency uint64) *Disk {
 	return &Disk{SectorWords: sectorWords, Latency: latency, sectors: make(map[uint32][]uint32)}
 }
 
+// Fork returns an idle disk of the given latency over d's current contents.
+// The fork shares the sector map copy-on-write and so never writes it; d is
+// from then on an image to fork, not a device to run, and any number of
+// forks may run concurrently.
+func (d *Disk) Fork(latency uint64) *Disk {
+	return &Disk{SectorWords: d.SectorWords, Latency: latency, sectors: d.sectors, shared: true}
+}
+
 // Preload fills a sector image before boot (e.g. the "compressed kernel").
 func (d *Disk) Preload(sector uint32, words []uint32) {
 	d.installSector(sector, append([]uint32(nil), words...))
@@ -384,6 +392,10 @@ type NIC struct {
 
 // NewNIC creates a NIC with scripted arrivals (sorted by At).
 func NewNIC(arrivals ...ScriptedInput) *NIC { return &NIC{arrivals: arrivals} }
+
+// Fork returns a NIC of its own over n's pending arrivals, which a NIC only
+// ever re-slices from the front: like Disk.Fork, for an n that is never run.
+func (n *NIC) Fork() *NIC { return &NIC{arrivals: n.arrivals} }
 
 // Sent returns all words written to the tx FIFO.
 func (n *NIC) Sent() []uint32 { return n.tx }

@@ -64,49 +64,6 @@ func TestMemoryLoad(t *testing.T) {
 	m.Load(0xFFF, []byte{1, 2})
 }
 
-// TestMemoryRecycle: a recycled memory is dead (size 0, recycling twice is
-// harmless), its dirty storage comes back zeroed, a different size never
-// receives it, and the spare list stays bounded.
-func TestMemoryRecycle(t *testing.T) {
-	for round := 0; round < 2*maxSpare; round++ {
-		m := NewMemory(4 * PageSize)
-		for _, b := range m.Bytes(0, m.Size()) {
-			if b != 0 {
-				t.Fatalf("round %d: fresh memory is not zero", round)
-			}
-		}
-		m.Write(100, 0xDEADBEEF, 4)
-		m.Fill(3*PageSize+5, 900, 0xAB)
-		m.Recycle()
-		m.Recycle()
-		if m.Size() != 0 {
-			t.Fatalf("recycled memory still has size %d", m.Size())
-		}
-		if other := NewMemory(8 * PageSize); other.Size() != 8*PageSize {
-			t.Fatalf("asked for %d bytes, got %d", 8*PageSize, other.Size())
-		}
-	}
-	var held []*Memory
-	for i := 0; i < 3*maxSpare; i++ {
-		held = append(held, NewMemory(PageSize))
-	}
-	for _, m := range held {
-		m.Recycle()
-	}
-	if n := len(spare.bufs); n > maxSpare {
-		t.Fatalf("%d spare buffers kept, want at most %d", n, maxSpare)
-	}
-	// A buffer handed out again must not stay reachable from the list.
-	for n := len(spare.bufs); n > 0; n = len(spare.bufs) {
-		NewMemory(len(spare.bufs[n-1]))
-	}
-	for i, b := range spare.bufs[:cap(spare.bufs)] {
-		if b != nil {
-			t.Fatalf("spare slot %d still pins a %d-byte buffer after it was taken", i, len(b))
-		}
-	}
-}
-
 func TestTLBInsertLookupReplace(t *testing.T) {
 	var tlb TLB
 	tlb.Insert(TLBEntry{VPN: 5, PFN: 9, Valid: true, User: true})
@@ -353,5 +310,37 @@ func TestDueMatchesTick(t *testing.T) {
 		if tm.IRQ() >= 0 {
 			tm.Out(PortTimerAck, 1)
 		}
+	}
+}
+
+// plainDevice is a device without the NextDue extension: embedding the
+// interface hides the concrete timer's method.
+type plainDevice struct{ Device }
+
+// TestBusNextDue: the bus reports the earliest scheduled device event,
+// NoNextEvent when nothing is scheduled, and — conservatively — now as soon
+// as one device cannot say when its next event is.
+func TestBusNextDue(t *testing.T) {
+	timer := NewTimer()
+	nic := NewNIC(ScriptedInput{At: 900, Data: []byte{1, 0, 0, 0}})
+	bus := NewBus(NewConsole(), timer, NewDisk(4, 50))
+	if got := bus.NextDue(10); got != NoNextEvent {
+		t.Fatalf("idle bus: NextDue = %d, want NoNextEvent", got)
+	}
+	bus.Out(PortTimerInterval, 300, 10)
+	if got := bus.NextDue(20); got != 310 {
+		t.Fatalf("programmed timer: NextDue = %d, want 310", got)
+	}
+	bus = NewBus(timer, nic)
+	if got := bus.NextDue(20); got != 310 {
+		t.Fatalf("timer before NIC arrival: NextDue = %d, want 310", got)
+	}
+	bus.Tick(700) // the timer fires twice and re-arms at 910, past the arrival
+	if got := bus.NextDue(700); got != 900 {
+		t.Fatalf("NIC arrival first: NextDue = %d, want 900", got)
+	}
+	bus = NewBus(nic, plainDevice{NewTimer()})
+	if got := bus.NextDue(700); got != 700 {
+		t.Fatalf("a device without the extension: NextDue = %d, want now (700)", got)
 	}
 }

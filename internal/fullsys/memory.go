@@ -12,7 +12,6 @@ package fullsys
 import (
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"repro/internal/isa"
 )
@@ -23,143 +22,146 @@ const (
 	PageSize  = 1 << PageShift
 )
 
-// Memory is the target's physical memory.
+// Memory is the target's physical memory: a table of 4 KiB pages, each
+// allocated by the first store into it. A target touches a small part of its
+// 16 MiB, so building, snapshotting, restoring and dropping a memory all cost
+// what the run touched, not what it was configured with. Physical addresses
+// are contiguous across pages: a run that crosses a page end continues in the
+// next table entry.
 type Memory struct {
-	data []byte
+	pages []*[PageSize]byte // nil: never written, reads as zeroPage
 }
 
-// spare holds the storage of recycled memories. One run's 16 MiB of target
-// memory outweighs everything else it allocates; left to the collector, at a
-// job server's run rate those buffers set its pace and its peak heap. The
-// list is short on purpose: it bounds what an idle process keeps.
-var spare struct {
-	sync.Mutex
-	bufs [][]byte
-}
+// zeroPage is what every never-written page reads as. Nothing may write it:
+// only readable hands it out, and only to code that copies from it.
+var zeroPage [PageSize]byte
 
-const maxSpare = 2
-
-// NewMemory allocates size bytes of zeroed physical memory.
+// NewMemory returns size bytes of zeroed physical memory.
 func NewMemory(size int) *Memory {
 	if size <= 0 || size%PageSize != 0 {
 		panic(fmt.Sprintf("fullsys: memory size %d not a positive page multiple", size))
 	}
-	spare.Lock()
-	var data []byte
-	if n := len(spare.bufs); n > 0 && len(spare.bufs[n-1]) == size {
-		data, spare.bufs[n-1] = spare.bufs[n-1], nil // the slot must not pin the buffer
-		spare.bufs = spare.bufs[:n-1]
-	}
-	spare.Unlock()
-	if data == nil {
-		return &Memory{data: make([]byte, size)}
-	}
-	m := &Memory{data: data}
-	m.zero()
-	return m
+	return &Memory{pages: make([]*[PageSize]byte, size>>PageShift)}
 }
 
-// page returns the storage of 4 KiB page p.
-func (m *Memory) page(p int) []byte { return m.data[p<<PageShift:][:PageSize] }
-
-// zero clears the memory by writing only the pages that hold data. Writing a
-// page makes it resident; reading one the host never touched does not, and a
-// target touches a small part of its 16 MiB — so a memory that is zeroed this
-// way (when recycled, or under a restored snapshot) stays as small in the
-// host as the first run left it.
-func (m *Memory) zero() { m.zeroPages(0, len(m.data)>>PageShift) }
-
-// zeroPages is zero over pages [from, to).
-func (m *Memory) zeroPages(from, to int) {
-	for p := from; p < to; p++ {
-		if page := m.page(p); !pageIsZero(page) {
-			clear(page)
-		}
+// readable returns the page holding pa as a copy source.
+func (m *Memory) readable(pa isa.Word) *[PageSize]byte {
+	if pg := m.pages[pa>>PageShift]; pg != nil {
+		return pg
 	}
+	return &zeroPage
 }
 
-// Recycle hands the memory's storage to a later NewMemory of the same size.
-// The caller must hold the last reference to m: afterwards m has size 0 and
-// any access panics.
-func (m *Memory) Recycle() {
-	data := m.data
-	m.data = nil
-	spare.Lock()
-	if data != nil && len(spare.bufs) < maxSpare {
-		spare.bufs = append(spare.bufs, data)
+// writable returns the page holding pa, allocating it on the first store.
+func (m *Memory) writable(pa isa.Word) *[PageSize]byte {
+	pg := m.pages[pa>>PageShift]
+	if pg == nil {
+		pg = new([PageSize]byte)
+		m.pages[pa>>PageShift] = pg
 	}
-	spare.Unlock()
+	return pg
+}
+
+// span splits n bytes at pa at the end of pa's page: pa's offset in the page
+// and how many of the bytes lie in it.
+func span(pa isa.Word, n int) (off, k int) {
+	off = int(pa) & (PageSize - 1)
+	return off, min(n, PageSize-off)
 }
 
 // Size returns the physical memory size in bytes.
-func (m *Memory) Size() int { return len(m.data) }
+func (m *Memory) Size() int { return len(m.pages) << PageShift }
 
 // InRange reports whether an access of n bytes at pa lies inside memory.
 func (m *Memory) InRange(pa isa.Word, n int) bool {
-	return int(pa) >= 0 && int(pa)+n <= len(m.data) && pa+isa.Word(n) >= pa
+	return int(pa) >= 0 && int(pa)+n <= m.Size() && pa+isa.Word(n) >= pa
 }
 
 // Read returns an n-byte little-endian value at pa. n ∈ {1,2,4,8}.
 func (m *Memory) Read(pa isa.Word, n int) uint64 {
+	off, k := span(pa, n)
+	if k < n { // the value continues in the next page
+		var buf [8]byte
+		m.CopyOut(buf[:n], pa)
+		return binary.LittleEndian.Uint64(buf[:])
+	}
+	b := m.readable(pa)[off:]
 	switch n {
 	case 1:
-		return uint64(m.data[pa])
+		return uint64(b[0])
 	case 2:
-		return uint64(binary.LittleEndian.Uint16(m.data[pa:]))
+		return uint64(binary.LittleEndian.Uint16(b))
 	case 4:
-		return uint64(binary.LittleEndian.Uint32(m.data[pa:]))
+		return uint64(binary.LittleEndian.Uint32(b))
 	case 8:
-		return binary.LittleEndian.Uint64(m.data[pa:])
+		return binary.LittleEndian.Uint64(b)
 	}
 	panic(fmt.Sprintf("fullsys: bad read size %d", n))
 }
 
 // Write stores an n-byte little-endian value at pa.
 func (m *Memory) Write(pa isa.Word, v uint64, n int) {
+	off, k := span(pa, n)
+	if k < n {
+		var buf [8]byte
+		binary.LittleEndian.PutUint64(buf[:], v)
+		m.Load(pa, buf[:n])
+		return
+	}
+	b := m.writable(pa)[off:]
 	switch n {
 	case 1:
-		m.data[pa] = byte(v)
+		b[0] = byte(v)
 	case 2:
-		binary.LittleEndian.PutUint16(m.data[pa:], uint16(v))
+		binary.LittleEndian.PutUint16(b, uint16(v))
 	case 4:
-		binary.LittleEndian.PutUint32(m.data[pa:], uint32(v))
+		binary.LittleEndian.PutUint32(b, uint32(v))
 	case 8:
-		binary.LittleEndian.PutUint64(m.data[pa:], v)
+		binary.LittleEndian.PutUint64(b, v)
 	default:
 		panic(fmt.Sprintf("fullsys: bad write size %d", n))
 	}
 }
 
-// Bytes returns a read-only view of [pa, pa+n); used by the instruction
-// fetch path.
-func (m *Memory) Bytes(pa isa.Word, n int) []byte {
-	end := int(pa) + n
-	if end > len(m.data) {
-		end = len(m.data)
+// CopyOut copies the len(dst) bytes at pa into dst without allocating: the
+// way instruction fetch and the undo journal read a run of memory. There is
+// no view of memory to hand out, since a never-written page has no storage.
+func (m *Memory) CopyOut(dst []byte, pa isa.Word) {
+	for len(dst) > 0 {
+		off, k := span(pa, len(dst))
+		copy(dst[:k], m.readable(pa)[off:])
+		dst, pa = dst[k:], pa+isa.Word(k)
 	}
-	return m.data[pa:end]
 }
 
 // Fill sets the n bytes at pa to b (one run of a rep stos).
 func (m *Memory) Fill(pa isa.Word, n int, b byte) {
-	run := m.data[pa : int(pa)+n]
-	for i := range run {
-		run[i] = b
+	for n > 0 {
+		off, k := span(pa, n)
+		run := m.writable(pa)[off : off+k]
+		for i := range run {
+			run[i] = b
+		}
+		pa, n = pa+isa.Word(k), n-k
 	}
 }
 
 // CopyForward copies n bytes from src to dst in ascending address order, the
 // way a byte-at-a-time rep movs does. Unlike memmove, a destination that
 // starts inside (src, src+n) re-reads bytes the copy has already written, so
-// the leading dst-src bytes repeat through the run.
+// the leading dst-src bytes repeat through the run: such a copy proceeds in
+// pieces of at most dst-src bytes. Every piece also ends where either side's
+// page does.
 func (m *Memory) CopyForward(dst, src isa.Word, n int) {
 	step := n
 	if dst > src && int(dst-src) < n {
 		step = int(dst - src)
 	}
-	for off := 0; off < n; off += step {
-		k := min(step, n-off)
-		copy(m.data[int(dst)+off:int(dst)+off+k], m.data[int(src)+off:int(src)+off+k])
+	for n > 0 {
+		doff, k := span(dst, min(step, n))
+		soff, k := span(src, k)
+		copy(m.writable(dst)[doff:doff+k], m.readable(src)[soff:])
+		dst, src, n = dst+isa.Word(k), src+isa.Word(k), n-k
 	}
 }
 
@@ -169,7 +171,11 @@ func (m *Memory) Load(base isa.Word, code []byte) {
 	if !m.InRange(base, len(code)) {
 		panic(fmt.Sprintf("fullsys: image [%#x,%#x) outside memory", base, int(base)+len(code)))
 	}
-	copy(m.data[base:], code)
+	for len(code) > 0 {
+		off, k := span(base, len(code))
+		copy(m.writable(base)[off:], code[:k])
+		code, base = code[k:], base+isa.Word(k)
+	}
 }
 
 // TLBEntry is one software-filled translation: VPN→PFN plus permissions.

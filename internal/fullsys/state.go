@@ -16,11 +16,7 @@ package fullsys
 // excluding them keeps the encoding a pure function of observable device
 // state.
 
-import (
-	"bytes"
-
-	"repro/internal/snap"
-)
+import "repro/internal/snap"
 
 // Per-component format versions. Bump when an encoding changes shape.
 const (
@@ -147,28 +143,27 @@ func (b *Bus) State(c *snap.Codec) {
 }
 
 // State walks physical memory sparsely: total size plus only the non-zero
-// 4 KiB pages (index + raw bytes), ascending. A freshly booted 16 MiB
-// target touches a few hundred KB, so snapshots stay proportional to the
-// workload's footprint, not the configured memory size. The live memory
-// must already have the encoded size (memory geometry is configuration,
-// not state). Decoding zeroes the pages absent from the blob — and, like
-// zero, only those that hold data, so a restored memory stays as small in
-// the host as its contents.
+// 4 KiB pages (index + raw bytes), ascending, so a snapshot is proportional
+// to the workload's footprint, not the configured memory size. An allocated
+// page that holds only zeros (a rolled-back wrong-path store put it there) is
+// no different from one never written and stays out of the blob. The live
+// memory must already have the encoded size (memory geometry is
+// configuration, not state). Decoding allocates the blob's pages and drops
+// every other.
 func (m *Memory) State(c *snap.Codec) {
 	c.Version("memory", memStateV)
-	c.Size("memory size", uint64(len(m.data)))
-	numPages := len(m.data) >> PageShift
+	c.Size("memory size", uint64(m.Size()))
 	if !c.Loading() {
 		var pages []uint32
-		for p := 0; p < numPages; p++ {
-			if !pageIsZero(m.page(p)) {
+		for p, pg := range m.pages {
+			if pg != nil && *pg != zeroPage {
 				pages = append(pages, uint32(p))
 			}
 		}
 		c.Count(len(pages), 4+PageSize)
 		for _, p := range pages {
 			c.U32(&p)
-			c.Raw(m.page(int(p)))
+			c.Raw(m.pages[p][:])
 		}
 		return
 	}
@@ -176,23 +171,20 @@ func (m *Memory) State(c *snap.Codec) {
 	for n := c.Count(0, 4+PageSize); n > 0 && c.Err() == nil; n-- {
 		var p uint32
 		c.U32(&p)
-		if int(p) < next || int(p) >= numPages {
-			c.Failf("page index %d out of order or outside %d-page memory", p, numPages)
+		if int(p) < next || int(p) >= len(m.pages) {
+			c.Failf("page index %d out of order or outside %d-page memory", p, len(m.pages))
 			break
 		}
-		m.zeroPages(next, int(p))
-		c.Raw(m.page(int(p)))
-		if pageIsZero(m.page(int(p))) {
+		clear(m.pages[next:p])
+		pg := m.writable(p << PageShift)
+		c.Raw(pg[:])
+		if *pg == zeroPage {
 			c.Failf("page %d stored all-zero", p)
 		}
 		next = int(p) + 1
 	}
-	m.zeroPages(next, numPages)
+	clear(m.pages[next:])
 }
-
-var zeroPage [PageSize]byte
-
-func pageIsZero(page []byte) bool { return bytes.Equal(page, zeroPage[:]) }
 
 // State walks the architectural TLB.
 func (t *TLB) State(c *snap.Codec) {

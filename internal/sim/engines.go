@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/baseline"
 	"repro/internal/core"
@@ -64,19 +65,40 @@ func prepare(p Params) (*isa.Program, *workload.Boot, fm.Config, error) {
 		fmCfg.DisableInterrupts = true
 		return p.Program, nil, fmCfg, nil
 	}
-	// The registry builds the spec at p.Cores (smp-* bake the count into the
-	// user program; other workloads park idle secondaries in the kernel).
-	spec, ok := workload.Lookup(p.Workload, p.Cores)
-	if !ok {
-		return nil, nil, fm.Config{}, fmt.Errorf("sim: unknown workload %q", p.Workload)
-	}
-	spec.Kernel.DiskLatency = uint64(p.DiskLatency)
-	boot, err := spec.Build()
+	image, err := bootImage(p.Workload, p.Cores)
 	if err != nil {
 		return nil, nil, fm.Config{}, err
 	}
+	boot := image.Fork(uint64(p.DiskLatency))
 	fmCfg.Devices = boot.Devices()
 	return boot.Kernel, boot, fmCfg, nil
+}
+
+// images memoises bootImage: imageKey → func() (*workload.Boot, error), one
+// entry per (workload, cores) ever asked for, so the registry bounds it.
+var images sync.Map
+
+type imageKey struct {
+	workload string
+	cores    int
+}
+
+// bootImage returns the boot of a registered workload at a core count (smp-*
+// bake the count into the user program; other workloads park idle
+// secondaries in the kernel), assembled once per process. It is only ever
+// forked: a job gets devices of its own over it and nothing a job does —
+// a disk write, a consumed NIC arrival — reaches the image or another job.
+func bootImage(name string, cores int) (*workload.Boot, error) {
+	key := imageKey{name, cores}
+	build, ok := images.Load(key)
+	if !ok {
+		spec, ok := workload.Lookup(name, cores)
+		if !ok {
+			return nil, fmt.Errorf("sim: unknown workload %q", name)
+		}
+		build, _ = images.LoadOrStore(key, sync.OnceValues(spec.Build))
+	}
+	return build.(func() (*workload.Boot, error))()
 }
 
 // fastEngine runs the FAST simulator proper. The engine name selects the

@@ -77,7 +77,6 @@ func FuzzEngineAgreement(f *testing.F) {
 			results[i], errs[i] = eng.RunContext(ctx)
 			if c, ok := eng.(Coupled); ok {
 				coupled[name] = c
-				defer c.FunctionalModel().Mem.Recycle()
 			}
 			if ctx.Err() != nil {
 				t.Fatalf("%s: still running after 20 s: %v", name, errs[i])
@@ -113,7 +112,10 @@ func FuzzEngineAgreement(f *testing.F) {
 		if a.Scalars != b.Scalars {
 			t.Errorf("final scalar state differs:\n fast          %+v\n fast-parallel %+v", a.Scalars, b.Scalars)
 		}
-		if !bytes.Equal(a.Mem.Bytes(0, a.Mem.Size()), b.Mem.Bytes(0, b.Mem.Size())) {
+		memA, memB := make([]byte, a.Mem.Size()), make([]byte, b.Mem.Size())
+		a.Mem.CopyOut(memA, 0)
+		b.Mem.CopyOut(memB, 0)
+		if !bytes.Equal(memA, memB) {
 			t.Error("final memory differs between fast and fast-parallel")
 		}
 	})

@@ -417,12 +417,6 @@ func RunContext(ctx context.Context, name string, p Params) (r Result, err error
 		return Result{}, err
 	}
 	r, err = e.RunContext(ctx)
-	// The engine dies here and the Result references none of it, so its
-	// target memory — the largest thing a run allocates — can back the next
-	// run's instead of becoming garbage.
-	if c, ok := e.(Coupled); ok {
-		c.FunctionalModel().Mem.Recycle()
-	}
 	if err != nil {
 		return r, fmt.Errorf("engine %s: %w", name, err)
 	}

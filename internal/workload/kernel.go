@@ -496,6 +496,21 @@ func (b *Boot) Devices() []fullsys.Device {
 	return []fullsys.Device{b.Console, b.Timer, b.Disk, b.NIC}
 }
 
+// Fork returns a boot with devices of its own over everything immutable in
+// b — the assembled kernel, the preloaded disk sectors (shared copy-on-write,
+// fullsys.Disk.Fork) and the scripted NIC arrivals — with the given disk
+// latency, which no other part of a boot depends on. b itself must never run:
+// it is the image, built once, and concurrent forks of it are independent.
+func (b *Boot) Fork(diskLatency uint64) *Boot {
+	return &Boot{
+		Kernel:  b.Kernel,
+		Console: fullsys.NewConsole(),
+		Timer:   fullsys.NewTimer(),
+		Disk:    b.Disk.Fork(diskLatency),
+		NIC:     b.NIC.Fork(),
+	}
+}
+
 // BuildBoot assembles the kernel and the user program, compresses the user
 // image onto the disk, and returns the bootable system.
 func BuildBoot(k KernelConfig, userAsm string) (*Boot, error) {
