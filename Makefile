@@ -67,7 +67,8 @@ FUZZ_SMOKES := \
 	./internal/core:FuzzRestore:20 \
 	./internal/snap:FuzzCodec:20 \
 	./internal/tm:FuzzTMAgreement:20 \
-	./internal/fullsys:FuzzMemoryAgreement:20
+	./internal/fullsys:FuzzMemoryAgreement:20 \
+	./internal/fullsys:FuzzBusRollback:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

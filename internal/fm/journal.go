@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 
@@ -61,30 +62,44 @@ type rollbackEngine interface {
 // record (or checkpoint segment) of one engine. Each note appends one entry
 // — the n bytes about to be overwritten, then pa and n as little-endian
 // uint32s — and the owner counts the bytes its record appended. The header
-// trails the payload so the log can be walked newest-first. Release follows
-// the owners' lifetimes: FIFO at the head when the timing model commits,
-// LIFO at the tail on rollback; neither moves a byte, and the steady state
-// allocates nothing.
+// trails the payload so the log can be walked newest-first. A string-store
+// run whose old bytes are all zero (memory the target never wrote) is
+// logged as its header alone, flagged zeroRun. Release follows the owners'
+// lifetimes: FIFO at the head when the timing model commits, LIFO at the
+// tail on rollback; neither moves a byte, and the steady state allocates
+// nothing.
 type memLog struct {
 	buf  []byte
 	head int // buf[:head] is committed space awaiting reuse
 }
 
-const memLogHeader = 8
+const (
+	memLogHeader = 8
+	zeroRun      = 1 << 31 // header length flag: the old bytes were all zero
+	zeroScanMin  = 64      // shorter entries (scalar stores) are not scanned
+)
+
+// zeros is what a zero-run entry's old bytes are compared with.
+var zeros [fullsys.PageSize]byte
 
 // note saves the n bytes at pa and returns the log bytes appended. n bytes
-// at pa must span at most two pages (undo issues one noteStore per entry).
+// at pa must span at most two pages (undo issues one noteStore per entry),
+// and n is at most a page.
 func (l *memLog) note(m *Model, pa uint32, n int) int {
-	size := n + memLogHeader
-	if len(l.buf)+size > cap(l.buf) {
-		l.makeRoom(size)
+	if len(l.buf)+n+memLogHeader > cap(l.buf) {
+		l.makeRoom(n + memLogHeader)
 	}
 	end := len(l.buf)
-	l.buf = l.buf[:end+size]
-	m.Mem.CopyOut(l.buf[end:end+n], pa)
+	old := l.buf[end : end+n]
+	m.Mem.CopyOut(old, pa)
+	hdr := uint32(n)
+	if n >= zeroScanMin && bytes.Equal(old, zeros[:n]) {
+		hdr, n = zeroRun|hdr, 0
+	}
+	l.buf = l.buf[:end+n+memLogHeader]
 	binary.LittleEndian.PutUint32(l.buf[end+n:], pa)
-	binary.LittleEndian.PutUint32(l.buf[end+n+4:], uint32(n))
-	return size
+	binary.LittleEndian.PutUint32(l.buf[end+n+4:], hdr)
+	return n + memLogHeader
 }
 
 // makeRoom reclaims the released prefix by sliding the live span to the
@@ -123,10 +138,16 @@ func (l *memLog) undo(m *Model, n int) {
 	end := len(l.buf)
 	stop := end - n
 	for end > stop {
-		size := int(binary.LittleEndian.Uint32(l.buf[end-4:]))
+		hdr := binary.LittleEndian.Uint32(l.buf[end-4:])
 		pa := binary.LittleEndian.Uint32(l.buf[end-memLogHeader:])
-		end -= memLogHeader + size
+		size := int(hdr &^ zeroRun)
+		end -= memLogHeader
 		m.noteStore(pa, size)
+		if hdr&zeroRun != 0 {
+			m.Mem.Fill(pa, size, 0)
+			continue
+		}
+		end -= size
 		m.Mem.Load(pa, l.buf[end:end+size])
 	}
 	l.buf = l.buf[:stop]
@@ -142,6 +163,7 @@ type ring[T any] struct {
 
 func (r *ring[T]) len() int       { return int(r.tail - r.head) }
 func (r *ring[T]) at(n uint64) *T { return &r.buf[n&uint64(len(r.buf)-1)] }
+func (r *ring[T]) front() *T      { return r.at(r.head) }
 func (r *ring[T]) back() *T       { return r.at(r.tail - 1) }
 
 // push appends a slot and returns it; the caller overwrites it whole.
@@ -185,9 +207,10 @@ type undoRecord struct {
 }
 
 // sideUndo is the TLB and device pre-image of a record that touched either
-// (busPre first: release clears it without touching the TLB image).
+// (bus first: release clears it without touching the TLB image).
 type sideUndo struct {
-	busPre func()
+	bus    fullsys.BusUndo
+	busSet bool
 	tlbSet bool
 	tlbPre fullsys.TLB
 }
@@ -217,7 +240,7 @@ func (j *journalEngine) abort(*Model) {
 	r := j.recs.popBack()
 	j.mem.drop(r.memLen)
 	if r.side {
-		j.side.popBack().busPre = nil
+		j.side.popBack().bus = fullsys.BusUndo{}
 	}
 }
 
@@ -264,8 +287,9 @@ func (j *journalEngine) noteTLB(m *Model) {
 }
 
 func (j *journalEngine) noteBus(m *Model) {
-	if s := j.sideFor(); s.busPre == nil {
-		s.busPre = m.Bus.CaptureRollback()
+	if s := j.sideFor(); !s.busSet {
+		m.Bus.SaveUndo(&s.bus)
+		s.busSet = true
 	}
 }
 
@@ -297,7 +321,7 @@ func (j *journalEngine) commit(m *Model, in uint64) {
 		r := j.recs.popFront()
 		j.mem.release(r.memLen)
 		if r.side {
-			j.side.popFront().busPre = nil
+			j.side.popFront().bus = fullsys.BusUndo{}
 		}
 	}
 }
@@ -313,7 +337,7 @@ func (j *journalEngine) commit(m *Model, in uint64) {
 func (j *journalEngine) setPC(m *Model, in uint64, pc uint32) error {
 	base := m.in
 	if j.recs.len() > 0 {
-		base = j.recs.at(j.recs.head).startIN
+		base = j.recs.front().startIN
 	}
 	if in < base {
 		return fmt.Errorf("fm: set_pc(%d) below committed window (base %d)", in, base)
@@ -347,9 +371,9 @@ func (j *journalEngine) undoTop(m *Model) {
 		if s.tlbSet {
 			m.TLB.Restore(s.tlbPre)
 		}
-		if s.busPre != nil {
-			s.busPre()
-			s.busPre = nil
+		if s.busSet {
+			m.Bus.RestoreUndo(&s.bus)
+			s.bus = fullsys.BusUndo{}
 		}
 	}
 	m.Scalars = r.pre
@@ -365,7 +389,7 @@ func (j *journalEngine) window(m *Model) int {
 	if j.recs.len() == 0 {
 		return 0
 	}
-	return int(m.in - j.recs.at(j.recs.head).startIN)
+	return int(m.in - j.recs.front().startIN)
 }
 
 // ---------------------------------------------------------------------------
@@ -376,7 +400,7 @@ type segment struct {
 	startIN uint64
 	pre     Scalars
 	tlb     fullsys.TLB
-	bus     func()
+	bus     fullsys.BusUndo
 	halted  bool
 	idle    uint64
 
@@ -393,7 +417,7 @@ type idleEvent struct {
 
 type checkpointEngine struct {
 	interval int
-	segs     []segment
+	segs     ring[segment]
 	mem      memLog // memory undo of every live segment, oldest first
 	// ReExecuted counts instructions replayed during rollbacks — the §3.1
 	// αBA extra work.
@@ -412,13 +436,11 @@ func newCheckpointEngine(interval int) *checkpointEngine {
 	return &checkpointEngine{interval: interval}
 }
 
-func (c *checkpointEngine) cur() *segment { return &c.segs[len(c.segs)-1] }
-
 func (c *checkpointEngine) begin(m *Model) {
-	if len(c.segs) == 0 || (!c.replaying && c.cur().count >= c.interval) {
+	if c.segs.len() == 0 || (!c.replaying && c.segs.back().count >= c.interval) {
 		c.take(m, 0)
 	}
-	c.cur().count++
+	c.segs.back().count++
 }
 
 // take opens a new checkpoint at the current state, standing for a segment
@@ -426,26 +448,29 @@ func (c *checkpointEngine) begin(m *Model) {
 // snapshot load rebuilds: it is anchored at the restored state but stands
 // for the cold run's segment, which began base instructions earlier. A
 // replay cannot re-run those, but it counts and charges them, so checkpoint
-// placement and ReExecuted continue the cold run's exactly.
+// placement and ReExecuted continue the cold run's exactly. The ring slot's
+// idle-log array is reused.
 func (c *checkpointEngine) take(m *Model, base int) {
-	c.segs = append(c.segs, segment{
+	s := c.segs.push()
+	*s = segment{
 		count:   base,
 		base:    base,
 		startIN: m.in,
 		pre:     m.Scalars,
 		tlb:     m.TLB.Snapshot(),
-		bus:     m.Bus.CaptureRollback(),
 		halted:  m.halted,
 		idle:    m.idle,
-	})
+		idleLog: s.idleLog[:0],
+	}
+	m.Bus.SaveUndo(&s.bus)
 }
 
 func (c *checkpointEngine) abort(m *Model) {
-	c.cur().count--
+	c.segs.back().count--
 }
 
 func (c *checkpointEngine) noteMem(m *Model, pa uint32, n int) {
-	c.cur().memLen += c.mem.note(m, pa, n)
+	c.segs.back().memLen += c.mem.note(m, pa, n)
 }
 
 // noteTLB/noteBus: nothing per-instruction — the segment snapshot taken at
@@ -455,10 +480,10 @@ func (c *checkpointEngine) noteTLB(*Model) {}
 func (c *checkpointEngine) noteBus(*Model) {}
 
 func (c *checkpointEngine) noteIdle(m *Model, ticks uint64) {
-	if len(c.segs) == 0 || c.replaying {
+	if c.segs.len() == 0 || c.replaying {
 		return
 	}
-	s := c.cur()
+	s := c.segs.back()
 	if n := len(s.idleLog); n > 0 && s.idleLog[n-1].afterIN == m.in {
 		s.idleLog[n-1].ticks += ticks
 		return
@@ -470,43 +495,44 @@ func (c *checkpointEngine) commit(m *Model, in uint64) {
 	// Release checkpoints entirely below the commit frontier, always
 	// keeping the one covering the first uncommitted instruction — the
 	// "checkpoints are released and others are taken" leapfrog.
-	for len(c.segs) > 1 && c.segs[1].startIN <= in+1 {
-		c.mem.release(c.segs[0].memLen)
-		c.segs = c.segs[1:]
+	for c.segs.len() > 1 && c.segs.at(c.segs.head+1).startIN <= in+1 {
+		c.mem.release(c.segs.popFront().memLen)
 	}
 }
 
 func (c *checkpointEngine) setPC(m *Model, in uint64, pc uint32) error {
-	if len(c.segs) == 0 || in < c.segs[0].startIN {
+	if c.segs.len() == 0 || in < c.segs.front().startIN {
 		base := uint64(0)
-		if len(c.segs) > 0 {
-			base = c.segs[0].startIN
+		if c.segs.len() > 0 {
+			base = c.segs.front().startIN
 		}
 		return fmt.Errorf("fm: set_pc(%d) below committed window (base %d)", in, base)
 	}
 	// Find the checkpoint at or below in.
-	k := len(c.segs) - 1
-	for k > 0 && c.segs[k].startIN > in {
+	k := c.segs.tail - 1
+	for k > c.segs.head && c.segs.at(k).startIN > in {
 		k--
 	}
 	// Undo memory newest-segment-first, including the containing segment
 	// (replay regenerates its prefix).
 	undo := 0
-	for i := k; i < len(c.segs); i++ {
-		undo += c.segs[i].memLen
+	for i := k; i < c.segs.tail; i++ {
+		undo += c.segs.at(i).memLen
 	}
 	c.mem.undo(m, undo)
-	s := c.segs[k]
+	s := c.segs.at(k)
 	m.Scalars = s.pre
 	m.TLB.Restore(s.tlb)
-	s.bus()
+	m.Bus.RestoreUndo(&s.bus)
 	m.halted = s.halted
 	m.idle = s.idle
 	m.in = s.startIN
-	idleLog := s.idleLog
-	c.segs = c.segs[:k]
-	c.take(m, s.base)
-	c.reExecuted += uint64(s.base)
+	// The re-taken checkpoint lands in s's slot and reuses its idle-log
+	// array, which the replay below only reads.
+	idleLog, base := s.idleLog, s.base
+	c.segs.tail = k
+	c.take(m, base)
+	c.reExecuted += uint64(base)
 
 	// Replay forward to in, feeding the logged idle periods so interrupt
 	// timing reproduces exactly. Statistics are suppressed: the replayed
@@ -531,18 +557,15 @@ func (c *checkpointEngine) setPC(m *Model, in uint64, pc uint32) error {
 	// noteIdle is muted during replay, so the re-taken segment must inherit
 	// the idle events the replay consumed: a second rollback into it replays
 	// them again.
-	c.cur().idleLog = idleLog[:li]
+	c.segs.back().idleLog = idleLog[:li]
 	m.PC = pc
 	return nil
 }
 
 func (c *checkpointEngine) window(*Model) int {
-	if len(c.segs) == 0 {
-		return 0
-	}
 	n := 0
-	for i := range c.segs {
-		n += c.segs[i].count
+	for i := c.segs.head; i < c.segs.tail; i++ {
+		n += c.segs.at(i).count
 	}
 	return n
 }

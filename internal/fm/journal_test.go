@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/fullsys"
@@ -570,7 +572,7 @@ func TestJournalReleaseDropsReferences(t *testing.T) {
 	live := func() int {
 		n := 0
 		for i := range m.jeng.side.buf {
-			if m.jeng.side.buf[i].busPre != nil {
+			if !reflect.ValueOf(m.jeng.side.buf[i].bus).IsZero() {
 				n++
 			}
 		}
@@ -680,44 +682,132 @@ loop:
 	jmp  loop
 `
 
+// ioLoop is the I/O subject: each iteration programs and acknowledges the
+// timer, then reads one of four disk sectors, polling until the read
+// completes. Console and NIC output stay out: they are append-only by
+// design, so a run that keeps writing them keeps growing them.
+const ioLoop = `
+	movi r4, 0
+loop:
+	movi r1, 15
+	out  r1, 0x20    ; timer interval
+	andi r4, 3
+	out  r4, 0x30    ; sector
+	movi r1, 1
+	out  r1, 0x31    ; read
+poll:
+	in   r2, 0x33
+	andi r2, 1
+	jnz  poll        ; busy
+	in   r3, 0x32
+	in   r3, 0x32
+	out  r1, 0x34    ; disk ack
+	out  r1, 0x22    ; timer ack
+	inc  r4
+	jmp  loop
+`
+
 // TestSteadyStateZeroAllocs: once the stores have reached their working
 // size, the FM loop with commits on allocates nothing — per-instruction and
-// block-at-a-time, rollbacks included, driven by hand or through Run.
+// block-at-a-time, under both rollback engines, rollbacks included, driven
+// by hand or through Run, and with device I/O on every few instructions.
 func TestSteadyStateZeroAllocs(t *testing.T) {
-	for _, sblen := range []int{0, DefaultSuperblockLen} {
-		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
-			ICacheEntries: DefaultICacheEntries, SuperblockLen: sblen})
-		m.LoadProgram(isa.MustAssemble(steadyLoop, 0x1000))
-		sink := func(trace.Entry) bool { return true }
-		chunk := func() {
-			start := m.IN()
-			for m.IN() < start+64 {
-				if m.StepBlock(sink) == 0 {
-					t.Fatal("halted")
+	type subject struct {
+		name, src string
+		devices   func() []fullsys.Device
+	}
+	for _, sub := range []subject{
+		{"store", steadyLoop, func() []fullsys.Device { return nil }},
+		{"io", ioLoop, func() []fullsys.Device {
+			disk := fullsys.NewDisk(16, 20)
+			for s := uint32(0); s < 4; s++ {
+				disk.Preload(s, make([]uint32, disk.SectorWords))
+			}
+			return []fullsys.Device{fullsys.NewTimer(), disk}
+		}},
+	} {
+		for _, mode := range []RollbackMode{RollbackJournal, RollbackCheckpoint} {
+			for _, sblen := range []int{0, DefaultSuperblockLen} {
+				name := fmt.Sprintf("%s/%s/superblock len %d", sub.name, []string{"journal", "checkpoint"}[mode], sblen)
+				m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, Devices: sub.devices(),
+					Rollback: mode, ICacheEntries: DefaultICacheEntries, SuperblockLen: sblen})
+				m.LoadProgram(isa.MustAssemble(sub.src, 0x1000))
+				sink := func(trace.Entry) bool { return true }
+				chunk := func() {
+					start := m.IN()
+					for m.IN() < start+64 {
+						if m.StepBlock(sink) == 0 {
+							t.Fatal("halted")
+						}
+					}
+					if err := m.SetPC(start+40, 0x1000); err != nil {
+						t.Fatal(err)
+					}
+					m.Commit(m.IN() - 1)
+				}
+				for i := 0; i < 100; i++ {
+					chunk()
+				}
+				if allocs := testing.AllocsPerRun(200, chunk); allocs != 0 {
+					t.Errorf("%s: %v allocs per 64-instruction chunk, want 0", name, allocs)
+				}
+				left := 0
+				until := func(trace.Entry) bool { left--; return left > 0 }
+				driven := func() {
+					left = 64
+					if err := m.Run(until); err != nil {
+						t.Fatal(err)
+					}
+					m.Commit(m.IN() - 1)
+				}
+				if allocs := testing.AllocsPerRun(200, driven); allocs != 0 {
+					t.Errorf("%s: %v allocs per 64 instructions through Run, want 0", name, allocs)
 				}
 			}
-			if err := m.SetPC(start+40, 0x1000); err != nil {
-				t.Fatal(err)
-			}
-			m.Commit(m.IN() - 1)
 		}
-		for i := 0; i < 100; i++ {
-			chunk()
+	}
+}
+
+// TestMemLogZeroRun: a rep stos over memory the target never wrote logs
+// only its entries' headers, and rolling back across it restores the bytes
+// and the predecode cache's page generations exactly as rolling back over a
+// written pre-image does.
+func TestMemLogZeroRun(t *testing.T) {
+	prog := isa.MustAssemble(`
+		movi r1, 0x1800  ; the code page's unused tail and half the next page
+		movi r2, 0x1000  ; two runs, split at the page end
+		movi r3, 0xAB
+		rep stos
+		halt
+	`, 0x1000)
+	var gens [2][]uint32
+	for k, old := range []byte{0, 0x5A} {
+		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64})
+		m.LoadProgram(prog)
+		if old != 0 {
+			m.Mem.Fill(0x1800, 0x1000, old)
 		}
-		if allocs := testing.AllocsPerRun(200, chunk); allocs != 0 {
-			t.Errorf("superblock len %d: %v allocs per 64-instruction chunk, want 0", sblen, allocs)
+		for i := 0; i < 3; i++ {
+			m.Step()
 		}
-		left := 0
-		until := func(trace.Entry) bool { left--; return left > 0 }
-		driven := func() {
-			left = 64
-			if err := m.Run(until); err != nil {
-				t.Fatal(err)
-			}
-			m.Commit(m.IN() - 1)
+		before, logged := memCopy(m, 0x1800, 0x1000), len(m.jeng.mem.buf)
+		e, _ := m.Step()
+		want := 2 * memLogHeader
+		if old != 0 {
+			want += 0x1000
 		}
-		if allocs := testing.AllocsPerRun(200, driven); allocs != 0 {
-			t.Errorf("superblock len %d: %v allocs per 64 instructions through Run, want 0", sblen, allocs)
+		if got := len(m.jeng.mem.buf) - logged; got != want {
+			t.Errorf("old bytes %#x: rep stos logged %d bytes, want %d", old, got, want)
 		}
+		if err := m.SetPC(e.IN, e.PC); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(memCopy(m, 0x1800, 0x1000), before) {
+			t.Errorf("old bytes %#x: rollback did not restore the stored-over bytes", old)
+		}
+		gens[k] = m.icache.pageGen
+	}
+	if !slices.Equal(gens[0], gens[1]) {
+		t.Error("page generations after rolling back over zero and non-zero old bytes differ")
 	}
 }

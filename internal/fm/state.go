@@ -65,8 +65,8 @@ func (m *Model) State(c *snap.Codec) {
 	ck, _ := m.engine.(*checkpointEngine)
 	segCount := 0
 	if ck != nil {
-		if len(ck.segs) > 0 {
-			segCount = ck.cur().count
+		if ck.segs.len() > 0 {
+			segCount = ck.segs.back().count
 		}
 		c.U64(&ck.reExecuted)
 		c.Int32(&segCount)
@@ -88,7 +88,7 @@ func (m *Model) State(c *snap.Codec) {
 		// Rebuild the leapfrog phase: one segment anchored at the restored
 		// state, already segCount instructions deep, so the next checkpoint
 		// lands exactly where the cold run's would have.
-		ck.segs = ck.segs[:0]
+		ck.segs.tail = ck.segs.head
 		ck.mem.reset()
 		ck.take(m, segCount)
 	} else {

@@ -88,7 +88,7 @@ type sbCache struct {
 	mask    isa.Word
 	maxLen  int
 	ic      *icache
-	forming []sbOp // form's scratch: blocks are installed at their exact length
+	forming []sbOp // form's scratch: a block is copied into its slot's own ops array
 
 	// Statistics, published as fm_superblock_* by Model.PublishTelemetry.
 	hits          uint64
@@ -196,7 +196,7 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 		return nil
 	}
 	e := &c.slots[pa&c.mask]
-	*e = sbBlock{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append([]sbOp(nil), ops...)}
+	*e = sbBlock{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append(e.ops[:0], ops...)}
 	return e
 }
 

@@ -34,13 +34,14 @@ type Device interface {
 	// warm-start snapshots persist through the content-addressed store; see
 	// state.go.
 	State(c *snap.Codec)
-	// CaptureRollback returns a closure that reinstates the device's
-	// current state. This is the in-memory capture the functional model's
-	// undo journal stores on every device-touching instruction — it
-	// structure-shares immutable internals (e.g. installed disk sectors)
-	// instead of serializing, because it sits on the FM hot path; the
-	// binary State form is reserved for persistence.
-	CaptureRollback() func()
+	// saveUndo copies the device's state into its own part of a BusUndo and
+	// restoreUndo reinstates it: the in-memory capture the functional
+	// model's undo journal takes on every device-touching instruction. It
+	// holds scalars and the slice and map headers the device shares with its
+	// captures, never a copy of a FIFO or the disk image, because it sits on
+	// the FM hot path; the binary State form is reserved for persistence.
+	saveUndo(u *BusUndo)
+	restoreUndo(u *BusUndo)
 }
 
 // Port map. The PIC occupies 0x00-0x0F, devices follow.
@@ -206,22 +207,35 @@ func (b *Bus) Due(now uint64) bool {
 // Pending returns the pending interrupt line, or -1.
 func (b *Bus) Pending() int { return b.PIC.Pending() }
 
-// CaptureRollback returns a closure that reinstates the whole bus —
-// controller mask and every device — to its state at the call. This is
-// the undo journal's per-record capture: devices structure-share their
-// immutable internals, so capture and restore cost O(registers + FIFOs),
-// never O(disk image). Persistence goes through State instead.
-func (b *Bus) CaptureRollback() func() {
-	mask := b.PIC.mask
-	devs := make([]func(), len(b.Devices))
-	for i, d := range b.Devices {
-		devs[i] = d.CaptureRollback()
+// BusUndo is the whole bus — controller mask and every device — at one
+// moment, as the undo journal keeps it: one fixed-size value with a part per
+// device kind (a bus holds at most one device of each kind, since two would
+// claim the same ports). Devices share their storage with it copy-on-write or
+// only ever append past the end of what it references, so taking and
+// restoring one costs O(1), never O(FIFO) or O(disk image), and allocates
+// nothing. Captures are restored newest first, the journal's order, and one
+// may be restored more than once. Persistence goes through State instead.
+type BusUndo struct {
+	mask    uint32
+	console consoleUndo
+	timer   timerRegs
+	disk    diskRegs
+	nic     nicUndo
+}
+
+// SaveUndo captures the bus into u.
+func (b *Bus) SaveUndo(u *BusUndo) {
+	u.mask = b.PIC.mask
+	for _, d := range b.Devices {
+		d.saveUndo(u)
 	}
-	return func() {
-		b.PIC.mask = mask
-		for _, f := range devs {
-			f()
-		}
+}
+
+// RestoreUndo reinstates the bus to the state SaveUndo captured in u.
+func (b *Bus) RestoreUndo(u *BusUndo) {
+	b.PIC.mask = u.mask
+	for _, d := range b.Devices {
+		d.restoreUndo(u)
 	}
 }
 

@@ -1,10 +1,16 @@
 package fullsys
 
 // Concrete device models. Each is deterministic in target time and small
-// enough that its whole state is capturable two ways: CaptureRollback
-// (structure-sharing closures for the functional model's per-instruction
-// undo journal) and State (state.go; the versioned binary form warm-start
-// snapshots persist).
+// enough that its whole state is capturable two ways: its part of a BusUndo
+// (saveUndo/restoreUndo, a structure-sharing value for the functional
+// model's per-instruction undo journal) and State (state.go; the versioned
+// binary form warm-start snapshots persist).
+//
+// A capture shares every FIFO and buffer with the live device. That is safe
+// because each one only ever re-slices from the front or appends: an append
+// writes past the end of every capture still live, since captures are
+// restored newest first, and the disk's sector map is cloned before its
+// first write after a capture.
 
 import "maps"
 
@@ -101,25 +107,37 @@ func (c *Console) IRQ() int {
 	return -1
 }
 
-// CaptureRollback implements Device. Output is append-only, so the capture
-// records only its length and restore truncates.
-func (c *Console) CaptureRollback() func() {
-	outLen := len(c.out)
-	script := append([]ScriptedInput(nil), c.script...)
-	rx := append([]byte(nil), c.rx...)
-	irqOnRx := c.irqOnRx
-	return func() {
-		c.out = c.out[:outLen]
-		c.script, c.rx, c.irqOnRx = script, rx, irqOnRx
-	}
+// consoleUndo is a Console's part of a BusUndo. Output is append-only, so
+// the capture records only its length and restore truncates; the script and
+// the rx FIFO are shared.
+type consoleUndo struct {
+	outLen  int
+	script  []ScriptedInput
+	rx      []byte
+	irqOnRx bool
+}
+
+func (c *Console) saveUndo(u *BusUndo) {
+	u.console = consoleUndo{len(c.out), c.script, c.rx, c.irqOnRx}
+}
+
+func (c *Console) restoreUndo(u *BusUndo) {
+	s := &u.console
+	c.out = c.out[:s.outLen]
+	c.script, c.rx, c.irqOnRx = s.script, s.rx, s.irqOnRx
 }
 
 // Timer raises IRQTimer every interval target time units once programmed.
 type Timer struct {
+	timerRegs
+	now uint64
+}
+
+// timerRegs is the timer's state, and its part of a BusUndo.
+type timerRegs struct {
 	interval uint64
 	nextFire uint64
 	pending  bool
-	now      uint64
 }
 
 // NewTimer creates an unprogrammed timer.
@@ -192,13 +210,8 @@ func (t *Timer) IRQ() int {
 	return -1
 }
 
-// CaptureRollback implements Device.
-func (t *Timer) CaptureRollback() func() {
-	interval, nextFire, pending := t.interval, t.nextFire, t.pending
-	return func() {
-		t.interval, t.nextFire, t.pending = interval, nextFire, pending
-	}
-}
+func (t *Timer) saveUndo(u *BusUndo)    { u.timer = t.timerRegs }
+func (t *Timer) restoreUndo(u *BusUndo) { t.timerRegs = u.timer }
 
 // Disk models a sectored block device with a fixed access latency: a
 // command issued at time T completes (raising IRQDisk) at T+Latency. This
@@ -208,13 +221,20 @@ type Disk struct {
 	SectorWords int
 	Latency     uint64
 
-	sectors map[uint32][]uint32
+	diskRegs
 	// shared marks the sector map as referenced by a rollback capture: the
 	// next mutation clones it first (installSector), so captures cost
 	// nothing until the disk is actually written.
 	shared bool
 	now    uint64
+}
 
+// diskRegs is the disk's state, and its part of a BusUndo. Installed
+// sectors are never written in place, so the map (copy-on-write) and a read
+// buffer (a sector itself) are shared with captures; a write buffer is
+// appended to in place.
+type diskRegs struct {
+	sectors map[uint32][]uint32
 	sector  uint32
 	busy    bool
 	doneAt  uint64
@@ -227,7 +247,7 @@ type Disk struct {
 // NewDisk creates a disk whose sectors hold sectorWords 32-bit words and
 // whose accesses take latency target time units.
 func NewDisk(sectorWords int, latency uint64) *Disk {
-	return &Disk{SectorWords: sectorWords, Latency: latency, sectors: make(map[uint32][]uint32)}
+	return &Disk{SectorWords: sectorWords, Latency: latency, diskRegs: diskRegs{sectors: make(map[uint32][]uint32)}}
 }
 
 // Fork returns an idle disk of the given latency over d's current contents.
@@ -235,7 +255,7 @@ func NewDisk(sectorWords int, latency uint64) *Disk {
 // from then on an image to fork, not a device to run, and any number of
 // forks may run concurrently.
 func (d *Disk) Fork(latency uint64) *Disk {
-	return &Disk{SectorWords: d.SectorWords, Latency: latency, sectors: d.sectors, shared: true}
+	return &Disk{SectorWords: d.SectorWords, Latency: latency, diskRegs: diskRegs{sectors: d.sectors}, shared: true}
 }
 
 // Preload fills a sector image before boot (e.g. the "compressed kernel").
@@ -274,8 +294,12 @@ func (d *Disk) Tick(now uint64) {
 		d.busy = false
 		d.done = true
 		if d.writing {
-			sec := make([]uint32, d.SectorWords)
-			copy(sec, d.buf)
+			// A full buffer becomes the sector: nothing appends to it again.
+			sec := d.buf
+			if len(sec) != d.SectorWords {
+				sec = make([]uint32, d.SectorWords)
+				copy(sec, d.buf)
+			}
 			d.installSector(d.sector, sec)
 		}
 	}
@@ -326,14 +350,18 @@ func (d *Disk) Out(port uint16, v uint32) {
 	case PortDiskCmd:
 		switch v {
 		case 1: // read
-			d.buf = make([]uint32, d.SectorWords)
-			copy(d.buf, d.sectors[d.sector])
+			// A full-length sector is the buffer; only a short or absent one
+			// is copied and zero-padded.
+			if d.buf = d.sectors[d.sector]; len(d.buf) != d.SectorWords {
+				d.buf = make([]uint32, d.SectorWords)
+				copy(d.buf, d.sectors[d.sector])
+			}
 			d.bufPos = 0
 			d.writing = false
 			d.busy = true
 			d.doneAt = d.now + d.Latency
 		case 2: // write
-			d.buf = nil
+			d.buf = make([]uint32, 0, d.SectorWords)
 			d.bufPos = 0
 			d.writing = true
 			d.busy = true
@@ -341,9 +369,7 @@ func (d *Disk) Out(port uint16, v uint32) {
 		}
 	case PortDiskData:
 		if d.writing && len(d.buf) < d.SectorWords {
-			// Rollback captures share d.buf, so a buffer is never written
-			// in place once installed: append into a fresh array.
-			d.buf = append(d.buf[:len(d.buf):len(d.buf)], v)
+			d.buf = append(d.buf, v)
 			// The write completes Latency after the *last* streamed word,
 			// not after the command: PIO streaming a full sector takes
 			// longer than the device latency, and completing mid-stream
@@ -363,22 +389,11 @@ func (d *Disk) IRQ() int {
 	return -1
 }
 
-// CaptureRollback implements Device. The sector map is shared with the
-// capture, copy-on-write (installSector), and so is the transfer buffer,
-// which is never written in place: capture and restore are O(1) in the disk
-// and sector size, and because neither side ever writes shared storage, a
-// checkpoint capture survives being restored more than once.
-func (d *Disk) CaptureRollback() func() {
-	sectors := d.sectors
-	d.shared = true
-	sector, busy, doneAt, done := d.sector, d.busy, d.doneAt, d.done
-	buf, bufPos, writing := d.buf, d.bufPos, d.writing
-	return func() {
-		d.sectors, d.shared = sectors, true
-		d.sector, d.busy, d.doneAt, d.done = sector, busy, doneAt, done
-		d.buf, d.bufPos, d.writing = buf, bufPos, writing
-	}
-}
+// saveUndo and restoreUndo leave the sector map shared with the capture,
+// copy-on-write (installSector), so a capture survives being restored more
+// than once.
+func (d *Disk) saveUndo(u *BusUndo)    { u.disk, d.shared = d.diskRegs, true }
+func (d *Disk) restoreUndo(u *BusUndo) { d.diskRegs, d.shared = u.disk, true }
 
 // NIC is a network interface with scripted packet arrivals and a tx FIFO.
 // Arrivals model external events ("the number of external events ...
@@ -470,15 +485,17 @@ func (n *NIC) IRQ() int {
 	return -1
 }
 
-// CaptureRollback implements Device. The tx FIFO is append-only, so the
+// nicUndo is a NIC's part of a BusUndo. The tx FIFO is append-only, so the
 // capture records only its length and restore truncates; pending arrivals
-// are only ever re-sliced from the front, so the capture shares them.
-func (n *NIC) CaptureRollback() func() {
-	arrivals := n.arrivals
-	rx := append([]uint32(nil), n.rx...)
-	txLen := len(n.tx)
-	return func() {
-		n.arrivals, n.rx = arrivals, rx
-		n.tx = n.tx[:txLen]
-	}
+// and the rx FIFO are shared.
+type nicUndo struct {
+	arrivals []ScriptedInput
+	rx       []uint32
+	txLen    int
+}
+
+func (n *NIC) saveUndo(u *BusUndo) { u.nic = nicUndo{n.arrivals, n.rx, len(n.tx)} }
+
+func (n *NIC) restoreUndo(u *BusUndo) {
+	n.arrivals, n.rx, n.tx = u.nic.arrivals, u.nic.rx, n.tx[:u.nic.txLen]
 }

@@ -134,13 +134,16 @@ func (m *Memory) CopyOut(dst []byte, pa isa.Word) {
 	}
 }
 
-// Fill sets the n bytes at pa to b (one run of a rep stos).
+// Fill sets the n bytes at pa to b (one run of a rep stos, or the undo of
+// one over zeros). It doubles the filled prefix by copying it, so a run
+// costs O(log n) memmoves rather than a byte loop.
 func (m *Memory) Fill(pa isa.Word, n int, b byte) {
 	for n > 0 {
 		off, k := span(pa, n)
 		run := m.writable(pa)[off : off+k]
-		for i := range run {
-			run[i] = b
+		run[0] = b
+		for done := 1; done < k; done *= 2 {
+			copy(run[done:], run[:done])
 		}
 		pa, n = pa+isa.Word(k), n-k
 	}

@@ -4,8 +4,8 @@ package fullsys
 // This is the serialization contract warm-start snapshots persist to disk.
 // It is deliberately NOT what the functional model's rollback journal
 // stores: the journal captures devices on every device-touching
-// instruction, so it uses CaptureRollback closures that structure-share
-// immutable internals (devices.go) instead of paying an encode/decode.
+// instruction, so it keeps a BusUndo value (device.go) that shares the
+// devices' storage instead of paying an encode/decode.
 //
 // Encoding rules: every component has one State walk that opens with its
 // format version and lists its fields in a fixed order (snap.Codec), so the
@@ -130,8 +130,8 @@ func (n *NIC) State(c *snap.Codec) {
 // each device's name-tagged state in bus order — for warm-start
 // persistence (snap.Marshal / snap.Unmarshal). The live bus must have the
 // same device complement in the same order. The rollback journal does not
-// go through here: it uses Bus.CaptureRollback (device.go), which avoids
-// the encode/decode on the FM hot path.
+// go through here: it uses Bus.SaveUndo (device.go), which avoids the
+// encode/decode on the FM hot path.
 func (b *Bus) State(c *snap.Codec) {
 	c.Version("bus", busStateV)
 	c.U32(&b.PIC.mask)

@@ -243,31 +243,36 @@ func TestDiskCaptureRestoreTwice(t *testing.T) {
 		}
 	}
 
-	capA := d.CaptureRollback() // {1:1}
+	capture := func() *BusUndo {
+		u := new(BusUndo)
+		d.saveUndo(u)
+		return u
+	}
+	capA := capture() // {1:1}
 	blobA := snap.Marshal(d)
 	portWrite(100, 2, 2)
-	capB := d.CaptureRollback() // {1:1, 2:2}; shares the post-write map
+	capB := capture() // {1:1, 2:2}; shares the post-write map
 	d.Preload(1, []uint32{9, 9, 9, 9})
 	portWrite(200, 3, 3)
 	check("live", map[uint32]uint32{1: 9, 2: 2, 3: 3})
 
-	capB()
+	d.restoreUndo(capB)
 	check("B restored", map[uint32]uint32{1: 1, 2: 2})
 	portWrite(300, 4, 4) // mutate on top of the restored, still-shared map
 	d.Preload(2, []uint32{7, 7, 7, 7})
-	capB()
+	d.restoreUndo(capB)
 	check("B restored twice", map[uint32]uint32{1: 1, 2: 2})
 
-	capA()
+	d.restoreUndo(capA)
 	check("A restored", map[uint32]uint32{1: 1})
 	if err := snap.Unmarshal(blobA, d); err != nil {
 		t.Fatal(err)
 	}
 	portWrite(400, 1, 5)
 	check("after State load + write", map[uint32]uint32{1: 5})
-	capA()
+	d.restoreUndo(capA)
 	check("A restored twice", map[uint32]uint32{1: 1})
-	capB()
+	d.restoreUndo(capB)
 	check("B restored after A", map[uint32]uint32{1: 1, 2: 2})
 
 	// The transfer buffer is shared with captures too: one taken mid-stream
@@ -281,11 +286,11 @@ func TestDiskCaptureRestoreTwice(t *testing.T) {
 	d.Out(PortDiskSector, 4)
 	d.Out(PortDiskCmd, 2)
 	stream(1, 2)
-	mid := d.CaptureRollback()
+	mid := capture()
 	stream(3, 4)
-	mid()
+	d.restoreUndo(mid)
 	stream(8)
-	mid()
+	d.restoreUndo(mid)
 	stream(5, 6)
 	d.Tick(1000 + d.Latency)
 	if got := d.Sector(4); len(got) != 4 || got[0] != 1 || got[1] != 2 || got[2] != 5 || got[3] != 6 {
