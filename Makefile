@@ -29,12 +29,15 @@ test:
 	$(GO) test ./...
 
 # The FM steady state (execute, journal, commit, rollback) and a TM target
-# cycle (everything in flight lives in rings built once) allocate nothing,
-# and a Configure allocates its engine's caches and the pages its image
-# occupies, not the target's memory. `make test` already runs these; naming
-# them keeps the guarantee visible in the gate and re-checks it uncached.
+# cycle (everything in flight lives in rings built once) allocate nothing;
+# the FM's predecode and superblock tables allocate the slot groups a run
+# fills and a Precrack one µop slice; and a Configure allocates its engine's
+# fixed state and the pages its image occupies, not the target's memory.
+# `make test` already runs these; naming them keeps the guarantee visible
+# in the gate and re-checks it uncached.
 zero-alloc:
-	$(GO) test -count=1 -run '^TestSteadyStateZeroAllocs$$' ./internal/fm
+	$(GO) test -count=1 -run '^(TestSteadyStateZeroAllocs|TestCachesAllocateWhatTheyFill)$$' ./internal/fm
+	$(GO) test -count=1 -run '^TestPrecrackOneAllocation$$' ./internal/microcode
 	$(GO) test -count=1 -run '^TestTMSteadyStateZeroAllocs$$' ./internal/tm
 	$(GO) test -count=1 -run '^TestConfigureBudget$$' ./internal/sim
 

@@ -42,10 +42,10 @@ import (
 
 // DefaultICacheEntries is the predecode-cache size a zero
 // sim.Params.ICacheEntries and core.DefaultConfig select. 4 Ki
-// direct-mapped slots cover the resident code of every bundled workload
-// while keeping the zeroed footprint small enough to construct per run; the
-// knob only trades host memory for FM speed — architected results are
-// identical at any size.
+// direct-mapped slots cover the resident code of every bundled workload;
+// slots allocate by group on first fill, so a run pays for the code it
+// executes, not the table. The knob only trades host memory for FM speed —
+// architected results are identical at any size.
 const DefaultICacheEntries = 4096
 
 // icEntry is one direct-mapped predecode-cache slot. inst.Size == 0 marks an
@@ -61,9 +61,42 @@ type icEntry struct {
 	predecoded
 }
 
+// lazyGroup is how many slots a lazyTable allocates at once.
+const lazyGroup = 16
+
+// lazyTable is a direct-mapped slot table that allocates its slots by group
+// of lazyGroup on first fill, the way QEMU fills its translation cache on
+// demand: a run holds the slots it filled, not the whole table.
+type lazyTable[T any] struct{ groups []*[lazyGroup]T }
+
+func newLazyTable[T any](n int) lazyTable[T] {
+	return lazyTable[T]{groups: make([]*[lazyGroup]T, (n+lazyGroup-1)/lazyGroup)}
+}
+
+// peek returns slot i, or nil when its group was never filled (an empty
+// slot to every probe).
+func (t *lazyTable[T]) peek(i isa.Word) *T {
+	if g := t.groups[i/lazyGroup]; g != nil {
+		return &g[i%lazyGroup]
+	}
+	return nil
+}
+
+// slot returns slot i, allocating its group.
+func (t *lazyTable[T]) slot(i isa.Word) *T {
+	g := &t.groups[i/lazyGroup]
+	if *g == nil {
+		*g = new([lazyGroup]T)
+	}
+	return &(*g)[i%lazyGroup]
+}
+
+// drop empties every slot by dropping every group.
+func (t *lazyTable[T]) drop() { clear(t.groups) }
+
 // icache is the direct-mapped predecode cache.
 type icache struct {
-	slots []icEntry
+	slots lazyTable[icEntry]
 	mask  isa.Word
 
 	pageGen  []uint32 // per-physical-page store generation
@@ -86,7 +119,7 @@ func newICache(entries, memBytes int) *icache {
 	}
 	pages := (memBytes + fullsys.PageSize - 1) >> fullsys.PageShift
 	return &icache{
-		slots:    make([]icEntry, n),
+		slots:    newLazyTable[icEntry](n),
 		mask:     isa.Word(n - 1),
 		pageGen:  make([]uint32, pages),
 		codePage: make([]uint64, (pages+63)/64),
@@ -107,8 +140,8 @@ func (c *icache) probe(pa isa.Word, paged bool) (*icEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
-	e := &c.slots[pa&c.mask]
-	if e.inst.Size == 0 || e.pa != pa || e.gen1 != c.pageGen[pa>>fullsys.PageShift] {
+	e := c.slots.peek(pa & c.mask)
+	if e == nil || e.inst.Size == 0 || e.pa != pa || e.gen1 != c.pageGen[pa>>fullsys.PageShift] {
 		c.misses++
 		return nil, false
 	}
@@ -133,7 +166,7 @@ func (c *icache) fill(pa isa.Word, inst isa.Inst, crosses, paged bool, page2 isa
 	if !crosses {
 		page2 = page1
 	}
-	e := &c.slots[pa&c.mask]
+	e := c.slots.slot(pa & c.mask)
 	*e = icEntry{
 		pa:         pa,
 		crosses:    crosses,
@@ -184,7 +217,7 @@ func (c *icache) flush() {
 	if c == nil {
 		return
 	}
-	clear(c.slots)
+	c.slots.drop()
 	clear(c.codePage)
 	c.flushes++
 }

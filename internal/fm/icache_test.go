@@ -2,12 +2,14 @@ package fm
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/obs"
+	"repro/internal/snap"
 	"repro/internal/trace"
 )
 
@@ -346,5 +348,112 @@ func TestICacheStatsAndTelemetry(t *testing.T) {
 	tel2.Metrics.WritePrometheus(&buf)
 	if strings.Contains(buf.String(), "fm_icache") {
 		t.Error("disabled cache still publishes fm_icache_* metrics")
+	}
+}
+
+// cachesLoop runs a loop at 0x1000 that calls a routine 0x1840 bytes away,
+// on the next page: two slot ranges of a 4 Ki-entry table. The routine
+// patches its own immediate every call, so both caches see hits, misses,
+// store invalidations and in-block splits.
+const cachesLoop = `
+	movi r6, 0
+loop:
+	call far
+	addi r6, 1
+	cmpi r6, 20
+	jl   loop
+	halt
+	.org 0x2840
+far:
+	movi r7, 0x11111111
+	add  r1, r7
+	movi r0, far
+	addi r0, 2
+	stw  r6, [r0]
+	ret
+`
+
+// runCachesLoop runs cachesLoop to its halt through StepBlock, committing
+// as it goes, on a model with the given predecode-cache size, and returns
+// the model and the physical address of every instruction it executed.
+func runCachesLoop(t *testing.T, entries int) (*Model, []isa.Word) {
+	t.Helper()
+	m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
+		ICacheEntries: entries, SuperblockLen: DefaultSuperblockLen})
+	m.LoadProgram(isa.MustAssemble(cachesLoop, 0x1000))
+	var pcs []isa.Word
+	for m.StepBlock(func(e trace.Entry) bool { pcs = append(pcs, e.PC); return true }) > 0 {
+		m.Commit(m.IN() - 1)
+	}
+	if m.Fatal() != nil || m.GPR[6] != 20 {
+		t.Fatalf("entries %d: r6 = %d, fatal %v", entries, m.GPR[6], m.Fatal())
+	}
+	return m, pcs
+}
+
+// filledGroups lists the groups of t that are allocated.
+func filledGroups[T any](t *lazyTable[T]) (idx []int) {
+	for i, g := range t.groups {
+		if g != nil {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}
+
+// TestCachesAllocateWhatTheyFill: the predecode and superblock tables
+// allocate only the slot groups a run's instructions index, a program load
+// or state load drops them, and laziness moves no hit, miss, split or
+// invalidation count (the counts are pinned from the flat tables the lazy
+// ones replaced).
+func TestCachesAllocateWhatTheyFill(t *testing.T) {
+	m, pcs := runCachesLoop(t, DefaultICacheEntries)
+	indexed := map[int]bool{}
+	for _, pc := range pcs { // paging is off: a PC is its physical address
+		indexed[int(pc&m.icache.mask)/lazyGroup] = true
+	}
+	ic, sb := filledGroups(&m.icache.slots), filledGroups(&m.sb.slots)
+	if len(ic) != len(indexed) || len(sb) == 0 {
+		t.Errorf("groups allocated: predecode %v, superblock %v; the run indexes %d", ic, sb, len(indexed))
+	}
+	for _, g := range append(ic, sb...) {
+		if !indexed[g] {
+			t.Errorf("group %d allocated, but no executed instruction indexes it", g)
+		}
+	}
+	if len(indexed) >= len(m.icache.slots.groups)/8 {
+		t.Fatalf("the loop indexes %d of %d groups: too many to show laziness", len(indexed), len(m.icache.slots.groups))
+	}
+
+	blob := snap.Marshal(m)
+	m.LoadProgram(isa.MustAssemble(cachesLoop, 0x1000))
+	if ic, sb := filledGroups(&m.icache.slots), filledGroups(&m.sb.slots); ic != nil || sb != nil {
+		t.Errorf("LoadProgram left groups %v, %v", ic, sb)
+	}
+	m.StepBlock(func(trace.Entry) bool { return true })
+	m.Commit(m.IN() - 1)
+	if err := snap.Unmarshal(blob, m); err != nil {
+		t.Fatal(err)
+	}
+	if ic, sb := filledGroups(&m.icache.slots), filledGroups(&m.sb.slots); ic != nil || sb != nil {
+		t.Errorf("LoadState left groups %v, %v", ic, sb)
+	}
+
+	for _, tc := range []struct {
+		entries int
+		want    string
+	}{
+		// hits misses invalidations flushes | hits misses splits invalidations
+		{1, "0 222 20 1 0 81 20 0"},
+		{16, "0 147 20 1 37 44 20 38"},
+		{17, "19 128 20 1 37 44 20 38"},
+		{4096, "20 127 20 1 37 44 20 38"},
+	} {
+		m, _ := runCachesLoop(t, tc.entries)
+		ih, im, ii, ifl := m.ICacheStats()
+		sh, sm, ss, si := m.SuperblockStats()
+		if got := fmt.Sprint(ih, im, ii, ifl, sh, sm, ss, si); got != tc.want {
+			t.Errorf("entries %d: icache/superblock counts %q, want %q", tc.entries, got, tc.want)
+		}
 	}
 }

@@ -84,7 +84,7 @@ type sbBlock struct {
 // path (stores, coherence fan-out, rollback memory undo) covers blocks
 // for free.
 type sbCache struct {
-	slots   []sbBlock
+	slots   lazyTable[sbBlock]
 	mask    isa.Word
 	maxLen  int
 	ic      *icache
@@ -101,8 +101,8 @@ type sbCache struct {
 // (already a power of two) and caps blocks at maxLen instructions.
 func newSBCache(maxLen int, ic *icache) *sbCache {
 	return &sbCache{
-		slots:  make([]sbBlock, len(ic.slots)),
-		mask:   isa.Word(len(ic.slots) - 1),
+		slots:  newLazyTable[sbBlock](int(ic.mask) + 1),
+		mask:   ic.mask,
 		maxLen: maxLen,
 		ic:     ic,
 	}
@@ -110,8 +110,8 @@ func newSBCache(maxLen int, ic *icache) *sbCache {
 
 // probe looks up the block starting at physical address pa.
 func (c *sbCache) probe(pa isa.Word) *sbBlock {
-	e := &c.slots[pa&c.mask]
-	if len(e.ops) == 0 || e.pa != pa {
+	e := c.slots.peek(pa & c.mask)
+	if e == nil || len(e.ops) == 0 || e.pa != pa {
 		c.misses++
 		return nil
 	}
@@ -133,7 +133,7 @@ func (c *sbCache) flush() {
 	if c == nil {
 		return
 	}
-	clear(c.slots)
+	c.slots.drop()
 }
 
 // blockTerminator reports whether op must end a superblock: anything that
@@ -195,7 +195,7 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 	if len(ops) == 0 {
 		return nil
 	}
-	e := &c.slots[pa&c.mask]
+	e := c.slots.slot(pa & c.mask)
 	*e = sbBlock{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append(e.ops[:0], ops...)}
 	return e
 }

@@ -577,10 +577,9 @@ func dropDeadTemps(ops []UOp) []UOp {
 	return ops
 }
 
-// instantiate substitutes the decoded instruction's registers and immediates
-// into a template.
-func instantiate(tmpl []UOp, inst isa.Inst) []UOp {
-	out := make([]UOp, len(tmpl))
+// instantiate appends the template, with the decoded instruction's registers
+// and immediates substituted, to out.
+func instantiate(out, tmpl []UOp, inst isa.Inst) []UOp {
 	sub := func(m MReg) MReg {
 		switch m {
 		case PRd:
@@ -590,7 +589,7 @@ func instantiate(tmpl []UOp, inst isa.Inst) []UOp {
 		}
 		return m
 	}
-	for i, u := range tmpl {
+	for _, u := range tmpl {
 		u.Dst, u.A, u.B = sub(u.Dst), sub(u.A), sub(u.B)
 		switch u.ImmSrc {
 		case ImmFromImm:
@@ -598,7 +597,7 @@ func instantiate(tmpl []UOp, inst isa.Inst) []UOp {
 		case ImmFromDisp:
 			u.Imm, u.ImmSrc = int64(inst.Disp), ImmLit
 		}
-		out[i] = u
+		out = append(out, u)
 	}
 	return out
 }

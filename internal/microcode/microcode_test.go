@@ -357,14 +357,14 @@ func TestCompileArbitraryInputNeverPanics(t *testing.T) {
 // Precrack + Precracked.Crack.
 func referenceCrack(t *Table, inst isa.Inst, iterations int) Crack {
 	e := t.Entry(inst.Op)
-	body := instantiate(e.Template, inst)
+	body := instantiate(nil, e.Template, inst)
 	c := Crack{Valid: e.Valid}
 	if !inst.Rep {
 		c.UOps = body
 		c.Count = len(body)
 		return c
 	}
-	over := instantiate(t.RepOverhead(), inst)
+	over := instantiate(nil, t.RepOverhead(), inst)
 	c.UOps = append(body, over...)
 	if iterations < 1 {
 		c.UOps = over
@@ -386,7 +386,7 @@ func TestPrecrackMatchesCrack(t *testing.T) {
 		for _, rep := range []bool{false, true} {
 			inst := isa.Inst{Op: op, Rd: 3, Rs: 7, Imm: 5, Disp: -12, Size: 4, Rep: rep}
 			pre := tab.Precrack(inst)
-			for _, iters := range []int{0, 1, 3, 10} {
+			for _, iters := range []int{0, 1, 3, 5, 10} {
 				want := referenceCrack(tab, inst, iters)
 				for _, got := range []Crack{pre.Crack(iters), tab.Crack(inst, iters)} {
 					if got.Valid != want.Valid || got.Count != want.Count {
@@ -405,6 +405,20 @@ func TestPrecrackMatchesCrack(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestPrecrackOneAllocation: a Precracked is one µop slice, so memoizing an
+// instruction allocates once whether or not it carries a REP prefix.
+func TestPrecrackOneAllocation(t *testing.T) {
+	tab := NewTable()
+	for _, inst := range []isa.Inst{
+		{Op: isa.OpAddRR, Rd: 1, Rs: 2, Size: 2},
+		{Op: isa.OpMovs, Size: 2, Rep: true},
+	} {
+		if n := testing.AllocsPerRun(100, func() { tab.Precrack(inst) }); n != 1 {
+			t.Errorf("Precrack(%s rep=%v) allocates %v times, want 1", isa.Lookup(inst.Op).Name, inst.Rep, n)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package microcode
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/isa"
@@ -162,6 +163,9 @@ func NewTable() *Table {
 		if t.entries[op].Template == nil {
 			panic(fmt.Sprintf("microcode: opcode %s has no table entry", isa.Lookup(op).Name))
 		}
+		if len(t.entries[op].Template)+len(t.repOverhead) > math.MaxUint8 {
+			panic(fmt.Sprintf("microcode: opcode %s has too many µops for a Precracked", isa.Lookup(op).Name))
+		}
 	}
 	return t
 }
@@ -189,53 +193,48 @@ func (t *Table) Crack(inst isa.Inst, iterations int) Crack {
 }
 
 // Precracked is the memoized crack of one *static* instruction: its
-// register/immediate-instantiated µop slices. The functional model's
-// predecode cache stores one Precracked per cached instruction so
+// register/immediate-instantiated µops in one slice. ops[:nBody] is one
+// iteration of the body, ops[nBody:] the REP loop-control overhead (empty
+// without REP), so a REP iteration's µops are ops itself. The functional
+// model's predecode cache stores one Precracked per cached instruction so
 // steady-state execution re-instantiates nothing; only the dynamic REP
 // iteration count still varies per execution and is supplied to Crack.
 //
-// The memoized slices are shared by every Crack result (and therefore by
-// every trace entry) derived from them — they must be treated as
-// immutable, which the timing model already guarantees (it copies µops
-// into its own in-flight structures).
+// The memoized slice is shared by every Crack result (and therefore by
+// every trace entry) derived from it — it must be treated as immutable,
+// which the timing model already guarantees (it copies µops into its own
+// in-flight structures).
 type Precracked struct {
-	valid    bool
-	rep      bool
-	body     []UOp // one iteration, instantiated
-	over     []UOp // REP loop-control overhead (rep only)
-	combined []UOp // body followed by over (rep only)
+	valid bool
+	rep   bool
+	nBody uint8 // body length; NewTable keeps every body plus overhead within it
+	ops   []UOp
 }
 
 // Precrack instantiates the table templates for inst once, for reuse across
-// dynamic executions via Precracked.Crack.
+// dynamic executions via Precracked.Crack. It allocates one slice.
 func (t *Table) Precrack(inst isa.Inst) Precracked {
 	e := t.entries[inst.Op]
-	p := Precracked{valid: e.Valid, rep: inst.Rep, body: instantiate(e.Template, inst)}
+	var over []UOp
 	if inst.Rep {
-		p.over = instantiate(t.repOverhead, inst)
-		p.combined = make([]UOp, 0, len(p.body)+len(p.over))
-		p.combined = append(append(p.combined, p.body...), p.over...)
+		over = t.repOverhead
 	}
-	return p
+	ops := instantiate(make([]UOp, 0, len(e.Template)+len(over)), e.Template, inst)
+	return Precracked{valid: e.Valid, rep: inst.Rep, nBody: uint8(len(e.Template)), ops: instantiate(ops, over, inst)}
 }
 
 // Crack is the cracked form of one dynamic execution of the instruction this
 // Precracked was built from, without re-instantiating any template
 // (TestPrecrackMatchesCrack checks it against an independent expansion).
 func (p *Precracked) Crack(iterations int) Crack {
-	c := Crack{Valid: p.valid}
-	if !p.rep {
-		c.UOps = p.body
-		c.Count = len(p.body)
-		return c
+	c := Crack{Valid: p.valid, UOps: p.ops, Count: len(p.ops)}
+	switch {
+	case p.rep && iterations < 1:
+		c.UOps = p.ops[p.nBody:]
+		c.Count = len(c.UOps)
+	case p.rep:
+		c.Count = iterations * len(p.ops)
 	}
-	if iterations < 1 {
-		c.UOps = p.over
-		c.Count = len(p.over)
-		return c
-	}
-	c.UOps = p.combined
-	c.Count = iterations * (len(p.body) + len(p.over))
 	return c
 }
 

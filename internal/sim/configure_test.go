@@ -12,11 +12,12 @@ import (
 )
 
 // TestConfigureBudget bounds what one Configure of the fast engine on a
-// booted workload allocates, cold and warm-started: the per-engine caches
-// and the pages the kernel image (or the snapshot) occupies — not the
-// target's 16 MiB, and not a reassembled kernel.
+// booted workload allocates, cold and warm-started: the per-engine caches'
+// fixed parts and the pages the kernel image (or the snapshot) occupies —
+// not the target's 16 MiB, not a reassembled kernel, and not a predecode or
+// superblock slot before a run fills it.
 func TestConfigureBudget(t *testing.T) {
-	const maxBytes, maxObjects, runs = 1_500_000, 200, 10
+	const maxBytes, maxObjects, runs = 400_000, 150, 10
 	cold, warm := configurePoints(t) // also assembles the image, once
 	for _, tc := range []struct {
 		name string
