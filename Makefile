@@ -71,7 +71,8 @@ FUZZ_SMOKES := \
 	./internal/snap:FuzzCodec:20 \
 	./internal/tm:FuzzTMAgreement:20 \
 	./internal/fullsys:FuzzMemoryAgreement:20 \
-	./internal/fullsys:FuzzBusRollback:20
+	./internal/fullsys:FuzzBusRollback:20 \
+	./internal/cache:FuzzTLBAgreement:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

@@ -256,74 +256,90 @@ func (m *FixedMemory) Stats() Stats { return m.stats }
 // LRU structure tracking hit rates. Misses are *architecturally* handled by
 // the software fill handler whose instructions appear in the trace; the
 // timing structure only decides how often that happens in the target.
+//
+// An entry's LRU age is the number of touches since its own, saturated at
+// 255. Rather than aging every entry on every touch, the structure counts
+// touches in clock and stamps each entry with the count at its last touch,
+// so a touch is O(1) and age(i) = min(255, clock − last[i]) is derived only
+// when a miss picks a victim (or a snapshot writes the ages out).
 type TLBTiming struct {
 	entries []uint32
 	valid   []bool
-	age     []uint8
-	stats   Stats
+	last    []uint64
+	clock   uint64
+	// hint is the entry last touched, probed before the scan. It is always
+	// the first valid match for its VPN (a fill installs only a VPN no valid
+	// entry holds), so probing it first finds what the scan would.
+	hint  int
+	stats Stats
 }
 
 // NewTLBTiming builds an n-entry TLB timing model.
 func NewTLBTiming(n int) *TLBTiming {
-	return &TLBTiming{entries: make([]uint32, n), valid: make([]bool, n), age: make([]uint8, n)}
+	if n < 1 {
+		panic(fmt.Sprintf("cache: %d-entry TLB", n))
+	}
+	return &TLBTiming{entries: make([]uint32, n), valid: make([]bool, n), last: make([]uint64, n)}
 }
 
 // Access looks up vpn, filling on miss, and reports whether it hit.
 func (t *TLBTiming) Access(vpn uint32) bool {
 	t.stats.Accesses++
-	for i := range t.entries {
-		if t.valid[i] && t.entries[i] == vpn {
-			t.stats.Hits++
-			t.touch(i)
-			return true
-		}
+	if i, ok := t.lookup(vpn); ok {
+		t.stats.Hits++
+		t.touch(i)
+		return true
 	}
 	t.stats.Misses++
-	victim, oldest := 0, uint8(0)
-	for i := range t.entries {
-		if !t.valid[i] {
-			victim = i
-			break
-		}
-		if t.age[i] >= oldest {
-			victim, oldest = i, t.age[i]
-		}
-	}
-	t.entries[victim], t.valid[victim] = vpn, true
-	t.touch(victim)
+	t.fill(vpn)
 	return false
 }
 
 // Insert mirrors a software TLB fill carried in the trace (§2: "data
 // written to special registers, such as software-filled TLB entries").
 func (t *TLBTiming) Insert(vpn uint32) {
-	for i := range t.entries {
-		if t.valid[i] && t.entries[i] == vpn {
-			t.touch(i)
-			return
+	if i, ok := t.lookup(vpn); ok {
+		t.touch(i)
+		return
+	}
+	t.fill(vpn)
+}
+
+// lookup returns the first valid entry holding vpn.
+func (t *TLBTiming) lookup(vpn uint32) (int, bool) {
+	if h := t.hint; t.valid[h] && t.entries[h] == vpn {
+		return h, true
+	}
+	for i, e := range t.entries {
+		if e == vpn && t.valid[i] {
+			return i, true
 		}
 	}
+	return 0, false
+}
+
+// fill installs vpn in the first invalid entry, or else in the last of the
+// oldest.
+func (t *TLBTiming) fill(vpn uint32) {
 	victim, oldest := 0, uint8(0)
 	for i := range t.entries {
 		if !t.valid[i] {
 			victim = i
 			break
 		}
-		if t.age[i] >= oldest {
-			victim, oldest = i, t.age[i]
+		if a := t.age(i); a >= oldest {
+			victim, oldest = i, a
 		}
 	}
 	t.entries[victim], t.valid[victim] = vpn, true
 	t.touch(victim)
 }
 
+func (t *TLBTiming) age(i int) uint8 { return uint8(min(255, t.clock-t.last[i])) }
+
 func (t *TLBTiming) touch(i int) {
-	for k := range t.age {
-		if t.age[k] < 255 {
-			t.age[k]++
-		}
-	}
-	t.age[i] = 0
+	t.clock++
+	t.last[i], t.hint = t.clock, i
 }
 
 // Stats returns TLB counters.

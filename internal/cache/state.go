@@ -41,14 +41,26 @@ func (m *FixedMemory) State(s *snap.Codec) {
 	m.stats.state(s)
 }
 
-// State walks the TLB timing structure's dynamic state.
+// State walks the TLB timing structure's dynamic state. The wire carries
+// each entry's saturated LRU age, one byte, not its stamp: a load re-bases
+// the ages as stamps behind the receiver's clock (modulo 2⁶⁴, which the
+// age subtraction undoes).
 func (t *TLBTiming) State(s *snap.Codec) {
 	s.Version("tlb", cacheStateV)
 	s.Len("tlb timing entries", len(t.entries))
 	s.U32s(t.entries)
 	s.Bools(t.valid)
-	s.Raw(t.age)
+	for i := range t.last {
+		a := t.age(i)
+		s.U8(&a)
+		if s.Loading() {
+			t.last[i] = t.clock - uint64(a)
+		}
+	}
 	t.stats.state(s)
+	if s.Loading() {
+		t.hint = 0 // entry 0 is its VPN's first match whatever the blob holds
+	}
 }
 
 // state walks one directory entry. Sharer bits and the owner index the

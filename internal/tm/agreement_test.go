@@ -130,6 +130,24 @@ func TestTMAgreement(t *testing.T) {
 			rep movs
 			halt
 		`, 1000),
+		// A loop-carried chain of FPU µops feeding a store: it fills the
+		// stations until only an FPU µop can wake issue, and the memory head
+		// waits on an FPU result. (FP arithmetic is NOP-replaced microcode,
+		// §4.3; fmov and i2f are the FPU-class µops.)
+		"fpu": record(t, `
+			movi r1, 0x2000
+			movi r0, 150
+			i2f  f1, r0
+		loop:
+			fmov f2, f1
+			fmov f1, f2
+			fmov f2, f1
+			fmov f1, f2
+			fst  f1, [r1+8]
+			dec  r0
+			jnz  loop
+			halt
+		`, 10000),
 		"rep-stos-0":    repStoreTrace(0),
 		"rep-stos-1":    repStoreTrace(1),
 		"rep-stos-4096": repStoreTrace(4096),
@@ -154,13 +172,25 @@ func TestTMAgreement(t *testing.T) {
 	small.ROBEntries, small.RSEntries, small.LSQEntries = 8, 4, 2
 	perfect := DefaultConfig()
 	perfect.Predictor = "perfect"
+	// One row per source of issue's wake cycle: a single busy MSHR, a
+	// second blocking LSU, producers that complete in their issue cycle
+	// (which pins the non-memory-then-memory scan order) and a long FPU.
+	mshr1, lsu2, zeroLat, slowFPU := DefaultConfig(), DefaultConfig(), DefaultConfig(), DefaultConfig()
+	mshr1.MSHRs = 1
+	lsu2.LoadStoreUnits = 2
+	zeroLat.ALULatency, zeroLat.BranchLatency = 0, 0
+	slowFPU.FPULatency = 20
 	configs := map[string]Config{
-		"default": DefaultConfig(),
-		"perfect": perfect,
-		"future":  DefaultConfig().WithFutureMicroarch(),
-		"small":   small,
-		"width1":  DefaultConfig().WithIssueWidth(1),
-		"width4":  DefaultConfig().WithIssueWidth(4),
+		"default":      DefaultConfig(),
+		"perfect":      perfect,
+		"future":       DefaultConfig().WithFutureMicroarch(),
+		"small":        small,
+		"width1":       DefaultConfig().WithIssueWidth(1),
+		"width4":       DefaultConfig().WithIssueWidth(4),
+		"mshr1":        mshr1,
+		"lsu2":         lsu2,
+		"zero-latency": zeroLat,
+		"slow-fpu":     slowFPU,
 	}
 	for tn, entries := range traces {
 		for cn, cfg := range configs {
@@ -170,12 +200,13 @@ func TestTMAgreement(t *testing.T) {
 }
 
 // fuzzOps are the static instructions FuzzTMAgreement draws from: every
-// functional-unit class, every branch flavour the front end treats
+// functional-unit class (fmov for the FPU: FP arithmetic is NOP-replaced
+// microcode, §4.3), every branch flavour the front end treats
 // differently, string instructions with and without REP, and the
 // µop-less fetch-fault placeholder (the zero Inst).
 var fuzzOps = []isa.Inst{
 	{Op: isa.OpMovRI}, {Op: isa.OpAddRR}, {Op: isa.OpMulRR}, {Op: isa.OpDivRR}, {Op: isa.OpCmpRR},
-	{Op: isa.OpLdW}, {Op: isa.OpStW}, {Op: isa.OpPush}, {Op: isa.OpPop}, {Op: isa.OpFAdd}, {Op: isa.OpFLd},
+	{Op: isa.OpLdW}, {Op: isa.OpStW}, {Op: isa.OpPush}, {Op: isa.OpPop}, {Op: isa.OpFMov}, {Op: isa.OpFLd},
 	{Op: isa.OpJz}, {Op: isa.OpJnz}, {Op: isa.OpJmp}, {Op: isa.OpJmpR}, {Op: isa.OpCall}, {Op: isa.OpRet}, {Op: isa.OpLoop},
 	{Op: isa.OpMovs}, {Op: isa.OpMovs, Rep: true}, {Op: isa.OpStos, Rep: true}, {Op: isa.OpCmps, Rep: true},
 	{Op: isa.OpTlbWr}, {Op: isa.OpOut}, {Op: isa.OpSyscall}, {},
@@ -197,6 +228,16 @@ func fuzzCase(data []byte) ([]trace.Entry, Config) {
 		cfg.ROBEntries, cfg.RSEntries, cfg.LSQEntries = 8, 4, 2
 	}
 	cfg.Predictor = []string{"gshare", "perfect", "2bit", "95%"}[sel>>4&3]
+	// Bits 6–7 pick TestTMAgreement's wake-source rows: mshr1, lsu2, or
+	// zero-latency and slow-fpu together.
+	switch sel >> 6 {
+	case 1:
+		cfg.MSHRs = 1
+	case 2:
+		cfg.LoadStoreUnits, cfg.MSHRs = 2, 0
+	case 3:
+		cfg.ALULatency, cfg.BranchLatency, cfg.FPULatency = 0, 0, 20
+	}
 
 	tab := microcode.NewTable()
 	var entries []trace.Entry

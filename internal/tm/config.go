@@ -125,8 +125,14 @@ func (c Config) Validate() error {
 		return fmt.Errorf("tm: ROB %d smaller than issue width", c.ROBEntries)
 	case c.RSEntries < 1 || c.LSQEntries < 1:
 		return fmt.Errorf("tm: empty RS or LSQ")
-	case c.ALUs < 1 || c.BranchUnits < 1 || c.LoadStoreUnits < 1:
+	case c.ALUs < 1 || c.BranchUnits < 1 || c.LoadStoreUnits < 1 || c.FPUs < 1:
 		return fmt.Errorf("tm: missing functional units")
+	case c.ITLBEntries < 1 || c.DTLBEntries < 1:
+		return fmt.Errorf("tm: empty iTLB or dTLB")
+	case min(c.ALULatency, c.BranchLatency, c.FPULatency, c.StoreLatency, c.TLBMissPenalty, c.MemLatency) < 0:
+		return fmt.Errorf("tm: negative latency")
+	case c.MSHRs < 0:
+		return fmt.Errorf("tm: %d MSHRs", c.MSHRs)
 	case c.MaxNestedBranches < 1:
 		return fmt.Errorf("tm: max nested branches %d", c.MaxNestedBranches)
 	case c.FrontEndDepth < 1:

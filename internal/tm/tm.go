@@ -2,7 +2,9 @@ package tm
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 
 	"repro/internal/bpred"
@@ -174,11 +176,20 @@ type TM struct {
 	decIdx  int
 	decLeft uint64
 
-	// rs lists the µops renamed into the ROB and not yet issued, oldest
-	// first — the occupied reservation stations, which is all issue has to
-	// look at.
-	rs       []uint64
-	lsqCount int
+	// The occupied reservation stations, which is all issue has to look at:
+	// rs lists the renamed, unissued non-memory µops oldest first, and memQ
+	// is the in-order memory port's FIFO of unissued memory µops (a ring
+	// addressed by the monotonic memHead/memTail), of which only the head
+	// can issue. Together they hold at most RSEntries µops.
+	rs               []uint64
+	memQ             []uint64
+	memMask          uint64
+	memHead, memTail uint64
+	lsqCount         int
+	// wake is the earliest cycle at which issue could do anything: a scan
+	// that issues nothing sets it, dispatch clears it, and until then issue
+	// returns at once.
+	wake uint64
 	// Rename table: the youngest writer of each µop register and of the
 	// condition codes, as sequence number + 1 (0 = none).
 	regWriter [256]uint64
@@ -246,6 +257,7 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 	queue := 4 * cfg.IssueWidth
 	uopCap := 1 << bits.Len(uint(cfg.ROBEntries+queue))
 	instrCap := 1 << bits.Len(uint(queue+1+uopCap))
+	memCap := 1 << bits.Len(uint(cfg.RSEntries-1))
 	t := &TM{
 		cfg:       cfg,
 		src:       src,
@@ -262,6 +274,8 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 		instrs:    make([]instr, instrCap),
 		instrMask: uint64(instrCap - 1),
 		rs:        make([]uint64, 0, cfg.RSEntries),
+		memQ:      make([]uint64, memCap),
+		memMask:   uint64(memCap - 1),
 		lsuFreeAt: make([]uint64, cfg.LoadStoreUnits),
 		// An unresolved branch µop is still in the ROB; issue stops at MSHRs
 		// outstanding misses.
@@ -443,66 +457,54 @@ func (t *TM) latency(u *uop) uint64 {
 	}
 }
 
-// depsReady reports whether all of u's producers have completed. A producer
-// below robHead has committed — so it completed in this cycle or an earlier
-// one, and cycles only grow; its slot may already hold a younger µop and is
-// not consulted.
-func (t *TM) depsReady(u *uop) bool {
+// readyAt returns the cycle from which all of u's producers have completed,
+// or ok = false while one of them has not issued. A producer below robHead
+// has committed — so it completed in this cycle or an earlier one, and
+// cycles only grow; its slot may already hold a younger µop and is not
+// consulted.
+func (t *TM) readyAt(u *uop) (at uint64, ok bool) {
 	for _, d := range u.deps {
-		if d > t.robHead && !t.uop(d-1).doneBy(t.cycle) {
-			return false
+		if d > t.robHead {
+			p := t.uop(d - 1)
+			if !p.issued {
+				return 0, false
+			}
+			at = max(at, p.doneCycle)
 		}
 	}
-	return true
+	return at, true
 }
 
-// issue selects ready µops oldest-first from the reservation stations and
-// sends them to functional units.
+// issue selects ready µops oldest-first from the non-memory stations, then
+// considers the memory port's head, and sends them to functional units.
+//
+// Scanning the memory head last keeps the old single age-ordered scan's
+// decisions: a memory µop's latency is at least 1, so nothing it produces
+// can issue in its cycle, and a zero-latency producer of it is scanned
+// first, as its age already put it.
+//
+// A scan that issues nothing records in wake the earliest cycle anything
+// could change: the ready cycle of each station whose producers have all
+// issued, and for a ready memory head the next free LSU or, with every MSHR
+// busy, the next miss to complete. A station with an unissued producer
+// needs no entry — that producer waits in a station too and issues only at
+// a scan — so no scan before wake can issue, and issue skips them.
 func (t *TM) issue(w *workCounts) {
+	if t.cycle < t.wake {
+		return
+	}
 	aluLeft := t.cfg.ALUs
 	bruLeft := t.cfg.BranchUnits
 	fpuLeft := t.cfg.FPUs
-	memIssued := false
+	wake := uint64(math.MaxUint64)
 	for _, seq := range t.rs {
 		u := t.uop(seq)
-		if u.isMem {
-			if memIssued {
-				continue
-			}
-			// In-order memory issue (blocking caches): whether or not the
-			// oldest waiting memory µop issues, younger ones cannot bypass it.
-			memIssued = true
-			if !t.depsReady(u) {
-				continue
-			}
-			lsu := -1
-			for i, freeAt := range t.lsuFreeAt {
-				if freeAt <= t.cycle {
-					lsu = i
-					break
-				}
-			}
-			if lsu < 0 {
-				continue
-			}
-			if t.cfg.MSHRs > 0 && len(t.pendingMisses) >= t.cfg.MSHRs {
-				continue // all miss-status registers busy
-			}
-			lat := t.memLatency(u)
-			if t.cfg.MSHRs > 0 {
-				// Non-blocking cache (§4.1 fix): the LSU frees after the
-				// issue cycle; the miss rides an MSHR.
-				t.lsuFreeAt[lsu] = t.cycle + 1
-				if lat > uint64(t.cfg.L1D.HitLatency)+1 {
-					t.pendingMisses = append(t.pendingMisses, seq)
-				}
-			} else {
-				t.lsuFreeAt[lsu] = t.cycle + lat // blocking LSU
-			}
-			t.issueUop(seq, lat, w)
+		at, ok := t.readyAt(u)
+		if !ok {
 			continue
 		}
-		if !t.depsReady(u) {
+		if at > t.cycle {
+			wake = min(wake, at)
 			continue
 		}
 		switch u.class {
@@ -534,6 +536,60 @@ func (t *TM) issue(w *workCounts) {
 		}
 		t.rs = waiting
 	}
+	if t.memHead != t.memTail {
+		wake = min(wake, t.issueMem(w))
+	}
+	if w.issued == 0 {
+		t.wake = wake
+	}
+}
+
+// issueMem issues the memory port's head if it can (blocking caches: younger
+// memory µops never bypass it). Otherwise it returns the earliest cycle at
+// which that could change, or MaxUint64 while a producer has not issued.
+func (t *TM) issueMem(w *workCounts) uint64 {
+	seq := t.memQ[t.memHead&t.memMask]
+	u := t.uop(seq)
+	at, ok := t.readyAt(u)
+	switch {
+	case !ok:
+		return math.MaxUint64
+	case at > t.cycle:
+		return at
+	}
+	lsu := -1
+	for i, freeAt := range t.lsuFreeAt {
+		if freeAt <= t.cycle {
+			lsu = i
+			break
+		}
+	}
+	if lsu < 0 {
+		return slices.Min(t.lsuFreeAt)
+	}
+	if t.cfg.MSHRs > 0 && len(t.pendingMisses) >= t.cfg.MSHRs {
+		// All miss-status registers busy: resolveBranches frees the first
+		// at its doneCycle.
+		next := uint64(math.MaxUint64)
+		for _, m := range t.pendingMisses {
+			next = min(next, t.uop(m).doneCycle)
+		}
+		return next
+	}
+	lat := t.memLatency(u)
+	if t.cfg.MSHRs > 0 {
+		// Non-blocking cache (§4.1 fix): the LSU frees after the issue
+		// cycle; the miss rides an MSHR.
+		t.lsuFreeAt[lsu] = t.cycle + 1
+		if lat > uint64(t.cfg.L1D.HitLatency)+1 {
+			t.pendingMisses = append(t.pendingMisses, seq)
+		}
+	} else {
+		t.lsuFreeAt[lsu] = t.cycle + lat // blocking LSU
+	}
+	t.issueUop(seq, lat, w)
+	t.memHead++
+	return math.MaxUint64
 }
 
 func (t *TM) issueUop(seq, lat uint64, w *workCounts) {
@@ -583,7 +639,7 @@ func (t *TM) dispatch(w *workCounts) {
 			t.Stats.ROBFullStalls++
 			return
 		}
-		if len(t.rs) >= t.cfg.RSEntries {
+		if len(t.rs)+int(t.memTail-t.memHead) >= t.cfg.RSEntries {
 			t.Stats.RSFullStalls++
 			return
 		}
@@ -594,10 +650,14 @@ func (t *TM) dispatch(w *workCounts) {
 		}
 		t.uopQ.Get(t.cycle)
 		t.robTail++ // rename is in order: seq was the head of the rename queue
-		t.rs = append(t.rs, seq)
 		if u.isMem {
+			t.memQ[t.memTail&t.memMask] = seq
+			t.memTail++
 			t.lsqCount++
+		} else {
+			t.rs = append(t.rs, seq)
 		}
+		t.wake = 0 // a new station can issue next cycle
 		w.renamed++
 	}
 }

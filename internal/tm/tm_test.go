@@ -337,6 +337,16 @@ func TestConfigValidate(t *testing.T) {
 		func(c *Config) { c.ALUs = 0 },
 		func(c *Config) { c.MaxNestedBranches = 0 },
 		func(c *Config) { c.FrontEndDepth = 0 },
+		func(c *Config) { c.FPUs = 0 },        // an FPU µop would never issue
+		func(c *Config) { c.ITLBEntries = 0 }, // NewTLBTiming(0) cannot fill
+		func(c *Config) { c.DTLBEntries = 0 },
+		func(c *Config) { c.ALULatency = -1 }, // uint64 wrap: never completes
+		func(c *Config) { c.BranchLatency = -1 },
+		func(c *Config) { c.FPULatency = -1 },
+		func(c *Config) { c.StoreLatency = -1 },
+		func(c *Config) { c.TLBMissPenalty = -1 },
+		func(c *Config) { c.MemLatency = -1 },
+		func(c *Config) { c.MSHRs = -1 },
 	}
 	for i, f := range bad {
 		c := DefaultConfig()
