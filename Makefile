@@ -72,7 +72,8 @@ FUZZ_SMOKES := \
 	./internal/tm:FuzzTMAgreement:20 \
 	./internal/fullsys:FuzzMemoryAgreement:20 \
 	./internal/fullsys:FuzzBusRollback:20 \
-	./internal/cache:FuzzTLBAgreement:20
+	./internal/cache:FuzzTLBAgreement:20 \
+	./internal/trace:FuzzBufferAgreement:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

@@ -174,7 +174,7 @@ func main() {
 		m := fm.New(fmCfg)
 		m.LoadProgram(tb.Kernel)
 		n := 0
-		if err := m.Run(func(e trace.Entry) bool {
+		if err := m.Run(func(e *trace.Entry) bool {
 			fmt.Println(" ", e)
 			n++
 			return n < *traceN

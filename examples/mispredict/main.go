@@ -51,7 +51,7 @@ func main() {
 			if !ok {
 				return
 			}
-			app.TryAppend(e)
+			app.Append(&e)
 			star := ""
 			if model.JournalLen() > 0 && e.IN >= 5 && model.Rollbacks > 0 && model.Rollbacks%2 == 1 {
 				star = "*" // wrong-path marker, as in the figure
@@ -64,9 +64,9 @@ func main() {
 	produce(6) // through the branch and beyond
 
 	branchIN := uint64(5) // the jz
-	var view [1]trace.Entry
-	tb.TryFetchChunk(branchIN, view[:])
-	entry := view[0]
+	// The TM reads the published slot in place and keeps its own copy: the
+	// re-steers below rewrite the slots after the branch.
+	entry := tb.View(branchIN)[0]
 	fmt.Printf("\nTM    fetches the branch #%d: architecturally %v (taken=%v)\n",
 		branchIN, isa.Lookup(entry.Op).Name, entry.Taken)
 	fmt.Println("TM    predicts TAKEN -> mis-speculation: notify the FM to produce")

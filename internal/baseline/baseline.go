@@ -169,8 +169,8 @@ func (s *stream) refill() error {
 
 // fill is the sink refill runs m into: it stops the run at a full chunk or
 // at the instruction bound.
-func (s *stream) fill(e trace.Entry) bool {
-	s.chunk = append(s.chunk, e)
+func (s *stream) fill(e *trace.Entry) bool {
+	s.chunk = append(s.chunk, *e)
 	return len(s.chunk) < cap(s.chunk) && e.IN+1 != s.maxInst
 }
 

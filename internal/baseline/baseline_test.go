@@ -137,7 +137,7 @@ func TestStreamingReplayMatchesRecordedTrace(t *testing.T) {
 	m := fm.New(fmCfg())
 	m.LoadProgram(load())
 	var recorded []trace.Entry
-	if err := m.Run(func(e trace.Entry) bool { recorded = append(recorded, e); return true }); err != nil {
+	if err := m.Run(func(e *trace.Entry) bool { recorded = append(recorded, *e); return true }); err != nil {
 		t.Fatal(err)
 	}
 	oracle, err := tm.New(tm.DefaultConfig(), &tm.SliceSource{Entries: recorded}, nil)

@@ -185,13 +185,11 @@ type Sim struct {
 	TM  *tm.TM
 	TB  *trace.Buffer
 
-	// app is the producer-side chunking façade over TB: the FM appends
-	// into a locally-owned chunk and publishes per chunk. pump flushes it
-	// before every TM.Step, so entry visibility at cycle boundaries — and
-	// therefore every architectural result — is independent of the chunk
-	// size.
-	app     *trace.Appender
-	viewBuf []trace.Entry // source.FetchChunk scratch (TM side)
+	// app is the producer side of TB: the FM's entries are written straight
+	// into their ring slots and published per chunk. pump flushes it before
+	// every TM.Step, so entry visibility at cycle boundaries — and therefore
+	// every architectural result — is independent of the chunk size.
+	app *trace.Appender
 
 	link *hostlink.Link
 	// pendingWords accumulates the trace words of the open chunk; the
@@ -237,9 +235,9 @@ type Sim struct {
 	trackUser bool
 	sawUser   bool
 
-	// sink is the bound pumpSink handed to FM.StepBlock, created once at
+	// sink is the bound pumpSink handed to FM.Produce, created once at
 	// construction (a fresh method value per call would allocate).
-	sink func(trace.Entry) bool
+	sink func(*trace.Entry) bool
 
 	err error
 }
@@ -288,7 +286,6 @@ func newSim(cfg Config, async *asyncLink) (*Sim, error) {
 	s.sink = s.pumpSink
 	s.app = s.TB.NewAppender(cfg.TraceChunk)
 	s.app.OnFlush = s.onFlush
-	s.viewBuf = make([]trace.Entry, s.app.ChunkSize())
 	s.chunkH = cfg.Telemetry.Histogram(
 		obs.L("core_trace_chunk_entries", "coupling", coupling), obs.ChunkBuckets)
 	if tlog := cfg.Telemetry.TraceLog(); tlog != nil {
@@ -314,16 +311,16 @@ func (s *Sim) terminal() bool { return s.FM.Terminal() }
 
 // pump lets the functional model spend its accumulated host-time budget
 // producing trace entries (running ahead speculatively, §3). Entries land
-// in the appender's local chunk; the trailing Flush publishes the partial
-// chunk so the TM.Step that follows sees exactly what per-entry coupling
-// would have shown it. The FM runs a superblock at a time (StepBlock, which
-// degrades to one instruction where no block can run); pumpSink re-checks
-// the loop predicates after every entry, so the block path stops at exactly
-// the instruction per-instruction stepping would.
+// in their ring slots unpublished; the trailing Flush publishes them so the
+// TM.Step that follows sees exactly what per-entry coupling would have shown
+// it. The FM runs a superblock at a time (Produce, which degrades to one
+// instruction where no block can run); pumpSink re-checks the loop
+// predicates after every entry, so the block path stops at exactly the
+// instruction per-instruction stepping would.
 func (s *Sim) pump() {
 	// A halted FM produces nothing: idle time passes at the TM's rate.
 	for !s.terminal() && !s.FM.Halted() && s.room() {
-		if s.FM.StepBlock(s.sink) == 0 {
+		if s.FM.Produce(s.sink) == 0 {
 			break
 		}
 	}
@@ -340,9 +337,9 @@ func (s *Sim) room() bool {
 
 // pumpSink accounts one produced entry and reports whether the current
 // superblock may keep running.
-func (s *Sim) pumpSink(e trace.Entry) bool {
-	s.budget -= s.entryCost(&e)
-	if !s.app.TryAppend(e) {
+func (s *Sim) pumpSink(e *trace.Entry) bool {
+	s.budget -= s.entryCost(e)
+	if !s.app.Append(e) {
 		panic("core: trace buffer overflow despite occupancy check")
 	}
 	return s.room()
@@ -374,14 +371,14 @@ func (s *Sim) onFlush(entries, occupancy int) {
 }
 
 // entryCost charges one produced entry to the FM side — execution, its
-// share of the chunk's burst write, the periodic poll, and the wrong-path
-// count — and returns the host time it cost. The burst cost is charged
+// share of the chunk's burst write at the FM's own encoding, the periodic
+// poll, and the wrong-path count — and returns the host time it cost. The burst cost is charged
 // here, per entry (keeping the host-time arithmetic chunk-size-independent);
 // the words accumulate and are recorded against the link when the chunk
 // publishes.
 func (s *Sim) entryCost(e *trace.Entry) float64 {
 	cost := s.cfg.FMNanosPerInst
-	words := trace.DefaultEncoding.Words(e)
+	words := s.FM.Encoding().Words(e)
 	cost += s.link.BurstNanos(words)
 	s.pendingWords += words
 	if e.Branch {
@@ -591,14 +588,14 @@ func (s *Sim) publishRun(r Result) {
 // source adapts the Sim to the TM's Source interface (TM side).
 type source Sim
 
-// FetchChunk implements tm.Source: the TM pulls a run of live entries
-// with one buffer lock, then consumes the view lock-free until it drains or
-// a re-steer drops it. What a miss does is the policy's: inline it is a
-// fetch bubble (pump flushes before every TM.Step, so the live set the view
-// captures is exactly what per-entry fetches would have seen); under the
-// producer policy it blocks on the link's notify channel (the buffer itself
-// never blocks) until the FM goroutine publishes, so host-scheduling hiccups
-// do not masquerade as target fetch bubbles.
+// FetchChunk implements tm.Source: the TM's view is the buffer's own
+// published slots (TB.View), read in place until it drains or a re-steer
+// drops it. What a miss does is the policy's: inline it is a fetch bubble
+// (pump flushes before every TM.Step, so the live set the view captures is
+// exactly what per-entry fetches would have seen); under the producer policy
+// it blocks on the link's notify channel (the buffer itself never blocks)
+// until the FM goroutine publishes, so host-scheduling hiccups do not
+// masquerade as target fetch bubbles.
 //
 // The stream ends only when the FM is halted forever on the RIGHT path (a
 // wrong-path HALT is speculative and the pending resolution will roll it
@@ -609,8 +606,8 @@ type source Sim
 func (src *source) FetchChunk(in uint64) ([]trace.Entry, tm.FetchStatus) {
 	s := (*Sim)(src)
 	for {
-		if n := s.TB.TryFetchChunk(in, s.viewBuf); n > 0 {
-			return s.viewBuf[:n], tm.FetchOK
+		if v := s.TB.View(in); v != nil {
+			return v, tm.FetchOK
 		}
 		if s.async == nil {
 			if in >= s.app.NextIN() && s.terminal() && !s.wrongPath {

@@ -108,11 +108,15 @@ func (a *asyncLink) tick() {
 }
 
 // produce is the FM goroutine under the producer policy: it speculatively
-// runs ahead, appending trace entries into the chunk, and applies the TM's
-// commands. It never reads TM state.
+// runs ahead, appending trace entries into their ring slots, and applies
+// the TM's commands. It never reads TM state.
 func (s *Sim) produce() {
 	a := s.async
-	var pending *trace.Entry
+	// pending is a copy of the first entry that did not fit (parked is set
+	// while it waits): the FM's own entry is rewritten by its next
+	// instruction.
+	var pending trace.Entry
+	parked := false
 	// idleLimit guards against a hung target (HALT with interrupts enabled
 	// but no interrupt source): after this many idle ticks with no wake,
 	// the stream is declared over.
@@ -120,13 +124,11 @@ func (s *Sim) produce() {
 	idleTicks := uint64(0)
 	// emit accounts one produced entry and parks the first that does not
 	// fit (stopping a superblock). One closure for the goroutine's
-	// lifetime, parking a fresh copy so the parameter itself never escapes
-	// — the hot path stays allocation-free.
-	emit := func(e trace.Entry) bool {
-		s.entryCost(&e)
-		if !s.app.TryAppend(e) {
-			parked := e
-			pending = &parked
+	// lifetime — the hot path stays allocation-free.
+	emit := func(e *trace.Entry) bool {
+		s.entryCost(e)
+		if !s.app.Append(e) {
+			pending, parked = *e, true
 			return false
 		}
 		return true
@@ -137,7 +139,7 @@ func (s *Sim) produce() {
 	serve := func(c command) {
 		s.apply(c)
 		if c.ack != nil {
-			pending = nil
+			parked = false
 			a.terminal.Store(false)
 			close(c.ack)
 		}
@@ -156,11 +158,11 @@ func (s *Sim) produce() {
 			}
 			break
 		}
-		if pending != nil {
+		if parked {
 			if pending.IN >= s.FM.IN() {
-				pending = nil // rolled back underneath us
-			} else if s.app.TryAppend(*pending) {
-				pending = nil
+				parked = false // rolled back underneath us
+			} else if s.app.Append(&pending) {
+				parked = false
 			} else {
 				// Buffer full: we have run as far ahead as allowed. Publish
 				// the partial chunk (the capacity gate guarantees it fits)
@@ -214,6 +216,6 @@ func (s *Sim) produce() {
 		// are drained once per block rather than per instruction; this
 		// coupling is asynchronous by design (§3.3), so command latency is a
 		// performance knob, not an architectural one.
-		s.FM.StepBlock(emit)
+		s.FM.Produce(emit)
 	}
 }

@@ -99,7 +99,7 @@ func runFM(spec workload.Spec, maxInst uint64) (*fm.Model, *workload.Boot, error
 	cfg.Devices = boot.Devices()
 	m := fm.New(cfg)
 	m.LoadProgram(boot.Kernel)
-	if err := m.Run(func(e trace.Entry) bool { return e.IN+1 < maxInst }); err != nil {
+	if err := m.Run(func(e *trace.Entry) bool { return e.IN+1 < maxInst }); err != nil {
 		return nil, nil, fmt.Errorf("%s: %w", spec.Name, err)
 	}
 	return m, boot, nil

@@ -16,8 +16,17 @@ import (
 // target is halted or has hit a fatal condition (see Fatal) — no entry is
 // produced then.
 func (m *Model) Step() (trace.Entry, bool) {
-	if m.halted || m.fatal != nil {
+	if !m.step() {
 		return trace.Entry{}, false
+	}
+	return m.ent, true
+}
+
+// step is Step leaving the entry in the Model's scratch entry, where it
+// stays valid until the next instruction.
+func (m *Model) step() bool {
+	if m.halted || m.fatal != nil {
+		return false
 	}
 	m.beginInstruction()
 	now := m.Now()
@@ -38,7 +47,7 @@ func (m *Model) Step() (trace.Entry, bool) {
 			}
 			if !m.deliverTrap(uint8(isa.VecIRQBase+line), m.PC, 0) {
 				m.abortInstruction()
-				return trace.Entry{}, false
+				return false
 			}
 			interrupted = true
 		}
@@ -61,13 +70,13 @@ func (m *Model) Step() (trace.Entry, bool) {
 	if m.fatal != nil {
 		// An unhandled trap, raised by the instruction or for its fault.
 		m.abortInstruction()
-		return trace.Entry{}, false
+		return false
 	}
 	m.finishEntry(e, p)
-	return *e, true
+	return true
 }
 
-// issue is the per-instruction body Step and StepBlock share: it starts the
+// issue is the per-instruction body Step and Produce share: it starts the
 // Model's scratch entry for the predecoded instruction p fetched from virtual
 // address pc / physical address ppc — cleared, then filled by field stores,
 // never built as a value and copied in — and executes it. The caller finishes

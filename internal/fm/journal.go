@@ -351,7 +351,7 @@ func (j *journalEngine) setPC(m *Model, in uint64, pc uint32) error {
 		for m.in < in {
 			// Each replayed Step opens a fresh per-instruction record, so
 			// the replayed prefix stays rollback-able.
-			if _, ok := m.Step(); !ok {
+			if !m.step() {
 				return fmt.Errorf("fm: journal replay stalled at IN %d (target %d)", m.in, in)
 			}
 		}
@@ -546,7 +546,7 @@ func (c *checkpointEngine) setPC(m *Model, in uint64, pc uint32) error {
 			m.AdvanceIdle(idleLog[li].ticks)
 			li++
 		}
-		if _, ok := m.Step(); !ok {
+		if !m.step() {
 			if m.halted && li < len(idleLog) && idleLog[li].afterIN == m.in {
 				continue // consume the next idle event
 			}

@@ -752,7 +752,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					t.Errorf("%s: %v allocs per 64-instruction chunk, want 0", name, allocs)
 				}
 				left := 0
-				until := func(trace.Entry) bool { left--; return left > 0 }
+				until := func(*trace.Entry) bool { left--; return left > 0 }
 				driven := func() {
 					left = 64
 					if err := m.Run(until); err != nil {

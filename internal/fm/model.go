@@ -19,11 +19,12 @@
 // static instruction (predecoded: the decoded form, its µop instantiation,
 // the trace's register names); a predecode-cache slot embeds it, a superblock
 // op carries a copy, and the cache-off fetch returns it from a scratch. Step
-// and StepBlock run every instruction through one body (issue) that
-// assembles the trace entry in the Model's one scratch entry and finishes it
-// in place; the entry is copied only where the API is by value — Step's
-// return and StepBlock's sink call. Run is the one loop that drives the
-// target down the right path when no timing model is steering it.
+// and Produce run every instruction through one body (issue) that assembles
+// the trace entry in the Model's one scratch entry and finishes it in place;
+// Produce and Run hand the sink a pointer to it, and the entry is copied only
+// where the API is by value — Step's return and StepBlock's sink call. Run is
+// the one loop that drives the target down the right path when no timing
+// model is steering it.
 package fm
 
 import (
@@ -122,9 +123,9 @@ type Model struct {
 	icache *icache  // predecode cache; nil when disabled
 	sb     *sbCache // superblock cache; nil when disabled
 	// ent is the one scratch trace entry every instruction is assembled in
-	// (issue, finishEntry); it is copied out only where the API is by value:
-	// Step's return and StepBlock's sink call. decoded is the cache-off
-	// fetch's scratch record.
+	// (issue, finishEntry) and Produce's sink is pointed at; it is copied out
+	// only where the API is by value: Step's return and StepBlock's sink
+	// call. decoded is the cache-off fetch's scratch record.
 	ent     trace.Entry
 	decoded predecoded
 	cfg     Config
@@ -271,6 +272,10 @@ func (m *Model) LoadProgram(p *isa.Program) {
 	m.PC = p.Entry
 }
 
+// Encoding returns the resolved trace encoding the model counts
+// TraceWords with.
+func (m *Model) Encoding() trace.EncodeOptions { return m.cfg.Encoding }
+
 // IN returns the next instruction number the model will produce.
 func (m *Model) IN() uint64 { return m.in }
 
@@ -319,20 +324,20 @@ const idleLimit = 10_000_000
 // Run drives the target down the right path: the one loop every caller that
 // runs the FM without a timing model re-steering it needs (trace replay,
 // Table 1, fastsim -trace). The target executes a superblock at a time
-// (StepBlock) and, while halted, waits one idle tick at a time — the coupled
+// (Produce) and, while halted, waits one idle tick at a time — the coupled
 // engines' stride — for a device to wake it. Every trace entry goes to sink
-// in order; sink returning false stops the run after that entry, and calling
-// Run again resumes there. Run also returns once the target is Terminal or
-// has idled idleLimit ticks without waking; a fatal condition is the
-// returned error.
-func (m *Model) Run(sink func(trace.Entry) bool) error {
+// in order, by pointer and valid until the next instruction; sink returning
+// false stops the run after that entry, and calling Run again resumes there.
+// Run also returns once the target is Terminal or has idled idleLimit ticks
+// without waking; a fatal condition is the returned error.
+func (m *Model) Run(sink func(*trace.Entry) bool) error {
 	more := true
-	each := func(e trace.Entry) bool {
+	each := func(e *trace.Entry) bool {
 		more = sink(e)
 		return more
 	}
 	for idle := 0; more && !m.Terminal() && idle < idleLimit; {
-		if m.StepBlock(each) > 0 {
+		if m.Produce(each) > 0 {
 			idle = 0
 			continue
 		}

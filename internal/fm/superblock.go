@@ -12,11 +12,11 @@ import (
 // check and ONE translation per block instead of one per instruction. Each
 // instruction runs through Model.issue — the body Step shares — which
 // assembles its trace entry in the Model's one scratch entry; the finished
-// entry is handed (by value, the one copy) to the caller's sink, which
-// enforces the coupling loop's per-entry predicates (budget, buffer
-// occupancy) so a block stops at exactly the instruction a per-instruction
-// loop would have stopped at — the property that keeps every architected
-// and modeled number bit-identical at any SuperblockLen.
+// entry is handed by pointer to the caller's sink, which enforces the
+// coupling loop's per-entry predicates (budget, buffer occupancy) so a
+// block stops at exactly the instruction a per-instruction loop would have
+// stopped at — the property that keeps every architected and modeled
+// number bit-identical at any SuperblockLen.
 //
 // Block formation walks physical memory forward from the entry PC's
 // translation, reusing (and filling) the predecode cache per candidate,
@@ -54,7 +54,7 @@ import (
 //     re-ticks before touching a device, so skipping them is
 //     unobservable.
 //
-// When any condition fails, StepBlock degrades to a single Step().
+// When any condition fails, Produce degrades to a single Step().
 
 // DefaultSuperblockLen is the superblock length cap a zero
 // sim.Params.SuperblockLen and core.DefaultConfig select. Like
@@ -228,25 +228,25 @@ func (m *Model) blockReady() *sbBlock {
 	return c.form(m, m.PC, pa)
 }
 
-// StepBlock executes up to one superblock of dynamic instructions,
-// invoking sink with each produced trace entry in order. sink's return
-// value is the continuation predicate: returning false stops the block
-// after the entry just delivered (the caller's budget or buffer gate),
-// leaving the model at that exact instruction boundary. The return value
-// is the number of entries produced (0 means the target is halted or
-// fatal, exactly like Step's ok == false).
+// Produce executes up to one superblock of dynamic instructions, invoking
+// sink with each produced trace entry in order. The entry is the Model's
+// scratch entry, valid until the next instruction: a sink that keeps it
+// copies it. sink's return value is the continuation predicate: returning
+// false stops the block after the entry just delivered (the caller's budget
+// or buffer gate), leaving the model at that exact instruction boundary. The
+// return value is the number of entries produced (0 means the target is
+// halted or fatal, exactly like Step's ok == false).
 //
-// When the block path is unavailable StepBlock executes a single Step()
-// — so a caller looping over StepBlock is behaviourally identical to one
-// looping over Step, just faster.
-func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
+// When the block path is unavailable Produce executes a single Step() — so
+// a caller looping over Produce is behaviourally identical to one looping
+// over Step, just faster.
+func (m *Model) Produce(sink func(*trace.Entry) bool) int {
 	blk := m.blockReady()
 	if blk == nil {
-		e, ok := m.Step()
-		if !ok {
+		if !m.step() {
 			return 0
 		}
-		sink(e)
+		sink(&m.ent)
 		return 1
 	}
 	j := m.jeng
@@ -269,7 +269,7 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 		}
 		m.finishEntry(&m.ent, &op.predecoded)
 		retired++
-		if !sink(m.ent) || m.halted {
+		if !sink(&m.ent) || m.halted {
 			break
 		}
 		if m.sb.stale(blk) {
@@ -284,6 +284,11 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 	return retired
 }
 
+// StepBlock is Produce handing the sink each entry by value.
+func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
+	return m.Produce(func(e *trace.Entry) bool { return sink(*e) })
+}
+
 // replayFault recovers from an exception or fatal condition raised inside
 // a superblock: the open block record is rolled back wholesale, the
 // already-delivered prefix is re-executed silently, and the faulting
@@ -291,29 +296,29 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 // deterministic — blockReady proved no interrupt or device event falls in
 // the window, and the prefix cannot have patched its own block (the
 // staleness check splits first).
-func (m *Model) replayFault(sink func(trace.Entry) bool, retired int) int {
+func (m *Model) replayFault(sink func(*trace.Entry) bool, retired int) int {
 	m.jeng.undoTop(m)
 	m.fatal = nil
 	if retired > 0 {
 		m.replay = true
 		for k := 0; k < retired; k++ {
-			if _, ok := m.Step(); !ok {
+			if !m.step() {
 				m.replay = false
 				panic("fm: superblock prefix replay diverged")
 			}
 		}
 		m.replay = false
 	}
-	if e, ok := m.Step(); ok {
+	if m.step() {
 		retired++
-		sink(e)
+		sink(&m.ent)
 	}
 	return retired
 }
 
 // SuperblocksEnabled reports whether the block fast path exists at all
 // (Config.SuperblockLen > 0 with the predecode cache and journal engine
-// present); without it StepBlock is Step behind a sink.
+// present); without it Produce is Step behind a sink.
 func (m *Model) SuperblocksEnabled() bool { return m.sb != nil }
 
 // SuperblockStats reports the superblock-cache counters (all zero when

@@ -127,6 +127,43 @@ func TestNamedAblationParams(t *testing.T) {
 	}
 }
 
+// TestUncompressedTraceReachesLink: ablation A5's encoding prices the link,
+// not just the FM's word count. Under every policy, compressed or not, the
+// words the link carries are the words the FM emitted, and the uncompressed
+// stream costs the FM side more host time.
+func TestUncompressedTraceReachesLink(t *testing.T) {
+	if testing.Short() {
+		t.Skip("coupled runs")
+	}
+	for _, row := range []struct {
+		engine string
+		p      Params
+	}{
+		{"fast", Params{Workload: "164.gzip", MaxInstructions: 10_000}},
+		{"fast-parallel", Params{Workload: "164.gzip", MaxInstructions: 10_000}},
+		{"fast", Params{Workload: "smp-lock", Cores: 4, MaxInstructions: 20_000}},
+	} {
+		var fmNanos [2]float64
+		for i, uncompressed := range []bool{false, true} {
+			p := row.p
+			p.UncompressedTrace = uncompressed
+			r, err := Run(row.engine, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r.LinkStats.BurstWords != r.TraceWords {
+				t.Errorf("%s %s uncompressed=%v: link carried %d words, FM emitted %d",
+					row.engine, row.p.Workload, uncompressed, r.LinkStats.BurstWords, r.TraceWords)
+			}
+			fmNanos[i] = r.FMNanos
+		}
+		if fmNanos[1] <= fmNanos[0] {
+			t.Errorf("%s %s: uncompressed FM time %.0f ns, compressed %.0f ns: want it higher",
+				row.engine, row.p.Workload, fmNanos[1], fmNanos[0])
+		}
+	}
+}
+
 // TestRunContextCancelled checks that an already-cancelled context stops
 // every engine promptly with ctx.Err().
 func TestRunContextCancelled(t *testing.T) {

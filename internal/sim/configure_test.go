@@ -17,7 +17,7 @@ import (
 // not the target's 16 MiB, not a reassembled kernel, and not a predecode or
 // superblock slot before a run fills it.
 func TestConfigureBudget(t *testing.T) {
-	const maxBytes, maxObjects, runs = 400_000, 150, 10
+	const maxBytes, maxObjects, runs = 320_000, 150, 10
 	cold, warm := configurePoints(t) // also assembles the image, once
 	for _, tc := range []struct {
 		name string

@@ -19,7 +19,8 @@ import (
 
 // address hashes a Resolved parameter set under a domain tag (so the two
 // address spaces never collide) and a version tag (bump it when Resolved's
-// rules change; stored entries then miss cold). The wire JSON is the
+// rules change or a fix moves the Result some parameter set produces;
+// stored entries then miss cold). The wire JSON is the
 // canonical byte string: its tags are the stable schema, and Telemetry and
 // Snapshots — which read a run or trade host time, never steer it — are
 // already off the wire. A field added to Params is therefore hashed unless
@@ -34,7 +35,7 @@ func (p Params) address(domain string) string {
 		panic(fmt.Sprintf("sim: params encoding: %v", err))
 	}
 	h := sha256.New()
-	h.Write([]byte(domain + "\x00v4\x00"))
+	h.Write([]byte(domain + "\x00v5\x00"))
 	h.Write(raw)
 	if p.Program != nil {
 		// Only the parts the FM loads (base, entry, code bytes) reach the

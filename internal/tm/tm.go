@@ -33,9 +33,12 @@ const (
 // run of consecutive entries starting at in with one call — the consumer
 // half of the chunked coupling. After a re-steer, re-fetching an IN returns
 // the replacement entry. The returned slice is a view the TM may read until
-// it issues a re-steer (Mispredict/Resolve), which invalidates it; the
-// source must not mutate a returned view before the next FetchChunk call,
-// and a FetchOK view is never empty.
+// it issues a re-steer (Mispredict/Resolve), which invalidates it, and a
+// FetchOK view is never empty. The view may alias the source's own storage
+// (the coupled simulator's is the trace buffer's ring): entries the TM has
+// already fetched may be rewritten once committed, but entries at or past
+// its fetch frontier stay unchanged until a re-steer, so fetch copies each
+// entry out exactly once.
 type Source interface {
 	FetchChunk(in uint64) ([]trace.Entry, FetchStatus)
 }

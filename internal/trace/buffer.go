@@ -2,7 +2,6 @@ package trace
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -18,28 +17,25 @@ import (
 //     to the re-steered IN and overwrites the incorrect-path entries, as I4*
 //     and I5* overwrite I3..I5 in Figure 2.
 //
-// The buffer is safe for one producer and one consumer goroutine, and it
-// never blocks: a publish that does not fit and a fetch of an unproduced IN
-// report so and return. Under the inline and round-robin policies one
-// goroutine plays both sides; under the producer policy the two sides wait
-// on the coupling's own notify channel (core's asyncLink), not on the buffer.
+// The buffer is a lock-free single-producer/single-consumer ring, and it
+// never blocks: a fetch of an unproduced IN reports so and returns. Under
+// the inline and round-robin policies one goroutine plays both sides; under
+// the producer policy the two sides wait on the coupling's own notify
+// channel (core's asyncLink), not on the buffer.
 //
-// Synchronization granularity: taking the lock once per instruction is
-// exactly the fine-grained cross-partition overhead §3.1's Amdahl model
-// warns about, so the API is chunked end to end. TryPushChunk and
-// TryFetchChunk (and the Appender built on top) amortize one lock acquire
-// over a whole chunk of entries, the software analogue of the paper's packed
-// trace records streaming in bursts; per-entry coupling is a chunk of one.
-// The commit pointer is the one thing the producer polls every target cycle
-// while it is parked a full buffer ahead, so it alone is atomic: written
-// under mu, read by Committed with no lock.
+// An entry is written once, in place: the producer's Appender stores it
+// straight into its ring slot past the published tail, and a chunk becomes
+// visible with one atomic store of next. The consumer reads published slots
+// in place through View and frees them with one atomic store of commit.
+// Per-entry synchronization is exactly the fine-grained cross-partition
+// overhead §3.1's Amdahl model warns about; here there is none, and a chunk
+// costs one store on each side.
 type Buffer struct {
-	mu     sync.Mutex
 	ring   []Entry
+	next   atomic.Uint64 // published tail: the next IN to be produced
 	commit atomic.Uint64 // oldest live IN (everything below is committed & freed)
-	next   uint64        // next IN to be produced (tail)
 
-	// Peak occupancy statistic.
+	// maxOccupancy is the peak occupancy statistic, owned by the producer.
 	maxOccupancy int
 }
 
@@ -56,59 +52,53 @@ func NewBuffer(capacity int) *Buffer {
 // Cap returns the buffer capacity.
 func (b *Buffer) Cap() int { return len(b.ring) }
 
-// TryPushChunk publishes a contiguous run of entries — es[0] must carry the
-// next unproduced IN — with one lock acquire. It is all-or-nothing: if the
-// buffer lacks space for every entry nothing is stored and ok is false. It
-// returns the occupancy after the call (live entries, for producer-side flow
-// control and telemetry sampling).
-func (b *Buffer) TryPushChunk(es []Entry) (occupancy int, ok bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	commit := b.commit.Load()
-	if b.next-commit+uint64(len(es)) > uint64(len(b.ring)) {
-		return int(b.next - commit), false
+// publish moves the published tail from from to to — the entries in between
+// are already in their slots — and returns the occupancy after the call.
+// A tail that is not at from means another writer has published behind the
+// appender's back.
+func (b *Buffer) publish(from, to uint64) int {
+	if next := b.next.Load(); next != from {
+		panic(fmt.Sprintf("trace: appender publishes from IN %d but the tail is at %d (producer side shared with another writer?)",
+			from, next))
 	}
-	for i := range es {
-		if es[i].IN != b.next+uint64(i) {
-			panic(fmt.Sprintf("trace: chunk entry %d has IN %d, expected %d",
-				i, es[i].IN, b.next+uint64(i)))
-		}
-	}
-	// Two copies handle the ring wrap without a per-entry modulo.
-	idx := int(b.next % uint64(len(b.ring)))
-	n := copy(b.ring[idx:], es)
-	copy(b.ring, es[n:])
-	b.next += uint64(len(es))
-	occ := int(b.next - commit)
+	b.next.Store(to)
+	occ := int(to - b.commit.Load())
 	if occ > b.maxOccupancy {
 		b.maxOccupancy = occ
 	}
-	return occ, true
+	return occ
+}
+
+// View returns the published live entries from instruction number in up to
+// the tail or the ring wrap, whichever comes first, in place (nil if in is
+// not live: unproduced, discarded by a rewind, or already committed). A
+// slot is rewritten only when the IN one capacity later is appended, which
+// needs the consumer to have committed the slot's IN, or when a rewind
+// discards it, which the consumer requests: entries at or past the
+// consumer's read frontier stay unchanged until it re-steers, so a consumer
+// that can observe re-steers must drop its view when it issues one. After a
+// Rewind past in, the entry eventually produced at in is the *replacement*
+// (correct-path) instruction — exactly the Figure 2 overwrite — so a TM
+// that stalls waiting for IN k always receives the current functional
+// path's instruction k.
+func (b *Buffer) View(in uint64) []Entry {
+	next := b.next.Load()
+	if in >= next || in < b.commit.Load() {
+		return nil
+	}
+	idx := int(in % uint64(len(b.ring)))
+	end := min(len(b.ring), idx+int(next-in))
+	return b.ring[idx:end:end]
 }
 
 // TryFetchChunk copies up to len(dst) consecutive live entries starting at
-// instruction number in into dst, under one lock acquire, and returns how
-// many were copied (0 if in is not live: unproduced, discarded by a rewind,
-// or already committed). The copies form a consumer-owned view: a later
-// Rewind past in invalidates the buffer's own entries but never mutates dst
-// — consumers that can observe re-steers must drop their view when they
-// issue one. After a Rewind past in, the entry eventually produced at in is
-// the *replacement* (correct-path) instruction — exactly the Figure 2
-// overwrite — so a TM that stalls waiting for IN k always receives the
-// current functional path's instruction k.
+// instruction number in into dst, across the ring wrap, and returns how many
+// were copied: the copying form of View.
 func (b *Buffer) TryFetchChunk(in uint64, dst []Entry) int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if in >= b.next || in < b.commit.Load() {
-		return 0
+	n := copy(dst, b.View(in))
+	if n > 0 && n < len(dst) {
+		n += copy(dst[n:], b.View(in+uint64(n)))
 	}
-	n := len(dst)
-	if live := int(b.next - in); live < n {
-		n = live
-	}
-	idx := int(in % uint64(len(b.ring)))
-	c := copy(dst[:n], b.ring[idx:])
-	copy(dst[c:n], b.ring)
 	return n
 }
 
@@ -116,10 +106,8 @@ func (b *Buffer) TryFetchChunk(in uint64, dst []Entry) int {
 // instructions up to and including in, deallocating their TB entries and
 // releasing the FM's rollback resources.
 func (b *Buffer) Commit(in uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if in+1 > b.next {
-		panic(fmt.Sprintf("trace: commit of unproduced IN %d (next=%d)", in, b.next))
+	if next := b.next.Load(); in+1 > next {
+		panic(fmt.Sprintf("trace: commit of unproduced IN %d (next=%d)", in, next))
 	}
 	if in+1 > b.commit.Load() {
 		b.commit.Store(in + 1)
@@ -130,40 +118,26 @@ func (b *Buffer) Commit(in uint64) {
 // discarding the incorrect-path entries at and above in. The producer calls
 // this when servicing a set_pc.
 func (b *Buffer) Rewind(in uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	if commit := b.commit.Load(); in < commit {
 		panic(fmt.Sprintf("trace: rewind to committed IN %d (commit=%d)", in, commit))
 	}
-	if in < b.next {
-		b.next = in
+	if in < b.next.Load() {
+		b.next.Store(in)
 	}
 }
 
-// Produced returns the next IN the producer will write.
-func (b *Buffer) Produced() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.next
-}
+// Produced returns the next IN the producer will publish.
+func (b *Buffer) Produced() uint64 { return b.next.Load() }
 
-// Committed returns the commit pointer (first uncommitted IN) with one
-// atomic load.
+// Committed returns the commit pointer (first uncommitted IN).
 func (b *Buffer) Committed() uint64 { return b.commit.Load() }
 
-// Occupancy returns the number of live (produced, uncommitted) entries.
-func (b *Buffer) Occupancy() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return int(b.next - b.commit.Load())
-}
+// Occupancy returns the number of live (published, uncommitted) entries.
+func (b *Buffer) Occupancy() int { return int(b.next.Load() - b.commit.Load()) }
 
-// MaxOccupancy returns the high-water mark of Occupancy.
-func (b *Buffer) MaxOccupancy() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.maxOccupancy
-}
+// MaxOccupancy returns the high-water mark of Occupancy. It belongs to the
+// producer: another goroutine reads it only after the producer has stopped.
+func (b *Buffer) MaxOccupancy() int { return b.maxOccupancy }
 
 // ResetDrained reinitializes the buffer to the drained state at instruction
 // number in — commit == next == in, nothing live — restoring the occupancy
@@ -171,9 +145,7 @@ func (b *Buffer) MaxOccupancy() int {
 // guarantees the buffer it describes was drained at capture, so no entry
 // contents need to survive.
 func (b *Buffer) ResetDrained(in uint64, maxOccupancy int) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
 	b.commit.Store(in)
-	b.next = in
+	b.next.Store(in)
 	b.maxOccupancy = maxOccupancy
 }

@@ -11,28 +11,51 @@ import (
 
 func TestChunkPushFetch(t *testing.T) {
 	b := NewBuffer(8)
-	es := make([]Entry, 5)
-	for i := range es {
-		es[i] = entry(uint64(i))
+	a := b.NewAppender(8)
+	var occs []int
+	a.OnFlush = func(_, occ int) { occs = append(occs, occ) }
+	for i := uint64(0); i < 5; i++ {
+		e := entry(i)
+		if !a.Append(&e) {
+			t.Fatalf("append %d refused", i)
+		}
 	}
-	occ, ok := b.TryPushChunk(es)
-	if !ok || occ != 5 {
-		t.Fatalf("TryPushChunk = (%d, %v), want (5, true)", occ, ok)
+	if b.Produced() != 0 || b.View(0) != nil {
+		t.Fatalf("unpublished entries visible: produced = %d", b.Produced())
 	}
-	if _, ok := b.TryPushChunk(make([]Entry, 0)); !ok {
-		t.Error("empty chunk push on open buffer failed")
+	a.Flush()
+	a.Flush() // nothing written since: no publish
+	if b.Produced() != 5 || a.Flushes() != 1 || len(occs) != 1 || occs[0] != 5 {
+		t.Fatalf("after flush: produced = %d, flushes = %d, occupancies %v", b.Produced(), a.Flushes(), occs)
 	}
-	// Not enough room for 4 more.
-	four := []Entry{entry(5), entry(6), entry(7), entry(8)}
-	if _, ok := b.TryPushChunk(four); ok {
-		t.Error("oversized chunk push succeeded")
+	// Room for 3 more, not 4.
+	for i := uint64(5); i < 8; i++ {
+		if !a.TryAppend(entry(i)) {
+			t.Fatalf("append %d refused", i)
+		}
 	}
-	if b.Produced() != 5 {
-		t.Errorf("partial chunk published: produced = %d", b.Produced())
+	if a.TryAppend(entry(8)) {
+		t.Error("append past capacity succeeded")
 	}
 	b.Commit(1)
-	if occ, ok := b.TryPushChunk(four); !ok || occ != 7 {
-		t.Errorf("TryPushChunk after commit = (%d, %v), want (7, true)", occ, ok)
+	if !a.TryAppend(entry(8)) {
+		t.Error("append after commit refused")
+	}
+	a.Flush()
+	if b.Occupancy() != 7 || b.MaxOccupancy() != 7 {
+		t.Errorf("occupancy = %d, max %d, want 7", b.Occupancy(), b.MaxOccupancy())
+	}
+
+	// View is in place and stops at the ring wrap (slots 2..7 hold INs 2..7,
+	// slot 0 holds IN 8).
+	if v := b.View(2); len(v) != 6 || &v[0] != &b.ring[2] || v[5].IN != 7 {
+		t.Errorf("View(2) = %d entries, want slots 2..7 in place", len(v))
+	}
+	if v := b.View(8); len(v) != 1 || v[0].IN != 8 {
+		t.Errorf("View(8) = %v, want IN 8 from slot 0", v)
+	}
+	if b.View(9) != nil || b.View(0) != nil {
+		t.Error("View of an unproduced or committed IN is not empty")
 	}
 
 	dst := make([]Entry, 4)
@@ -68,9 +91,14 @@ func TestChunkPushWraps(t *testing.T) {
 		push1(b, entry(i))
 	}
 	b.Commit(5)
-	es := []Entry{entry(6), entry(7), entry(8), entry(9)} // slots 6,7,0,1
-	if _, ok := b.TryPushChunk(es); !ok {
-		t.Fatal("wrapping chunk push failed")
+	a := b.NewAppender(4)
+	for i := uint64(6); i <= 9; i++ { // slots 6,7,0,1
+		if !a.TryAppend(entry(i)) {
+			t.Fatal("wrapping chunk append failed")
+		}
+	}
+	if a.Flushes() != 1 || b.Produced() != 10 {
+		t.Fatalf("wrapping chunk: flushes = %d, produced = %d", a.Flushes(), b.Produced())
 	}
 	for in := uint64(6); in <= 9; in++ {
 		e, ok := fetch1(b, in)

@@ -9,12 +9,9 @@ import (
 
 func entry(in uint64) Entry { return Entry{IN: in, Op: isa.OpNop} }
 
-// push1 and fetch1 are per-entry coupling spelled on the chunk API: a
-// one-entry chunk is a single push, a one-slot view a single fetch.
-func push1(b *Buffer, e Entry) bool {
-	_, ok := b.TryPushChunk([]Entry{e})
-	return ok
-}
+// push1 and fetch1 are per-entry coupling spelled on the chunk API: a fresh
+// one-entry appender is a single publish, a one-slot copy a single fetch.
+func push1(b *Buffer, e Entry) bool { return b.NewAppender(1).Append(&e) }
 
 func fetch1(b *Buffer, in uint64) (Entry, bool) {
 	var view [1]Entry
@@ -97,8 +94,8 @@ func TestBufferPanicsOnMisuse(t *testing.T) {
 	}
 	expectPanic("zero capacity", func() { NewBuffer(0) })
 
-	// The appender owns the producer side: a direct push behind its back
-	// takes the room its capacity gate had promised the open chunk.
+	// The appender owns the producer side: a second writer publishing behind
+	// its back moves the tail its unpublished entries were written past.
 	shared := NewBuffer(2)
 	a := shared.NewAppender(2)
 	a.TryAppend(entry(0))
