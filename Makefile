@@ -1,6 +1,7 @@
 # Developer entry points. `make check` is the tier-1 gate: formatting,
-# vet, build, full test suite (which includes the host-knob invariance
-# table), and a compile of the bench/ yardstick. `make race` exercises the concurrent paths
+# no tracked file matching an ignore rule, vet, build, full test suite
+# (which includes the host-knob invariance table), and a compile of the
+# bench/ yardstick. `make race` exercises the concurrent paths
 # (the goroutine-parallel coupling, the sim.Fleet sweep runner, the fastd
 # job service and the cluster coordinator) under the race detector.
 # `make serve` boots the job server; `make smoke` drives a built fastd end
@@ -9,14 +10,23 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test zero-alloc yardstick race fuzz-smoke loc bench bench-layers bench-compare serve smoke smoke-cluster
+.PHONY: check fmt ignored vet build test zero-alloc yardstick race fuzz-smoke loc bench bench-layers bench-compare serve smoke smoke-cluster
 
-check: fmt vet build test zero-alloc yardstick
+check: fmt ignored vet build test zero-alloc yardstick
 
 fmt:
 	@unformatted=$$(gofmt -l .); \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; \
+	fi
+
+# A tracked file that matches an ignore rule means the rule is too wide:
+# it also hides that file's new siblings from `git add` and from
+# ripgrep-based search (an unanchored binary name once matched cmd/<name>/).
+ignored:
+	@tracked=$$(git ls-files -ci --exclude-standard); \
+	if [ -n "$$tracked" ]; then \
+		echo "tracked files match an ignore rule:"; echo "$$tracked"; exit 1; \
 	fi
 
 vet:

@@ -112,46 +112,13 @@ func main() {
 		log.Printf("snapshot store at %s (%d blobs, %d bytes resident)", *snapshotDir, snaps.Len(), snaps.Bytes())
 	}
 	srv := service.New(cfg)
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- httpSrv.ListenAndServe() }()
 	log.Printf("listening on %s (workers=%d queue=%d cache=%d timeout=%s)",
 		*addr, *workers, *queue, *cache, *timeout)
-
-	select {
-	case err := <-errc:
-		log.Fatalf("listen: %v", err)
-	case <-ctx.Done():
-	}
-	stop() // a second signal kills immediately instead of draining
-
-	log.Printf("signal received, draining (budget %s)", *drain)
-	drainCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	if err := httpSrv.Shutdown(drainCtx); err != nil {
-		log.Printf("http shutdown: %v", err)
-	}
-	if err := srv.Shutdown(drainCtx); err != nil {
-		log.Printf("drain expired, in-flight jobs cancelled: %v", err)
-	} else {
-		log.Printf("drained cleanly")
-	}
-	if err := flushMetrics(tel, *dump); err != nil {
-		log.Printf("metrics dump: %v", err)
-	}
+	serve(*addr, srv.Handler(), *drain, *dump, tel, srv.Shutdown)
 }
 
-// runCoordinator is the -coordinator main: same signal handling, but the
-// work being drained lives on the nodes — shutdown here only stops the
-// listener and the prober.
+// runCoordinator is the -coordinator main: the work being drained lives on
+// the nodes, so shutdown here only stops the listener and the prober.
 func runCoordinator(tel *obs.Telemetry, addr, nodes string, probeInterval, stealAfter, drain time.Duration, dump string) {
 	var nodeList []string
 	for _, n := range strings.Split(nodes, ",") {
@@ -168,33 +135,42 @@ func runCoordinator(tel *obs.Telemetry, addr, nodes string, probeInterval, steal
 	if err != nil {
 		log.Fatalf("coordinator: %v", err)
 	}
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           coord.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
+	log.Printf("coordinating %d nodes on %s (probe=%s steal-after=%s): %s",
+		len(nodeList), addr, probeInterval, stealAfter, strings.Join(nodeList, ", "))
+	serve(addr, coord.Handler(), drain, dump, tel, func(context.Context) error {
+		coord.Close()
+		return nil
+	})
+}
 
+// serve is both modes' one loop: listen on addr until SIGINT/SIGTERM, then
+// stop the listener, drain the backend through shutdown within the drain
+// budget, and write the final metrics dump.
+func serve(addr string, handler http.Handler, drain time.Duration, dump string, tel *obs.Telemetry, shutdown func(context.Context) error) {
+	httpSrv := &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("coordinating %d nodes on %s (probe=%s steal-after=%s): %s",
-		len(nodeList), addr, probeInterval, stealAfter, strings.Join(nodeList, ", "))
-
 	select {
 	case err := <-errc:
 		log.Fatalf("listen: %v", err)
 	case <-ctx.Done():
 	}
-	stop()
+	stop() // a second signal kills immediately instead of draining
 
+	log.Printf("signal received, draining (budget %s)", drain)
 	drainCtx, cancel := context.WithTimeout(context.Background(), drain)
 	defer cancel()
 	if err := httpSrv.Shutdown(drainCtx); err != nil {
 		log.Printf("http shutdown: %v", err)
 	}
-	coord.Close()
+	if err := shutdown(drainCtx); err != nil {
+		log.Printf("drain expired, in-flight jobs cancelled: %v", err)
+	} else {
+		log.Printf("drained cleanly")
+	}
 	if err := flushMetrics(tel, dump); err != nil {
 		log.Printf("metrics dump: %v", err)
 	}

@@ -116,7 +116,7 @@ func Replay(ctx context.Context, prog *isa.Program, tmCfg tm.Config, fmCfg fm.Co
 // model's fetch in a replay — the coupled core's default trace-buffer
 // capacity. It bounds the replay's memory: one chunk of entries and as many
 // uncommitted instructions in the rollback journal.
-const streamChunk = 512
+const streamChunk = trace.DefaultCapacity
 
 // stream is a replay's tm.Source: the right-path trace of m, produced a chunk
 // at a time as the timing model asks for it and never materialised whole.

@@ -38,7 +38,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/service/client"
-	"repro/internal/sim"
 )
 
 // Config wires a Coordinator. Nodes is the only required field.
@@ -49,8 +48,6 @@ type Config struct {
 	Nodes []string
 	// ProbeInterval spaces the health probes; <= 0 means 1s.
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one probe; <= 0 means 2s.
-	ProbeTimeout time.Duration
 	// StealAfter is how long a sweep child may sit queued on its node
 	// before aggregation-time polling steals it onto a less loaded one;
 	// <= 0 means 3s. Negative is impossible; set very large to disable.
@@ -70,10 +67,8 @@ type Coordinator struct {
 	reassignments *obs.Counter
 	steals        *obs.Counter
 
-	mu     sync.Mutex
-	seq    uint64
-	jobs   map[string]*remoteJob
-	sweeps map[string]*remoteSweep
+	mu    sync.Mutex
+	table service.Table[*remoteJob]
 
 	stop     chan struct{}
 	stopOnce sync.Once
@@ -92,12 +87,21 @@ type node struct {
 	probeFailures *obs.Counter // cluster_node_probe_failures_total{node=}
 }
 
+// probeTimeout bounds one health probe (and one probe-driven refresh).
+const probeTimeout = 2 * time.Second
+
 // remoteJob is a coordinator-tracked job: a coordinator-minted id mapped
-// to (node, remote id). All fields are guarded by the coordinator's mu;
-// busy serializes the RPC-bearing operations (refresh, reassign, steal)
-// per job so two pollers never race a reassignment.
+// to (node, remote id). Its JobState is the last known view, with the ID
+// rewritten to the coordinator's, and the result bytes, pulled eagerly at
+// completion. A job is finished for the coordinator exactly when it is
+// Settled: terminal, and for a done job the bytes are resident too — a
+// done job whose bytes were not pulled yet must stay pollable, or a node
+// death in that window would lose the result. All fields are guarded by
+// the coordinator's mu; busy serializes the RPC-bearing operations
+// (refresh, reassign, steal) per job so two pollers never race a
+// reassignment.
 type remoteJob struct {
-	id        string // coordinator id (job-%06d), what clients see
+	service.JobState
 	engine    string
 	rawParams json.RawMessage // marshaled once, forwarded on every (re)submission
 	key       string          // shard key: service.JobKey(engine, params)
@@ -108,36 +112,6 @@ type remoteJob struct {
 	assigned time.Time
 
 	busy bool
-	view service.JobView // last known view, ID rewritten to coordinator id
-	raw  []byte          // result bytes, pulled eagerly at completion
-}
-
-// state is the job as the shared handlers see it. A job is finished for
-// the coordinator exactly when its state is Settled: terminal, and for a
-// done job the bytes are resident too — a done job whose bytes were not
-// pulled yet must stay pollable, or a node death in that window would
-// lose the result. Caller holds c.mu.
-func (j *remoteJob) state() service.JobState {
-	return service.JobState{View: j.view, Raw: j.raw}
-}
-
-// remoteSweep is a sharded sim.Sweep: coordinator-minted sweep id plus
-// children in spec order, placed independently by their shard keys.
-type remoteSweep struct {
-	id        string
-	submitted time.Time
-	points    []sim.Point
-	children  []*remoteJob
-}
-
-// state snapshots the sweep for the shared handlers. Caller holds c.mu.
-func (sw *remoteSweep) state() service.SweepState {
-	st := service.SweepState{ID: sw.id, SubmittedAt: sw.submitted, Points: sw.points,
-		Children: make([]service.JobState, len(sw.children))}
-	for i, j := range sw.children {
-		st.Children[i] = j.state()
-	}
-	return st
 }
 
 // New builds a coordinator over cfg.Nodes and starts the prober.
@@ -148,9 +122,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
-	if cfg.ProbeTimeout <= 0 {
-		cfg.ProbeTimeout = 2 * time.Second
-	}
 	if cfg.StealAfter <= 0 {
 		cfg.StealAfter = 3 * time.Second
 	}
@@ -160,8 +131,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c := &Coordinator{
 		cfg:           cfg,
 		tel:           cfg.Telemetry,
-		jobs:          map[string]*remoteJob{},
-		sweeps:        map[string]*remoteSweep{},
 		reassignments: cfg.Telemetry.Counter("cluster_reassignments_total"),
 		steals:        cfg.Telemetry.Counter("cluster_steals_total"),
 		stop:          make(chan struct{}),
@@ -247,8 +216,8 @@ func (c *Coordinator) assign(j *remoteJob, n *node, v service.JobView) {
 	n.jobs.Inc()
 	c.mu.Lock()
 	j.node, j.remoteID, j.assigned = n, v.ID, time.Now()
-	v.ID = j.id
-	j.view = v
+	v.ID = j.View.ID
+	j.View = v
 	c.mu.Unlock()
 }
 
@@ -289,7 +258,7 @@ func (c *Coordinator) place(ctx context.Context, j *remoteJob, skip *node) error
 func (c *Coordinator) acquire(j *remoteJob) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if j.busy || j.state().Settled() {
+	if j.busy || j.Settled() {
 		return false
 	}
 	j.busy = true
@@ -343,13 +312,13 @@ func (c *Coordinator) refreshJob(ctx context.Context, j *remoteJob) {
 // storeView records the latest remote view (and the result bytes, once
 // pulled) under mu, rewriting the id to the coordinator's.
 func (c *Coordinator) storeView(j *remoteJob, v service.JobView, raw []byte) service.JobView {
-	v.ID = j.id
 	c.mu.Lock()
-	j.view = v
+	defer c.mu.Unlock()
+	v.ID = j.View.ID
+	j.View = v
 	if raw != nil {
-		j.raw = raw
+		j.Raw = raw
 	}
-	c.mu.Unlock()
 	return v
 }
 
@@ -369,14 +338,14 @@ func (c *Coordinator) reassign(ctx context.Context, j *remoteJob, failed *node) 
 // place.
 func (c *Coordinator) pullPlaced(ctx context.Context, j *remoteJob) {
 	c.mu.Lock()
-	n, rid, done := j.node, j.remoteID, j.view.Status == service.StatusDone
+	n, rid, done := j.node, j.remoteID, j.View.Status == service.StatusDone
 	c.mu.Unlock()
 	if !done {
 		return
 	}
 	if raw, _, _ := n.cli.JobResult(ctx, rid); raw != nil {
 		c.mu.Lock()
-		j.raw = raw
+		j.Raw = raw
 		c.mu.Unlock()
 	}
 }
@@ -386,14 +355,14 @@ func (c *Coordinator) pullPlaced(ctx context.Context, j *remoteJob) {
 func (c *Coordinator) reassignNode(n *node) {
 	c.mu.Lock()
 	var victims []*remoteJob
-	for _, j := range c.jobs {
-		if j.node == n && !j.busy && !j.state().Settled() {
+	c.table.Each(func(j *remoteJob) {
+		if j.node == n && !j.busy && !j.Settled() {
 			victims = append(victims, j)
 		}
-	}
+	})
 	c.mu.Unlock()
 	for _, j := range victims {
-		ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+		ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 		c.refreshJob(ctx, j) // refresh hits the dead node and reassigns
 		cancel()
 	}
@@ -414,7 +383,7 @@ func (c *Coordinator) probeLoop() {
 		case <-t.C:
 		}
 		for _, n := range c.nodes {
-			ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
+			ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
 			h, err := n.cli.Health(ctx)
 			cancel()
 			if err != nil {
@@ -437,11 +406,11 @@ func (c *Coordinator) probeLoop() {
 // strictly shallower than the owner's) and cancelled best-effort on the
 // old owner. Deterministic runs make the occasional double execution a
 // race to identical bytes.
-func (c *Coordinator) stealStragglers(ctx context.Context, sw *remoteSweep) {
+func (c *Coordinator) stealStragglers(ctx context.Context, sw *service.SweepRecord[*remoteJob]) {
 	c.mu.Lock()
 	var stuck []*remoteJob
-	for _, j := range sw.children {
-		if !j.busy && j.view.Status == service.StatusQueued &&
+	for _, j := range sw.Children {
+		if !j.busy && j.View.Status == service.StatusQueued &&
 			time.Since(j.assigned) > c.cfg.StealAfter {
 			stuck = append(stuck, j)
 		}
@@ -497,11 +466,11 @@ func (c *Coordinator) stealJob(ctx context.Context, j *remoteJob) {
 // stealing pass. Called on every sweep status/result request — the
 // coordinator has no background sweep poller; observation drives
 // progress, and the prober covers node death between observations.
-func (c *Coordinator) refreshSweep(ctx context.Context, sw *remoteSweep) {
+func (c *Coordinator) refreshSweep(ctx context.Context, sw *service.SweepRecord[*remoteJob]) {
 	c.mu.Lock()
-	pending := make([]*remoteJob, 0, len(sw.children))
-	for _, j := range sw.children {
-		if !j.state().Settled() {
+	pending := make([]*remoteJob, 0, len(sw.Children))
+	for _, j := range sw.Children {
+		if !j.Settled() {
 			pending = append(pending, j)
 		}
 	}

@@ -193,9 +193,7 @@ func TestKillNodeMidSweep(t *testing.T) {
 	// Find a node that owns at least one child and kill it.
 	h.coord.mu.Lock()
 	owned := map[*node]int{}
-	for _, j := range h.coord.jobs {
-		owned[j.node]++
-	}
+	h.coord.table.Each(func(j *remoteJob) { owned[j.node]++ })
 	h.coord.mu.Unlock()
 	var victim *workerNode
 	var victimOwned int
@@ -249,8 +247,12 @@ func TestProbeDetectsDeadNode(t *testing.T) {
 		t.Fatalf("submit: %v", err)
 	}
 	h.coord.mu.Lock()
-	owner := h.coord.jobs[v.ID].node
+	j, err := h.coord.table.Job(v.ID)
 	h.coord.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := j.node
 	var victim *workerNode
 	if owner.name == a.ts.URL {
 		victim = a
@@ -319,8 +321,12 @@ func TestStealStragglers(t *testing.T) {
 	idleNode.healthy.Store(true)
 
 	h.coord.mu.Lock()
-	sw := h.coord.sweeps[sv.ID]
-	child := sw.children[0]
+	sw, err := h.coord.table.Sweep(sv.ID)
+	if err != nil {
+		h.coord.mu.Unlock()
+		t.Fatal(err)
+	}
+	child := sw.Children[0]
 	if child.node != busyNode {
 		h.coord.mu.Unlock()
 		t.Fatalf("child landed on %s, want the busy node", child.node.name)
@@ -489,8 +495,8 @@ func TestClusterViewAndListing(t *testing.T) {
 	if placed != 3 {
 		t.Fatalf("placements = %d, want 3", placed)
 	}
-	if view.Jobs != 3 {
-		t.Fatalf("view.Jobs = %d, want 3", view.Jobs)
+	if view.Jobs != 3 || view.Sweeps != 0 {
+		t.Fatalf("view counts %d jobs, %d sweeps; want 3, 0", view.Jobs, view.Sweeps)
 	}
 }
 

@@ -10,9 +10,9 @@ package cluster
 // between observations. No method holds c.mu across a node RPC.
 //
 // What keeps a coordinator sweep byte-identical to a single node's, now
-// that the framing is shared code: ids are minted in the order a node
-// would mint them, and result bytes are the worker's, stored and served
-// verbatim.
+// that the framing is shared code: ids come from the same service.Table a
+// node mints from, in the order a node would mint them, and result bytes
+// are the worker's, stored and served verbatim.
 
 import (
 	"context"
@@ -43,7 +43,7 @@ func (c *Coordinator) Health() service.Health {
 }
 
 // mintLocked allocates the next coordinator job id and its tracking record
-// for one point. The record is not yet in c.jobs — publication happens
+// for one point. The record is not yet in the table — publication happens
 // after placement succeeds, so a rejected submission never becomes a
 // visible ghost. Caller holds c.mu.
 func (c *Coordinator) mintLocked(pt sim.Point, timeout time.Duration) (*remoteJob, error) {
@@ -51,9 +51,8 @@ func (c *Coordinator) mintLocked(pt sim.Point, timeout time.Duration) (*remoteJo
 	if err != nil {
 		return nil, fmt.Errorf("encode params of %s: %w", pt, err)
 	}
-	c.seq++
 	return &remoteJob{
-		id:        fmt.Sprintf("job-%06d", c.seq),
+		JobState:  service.JobState{View: service.JobView{ID: c.table.NextJobID()}},
 		engine:    pt.Engine,
 		rawParams: raw,
 		key:       service.JobKey(pt.Engine, pt.Params),
@@ -65,11 +64,7 @@ func (c *Coordinator) mintLocked(pt sim.Point, timeout time.Duration) (*remoteJo
 func (c *Coordinator) lookup(id string) (*remoteJob, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	j, ok := c.jobs[id]
-	if !ok {
-		return nil, service.NotFound("job", id)
-	}
-	return j, nil
+	return c.table.Job(id)
 }
 
 // SubmitJob implements service.Backend.
@@ -86,8 +81,8 @@ func (c *Coordinator) SubmitJob(ctx context.Context, pt sim.Point, timeout time.
 	c.pullPlaced(ctx, j)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.jobs[j.id] = j
-	return j.view, nil
+	c.table.Add(j)
+	return j.View, nil
 }
 
 // Job implements service.Backend.
@@ -99,18 +94,14 @@ func (c *Coordinator) Job(ctx context.Context, id string) (service.JobState, err
 	c.refreshJob(ctx, j)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return j.state(), nil
+	return j.JobState, nil
 }
 
 // Jobs implements service.Backend.
 func (c *Coordinator) Jobs() []service.JobView {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]service.JobView, 0, len(c.jobs))
-	for _, j := range c.jobs {
-		out = append(out, j.view)
-	}
-	return out
+	return c.table.Jobs()
 }
 
 // CancelJob implements service.Backend.
@@ -124,7 +115,7 @@ func (c *Coordinator) CancelJob(ctx context.Context, id string) (service.JobView
 		c.refreshJob(ctx, j)
 		c.mu.Lock()
 		defer c.mu.Unlock()
-		return j.state(), j.node, j.remoteID
+		return j.JobState, j.node, j.remoteID
 	}
 	conflict := func(st service.JobState) error {
 		return service.Errorf(http.StatusConflict, service.CodeConflict, "job %s already %s", id, st.View.Status)
@@ -164,20 +155,14 @@ func (c *Coordinator) SubmitSweep(ctx context.Context, points []sim.Point, timeo
 	// order — exactly the sequence a single node would produce, so ids
 	// (and therefore aggregations) match a single-node run byte for byte.
 	c.mu.Lock()
-	c.seq++
-	sw := &remoteSweep{
-		id:        fmt.Sprintf("sweep-%06d", c.seq),
-		submitted: time.Now(),
-		points:    points,
-		children:  make([]*remoteJob, len(points)),
-	}
+	sw := c.table.NewSweep(points)
 	for i, pt := range points {
 		j, err := c.mintLocked(pt, timeout)
 		if err != nil {
 			c.mu.Unlock()
 			return service.SweepState{}, err
 		}
-		sw.children[i] = j
+		sw.Children[i] = j
 	}
 	c.mu.Unlock()
 
@@ -185,9 +170,9 @@ func (c *Coordinator) SubmitSweep(ctx context.Context, points []sim.Point, timeo
 	// single node; across nodes the closest honest equivalent is rollback:
 	// any placement failure cancels the already-placed children and
 	// rejects the sweep without publishing it.
-	for i, j := range sw.children {
+	for i, j := range sw.Children {
 		if err := c.place(ctx, j, nil); err != nil {
-			for _, prev := range sw.children[:i] {
+			for _, prev := range sw.Children[:i] {
 				prev.node.cli.Cancel(ctx, prev.remoteID)
 			}
 			return service.SweepState{}, err
@@ -195,36 +180,32 @@ func (c *Coordinator) SubmitSweep(ctx context.Context, points []sim.Point, timeo
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for _, j := range sw.children {
-		c.jobs[j.id] = j
+	for _, j := range sw.Children {
+		c.table.Add(j)
 	}
-	c.sweeps[sw.id] = sw
-	return sw.state(), nil
+	c.table.AddSweep(sw)
+	return sw.State(), nil
 }
 
 // Sweep implements service.Backend.
 func (c *Coordinator) Sweep(ctx context.Context, id string) (service.SweepState, error) {
 	c.mu.Lock()
-	sw, ok := c.sweeps[id]
+	sw, err := c.table.Sweep(id)
 	c.mu.Unlock()
-	if !ok {
-		return service.SweepState{}, service.NotFound("sweep", id)
+	if err != nil {
+		return service.SweepState{}, err
 	}
 	c.refreshSweep(ctx, sw)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return sw.state(), nil
+	return sw.State(), nil
 }
 
 // Sweeps implements service.Backend.
 func (c *Coordinator) Sweeps() []service.SweepState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]service.SweepState, 0, len(c.sweeps))
-	for _, sw := range c.sweeps {
-		out = append(out, sw.state())
-	}
-	return out
+	return c.table.Sweeps()
 }
 
 // NodeView is one worker in the GET /v1/cluster topology.
@@ -262,7 +243,7 @@ func (c *Coordinator) handleClusterView(w http.ResponseWriter, r *http.Request) 
 		})
 	}
 	c.mu.Lock()
-	v.Jobs, v.Sweeps = len(c.jobs), len(c.sweeps)
+	v.Jobs, v.Sweeps = c.table.Len()
 	c.mu.Unlock()
 	service.WriteJSON(w, http.StatusOK, v)
 }

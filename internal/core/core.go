@@ -138,7 +138,7 @@ func DefaultConfig() Config {
 			ICacheEntries: fm.DefaultICacheEntries,
 			SuperblockLen: fm.DefaultSuperblockLen,
 		},
-		TBCapacity:             512,
+		TBCapacity:             trace.DefaultCapacity,
 		Link:                   hostlink.DRC(),
 		Clock:                  fpga.DefaultClock,
 		FMNanosPerInst:         87,
@@ -254,20 +254,9 @@ const (
 func New(cfg Config) (*Sim, error) { return newSim(cfg, nil) }
 
 // newSim assembles the coupled core; a non-nil async link selects the
-// producer policy.
+// producer policy. cfg is taken as given: DefaultConfig is where every
+// default lives.
 func newSim(cfg Config, async *asyncLink) (*Sim, error) {
-	if cfg.TBCapacity == 0 {
-		cfg.TBCapacity = 512
-	}
-	if cfg.Clock.MHz == 0 {
-		cfg.Clock = fpga.DefaultClock
-	}
-	if cfg.FMNanosPerInst == 0 {
-		cfg.FMNanosPerInst = 87
-	}
-	if cfg.MaxCycles == 0 {
-		cfg.MaxCycles = 2_000_000_000
-	}
 	cfg.FM.Telemetry = cfg.Telemetry
 	coupling := "serial"
 	if async != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 
@@ -65,13 +66,7 @@ func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 	if mc.Cores < 1 || mc.Cores > 64 {
 		return nil, fmt.Errorf("core: multicore supports 1..64 cores, got %d", mc.Cores)
 	}
-	if cfg.FM.MemBytes == 0 {
-		cfg.FM.MemBytes = 16 << 20
-	}
-	if cfg.TM.MemLatency == 0 {
-		cfg.TM.MemLatency = 25
-	}
-	sharedMem := fullsys.NewMemory(cfg.FM.MemBytes)
+	sharedMem := fullsys.NewMemory(cmp.Or(cfg.FM.MemBytes, fm.DefaultMemBytes))
 	coh := fm.NewCoherence()
 	shared := cache.NewCoherent(cache.CoherentConfig{
 		L2:                  cfg.TM.L2,

@@ -57,9 +57,13 @@ type Scalars struct {
 	LLVal   isa.Word
 }
 
+// DefaultMemBytes is the target's physical memory size when Config leaves
+// MemBytes zero.
+const DefaultMemBytes = 16 << 20
+
 // Config parameterizes a functional model instance.
 type Config struct {
-	// MemBytes is the physical memory size (default 16 MiB).
+	// MemBytes is the physical memory size (0 = DefaultMemBytes).
 	MemBytes int
 	// Devices are attached to the port bus (a default console and timer
 	// are created when nil).
@@ -152,7 +156,7 @@ type Model struct {
 // New builds a functional model with the given configuration.
 func New(cfg Config) *Model {
 	if cfg.MemBytes == 0 {
-		cfg.MemBytes = 16 << 20
+		cfg.MemBytes = DefaultMemBytes
 	}
 	if cfg.RepCap == 0 {
 		cfg.RepCap = 65536

@@ -17,12 +17,13 @@ import (
 	"repro/internal/sim"
 )
 
-// fakeBackend is a service.Backend of canned answers: no engines, no
-// queue, no nodes. It is what lets the shared handlers be tested as a
-// layer of their own.
+// fakeBackend is a service.Backend of canned answers over the same
+// service.Table the node and the coordinator keep: no engines, no queue,
+// no nodes. It is what lets the shared handlers be tested as a layer of
+// their own. Its records are bare JobStates a test edits in place; the
+// table's Jobs and Sweeps are its listings.
 type fakeBackend struct {
-	jobs    map[string]service.JobState
-	sweeps  map[string]service.SweepState
+	service.Table[*service.JobState]
 	err     error // when set, every fallible operation fails with it
 	health  service.Health
 	tel     *obs.Telemetry
@@ -31,35 +32,66 @@ type fakeBackend struct {
 
 func (f *fakeBackend) SubmitJob(context.Context, sim.Point, time.Duration) (service.JobView, error) {
 	f.submits++
-	return service.JobView{ID: "job-000001", Status: service.StatusQueued}, f.err
+	if f.err != nil {
+		return service.JobView{}, f.err
+	}
+	return f.addJob(f.NextJobID(), service.StatusQueued, "").View, nil
 }
 func (f *fakeBackend) Job(_ context.Context, id string) (service.JobState, error) {
-	return f.jobs[id], f.err
-}
-func (f *fakeBackend) CancelJob(_ context.Context, id string) (service.JobView, error) {
-	return f.jobs[id].View, f.err
-}
-func (f *fakeBackend) Jobs() (out []service.JobView) {
-	for _, j := range f.jobs {
-		out = append(out, j.View)
+	if f.err != nil {
+		return service.JobState{}, f.err
 	}
-	return out
+	j, err := f.Table.Job(id)
+	if err != nil {
+		return service.JobState{}, err
+	}
+	return *j, nil
+}
+func (f *fakeBackend) CancelJob(ctx context.Context, id string) (service.JobView, error) {
+	j, err := f.Job(ctx, id)
+	return j.View, err
 }
 func (f *fakeBackend) SubmitSweep(_ context.Context, points []sim.Point, _ time.Duration) (service.SweepState, error) {
 	f.submits++
-	return service.SweepState{ID: "sweep-000001", Points: points, Children: make([]service.JobState, len(points))}, f.err
+	if f.err != nil {
+		return service.SweepState{}, f.err
+	}
+	sw := f.NewSweep(points)
+	for i := range points {
+		sw.Children[i] = f.addJob(f.NextJobID(), service.StatusQueued, "")
+	}
+	f.AddSweep(sw)
+	return sw.State(), nil
 }
 func (f *fakeBackend) Sweep(_ context.Context, id string) (service.SweepState, error) {
-	return f.sweeps[id], f.err
-}
-func (f *fakeBackend) Sweeps() (out []service.SweepState) {
-	for _, sw := range f.sweeps {
-		out = append(out, sw)
+	if f.err != nil {
+		return service.SweepState{}, f.err
 	}
-	return out
+	sw, err := f.Table.Sweep(id)
+	if err != nil {
+		return service.SweepState{}, err
+	}
+	return sw.State(), nil
 }
 func (f *fakeBackend) Health() service.Health    { return f.health }
 func (f *fakeBackend) Telemetry() *obs.Telemetry { return f.tel }
+
+// addJob publishes a canned job record (raw "" = no resident bytes).
+func (f *fakeBackend) addJob(id, status string, raw string) *service.JobState {
+	st := &service.JobState{View: service.JobView{ID: id, Status: status}}
+	if raw != "" {
+		st.Raw = []byte(raw)
+	}
+	f.Add(st)
+	return st
+}
+
+// addSweep publishes a canned sweep over children already in hand.
+func (f *fakeBackend) addSweep(id string, points []sim.Point, children ...*service.JobState) *service.SweepRecord[*service.JobState] {
+	sw := &service.SweepRecord[*service.JobState]{ID: id, Points: points, Children: children}
+	f.AddSweep(sw)
+	return sw
+}
 
 // call drives one request through NewMux(f) without a socket.
 func call(f *fakeBackend, method, path, body string) (*http.Response, string) {
@@ -71,14 +103,6 @@ func call(f *fakeBackend, method, path, body string) (*http.Response, string) {
 	resp := rec.Result()
 	raw, _ := io.ReadAll(resp.Body)
 	return resp, string(raw)
-}
-
-func jobState(id, status string, raw string) service.JobState {
-	st := service.JobState{View: service.JobView{ID: id, Status: status}}
-	if raw != "" {
-		st.Raw = []byte(raw)
-	}
-	return st
 }
 
 // TestHandlersErrorMapping: whatever error a backend returns, the shared
@@ -161,14 +185,13 @@ func TestHandlersRejectBeforeBackend(t *testing.T) {
 // includes "done" before the bytes are resident — 200 + the exact bytes +
 // newline once done, 409 for the other terminal states.
 func TestHandlersResultFraming(t *testing.T) {
-	f := &fakeBackend{jobs: map[string]service.JobState{
-		"job-000001": jobState("job-000001", service.StatusQueued, ""),
-		"job-000002": jobState("job-000002", service.StatusRunning, ""),
-		"job-000003": jobState("job-000003", service.StatusDone, ""),
-		"job-000004": jobState("job-000004", service.StatusDone, `{"ipc": 0.5 }`),
-		"job-000005": jobState("job-000005", service.StatusFailed, ""),
-		"job-000006": jobState("job-000006", service.StatusCanceled, ""),
-	}}
+	f := &fakeBackend{}
+	f.addJob("job-000001", service.StatusQueued, "")
+	f.addJob("job-000002", service.StatusRunning, "")
+	f.addJob("job-000003", service.StatusDone, "")
+	f.addJob("job-000004", service.StatusDone, `{"ipc": 0.5 }`)
+	f.addJob("job-000005", service.StatusFailed, "")
+	f.addJob("job-000006", service.StatusCanceled, "")
 	for id, want := range map[string]int{
 		"job-000001": 202, "job-000002": 202, "job-000003": 202,
 		"job-000004": 200, "job-000005": 409, "job-000006": 409,
@@ -195,14 +218,13 @@ func TestHandlersResultFraming(t *testing.T) {
 // the children's views and bytes.
 func TestHandlersSweepAggregation(t *testing.T) {
 	points := sim.Sweep{Workloads: []string{"164.gzip", "176.gcc", "181.mcf"}}.Points()
-	sw := service.SweepState{ID: "sweep-000001", Points: points, Children: []service.JobState{
-		jobState("job-000002", service.StatusDone, `{"n":0}`),
-		jobState("job-000003", service.StatusDone, ""), // done, bytes not pulled yet
-		jobState("job-000004", service.StatusFailed, ""),
-	}}
+	f := &fakeBackend{}
+	sw := f.addSweep("sweep-000001", points,
+		f.addJob("job-000002", service.StatusDone, `{"n":0}`),
+		f.addJob("job-000003", service.StatusDone, ""), // done, bytes not pulled yet
+		f.addJob("job-000004", service.StatusFailed, ""))
 	sw.Children[0].View.Cached = true
 	sw.Children[2].View.Error = "boom"
-	f := &fakeBackend{sweeps: map[string]service.SweepState{sw.ID: sw}}
 
 	resp, body := call(f, "GET", "/v1/sweeps/sweep-000001/result", "")
 	var view service.SweepView
@@ -234,14 +256,13 @@ func TestHandlersSweepAggregation(t *testing.T) {
 // a cursor naming an id the backend no longer holds still pages — the
 // property bounded job tables will need.
 func TestHandlersPaging(t *testing.T) {
-	f := &fakeBackend{jobs: map[string]service.JobState{}, sweeps: map[string]service.SweepState{}}
+	f := &fakeBackend{}
 	for _, n := range []int{1, 2, 3, 5, 8, 1000000} {
-		id := fmt.Sprintf("job-%06d", n)
 		status := service.StatusDone
 		if n%2 == 0 {
 			status = service.StatusFailed
 		}
-		f.jobs[id] = jobState(id, status, "")
+		f.addJob(fmt.Sprintf("job-%06d", n), status, "")
 	}
 	list := func(query string) (ids []string, next string) {
 		t.Helper()
@@ -273,8 +294,8 @@ func TestHandlersPaging(t *testing.T) {
 	}
 
 	// Sweeps page through the same function; their status is the roll-up.
-	f.sweeps["sweep-000004"] = service.SweepState{ID: "sweep-000004", Children: []service.JobState{jobState("job-000005", service.StatusRunning, "")}}
-	f.sweeps["sweep-000006"] = service.SweepState{ID: "sweep-000006", Children: []service.JobState{jobState("job-000007", service.StatusFailed, "")}}
+	f.addSweep("sweep-000004", nil, &service.JobState{View: service.JobView{ID: "job-000005", Status: service.StatusRunning}})
+	f.addSweep("sweep-000006", nil, &service.JobState{View: service.JobView{ID: "job-000007", Status: service.StatusFailed}})
 	for query, want := range map[string]string{
 		"?limit=1":        `{"sweeps":[{"id":"sweep-000006","status":"done",`,
 		"?status=running": `{"sweeps":[{"id":"sweep-000004","status":"running",`,

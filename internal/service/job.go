@@ -43,25 +43,16 @@ func KnownStatus(status string) bool {
 	return false
 }
 
-// job is one accepted simulation. Mutable fields are guarded by the
-// server's mu.
+// job is one accepted simulation: its wire state (view and, once done,
+// the canonical result bytes, read-only once set) plus what running it
+// takes. Mutable fields are guarded by the server's mu.
 type job struct {
-	id      string
-	engine  string
+	JobState
 	params  sim.Params
-	key     string // content address; see JobKey
 	timeout time.Duration
 
-	tel *obs.Telemetry // per-job registry, served at /v1/jobs/{id}/metrics
-
-	status    string
-	cached    bool
-	submitted time.Time
-	started   time.Time
-	finished  time.Time
-	cancel    context.CancelFunc // non-nil while running
-	raw       []byte             // canonical result JSON; read-only once set
-	errMsg    string
+	tel    *obs.Telemetry     // per-job registry, served at /v1/jobs/{id}/metrics
+	cancel context.CancelFunc // non-nil while running
 }
 
 // JobKey combines the engine name with the Params content address into the
@@ -87,23 +78,6 @@ type JobView struct {
 	FinishedAt  time.Time `json:"finished_at"` // zero until the job is terminal
 }
 
-// view and state snapshot a job; the caller holds the server's mu.
-func (j *job) view() JobView {
-	return JobView{
-		ID:          j.id,
-		Engine:      j.engine,
-		Status:      j.status,
-		Cached:      j.cached,
-		Key:         j.key,
-		Error:       j.errMsg,
-		SubmittedAt: j.submitted,
-		StartedAt:   j.started,
-		FinishedAt:  j.finished,
-	}
-}
-
-func (j *job) state() JobState { return JobState{View: j.view(), Raw: j.raw} }
-
 // SubmitJob implements Backend: resolve the cache, and either complete the
 // job instantly (hit) or enqueue it (miss).
 func (s *Server) SubmitJob(_ context.Context, pt sim.Point, timeout time.Duration) (JobView, error) {
@@ -113,43 +87,39 @@ func (s *Server) SubmitJob(_ context.Context, pt sim.Point, timeout time.Duratio
 	if err != nil {
 		return JobView{}, err
 	}
-	return j.view(), nil
+	return j.View, nil
 }
 
 // Job implements Backend.
 func (s *Server) Job(_ context.Context, id string) (JobState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobState{}, NotFound("job", id)
+	j, err := s.table.Job(id)
+	if err != nil {
+		return JobState{}, err
 	}
-	return j.state(), nil
+	return j.JobState, nil
 }
 
 // CancelJob implements Backend.
 func (s *Server) CancelJob(_ context.Context, id string) (JobView, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	if !ok {
-		return JobView{}, NotFound("job", id)
+	j, err := s.table.Job(id)
+	if err != nil {
+		return JobView{}, err
 	}
 	if !s.cancelLocked(j) {
-		return JobView{}, Errorf(http.StatusConflict, CodeConflict, "job %s already %s", j.id, j.status)
+		return JobView{}, Errorf(http.StatusConflict, CodeConflict, "job %s already %s", id, j.View.Status)
 	}
-	return j.view(), nil
+	return j.View, nil
 }
 
 // Jobs implements Backend.
 func (s *Server) Jobs() []JobView {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobView, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		out = append(out, j.view())
-	}
-	return out
+	return s.table.Jobs()
 }
 
 // drainingLocked is the rejection every admission path answers once
@@ -179,33 +149,31 @@ func (s *Server) admitLocked(pt sim.Point, timeout time.Duration) (*job, error) 
 	if timeout <= 0 {
 		timeout = s.cfg.DefaultTimeout
 	}
-	s.seq++
 	j := &job{
-		id:        fmt.Sprintf("job-%06d", s.seq),
-		engine:    pt.Engine,
-		params:    pt.Params,
-		key:       JobKey(pt.Engine, pt.Params),
-		timeout:   timeout,
-		tel:       obs.New(),
-		submitted: time.Now(),
+		JobState: JobState{View: JobView{
+			ID:          s.table.NextJobID(),
+			Engine:      pt.Engine,
+			Key:         JobKey(pt.Engine, pt.Params),
+			SubmittedAt: time.Now(),
+		}},
+		params:  pt.Params,
+		timeout: timeout,
+		tel:     obs.New(),
 	}
-	if raw, ok := s.cache.get(j.key); ok {
-		j.status = StatusDone
-		j.cached = true
-		j.raw = raw
-		j.finished = j.submitted
-		s.jobs[j.id] = j
+	if raw, ok := s.cache.get(j.View.Key); ok {
+		j.View.Status, j.View.Cached, j.View.FinishedAt, j.Raw = StatusDone, true, j.View.SubmittedAt, raw
+		s.table.Add(j)
 		s.jobsSubmitted.Inc()
 		s.jobsByStatus("cached").Inc()
 		return j, nil
 	}
-	j.status = StatusQueued
+	j.View.Status = StatusQueued
 	select {
 	case s.queue <- j:
 	default:
 		return nil, s.queueFullLocked("job queue is full")
 	}
-	s.jobs[j.id] = j
+	s.table.Add(j)
 	s.jobsSubmitted.Inc()
 	s.queueDepth.Set(int64(len(s.queue)))
 	return j, nil
@@ -244,26 +212,23 @@ func (s *Server) worker() {
 // first) is served from cache without an engine run.
 func (s *Server) runJob(j *job) {
 	s.mu.Lock()
-	if j.status != StatusQueued {
+	if j.View.Status != StatusQueued {
 		s.mu.Unlock()
 		return
 	}
-	if raw, ok := s.cache.get(j.key); ok {
-		j.status = StatusDone
-		j.cached = true
-		j.raw = raw
-		j.finished = time.Now()
+	if raw, ok := s.cache.get(j.View.Key); ok {
+		j.View.Status, j.View.Cached, j.View.FinishedAt, j.Raw = StatusDone, true, time.Now(), raw
 		s.jobsByStatus("cached").Inc()
 		s.mu.Unlock()
 		return
 	}
-	j.status = StatusRunning
-	j.started = time.Now()
+	started := time.Now()
+	j.View.Status, j.View.StartedAt = StatusRunning, started
 	ctx, cancel := context.WithTimeout(context.Background(), j.timeout)
 	j.cancel = cancel
 	s.mu.Unlock()
 	defer cancel()
-	s.queueWait.Observe(j.started.Sub(j.submitted).Seconds())
+	s.queueWait.Observe(started.Sub(j.View.SubmittedAt).Seconds())
 
 	p := j.params
 	if p.Telemetry == nil {
@@ -276,36 +241,31 @@ func (s *Server) runJob(j *job) {
 		p.Snapshots = s.snaps
 	}
 	s.engineRuns.Inc()
-	res, err := sim.RunContext(ctx, j.engine, p)
+	res, err := sim.RunContext(ctx, j.View.Engine, p)
 	finished := time.Now()
-	s.jobSeconds.Observe(finished.Sub(j.started).Seconds())
+	s.jobSeconds.Observe(finished.Sub(started).Seconds())
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	j.finished = finished
+	j.View.FinishedAt = finished
 	j.cancel = nil
 	switch {
 	case err == nil:
 		raw, merr := json.Marshal(res)
 		if merr != nil {
-			j.status = StatusFailed
-			j.errMsg = fmt.Sprintf("encode result: %v", merr)
+			j.View.Status, j.View.Error = StatusFailed, fmt.Sprintf("encode result: %v", merr)
 			break
 		}
-		j.status = StatusDone
-		j.raw = raw
-		s.cache.put(j.key, raw)
+		j.View.Status, j.Raw = StatusDone, raw
+		s.cache.put(j.View.Key, raw)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.status = StatusFailed
-		j.errMsg = fmt.Sprintf("deadline exceeded after %s: %v", j.timeout, err)
+		j.View.Status, j.View.Error = StatusFailed, fmt.Sprintf("deadline exceeded after %s: %v", j.timeout, err)
 	case errors.Is(err, context.Canceled):
-		j.status = StatusCanceled
-		j.errMsg = err.Error()
+		j.View.Status, j.View.Error = StatusCanceled, err.Error()
 	default:
-		j.status = StatusFailed
-		j.errMsg = err.Error()
+		j.View.Status, j.View.Error = StatusFailed, err.Error()
 	}
-	s.jobsByStatus(j.status).Inc()
+	s.jobsByStatus(j.View.Status).Inc()
 }
 
 // cancelLocked moves a job toward termination: a queued job terminates
@@ -313,11 +273,9 @@ func (s *Server) runJob(j *job) {
 // cancelled and terminates when the engine notices. Terminal jobs are
 // left alone (reported false).
 func (s *Server) cancelLocked(j *job) bool {
-	switch j.status {
+	switch j.View.Status {
 	case StatusQueued:
-		j.status = StatusCanceled
-		j.errMsg = "canceled while queued"
-		j.finished = time.Now()
+		j.View.Status, j.View.Error, j.View.FinishedAt = StatusCanceled, "canceled while queued", time.Now()
 		s.jobsByStatus(StatusCanceled).Inc()
 		return true
 	case StatusRunning:
@@ -327,24 +285,6 @@ func (s *Server) cancelLocked(j *job) bool {
 		return true
 	}
 	return false
-}
-
-// sweepJob is one fanned-out sim.Sweep: child jobs in spec order, each an
-// ordinary job (cache-resolved or queued) that GET /v1/sweeps/{id}/result
-// aggregates back in spec order.
-type sweepJob struct {
-	id        string
-	submitted time.Time
-	points    []sim.Point
-	children  []*job
-}
-
-func (sw *sweepJob) state() SweepState {
-	st := SweepState{ID: sw.id, SubmittedAt: sw.submitted, Points: sw.points, Children: make([]JobState, len(sw.children))}
-	for i, j := range sw.children {
-		st.Children[i] = j.state()
-	}
-	return st
 }
 
 // SweepView is the stable JSON shape of GET /v1/sweeps/{id} and the
@@ -361,7 +301,9 @@ type SweepView struct {
 
 // SubmitSweep implements Backend, admitting every point atomically: either
 // the whole sweep is accepted (cache hits resolved, the rest enqueued) or
-// nothing is, so a half-admitted sweep can never wedge the queue.
+// nothing is, so a half-admitted sweep can never wedge the queue. Each
+// child is an ordinary job that GET /v1/sweeps/{id}/result aggregates back
+// in spec order.
 func (s *Server) SubmitSweep(_ context.Context, points []sim.Point, timeout time.Duration) (SweepState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -379,49 +321,39 @@ func (s *Server) SubmitSweep(_ context.Context, points []sim.Point, timeout time
 	if free := cap(s.queue) - len(s.queue); need > free {
 		return SweepState{}, s.queueFullLocked("sweep needs %d queue slots, %d free", need, free)
 	}
-	s.seq++
-	sw := &sweepJob{
-		id:        fmt.Sprintf("sweep-%06d", s.seq),
-		submitted: time.Now(),
-		points:    points,
-		children:  make([]*job, len(points)),
-	}
+	sw := s.table.NewSweep(points)
 	for i, pt := range points {
 		j, err := s.admitLocked(pt, timeout)
 		if err != nil {
 			// Capacity was checked above; only a concurrent drain could get
 			// here, and draining flips under mu — so this is unreachable.
 			// Fail closed anyway rather than leak a half-built sweep.
-			for _, prev := range sw.children[:i] {
+			for _, prev := range sw.Children[:i] {
 				s.cancelLocked(prev)
 			}
 			return SweepState{}, err
 		}
-		sw.children[i] = j
+		sw.Children[i] = j
 	}
-	s.sweeps[sw.id] = sw
+	s.table.AddSweep(sw)
 	s.sweepsTotal.Inc()
-	return sw.state(), nil
+	return sw.State(), nil
 }
 
 // Sweep implements Backend.
 func (s *Server) Sweep(_ context.Context, id string) (SweepState, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sw, ok := s.sweeps[id]
-	if !ok {
-		return SweepState{}, NotFound("sweep", id)
+	sw, err := s.table.Sweep(id)
+	if err != nil {
+		return SweepState{}, err
 	}
-	return sw.state(), nil
+	return sw.State(), nil
 }
 
 // Sweeps implements Backend.
 func (s *Server) Sweeps() []SweepState {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]SweepState, 0, len(s.sweeps))
-	for _, sw := range s.sweeps {
-		out = append(out, sw.state())
-	}
-	return out
+	return s.table.Sweeps()
 }

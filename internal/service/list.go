@@ -1,12 +1,10 @@
 package service
 
 import (
-	"fmt"
 	"net/http"
 	"net/url"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Collection listing: GET /v1/jobs and GET /v1/sweeps enumerate accepted
@@ -74,21 +72,6 @@ func parseListQuery(v url.Values, knownStatus func(string) bool) (listQuery, err
 		q.afterSeq = seq
 	}
 	return q, nil
-}
-
-// idSeq recovers the admission sequence number from a job/sweep id
-// ("job-000123" → 123). Ordering by the numeric suffix instead of the id
-// string keeps newest-first correct past the %06d formatting width.
-func idSeq(id string) (uint64, error) {
-	i := strings.LastIndexByte(id, '-')
-	if i < 0 {
-		return 0, fmt.Errorf("malformed id %q", id)
-	}
-	n, err := strconv.ParseUint(id[i+1:], 10, 64)
-	if err != nil {
-		return 0, fmt.Errorf("malformed id %q", id)
-	}
-	return n, nil
 }
 
 // knownSweepStatus guards the sweep list filter: a sweep is only ever

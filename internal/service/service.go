@@ -93,9 +93,7 @@ type Server struct {
 
 	mu       sync.Mutex
 	draining bool
-	seq      uint64
-	jobs     map[string]*job
-	sweeps   map[string]*sweepJob
+	table    Table[*job]
 
 	workers sync.WaitGroup
 
@@ -134,8 +132,6 @@ func New(cfg Config) *Server {
 		tel:           cfg.Telemetry,
 		cache:         newResultCache(cfg.CacheEntries, cfg.Store, cfg.Telemetry),
 		queue:         make(chan *job, cfg.QueueDepth),
-		jobs:          map[string]*job{},
-		sweeps:        map[string]*sweepJob{},
 		jobsSubmitted: cfg.Telemetry.Counter("service_jobs_submitted_total"),
 		engineRuns:    cfg.Telemetry.Counter("service_engine_runs_total"),
 		sweepsTotal:   cfg.Telemetry.Counter("service_sweeps_total"),
@@ -190,10 +186,10 @@ func (s *Server) Health() Health {
 
 func (s *Server) handleJobMetrics(w http.ResponseWriter, r *http.Request) {
 	s.mu.Lock()
-	j, ok := s.jobs[r.PathValue("id")]
+	j, err := s.table.Job(r.PathValue("id"))
 	s.mu.Unlock()
-	if !ok {
-		writeError(w, NotFound("job", r.PathValue("id")))
+	if err != nil {
+		writeError(w, err)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
@@ -224,11 +220,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	case <-ctx.Done():
 	}
 	s.mu.Lock()
-	for _, j := range s.jobs {
-		if j.status == StatusQueued || j.status == StatusRunning {
-			s.cancelLocked(j)
-		}
-	}
+	s.table.Each(func(j *job) { s.cancelLocked(j) })
 	s.mu.Unlock()
 	<-drained
 	return ctx.Err()

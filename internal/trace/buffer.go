@@ -39,6 +39,11 @@ type Buffer struct {
 	maxOccupancy int
 }
 
+// DefaultCapacity is the prototype's trace-buffer depth in in-flight
+// instructions: how far the functional model may run ahead of the timing
+// model's commit.
+const DefaultCapacity = 512
+
 // NewBuffer creates a trace buffer holding capacity in-flight instructions.
 // Capacity bounds FM run-ahead: the paper's prototype sizes it so the FM can
 // speculate well past the TM without unbounded memory.
