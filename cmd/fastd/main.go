@@ -9,11 +9,11 @@
 //	fastd -addr :8080 -workers 4 -queue 64 -cache 256 -timeout 10m \
 //	      -cache-dir /var/lib/fastd/cache -cache-bytes 1073741824
 //
-// Warm-start is on by default: boot snapshots are captured at
+// Warm-start is always on: boot snapshots are captured at
 // boot-complete and resumed for any later run sharing the boot prefix,
 // stored alongside results in -cache-dir (or a dedicated -snapshot-dir).
-// -resume=false boots every run cold. -pprof-addr serves net/http/pprof
-// on a separate listener for profiling (off by default).
+// -pprof-addr serves net/http/pprof on a separate listener for profiling
+// (off by default).
 //
 //	fastctl submit -engine fast -params '{"workload":"164.gzip"}' -wait
 //
@@ -59,7 +59,6 @@ func main() {
 		cacheBytes = flag.Int64("cache-bytes", 0, "disk store size budget in bytes (0 = unbounded), LRU-evicted")
 
 		snapshotDir = flag.String("snapshot-dir", "", "disk directory for warm-start boot snapshots (empty = share -cache-dir, or memory only without one)")
-		resume      = flag.Bool("resume", true, "warm-start runs from boot snapshots when one matches; false boots every run cold")
 		pprofAddr   = flag.String("pprof-addr", "", "serve net/http/pprof on this address (empty = disabled)")
 
 		coordinator   = flag.Bool("coordinator", false, "run as a cluster coordinator instead of a worker (requires -nodes)")
@@ -86,12 +85,11 @@ func main() {
 	}
 
 	cfg := service.Config{
-		Workers:          *workers,
-		QueueDepth:       *queue,
-		CacheEntries:     *cache,
-		DefaultTimeout:   *timeout,
-		Telemetry:        tel,
-		DisableWarmStart: !*resume,
+		Workers:        *workers,
+		QueueDepth:     *queue,
+		CacheEntries:   *cache,
+		DefaultTimeout: *timeout,
+		Telemetry:      tel,
 	}
 	if *cacheDir != "" {
 		store, err := diskcache.New(*cacheDir, *cacheBytes, tel)
@@ -103,7 +101,7 @@ func main() {
 	}
 	// A dedicated snapshot directory splits the warm-start tier from the
 	// result store; without one, snapshots ride cfg.Store (if any).
-	if *snapshotDir != "" && *resume {
+	if *snapshotDir != "" {
 		snaps, err := diskcache.New(*snapshotDir, 0, tel)
 		if err != nil {
 			log.Fatalf("open snapshot store %s: %v", *snapshotDir, err)

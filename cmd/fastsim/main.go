@@ -41,12 +41,6 @@ import (
 	"repro/internal/workload"
 )
 
-// captureOnly (-resume=false) keeps the capture path live while never
-// resuming: every run boots cold and overwrites the stored snapshot.
-type captureOnly struct{ sim.SnapshotStore }
-
-func (captureOnly) GetSnapshot(string) (sim.Snapshot, bool) { return sim.Snapshot{}, false }
-
 func main() {
 	// Engine defaults are not restated as flag defaults: an unset flag is a
 	// zero Params field, and the help text reads what that resolves to.
@@ -75,7 +69,6 @@ func main() {
 		traceN      = flag.Int("trace", 0, "dump the first N committed trace entries (continues through idle waits)")
 		connectors  = flag.Bool("connectors", false, "print Connector statistics (serial fast engine only)")
 		snapshotDir = flag.String("snapshot-dir", "", "disk directory for warm-start boot snapshots: capture at boot-complete, resume later runs sharing the boot prefix (empty = disabled)")
-		resume      = flag.Bool("resume", true, "with -snapshot-dir: resume from a matching snapshot; false boots cold and (re)captures")
 		metricsPath = flag.String("metrics", "", "write Prometheus-style metrics to this file after the run (\"-\" = stdout)")
 		tracePath   = flag.String("tracefile", "", "write a Chrome trace_event JSON timeline to this file (open in chrome://tracing or ui.perfetto.dev)")
 		jsonOut     = flag.Bool("json", false, "print the run result as one JSON object instead of text")
@@ -195,19 +188,15 @@ func main() {
 
 	// -snapshot-dir attaches the warm-start tier: boot once, then every
 	// later invocation sharing the boot prefix skips straight past boot.
-	var snaps sim.SnapshotStore
+	params.Telemetry = tel
 	if *snapshotDir != "" {
 		store, serr := diskcache.New(*snapshotDir, 0, nil)
 		if serr != nil {
 			fatal(fmt.Errorf("open snapshot dir: %w", serr))
 		}
-		snaps = service.NewSnapshotStore(store, nil)
-		if !*resume {
-			snaps = captureOnly{snaps}
-		}
+		params.Snapshots = service.NewSnapshotStore(store, nil)
 	}
 
-	params.Telemetry, params.Snapshots = tel, snaps
 	eng, err := sim.New(engine, params)
 	if err != nil {
 		fatal(err)

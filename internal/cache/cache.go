@@ -115,10 +115,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats implements Level.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats clears counters (the periodic statistics sampler uses deltas
-// instead, but tests use this).
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 func (c *Cache) index(addr uint32) (set int, tag uint32) {
 	line := addr / uint32(c.cfg.LineBytes)
 	return int(line) & (c.sets - 1), line / uint32(c.sets)

@@ -60,6 +60,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/fm"
 	"repro/internal/fpga"
 	"repro/internal/hostlink"
@@ -88,16 +89,6 @@ type Config struct {
 
 	// Link is the host CPU↔FPGA channel.
 	Link hostlink.Config
-	// Clock is the FPGA host clock (default 100 MHz).
-	Clock fpga.Clock
-
-	// FMNanosPerInst is the functional model's execution cost per
-	// instruction: 87 ns for the paper's modified QEMU with tracing and
-	// checkpointing (11.5 MIPS, §4.5).
-	FMNanosPerInst float64
-	// FMRollbackNanosPerInst is the per-instruction cost of undoing
-	// speculative work on a set_pc.
-	FMRollbackNanosPerInst float64
 
 	// PollEveryBBs makes the FM poll the FPGA queue every N basic blocks
 	// (the prototype's 2, §4). 0 polls only on re-steers — the architected
@@ -112,8 +103,6 @@ type Config struct {
 	// MaxInstructions stops the run after this many committed
 	// instructions (0 = run to completion).
 	MaxInstructions uint64
-	// MaxCycles bounds target cycles as a safety net.
-	MaxCycles uint64
 
 	// SnapshotHook, when non-nil, arms a one-shot warm-start capture: at
 	// the first quiescent boundary at or after the FM's first user-mode
@@ -130,6 +119,20 @@ type Config struct {
 	Telemetry *obs.Telemetry
 }
 
+// The host-cost model and the safety net every configuration shares. The
+// FPGA host clock is fpga.DefaultClock (100 MHz, §4.4).
+const (
+	// FMNanosPerInst is the functional model's execution cost per
+	// instruction: 87 ns for the paper's modified QEMU with tracing and
+	// checkpointing (11.5 MIPS, §4.5).
+	FMNanosPerInst float64 = 87
+	// FMRollbackNanosPerInst is the per-instruction cost of undoing
+	// speculative work on a set_pc.
+	FMRollbackNanosPerInst float64 = 30
+	// MaxCycles bounds target cycles as a safety net.
+	MaxCycles uint64 = 2_000_000_000
+)
+
 // DefaultConfig returns the prototype configuration of §4.
 func DefaultConfig() Config {
 	return Config{
@@ -138,13 +141,9 @@ func DefaultConfig() Config {
 			ICacheEntries: fm.DefaultICacheEntries,
 			SuperblockLen: fm.DefaultSuperblockLen,
 		},
-		TBCapacity:             trace.DefaultCapacity,
-		Link:                   hostlink.DRC(),
-		Clock:                  fpga.DefaultClock,
-		FMNanosPerInst:         87,
-		FMRollbackNanosPerInst: 30,
-		PollEveryBBs:           2,
-		MaxCycles:              2_000_000_000,
+		TBCapacity:   trace.DefaultCapacity,
+		Link:         hostlink.DRC(),
+		PollEveryBBs: 2,
 	}
 }
 
@@ -168,6 +167,11 @@ type Result struct {
 	LinkStats      hostlink.Stats
 	TM             tm.Stats
 	TBMaxOccupancy int
+
+	// The multicore summary, nil and zero on a single Sim: each core's own
+	// Result (len(PerCore) is the core count) and the directory counters.
+	PerCore   []Result
+	Coherence cache.CoherentStats
 }
 
 func (r Result) String() string {
@@ -325,7 +329,7 @@ func (s *Sim) pump() {
 // slot. pump checks it between instructions and pumpSink inside a
 // superblock.
 func (s *Sim) room() bool {
-	return s.budget >= s.cfg.FMNanosPerInst && s.app.Live() < s.TB.Cap()
+	return s.budget >= FMNanosPerInst && s.app.Live() < s.TB.Cap()
 }
 
 // pumpSink accounts one produced entry and reports whether the current
@@ -353,7 +357,7 @@ func (s *Sim) onFlush(entries, occupancy int) {
 		// must not read TM state (a data race), so it stamps FM host time.
 		ts := s.fmNanos
 		if s.async == nil {
-			ts = s.cfg.Clock.Nanos(s.TM.HostCycles())
+			ts = fpga.DefaultClock.Nanos(s.TM.HostCycles())
 		}
 		s.tlog.CounterSample("tb_occupancy", s.pid, ts,
 			map[string]any{"entries": occupancy})
@@ -370,7 +374,7 @@ func (s *Sim) onFlush(entries, occupancy int) {
 // the words accumulate and are recorded against the link when the chunk
 // publishes.
 func (s *Sim) entryCost(e *trace.Entry) float64 {
-	cost := s.cfg.FMNanosPerInst
+	cost := FMNanosPerInst
 	words := s.FM.Encoding().Words(e)
 	cost += s.link.BurstNanos(words)
 	s.pendingWords += words
@@ -430,8 +434,8 @@ func (s *Sim) advance(ctx context.Context, end uint64) {
 		if s.capped() {
 			break
 		}
-		if s.TM.Cycle() >= s.cfg.MaxCycles {
-			s.err = fmt.Errorf("core: exceeded max cycles %d", s.cfg.MaxCycles)
+		if s.TM.Cycle() >= MaxCycles {
+			s.err = fmt.Errorf("core: exceeded max cycles %d", MaxCycles)
 			break
 		}
 		if s.ticks++; s.ticks%ctxCheckInterval == 0 {
@@ -446,7 +450,7 @@ func (s *Sim) advance(ctx context.Context, end uint64) {
 			continue
 		}
 		if s.TM.RepArmed() && !s.stepOnly {
-			if periods, charges := s.TM.FastForward(min(end, s.cfg.MaxCycles), s.parkedFn); periods > 0 {
+			if periods, charges := s.TM.FastForward(min(end, MaxCycles), s.parkedFn); periods > 0 {
 				s.grantSkipped(periods, charges)
 				continue
 			}
@@ -479,7 +483,7 @@ func (s *Sim) stepCycle() {
 		s.observeBoot()
 	}
 	h := s.TM.HostCycles()
-	s.budget += s.cfg.Clock.Nanos(h - s.lastHost)
+	s.budget += fpga.DefaultClock.Nanos(h - s.lastHost)
 	s.lastHost = h
 	if s.FM.Halted() && !s.terminal() {
 		s.FM.AdvanceIdle(1)
@@ -505,7 +509,7 @@ func (s *Sim) grantSkipped(periods uint64, charges []uint64) {
 	last := s.TM.HostCycles() - periods*sum - s.lastHost // the last stepped cycle's charge
 	for range periods {
 		for _, c := range charges {
-			s.budget += s.cfg.Clock.Nanos(last)
+			s.budget += fpga.DefaultClock.Nanos(last)
 			last = c
 		}
 	}
@@ -528,12 +532,12 @@ func (s *Sim) converged() bool {
 func (s *Sim) converge() {
 	s.app.Flush()
 	for !s.TM.Done() && !s.converged() {
-		if s.TM.Cycle() >= s.cfg.MaxCycles {
-			s.err = fmt.Errorf("core: exceeded max cycles %d during convergence", s.cfg.MaxCycles)
+		if s.TM.Cycle() >= MaxCycles {
+			s.err = fmt.Errorf("core: exceeded max cycles %d during convergence", MaxCycles)
 			return
 		}
 		h := s.TM.HostCycles()
-		s.budget += s.cfg.Clock.Nanos(h - s.lastHost)
+		s.budget += fpga.DefaultClock.Nanos(h - s.lastHost)
 		s.lastHost = h
 		s.TM.Step()
 	}
@@ -550,7 +554,7 @@ func (s *Sim) result() Result {
 		s.pendingWords = 0
 	}
 	st := s.TM.Stats
-	tmNanos := s.cfg.Clock.Nanos(s.TM.HostCycles())
+	tmNanos := fpga.DefaultClock.Nanos(s.TM.HostCycles())
 	r := Result{
 		Instructions:   st.Instructions,
 		WrongPath:      s.wrongProduced,
@@ -736,8 +740,8 @@ func (s *Sim) apply(c command) {
 		return
 	}
 	s.fmNanos += s.link.Poll(1) // the extra re-steer read (§4.5)
-	s.fmNanos += float64(rolled) * s.cfg.FMRollbackNanosPerInst
+	s.fmNanos += float64(rolled) * FMRollbackNanosPerInst
 	// Checkpoint-engine rollbacks really re-execute instructions; charge
 	// them at full FM speed (§3.1's αBA).
-	s.fmNanos += float64(s.FM.ReExecuted()-reExec) * s.cfg.FMNanosPerInst
+	s.fmNanos += float64(s.FM.ReExecuted()-reExec) * FMNanosPerInst
 }

@@ -298,7 +298,7 @@ func TestCheckpointEngineCoupled(t *testing.T) {
 			// Everything else the FM side pays is the same under both
 			// engines, so the gap is the replay charge (give or take the
 			// producer's scheduling noise).
-			replay := float64(cs.FM.ReExecuted()) * DefaultConfig().FMNanosPerInst
+			replay := float64(cs.FM.ReExecuted()) * FMNanosPerInst
 			if cr.FMNanos-jr.FMNanos < replay/2 {
 				t.Errorf("checkpoint FM time %.0f ns vs journal %.0f ns: the %.0f ns of replay was not charged",
 					cr.FMNanos, jr.FMNanos, replay)

@@ -51,14 +51,6 @@ type Multicore struct {
 	err      error
 }
 
-// MulticoreResult is the run summary: the aggregate view plus each core's
-// own Result and the directory counters.
-type MulticoreResult struct {
-	Aggregate Result
-	PerCore   []Result
-	Coherence cache.CoherentStats
-}
-
 // NewMulticore builds an N-core simulator from the per-core configuration:
 // one shared physical memory and predecode-coherence domain on the FM side,
 // one shared L2 + directory on the TM side, and N inline Sims around them.
@@ -122,10 +114,10 @@ func (m *Multicore) LoadProgram(p *isa.Program) {
 }
 
 // Run executes the multicore simulation to completion or its limits.
-func (m *Multicore) Run() (MulticoreResult, error) { return m.RunContext(context.Background()) }
+func (m *Multicore) Run() (Result, error) { return m.RunContext(context.Background()) }
 
 // RunContext is Run with cooperative cancellation.
-func (m *Multicore) RunContext(ctx context.Context) (MulticoreResult, error) {
+func (m *Multicore) RunContext(ctx context.Context) (Result, error) {
 	// The bounded-lag quantum is the trace chunk size, so the cross-core
 	// skew bound rides the same granule as the FM→TM coupling.
 	quantum := uint64(m.cores[0].app.ChunkSize())
@@ -154,17 +146,17 @@ func (m *Multicore) RunContext(ctx context.Context) (MulticoreResult, error) {
 	return m.result(), m.err
 }
 
-// result aggregates the per-core runs. Host-time semantics: the N
-// functional models run on N host cores while the single FPGA hosts all N
-// timing models, so the end-to-end wall time is the slowest core's
-// SimNanos; FM work is reported summed.
-func (m *Multicore) result() MulticoreResult {
-	var r MulticoreResult
+// result aggregates the per-core runs into the whole target's Result, which
+// also carries each core's own and the directory counters. Host-time
+// semantics: the N functional models run on N host cores while the single
+// FPGA hosts all N timing models, so the end-to-end wall time is the
+// slowest core's SimNanos; FM work is reported summed.
+func (m *Multicore) result() Result {
+	var a Result
 	var weightedBP float64
-	a := &r.Aggregate
 	for _, s := range m.cores {
 		cr := s.result()
-		r.PerCore = append(r.PerCore, cr)
+		a.PerCore = append(a.PerCore, cr)
 		a.Instructions += cr.Instructions
 		a.WrongPath += cr.WrongPath
 		a.FMNanos += cr.FMNanos
@@ -207,6 +199,6 @@ func (m *Multicore) result() MulticoreResult {
 	if a.SimNanos > 0 {
 		a.TargetMIPS = float64(a.Instructions+a.WrongPath) / a.SimNanos * 1e3
 	}
-	r.Coherence = m.shared.Stats()
-	return r
+	a.Coherence = m.shared.Stats()
+	return a
 }

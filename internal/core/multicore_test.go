@@ -22,7 +22,7 @@ func smpBoot(t *testing.T, n, iters int) *workload.Boot {
 	return boot
 }
 
-func runMulticore(t *testing.T, n, iters int) (MulticoreResult, string) {
+func runMulticore(t *testing.T, n, iters int) (Result, string) {
 	t.Helper()
 	boot := smpBoot(t, n, iters)
 	cfg := DefaultConfig()
@@ -65,11 +65,11 @@ func TestMulticoreSMPLockNoLostUpdates(t *testing.T) {
 	if r.Coherence.Hops == 0 {
 		t.Error("no interconnect hops charged")
 	}
-	if r.Aggregate.Instructions != r.PerCore[0].Instructions+r.PerCore[1].Instructions {
+	if r.Instructions != r.PerCore[0].Instructions+r.PerCore[1].Instructions {
 		t.Error("aggregate instructions are not the per-core sum")
 	}
-	if r.Aggregate.TargetCycles < r.PerCore[0].TargetCycles ||
-		r.Aggregate.TargetCycles < r.PerCore[1].TargetCycles {
+	if r.TargetCycles < r.PerCore[0].TargetCycles ||
+		r.TargetCycles < r.PerCore[1].TargetCycles {
 		t.Error("aggregate target cycles below a per-core value")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/cache"
 	"repro/internal/fm"
 	"repro/internal/hostlink"
 	"repro/internal/isa"
@@ -34,13 +33,11 @@ var policies = []policyCase{
 func (p policyCase) single() bool { return p.cores <= 1 }
 
 // outcome is one run under any policy: the whole-target result (the
-// aggregate for a container), core 0's functional model, and the
-// container-only views.
+// aggregate for a container, with its per-core and directory views) and
+// core 0's functional model.
 type outcome struct {
 	Result
-	fm      *fm.Model
-	perCore []Result
-	coh     cache.CoherentStats
+	fm *fm.Model
 }
 
 func (p policyCase) run(t testing.TB, ctx context.Context, cfg Config, prog *isa.Program) (outcome, error) {
@@ -59,8 +56,8 @@ func (p policyCase) run(t testing.TB, ctx context.Context, cfg Config, prog *isa
 		t.Fatal(err)
 	}
 	m.LoadProgram(prog)
-	mr, err := m.RunContext(ctx)
-	return outcome{Result: mr.Aggregate, fm: m.Cores()[0].FM, perCore: mr.PerCore, coh: mr.Coherence}, err
+	r, err := m.RunContext(ctx)
+	return outcome{Result: r, fm: m.Cores()[0].FM}, err
 }
 
 // cancelAfter is a context whose Err turns context.Canceled on its n-th
@@ -212,7 +209,7 @@ func checkAgreement(t *testing.T, pol policyCase, ref, got outcome) {
 		if want := ref.Instructions * uint64(pol.cores); got.Instructions != want {
 			t.Errorf("committed %d instructions, want %d×%d", got.Instructions, pol.cores, ref.Instructions)
 		}
-		for i, cr := range got.perCore {
+		for i, cr := range got.PerCore {
 			if cr.Instructions != ref.Instructions {
 				t.Errorf("core %d committed %d instructions, want %d", i, cr.Instructions, ref.Instructions)
 			}
@@ -256,8 +253,8 @@ func checkAgreement(t *testing.T, pol policyCase, ref, got outcome) {
 		// A 1-core container is not a single core: the shared hierarchy
 		// adds interconnect latency, so cycles differ — but nothing is
 		// shared, so the directory stays silent.
-		if got.coh.Invalidations != 0 || got.coh.Transfers != 0 {
-			t.Errorf("coherence events on a single core: %+v", got.coh)
+		if got.Coherence.Invalidations != 0 || got.Coherence.Transfers != 0 {
+			t.Errorf("coherence events on a single core: %+v", got.Coherence)
 		}
 	}
 }
@@ -339,8 +336,8 @@ func TestApplyChargesResteer(t *testing.T) {
 					}
 					if pays {
 						want += poll
-						want += float64(rolled) * cfg.FMRollbackNanosPerInst
-						want += float64(reExec) * cfg.FMNanosPerInst
+						want += float64(rolled) * FMRollbackNanosPerInst
+						want += float64(reExec) * FMNanosPerInst
 					}
 					if s.fmNanos != want {
 						t.Errorf("after %v: FM side charged %v ns, want %v (rolled %d, re-executed %d)",

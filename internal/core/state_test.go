@@ -123,13 +123,13 @@ func smpSleepCfg(t testing.TB, n, iters int) (Config, *workload.Boot) {
 
 // TestMulticoreWarmStartBitIdentical is the multicore half of the
 // warm-start contract: capture at a quiescent round boundary, restore onto
-// a freshly built target, and the finished MulticoreResult must be
+// a freshly built target, and the finished Result must be
 // byte-identical to the uninterrupted run — with the hook itself perturbing
 // nothing.
 func TestMulticoreWarmStartBitIdentical(t *testing.T) {
 	const cores, iters = 4, 30
 
-	run := func(hook func(uint64, []byte), blob []byte) MulticoreResult {
+	run := func(hook func(uint64, []byte), blob []byte) Result {
 		cfg, boot := smpSleepCfg(t, cores, iters)
 		cfg.SnapshotHook = hook
 		m, err := NewMulticore(cfg, MulticoreConfig{Cores: cores})

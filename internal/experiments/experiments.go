@@ -356,12 +356,12 @@ func (r Runner) Bottleneck() (string, error) {
 	fmt.Fprintf(&b, "§4.5 — bottleneck analysis\n\n")
 	fmt.Fprintf(&b, "Functional model configuration ladder (Linux boot class):\n")
 	// The ladder's top rows are the paper's measured QEMU-variant speeds
-	// (our model constants embed the tracing-rig row: 87 ns/inst); the
+	// (core.FMNanosPerInst is the tracing-rig row: 87 ns/inst); the
 	// rollback rows are derived from the model: 87 ns/inst plus F×(Lrt+α)
 	// per-instruction rollback overhead at the given accuracy.
 	rollbackMIPS := func(acc float64) float64 {
 		f := (1 - acc) * 0.20 * 2 // §3.1's F with a 20% branch ratio
-		perInst := 87 + f*(469+1000)
+		perInst := core.FMNanosPerInst + f*(469+1000)
 		return 1e3 / perInst
 	}
 	ladder := []struct {
@@ -371,7 +371,7 @@ func (r Runner) Bottleneck() (string, error) {
 	}{
 		{"unmodified QEMU", 137, 137},
 		{"optimizations off", 45.8, 45.8},
-		{"+ tracing & checkpointing (test rig)", 1e3 / 87, 11.5},
+		{"+ tracing & checkpointing (test rig)", 1e3 / core.FMNanosPerInst, 11.5},
 		{"+ 97% BP rollbacks", rollbackMIPS(0.97), 8.6},
 		{"+ 95% BP rollbacks", rollbackMIPS(0.95), 5.9},
 		{"+ software 2-bit BP (94.8%)", rollbackMIPS(0.948), 5.1},
@@ -390,7 +390,7 @@ func (r Runner) Bottleneck() (string, error) {
 		pin.ReadNanos, pin.WriteNanos, pin.BurstWriteNanosPerWord)
 
 	l := hostlink.New(hostlink.DRC())
-	per2BB := 10*87.0 + l.Poll(1) + l.BurstWrite(40)
+	per2BB := 10*core.FMNanosPerInst + l.Poll(1) + l.BurstWrite(40)
 	fmt.Fprintf(&b, "\nPer-2-basic-block streaming cost: 10×87ns + 469ns + 800ns = %.0fns\n", per2BB)
 	fmt.Fprintf(&b, "  => %.0fns/inst = %.1f MIPS streaming bound (paper: 214ns, 4.7 MIPS; measured 4.6)\n",
 		per2BB/10, 1e3/(per2BB/10))

@@ -28,10 +28,10 @@ func (m *Model) step() bool {
 	if m.halted || m.fatal != nil {
 		return false
 	}
-	m.beginInstruction()
+	m.engine.begin(m)
 	now := m.Now()
-	if m.Bus.Due(now) {
-		m.journalBus()
+	if m.Bus.NextDue() <= now {
+		m.engine.noteBus(m)
 	}
 	m.Bus.Tick(now)
 
@@ -46,7 +46,7 @@ func (m *Model) step() bool {
 				m.Interrupts++
 			}
 			if !m.deliverTrap(uint8(isa.VecIRQBase+line), m.PC, 0) {
-				m.abortInstruction()
+				m.engine.abort(m)
 				return false
 			}
 			interrupted = true
@@ -69,7 +69,7 @@ func (m *Model) step() bool {
 	}
 	if m.fatal != nil {
 		// An unhandled trap, raised by the instruction or for its fault.
-		m.abortInstruction()
+		m.engine.abort(m)
 		return false
 	}
 	m.finishEntry(e, p)
@@ -517,7 +517,7 @@ func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
 		ok := m.LLValid && va == m.LLAddr && isa.Word(m.Mem.Read(pa, 4)) == m.LLVal
 		m.LLValid = false // the link is consumed either way
 		if ok {
-			m.journalMem(pa, 4)
+			m.engine.noteMem(m, pa, 4)
 			m.noteStore(pa, 4)
 			m.Mem.Write(pa, uint64(m.GPR[inst.Rd]), 4)
 			m.GPR[inst.Rd] = 1
@@ -571,7 +571,7 @@ func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
 	case isa.OpSti:
 		m.Flags |= isa.FlagI
 	case isa.OpTlbWr:
-		m.journalTLB()
+		m.engine.noteTLB(m)
 		m.icache.noteMapping()
 		vpn := m.GPR[inst.Rd]
 		val := m.GPR[inst.Rs]
@@ -585,7 +585,7 @@ func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
 		m.TLB.Insert(entry)
 		e.TLBWrite, e.TLBVPN, e.TLBPFN = true, vpn, val
 	case isa.OpTlbFl:
-		m.journalTLB()
+		m.engine.noteTLB(m)
 		m.icache.noteMapping()
 		m.TLB.Reset()
 	case isa.OpMovCR:
@@ -607,10 +607,10 @@ func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
 			}
 		}
 	case isa.OpIn:
-		m.journalBus()
+		m.engine.noteBus(m)
 		m.GPR[inst.Rd] = m.Bus.In(uint16(inst.Imm), m.Now())
 	case isa.OpOut:
-		m.journalBus()
+		m.engine.noteBus(m)
 		m.Bus.Out(uint16(inst.Imm), m.GPR[inst.Rd], m.Now())
 	case isa.OpCpuid:
 		m.GPR[inst.Rd] = 0x46495341 // "FISA"
@@ -781,7 +781,7 @@ func (m *Model) execStringStore(movs bool, iters int, e *trace.Entry) (int, *fau
 		if f != nil {
 			return done, f
 		}
-		m.journalMem(dpa, n)
+		m.engine.noteMem(m, dpa, n)
 		m.noteStore(dpa, n)
 		if movs {
 			m.Mem.CopyForward(dpa, spa, n)

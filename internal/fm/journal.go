@@ -299,7 +299,7 @@ func (j *journalEngine) noteBus(m *Model) {
 // newest record — the HALT (or whatever ran last before the idle) then
 // rewinds it with everything else.
 func (j *journalEngine) noteIdle(m *Model, ticks uint64) {
-	if j.recs.len() > 0 && m.Bus.Due(m.Now()+ticks) {
+	if j.recs.len() > 0 && m.Bus.NextDue() <= m.Now()+ticks {
 		j.noteBus(m)
 	}
 }
@@ -631,10 +631,3 @@ func (m *Model) SetPC(in uint64, pc uint32) error {
 	m.obs.reExecuted.Add(m.ReExecuted() - reBefore)
 	return err
 }
-
-// Compatibility wrappers used by the executor.
-func (m *Model) beginInstruction()           { m.engine.begin(m) }
-func (m *Model) abortInstruction()           { m.engine.abort(m) }
-func (m *Model) journalMem(pa uint32, n int) { m.engine.noteMem(m, pa, n) }
-func (m *Model) journalTLB()                 { m.engine.noteTLB(m) }
-func (m *Model) journalBus()                 { m.engine.noteBus(m) }

@@ -145,7 +145,7 @@ func TestRepStoreMatchesByteLoop(t *testing.T) {
 			m := repTestModel(int64(trial), paged, repCap)
 			before := memCopy(m, 0, m.Mem.Size())
 			m.GPR[0], m.GPR[1], m.GPR[2], m.GPR[3] = src, dst, isa.Word(count), isa.Word(trial)
-			m.beginInstruction()
+			m.engine.begin(m)
 			var e trace.Entry
 			f := exec(m, inst, &e)
 			return m, e, f, before

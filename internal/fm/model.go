@@ -404,7 +404,7 @@ func (m *Model) store(va isa.Word, v uint64, n int) (isa.Word, *fault) {
 	if !m.Mem.InRange(pa, n) {
 		return 0, &fault{vector: isa.VecProt, faultVA: va, retry: true}
 	}
-	m.journalMem(pa, n)
+	m.engine.noteMem(m, pa, n)
 	m.noteStore(pa, n)
 	m.Mem.Write(pa, v, n)
 	return pa, nil

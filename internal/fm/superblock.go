@@ -43,7 +43,7 @@ import (
 // so stale blocks would otherwise still generation-match.
 //
 // Entry conditions (checked once per block, replacing the per-instruction
-// Bus.Due/Tick and interrupt-delivery checks of Step):
+// Bus.NextDue/Tick and interrupt-delivery checks of Step):
 //
 //   - no interrupt is deliverable right now, and none can become
 //     deliverable mid-block: pending lines only change via device events
@@ -215,7 +215,7 @@ func (m *Model) blockReady() *sbBlock {
 		return nil
 	}
 	now := m.Now()
-	if m.Bus.NextDue(now) <= now+uint64(c.maxLen) {
+	if m.Bus.NextDue() <= now+uint64(c.maxLen) {
 		return nil
 	}
 	pa, f := m.translate(m.PC, false)

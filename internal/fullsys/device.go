@@ -20,10 +20,13 @@ type Device interface {
 	Out(port uint16, v uint32)
 	// Tick advances device time to absolute time now (monotonic).
 	Tick(now uint64)
-	// Due reports whether a Tick(now) would change device state. The
-	// functional model uses it to snapshot device state for rollback only
-	// when something is actually about to happen.
-	Due(now uint64) bool
+	// NextDue returns the earliest absolute device time at or after which a
+	// Tick would change device state, or NoNextEvent when nothing is
+	// scheduled: a Tick(now) changes state exactly when NextDue() <= now.
+	// The functional model uses it to snapshot device state for rollback
+	// only when something is actually about to happen, and to prove a
+	// superblock free of device events.
+	NextDue() uint64
 	// IRQ reports a pending interrupt as a vector index (isa.VecIRQBase
 	// relative is the caller's concern) or -1. Level-triggered: it stays
 	// pending until the device is acknowledged through its ports.
@@ -142,21 +145,12 @@ type Bus struct {
 	PIC     *PIC
 	Devices []Device
 	routes  map[uint16]Device
-	// NextDue's view of Devices, resolved once: those that schedule their
-	// events, and whether any does not.
-	schedulers  []eventScheduler
-	unscheduled bool
 }
 
 // NewBus wires devices and the controller into a port-decoding bus.
 func NewBus(devs ...Device) *Bus {
 	b := &Bus{PIC: NewPIC(devs...), Devices: devs, routes: make(map[uint16]Device)}
 	for _, d := range devs {
-		if s, ok := d.(eventScheduler); ok {
-			b.schedulers = append(b.schedulers, s)
-		} else {
-			b.unscheduled = true
-		}
 		for _, p := range d.Ports() {
 			if prev, dup := b.routes[p]; dup {
 				panic(fmt.Sprintf("fullsys: port %#x claimed by %s and %s", p, prev.Name(), d.Name()))
@@ -193,16 +187,6 @@ func (b *Bus) Out(port uint16, v uint32, now uint64) {
 
 // Tick advances all devices to time now.
 func (b *Bus) Tick(now uint64) { b.PIC.Tick(now) }
-
-// Due reports whether any device state would change at time now.
-func (b *Bus) Due(now uint64) bool {
-	for _, d := range b.Devices {
-		if d.Due(now) {
-			return true
-		}
-	}
-	return false
-}
 
 // Pending returns the pending interrupt line, or -1.
 func (b *Bus) Pending() int { return b.PIC.Pending() }
@@ -242,31 +226,16 @@ func (b *Bus) RestoreUndo(u *BusUndo) {
 // NoNextEvent is NextDue's "no event scheduled" sentinel.
 const NoNextEvent = ^uint64(0)
 
-// eventScheduler is the optional device extension behind Bus.NextDue: a
-// device that knows the absolute time of its next state change implements
-// it; one that does not (e.g. a test fake) is treated conservatively.
-type eventScheduler interface {
-	// NextDue returns the earliest absolute device time at or after which a
-	// Tick would change device state, or NoNextEvent when nothing is
-	// scheduled. Returning now (or less) means "assume something could
-	// happen immediately".
-	NextDue(now uint64) uint64
-}
-
 // NextDue returns the earliest absolute time at which any device's state
 // would change, or NoNextEvent when nothing is scheduled anywhere. The
-// functional model's superblock executor uses it to prove that a whole
-// straight-line block can run without a device event (and therefore
-// without per-instruction Bus.Tick calls) falling inside it. A device that
-// does not implement eventScheduler contributes now — conservatively
-// disabling any event-free window.
-func (b *Bus) NextDue(now uint64) uint64 {
+// functional model compares it with the time it holds: a device event is
+// due now when NextDue() <= now, and a straight-line block of n
+// instructions runs free of device events (so without per-instruction
+// Bus.Tick calls) when NextDue() > now+n.
+func (b *Bus) NextDue() uint64 {
 	due := uint64(NoNextEvent)
-	if b.unscheduled {
-		due = now
-	}
-	for _, s := range b.schedulers {
-		due = min(due, s.NextDue(now))
+	for _, d := range b.Devices {
+		due = min(due, d.NextDue())
 	}
 	return due
 }

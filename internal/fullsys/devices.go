@@ -55,14 +55,8 @@ func (c *Console) Tick(now uint64) {
 	}
 }
 
-// Due implements Device.
-func (c *Console) Due(now uint64) bool {
-	return len(c.script) > 0 && c.script[0].At <= now
-}
-
-// NextDue implements the Bus.NextDue scheduler extension: the next scripted
-// input arrival (the script is sorted by At).
-func (c *Console) NextDue(uint64) uint64 {
+// NextDue implements Device: the next scripted input arrival (the script is sorted by At).
+func (c *Console) NextDue() uint64 {
 	if len(c.script) == 0 {
 		return NoNextEvent
 	}
@@ -160,14 +154,9 @@ func (t *Timer) Tick(now uint64) {
 	}
 }
 
-// Due implements Device.
-func (t *Timer) Due(now uint64) bool {
-	return t.interval != 0 && now >= t.nextFire
-}
-
-// NextDue implements the Bus.NextDue scheduler extension: the next periodic
-// fire, or nothing while unprogrammed.
-func (t *Timer) NextDue(uint64) uint64 {
+// NextDue implements Device: the next periodic fire, or nothing while
+// unprogrammed.
+func (t *Timer) NextDue() uint64 {
 	if t.interval == 0 {
 		return NoNextEvent
 	}
@@ -305,14 +294,9 @@ func (d *Disk) Tick(now uint64) {
 	}
 }
 
-// Due implements Device.
-func (d *Disk) Due(now uint64) bool {
-	return d.busy && now >= d.doneAt
-}
-
-// NextDue implements the Bus.NextDue scheduler extension: the completion of
-// the in-flight command, or nothing while idle.
-func (d *Disk) NextDue(uint64) uint64 {
+// NextDue implements Device: the completion of the in-flight command, or
+// nothing while idle.
+func (d *Disk) NextDue() uint64 {
 	if !d.busy {
 		return NoNextEvent
 	}
@@ -435,14 +419,8 @@ func (n *NIC) Tick(now uint64) {
 	}
 }
 
-// Due implements Device.
-func (n *NIC) Due(now uint64) bool {
-	return len(n.arrivals) > 0 && n.arrivals[0].At <= now
-}
-
-// NextDue implements the Bus.NextDue scheduler extension: the next scripted
-// packet arrival (arrivals are sorted by At).
-func (n *NIC) NextDue(uint64) uint64 {
+// NextDue implements Device: the next scripted packet arrival (arrivals are sorted by At).
+func (n *NIC) NextDue() uint64 {
 	if len(n.arrivals) == 0 {
 		return NoNextEvent
 	}

@@ -122,6 +122,12 @@ func TestErrorEnvelopeCodes(t *testing.T) {
 		{"sweep not found", "GET", "/v1/sweeps/sweep-999999", "", 404, service.CodeNotFound, ""},
 		{"sweep result not found", "GET", "/v1/sweeps/sweep-999999/result", "", 404, service.CodeNotFound, ""},
 		{"sweep invalid point", "POST", "/v1/sweeps", `{"sweep":{"workloads":["no-such-workload"],"base":{}}}`, 400, service.CodeBadParams, ""},
+		// The sweep spec decodes as strictly as a job's params, nested
+		// objects included.
+		{"sweep spec typo", "POST", "/v1/sweeps", `{"sweep":{"engine":["fast"]}}`, 400, service.CodeBadParams, ""},
+		{"sweep unknown base field", "POST", "/v1/sweeps", `{"sweep":{"base":{"warkload":"x"}}}`, 400, service.CodeBadParams, ""},
+		{"sweep unknown variant field", "POST", "/v1/sweeps", `{"sweep":{"variants":[{"icache":1}]}}`, 400, service.CodeBadParams, ""},
+		{"sweep trailing data", "POST", "/v1/sweeps", `{"sweep":{"base":{}}} trailing`, 400, service.CodeBadParams, ""},
 		{"sweep unknown engine", "POST", "/v1/sweeps", `{"sweep":{"engines":["warp-drive"],"base":{"workload":"164.gzip"}}}`, 400, service.CodeUnknownEngine, ""},
 		{"sweep over capacity", "POST", "/v1/sweeps", `{"sweep":{"engines":["svc-block"],"workloads":["164.gzip","176.gcc","186.crafty"],"base":{}}}`, 429, service.CodeQueueFull, "node"},
 		{"list bad status", "GET", "/v1/jobs?status=zombie", "", 400, service.CodeBadParams, ""},

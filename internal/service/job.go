@@ -237,7 +237,7 @@ func (s *Server) runJob(j *job) {
 	// Warm-start tier: the engine resumes from a stored boot snapshot when
 	// one matches, or captures one for the next run of this boot prefix.
 	// Never overrides a caller-supplied store.
-	if p.Snapshots == nil && s.snaps != nil {
+	if p.Snapshots == nil {
 		p.Snapshots = s.snaps
 	}
 	s.engineRuns.Inc()

@@ -40,6 +40,7 @@
 package service
 
 import (
+	"cmp"
 	"context"
 	"net/http"
 	"runtime"
@@ -67,11 +68,6 @@ type Config struct {
 	// tier; nil falls back to Store, so one shared disk directory carries
 	// both results and boot snapshots cluster-wide.
 	Snapshots Store
-	// DisableWarmStart turns the snapshot tier off entirely: every run
-	// boots cold and captures nothing. Results are bit-identical either
-	// way (experiments.TestStudyInvariance locks this); the switch only exists
-	// to trade the snapshot disk/memory footprint back for boot time.
-	DisableWarmStart bool
 	// DefaultTimeout is the per-job deadline applied when a submission
 	// carries no timeout_ms; <= 0 means 10 minutes.
 	DefaultTimeout time.Duration
@@ -88,7 +84,7 @@ type Server struct {
 	tel   *obs.Telemetry
 	mux   *http.ServeMux
 	cache *tier[[]byte]
-	snaps *snapshotStore // nil when warm starts are disabled
+	snaps *snapshotStore
 	queue chan *job
 
 	mu       sync.Mutex
@@ -131,6 +127,7 @@ func New(cfg Config) *Server {
 		cfg:           cfg,
 		tel:           cfg.Telemetry,
 		cache:         newResultCache(cfg.CacheEntries, cfg.Store, cfg.Telemetry),
+		snaps:         newSnapshotStore(cmp.Or(cfg.Snapshots, cfg.Store), cfg.Telemetry),
 		queue:         make(chan *job, cfg.QueueDepth),
 		jobsSubmitted: cfg.Telemetry.Counter("service_jobs_submitted_total"),
 		engineRuns:    cfg.Telemetry.Counter("service_engine_runs_total"),
@@ -138,13 +135,6 @@ func New(cfg Config) *Server {
 		queueDepth:    cfg.Telemetry.Gauge("service_queue_depth"),
 		queueWait:     cfg.Telemetry.Histogram("service_queue_wait_seconds", obs.SecondsBuckets),
 		jobSeconds:    cfg.Telemetry.Histogram("service_job_seconds", obs.SecondsBuckets),
-	}
-	if !cfg.DisableWarmStart {
-		backing := cfg.Snapshots
-		if backing == nil {
-			backing = cfg.Store
-		}
-		s.snaps = newSnapshotStore(backing, cfg.Telemetry)
 	}
 	s.mux = NewMux(s)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/metrics", s.handleJobMetrics)

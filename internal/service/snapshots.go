@@ -93,15 +93,12 @@ type SnapshotView struct {
 }
 
 // handleSnapshots lists the warm-start snapshots resident in this
-// process's memory tier (an empty list when the tier is disabled), sorted
-// by prefix for a stable wire shape: concurrent touches must not reorder
-// the listing mid-scrape.
+// process's memory tier, sorted by prefix for a stable wire shape:
+// concurrent touches must not reorder the listing mid-scrape.
 func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
 	views := []SnapshotView{}
-	if s.snaps != nil {
-		for _, sn := range s.snaps.tier.resident() {
-			views = append(views, SnapshotView{Prefix: sn.Prefix, IN: sn.IN, Bytes: len(sn.Blob)})
-		}
+	for _, sn := range s.snaps.tier.resident() {
+		views = append(views, SnapshotView{Prefix: sn.Prefix, IN: sn.IN, Bytes: len(sn.Blob)})
 	}
 	sort.Slice(views, func(i, k int) bool { return views[i].Prefix < views[k].Prefix })
 	WriteJSON(w, http.StatusOK, views)

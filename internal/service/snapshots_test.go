@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/service"
 	"repro/internal/service/diskcache"
 	"repro/internal/sim"
-	"time"
 )
 
 // fastJSON computes the storeless reference result for a cap.
@@ -124,5 +126,71 @@ func TestWarmStartSurvivesRestartViaSharedDisk(t *testing.T) {
 	want := append(fastJSON(t, 80_000), '\n')
 	if string(raw) != string(want) {
 		t.Errorf("disk-resumed result JSON diverged:\n%s\nvs\n%s", raw, want)
+	}
+}
+
+// keyStore is a concurrency-safe in-memory Store that remembers its keys.
+type keyStore struct {
+	mu    sync.Mutex
+	blobs map[string][]byte
+}
+
+func (s *keyStore) Get(key string) ([]byte, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	raw, ok := s.blobs[key]
+	return raw, ok
+}
+
+func (s *keyStore) Put(key string, raw []byte) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.blobs == nil {
+		s.blobs = map[string][]byte{}
+	}
+	s.blobs[key] = raw
+}
+
+// snapshotKeys counts the stored keys that are and are not warm-start
+// snapshots.
+func (s *keyStore) snapshotKeys() (snaps, others int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k := range s.blobs {
+		if strings.HasPrefix(k, "snapshot\x00") {
+			snaps++
+		} else {
+			others++
+		}
+	}
+	return snaps, others
+}
+
+// TestWarmStartSeparateSnapshotStore: a Config.Snapshots store apart from
+// Config.Store (fastd -snapshot-dir beside -cache-dir) receives the boot
+// snapshot while Store receives only results, and a fresh server over the
+// same snapshot store resumes from it.
+func TestWarmStartSeparateSnapshotStore(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real fast engine")
+	}
+	results, snapshots := &keyStore{}, &keyStore{}
+	h1 := newHarness(t, service.Config{Workers: 1, QueueDepth: 8, Store: results, Snapshots: snapshots})
+	if v := h1.wait(h1.submit(`{"engine":"fast","params":{"workload":"253.perlbmk","max_instructions":50000}}`)); v["status"] != "done" {
+		t.Fatalf("capture job: %v", v)
+	}
+	if s, o := snapshots.snapshotKeys(); s != 1 || o != 0 {
+		t.Errorf("snapshot store holds %d snapshots and %d other blobs, want 1 and 0", s, o)
+	}
+	if s, o := results.snapshotKeys(); s != 0 || o != 1 {
+		t.Errorf("result store holds %d snapshots and %d other blobs, want 0 and 1", s, o)
+	}
+
+	h2 := newHarness(t, service.Config{Workers: 1, QueueDepth: 8, Store: &keyStore{}, Snapshots: snapshots})
+	if v := h2.wait(h2.submit(`{"engine":"fast","params":{"workload":"253.perlbmk","max_instructions":80000}}`)); v["status"] != "done" {
+		t.Fatalf("resume job: %v", v)
+	}
+	if got := h2.counter("service_snapshot_hits_total"); got != 1 {
+		t.Errorf("fresh server snapshot hits = %d, want 1", got)
 	}
 }

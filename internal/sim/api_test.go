@@ -238,7 +238,7 @@ func TestFleetSharedTelemetry(t *testing.T) {
 		Telemetry: tel,
 		Progress:  func(done, total int, pr PointResult) { progress = done },
 	}
-	results := fleet.RunSweep(sweep)
+	results := fleet.Run(sweep.Points())
 	if err := FirstErr(results); err != nil {
 		t.Fatal(err)
 	}

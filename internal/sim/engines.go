@@ -108,11 +108,18 @@ type fastEngine struct {
 	parallel bool
 	params   Params
 	boot     *workload.Boot
-	sim      *core.Sim       // the coupled core; core 0 of multi when set
-	multi    *core.Multicore // non-nil only for an N-core target
+	target   target    // the whole simulated target: a Sim or a Multicore
+	sim      *core.Sim // the coupled core; core 0 of a Multicore
 
 	resumed   bool   // warm-started from a stored snapshot
 	resumedIN uint64 // committed instructions skipped by the warm start
+}
+
+// target is what the engine runs and warm-starts: a core.Sim or a
+// core.Multicore, whose Result already carries the multicore summary.
+type target interface {
+	RunContext(ctx context.Context) (core.Result, error)
+	Restore(blob []byte) error
 }
 
 func (e *fastEngine) Describe() string {
@@ -192,7 +199,7 @@ func (e *fastEngine) Configure(p Params) error {
 				return err
 			}
 			m.LoadProgram(prog)
-			e.sim, e.multi = m.Cores()[0], m
+			e.target, e.sim = m, m.Cores()[0]
 			return nil
 		}
 		s, err := newCore(cfg)
@@ -200,18 +207,14 @@ func (e *fastEngine) Configure(p Params) error {
 			return err
 		}
 		s.LoadProgram(prog)
-		e.sim = s
+		e.target, e.sim = s, s
 		return nil
 	}
 	if err := build(); err != nil {
 		return err
 	}
 	if resume != nil {
-		restore := e.sim.Restore
-		if e.multi != nil {
-			restore = e.multi.Restore
-		}
-		if err := restore(resume.Blob); err != nil {
+		if err := e.target.Restore(resume.Blob); err != nil {
 			// A corrupt stored snapshot must not fail the run: rebuild cold
 			// with the capture hook armed, so the bad blob is overwritten.
 			cfg.SnapshotHook = capture
@@ -229,11 +232,7 @@ func (e *fastEngine) ResumedFrom() (uint64, bool) { return e.resumedIN, e.resume
 func (e *fastEngine) Run() (Result, error) { return e.RunContext(context.Background()) }
 
 func (e *fastEngine) RunContext(ctx context.Context) (Result, error) {
-	if e.multi != nil {
-		mr, err := e.multi.RunContext(ctx)
-		return fromMulticore(e.params, mr), err
-	}
-	r, err := e.sim.RunContext(ctx)
+	r, err := e.target.RunContext(ctx)
 	return fromCore(e.name(), e.params, r), err
 }
 
@@ -252,7 +251,8 @@ func (e *fastEngine) FunctionalModel() *fm.Model { return e.sim.FM }
 
 func (e *fastEngine) Boot() *workload.Boot { return e.boot }
 
-// fromCore lifts a core.Result into the canonical shape.
+// fromCore lifts a core.Result into the canonical shape, multicore summary
+// included.
 func fromCore(engine string, p Params, r core.Result) Result {
 	return Result{
 		Engine:         engine,
@@ -274,18 +274,12 @@ func fromCore(engine string, p Params, r core.Result) Result {
 		LinkStats:      r.LinkStats,
 		TM:             r.TM,
 		TBMaxOccupancy: r.TBMaxOccupancy,
-	}
-}
 
-// fromMulticore lifts a core.MulticoreResult into the canonical shape: the
-// aggregate counters plus the multicore-only summary fields.
-func fromMulticore(p Params, mr core.MulticoreResult) Result {
-	r := fromCore("fast", p, mr.Aggregate)
-	r.Cores = len(mr.PerCore)
-	r.CoherenceTransfers = mr.Coherence.Transfers
-	r.CoherenceInvalidations = mr.Coherence.Invalidations
-	r.CoherenceHops = mr.Coherence.Hops
-	return r
+		Cores:                  len(r.PerCore),
+		CoherenceTransfers:     r.Coherence.Transfers,
+		CoherenceInvalidations: r.Coherence.Invalidations,
+		CoherenceHops:          r.Coherence.Hops,
+	}
 }
 
 // workloadName labels the target of a Resolved parameter set.

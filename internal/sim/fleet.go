@@ -226,9 +226,6 @@ func (f Fleet) RunContext(ctx context.Context, points []Point) []PointResult {
 	return results
 }
 
-// RunSweep expands and executes a sweep.
-func (f Fleet) RunSweep(s Sweep) []PointResult { return f.Run(s.Points()) }
-
 // runPoint executes one point (RunContext turns an engine panic into the
 // point's error, so one bad point cannot take the fleet down). The fleet's
 // telemetry flows into the point unless the point carries its own.

@@ -192,8 +192,8 @@ func TestFleetDeterministicAcrossWorkers(t *testing.T) {
 		Variants:  []Params{{Predictor: "gshare"}, {Predictor: "perfect"}},
 		Base:      Params{MaxInstructions: 4000},
 	}
-	seq := Fleet{Workers: 1}.RunSweep(sweep)
-	par := Fleet{Workers: 8}.RunSweep(sweep)
+	seq := Fleet{Workers: 1}.Run(sweep.Points())
+	par := Fleet{Workers: 8}.Run(sweep.Points())
 	if len(seq) != len(par) {
 		t.Fatalf("length mismatch: %d vs %d", len(seq), len(par))
 	}

@@ -7,7 +7,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"io"
 )
 
 // This file is the content-addressing side of the Params schema. Runs are
@@ -71,20 +70,4 @@ func DecodeParams(data []byte) (Params, error) {
 		return Params{}, fmt.Errorf("sim: decode params: trailing data after JSON object")
 	}
 	return p, nil
-}
-
-// DecodeSweep is DecodeParams for a Sweep spec: one strictly-decoded JSON
-// object (unknown fields anywhere — including inside Base or a Variant —
-// are rejected).
-func DecodeSweep(r io.Reader) (Sweep, error) {
-	var s Sweep
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&s); err != nil {
-		return Sweep{}, fmt.Errorf("sim: decode sweep: %w", err)
-	}
-	if dec.More() {
-		return Sweep{}, fmt.Errorf("sim: decode sweep: trailing data after JSON object")
-	}
-	return s, nil
 }

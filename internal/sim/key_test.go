@@ -260,28 +260,6 @@ func TestDecodeParamsStrict(t *testing.T) {
 	}
 }
 
-// TestDecodeSweepStrict: strictness reaches nested Params objects too.
-func TestDecodeSweepStrict(t *testing.T) {
-	good := `{"engines":["fast"],"workloads":["164.gzip"],"variants":[{"predictor":"2bit"}],"base":{"max_instructions":1000}}`
-	s, err := DecodeSweep(strings.NewReader(good))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(s.Points()) != 1 || s.Points()[0].Params.Predictor != "2bit" {
-		t.Errorf("sweep decoded wrong: %+v", s)
-	}
-	for _, bad := range []string{
-		`{"engine":["fast"]}`,         // top-level typo
-		`{"base":{"warkload":"x"}}`,   // nested unknown field
-		`{"variants":[{"icache":1}]}`, // nested typo in a variant
-		`{"base":{}} trailing`,        // trailing data
-	} {
-		if _, err := DecodeSweep(strings.NewReader(bad)); err == nil {
-			t.Errorf("DecodeSweep(%s) accepted bad input", bad)
-		}
-	}
-}
-
 // FuzzDecodeParams chews arbitrary bytes through the API-boundary decoder:
 // it must never panic, and anything it accepts must survive a marshal →
 // decode round trip unchanged (the property the content-address cache

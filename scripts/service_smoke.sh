@@ -10,10 +10,11 @@
 #      an unknown route included,
 #   4. the collection endpoint lists and paginates,
 #   5. warm-start: on a second fastd (result cache disabled so engines
-#      really run), the same instruction-cap sweep twice — the second run
-#      resumes every point from the boot snapshot captured by the first
-#      (snapshot hits +N, resumed-instruction counter grows, the snapshot
-#      index lists the prefix),
+#      really run, boot snapshots in their own -snapshot-dir), the same
+#      instruction-cap sweep twice — the first run writes the boot
+#      snapshot into that directory, the second resumes every point from
+#      it (snapshot hits +N, resumed-instruction counter grows, the
+#      snapshot index lists the prefix),
 #   6. SIGTERM drains gracefully (clean exit, final metrics dump written).
 # Needs only the Go toolchain: fastctl replaces curl+jq.
 set -eu
@@ -124,9 +125,11 @@ echo "${metrics}" | grep -q '^service_jobs_submitted_total 2$' ||
 
 echo "== warm-start: the same sweep twice on a cache-less fastd"
 # Result cache disabled (-cache -1, no -cache-dir) so the repeated sweep
-# re-executes every engine run; only the snapshot tier can speed it up.
+# re-executes every engine run; only the snapshot tier, persisted in its
+# own directory, can speed it up.
+mkdir "${TMP}/snaps"
 "${TMP}/fastd" -addr "127.0.0.1:${PORT2}" -workers 2 -queue 16 -cache -1 \
-    >"${TMP}/fastd2.log" 2>&1 &
+    -snapshot-dir "${TMP}/snaps" >"${TMP}/fastd2.log" 2>&1 &
 PID2=$!
 ctl2() { "${TMP}/fastctl" -addr "${BASE2}" "$@"; }
 i=0
@@ -147,6 +150,8 @@ hits1="$(metric service_snapshot_hits_total)"; hits1="${hits1:-0}"
 resumed1="$(metric service_snapshot_resumed_instructions_total)"; resumed1="${resumed1:-0}"
 ctl2 metrics | grep -q '^service_snapshot_misses_total' ||
     fail "first sweep recorded no snapshot miss (capture path never ran)"
+ls "${TMP}/snaps" | grep -q '\.json$' ||
+    fail "first sweep wrote no snapshot blob into -snapshot-dir"
 
 sid2="$(ctl2 sweep -spec "${SWEEP}" -id-only)" || fail "second sweep rejected"
 ctl2 sweep-result "${sid2}" -wait -results-only >"${TMP}/sweep2.json" || fail "second sweep did not finish"
