@@ -81,6 +81,7 @@ FUZZ_SMOKES := \
 	./internal/snap:FuzzCodec:20 \
 	./internal/tm:FuzzTMAgreement:20 \
 	./internal/tm:FuzzRepFastForward:20 \
+	./internal/tm:FuzzReplayFixedPoint:20 \
 	./internal/fullsys:FuzzMemoryAgreement:20 \
 	./internal/fullsys:FuzzBusRollback:20 \
 	./internal/cache:FuzzTLBAgreement:20 \

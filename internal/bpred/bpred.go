@@ -11,6 +11,7 @@
 package bpred
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/isa"
@@ -207,6 +208,23 @@ func (b *BTB) Insert(pc, target isa.Word) {
 	b.touch(base, victim)
 }
 
+// appendSet appends to dst pc's set: each way's tag, target, valid bit and
+// LRU age.
+func (b *BTB) appendSet(dst []byte, pc isa.Word) []byte {
+	base := b.set(pc) * b.ways
+	for i := base; i < base+b.ways; i++ {
+		dst = binary.LittleEndian.AppendUint32(dst, b.tags[i])
+		dst = binary.LittleEndian.AppendUint32(dst, b.targets[i])
+		dst = append(dst, b.lru[i])
+		if b.valid[i] {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return dst
+}
+
 // touch marks way w most recently used within its set.
 func (b *BTB) touch(base, w int) {
 	for k := 0; k < b.ways; k++ {
@@ -270,25 +288,76 @@ func NewDefaultGshare() *Gshare { return NewGshare(13, NewBTB(8192, 4)) }
 // Name implements Predictor.
 func (g *Gshare) Name() string { return "gshare" }
 
-func (g *Gshare) index(pc isa.Word) int {
-	return int((pc>>1)^g.history) & (len(g.pht) - 1)
+// index is the PHT counter pc trains under global history h.
+func (g *Gshare) index(pc, h isa.Word) int {
+	return int((pc>>1)^h) & (len(g.pht) - 1)
+}
+
+// shift returns history h after an outcome.
+func (g *Gshare) shift(h isa.Word, taken bool) isa.Word {
+	h = (h << 1) & (1<<g.bits - 1)
+	if taken {
+		h |= 1
+	}
+	return h
 }
 
 // Predict implements Predictor.
 func (g *Gshare) Predict(pc isa.Word, _ bool, _ isa.Word) Prediction {
-	taken := g.pht[g.index(pc)].taken()
+	taken := g.pht[g.index(pc, g.history)].taken()
 	tgt, hit := g.btb.Lookup(pc)
 	return Prediction{Taken: taken, Target: tgt, BTBHit: hit}
 }
 
 // Update implements Predictor.
 func (g *Gshare) Update(pc isa.Word, taken bool, target isa.Word) {
-	g.pht[g.index(pc)].train(taken)
-	g.history = (g.history << 1) & (1<<g.bits - 1)
+	g.pht[g.index(pc, g.history)].train(taken)
+	g.history = g.shift(g.history, taken)
 	if taken {
-		g.history |= 1
 		g.btb.Insert(pc, target)
 	}
+}
+
+// Walk lists, without applying them, the predictor state a run of Updates
+// reads or writes, as that state stands before the run. Two walks of the
+// same run that list the same bytes found the same state: the REP
+// fast-forward compares the walks before and after a run to see whether it
+// left everything it touched as it found it.
+type Walk struct {
+	p       Predictor
+	history isa.Word
+}
+
+// NewWalk starts a walk of a run from p's present state and appends to dst
+// what every update reads: the global history. Like State, it knows the
+// predictors New builds and no others.
+func NewWalk(dst []byte, p Predictor) (Walk, []byte) {
+	w := Walk{p: p}
+	switch v := p.(type) {
+	case Perfect, *Fixed, *TwoBit:
+	case *Gshare:
+		w.history = v.history
+		dst = binary.LittleEndian.AppendUint32(dst, v.history)
+	default:
+		panic("bpred: NewWalk: unknown predictor type " + p.Name())
+	}
+	return w, dst
+}
+
+// Next appends to dst what Update(pc, taken, ·) reads or writes when it
+// follows the updates walked so far: the counter it trains and pc's BTB set.
+// Perfect and fixed-accuracy predictors change nothing on an update.
+func (w *Walk) Next(dst []byte, pc isa.Word, taken bool) []byte {
+	switch v := w.p.(type) {
+	case *TwoBit:
+		dst = append(dst, byte(v.table[v.index(pc)]))
+		return v.btb.appendSet(dst, pc)
+	case *Gshare:
+		dst = append(dst, byte(v.pht[v.index(pc, w.history)]))
+		w.history = v.shift(w.history, taken)
+		return v.btb.appendSet(dst, pc)
+	}
+	return dst
 }
 
 // constructors maps each configuration name to its predictor.

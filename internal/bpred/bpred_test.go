@@ -1,10 +1,12 @@
 package bpred
 
 import (
+	"bytes"
 	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/snap"
 )
 
 func TestPerfect(t *testing.T) {
@@ -176,5 +178,66 @@ func TestEmptyStatsAccuracy(t *testing.T) {
 	var s Stats
 	if s.Accuracy() != 1 {
 		t.Error("empty stats accuracy should be 1")
+	}
+}
+
+// predState walks a predictor's state for snap.Marshal.
+type predState struct{ p Predictor }
+
+func (s predState) State(c *snap.Codec) { State(c, s.p) }
+
+// TestWalk: when the walks of a run of updates list the same bytes before
+// and after it, the run left the predictor exactly as it found it. Each
+// trial repeats a random run a random number of times first, so that the
+// history settles while counters and BTB ages may still be moving; with a
+// direct-mapped BTB, which settles at once, only the counters can tell.
+func TestWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	settled := 0
+	for trial := range 3000 {
+		p := []Predictor{
+			NewGshare(6, NewBTB(16, 1)),
+			NewGshare(6, NewBTB(16, 4)),
+			NewTwoBit(6, NewBTB(16, 1)),
+			NewFixed(0.97),
+		}[trial%4]
+		pc := func() isa.Word { return isa.Word(0x100 + rng.Intn(4)*0x20 + rng.Intn(2)*2) }
+		for range rng.Intn(300) {
+			p.Update(pc(), rng.Intn(2) == 0, pc())
+		}
+		type update struct {
+			pc, target isa.Word
+			taken      bool
+		}
+		run := make([]update, 1+rng.Intn(6))
+		for i := range run {
+			run[i] = update{pc(), pc(), rng.Intn(2) == 0}
+		}
+		apply := func() {
+			for _, u := range run {
+				p.Update(u.pc, u.taken, u.target)
+			}
+		}
+		walk := func() []byte {
+			w, dst := NewWalk(nil, p)
+			for _, u := range run {
+				dst = w.Next(dst, u.pc, u.taken)
+			}
+			return dst
+		}
+		for range rng.Intn(8) {
+			apply()
+		}
+		before, state := walk(), snap.Marshal(predState{p})
+		apply()
+		if bytes.Equal(before, walk()) {
+			settled++
+			if !bytes.Equal(state, snap.Marshal(predState{p})) {
+				t.Fatalf("trial %d, %s: the walks agree but the run changed the predictor", trial, p.Name())
+			}
+		}
+	}
+	if settled < 1000 {
+		t.Errorf("only %d of 3000 runs settled", settled)
 	}
 }

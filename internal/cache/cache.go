@@ -25,6 +25,14 @@ type Stats struct {
 	Evictions uint64
 }
 
+// repeat adds to s n times what it gained since from.
+func (s *Stats) repeat(from Stats, n uint64) {
+	s.Accesses += n * (s.Accesses - from.Accesses)
+	s.Hits += n * (s.Hits - from.Hits)
+	s.Misses += n * (s.Misses - from.Misses)
+	s.Evictions += n * (s.Evictions - from.Evictions)
+}
+
 // HitRate returns hits over accesses.
 func (s Stats) HitRate() float64 {
 	if s.Accesses == 0 {
@@ -196,6 +204,27 @@ func (c *Cache) touch(base, w int) {
 	c.meta[base+w] = 0
 }
 
+// AppendSet appends to dst the state a hit in addr's set changes: each
+// way's LRU age, then each way's dirty bit.
+func (c *Cache) AppendSet(dst []byte, addr uint32) []byte {
+	set, _ := c.index(addr)
+	base := set * c.cfg.Ways
+	dst = append(dst, c.meta[base:base+c.cfg.Ways]...)
+	for _, d := range c.dirty[base : base+c.cfg.Ways] {
+		if d {
+			dst = append(dst, 1)
+		} else {
+			dst = append(dst, 0)
+		}
+	}
+	return dst
+}
+
+// Repeat does what n more runs of the accesses made since the counters read
+// from would do, when each of them hit and the run left the sets it touched
+// as it found them (AppendSet): only the counters move.
+func (c *Cache) Repeat(from Stats, n uint64) { c.stats.repeat(from, n) }
+
 // Invalidate drops addr's line if resident — a directory-initiated
 // back-invalidation. No write-back happens here: the coherence model
 // charges the data movement at the directory, and architectural data lives
@@ -340,3 +369,18 @@ func (t *TLBTiming) touch(i int) {
 
 // Stats returns TLB counters.
 func (t *TLBTiming) Stats() Stats { return t.stats }
+
+// Repeat does what n more runs of the accesses made since the counters read
+// from would do, when each of them hit: the counters grow n times as much,
+// the clock moves on n times as far, and the entries the run touched —
+// stamped after its start — keep their places relative to the clock.
+func (t *TLBTiming) Repeat(from Stats, n uint64) {
+	d := t.stats.Accesses - from.Accesses // one touch per hit
+	for i, at := range t.last {
+		if at > t.clock-d {
+			t.last[i] = at + n*d
+		}
+	}
+	t.clock += n * d
+	t.stats.repeat(from, n)
+}

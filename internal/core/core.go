@@ -120,7 +120,7 @@ type Config struct {
 }
 
 // The host-cost model and the safety net every configuration shares. The
-// FPGA host clock is fpga.DefaultClock (100 MHz, §4.4).
+// FPGA host clock runs at 100 MHz (fpga.CycleNanos, §4.4).
 const (
 	// FMNanosPerInst is the functional model's execution cost per
 	// instruction: 87 ns for the paper's modified QEMU with tracing and
@@ -357,7 +357,7 @@ func (s *Sim) onFlush(entries, occupancy int) {
 		// must not read TM state (a data race), so it stamps FM host time.
 		ts := s.fmNanos
 		if s.async == nil {
-			ts = fpga.DefaultClock.Nanos(s.TM.HostCycles())
+			ts = fpga.Nanos(s.TM.HostCycles())
 		}
 		s.tlog.CounterSample("tb_occupancy", s.pid, ts,
 			map[string]any{"entries": occupancy})
@@ -483,7 +483,7 @@ func (s *Sim) stepCycle() {
 		s.observeBoot()
 	}
 	h := s.TM.HostCycles()
-	s.budget += fpga.DefaultClock.Nanos(h - s.lastHost)
+	s.budget += fpga.Nanos(h - s.lastHost)
 	s.lastHost = h
 	if s.FM.Halted() && !s.terminal() {
 		s.FM.AdvanceIdle(1)
@@ -499,21 +499,45 @@ func (s *Sim) parked() bool { return !s.FM.Halted() && s.app.Live() == s.TB.Cap(
 
 // grantSkipped does for the cycles TM.FastForward skipped what stepCycle
 // does for a stepped one: it grants the FM the host time the TM charged the
-// cycle before. The budget is a float, so the grants are added one cycle at a
-// time, in order, exactly as stepping adds them.
+// cycle before.
 func (s *Sim) grantSkipped(periods uint64, charges []uint64) {
+	s.budget, s.lastHost = grant(s.budget, s.lastHost, s.TM.HostCycles(), periods, charges)
+}
+
+// grant returns the budget and lastHost after periods skipped periods, each
+// of whose cycles charged charges host cycles in order, when the TM now
+// stands at host cycle host. Stepping adds the grants one cycle at a time
+// and the budget is a float, so grant adds their sum at once only where that
+// is exact; otherwise it adds them one at a time, in order.
+func grant(budget float64, lastHost, host, periods uint64, charges []uint64) (float64, uint64) {
 	var sum uint64
 	for _, c := range charges {
 		sum += c
 	}
-	last := s.TM.HostCycles() - periods*sum - s.lastHost // the last stepped cycle's charge
+	last := host - periods*sum - lastHost // the last stepped cycle's charge
+	final := charges[len(charges)-1]      // the last skipped cycle's, granted next step
+	if b, ok := addExact(budget, last+periods*sum-final); ok {
+		return b, host - final
+	}
 	for range periods {
 		for _, c := range charges {
-			s.budget += fpga.DefaultClock.Nanos(last)
+			budget += fpga.Nanos(last)
 			last = c
 		}
 	}
-	s.lastHost = s.TM.HostCycles() - last
+	return budget, host - last
+}
+
+// addExact returns budget plus the host time of cycles, and whether that one
+// addition equals adding the time of each cycle of them in turn. Every such
+// grant is an integer (fpga.CycleNanos is), so it does when budget is an
+// integer and every partial sum stays inside ±2^53, where float64 addition
+// of integers does not round.
+func addExact(budget float64, cycles uint64) (float64, bool) {
+	const exact = 1 << 53
+	g := fpga.Nanos(cycles)
+	sum := budget + g
+	return sum, budget == math.Trunc(budget) && budget > -exact && g < exact && sum < exact
 }
 
 // converged reports whether the core's shared-memory state is stable: the
@@ -537,7 +561,7 @@ func (s *Sim) converge() {
 			return
 		}
 		h := s.TM.HostCycles()
-		s.budget += fpga.DefaultClock.Nanos(h - s.lastHost)
+		s.budget += fpga.Nanos(h - s.lastHost)
 		s.lastHost = h
 		s.TM.Step()
 	}
@@ -554,7 +578,7 @@ func (s *Sim) result() Result {
 		s.pendingWords = 0
 	}
 	st := s.TM.Stats
-	tmNanos := fpga.DefaultClock.Nanos(s.TM.HostCycles())
+	tmNanos := fpga.Nanos(s.TM.HostCycles())
 	r := Result{
 		Instructions:   st.Instructions,
 		WrongPath:      s.wrongProduced,

@@ -15,12 +15,18 @@ import (
 //
 // Correctness rests on three invalidation rules:
 //
-//   - Stores: a per-physical-page code-presence bitmap marks pages that
-//     back at least one cached instruction. A store that hits a marked
-//     page bumps that page's generation counter; entries record the
-//     generations of the page(s) they were fetched from and miss when
-//     they disagree. Memory undo during rollback rewrites memory through
-//     the same hook, so undone stores invalidate identically.
+//   - Stores: each physical page that backs a cached instruction has a
+//     record of its store generation and a mask of its 64-byte lines, a
+//     bit set for every line holding bytes of one (a page-crossing
+//     instruction marks its head's lines and the first line of its tail
+//     page). A store that overlaps a marked line bumps its page's
+//     generation; entries and superblocks record the generations of the
+//     page(s) they were fetched from and miss when they disagree. A store
+//     next to code — into a line of the page that holds no cached
+//     instruction byte — leaves them valid. Every store reaches the same
+//     hook: the model's own (including each run of a rep movs/stos), a
+//     coherence peer's, and the memory undo of a rollback, so an undone
+//     store into code invalidates as the store did.
 //
 //   - Mapping changes: entries are keyed by *physical* address, so TLB and
 //     paging-control changes are invisible to single-page entries — the
@@ -54,8 +60,8 @@ type icEntry struct {
 	pa      isa.Word // physical address of the first instruction byte
 	crosses bool     // instruction bytes span two physical pages
 	paged   bool     // filled from a paged user-mode fetch
-	gen1    uint32   // pageGen of the first page at fill time
-	gen2    uint32   // pageGen of the last page at fill time
+	gen1    uint32   // the first page's store generation at fill time
+	gen2    uint32   // the last page's store generation at fill time
 	page2   isa.Word // physical page number of the last instruction byte
 	mapGen  uint32   // mapping generation at fill time (paged crossers)
 	predecoded
@@ -94,14 +100,29 @@ func (t *lazyTable[T]) slot(i isa.Word) *T {
 // drop empties every slot by dropping every group.
 func (t *lazyTable[T]) drop() { clear(t.groups) }
 
+// codeLineShift sizes the lines code is tracked at: 64 bytes, so that a
+// page's lines fit one uint64 mask.
+const codeLineShift = fullsys.PageShift - 6
+
+// slotPages is how many pages' records share a slot of icache.pages: a
+// group then covers 64 pages, so the table costs one pointer per 64 pages
+// until code is cached in them.
+const slotPages = 4
+
+// pageCode is what the predecode cache keeps per physical page: its store
+// generation and a mask of its 64-byte lines that hold cached code.
+type pageCode struct {
+	lines uint64
+	gen   uint32
+}
+
 // icache is the direct-mapped predecode cache.
 type icache struct {
 	slots lazyTable[icEntry]
 	mask  isa.Word
 
-	pageGen  []uint32 // per-physical-page store generation
-	codePage []uint64 // bitmap: page backs at least one cached instruction
-	mapGen   uint32   // bumped on TLB/CR mutations and rollbacks
+	pages  lazyTable[[slotPages]pageCode] // per physical page, allocated with its group's first code
+	mapGen uint32                         // bumped on TLB/CR mutations and rollbacks
 
 	// Statistics, published as fm_icache_* by Model.PublishTelemetry.
 	hits          uint64
@@ -119,19 +140,49 @@ func newICache(entries, memBytes int) *icache {
 	}
 	pages := (memBytes + fullsys.PageSize - 1) >> fullsys.PageShift
 	return &icache{
-		slots:    newLazyTable[icEntry](n),
-		mask:     isa.Word(n - 1),
-		pageGen:  make([]uint32, pages),
-		codePage: make([]uint64, (pages+63)/64),
+		slots: newLazyTable[icEntry](n),
+		mask:  isa.Word(n - 1),
+		pages: newLazyTable[[slotPages]pageCode]((pages + slotPages - 1) / slotPages),
 	}
 }
 
-func (c *icache) markCode(page isa.Word) {
-	c.codePage[page>>6] |= 1 << (page & 63)
+// page returns page p's record, nil while no code was cached in its group.
+func (c *icache) page(p isa.Word) *pageCode {
+	if s := c.pages.peek(p / slotPages); s != nil {
+		return &s[p%slotPages]
+	}
+	return nil
 }
 
-func (c *icache) codeBacked(page isa.Word) bool {
-	return c.codePage[page>>6]&(1<<(page&63)) != 0
+// gen returns page p's store generation: 0 until a store into its code.
+func (c *icache) gen(p isa.Word) uint32 {
+	if pc := c.page(p); pc != nil {
+		return pc.gen
+	}
+	return 0
+}
+
+// lineSpan returns the mask of the lines from pa's to end's, both on one
+// page.
+func lineSpan(pa, end isa.Word) uint64 {
+	lo, hi := pa>>codeLineShift&63, end>>codeLineShift&63
+	return ^uint64(0) >> (63 - hi) &^ (uint64(1)<<lo - 1)
+}
+
+// markCode records that bytes pa..end, on one page, back a cached
+// instruction.
+func (c *icache) markCode(pa, end isa.Word) {
+	p := pa >> fullsys.PageShift
+	c.pages.slot(p / slotPages)[p%slotPages].lines |= lineSpan(pa, end)
+}
+
+// noteLines bumps the generation of the page holding bytes pa..end when
+// they overlap a line that backs a cached instruction.
+func (c *icache) noteLines(pa, end isa.Word) {
+	if pc := c.page(pa >> fullsys.PageShift); pc != nil && pc.lines&lineSpan(pa, end) != 0 {
+		pc.gen++
+		c.invalidations++
+	}
 }
 
 // probe looks up the instruction at physical address pa. paged reports the
@@ -141,14 +192,14 @@ func (c *icache) probe(pa isa.Word, paged bool) (*icEntry, bool) {
 		return nil, false
 	}
 	e := c.slots.peek(pa & c.mask)
-	if e == nil || e.inst.Size == 0 || e.pa != pa || e.gen1 != c.pageGen[pa>>fullsys.PageShift] {
+	if e == nil || e.inst.Size == 0 || e.pa != pa || e.gen1 != c.gen(pa>>fullsys.PageShift) {
 		c.misses++
 		return nil, false
 	}
 	if e.crosses {
 		// The tail bytes' location depends on how the next virtual page
 		// mapped at fill time; revalidate that context (see file comment).
-		if e.paged != paged || (e.paged && e.mapGen != c.mapGen) || e.gen2 != c.pageGen[e.page2] {
+		if e.paged != paged || (e.paged && e.mapGen != c.mapGen) || e.gen2 != c.gen(e.page2) {
 			c.misses++
 			return nil, false
 		}
@@ -171,35 +222,38 @@ func (c *icache) fill(pa isa.Word, inst isa.Inst, crosses, paged bool, page2 isa
 		pa:         pa,
 		crosses:    crosses,
 		paged:      paged,
-		gen1:       c.pageGen[page1],
-		gen2:       c.pageGen[page2],
+		gen1:       c.gen(page1),
+		gen2:       c.gen(page2),
 		page2:      page2,
 		mapGen:     c.mapGen,
 		predecoded: predecode(inst),
 	}
-	c.markCode(page1)
+	end := pa + isa.Word(inst.Size) - 1
 	if crosses {
-		c.markCode(page2)
+		// The tail sits at the start of page2, inside its first line.
+		c.markCode(pa, pa|(fullsys.PageSize-1))
+		tail := page2 << fullsys.PageShift
+		c.markCode(tail, tail|end&(fullsys.PageSize-1))
+	} else {
+		c.markCode(pa, end)
 	}
 	return e
 }
 
-// noteStore invalidates cached instructions overlapped by an n-byte write
-// at physical address pa. Called from Model.store and from rollback memory
-// undo (which rewrites memory without going through store).
+// noteStore invalidates cached instructions on the pages an n-byte write
+// at physical address pa overlaps code on; the write spans at most two
+// pages. Called from Model.store and from rollback memory undo (which
+// rewrites memory without going through store).
 func (c *icache) noteStore(pa isa.Word, n int) {
 	if c == nil {
 		return
 	}
-	p := pa >> fullsys.PageShift
-	if c.codeBacked(p) {
-		c.pageGen[p]++
-		c.invalidations++
+	end := pa + isa.Word(n) - 1
+	if last := pa | (fullsys.PageSize - 1); end > last {
+		c.noteLines(pa, last)
+		pa = last + 1
 	}
-	if p2 := (pa + isa.Word(n) - 1) >> fullsys.PageShift; p2 != p && c.codeBacked(p2) {
-		c.pageGen[p2]++
-		c.invalidations++
-	}
+	c.noteLines(pa, end)
 }
 
 // noteMapping records a change to address-translation state (TLB write or
@@ -218,6 +272,6 @@ func (c *icache) flush() {
 		return
 	}
 	c.slots.drop()
-	clear(c.codePage)
+	c.pages.drop()
 	c.flushes++
 }

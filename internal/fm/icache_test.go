@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/fullsys"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/snap"
@@ -455,5 +456,225 @@ func TestCachesAllocateWhatTheyFill(t *testing.T) {
 		if got := fmt.Sprint(ih, im, ii, ifl, sh, sm, ss, si); got != tc.want {
 			t.Errorf("entries %d: icache/superblock counts %q, want %q", tc.entries, got, tc.want)
 		}
+	}
+}
+
+// lineStats is what TestLineGranularInvalidation reads off a row's run:
+// the per-instruction predecode-cache counters and, where the row also runs
+// block-wise, the superblock ones.
+type lineStats struct {
+	icHits, icMisses, inv uint64
+	sbHits, sbMisses      uint64
+	blocks                bool
+}
+
+// lineIters is how many stores each row's loop makes.
+const lineIters = 20
+
+// lineSingle runs src per-instruction with the predecode cache on and off
+// (icachePair) and block-wise against the same uncached reference.
+func lineSingle(src string) func(*testing.T) lineStats {
+	return func(t *testing.T) lineStats {
+		var s lineStats
+		s.icHits, s.icMisses, s.inv, _ = icachePair(t, src, 0x1000, 10_000).ICacheStats()
+		prog := isa.MustAssemble(src, 0x1000)
+		ref, want := sbReference(t, prog, 10_000)
+		m := sbModel(prog, DefaultSuperblockLen)
+		got, _ := sbDrain(t, m, 10_000)
+		sbCompare(t, "blocks", got, want, m, ref)
+		s.sbHits, s.sbMisses, _, _ = m.SuperblockStats()
+		s.blocks = true
+		return s
+	}
+}
+
+// linePeer runs a loop at 0x1000 on core 0 while core 1, in the same
+// coherence domain, stores r6 to addr once per iteration, and returns core
+// 0's predecode-cache counters.
+func linePeer(addr isa.Word) func(*testing.T) lineStats {
+	return func(t *testing.T) lineStats {
+		shared := fullsys.NewMemory(1 << 20)
+		coh := NewCoherence()
+		mk := func(id int, src string, base isa.Word) *Model {
+			m := New(Config{SharedMem: shared, Coherence: coh, CoreID: id,
+				DisableInterrupts: true, ICacheEntries: 64})
+			m.LoadProgram(isa.MustAssemble(src, base))
+			return m
+		}
+		m0 := mk(0, fmt.Sprintf(`
+			movi r6, 0
+		loop:
+			addi r6, 1
+			cmpi r6, %d
+			jl   loop
+			halt
+			.word 0
+		`, lineIters), 0x1000)
+		m1 := mk(1, fmt.Sprintf(`
+			movi r6, 0
+			movi r0, %#x
+		loop:
+			stw  r6, [r0]
+			addi r6, 1
+			cmpi r6, %d
+			jl   loop
+			halt
+		`, addr, lineIters), 0x4000)
+		for !m0.Halted() || !m1.Halted() {
+			for _, m := range []*Model{m0, m1} {
+				if _, ok := m.Step(); !ok && !m.Halted() {
+					t.Fatalf("core %d: %v", m.cfg.CoreID, m.Fatal())
+				}
+			}
+		}
+		if m0.GPR[6] != lineIters {
+			t.Fatalf("core 0 r6 = %d, want %d", m0.GPR[6], lineIters)
+		}
+		var s lineStats
+		s.icHits, s.icMisses, s.inv, _ = m0.ICacheStats()
+		return s
+	}
+}
+
+// lineUndo caches a page-crossing instruction, patches an immediate byte in
+// its tail, runs the patched form, then rolls back past the patch store and
+// runs it again: only the memory undo tells the cache the tail changed.
+func lineUndo(t *testing.T) lineStats {
+	prog := isa.MustAssemble(`
+		movi r0, 0x2001
+		movi r1, 0x22
+		jmp  cross
+	back:
+		stb  r1, [r0]
+		jmp  cross
+		.org 0x1FFD
+	cross:
+		movi r7, 0x11111111 ; bytes 0x1FFD..0x2002, imm from 0x1FFF
+		jmp  back
+	`, 0x1000)
+	m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64})
+	m.LoadProgram(prog)
+	var entries []trace.Entry
+	for range 8 { // ... cross, jmp back, stb, jmp cross, cross (patched)
+		e, ok := m.Step()
+		if !ok {
+			t.Fatalf("stopped at IN %d: %v", m.IN(), m.Fatal())
+		}
+		entries = append(entries, e)
+	}
+	if m.GPR[7] != 0x11221111 {
+		t.Fatalf("patched r7 = %#x, want 0x11221111", m.GPR[7])
+	}
+	_, _, before, _ := m.ICacheStats()
+	// Roll back to the stb (IN 5) and steer to the crossing instruction.
+	if err := m.SetPC(5, entries[3].PC); err != nil {
+		t.Fatal(err)
+	}
+	var s lineStats
+	_, _, s.inv, _ = m.ICacheStats()
+	if e, ok := m.Step(); !ok || m.GPR[7] != 0x11111111 {
+		t.Fatalf("after rollback %+v ok=%v: r7 = %#x, want 0x11111111", e, ok, m.GPR[7])
+	}
+	s.inv -= before
+	return s
+}
+
+// TestLineGranularInvalidation: the predecode cache tracks code per 64-byte
+// line of a page. A store next to code — on a page holding cached code but
+// in a line none of it occupies — invalidates nothing, so the loop's
+// predecode and superblock hits keep rising and its misses stay cold ones.
+// A store into a line that holds code, however it reaches memory, still
+// invalidates the page once per store. Every single-core row's trace is
+// checked against an uncached model, per instruction and block-wise.
+func TestLineGranularInvalidation(t *testing.T) {
+	nop := isa.MustAssemble("nop", 0).Code
+	if len(nop) != 1 {
+		t.Fatalf("nop encodes in %d bytes", len(nop))
+	}
+	storeLoop := func(store string, data string) string {
+		return fmt.Sprintf(`
+			movi sp, 0x9000
+			movi r6, 0
+			movi r0, data
+		loop:
+			%s
+			addi r6, 1
+			cmpi r6, %d
+			jl   loop
+			halt
+			%s
+		data:
+			.word 0
+		`, store, lineIters, data)
+	}
+	// stosLoop fills 8 bytes from dst with nops every iteration, then calls
+	// the nop sled at 0x1800.
+	stosLoop := func(dst int) string {
+		return fmt.Sprintf(`
+			movi sp, 0x9000
+			movi r6, 0
+		loop:
+			movi r1, %#x
+			movi r2, 8
+			movi r3, %d
+			rep stos
+			call sled
+			addi r6, 1
+			cmpi r6, %d
+			jl   loop
+			halt
+			.org 0x1800
+		sled:
+			nop
+			nop
+			nop
+			nop
+			ret
+		`, dst, nop[0], lineIters)
+	}
+	// Each row names the invalidations its stores must cause: none next to
+	// code, at least one per store into it (the first stos runs before the
+	// sled is cached, and the undo row counts the undo alone).
+	for _, tc := range []struct {
+		name string
+		inv  uint64
+		run  func(*testing.T) lineStats
+	}{
+		{"next to code/word in another line", 0, lineSingle(storeLoop("stw r6, [r0]", ".org 0x1800"))},
+		{"next to code/byte in the next line", 0, lineSingle(storeLoop("stb r6, [r0]", ".org 0x1040"))},
+		{"next to code/rep stos in other lines", 0, lineSingle(stosLoop(0x1700))},
+		{"next to code/coherence peer", 0, linePeer(0x1800)},
+
+		{"into code/store into an instruction's line", lineIters, lineSingle(storeLoop("stw r6, [r0]", ""))},
+		{"into code/page-crossing tail line", lineIters, lineSingle(fmt.Sprintf(`
+			movi r6, 0
+			movi r0, 0x2030
+		loop:
+			jmp  cross
+		back:
+			stw  r6, [r0]
+			addi r6, 1
+			cmpi r6, %d
+			jl   loop
+			halt
+			.org 0x1FFE
+		cross:
+			jmp  back ; bytes 0x1FFE..0x2000
+		`, lineIters))},
+		{"into code/rollback undo of a tail store", 1, lineUndo},
+		{"into code/rep stos across a code line", lineIters - 1, lineSingle(stosLoop(0x17FC))},
+		{"into code/coherence peer", lineIters, linePeer(0x1000 + 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := tc.run(t)
+			switch {
+			case s.inv < tc.inv || tc.inv == 0 && s.inv != 0:
+				t.Errorf("%d invalidations, want %d", s.inv, tc.inv)
+			case tc.inv == 0 && (s.icMisses >= lineIters || s.icHits < 2*lineIters):
+				t.Errorf("store next to code: %d predecode misses, %d hits", s.icMisses, s.icHits)
+			case tc.inv == 0 && s.blocks && (s.sbMisses >= lineIters/2 || s.sbHits <= lineIters/2):
+				t.Errorf("store next to code: %d superblock misses, %d hits", s.sbMisses, s.sbHits)
+			}
+		})
 	}
 }

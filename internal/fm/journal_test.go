@@ -771,26 +771,32 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // TestMemLogZeroRun: a rep stos over memory the target never wrote logs
 // only its entries' headers, and rolling back across it restores the bytes
 // and the predecode cache's page generations exactly as rolling back over a
-// written pre-image does.
+// written pre-image does. The stos starts in the line of a routine the
+// program ran, so both the store and its undo bump the code page.
 func TestMemLogZeroRun(t *testing.T) {
 	prog := isa.MustAssemble(`
-		movi r1, 0x1800  ; the code page's unused tail and half the next page
+		movi sp, 0x9000
+		call marker      ; caches marker, whose line the stos starts in
+		movi r1, 0x17F8  ; marker's line, the code page's tail and half the next page
 		movi r2, 0x1000  ; two runs, split at the page end
 		movi r3, 0xAB
 		rep stos
 		halt
+		.org 0x17C0
+	marker:
+		ret
 	`, 0x1000)
 	var gens [2][]uint32
 	for k, old := range []byte{0, 0x5A} {
 		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64})
 		m.LoadProgram(prog)
 		if old != 0 {
-			m.Mem.Fill(0x1800, 0x1000, old)
+			m.Mem.Fill(0x17F8, 0x1000, old)
 		}
-		for i := 0; i < 3; i++ {
+		for i := 0; i < 6; i++ {
 			m.Step()
 		}
-		before, logged := memCopy(m, 0x1800, 0x1000), len(m.jeng.mem.buf)
+		before, logged := memCopy(m, 0x17F8, 0x1000), len(m.jeng.mem.buf)
 		e, _ := m.Step()
 		want := 2 * memLogHeader
 		if old != 0 {
@@ -802,12 +808,17 @@ func TestMemLogZeroRun(t *testing.T) {
 		if err := m.SetPC(e.IN, e.PC); err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(memCopy(m, 0x1800, 0x1000), before) {
+		if !bytes.Equal(memCopy(m, 0x17F8, 0x1000), before) {
 			t.Errorf("old bytes %#x: rollback did not restore the stored-over bytes", old)
 		}
-		gens[k] = m.icache.pageGen
+		for p := range isa.Word(1 << 20 >> fullsys.PageShift) {
+			gens[k] = append(gens[k], m.icache.gen(p))
+		}
 	}
 	if !slices.Equal(gens[0], gens[1]) {
 		t.Error("page generations after rolling back over zero and non-zero old bytes differ")
+	}
+	if gens[0][1] != 2 {
+		t.Errorf("code page generation %d after a store into its code and the undo, want 2", gens[0][1])
 	}
 }

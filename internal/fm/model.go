@@ -270,7 +270,7 @@ func (m *Model) ICacheStats() (hits, misses, invalidations, flushes uint64) {
 func (m *Model) LoadProgram(p *isa.Program) {
 	m.Mem.Load(p.Base, p.Code)
 	m.icache.flush()
-	// Page generations survive an icache flush, so block entries would
+	// Page generations restart with an icache flush, so block entries would
 	// still generation-match stale bytes: drop them outright.
 	m.sb.flush()
 	m.PC = p.Entry

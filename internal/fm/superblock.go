@@ -34,9 +34,10 @@ import (
 //   - the configured length cap.
 //
 // Invalidation rides the predecode cache's per-physical-page generation
-// counters: stores (own, remote-core via Coherence, or rollback memory
-// undo) bump the page generation, and a block whose fill-time generation
-// disagrees re-forms. A store *inside* a running block is caught by a
+// counters: stores into a line holding cached code (own, remote-core via
+// Coherence, or rollback memory undo) bump the page generation, and a block
+// whose fill-time generation disagrees re-forms. Every instruction of a
+// block went through the predecode cache, so its lines are marked. A store *inside* a running block is caught by a
 // post-instruction generation compare and splits the block (the executed
 // prefix is correct; the stale suffix never runs). LoadProgram flushes
 // the block cache outright — page generations survive an icache flush,
@@ -115,7 +116,7 @@ func (c *sbCache) probe(pa isa.Word) *sbBlock {
 		c.misses++
 		return nil
 	}
-	if e.gen != c.ic.pageGen[e.page] {
+	if e.gen != c.ic.gen(e.page) {
 		c.invalidations++
 		c.misses++
 		return nil
@@ -126,7 +127,7 @@ func (c *sbCache) probe(pa isa.Word) *sbBlock {
 
 // stale reports whether a store has hit the block's page since formation
 // (checked after every executed instruction to catch in-block SMC).
-func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.pageGen[e.page] }
+func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.gen(e.page) }
 
 // flush empties the block cache (program load).
 func (c *sbCache) flush() {
@@ -196,7 +197,7 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 		return nil
 	}
 	e := c.slots.slot(pa & c.mask)
-	*e = sbBlock{pa: pa, page: page, gen: c.ic.pageGen[page], ops: append(e.ops[:0], ops...)}
+	*e = sbBlock{pa: pa, page: page, gen: c.ic.gen(page), ops: append(e.ops[:0], ops...)}
 	return e
 }
 

@@ -119,18 +119,10 @@ func FIFO(depth, widthBits int) Area {
 	return Area{Slices: 30, BRAMs: (depth*widthBits + bramBits - 1) / bramBits}
 }
 
-// Clock is the timing model's host clock.
-type Clock struct {
-	MHz int
-}
-
-// DefaultClock is the prototype's 100 MHz FPGA cycle time (§4.4).
-var DefaultClock = Clock{MHz: 100}
-
-// CycleNanos returns one host cycle in nanoseconds.
-func (c Clock) CycleNanos() float64 { return 1e3 / float64(c.MHz) }
+// CycleNanos is one cycle of the prototype's 100 MHz FPGA host clock
+// (§4.4), in nanoseconds. It is the only clock the model runs at, so it is a
+// constant rather than a division per target cycle.
+const CycleNanos = 10.0
 
 // Nanos converts host cycles to nanoseconds.
-func (c Clock) Nanos(hostCycles uint64) float64 {
-	return float64(hostCycles) * c.CycleNanos()
-}
+func Nanos(hostCycles uint64) float64 { return float64(hostCycles) * CycleNanos }

@@ -60,11 +60,11 @@ func TestHostCyclesForPorts(t *testing.T) {
 }
 
 func TestClock(t *testing.T) {
-	if DefaultClock.CycleNanos() != 10 {
-		t.Errorf("100 MHz cycle = %v ns", DefaultClock.CycleNanos())
+	if CycleNanos != 10 {
+		t.Errorf("100 MHz cycle = %v ns", CycleNanos)
 	}
-	if DefaultClock.Nanos(469) != 4690 {
-		t.Errorf("469 cycles = %v ns", DefaultClock.Nanos(469))
+	if Nanos(469) != 4690 {
+		t.Errorf("469 cycles = %v ns", Nanos(469))
 	}
 }
 

@@ -1,9 +1,11 @@
 package tm
 
 import (
+	"bytes"
 	"math"
 	"slices"
 
+	"repro/internal/bpred"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -15,10 +17,11 @@ import (
 // the data cache, the data TLB and the branch predictor, through the same
 // calls in the same order — and counters that grow by the same amount each
 // period. FastForward finds such a period, steps it once more to record those
-// calls and amounts, and then jumps k periods at once: it replays the calls k
-// times, adds k times each amount and moves the pipeline on by k·P cycles
-// and k·U sequence numbers. The result is bit-identical to stepping
-// (DESIGN.md §7).
+// calls and amounts, and then jumps k periods at once: it replays the calls
+// round by round until a round leaves everything it touches as it found it,
+// adds the remaining rounds' counts in closed form, adds k times each amount
+// and moves the pipeline on by k·P cycles and k·U sequence numbers. The
+// result is bit-identical to stepping (DESIGN.md §7).
 
 const (
 	// ffArmUops is how many µops a decoded instruction must owe to arm the
@@ -28,6 +31,10 @@ const (
 	ffMaxPeriod = 16
 	// ffDetectCycles bounds the cycles fingerprinted per armed instruction.
 	ffDetectCycles = 256
+	// ffTouchBytes sizes the replay's scratch per call: a call's share of
+	// a round's touched-state listing is about this long (appends grow it
+	// where it is not).
+	ffTouchBytes = 48
 )
 
 // ffCall is one call a recorded period made to a structure outside the
@@ -101,7 +108,13 @@ type fastForward struct {
 	primed bool
 	delta  ffMark
 
+	// The replay's scratch: what a round of the calls touches, listed
+	// before and after it.
+	before, after []byte
+
 	skipped uint64 // cycles skipped so far (tests)
+	periods uint64 // periods skipped so far
+	rounds  uint64 // of those, rounds whose calls were replayed one by one
 }
 
 // arm starts looking for a steady state in the instruction just decoded.
@@ -118,10 +131,13 @@ func (t *TM) arm() {
 		// µop and one per live register writer (a µop writes at most one).
 		uopCap := len(t.uops)
 		words := 32 + len(t.lsuFreeAt) + 2*t.uopQ.cfg.MaxTransactions + 2*t.cfg.RSEntries + 7*uopCap
+		calls := ffMaxPeriod * (2 + t.cfg.BranchUnits)
 		f = &fastForward{
-			cur:   make([]uint64, 0, words),
-			base:  make([]uint64, 0, words),
-			calls: make([]ffCall, 0, ffMaxPeriod*(2+t.cfg.BranchUnits)),
+			cur:    make([]uint64, 0, words),
+			base:   make([]uint64, 0, words),
+			calls:  make([]ffCall, 0, calls),
+			before: make([]byte, 0, ffTouchBytes*calls),
+			after:  make([]byte, 0, ffTouchBytes*calls),
 		}
 		t.ff = f
 	}
@@ -273,11 +289,7 @@ func (t *TM) jump(k uint64) {
 	dc, du, dm := k*f.period, k*d.uops, k*d.mem
 
 	// What leaves the pipeline: the recorded calls, k times over.
-	for range k {
-		for i := range f.calls {
-			f.calls[i].replay(t)
-		}
-	}
+	t.replayCalls(k)
 
 	// Counters.
 	dst, per := t.Stats.counters(), d.stats.counters()
@@ -340,6 +352,49 @@ func (t *TM) jump(k uint64) {
 	t.nextUop += du
 	t.cycle += dc
 	f.skipped += dc
+}
+
+// replayCalls makes the recorded calls k times over. It replays them round
+// by round only until a round leaves everything it touches as it found it:
+// the dL1 sets' LRU ages and dirty bits, the predictor's history, the
+// counters it trains and the BTB sets. Every later round then changes only
+// what the last one did outside that state — the dL1 and dTLB counters and
+// the dTLB's touch clock, whose touched entries move with it — which Repeat
+// adds for the remaining rounds at once.
+func (t *TM) replayCalls(k uint64) {
+	f := t.ff
+	r := uint64(0)
+	for r < k {
+		f.before = t.touched(f.before[:0])
+		dl1, dtlb := t.DL1.Stats(), t.DTLB.Stats()
+		for i := range f.calls {
+			f.calls[i].replay(t)
+		}
+		r++
+		if f.after = t.touched(f.after[:0]); bytes.Equal(f.before, f.after) {
+			t.DL1.Repeat(dl1, k-r)
+			t.DTLB.Repeat(dtlb, k-r)
+			break
+		}
+	}
+	f.periods += k
+	f.rounds += r
+}
+
+// touched appends to dst the state a round of the recorded calls touches,
+// other than the dTLB's: the dL1 sets they hit and what the predictor
+// updates read or write.
+func (t *TM) touched(dst []byte) []byte {
+	w, dst := bpred.NewWalk(dst, t.BP)
+	for i := range t.ff.calls {
+		switch c := &t.ff.calls[i]; c.kind {
+		case callDL1:
+			dst = t.DL1.AppendSet(dst, c.addr)
+		case callBP:
+			dst = w.Next(dst, c.addr, c.flag)
+		}
+	}
+	return dst
 }
 
 // jumpConnector moves a front-end connector on by k periods of dc cycles:

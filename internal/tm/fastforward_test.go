@@ -2,6 +2,7 @@ package tm
 
 import (
 	"bytes"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -156,4 +157,123 @@ func TestNestedBranchGateDrift(t *testing.T) {
 	if got := replay(t, record(t, twoRepsSrc, 1000), DefaultConfig()).unresolved; got != -5500 {
 		t.Errorf("two REPs: unresolved = %d, pinned at -5500", got)
 	}
+}
+
+// replayCase builds, from fuzz bytes, a TM ready to replay a round of calls:
+// random resident dL1 lines (at most eight per set, so none is evicted) and
+// dTLB entries (no more than it holds), a predictor from the registry
+// trained by random updates, and a recorded round of hits on those lines and
+// entries and of predictor updates from a few PCs that share BTB sets. The
+// first byte picks the predictor, whether the round mixes all three kinds
+// of call, makes only predictor updates or only memory accesses, and
+// whether its branches are taken at random, never or always.
+func replayCase(t *testing.T, data []byte) *TM {
+	t.Helper()
+	i := 0
+	next := func() int {
+		if i >= len(data) {
+			return 0
+		}
+		i++
+		return int(data[i-1])
+	}
+	sel := next()
+	cfg := DefaultConfig()
+	cfg.Predictor = []string{"gshare", "2bit", "perfect", "97%", "95%"}[sel%5]
+	kinds, outcomes := sel/5%3, sel/15%3
+	model, err := New(cfg, &SliceSource{}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sets := cfg.L1D.SizeBytes / (cfg.L1D.Ways * cfg.L1D.LineBytes)
+	lines := make([]isa.Word, 1+next()%48)
+	for j := range lines {
+		line := (next()%cfg.L1D.Ways)*sets + next()%sets
+		lines[j] = isa.Word(line*cfg.L1D.LineBytes + next()%cfg.L1D.LineBytes)
+		model.DL1.Access(lines[j], next()&1 != 0)
+	}
+	vpns := make([]isa.Word, 1+next()%cfg.DTLBEntries)
+	for j := range vpns {
+		vpns[j] = isa.Word(j<<8 | next())
+		model.DTLB.Access(vpns[j])
+	}
+	pc := func() isa.Word { return isa.Word(0x1000 + next()%8*0x1000 + next()%4*2) }
+	// A long random warm-up leaves counters of every value under many
+	// histories, the one the round settles into among them.
+	rng := rand.New(rand.NewSource(int64(next())))
+	for range 512 + 8*next() {
+		p := isa.Word(0x1000 + rng.Intn(8)*0x1000 + rng.Intn(4)*2)
+		model.BP.Update(p, rng.Intn(2) == 0, p+8)
+	}
+	taken := func() bool { return outcomes == 2 || outcomes == 0 && next()&1 != 0 }
+	f := &fastForward{}
+	for range 1 + next()%32 {
+		kind := next() % 3
+		switch {
+		case kinds == 1:
+			kind = 2
+		case kinds == 2:
+			kind %= 2
+		}
+		switch kind {
+		case 0:
+			f.calls = append(f.calls, ffCall{kind: callDL1, addr: lines[next()%len(lines)], flag: next()&1 != 0})
+		case 1:
+			f.calls = append(f.calls, ffCall{kind: callDTLB, addr: vpns[next()%len(vpns)]})
+		default:
+			f.calls = append(f.calls, ffCall{kind: callBP, addr: pc(), flag: taken(), target: pc()})
+		}
+	}
+	model.ff = f
+	return model
+}
+
+// FuzzReplayFixedPoint: replaying a recorded round of calls only until it
+// reaches a fixed point, then adding the remaining rounds in closed form,
+// leaves the dL1, the dTLB and the predictor exactly where replaying all k
+// rounds call by call leaves them: the same State bytes and counters, and
+// the same again after a few more accesses that miss and evict.
+func FuzzReplayFixedPoint(f *testing.F) {
+	f.Add([]byte{}, uint16(0))
+	f.Add([]byte{0, 3, 1, 2, 7, 9, 5, 4, 1, 30, 0, 1, 2, 0, 1, 2, 0, 5, 6}, uint16(9999))
+	for sel := range 45 {
+		seed := make([]byte, 400)
+		x := uint32(sel + 1)
+		for i := range seed {
+			x = x*1664525 + 1013904223
+			seed[i] = byte(x >> 24)
+		}
+		seed[0] = byte(sel)
+		f.Add(seed, uint16(sel*211+40))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, rounds uint16) {
+		k := 1 + uint64(rounds)%10_000
+		got, want := replayCase(t, data), replayCase(t, data)
+		got.replayCalls(k)
+		for range k {
+			for i := range want.ff.calls {
+				want.ff.calls[i].replay(want)
+			}
+		}
+		if got.ff.rounds > k || got.ff.periods != k {
+			t.Fatalf("replayed %d rounds of %d periods, for %d", got.ff.rounds, got.ff.periods, k)
+		}
+		for step := range 2 {
+			if g, w := got.DL1.Stats(), want.DL1.Stats(); g != w {
+				t.Fatalf("step %d: dL1 stats %+v, want %+v", step, g, w)
+			}
+			if g, w := got.DTLB.Stats(), want.DTLB.Stats(); g != w {
+				t.Fatalf("step %d: dTLB stats %+v, want %+v", step, g, w)
+			}
+			if !bytes.Equal(snap.Marshal(got), snap.Marshal(want)) {
+				t.Fatalf("step %d: State differs after %d rounds (%d replayed)", step, k, got.ff.rounds)
+			}
+			for _, m := range []*TM{got, want} {
+				for j := range isa.Word(40) {
+					m.DTLB.Access(0x100000 + j)
+					m.DL1.Access(0x400000+j*4096, false)
+				}
+			}
+		}
+	})
 }

@@ -939,6 +939,13 @@ func (t *TM) PublishTelemetry(tel *obs.Telemetry) {
 	tel.Counter(series(obs.L("tm_bp_outcomes_total", "outcome", "direction_wrong"))).Add(bp.DirWrong)
 	tel.Counter(series(obs.L("tm_bp_outcomes_total", "outcome", "target_wrong"))).Add(bp.TargetWrong)
 	tel.Counter(series("tm_mispredicts_total")).Add(s.Mispredicts)
+
+	// The REP fast-forward, once a long REP has armed it: the periods it
+	// jumped and the rounds of their calls it replayed one by one.
+	if f := t.ff; f != nil {
+		tel.Counter(series("tm_rep_periods_skipped_total")).Add(f.periods)
+		tel.Counter(series("tm_rep_rounds_replayed_total")).Add(f.rounds)
+	}
 }
 
 // ConnectorReport renders the §4 Connector statistics (throughput stalls,
