@@ -25,6 +25,7 @@ func (m *Model) Step() (trace.Entry, bool) {
 // step is Step leaving the entry in the Model's scratch entry, where it
 // stays valid until the next instruction.
 func (m *Model) step() bool {
+	m.cut.blk = nil
 	if m.halted || m.fatal != nil {
 		return false
 	}
@@ -88,7 +89,7 @@ func (m *Model) issue(p *predecoded, pc, ppc isa.Word) *fault {
 	e.Op, e.Size = p.inst.Op, uint8(p.inst.Size)
 	e.SrcA, e.SrcB, e.Dst = p.srcA, p.srcB, p.dst
 	e.ReadsCC, e.WritesCC = p.readsCC, p.writesCC
-	return m.execute(p.inst, pc+isa.Word(p.inst.Size), e)
+	return m.execute(p, pc+isa.Word(p.inst.Size), e)
 }
 
 // Fatal returns the unrecoverable condition that stopped the model, if any
@@ -222,7 +223,9 @@ func (m *Model) finishEntry(e *trace.Entry, p *predecoded) {
 	if !p.inst.Rep {
 		iters = 1
 	}
-	if isa.Valid(e.Op) && e.Op == p.inst.Op {
+	if p.inst.Size != 0 {
+		// A decoded instruction: the decoder admits only valid opcodes, so
+		// only the fetch-fault placeholder (undecoded) takes the else arm.
 		c := p.pre.Crack(iters)
 		if !m.replay {
 			m.Coverage.Add(c)
@@ -342,35 +345,26 @@ func (m *Model) cond(op isa.Op) bool {
 	panic(fmt.Sprintf("fm: cond on %v", op))
 }
 
-// privCheck raises a protection fault for kernel-only instructions in user
-// mode.
-func (m *Model) privCheck(in isa.Info) *fault {
-	if in.Priv && !m.Kernel() {
-		return &fault{vector: isa.VecProt, faultVA: m.PC, retry: false}
-	}
-	return nil
-}
-
 // fpRegOf extracts the FPR index from a register name known to be FP.
 func fpRegOf(r isa.Reg) int { return int(r - isa.FPRBase) }
 
-// execute runs one decoded instruction. nextPC is the fall-through PC. It
-// fills the dynamic fields of the trace entry and updates m.PC.
-func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
-	in := inst.Info()
-	if f := m.privCheck(in); f != nil {
-		return f
+// execute runs one predecoded instruction. nextPC is the fall-through PC. It
+// fills the dynamic fields of the trace entry and updates m.PC. A
+// kernel-only instruction in user mode raises a protection fault.
+func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
+	if p.priv && !m.Kernel() {
+		return &fault{vector: isa.VecProt, faultVA: m.PC, retry: false}
 	}
+	inst := &p.inst
+	// branchTo marks the entry a control transfer to target, taken or not,
+	// and moves nextPC to it when taken.
 	branchTo := func(target isa.Word, taken bool) {
-		e.Branch = true
-		e.Cond = in.Cond
-		e.Taken = taken
+		e.Branch, e.Cond, e.Taken = true, p.cond, taken
 		if taken {
 			nextPC = target
 		}
 		e.NextPC = nextPC
 	}
-	rel := func() isa.Word { return nextPC + isa.Word(int32(inst.Imm)) }
 
 	switch inst.Op {
 	case isa.OpNop, isa.OpPause:
@@ -527,14 +521,14 @@ func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
 		m.setFlagsZN(m.GPR[inst.Rd]) // Z set on failure: `jz retry`
 		e.MemVA, e.MemPA, e.MemSize, e.IsStore = va, pa, 4, ok
 	case isa.OpJmp:
-		branchTo(rel(), true)
+		branchTo(nextPC+isa.Word(int32(inst.Imm)), true)
 	case isa.OpJz, isa.OpJnz, isa.OpJl, isa.OpJge, isa.OpJg, isa.OpJle, isa.OpJc, isa.OpJnc:
-		branchTo(rel(), m.cond(inst.Op))
+		branchTo(nextPC+isa.Word(int32(inst.Imm)), m.cond(inst.Op))
 	case isa.OpJmpR:
 		branchTo(m.GPR[inst.Rd], true)
 	case isa.OpCall:
 		m.GPR[isa.RegLR] = nextPC
-		branchTo(rel(), true)
+		branchTo(nextPC+isa.Word(int32(inst.Imm)), true)
 	case isa.OpCallR:
 		target := m.GPR[inst.Rd]
 		m.GPR[isa.RegLR] = nextPC
@@ -546,9 +540,9 @@ func (m *Model) execute(inst isa.Inst, nextPC isa.Word, e *trace.Entry) *fault {
 		// count register).
 		m.GPR[2]--
 		m.setFlagsZN(m.GPR[2])
-		branchTo(rel(), m.GPR[2] != 0)
+		branchTo(nextPC+isa.Word(int32(inst.Imm)), m.GPR[2] != 0)
 	case isa.OpMovs, isa.OpStos, isa.OpLods, isa.OpCmps, isa.OpScas:
-		if f := m.execString(inst, e); f != nil {
+		if f := m.execString(*inst, e); f != nil {
 			return f
 		}
 	case isa.OpSyscall:
@@ -699,7 +693,7 @@ func memAccessSize(op isa.Op) int {
 
 // aluOperand returns the second ALU operand: the Rs register for RR forms,
 // the immediate otherwise.
-func (m *Model) aluOperand(inst isa.Inst) isa.Word {
+func (m *Model) aluOperand(inst *isa.Inst) isa.Word {
 	if inst.Rs != isa.RegNone {
 		return m.GPR[inst.Rs]
 	}
@@ -848,17 +842,19 @@ func (m *Model) execStringLoad(inst isa.Inst, iters int, e *trace.Entry) (int, *
 }
 
 // predecoded is everything the FM derives from an instruction's bytes alone:
-// the decoded instruction, its µop instantiation, and the trace entry's
-// architectural register names. It is computed once per static instruction
-// by predecode and is the one record the whole front end passes around — a
-// predecode-cache slot embeds it, a superblock op is an offset plus one, and
-// the cache-off fetch returns the Model's scratch copy.
+// the decoded instruction, its µop instantiation, the trace entry's
+// architectural register names and the two opcode-table bits execute reads
+// (so it never copies the table row). It is computed once per static
+// instruction by predecode and is the one record the whole front end passes
+// around — a predecode-cache slot embeds it, a superblock op is an offset
+// plus one, and the cache-off fetch returns the Model's scratch copy.
 type predecoded struct {
 	inst isa.Inst
 	pre  microcode.Precracked
 
 	srcA, srcB, dst   isa.Reg
 	readsCC, writesCC bool
+	priv, cond        bool // kernel-only; conditional control transfer
 }
 
 // undecoded stands in for the instruction of a fetch fault: nothing was
@@ -878,10 +874,11 @@ func predecode(inst isa.Inst) predecoded {
 
 // fillRegs derives the trace's architectural register names from the
 // decoded instruction (§2: "source, destination and condition code
-// architectural register names").
+// architectural register names"), and the opcode-table bits execute reads.
 func fillRegs(inst isa.Inst, p *predecoded) {
 	in := inst.Info()
 	p.readsCC, p.writesCC = in.ReadsCC, in.WritesCC
+	p.priv, p.cond = in.Priv, in.Cond
 	p.srcA, p.srcB, p.dst = isa.RegNone, isa.RegNone, isa.RegNone
 	switch inst.Op {
 	case isa.OpMovRR, isa.OpFMov, isa.OpI2F, isa.OpF2I, isa.OpFSqrt, isa.OpFAbs, isa.OpFNeg:

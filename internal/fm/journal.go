@@ -189,10 +189,12 @@ func (r *ring[T]) popBack() *T  { r.tail--; return r.at(r.tail) }
 
 // undoRecord captures everything needed to return the model to the state it
 // held when the record opened. A record normally spans one instruction; the
-// superblock executor (superblock.go) opens one record per *block*, so a
-// record spans [startIN, next record's startIN) — or [startIN, m.in) for
-// the open tail record. Memory, TLB and device pre-images live in the
-// engine's shared stores; the record only says how much of each is its own.
+// superblock executor (superblock.go) opens one record per *block* — kept
+// open across the block's resumed segments while it is still the ring's
+// tail — so a record spans [startIN, next record's startIN), or [startIN,
+// m.in) for the open tail record. Memory, TLB and device pre-images live in
+// the engine's shared stores; the record only says how much of each is its
+// own.
 //
 // Commit reads startIN, memLen and side of records written a whole window
 // ago, long out of the host's L1: they lead the struct so that a release
@@ -224,13 +226,12 @@ type journalEngine struct {
 	mem  memLog
 }
 
+// begin opens a record, written field by field into its ring slot.
 func (j *journalEngine) begin(m *Model) {
-	*j.recs.push() = undoRecord{
-		startIN: m.in,
-		pre:     m.Scalars,
-		halted:  m.halted,
-		idle:    m.idle,
-	}
+	r := j.recs.push()
+	r.startIN, r.memLen, r.side = m.in, 0, false
+	r.halted, r.idle = m.halted, m.idle
+	r.pre = m.Scalars
 }
 
 // abort discards the open record without applying it: its instruction never
@@ -248,21 +249,6 @@ func (j *journalEngine) abort(*Model) {
 func (j *journalEngine) reset() {
 	for j.recs.len() > 0 {
 		j.abort(nil)
-	}
-}
-
-// beginBlock opens one record covering a whole superblock: the snapshot at
-// the block's start plus the memory/TLB/device undo of every instruction
-// inside it. One record per block instead of one per instruction is the
-// superblock executor's "one rollback check per block".
-func (j *journalEngine) beginBlock(m *Model) { j.begin(m) }
-
-// endBlock closes the block record; retired is the number of instructions
-// it ended up covering (a block can end early on faults, SMC splits or a
-// full trace buffer). A record that covers nothing is dropped.
-func (j *journalEngine) endBlock(m *Model, retired int) {
-	if retired == 0 {
-		j.abort(m)
 	}
 }
 
@@ -603,6 +589,7 @@ func (m *Model) SetPC(in uint64, pc uint32) error {
 	if in > m.in {
 		return fmt.Errorf("fm: set_pc(%d) beyond produced instructions (next %d)", in, m.in)
 	}
+	m.cut.blk = nil
 	m.Rollbacks++
 	m.obs.rollbacks.Inc()
 	m.obs.journalDepth.Observe(float64(m.engine.window(m)))

@@ -710,7 +710,9 @@ poll:
 // TestSteadyStateZeroAllocs: once the stores have reached their working
 // size, the FM loop with commits on allocates nothing — per-instruction and
 // block-at-a-time, under both rollback engines, rollbacks included, driven
-// by hand or through Run, and with device I/O on every few instructions.
+// by hand or through Run, and with device I/O on every few instructions. The
+// cut rows' sink stops every block after one instruction, so each block is
+// resumed op by op.
 func TestSteadyStateZeroAllocs(t *testing.T) {
 	type subject struct {
 		name, src string
@@ -727,12 +729,18 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		}},
 	} {
 		for _, mode := range []RollbackMode{RollbackJournal, RollbackCheckpoint} {
-			for _, sblen := range []int{0, DefaultSuperblockLen} {
-				name := fmt.Sprintf("%s/%s/superblock len %d", sub.name, []string{"journal", "checkpoint"}[mode], sblen)
+			for _, row := range []struct {
+				sblen int
+				cut   bool
+			}{{0, false}, {DefaultSuperblockLen, false}, {DefaultSuperblockLen, true}} {
+				name := fmt.Sprintf("%s/%s/superblock len %d", sub.name, []string{"journal", "checkpoint"}[mode], row.sblen)
+				if row.cut {
+					name += "/cut after every entry"
+				}
 				m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, Devices: sub.devices(),
-					Rollback: mode, ICacheEntries: DefaultICacheEntries, SuperblockLen: sblen})
+					Rollback: mode, ICacheEntries: DefaultICacheEntries, SuperblockLen: row.sblen})
 				m.LoadProgram(isa.MustAssemble(sub.src, 0x1000))
-				sink := func(trace.Entry) bool { return true }
+				sink := func(trace.Entry) bool { return !row.cut }
 				chunk := func() {
 					start := m.IN()
 					for m.IN() < start+64 {
@@ -762,6 +770,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 				}
 				if allocs := testing.AllocsPerRun(200, driven); allocs != 0 {
 					t.Errorf("%s: %v allocs per 64 instructions through Run, want 0", name, allocs)
+				}
+				if row.cut && m.sb != nil && m.sb.resumes == 0 {
+					t.Errorf("%s: no block was resumed", name)
 				}
 			}
 		}

@@ -126,6 +126,7 @@ type Model struct {
 
 	icache *icache  // predecode cache; nil when disabled
 	sb     *sbCache // superblock cache; nil when disabled
+	cut    sbCursor // the superblock the sink last stopped mid-way
 	// ent is the one scratch trace entry every instruction is assembled in
 	// (issue, finishEntry) and Produce's sink is pointed at; it is copied out
 	// only where the API is by value: Step's return and StepBlock's sink
@@ -251,6 +252,7 @@ func (m *Model) PublishTelemetry(tel *obs.Telemetry) {
 	if c := m.sb; c != nil {
 		tel.Counter(series("fm_superblock_hits_total")).Add(c.hits)
 		tel.Counter(series("fm_superblock_misses_total")).Add(c.misses)
+		tel.Counter(series("fm_superblock_resumes_total")).Add(c.resumes)
 		tel.Counter(series("fm_superblock_splits_total")).Add(c.splits)
 		tel.Counter(series("fm_superblock_invalidations_total")).Add(c.invalidations)
 	}
@@ -273,6 +275,7 @@ func (m *Model) LoadProgram(p *isa.Program) {
 	// Page generations restart with an icache flush, so block entries would
 	// still generation-match stale bytes: drop them outright.
 	m.sb.flush()
+	m.cut.blk = nil
 	m.PC = p.Entry
 }
 

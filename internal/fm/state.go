@@ -97,4 +97,5 @@ func (m *Model) State(c *snap.Codec) {
 	// Memory contents changed under the host-side caches: rebuild on demand.
 	m.icache.flush()
 	m.sb.flush()
+	m.cut.blk = nil
 }

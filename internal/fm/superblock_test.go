@@ -229,11 +229,76 @@ func TestSuperblockLLSCTerminatesBlock(t *testing.T) {
 	}
 }
 
+// TestSuperblockResume: a block the sink stops after every entry is resumed
+// op by op, not re-entered — block entries are hits + misses + resumes, and
+// each block keeps one journal record across its segments — and the trace,
+// final state and fatal stop equal per-instruction stepping. The second
+// program faults inside a block entered in earlier segments, so the fault
+// replays the prefix every segment delivered.
+func TestSuperblockResume(t *testing.T) {
+	for _, src := range []string{`
+		movi r6, 0
+	loop:
+		addi r1, 3
+		stw  r1, [r2+0x4000]
+		ldw  r3, [r2+0x4000]
+		addi r6, 1
+		cmpi r6, 50
+		jl   loop
+		halt`, `
+		movi r0, 7
+		addi r0, 1
+		stw  r0, [r2+0x4000]
+		addi r0, 2
+		div  r0, r2
+		addi r0, 3
+		halt`,
+	} {
+		prog := isa.MustAssemble(src, 0x1000)
+		ref := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
+		ref.LoadProgram(prog)
+		var want []trace.Entry
+		for {
+			e, ok := ref.Step()
+			if !ok {
+				break
+			}
+			want = append(want, e)
+		}
+		m := sbModel(prog, DefaultSuperblockLen)
+		var got []trace.Entry
+		calls := uint64(0)
+		for ; !m.Halted() && m.Fatal() == nil; calls++ {
+			m.StepBlock(func(e trace.Entry) bool { got = append(got, e); return false })
+		}
+		sbCompare(t, "resume", got, want, m, ref)
+		if (m.Fatal() != nil) != (ref.Fatal() != nil) {
+			t.Fatalf("fatal: block path %v, reference %v", m.Fatal(), ref.Fatal())
+		}
+		hits, misses, _, _ := m.SuperblockStats()
+		if m.sb.resumes == 0 || hits+misses+m.sb.resumes != calls {
+			t.Errorf("%d block entries: %d hits + %d misses + %d resumes", calls, hits, misses, m.sb.resumes)
+		}
+		if m.Fatal() == nil && uint64(m.jeng.recs.len()) != hits+misses {
+			t.Errorf("%d journal records for %d entered blocks", m.jeng.recs.len(), hits+misses)
+		}
+	}
+}
+
 // FuzzSuperblockForm is the differential property behind every superblock
 // test: executing arbitrary byte soup block-at-a-time must produce exactly
 // the per-instruction model's trace and final state — faults, fatal stops
 // and all — and never panic. Block formation over garbage exercises decode
 // failures, length caps, page-end clipping and terminator detection.
+//
+// sched cuts and resumes blocks the way the coupling does: each Produce
+// call takes one byte, whose low three bits are how many entries the sink
+// accepts before it stops the block, and whose next three pick what runs
+// before the next call — nothing, a Commit, a pure-redirect SetPC to the
+// same or another PC, a real rollback to the original or another PC, or a
+// write of the exported PC. The per-instruction reference steps once per
+// entry delivered and gets the same operations. An exhausted schedule
+// never cuts.
 func FuzzSuperblockForm(f *testing.F) {
 	for _, src := range []string{
 		`movi r0, 3
@@ -253,60 +318,131 @@ func FuzzSuperblockForm(f *testing.F) {
 		stw  r1, [r0]
 		halt`,
 	} {
-		f.Add(isa.MustAssemble(src, 0x1000).Code)
+		code := isa.MustAssemble(src, 0x1000).Code
+		f.Add(code, []byte{})
+		// Cut after 1..8 entries with every operation between calls.
+		sched := make([]byte, 96)
+		rand.New(rand.NewSource(int64(len(code)))).Read(sched)
+		f.Add(code, sched)
 	}
-	f.Add([]byte{0x00, 0x01, 0x02, 0x03})
-	f.Add([]byte{})
+	// A straight-line block that faults at its ninth op, cut after one entry
+	// and then: at every entry until the fault; rolled back into; left where
+	// it is by a same-PC redirect; redirected elsewhere; its PC written.
+	straight := isa.MustAssemble(`
+		movi r0, 1
+		addi r0, 2
+		addi r0, 3
+		addi r0, 4
+		stw  r0, [r2+0x4000]
+		addi r0, 5
+		addi r0, 6
+		ldw  r1, [r2+0x4000]
+		div  r1, r2
+		halt`, 0x1000).Code
+	for _, sched := range [][]byte{
+		make([]byte, 32),
+		{0, 0, 0, 0, 0, 0, 5 << 3, 0, 2},
+		{3 << 3, 0},
+		{4 << 3, 0x10},
+		{7 << 3, 0x10},
+	} {
+		f.Add(straight, sched)
+	}
+	f.Add([]byte{0x00, 0x01, 0x02, 0x03}, []byte{})
+	f.Add([]byte{}, []byte{})
 
-	f.Fuzz(func(t *testing.T, code []byte) {
+	f.Fuzz(func(t *testing.T, code, sched []byte) {
 		if len(code) > 4096 {
 			code = code[:4096]
 		}
 		prog := &isa.Program{Base: 0x1000, Code: code, Entry: 0x1000}
 		const max = 500
+		next := func() byte {
+			if len(sched) == 0 {
+				return 0
+			}
+			b := sched[0]
+			sched = sched[1:]
+			return b
+		}
 
 		ref := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
 		ref.LoadProgram(prog)
-		var want []trace.Entry
-		for i := 0; i < max; i++ {
-			e, ok := ref.Step()
-			if !ok {
-				break
-			}
-			want = append(want, e)
-		}
-
 		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
 			ICacheEntries: 16, SuperblockLen: 8})
 		m.LoadProgram(prog)
-		var got []trace.Entry
-		for len(got) < max {
-			n := m.StepBlock(func(e trace.Entry) bool {
-				got = append(got, e)
-				return true
+		var pcs []isa.Word // the PC of every entry, by IN
+		produced := 0
+		for produced < max {
+			cut := len(sched) > 0
+			s := next()
+			left := int(s&7) + 1
+			n := m.Produce(func(e *trace.Entry) bool {
+				want, ok := ref.Step()
+				if !ok {
+					t.Fatalf("block path produced IN %d where the reference stopped", e.IN)
+				}
+				if !entriesEqual(*e, want) {
+					t.Fatalf("entry %d differs:\n got %+v\nwant %+v", e.IN, *e, want)
+				}
+				pcs = append(pcs[:e.IN], e.PC)
+				left--
+				return !cut || left > 0
 			})
+			if n == 0 || m.Fatal() != nil {
+				// A fatal stop delivers no entry: the reference's next Step
+				// must hit it too.
+				if _, ok := ref.Step(); ok {
+					t.Fatalf("block path stopped at IN %d, the reference did not", m.IN())
+				}
+			}
 			if n == 0 {
 				break
 			}
-		}
-		// The reference may have stopped at max mid-stream; compare the
-		// common prefix and the stop state only when both streams ended.
-		limit := min(len(got), len(want))
-		for i := 0; i < limit; i++ {
-			if !entriesEqual(got[i], want[i]) {
-				t.Fatalf("entry %d differs:\n got %+v\nwant %+v", i, got[i], want[i])
+			produced += n
+			if !cut {
+				continue
+			}
+			both := func(op func(*Model) error) {
+				t.Helper()
+				errM, errR := op(m), op(ref)
+				if (errM == nil) != (errR == nil) {
+					t.Fatalf("operation error: block %v, reference %v", errM, errR)
+				}
+			}
+			setPC := func(in uint64, pc isa.Word) {
+				t.Helper()
+				both(func(x *Model) error { return x.SetPC(in, pc) })
+				if m.cut.blk != nil {
+					t.Fatal("SetPC left a superblock to resume")
+				}
+			}
+			pc := 0x1000 + isa.Word(next())
+			switch op := s >> 3 & 7; op {
+			case 2:
+				in := m.IN() - min(m.IN(), uint64(next()%4))
+				both(func(x *Model) error { x.Commit(in); return nil })
+			case 3:
+				setPC(m.IN(), m.PC)
+			case 4:
+				setPC(m.IN(), pc)
+			case 5, 6:
+				if window := min(m.JournalLen(), ref.JournalLen()); window > 0 {
+					in := m.IN() - 1 - uint64(int(next())%window)
+					if op == 5 {
+						pc = pcs[in]
+					}
+					setPC(in, pc)
+				}
+			case 7:
+				both(func(x *Model) error { x.PC = pc; return nil })
 			}
 		}
-		if len(want) < max && len(got) < max {
-			if len(got) != len(want) {
-				t.Fatalf("stream lengths differ: block %d, reference %d", len(got), len(want))
-			}
-			if m.Scalars != ref.Scalars {
-				t.Fatalf("final scalar state differs:\n got %+v\nwant %+v", m.Scalars, ref.Scalars)
-			}
-			if (m.Fatal() != nil) != (ref.Fatal() != nil) {
-				t.Fatalf("fatal mismatch: block %v, reference %v", m.Fatal(), ref.Fatal())
-			}
+		if m.Scalars != ref.Scalars {
+			t.Fatalf("scalar state differs:\n got %+v\nwant %+v", m.Scalars, ref.Scalars)
+		}
+		if (m.Fatal() != nil) != (ref.Fatal() != nil) {
+			t.Fatalf("fatal mismatch: block %v, reference %v", m.Fatal(), ref.Fatal())
 		}
 	})
 }

@@ -101,19 +101,6 @@ func (p *PIC) Tick(now uint64) {
 	}
 }
 
-// Pending returns the lowest pending & enabled line, or -1.
-func (p *PIC) Pending() int {
-	best := -1
-	for _, d := range p.devices {
-		if line := d.IRQ(); line >= 0 && p.mask&(1<<uint(line)) != 0 {
-			if best == -1 || line < best {
-				best = line
-			}
-		}
-	}
-	return best
-}
-
 // In implements the PIC's own ports.
 func (p *PIC) In(port uint16) uint32 {
 	switch port {
@@ -140,11 +127,18 @@ func (p *PIC) Out(port uint16, v uint32) {
 	// and acknowledged at the device.
 }
 
-// Bus routes port I/O to the PIC and devices.
+// Bus routes port I/O to the PIC and devices. It keeps the two questions
+// the functional model asks before every instruction or superblock — the
+// pending line and the next device event — as fields, recomputed by the
+// only things that can change a device's answer or the mask: a port access,
+// a Tick that reaches the next event, a rollback capture restored, and a
+// state load. Devices are reached only through the bus once attached.
 type Bus struct {
 	PIC     *PIC
 	Devices []Device
 	routes  map[uint16]Device
+	pending int    // lowest pending & enabled line, or -1
+	due     uint64 // earliest device NextDue, or NoNextEvent
 }
 
 // NewBus wires devices and the controller into a port-decoding bus.
@@ -158,38 +152,62 @@ func NewBus(devs ...Device) *Bus {
 			b.routes[p] = d
 		}
 	}
+	b.rescan()
 	return b
 }
 
-// In performs a port read at device-time now.
-func (b *Bus) In(port uint16, now uint64) uint32 {
-	b.PIC.Tick(now)
-	if port <= PortPICAck {
-		return b.PIC.In(port)
+// rescan recomputes pending and due from the devices and the PIC mask.
+func (b *Bus) rescan() {
+	b.pending, b.due = -1, NoNextEvent
+	for _, d := range b.Devices {
+		b.due = min(b.due, d.NextDue())
+		if line := d.IRQ(); line >= 0 && b.PIC.mask&(1<<uint(line)) != 0 && (b.pending < 0 || line < b.pending) {
+			b.pending = line
+		}
 	}
-	if d, ok := b.routes[port]; ok {
-		return d.In(port)
-	}
-	return 0xFFFFFFFF // open bus
 }
 
-// Out performs a port write at device-time now.
+// In performs a port read at device-time now. Every device is ticked first,
+// whether or not an event is due: a read can depend on a device's clock (the
+// timer's count port).
+func (b *Bus) In(port uint16, now uint64) uint32 {
+	b.PIC.Tick(now)
+	v := uint32(0xFFFFFFFF) // open bus
+	if port <= PortPICAck {
+		v = b.PIC.In(port)
+	} else if d, ok := b.routes[port]; ok {
+		v = d.In(port)
+	}
+	b.rescan()
+	return v
+}
+
+// Out performs a port write at device-time now, ticking every device first
+// as In does (a command's completion time counts from the device's clock).
 func (b *Bus) Out(port uint16, v uint32, now uint64) {
 	b.PIC.Tick(now)
 	if port <= PortPICAck {
 		b.PIC.Out(port, v)
-		return
-	}
-	if d, ok := b.routes[port]; ok {
+	} else if d, ok := b.routes[port]; ok {
 		d.Out(port, v)
 	}
+	b.rescan()
 }
 
-// Tick advances all devices to time now.
-func (b *Bus) Tick(now uint64) { b.PIC.Tick(now) }
+// Tick advances all devices to time now. Before the next event it changes
+// no device state (Device.NextDue's contract) and returns at once: only a
+// device's clock would move, and the port accesses that read it tick
+// first.
+func (b *Bus) Tick(now uint64) {
+	if now < b.due {
+		return
+	}
+	b.PIC.Tick(now)
+	b.rescan()
+}
 
 // Pending returns the pending interrupt line, or -1.
-func (b *Bus) Pending() int { return b.PIC.Pending() }
+func (b *Bus) Pending() int { return b.pending }
 
 // BusUndo is the whole bus — controller mask and every device — at one
 // moment, as the undo journal keeps it: one fixed-size value with a part per
@@ -221,6 +239,7 @@ func (b *Bus) RestoreUndo(u *BusUndo) {
 	for _, d := range b.Devices {
 		d.restoreUndo(u)
 	}
+	b.rescan()
 }
 
 // NoNextEvent is NextDue's "no event scheduled" sentinel.
@@ -232,10 +251,4 @@ const NoNextEvent = ^uint64(0)
 // due now when NextDue() <= now, and a straight-line block of n
 // instructions runs free of device events (so without per-instruction
 // Bus.Tick calls) when NextDue() > now+n.
-func (b *Bus) NextDue() uint64 {
-	due := uint64(NoNextEvent)
-	for _, d := range b.Devices {
-		due = min(due, d.NextDue())
-	}
-	return due
-}
+func (b *Bus) NextDue() uint64 { return b.due }

@@ -140,6 +140,7 @@ func (b *Bus) State(c *snap.Codec) {
 		c.Tag("bus device", d.Name())
 		d.State(c)
 	}
+	b.rescan()
 }
 
 // State walks physical memory sparsely: total size plus only the non-zero

@@ -56,7 +56,8 @@ func (v busView) equal(w busView) bool {
 // is restored twice, with more operations run in between, as the checkpoint
 // engine may. After every restore the bus must be exactly what it was at the
 // capture: its snapshot bytes, the console output, the words the NIC sent
-// and every disk sector.
+// and every disk sector. After every operation the bus's kept NextDue and
+// Pending must equal a fresh scan.
 //
 // Each operation is two bytes: the low three bits of the first select in,
 // out, tick, capture or restore, its high five bits are the ticks advanced
@@ -136,9 +137,11 @@ func FuzzBusRollback(f *testing.F) {
 				}
 				c.restored = true
 			}
+			checkScan(t, b, "operation %#x on port %#x", ops[0], port)
 		}
 		for len(stack) > 0 {
 			restore(stack[len(stack)-1])
+			checkScan(t, b, "a final restore")
 			stack = stack[:len(stack)-1]
 		}
 	})
