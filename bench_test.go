@@ -57,7 +57,7 @@ func BenchmarkTable1Microcode(b *testing.B) {
 // come from the same 51 coupled simulations, fanned out over a
 // GOMAXPROCS-wide sim.Fleet.
 var figure4Once = sync.OnceValues(func() (rowsAndText, error) {
-	rows, text, err := experiments.Figure4()
+	rows, text, err := experiments.Runner{}.Figure4()
 	return rowsAndText{rows, text}, err
 })
 
@@ -109,7 +109,7 @@ func BenchmarkFigure5BranchPrediction(b *testing.B) {
 // boot.
 func BenchmarkFigure6StatTrace(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sampler, out, err := experiments.Figure6(2000, 400_000)
+		sampler, out, err := experiments.Runner{}.Figure6(2000, 400_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func BenchmarkTable2FPGAArea(b *testing.B) {
 // software-simulator speeds, our runnable baselines, and FAST.
 func BenchmarkTable3SimulatorComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Table3()
+		out, err := experiments.Runner{}.Table3()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +153,7 @@ func BenchmarkTable3SimulatorComparison(b *testing.B) {
 // the coherent-HyperTransport projection.
 func BenchmarkBottleneckAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Bottleneck()
+		out, err := experiments.Runner{}.Bottleneck()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -168,7 +168,7 @@ func BenchmarkBottleneckAnalysis(b *testing.B) {
 // trace compression and the link type.
 func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Ablations()
+		out, err := experiments.Runner{}.Ablations()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -183,7 +183,7 @@ func BenchmarkAblations(b *testing.B) {
 // disk-latency grid on the fast engine.
 func BenchmarkServerWorkloads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		out, err := experiments.Servers()
+		out, err := experiments.Runner{}.Servers()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -33,8 +33,7 @@ import (
 // cancellation context (ctrl-C in cmd/fastbench lands here) and the fleet —
 // worker width, telemetry, progress callback — every sweep fans out over.
 // The zero value runs to completion on GOMAXPROCS workers with no
-// telemetry; the package-level experiment functions are thin wrappers over
-// it.
+// telemetry: Runner{}.Table3() is the default run of an experiment.
 type Runner struct {
 	Ctx   context.Context
 	Fleet sim.Fleet
@@ -174,11 +173,8 @@ func Figure4Sweep() sim.Sweep {
 }
 
 // Figure4 reproduces simulator performance under the three predictor
-// configurations (gshare, 97%, perfect), fanning the sweep out over
-// GOMAXPROCS fleet workers.
-func Figure4() ([]Figure4Row, string, error) { return Runner{}.Figure4() }
-
-// Figure4 runs the figure's sweep through the runner's fleet.
+// configurations (gshare, 97%, perfect), fanning the sweep out over the
+// runner's fleet.
 func (r Runner) Figure4() ([]Figure4Row, string, error) {
 	sweep := Figure4Sweep()
 	results := r.sweep(sweep)
@@ -246,15 +242,10 @@ func Figure5(rows []Figure4Row) string {
 	return b.String()
 }
 
-// Figure6 reproduces the statistics trace over the Linux boot: iCache hit
-// rate, BP accuracy and pipe-drain percentage sampled every interval basic
-// blocks. The sampler attaches between Configure and Run — the reason the
-// engine interface splits them.
-func Figure6(interval uint64, maxInst uint64) (*stats.Sampler, string, error) {
-	return Runner{}.Figure6(interval, maxInst)
-}
-
-// Figure6 runs the statistics trace under the runner's context.
+// Figure6 reproduces the statistics trace over the Linux boot under the
+// runner's context: iCache hit rate, BP accuracy and pipe-drain percentage
+// sampled every interval basic blocks. The sampler attaches between
+// Configure and Run — the reason the engine interface splits them.
 func (r Runner) Figure6(interval uint64, maxInst uint64) (*stats.Sampler, string, error) {
 	eng, err := sim.New("fast", sim.Params{
 		Workload:        "Linux-2.4",
@@ -301,10 +292,8 @@ var table3Engines = []struct{ engine, label, note string }{
 }
 
 // Table3 reproduces the simulator comparison: published rows, then every
-// runnable engine on the Linux boot — one sweep across the registry.
-func Table3() (string, error) { return Runner{}.Table3() }
-
-// Table3 runs the comparison through the runner's fleet.
+// runnable engine on the Linux boot — one sweep across the registry,
+// through the runner's fleet.
 func (r Runner) Table3() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 3 — software simulator performance (Linux boot class workload)\n")
@@ -347,10 +336,7 @@ func Analytical() string {
 
 // Bottleneck reproduces the §4.5 analysis: the functional-model config
 // ladder, the measured DRC latencies, the 2-basic-block streaming
-// arithmetic and the coherent-HT projection.
-func Bottleneck() (string, error) { return Runner{}.Bottleneck() }
-
-// Bottleneck runs the analysis through the runner's fleet.
+// arithmetic and the coherent-HT projection, through the runner's fleet.
 func (r Runner) Bottleneck() (string, error) {
 	var b strings.Builder
 	fmt.Fprintf(&b, "§4.5 — bottleneck analysis\n\n")
@@ -413,9 +399,6 @@ func (r Runner) Bottleneck() (string, error) {
 	return b.String(), nil
 }
 
-// SMP reproduces the multicore extension study on the default runner.
-func SMP() (string, error) { return Runner{}.SMP() }
-
 // SMP is the Table-3-style multicore study: the smp-lock workload (ll/sc
 // spinlock contention over shared counters) swept over a core-count ×
 // interconnect-latency grid on the serial fast engine — the one engine that
@@ -461,9 +444,6 @@ func (r Runner) SMP() (string, error) {
 	return b.String(), nil
 }
 
-// Servers runs the server-class workload study with package defaults.
-func Servers() (string, error) { return Runner{}.Servers() }
-
 // Servers is the toyFS/server-workload study: the three server-class
 // workloads (shell-fork, logwrite, nicserv) swept over a disk-latency
 // grid on the fast engine. Every workload runs to completion (each
@@ -499,10 +479,8 @@ func (r Runner) Servers() (string, error) {
 	return b.String(), nil
 }
 
-// Ablations runs A1-A8 of DESIGN.md on a fixed workload.
-func Ablations() (string, error) { return Runner{}.Ablations() }
-
-// Ablations runs A1-A8 under the runner's context.
+// Ablations runs A1-A8 of DESIGN.md on a fixed workload under the runner's
+// context.
 func (r Runner) Ablations() (string, error) {
 	var b strings.Builder
 	const app = "176.gcc"

@@ -27,7 +27,7 @@ func TestFigure6Small(t *testing.T) {
 	if testing.Short() {
 		t.Skip("coupled run")
 	}
-	sampler, out, err := Figure6(500, 40_000)
+	sampler, out, err := Runner{}.Figure6(500, 40_000)
 	if err != nil {
 		t.Fatal(err)
 	}

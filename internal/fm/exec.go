@@ -99,10 +99,11 @@ func (m *Model) Fatal() error { return m.fatal }
 // fetchDecode fetches and decodes the instruction at virtual address pc and
 // returns its predecoded record and physical address. With the predecode
 // cache enabled (icache.go) the steady-state path is translate → probe →
-// done, with no byte copies and no isa.Decode call; the slow path fills the
-// cache on success. The record lives in the cache slot — or, with the cache
-// off, in the Model's scratch — so it is only valid until the next fetch:
-// the caller consumes it within the same instruction.
+// done, with no byte copies and no isa.Decode call; a miss decodes and fills
+// the cache, unless the instruction spans two pages. The record lives in the
+// cache slot — or, with the cache off or for a spanning instruction, in the
+// Model's scratch — so it is only valid until the next fetch: the caller
+// consumes it within the same instruction.
 func (m *Model) fetchDecode(pc isa.Word) (*predecoded, isa.Word, *fault) {
 	pa, f := m.translate(pc, false)
 	if f != nil {
@@ -111,82 +112,47 @@ func (m *Model) fetchDecode(pc isa.Word) (*predecoded, isa.Word, *fault) {
 	if !m.Mem.InRange(pa, 1) {
 		return nil, 0, &fault{vector: isa.VecProt, faultVA: pc, retry: true}
 	}
-	paged := !m.Kernel() && m.CR[isa.CRPaging] != 0
-	if e, ok := m.icache.probe(pa, paged); ok {
+	if e, ok := m.icache.probe(pa); ok {
 		return &e.predecoded, pa, nil
 	}
-	inst, crosses, page2, f := m.fetchDecodeSlow(pc, pa, paged)
+	inst, spans, f := m.decode(pc, pa)
 	if f != nil {
 		return nil, 0, f
 	}
-	if m.icache == nil {
+	if m.icache == nil || spans {
 		m.decoded = predecode(inst)
 		return &m.decoded, pa, nil
 	}
-	return &m.icache.fill(pa, inst, crosses, paged, page2).predecoded, pa, nil
+	return &m.icache.fill(pa, inst).predecoded, pa, nil
 }
 
-// fetchDecodeSlow is the uncached fetch path: copy up to MaxInstLen bytes
-// (split at the page boundary under paging, walking the next page only if
-// the decoder needs it) and run the variable-length decoder. It also
-// reports whether the instruction's bytes span two physical pages and the
-// physical page of the last byte — the predecode cache revalidates
-// crossing entries against both pages.
-func (m *Model) fetchDecodeSlow(pc, pa isa.Word, paged bool) (isa.Inst, bool, isa.Word, *fault) {
+// decode runs the variable-length decoder over the instruction at virtual
+// address pc, physical address pa: first over the bytes up to pa's page end,
+// then — only if those do not decode and the next page translates — over
+// them followed by the next page's, in which case the instruction spans the
+// two pages. A fault translating the next page is the architectural outcome
+// of a fetch whose first page does not decode.
+func (m *Model) decode(pc, pa isa.Word) (isa.Inst, bool, *fault) {
 	var buf [isa.MaxInstLen]byte
-	n := isa.MaxInstLen
-	if !paged {
-		// Kernel or paging off: virtually contiguous is physically
-		// contiguous, one copy suffices.
-		if rem := m.Mem.Size() - int(pa); rem < n {
-			n = rem
-		}
-		m.Mem.CopyOut(buf[:n], pa)
-		inst, derr := isa.Decode(buf[:n], pc)
-		if derr != nil {
-			return isa.Inst{}, false, 0, &fault{vector: isa.VecIllegal, faultVA: pc}
-		}
-		last := pa + isa.Word(inst.Size) - 1
-		return inst, last>>fullsys.PageShift != pa>>fullsys.PageShift, last >> fullsys.PageShift, nil
-	}
-	// Paged fetch: bytes up to the page end, then (only if the decoder
-	// needs them) the next page.
-	rem := int(fullsys.PageSize - pc&(fullsys.PageSize-1))
-	if rem < n {
-		n = rem
-	}
+	n := min(isa.MaxInstLen, int(fullsys.PageSize-pa&(fullsys.PageSize-1)), m.Mem.Size()-int(pa))
 	m.Mem.CopyOut(buf[:n], pa)
-	crosses := false
-	var page2 isa.Word
+	if inst, derr := isa.Decode(buf[:n], pc); derr == nil {
+		return inst, false, nil
+	}
 	if n < isa.MaxInstLen {
-		if _, derr := isa.Decode(buf[:n], pc); derr != nil {
-			// Might be a page-crossing instruction: try the next page.
-			pa2, f2 := m.translate(pc+isa.Word(n), false)
-			if f2 != nil {
-				// Decode is deterministic: the truncated prefix just
-				// failed, so re-decoding it cannot succeed — the fault on
-				// the second page is the architectural outcome.
-				return isa.Inst{}, false, 0, f2
-			}
-			if m.Mem.InRange(pa2, 1) {
-				n2 := isa.MaxInstLen - n
-				if rem2 := m.Mem.Size() - int(pa2); rem2 < n2 {
-					n2 = rem2
-				}
-				m.Mem.CopyOut(buf[n:n+n2], pa2)
-				n += n2
-				// If the full decode below succeeds it consumed bytes the
-				// truncated decode lacked, so the instruction crosses.
-				crosses = true
-				page2 = pa2 >> fullsys.PageShift
+		pa2, f := m.translate(pc+isa.Word(n), false)
+		if f != nil {
+			return isa.Inst{}, false, f
+		}
+		if m.Mem.InRange(pa2, 1) {
+			n2 := min(isa.MaxInstLen-n, m.Mem.Size()-int(pa2))
+			m.Mem.CopyOut(buf[n:n+n2], pa2)
+			if inst, derr := isa.Decode(buf[:n+n2], pc); derr == nil {
+				return inst, true, nil
 			}
 		}
 	}
-	inst, derr := isa.Decode(buf[:n], pc)
-	if derr != nil {
-		return isa.Inst{}, false, 0, &fault{vector: isa.VecIllegal, faultVA: pc}
-	}
-	return inst, crosses, page2, nil
+	return isa.Inst{}, false, &fault{vector: isa.VecIllegal, faultVA: pc}
 }
 
 // faultEntry marks, in place, the trace entry of an instruction that raised
@@ -566,7 +532,6 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 		m.Flags |= isa.FlagI
 	case isa.OpTlbWr:
 		m.engine.noteTLB(m)
-		m.icache.noteMapping()
 		vpn := m.GPR[inst.Rd]
 		val := m.GPR[inst.Rs]
 		entry := fullsys.TLBEntry{
@@ -580,13 +545,9 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 		e.TLBWrite, e.TLBVPN, e.TLBPFN = true, vpn, val
 	case isa.OpTlbFl:
 		m.engine.noteTLB(m)
-		m.icache.noteMapping()
 		m.TLB.Reset()
 	case isa.OpMovCR:
 		if int(inst.Imm) < isa.NumCR {
-			// Any CR write may change translation (CRPaging directly; a
-			// coarse rule keeps the hot path branch-free).
-			m.icache.noteMapping()
 			m.CR[inst.Imm] = m.GPR[inst.Rd]
 		}
 	case isa.OpMovRC:

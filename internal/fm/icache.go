@@ -7,38 +7,28 @@ import (
 
 // The predecode cache is the FM's analogue of QEMU's translation cache
 // (the paper's FM is a modified QEMU, §2/§3.4): code is fetched, decoded
-// and microcode-instantiated once, then replayed from the cache until
-// something that could change the bytes behind a physical address — a
-// store, a rollback, a mapping change — invalidates it. The steady-state
+// and microcode-instantiated once, then replayed from the cache until a
+// store changes the bytes behind its physical address. The steady-state
 // per-instruction path becomes translate → probe → execute, with zero
 // byte copies, zero isa.Decode calls and zero µop-template instantiation.
 //
-// Correctness rests on three invalidation rules:
+// An entry depends on physical memory alone: only instructions whose bytes
+// lie on one page are cached, so TLB and paging-control changes are
+// invisible to entries — the next fetch re-translates and probes whatever
+// physical address the new mapping yields. An instruction that spans two
+// pages is decoded at every fetch, exactly as with the cache off.
+// Correctness then rests on two invalidation rules:
 //
 //   - Stores: each physical page that backs a cached instruction has a
 //     record of its store generation and a mask of its 64-byte lines, a
-//     bit set for every line holding bytes of one (a page-crossing
-//     instruction marks its head's lines and the first line of its tail
-//     page). A store that overlaps a marked line bumps its page's
-//     generation; entries and superblocks record the generations of the
-//     page(s) they were fetched from and miss when they disagree. A store
-//     next to code — into a line of the page that holds no cached
-//     instruction byte — leaves them valid. Every store reaches the same
-//     hook: the model's own (including each run of a rep movs/stos), a
-//     coherence peer's, and the memory undo of a rollback, so an undone
-//     store into code invalidates as the store did.
-//
-//   - Mapping changes: entries are keyed by *physical* address, so TLB and
-//     paging-control changes are invisible to single-page entries — the
-//     next fetch re-translates and probes whatever physical line the new
-//     mapping yields. Page-crossing entries are the exception: their tail
-//     bytes came from the physical page that *followed virtually* at fill
-//     time, so any TLB write/flush, control-register write or rollback
-//     bumps a global mapping generation that paged crossing entries must
-//     match. Kernel/paging-off crossing entries are physically contiguous
-//     and only need the two page generations (plus a paged/unpaged context
-//     match, since the same physical line crosses differently under
-//     paging).
+//     bit set for every line holding bytes of one. A store that overlaps a
+//     marked line bumps its page's generation; entries and superblocks
+//     record the generation of the page they were fetched from and miss
+//     when it disagrees. A store next to code — into a line of the page
+//     that holds no cached instruction byte — leaves them valid. Every
+//     store reaches the same hook: the model's own (including each run of
+//     a rep movs/stos), a coherence peer's, and the memory undo of a
+//     rollback, so an undone store into code invalidates as the store did.
 //
 //   - Program load: LoadProgram rewrites memory wholesale and flushes.
 //
@@ -57,13 +47,8 @@ const DefaultICacheEntries = 4096
 // icEntry is one direct-mapped predecode-cache slot. inst.Size == 0 marks an
 // empty slot (no legal instruction encodes in zero bytes).
 type icEntry struct {
-	pa      isa.Word // physical address of the first instruction byte
-	crosses bool     // instruction bytes span two physical pages
-	paged   bool     // filled from a paged user-mode fetch
-	gen1    uint32   // the first page's store generation at fill time
-	gen2    uint32   // the last page's store generation at fill time
-	page2   isa.Word // physical page number of the last instruction byte
-	mapGen  uint32   // mapping generation at fill time (paged crossers)
+	pa  isa.Word // physical address of the first instruction byte
+	gen uint32   // its page's store generation at fill time
 	predecoded
 }
 
@@ -121,8 +106,7 @@ type icache struct {
 	slots lazyTable[icEntry]
 	mask  isa.Word
 
-	pages  lazyTable[[slotPages]pageCode] // per physical page, allocated with its group's first code
-	mapGen uint32                         // bumped on TLB/CR mutations and rollbacks
+	pages lazyTable[[slotPages]pageCode] // per physical page, allocated with its group's first code
 
 	// Statistics, published as fm_icache_* by Model.PublishTelemetry.
 	hits          uint64
@@ -185,58 +169,27 @@ func (c *icache) noteLines(pa, end isa.Word) {
 	}
 }
 
-// probe looks up the instruction at physical address pa. paged reports the
-// current translation context (user mode with paging enabled).
-func (c *icache) probe(pa isa.Word, paged bool) (*icEntry, bool) {
+// probe looks up the instruction at physical address pa.
+func (c *icache) probe(pa isa.Word) (*icEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
 	e := c.slots.peek(pa & c.mask)
-	if e == nil || e.inst.Size == 0 || e.pa != pa || e.gen1 != c.gen(pa>>fullsys.PageShift) {
+	if e == nil || e.inst.Size == 0 || e.pa != pa || e.gen != c.gen(pa>>fullsys.PageShift) {
 		c.misses++
 		return nil, false
-	}
-	if e.crosses {
-		// The tail bytes' location depends on how the next virtual page
-		// mapped at fill time; revalidate that context (see file comment).
-		if e.paged != paged || (e.paged && e.mapGen != c.mapGen) || e.gen2 != c.gen(e.page2) {
-			c.misses++
-			return nil, false
-		}
 	}
 	c.hits++
 	return e, true
 }
 
-// fill predecodes the freshly decoded instruction at pa, installs it and
-// returns its slot. page2 is the physical page holding the last instruction
-// byte (== the first page for non-crossing instructions). Unlike the other
-// methods it needs a cache: both callers hold one.
-func (c *icache) fill(pa isa.Word, inst isa.Inst, crosses, paged bool, page2 isa.Word) *icEntry {
-	page1 := pa >> fullsys.PageShift
-	if !crosses {
-		page2 = page1
-	}
+// fill predecodes the freshly decoded instruction at pa, whose bytes lie on
+// one page, installs it and returns its slot. Unlike the other methods it
+// needs a cache: both callers hold one.
+func (c *icache) fill(pa isa.Word, inst isa.Inst) *icEntry {
 	e := c.slots.slot(pa & c.mask)
-	*e = icEntry{
-		pa:         pa,
-		crosses:    crosses,
-		paged:      paged,
-		gen1:       c.gen(page1),
-		gen2:       c.gen(page2),
-		page2:      page2,
-		mapGen:     c.mapGen,
-		predecoded: predecode(inst),
-	}
-	end := pa + isa.Word(inst.Size) - 1
-	if crosses {
-		// The tail sits at the start of page2, inside its first line.
-		c.markCode(pa, pa|(fullsys.PageSize-1))
-		tail := page2 << fullsys.PageShift
-		c.markCode(tail, tail|end&(fullsys.PageSize-1))
-	} else {
-		c.markCode(pa, end)
-	}
+	*e = icEntry{pa: pa, gen: c.gen(pa >> fullsys.PageShift), predecoded: predecode(inst)}
+	c.markCode(pa, pa+isa.Word(inst.Size)-1)
 	return e
 }
 
@@ -254,16 +207,6 @@ func (c *icache) noteStore(pa isa.Word, n int) {
 		pa = last + 1
 	}
 	c.noteLines(pa, end)
-}
-
-// noteMapping records a change to address-translation state (TLB write or
-// flush, control-register write, rollback): paged page-crossing entries
-// fetched their tail through the old mapping and must re-fetch.
-func (c *icache) noteMapping() {
-	if c == nil {
-		return
-	}
-	c.mapGen++
 }
 
 // flush empties the cache (program load).

@@ -608,11 +608,6 @@ func (m *Model) SetPC(in uint64, pc uint32) error {
 	undone := m.in - in
 	m.RolledBack += undone
 	m.obs.rolledBack.Add(undone)
-	// Rollback restores TLB snapshots and pre-instruction control
-	// registers without passing through the instructions that set them;
-	// one mapping-generation bump covers every translation change the
-	// undo can make (paged page-crossing entries revalidate against it).
-	m.icache.noteMapping()
 	reBefore := m.ReExecuted()
 	err := m.engine.setPC(m, in, pc)
 	m.obs.reExecuted.Add(m.ReExecuted() - reBefore)

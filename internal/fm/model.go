@@ -18,7 +18,10 @@
 // The front end has one of each thing. predecode derives one record per
 // static instruction (predecoded: the decoded form, its µop instantiation,
 // the trace's register names); a predecode-cache slot embeds it, a superblock
-// op carries a copy, and the cache-off fetch returns it from a scratch. Step
+// op carries a copy, and a fetch the cache does not serve — cache off, or an
+// instruction spanning two pages — returns it from a scratch. Both fetch
+// paths, per instruction and superblock formation, decode through one
+// page-bounded decode. Step
 // and Produce run every instruction through one body (issue) that assembles
 // the trace entry in the Model's one scratch entry and finishes it in place;
 // Produce and Run hand the sink a pointer to it, and the entry is copied only
@@ -130,7 +133,8 @@ type Model struct {
 	// ent is the one scratch trace entry every instruction is assembled in
 	// (issue, finishEntry) and Produce's sink is pointed at; it is copied out
 	// only where the API is by value: Step's return and StepBlock's sink
-	// call. decoded is the cache-off fetch's scratch record.
+	// call. decoded is the scratch record of a fetch the cache does not
+	// serve.
 	ent     trace.Entry
 	decoded predecoded
 	cfg     Config

@@ -20,7 +20,8 @@ import (
 // number bit-identical at any SuperblockLen.
 //
 // Block formation walks physical memory forward from the entry PC's
-// translation, reusing (and filling) the predecode cache per candidate,
+// translation, reusing (and filling) the predecode cache per candidate —
+// a miss decodes through Model.decode, as the per-instruction fetch does —
 // and stops at:
 //
 //   - a terminator instruction (included as the block's last op): any
@@ -29,8 +30,8 @@ import (
 //     on that), TLB/CR writes (they can change translation), port I/O
 //     and STI (they can change device/interrupt state mid-block);
 //   - a physical page end (blocks never span pages, so ONE page
-//     generation compare validates a whole block — page-crossing
-//     predecode entries are skipped for the same reason);
+//     generation compare validates a whole block), and an instruction that
+//     spans two pages, which the per-instruction path decodes at each fetch;
 //   - a decode failure (the per-instruction path raises the fault);
 //   - the configured length cap.
 //
@@ -89,10 +90,9 @@ type sbOp struct {
 // sbBlock is one direct-mapped superblock-cache slot. len(ops) == 0 marks
 // an empty slot.
 type sbBlock struct {
-	pa   isa.Word // physical address of the first instruction byte
-	page isa.Word // pa >> PageShift (blocks never span pages)
-	gen  uint32   // the page's store generation at formation time
-	ops  []sbOp
+	pa  isa.Word // physical address of the first instruction byte
+	gen uint32   // its page's store generation at formation time
+	ops []sbOp
 }
 
 // sbCache is the direct-mapped superblock cache. It shares the predecode
@@ -143,7 +143,7 @@ func (c *sbCache) probe(pa isa.Word) *sbBlock {
 		c.misses++
 		return nil
 	}
-	if e.gen != c.ic.gen(e.page) {
+	if c.stale(e) {
 		c.invalidations++
 		c.misses++
 		return nil
@@ -153,8 +153,9 @@ func (c *sbCache) probe(pa isa.Word) *sbBlock {
 }
 
 // stale reports whether a store has hit the block's page since formation
-// (checked after every executed instruction to catch in-block SMC).
-func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.gen(e.page) }
+// (checked after every executed instruction to catch in-block SMC). Blocks
+// never span pages, so the page is the first byte's.
+func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.gen(e.pa>>fullsys.PageShift) }
 
 // flush empties the block cache (program load).
 func (c *sbCache) flush() {
@@ -183,13 +184,13 @@ func blockTerminator(op isa.Op) bool {
 
 // form builds, installs and returns the superblock starting at (pc, pa),
 // or nil when not even one instruction qualifies. Every candidate goes
-// through the predecode cache — probed, and decoded-and-filled on a miss, so
+// through the predecode cache — probed, and decoded and filled on a miss, so
 // formation leaves the per-instruction path's cache warm too — and its slot's
-// record is copied into the block. A page-crossing entry stops the walk.
+// record is copied into the block. A fault or a spanning instruction ends the
+// walk: the per-instruction path raises the one and decodes the other.
 func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 	page := pa >> fullsys.PageShift
 	pageEnd := (page + 1) << fullsys.PageShift
-	paged := !m.Kernel() && m.CR[isa.CRPaging] != 0
 	ops := c.forming[:0]
 	off := isa.Word(0)
 	for len(ops) < c.maxLen {
@@ -197,21 +198,13 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 		if cur >= pageEnd || !m.Mem.InRange(cur, 1) {
 			break
 		}
-		ce, ok := c.ic.probe(cur, paged)
+		ce, ok := c.ic.probe(cur)
 		if !ok {
-			// Decode with the byte window capped at the page end: a decode
-			// that succeeds cannot cross, and one that would have crossed
-			// fails here and ends the block instead.
-			n := min(isa.MaxInstLen, int(pageEnd-cur), m.Mem.Size()-int(cur))
-			var buf [isa.MaxInstLen]byte
-			m.Mem.CopyOut(buf[:n], cur)
-			inst, derr := isa.Decode(buf[:n], pc+off)
-			if derr != nil {
+			inst, spans, f := m.decode(pc+off, cur)
+			if f != nil || spans {
 				break
 			}
-			ce = c.ic.fill(cur, inst, false, paged, page)
-		} else if ce.crosses {
-			break
+			ce = c.ic.fill(cur, inst)
 		}
 		ops = append(ops, sbOp{off: off, predecoded: ce.predecoded})
 		if blockTerminator(ce.inst.Op) {
@@ -224,7 +217,7 @@ func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
 		return nil
 	}
 	e := c.slots.slot(pa & c.mask)
-	*e = sbBlock{pa: pa, page: page, gen: c.ic.gen(page), ops: append(e.ops[:0], ops...)}
+	*e = sbBlock{pa: pa, gen: c.ic.gen(page), ops: append(e.ops[:0], ops...)}
 	return e
 }
 

@@ -289,7 +289,10 @@ func TestSuperblockResume(t *testing.T) {
 // test: executing arbitrary byte soup block-at-a-time must produce exactly
 // the per-instruction model's trace and final state — faults, fatal stops
 // and all — and never panic. Block formation over garbage exercises decode
-// failures, length caps, page-end clipping and terminator detection.
+// failures, length caps, page-end clipping and terminator detection. Every
+// input runs twice: loaded at 0x1000, and straddling the 0x2000 page end
+// (loaded at 0x2000 − len(code)/2), where blocks end at the boundary and
+// instructions span it.
 //
 // sched cuts and resumes blocks the way the coupling does: each Produce
 // call takes one byte, whose low three bits are how many entries the sink
@@ -348,6 +351,18 @@ func FuzzSuperblockForm(f *testing.F) {
 	} {
 		f.Add(straight, sched)
 	}
+	// Loaded across the page end (at 0x1FEF), the 6-byte movi r7 spans it at
+	// 0x1FFB..0x2000, and the stb patches its immediate's last byte, in the
+	// tail page, before each trip round the loop runs it again.
+	f.Add(isa.MustAssemble(`
+		movi r0, 3
+		movi r1, 0x11
+	loop:	movi r7, 0x12345678
+		stb  r1, [r2+0x2000]
+		addi r1, 1
+		dec  r0
+		jnz  loop
+		halt`, 0x1000).Code, []byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03}, []byte{})
 	f.Add([]byte{}, []byte{})
 
@@ -355,94 +370,101 @@ func FuzzSuperblockForm(f *testing.F) {
 		if len(code) > 4096 {
 			code = code[:4096]
 		}
-		prog := &isa.Program{Base: 0x1000, Code: code, Entry: 0x1000}
-		const max = 500
-		next := func() byte {
-			if len(sched) == 0 {
-				return 0
-			}
-			b := sched[0]
-			sched = sched[1:]
-			return b
-		}
-
-		ref := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
-		ref.LoadProgram(prog)
-		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
-			ICacheEntries: 16, SuperblockLen: 8})
-		m.LoadProgram(prog)
-		var pcs []isa.Word // the PC of every entry, by IN
-		produced := 0
-		for produced < max {
-			cut := len(sched) > 0
-			s := next()
-			left := int(s&7) + 1
-			n := m.Produce(func(e *trace.Entry) bool {
-				want, ok := ref.Step()
-				if !ok {
-					t.Fatalf("block path produced IN %d where the reference stopped", e.IN)
-				}
-				if !entriesEqual(*e, want) {
-					t.Fatalf("entry %d differs:\n got %+v\nwant %+v", e.IN, *e, want)
-				}
-				pcs = append(pcs[:e.IN], e.PC)
-				left--
-				return !cut || left > 0
-			})
-			if n == 0 || m.Fatal() != nil {
-				// A fatal stop delivers no entry: the reference's next Step
-				// must hit it too.
-				if _, ok := ref.Step(); ok {
-					t.Fatalf("block path stopped at IN %d, the reference did not", m.IN())
-				}
-			}
-			if n == 0 {
-				break
-			}
-			produced += n
-			if !cut {
-				continue
-			}
-			both := func(op func(*Model) error) {
-				t.Helper()
-				errM, errR := op(m), op(ref)
-				if (errM == nil) != (errR == nil) {
-					t.Fatalf("operation error: block %v, reference %v", errM, errR)
-				}
-			}
-			setPC := func(in uint64, pc isa.Word) {
-				t.Helper()
-				both(func(x *Model) error { return x.SetPC(in, pc) })
-				if m.cut.blk != nil {
-					t.Fatal("SetPC left a superblock to resume")
-				}
-			}
-			pc := 0x1000 + isa.Word(next())
-			switch op := s >> 3 & 7; op {
-			case 2:
-				in := m.IN() - min(m.IN(), uint64(next()%4))
-				both(func(x *Model) error { x.Commit(in); return nil })
-			case 3:
-				setPC(m.IN(), m.PC)
-			case 4:
-				setPC(m.IN(), pc)
-			case 5, 6:
-				if window := min(m.JournalLen(), ref.JournalLen()); window > 0 {
-					in := m.IN() - 1 - uint64(int(next())%window)
-					if op == 5 {
-						pc = pcs[in]
-					}
-					setPC(in, pc)
-				}
-			case 7:
-				both(func(x *Model) error { x.PC = pc; return nil })
-			}
-		}
-		if m.Scalars != ref.Scalars {
-			t.Fatalf("scalar state differs:\n got %+v\nwant %+v", m.Scalars, ref.Scalars)
-		}
-		if (m.Fatal() != nil) != (ref.Fatal() != nil) {
-			t.Fatalf("fatal mismatch: block %v, reference %v", m.Fatal(), ref.Fatal())
-		}
+		superblockForm(t, code, sched, 0x1000)
+		superblockForm(t, code, sched, 0x2000-isa.Word(len(code)/2))
 	})
+}
+
+// superblockForm is one FuzzSuperblockForm run of code loaded at base.
+func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
+	t.Helper()
+	prog := &isa.Program{Base: base, Code: code, Entry: base}
+	const max = 500
+	next := func() byte {
+		if len(sched) == 0 {
+			return 0
+		}
+		b := sched[0]
+		sched = sched[1:]
+		return b
+	}
+
+	ref := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
+	ref.LoadProgram(prog)
+	m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
+		ICacheEntries: 16, SuperblockLen: 8})
+	m.LoadProgram(prog)
+	var pcs []isa.Word // the PC of every entry, by IN
+	produced := 0
+	for produced < max {
+		cut := len(sched) > 0
+		s := next()
+		left := int(s&7) + 1
+		n := m.Produce(func(e *trace.Entry) bool {
+			want, ok := ref.Step()
+			if !ok {
+				t.Fatalf("block path produced IN %d where the reference stopped", e.IN)
+			}
+			if !entriesEqual(*e, want) {
+				t.Fatalf("entry %d differs:\n got %+v\nwant %+v", e.IN, *e, want)
+			}
+			pcs = append(pcs[:e.IN], e.PC)
+			left--
+			return !cut || left > 0
+		})
+		if n == 0 || m.Fatal() != nil {
+			// A fatal stop delivers no entry: the reference's next Step
+			// must hit it too.
+			if _, ok := ref.Step(); ok {
+				t.Fatalf("block path stopped at IN %d, the reference did not", m.IN())
+			}
+		}
+		if n == 0 {
+			break
+		}
+		produced += n
+		if !cut {
+			continue
+		}
+		both := func(op func(*Model) error) {
+			t.Helper()
+			errM, errR := op(m), op(ref)
+			if (errM == nil) != (errR == nil) {
+				t.Fatalf("operation error: block %v, reference %v", errM, errR)
+			}
+		}
+		setPC := func(in uint64, pc isa.Word) {
+			t.Helper()
+			both(func(x *Model) error { return x.SetPC(in, pc) })
+			if m.cut.blk != nil {
+				t.Fatal("SetPC left a superblock to resume")
+			}
+		}
+		pc := base + isa.Word(next())
+		switch op := s >> 3 & 7; op {
+		case 2:
+			in := m.IN() - min(m.IN(), uint64(next()%4))
+			both(func(x *Model) error { x.Commit(in); return nil })
+		case 3:
+			setPC(m.IN(), m.PC)
+		case 4:
+			setPC(m.IN(), pc)
+		case 5, 6:
+			if window := min(m.JournalLen(), ref.JournalLen()); window > 0 {
+				in := m.IN() - 1 - uint64(int(next())%window)
+				if op == 5 {
+					pc = pcs[in]
+				}
+				setPC(in, pc)
+			}
+		case 7:
+			both(func(x *Model) error { x.PC = pc; return nil })
+		}
+	}
+	if m.Scalars != ref.Scalars {
+		t.Fatalf("scalar state differs:\n got %+v\nwant %+v", m.Scalars, ref.Scalars)
+	}
+	if (m.Fatal() != nil) != (ref.Fatal() != nil) {
+		t.Fatalf("fatal mismatch: block %v, reference %v", m.Fatal(), ref.Fatal())
+	}
 }

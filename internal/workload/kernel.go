@@ -70,7 +70,7 @@ type KernelConfig struct {
 	// DiskLatency overrides the disk device latency in target time units;
 	// 0 keeps the package default. It scales every disk access — boot
 	// payload loading and, under FS, every syscall-driven sector I/O —
-	// which is what experiments.Servers sweeps.
+	// which is what experiments.Runner.Servers sweeps.
 	DiskLatency uint64
 }
 
