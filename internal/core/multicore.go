@@ -1,13 +1,11 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"fmt"
 
 	"repro/internal/cache"
 	"repro/internal/fm"
-	"repro/internal/fullsys"
 	"repro/internal/isa"
 )
 
@@ -40,7 +38,7 @@ type MulticoreConfig struct {
 type Multicore struct {
 	cores     []*Sim
 	shared    *cache.Coherent
-	sharedMem *fullsys.Memory
+	sharedMem *fm.Shared
 	// committed is the whole-target retirement count every core's
 	// instruction cap checks (Sim.total points here).
 	committed uint64
@@ -52,14 +50,14 @@ type Multicore struct {
 }
 
 // NewMulticore builds an N-core simulator from the per-core configuration:
-// one shared physical memory and predecode-coherence domain on the FM side,
-// one shared L2 + directory on the TM side, and N inline Sims around them.
+// one shared physical memory with one predecode and superblock table on the
+// FM side, one shared L2 + directory on the TM side, and N inline Sims
+// around them.
 func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 	if mc.Cores < 1 || mc.Cores > 64 {
 		return nil, fmt.Errorf("core: multicore supports 1..64 cores, got %d", mc.Cores)
 	}
-	sharedMem := fullsys.NewMemory(cmp.Or(cfg.FM.MemBytes, fm.DefaultMemBytes))
-	coh := fm.NewCoherence()
+	sharedMem := fm.NewShared(cfg.FM)
 	shared := cache.NewCoherent(cache.CoherentConfig{
 		L2:                  cfg.TM.L2,
 		MemLatency:          cfg.TM.MemLatency,
@@ -72,8 +70,7 @@ func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 		// Capture is a whole-target decision: the container owns the hook
 		// and arms only boot-completion tracking on core 0.
 		ci.SnapshotHook = nil
-		ci.FM.SharedMem = sharedMem
-		ci.FM.Coherence = coh
+		ci.FM.Shared = sharedMem
 		ci.FM.CoreID = i
 		ci.TM.Shared = shared
 		ci.TM.CoreID = i
@@ -102,9 +99,8 @@ func (m *Multicore) Cores() []*Sim { return m.cores }
 
 // LoadProgram loads the image into the shared memory — once, through core 0
 // — and points every core's PC at its entry; the per-CPU boot path
-// dispatches on CPUID. The other cores load the image without its bytes,
-// which is the rest of what a load does: flush the core's predecode and
-// superblock caches and take the entry.
+// dispatches on CPUID. Core 0's load drops the one decoded-code table; the
+// other cores load the image without its bytes, which only takes the entry.
 func (m *Multicore) LoadProgram(p *isa.Program) {
 	m.cores[0].LoadProgram(p)
 	entry := &isa.Program{Base: p.Base, Entry: p.Entry}

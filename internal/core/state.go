@@ -139,7 +139,7 @@ func (m *Multicore) Quiescent() bool {
 func (m *Multicore) State(c *snap.Codec) {
 	c.Version("multicore", multicoreStateV)
 	c.Len("multicore cores", len(m.cores))
-	m.sharedMem.State(c)
+	m.sharedMem.Mem.State(c)
 	m.shared.State(c)
 	for _, s := range m.cores {
 		s.State(c)

@@ -41,6 +41,9 @@ var reference = hostRow{name: "reference", workers: 8}
 //	smp        workers 1/8, superblock off/8/64
 //	servers    workers 1/8, superblock off/64, snapshots capturing/resuming
 //
+// One row is new: smp under a one-slot predecode cache, where the cores of
+// a target collide in the one decoded-code table they share.
+//
 // Every value appears, spelled out, in the name of one of the study's rows
 // below; workers 8, snapshots off and each knob's default are the reference
 // row. Values of different axes share a row, so the table costs renderings
@@ -75,6 +78,7 @@ var studyRows = []struct {
 		{name: "workers 1, superblocks off", workers: 1, knobs: sim.Params{SuperblockLen: sim.Off}},
 		{name: "superblock 8", workers: 8, knobs: sim.Params{SuperblockLen: 8}},
 		{name: "superblock 64", workers: 8, knobs: sim.Params{SuperblockLen: 64}},
+		{name: "icache 1, superblock 8", workers: 8, knobs: sim.Params{ICacheEntries: 1, SuperblockLen: 8}},
 	}},
 	{"servers", Runner.Servers, []hostRow{
 		{name: "workers 1, superblocks off, snapshots capturing", workers: 1, knobs: sim.Params{SuperblockLen: sim.Off}, snapshots: true},

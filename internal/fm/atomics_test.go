@@ -3,7 +3,6 @@ package fm
 import (
 	"testing"
 
-	"repro/internal/fullsys"
 	"repro/internal/isa"
 	"repro/internal/trace"
 )
@@ -111,11 +110,9 @@ func TestLLSCRollbackReplay(t *testing.T) {
 // must fail core 0's sc. Also checks MOVRC from CRCpuID reads each core's
 // own id.
 func TestLLSCCrossCoreStoreBreaksLink(t *testing.T) {
-	shared := fullsys.NewMemory(1 << 20)
-	coh := NewCoherence()
+	shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: 64})
 	mk := func(id int) *Model {
-		return New(Config{SharedMem: shared, Coherence: coh, CoreID: id,
-			DisableInterrupts: true, ICacheEntries: 64})
+		return New(Config{Shared: shared, CoreID: id, DisableInterrupts: true})
 	}
 	m0, m1 := mk(0), mk(1)
 	m0.LoadProgram(isa.MustAssemble(`
@@ -153,7 +150,7 @@ func TestLLSCCrossCoreStoreBreaksLink(t *testing.T) {
 	if m0.GPR[2] != 0 {
 		t.Errorf("core 0 sc after core 1's store: r2 = %d, want 0", m0.GPR[2])
 	}
-	if v := shared.Read(0x5000, 4); v != 123 {
+	if v := shared.Mem.Read(0x5000, 4); v != 123 {
 		t.Errorf("shared word = %d, want 123 (core 1's store)", v)
 	}
 	if m0.GPR[3] != 0 || m1.GPR[3] != 1 {

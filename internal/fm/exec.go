@@ -478,7 +478,7 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 		m.LLValid = false // the link is consumed either way
 		if ok {
 			m.engine.noteMem(m, pa, 4)
-			m.noteStore(pa, 4)
+			m.icache.noteStore(pa, 4)
 			m.Mem.Write(pa, uint64(m.GPR[inst.Rd]), 4)
 			m.GPR[inst.Rd] = 1
 		} else {
@@ -737,7 +737,7 @@ func (m *Model) execStringStore(movs bool, iters int, e *trace.Entry) (int, *fau
 			return done, f
 		}
 		m.engine.noteMem(m, dpa, n)
-		m.noteStore(dpa, n)
+		m.icache.noteStore(dpa, n)
 		if movs {
 			m.Mem.CopyForward(dpa, spa, n)
 			m.GPR[0] += isa.Word(n)

@@ -16,7 +16,10 @@ import (
 // lie on one page are cached, so TLB and paging-control changes are
 // invisible to entries — the next fetch re-translates and probes whatever
 // physical address the new mapping yields. An instruction that spans two
-// pages is decoded at every fetch, exactly as with the cache off.
+// pages is decoded at every fetch, exactly as with the cache off. The table
+// therefore belongs to the physical memory (Shared), as QEMU's physically
+// indexed translation cache is shared by every vCPU: the cores of a
+// multicore target probe and fill one table, each counting its own probes.
 // Correctness then rests on two invalidation rules:
 //
 //   - Stores: each physical page that backs a cached instruction has a
@@ -26,13 +29,16 @@ import (
 //     record the generation of the page they were fetched from and miss
 //     when it disagrees. A store next to code — into a line of the page
 //     that holds no cached instruction byte — leaves them valid. Every
-//     store reaches the same hook: the model's own (including each run of
-//     a rep movs/stos), a coherence peer's, and the memory undo of a
+//     store reaches the same hook, whichever core makes it: a model's own
+//     (including each run of a rep movs/stos) and the memory undo of a
 //     rollback, so an undone store into code invalidates as the store did.
 //
 //   - Program load: LoadProgram rewrites memory wholesale and flushes.
+//     A flush moves every page's generation on rather than restarting it,
+//     so a generation never repeats (superblock.go's resume cursor relies
+//     on that).
 //
-// Every method but fill is nil-receiver-safe; a disabled cache
+// probe, noteStore and flush are nil-receiver-safe; a disabled cache
 // (Config.ICacheEntries == 0) costs one nil check on the fetch path and
 // nothing on stores.
 
@@ -101,29 +107,33 @@ type pageCode struct {
 	gen   uint32
 }
 
-// icache is the direct-mapped predecode cache.
-type icache struct {
+// icTable is the direct-mapped predecode table of one physical memory.
+type icTable struct {
 	slots lazyTable[icEntry]
 	mask  isa.Word
-
 	pages lazyTable[[slotPages]pageCode] // per physical page, allocated with its group's first code
+}
 
-	// Statistics, published as fm_icache_* by Model.PublishTelemetry.
+// icache is one model's view of its memory's predecode table: the table,
+// and the model's own counters, published as fm_icache_* by
+// Model.PublishTelemetry.
+type icache struct {
+	*icTable
 	hits          uint64
 	misses        uint64
-	invalidations uint64
+	invalidations uint64 // page generations this model's stores and undos bumped
 	flushes       uint64
 }
 
-// newICache sizes the cache to the next power of two ≥ entries over a
+// newICTable sizes the table to the next power of two ≥ entries over a
 // memBytes physical memory.
-func newICache(entries, memBytes int) *icache {
+func newICTable(entries, memBytes int) *icTable {
 	n := 1
 	for n < entries {
 		n <<= 1
 	}
 	pages := (memBytes + fullsys.PageSize - 1) >> fullsys.PageShift
-	return &icache{
+	return &icTable{
 		slots: newLazyTable[icEntry](n),
 		mask:  isa.Word(n - 1),
 		pages: newLazyTable[[slotPages]pageCode]((pages + slotPages - 1) / slotPages),
@@ -131,7 +141,7 @@ func newICache(entries, memBytes int) *icache {
 }
 
 // page returns page p's record, nil while no code was cached in its group.
-func (c *icache) page(p isa.Word) *pageCode {
+func (c *icTable) page(p isa.Word) *pageCode {
 	if s := c.pages.peek(p / slotPages); s != nil {
 		return &s[p%slotPages]
 	}
@@ -139,7 +149,7 @@ func (c *icache) page(p isa.Word) *pageCode {
 }
 
 // gen returns page p's store generation: 0 until a store into its code.
-func (c *icache) gen(p isa.Word) uint32 {
+func (c *icTable) gen(p isa.Word) uint32 {
 	if pc := c.page(p); pc != nil {
 		return pc.gen
 	}
@@ -155,7 +165,7 @@ func lineSpan(pa, end isa.Word) uint64 {
 
 // markCode records that bytes pa..end, on one page, back a cached
 // instruction.
-func (c *icache) markCode(pa, end isa.Word) {
+func (c *icTable) markCode(pa, end isa.Word) {
 	p := pa >> fullsys.PageShift
 	c.pages.slot(p / slotPages)[p%slotPages].lines |= lineSpan(pa, end)
 }
@@ -186,7 +196,7 @@ func (c *icache) probe(pa isa.Word) (*icEntry, bool) {
 // fill predecodes the freshly decoded instruction at pa, whose bytes lie on
 // one page, installs it and returns its slot. Unlike the other methods it
 // needs a cache: both callers hold one.
-func (c *icache) fill(pa isa.Word, inst isa.Inst) *icEntry {
+func (c *icTable) fill(pa isa.Word, inst isa.Inst) *icEntry {
 	e := c.slots.slot(pa & c.mask)
 	*e = icEntry{pa: pa, gen: c.gen(pa >> fullsys.PageShift), predecoded: predecode(inst)}
 	c.markCode(pa, pa+isa.Word(inst.Size)-1)
@@ -209,12 +219,22 @@ func (c *icache) noteStore(pa isa.Word, n int) {
 	c.noteLines(pa, end)
 }
 
-// flush empties the cache (program load).
+// flush empties the table (program load) and moves every page's generation
+// on, forgetting its code lines.
 func (c *icache) flush() {
 	if c == nil {
 		return
 	}
 	c.slots.drop()
-	c.pages.drop()
+	for _, g := range c.pages.groups {
+		if g == nil {
+			continue
+		}
+		for i := range g {
+			for j, pc := range g[i] {
+				g[i][j] = pageCode{gen: pc.gen + 1}
+			}
+		}
+	}
 	c.flushes++
 }

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/fullsys"
 	"repro/internal/isa"
 	"repro/internal/obs"
 	"repro/internal/snap"
@@ -489,16 +488,16 @@ func lineSingle(src string) func(*testing.T) lineStats {
 	}
 }
 
-// linePeer runs a loop at 0x1000 on core 0 while core 1, in the same
-// coherence domain, stores r6 to addr once per iteration, and returns core
-// 0's predecode-cache counters.
+// linePeer runs a loop at 0x1000 on core 0 while core 1, over the same
+// memory and decoded-code table, stores r6 to addr once per iteration, and
+// returns core 0's predecode hits and misses and both cores' invalidations:
+// the storing core counts them. Core 1's code sits in slots core 0's does
+// not index.
 func linePeer(addr isa.Word) func(*testing.T) lineStats {
 	return func(t *testing.T) lineStats {
-		shared := fullsys.NewMemory(1 << 20)
-		coh := NewCoherence()
+		shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: 64})
 		mk := func(id int, src string, base isa.Word) *Model {
-			m := New(Config{SharedMem: shared, Coherence: coh, CoreID: id,
-				DisableInterrupts: true, ICacheEntries: 64})
+			m := New(Config{Shared: shared, CoreID: id, DisableInterrupts: true})
 			m.LoadProgram(isa.MustAssemble(src, base))
 			return m
 		}
@@ -520,7 +519,7 @@ func linePeer(addr isa.Word) func(*testing.T) lineStats {
 			cmpi r6, %d
 			jl   loop
 			halt
-		`, addr, lineIters), 0x4000)
+		`, addr, lineIters), 0x4020)
 		for !m0.Halted() || !m1.Halted() {
 			for _, m := range []*Model{m0, m1} {
 				if _, ok := m.Step(); !ok && !m.Halted() {
@@ -533,6 +532,8 @@ func linePeer(addr isa.Word) func(*testing.T) lineStats {
 		}
 		var s lineStats
 		s.icHits, s.icMisses, s.inv, _ = m0.ICacheStats()
+		_, _, inv1, _ := m1.ICacheStats()
+		s.inv += inv1
 		return s
 	}
 }
@@ -649,7 +650,7 @@ func TestLineGranularInvalidation(t *testing.T) {
 		{"next to code/word in another line", 0, lineSingle(storeLoop("stw r6, [r0]", ".org 0x1800"))},
 		{"next to code/byte in the next line", 0, lineSingle(storeLoop("stb r6, [r0]", ".org 0x1040"))},
 		{"next to code/rep stos in other lines", 0, lineSingle(stosLoop(0x1700))},
-		{"next to code/coherence peer", 0, linePeer(0x1800)},
+		{"next to code/other core", 0, linePeer(0x1800)},
 
 		{"into code/store into an instruction's line", lineIters, lineSingle(storeLoop("stw r6, [r0]", ""))},
 		{"into code/page-crossing tail line", 0, lineSingle(fmt.Sprintf(`
@@ -669,7 +670,7 @@ func TestLineGranularInvalidation(t *testing.T) {
 		`, lineIters))},
 		{"into code/rollback undo of a tail store", 1, lineUndo},
 		{"into code/rep stos across a code line", lineIters - 1, lineSingle(stosLoop(0x17FC))},
-		{"into code/coherence peer", lineIters, linePeer(0x1000 + 24)},
+		{"into code/other core", lineIters, linePeer(0x1000 + 24)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := tc.run(t)

@@ -142,7 +142,7 @@ func (l *memLog) undo(m *Model, n int) {
 		pa := binary.LittleEndian.Uint32(l.buf[end-memLogHeader:])
 		size := int(hdr &^ zeroRun)
 		end -= memLogHeader
-		m.noteStore(pa, size)
+		m.icache.noteStore(pa, size)
 		if hdr&zeroRun != 0 {
 			m.Mem.Fill(pa, size, 0)
 			continue

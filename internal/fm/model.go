@@ -31,6 +31,7 @@
 package fm
 
 import (
+	"cmp"
 	"fmt"
 	"strconv"
 
@@ -110,14 +111,35 @@ type Config struct {
 	// CoreID is this core's index in a multicore target (0 in a single-core
 	// one); it is what MOVRC from CRCpuID reads.
 	CoreID int
-	// SharedMem, when non-nil, is the physical memory shared by all cores of
-	// a multicore target; the model attaches to it instead of allocating its
-	// own. MemBytes is ignored for sizing when set.
-	SharedMem *fullsys.Memory
-	// Coherence, when non-nil, fans store notifications out to every
-	// attached core's predecode cache so cross-core self-modifying code
-	// invalidates remotely cached instructions (coherence.go).
-	Coherence *Coherence
+	// Shared, when non-nil, is the physical memory and decoded code shared
+	// by all cores of a multicore target; the model attaches to it instead
+	// of building its own, and its sizes win over MemBytes, ICacheEntries
+	// and SuperblockLen.
+	Shared *Shared
+}
+
+// Shared is a target's physical memory with the decoded code over it: the
+// predecode table (icache.go) and the superblock table (superblock.go).
+// Every model over the memory probes and fills the same tables, so a block
+// is formed once for all cores and a store by any core, or a rollback's
+// undo of one, bumps one page generation.
+type Shared struct {
+	Mem *fullsys.Memory
+	ic  *icTable // nil when the predecode cache is disabled
+	sb  *sbTable // nil when superblocks are
+}
+
+// NewShared builds the memory and tables cfg sizes.
+func NewShared(cfg Config) *Shared {
+	s := &Shared{Mem: fullsys.NewMemory(cmp.Or(cfg.MemBytes, DefaultMemBytes))}
+	if cfg.ICacheEntries > 0 {
+		s.ic = newICTable(cfg.ICacheEntries, s.Mem.Size())
+		if cfg.SuperblockLen > 0 && cfg.Rollback != RollbackCheckpoint {
+			// One block slot per predecode slot.
+			s.sb = &sbTable{slots: newLazyTable[sbBlock](int(s.ic.mask) + 1), mask: s.ic.mask, maxLen: cfg.SuperblockLen}
+		}
+	}
+	return s
 }
 
 // Model is the speculative functional model.
@@ -127,8 +149,8 @@ type Model struct {
 	TLB fullsys.TLB
 	Bus *fullsys.Bus
 
-	icache *icache  // predecode cache; nil when disabled
-	sb     *sbCache // superblock cache; nil when disabled
+	icache *icache  // view of the predecode table; nil when disabled
+	sb     *sbCache // view of the superblock table; nil when disabled
 	cut    sbCursor // the superblock the sink last stopped mid-way
 	// ent is the one scratch trace entry every instruction is assembled in
 	// (issue, finishEntry) and Produce's sink is pointed at; it is copied out
@@ -160,9 +182,6 @@ type Model struct {
 
 // New builds a functional model with the given configuration.
 func New(cfg Config) *Model {
-	if cfg.MemBytes == 0 {
-		cfg.MemBytes = DefaultMemBytes
-	}
 	if cfg.RepCap == 0 {
 		cfg.RepCap = 65536
 	}
@@ -173,14 +192,12 @@ func New(cfg Config) *Model {
 	if devs == nil {
 		devs = []fullsys.Device{fullsys.NewConsole(), fullsys.NewTimer()}
 	}
-	mem := cfg.SharedMem
-	if mem == nil {
-		mem = fullsys.NewMemory(cfg.MemBytes)
-	} else {
-		cfg.MemBytes = mem.Size()
+	sh := cfg.Shared
+	if sh == nil {
+		sh = NewShared(cfg)
 	}
 	m := &Model{
-		Mem: mem,
+		Mem: sh.Mem,
 		Bus: fullsys.NewBus(devs...),
 		cfg: cfg,
 	}
@@ -190,13 +207,12 @@ func New(cfg Config) *Model {
 		m.jeng = &journalEngine{}
 		m.engine = m.jeng
 	}
-	if cfg.ICacheEntries > 0 {
-		m.icache = newICache(cfg.ICacheEntries, cfg.MemBytes)
-		if cfg.SuperblockLen > 0 && m.jeng != nil {
-			m.sb = newSBCache(cfg.SuperblockLen, m.icache)
+	if sh.ic != nil {
+		m.icache = &icache{icTable: sh.ic}
+		if sh.sb != nil && m.jeng != nil {
+			m.sb = &sbCache{sbTable: sh.sb, ic: m.icache}
 		}
 	}
-	cfg.Coherence.attach(m)
 	m.obs.attach(cfg.Telemetry, m.series())
 	return m
 }
@@ -229,7 +245,7 @@ func (i *fmInstruments) attach(tel *obs.Telemetry, series func(string) string) {
 // series returns the telemetry series namer for this model: identity on a
 // single-core target, a core label on every multicore series.
 func (m *Model) series() func(string) string {
-	if m.cfg.Coherence == nil {
+	if m.cfg.Shared == nil {
 		return func(name string) string { return name }
 	}
 	id := strconv.Itoa(m.cfg.CoreID)
@@ -272,13 +288,16 @@ func (m *Model) ICacheStats() (hits, misses, invalidations, flushes uint64) {
 	return m.icache.hits, m.icache.misses, m.icache.invalidations, m.icache.flushes
 }
 
-// LoadProgram copies the image into physical memory and jumps to its entry.
+// LoadProgram copies the image into physical memory, drops the decoded code
+// over it and jumps to its entry. An image without bytes changes no memory,
+// so it only takes the entry: that is how the other cores of a multicore
+// target start on the image core 0 loaded.
 func (m *Model) LoadProgram(p *isa.Program) {
-	m.Mem.Load(p.Base, p.Code)
-	m.icache.flush()
-	// Page generations restart with an icache flush, so block entries would
-	// still generation-match stale bytes: drop them outright.
-	m.sb.flush()
+	if len(p.Code) > 0 {
+		m.Mem.Load(p.Base, p.Code)
+		m.icache.flush()
+		m.sb.flush()
+	}
 	m.cut.blk = nil
 	m.PC = p.Entry
 }
@@ -412,7 +431,7 @@ func (m *Model) store(va isa.Word, v uint64, n int) (isa.Word, *fault) {
 		return 0, &fault{vector: isa.VecProt, faultVA: va, retry: true}
 	}
 	m.engine.noteMem(m, pa, n)
-	m.noteStore(pa, n)
+	m.icache.noteStore(pa, n)
 	m.Mem.Write(pa, v, n)
 	return pa, nil
 }

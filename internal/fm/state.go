@@ -24,7 +24,7 @@ const fmStateV = 1
 
 // State walks the model's versioned binary state. A model that owns its
 // memory (single-core) carries it; cores of a multicore target share one
-// Memory (Config.SharedMem), which the container walks once. The target
+// Memory (Config.Shared), which the container walks once. The target
 // of a load must have been built with the same workload-shaping
 // configuration (memory geometry, device complement, rollback mode) —
 // mismatches are decode errors, not silent divergence.
@@ -73,7 +73,7 @@ func (m *Model) State(c *snap.Codec) {
 	}
 
 	m.TLB.State(c)
-	ownMem := m.cfg.SharedMem == nil
+	ownMem := m.cfg.Shared == nil
 	c.Flag("fm memory presence", ownMem)
 	if ownMem {
 		m.Mem.State(c)

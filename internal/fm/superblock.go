@@ -35,15 +35,18 @@ import (
 //   - a decode failure (the per-instruction path raises the fault);
 //   - the configured length cap.
 //
-// Invalidation rides the predecode cache's per-physical-page generation
-// counters: stores into a line holding cached code (own, remote-core via
-// Coherence, or rollback memory undo) bump the page generation, and a block
-// whose fill-time generation disagrees re-forms. Every instruction of a
-// block went through the predecode cache, so its lines are marked. A store *inside* a running block is caught by a
-// post-instruction generation compare and splits the block (the executed
-// prefix is correct; the stale suffix never runs). LoadProgram flushes
-// the block cache outright — page generations survive an icache flush,
-// so stale blocks would otherwise still generation-match.
+// Like the predecode table, the block table belongs to the physical memory
+// (Shared): the cores of a multicore target enter and form one table.
+// Invalidation rides the predecode table's per-physical-page generation
+// counters: stores into a line holding cached code (any core's, or
+// rollback memory undo) bump the page generation, and a block whose
+// fill-time generation disagrees re-forms. Every instruction of a block
+// went through the predecode cache, so its lines are marked. A store
+// *inside* a running block is caught by a post-instruction generation
+// compare and splits the block (the executed prefix is correct; the stale
+// suffix never runs). LoadProgram drops the blocks with the predecode
+// slots; the flush also moves every page generation on, so a block that
+// outlived it could never match again anyway.
 //
 // Entry conditions (checked once per block, replacing the per-instruction
 // Bus.NextDue/Tick and interrupt-delivery checks of Step):
@@ -60,10 +63,16 @@ import (
 // When any condition fails, Produce degrades to a single Step().
 //
 // A block the sink stops before its last op is resumed, not re-entered: the
-// model keeps a cursor (block, next op, IN, PC) and the next Produce
-// continues at that op when the IN and PC are unchanged, the block's page
-// generation is unchanged, and nothing but the timing model ran in between — SetPC, a state load, LoadProgram and step
-// clear the cursor; Commit may run. A resumed segment skips translation,
+// model keeps a cursor (block, its pa and generation, next op, IN, PC) and
+// the next Produce continues at that op when the IN and PC are unchanged,
+// the slot still holds the block's pa and its page's generation is still
+// the block's, and nothing but the timing model ran on this core in
+// between — SetPC, a state load, LoadProgram and step clear the cursor;
+// Commit may run. Another core may have re-formed the shared slot in the
+// meantime: at another pa, which the pa compare rejects, or at this pa from
+// bytes stored since, which the generation compare rejects (generations
+// only grow, a flush included). A slot re-formed at the same pa and
+// generation holds the same ops. A resumed segment skips translation,
 // the probe and the entry conditions: the entry check already covered the
 // block's whole tick span (Now advanced only by the ops executed since), and
 // only the model's own port I/O, a terminator, changes its bus or FlagI. The
@@ -95,14 +104,20 @@ type sbBlock struct {
 	ops []sbOp
 }
 
-// sbCache is the direct-mapped superblock cache. It shares the predecode
-// cache's per-page generation counters, so every existing invalidation
-// path (stores, coherence fan-out, rollback memory undo) covers blocks
-// for free.
+// sbTable is the direct-mapped superblock table of one physical memory. It
+// shares the predecode table's per-page generation counters, so every
+// invalidation path (stores, rollback memory undo) covers blocks for free.
+type sbTable struct {
+	slots  lazyTable[sbBlock]
+	mask   isa.Word
+	maxLen int
+}
+
+// sbCache is one model's view of its memory's superblock table: the table,
+// the model's predecode view that formation probes through, form's scratch
+// and the model's own counters.
 type sbCache struct {
-	slots   lazyTable[sbBlock]
-	mask    isa.Word
-	maxLen  int
+	*sbTable
 	ic      *icache
 	forming []sbOp // form's scratch: a block is copied into its slot's own ops array
 
@@ -116,24 +131,16 @@ type sbCache struct {
 }
 
 // sbCursor is where the sink stopped a block before its last op: the model
-// must still be at IN in and PC pc. blk == nil means there is nothing to
-// resume.
+// must still be at IN in and PC pc, and blk must still hold the block
+// formed at pa under page generation gen. blk == nil means there is
+// nothing to resume.
 type sbCursor struct {
 	blk  *sbBlock
 	next int
 	in   uint64
 	pc   isa.Word
-}
-
-// newSBCache sizes the block cache to the predecode cache's slot count
-// (already a power of two) and caps blocks at maxLen instructions.
-func newSBCache(maxLen int, ic *icache) *sbCache {
-	return &sbCache{
-		slots:  newLazyTable[sbBlock](int(ic.mask) + 1),
-		mask:   ic.mask,
-		maxLen: maxLen,
-		ic:     ic,
-	}
+	pa   isa.Word
+	gen  uint32
 }
 
 // probe looks up the block starting at physical address pa.
@@ -157,7 +164,7 @@ func (c *sbCache) probe(pa isa.Word) *sbBlock {
 // never span pages, so the page is the first byte's.
 func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.gen(e.pa>>fullsys.PageShift) }
 
-// flush empties the block cache (program load).
+// flush empties the block table (program load).
 func (c *sbCache) flush() {
 	if c == nil {
 		return
@@ -257,7 +264,8 @@ func (m *Model) blockReady() *sbBlock {
 func (m *Model) resume() (*sbBlock, int) {
 	cut := m.cut
 	m.cut.blk = nil
-	if cut.blk == nil || cut.in != m.in || cut.pc != m.PC || m.sb.stale(cut.blk) {
+	if cut.blk == nil || cut.in != m.in || cut.pc != m.PC ||
+		cut.blk.pa != cut.pa || cut.gen != m.icache.gen(cut.pa>>fullsys.PageShift) {
 		return nil, 0
 	}
 	if m.jeng.recs.len() == 0 {
@@ -313,7 +321,7 @@ func (m *Model) Produce(sink func(*trace.Entry) bool) int {
 		i++
 		if !sink(&m.ent) {
 			if i < len(blk.ops) {
-				m.cut = sbCursor{blk: blk, next: i, in: m.in, pc: m.PC}
+				m.cut = sbCursor{blk: blk, next: i, in: m.in, pc: m.PC, pa: blk.pa, gen: blk.gen}
 			}
 			break
 		}

@@ -1,6 +1,7 @@
 package fm
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -232,11 +233,14 @@ func TestSuperblockLLSCTerminatesBlock(t *testing.T) {
 // TestSuperblockResume: a block the sink stops after every entry is resumed
 // op by op, not re-entered — block entries are hits + misses + resumes, and
 // each block keeps one journal record across its segments — and the trace,
-// final state and fatal stop equal per-instruction stepping. The second
-// program faults inside a block entered in earlier segments, so the fault
-// replays the prefix every segment delivered.
+// final state and fatal stop equal per-instruction stepping. The fault row
+// faults inside a block entered in earlier segments, so the fault replays
+// the prefix every segment delivered. In the other-core row a second model
+// over the same one-slot tables enters its own block between every two
+// calls, re-forming the cut block's slot at another pa: the cut block must
+// never resume.
 func TestSuperblockResume(t *testing.T) {
-	for _, src := range []string{`
+	loop := `
 		movi r6, 0
 	loop:
 		addi r1, 3
@@ -245,43 +249,84 @@ func TestSuperblockResume(t *testing.T) {
 		addi r6, 1
 		cmpi r6, 50
 		jl   loop
-		halt`, `
+		halt`
+	for _, tc := range []struct {
+		name, src string
+		peer      bool
+	}{
+		{"loop", loop, false},
+		{"fault", `
 		movi r0, 7
 		addi r0, 1
 		stw  r0, [r2+0x4000]
 		addi r0, 2
 		div  r0, r2
 		addi r0, 3
-		halt`,
+		halt`, false},
+		{"other core", loop, true},
 	} {
-		prog := isa.MustAssemble(src, 0x1000)
-		ref := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
-		ref.LoadProgram(prog)
-		var want []trace.Entry
-		for {
-			e, ok := ref.Step()
-			if !ok {
-				break
+		t.Run(tc.name, func(t *testing.T) {
+			prog := isa.MustAssemble(tc.src, 0x1000)
+			ref := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
+			ref.LoadProgram(prog)
+			var want []trace.Entry
+			for {
+				e, ok := ref.Step()
+				if !ok {
+					break
+				}
+				want = append(want, e)
 			}
-			want = append(want, e)
-		}
-		m := sbModel(prog, DefaultSuperblockLen)
-		var got []trace.Entry
-		calls := uint64(0)
-		for ; !m.Halted() && m.Fatal() == nil; calls++ {
-			m.StepBlock(func(e trace.Entry) bool { got = append(got, e); return false })
-		}
-		sbCompare(t, "resume", got, want, m, ref)
-		if (m.Fatal() != nil) != (ref.Fatal() != nil) {
-			t.Fatalf("fatal: block path %v, reference %v", m.Fatal(), ref.Fatal())
-		}
-		hits, misses, _, _ := m.SuperblockStats()
-		if m.sb.resumes == 0 || hits+misses+m.sb.resumes != calls {
-			t.Errorf("%d block entries: %d hits + %d misses + %d resumes", calls, hits, misses, m.sb.resumes)
-		}
-		if m.Fatal() == nil && uint64(m.jeng.recs.len()) != hits+misses {
-			t.Errorf("%d journal records for %d entered blocks", m.jeng.recs.len(), hits+misses)
-		}
+			m, peer := sbModel(prog, DefaultSuperblockLen), (*Model)(nil)
+			if tc.peer {
+				shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: 1, SuperblockLen: DefaultSuperblockLen})
+				m = New(Config{Shared: shared, DisableInterrupts: true})
+				peer = New(Config{Shared: shared, CoreID: 1, DisableInterrupts: true})
+				m.LoadProgram(prog)
+				peer.LoadProgram(isa.MustAssemble(`
+				spin:
+					addi r1, 1
+					addi r2, 2
+					jmp  spin`, 0x3000))
+			}
+			var got []trace.Entry
+			calls := uint64(0)
+			for ; !m.Halted() && m.Fatal() == nil && calls <= uint64(len(want)); calls++ {
+				m.StepBlock(func(e trace.Entry) bool { got = append(got, e); return false })
+				if peer != nil {
+					peer.StepBlock(func(trace.Entry) bool { return true })
+				}
+			}
+			sbCompare(t, "resume", got, want, m, ref)
+			if (m.Fatal() != nil) != (ref.Fatal() != nil) {
+				t.Fatalf("fatal: block path %v, reference %v", m.Fatal(), ref.Fatal())
+			}
+			hits, misses, _, _ := m.SuperblockStats()
+			if (m.sb.resumes == 0) != tc.peer || hits+misses+m.sb.resumes != calls {
+				t.Errorf("%d block entries: %d hits + %d misses + %d resumes", calls, hits, misses, m.sb.resumes)
+			}
+			if m.Fatal() == nil && uint64(m.jeng.recs.len()) != hits+misses {
+				t.Errorf("%d journal records for %d entered blocks", m.jeng.recs.len(), hits+misses)
+			}
+		})
+	}
+}
+
+// TestSharedFlushEndsCursors: a program load by one model over shared
+// tables rewrites the bytes under another model's cut block, which then
+// runs the new bytes instead of resuming its old ops.
+func TestSharedFlushEndsCursors(t *testing.T) {
+	shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: 64, SuperblockLen: DefaultSuperblockLen})
+	m := New(Config{Shared: shared, DisableInterrupts: true})
+	peer := New(Config{Shared: shared, CoreID: 1, DisableInterrupts: true})
+	const src = "movi r1, 1\n movi r2, %d\n movi r3, %d\n halt"
+	m.LoadProgram(isa.MustAssemble(fmt.Sprintf(src, 2, 3), 0x1000))
+	m.StepBlock(func(trace.Entry) bool { return false })
+	peer.LoadProgram(isa.MustAssemble(fmt.Sprintf(src, 7, 9), 0x1000))
+	for m.StepBlock(func(trace.Entry) bool { return true }) > 0 {
+	}
+	if m.GPR[2] != 7 || m.GPR[3] != 9 || m.sb.resumes != 0 {
+		t.Errorf("r2 = %d, r3 = %d after %d resumes; want 7, 9 after none", m.GPR[2], m.GPR[3], m.sb.resumes)
 	}
 }
 

@@ -109,51 +109,3 @@ func TestTreeNetworkBeatsFlatWiring(t *testing.T) {
 		t.Error("empty network should need no wires")
 	}
 }
-
-func TestTriggerCapturesWindow(t *testing.T) {
-	entries := recordTrace(t, src)
-	model, err := tm.New(tm.DefaultConfig(), &tm.SliceSource{Entries: entries}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// §4.6-style criterion: start when the machine goes idle for a cycle,
-	// stop 200 cycles later.
-	trig := &Trigger{
-		Start: func(o Observation) bool { return o.Issued == 0 && o.Cycle > 50 },
-		Stop:  func(o Observation) bool { return o.Cycle > 250 },
-		Depth: 64,
-	}
-	model.Probe = func(cycle uint64, issued int) {
-		trig.Observe(Observation{Cycle: cycle, Issued: issued})
-	}
-	next := uint64(0)
-	for !model.Done() {
-		model.Step()
-		// Feed commits (committed INs advance monotonically).
-		for next < model.Stats.Instructions {
-			trig.Capture(entries[next])
-			next++
-		}
-	}
-	if !trig.Fired() {
-		t.Fatal("trigger never fired")
-	}
-	if trig.Active() {
-		t.Error("trigger never stopped")
-	}
-	if len(trig.Log) == 0 {
-		t.Fatal("no entries captured")
-	}
-	if len(trig.Log) > 64 {
-		t.Errorf("capture exceeded depth: %d", len(trig.Log))
-	}
-	if !strings.Contains(trig.Dump(), "trigger window") {
-		t.Error("dump missing header")
-	}
-	// Captured INs must be contiguous committed-order instructions.
-	for i := 1; i < len(trig.Log); i++ {
-		if trig.Log[i].IN != trig.Log[i-1].IN+1 {
-			t.Fatalf("capture not contiguous at %d", i)
-		}
-	}
-}
