@@ -135,7 +135,8 @@ func (m *Multicore) Quiescent() bool {
 
 // State walks the whole target: the shared physical memory once, the
 // shared L2 + directory once, then each core (whose FM leaves the shared
-// memory out).
+// memory out). A load drops the decoded code over the shared memory once,
+// for all cores.
 func (m *Multicore) State(c *snap.Codec) {
 	c.Version("multicore", multicoreStateV)
 	c.Len("multicore cores", len(m.cores))
@@ -145,6 +146,7 @@ func (m *Multicore) State(c *snap.Codec) {
 		s.State(c)
 	}
 	if c.Loading() {
+		m.cores[0].FM.FlushCode()
 		m.committed, m.err = 0, nil
 		for _, s := range m.cores {
 			m.committed += s.committed

@@ -170,6 +170,48 @@ func TestMulticoreWarmStartBitIdentical(t *testing.T) {
 	}
 }
 
+// TestMulticoreRestoreFlushesOnce: the cores of a multicore target share
+// one decoded-code table, so restoring the shared memory flushes it once —
+// fm_icache_flushes_total, summed over the cores, moves by 1, not by one per
+// core.
+func TestMulticoreRestoreFlushesOnce(t *testing.T) {
+	const cores = 4
+	cfg, boot := smpSleepCfg(t, cores, 30)
+	var blob []byte
+	cfg.SnapshotHook = func(_ uint64, b []byte) { blob = b }
+	m, err := NewMulticore(cfg, MulticoreConfig{Cores: cores})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.LoadProgram(boot.Kernel)
+	if _, err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if blob == nil {
+		t.Fatal("multicore snapshot hook never fired")
+	}
+
+	cfg.SnapshotHook = nil
+	if m, err = NewMulticore(cfg, MulticoreConfig{Cores: cores}); err != nil {
+		t.Fatal(err)
+	}
+	m.LoadProgram(boot.Kernel)
+	flushes := func() (n uint64) {
+		for _, s := range m.cores {
+			_, _, _, f := s.FM.ICacheStats()
+			n += f
+		}
+		return n
+	}
+	before := flushes()
+	if err := m.Restore(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got := flushes() - before; got != 1 {
+		t.Errorf("a %d-core restore counted %d decoded-code flushes, want 1", cores, got)
+	}
+}
+
 // TestSnapshotRejectsCorruptBlob checks the decode-don't-panic contract at
 // the top level: truncations and bit flips must surface as errors.
 func TestSnapshotRejectsCorruptBlob(t *testing.T) {

@@ -295,11 +295,20 @@ func (m *Model) ICacheStats() (hits, misses, invalidations, flushes uint64) {
 func (m *Model) LoadProgram(p *isa.Program) {
 	if len(p.Code) > 0 {
 		m.Mem.Load(p.Base, p.Code)
-		m.icache.flush()
-		m.sb.flush()
+		m.FlushCode()
 	}
 	m.cut.blk = nil
 	m.PC = p.Entry
+}
+
+// FlushCode drops the decoded code over the model's memory, after the
+// memory was rewritten wholesale (a program load, a snapshot load), and
+// counts one flush in fm_icache_flushes_total. Every model over a shared
+// memory sees the one table emptied, so whoever rewrites that memory calls
+// it once, on one of them.
+func (m *Model) FlushCode() {
+	m.icache.flush()
+	m.sb.flush()
 }
 
 // Encoding returns the resolved trace encoding the model counts

@@ -16,7 +16,9 @@ package fm
 // cumulative statistics, so a resumed run continues every counter exactly
 // where the cold run left it. Host-side accelerator caches (predecode
 // icache, superblock cache) are deliberately excluded: they are
-// bit-invariant by contract and rebuild on demand; a load flushes them.
+// bit-invariant by contract and rebuild on demand; a load flushes them
+// (FlushCode) where it walks the memory: here when the model owns it, in
+// the container once for a shared one.
 
 import "repro/internal/snap"
 
@@ -95,7 +97,8 @@ func (m *Model) State(c *snap.Codec) {
 		m.jeng.reset()
 	}
 	// Memory contents changed under the host-side caches: rebuild on demand.
-	m.icache.flush()
-	m.sb.flush()
+	if ownMem {
+		m.FlushCode()
+	}
 	m.cut.blk = nil
 }

@@ -3,6 +3,7 @@ package tm
 import (
 	"fmt"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/isa"
@@ -59,6 +60,7 @@ func agree(t testing.TB, entries []trace.Entry, cfg Config) {
 		}
 		got.Step()
 		want.Step()
+		checkStations(t, got)
 		if got.Stats != want.Stats {
 			differs("Stats", got.Stats, want.Stats)
 		}
@@ -89,6 +91,51 @@ func agree(t testing.TB, entries []trace.Entry, cfg Config) {
 	}
 }
 
+// checkStations holds the wakeup bookkeeping to its definition, read off
+// the µop ring: rs is exactly the dispatched, unissued non-memory µops with
+// no producer left to wait for, oldest first, and blocked counts the other
+// dispatched non-memory ones; every live µop's waits is its number of live
+// unissued producers, and its at is no earlier than any live issued
+// producer's doneCycle.
+func checkStations(t testing.TB, m *TM) {
+	t.Helper()
+	var ready []uint64
+	blocked := 0
+	for s := m.robHead; s < m.nextUop; s++ {
+		u := m.uop(s)
+		waits := 0
+		for _, d := range u.deps {
+			if d <= m.robHead {
+				continue
+			}
+			switch p := m.uop(d - 1); {
+			case !p.issued:
+				waits++
+			case u.at < p.doneCycle:
+				t.Fatalf("cycle %d: µop %d ready at %d, before producer %d completes at %d",
+					m.cycle, s, u.at, d-1, p.doneCycle)
+			}
+		}
+		if int(u.waits) != waits {
+			t.Fatalf("cycle %d: µop %d waits for %d producers, has %d unissued", m.cycle, s, u.waits, waits)
+		}
+		if s >= m.robTail || u.isMem || u.issued {
+			continue
+		}
+		if waits == 0 {
+			ready = append(ready, s)
+		} else {
+			blocked++
+		}
+	}
+	if !slices.Equal(m.rs, ready) {
+		t.Fatalf("cycle %d: rs = %v, want %v", m.cycle, m.rs, ready)
+	}
+	if m.blocked != blocked {
+		t.Fatalf("cycle %d: blocked = %d, want %d", m.cycle, m.blocked, blocked)
+	}
+}
+
 // Drained mirrors TM.Drained for the oracle.
 func (t *refTM) Drained() bool {
 	return len(t.rob) == 0 && t.fetchQ.Len() == 0 && t.uopQ.Len() == 0 && len(t.decodeBuf) == 0 &&
@@ -110,6 +157,31 @@ func repStoreTrace(iters uint32) []trace.Entry {
 		{IN: 2, PC: 0x1008, PPC: 0x1008, Op: isa.OpMovRI, Size: 6, Kernel: true, Microcode: true,
 			UOps: movi.UOps, UopCount: uint32(movi.Count)},
 	}
+}
+
+// fanOutSrc is a load whose address comes from a cold-miss load, so it
+// issues late, and whose result 40 consumers read — more than any
+// configuration row has stations, so the stations fill with µops blocked on
+// one producer — followed by a chain hanging off them. The consumers
+// alternate between copies of the load, which its issue wakes all at once,
+// youngest first on its list (insertion in age order), and adds that also
+// wait for the previous add into the same register, which at zero latency
+// wake a station the same scan then issues.
+func fanOutSrc() string {
+	var b strings.Builder
+	b.WriteString("movi r1, 0x9000\nldw r5, [r1+64]\nldw r0, [r5+0x3100]\n")
+	for i := range 40 {
+		if i%2 == 0 {
+			fmt.Fprintf(&b, "mov r%d, r0\n", 6+i/2%2)
+		} else {
+			fmt.Fprintf(&b, "add r%d, r0\n", 2+i/2%2)
+		}
+	}
+	for i := range 8 {
+		fmt.Fprintf(&b, "add r%d, r%d\n", 2+i%2, 3-i%2)
+	}
+	b.WriteString("stw r2, [r1+4]\nldw r4, [r1+4]\nadd r4, r3\nhalt\n")
+	return b.String()
 }
 
 // TestTMAgreement is the oracle check of the data-oriented TM (ROADMAP
@@ -148,6 +220,7 @@ func TestTMAgreement(t *testing.T) {
 			jnz  loop
 			halt
 		`, 10000),
+		"fan-out":       record(t, fanOutSrc(), 1000),
 		"rep-stos-0":    repStoreTrace(0),
 		"rep-stos-1":    repStoreTrace(1),
 		"rep-stos-4096": repStoreTrace(4096),

@@ -139,13 +139,22 @@ func (c *Connector[T]) Get(cycle uint64) (T, bool) {
 		return zero, false
 	}
 	v := c.items[c.head].v
+	c.pop(cycle)
+	return v, true
+}
+
+// pop removes the head item once Get's checks have passed, or a Peek at
+// the same cycle has made them.
+func (c *Connector[T]) pop(cycle uint64) {
+	if cycle != c.getCycle {
+		c.getCycle, c.getsThis = cycle, 0
+	}
 	if c.head++; c.head == len(c.items) {
 		c.head = 0
 	}
 	c.n--
 	c.getsThis++
 	c.stats.Gets++
-	return v, true
 }
 
 // Flush discards all in-flight items (pipeline flush on recovery).

@@ -316,6 +316,9 @@ func (t *TM) jump(k uint64) {
 
 	// µop sequence numbers. A producer or writer at or below robHead has
 	// committed and reads the same at any height, so only live ones move.
+	// Consumer-list edges name live µops, or are never followed again, and
+	// move with them. A µop's at is a producer's doneCycle: a live
+	// producer's moves, and a committed one's is past either way.
 	rotate(t.uops, du)
 	for s := head + du; s < t.nextUop+du; s++ {
 		u := t.uop(s)
@@ -323,10 +326,17 @@ func (t *TM) jump(k uint64) {
 			if p > head {
 				u.deps[i] = p + du
 			}
+			if u.next[i] != 0 {
+				u.next[i] += 3 * du
+			}
+		}
+		if u.cons != 0 {
+			u.cons += 3 * du
 		}
 		if u.issued {
 			u.doneCycle += dc
 		}
+		u.at += dc
 	}
 	for r, w := range t.regWriter {
 		if w > head {

@@ -31,7 +31,8 @@ func (c *stampedCtl) Mispredict(in uint64, pc isa.Word) { c.add("mispredict", in
 func (c *stampedCtl) Resolve(in uint64, pc isa.Word)    { c.add("resolve", in, pc) }
 
 // replayToEnd runs entries under cfg until the pipeline drains, with the REP
-// fast-forward on or off.
+// fast-forward on or off. It drives the model as Run does, and holds the
+// stations to their invariants (checkStations) after every skip.
 func replayToEnd(t testing.TB, entries []trace.Entry, cfg Config, off bool) (*TM, []stampedCall) {
 	t.Helper()
 	ctl := &stampedCtl{}
@@ -40,7 +41,17 @@ func replayToEnd(t testing.TB, entries []trace.Entry, cfg Config, off bool) (*TM
 		t.Fatal(err)
 	}
 	model.ffOff, ctl.tm = off, model
-	if model.Run(50_000_000); !model.Done() {
+	const limit = 50_000_000
+	for !model.Done() && model.Cycle() < limit {
+		if model.RepArmed() {
+			if n, _ := model.FastForward(limit, nil); n > 0 {
+				checkStations(t, model)
+				continue
+			}
+		}
+		model.Step()
+	}
+	if !model.Done() {
 		t.Fatalf("did not drain: %s", model.Describe())
 	}
 	return model, ctl.calls

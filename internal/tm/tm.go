@@ -77,15 +77,27 @@ type instr struct {
 }
 
 // uop is one in-flight micro-operation: a slot of the TM's µop ring. It
-// names its instruction and its producers by sequence number, so the ring
-// holds no pointers and slot reuse needs no clean-up.
+// names its instruction, its producers and its consumers by sequence
+// number, so the ring holds no pointers and slot reuse needs no clean-up.
+//
+// Rename links each µop to the producers it waits for, as the hardware's
+// tag broadcast does: a producer that has not issued yet gets an edge on its
+// consumer list (cons, threaded through the consumers' next), and when it
+// issues it folds its doneCycle into each consumer's at and takes one off its
+// waits. A µop whose waits is 0 can issue from cycle at on. An edge names a
+// consumer's dependence i on the list's producer as consumer·3 + i, stored
+// + 1 (0 ends the list).
 type uop struct {
 	ins       uint64    // sequence number of the owning instruction
 	deps      [3]uint64 // producers' sequence numbers + 1 (0 = none): A, B, condition codes
 	doneCycle uint64    // result available from this cycle on, once issued
+	at        uint64    // the latest doneCycle of the producers already issued
+	cons      uint64    // first edge of this µop's consumer list
+	next      [3]uint64 // next edge of the list of producer deps[i]
 	kind      microcode.UKind
 	class     isa.Class
-	last      bool // commits the instruction
+	waits     uint8 // producers not yet issued
+	last      bool  // commits the instruction
 	isMem     bool
 	issued    bool
 }
@@ -179,12 +191,15 @@ type TM struct {
 	decIdx  int
 	decLeft uint64
 
-	// The occupied reservation stations, which is all issue has to look at:
-	// rs lists the renamed, unissued non-memory µops oldest first, and memQ
-	// is the in-order memory port's FIFO of unissued memory µops (a ring
-	// addressed by the monotonic memHead/memTail), of which only the head
-	// can issue. Together they hold at most RSEntries µops.
+	// The occupied reservation stations. rs lists, oldest first, the
+	// renamed, unissued non-memory µops whose producers have all issued —
+	// all issue has to look at; blocked counts those still waiting for a
+	// producer, which its issue moves into rs. memQ is the in-order memory
+	// port's FIFO of unissued memory µops (a ring addressed by the monotonic
+	// memHead/memTail), of which only the head can issue. Together they hold
+	// at most RSEntries µops.
 	rs               []uint64
+	blocked          int
 	memQ             []uint64
 	memMask          uint64
 	memHead, memTail uint64
@@ -475,38 +490,27 @@ func (t *TM) latency(u *uop) uint64 {
 	}
 }
 
-// readyAt returns the cycle from which all of u's producers have completed,
-// or ok = false while one of them has not issued. A producer below robHead
-// has committed — so it completed in this cycle or an earlier one, and
-// cycles only grow; its slot may already hold a younger µop and is not
-// consulted.
-func (t *TM) readyAt(u *uop) (at uint64, ok bool) {
-	for _, d := range u.deps {
-		if d > t.robHead {
-			p := t.uop(d - 1)
-			if !p.issued {
-				return 0, false
-			}
-			at = max(at, p.doneCycle)
-		}
-	}
-	return at, true
-}
-
 // issue selects ready µops oldest-first from the non-memory stations, then
 // considers the memory port's head, and sends them to functional units.
 //
-// Scanning the memory head last keeps the old single age-ordered scan's
+// rs holds only stations whose producers have all issued, and the scan
+// walks it by index, freeing the stations it issues as it goes. A producer
+// that issues wakes its consumers (issueUop): one whose last producer that
+// was is inserted into rs in age order, which is after the scan's place, so
+// the scan still reaches it — a consumer of a zero-latency producer issues
+// in its producer's cycle, as it would in a scan over every station.
+//
+// Scanning the memory head last keeps that single age-ordered scan's
 // decisions: a memory µop's latency is at least 1, so nothing it produces
 // can issue in its cycle, and a zero-latency producer of it is scanned
 // first, as its age already put it.
 //
 // A scan that issues nothing records in wake the earliest cycle anything
-// could change: the ready cycle of each station whose producers have all
-// issued, and for a ready memory head the next free LSU or, with every MSHR
-// busy, the next miss to complete. A station with an unissued producer
-// needs no entry — that producer waits in a station too and issues only at
-// a scan — so no scan before wake can issue, and issue skips them.
+// could change: the ready cycle of each station in rs, and for a ready
+// memory head the next free LSU or, with every MSHR busy, the next miss to
+// complete. A blocked station needs no entry — its producer waits in a
+// station too and issues only at a scan — so no scan before wake can issue,
+// and issue skips them.
 func (t *TM) issue(w *workCounts) {
 	if t.cycle < t.wake {
 		return
@@ -515,45 +519,32 @@ func (t *TM) issue(w *workCounts) {
 	bruLeft := t.cfg.BranchUnits
 	fpuLeft := t.cfg.FPUs
 	wake := uint64(math.MaxUint64)
-	for _, seq := range t.rs {
+	kept := 0
+	for i := 0; i < len(t.rs); i++ {
+		seq := t.rs[i]
 		u := t.uop(seq)
-		at, ok := t.readyAt(u)
-		if !ok {
+		if u.at > t.cycle {
+			wake = min(wake, u.at)
+			t.rs[kept] = seq
+			kept++
 			continue
 		}
-		if at > t.cycle {
-			wake = min(wake, at)
-			continue
-		}
+		free := &aluLeft
 		switch u.class {
 		case isa.ClassBranch:
-			if bruLeft == 0 {
-				continue
-			}
-			bruLeft--
+			free = &bruLeft
 		case isa.ClassFPU:
-			if fpuLeft == 0 {
-				continue
-			}
-			fpuLeft--
-		default:
-			if aluLeft == 0 {
-				continue
-			}
-			aluLeft--
+			free = &fpuLeft
 		}
+		if *free == 0 {
+			t.rs[kept] = seq
+			kept++
+			continue
+		}
+		*free--
 		t.issueUop(seq, t.latency(u), w)
 	}
-	if w.issued > 0 {
-		// Free the stations of the µops that issued, keeping age order.
-		waiting := t.rs[:0]
-		for _, seq := range t.rs {
-			if !t.uop(seq).issued {
-				waiting = append(waiting, seq)
-			}
-		}
-		t.rs = waiting
-	}
+	t.rs = t.rs[:kept]
 	if t.memHead != t.memTail {
 		wake = min(wake, t.issueMem(w))
 	}
@@ -568,12 +559,11 @@ func (t *TM) issue(w *workCounts) {
 func (t *TM) issueMem(w *workCounts) uint64 {
 	seq := t.memQ[t.memHead&t.memMask]
 	u := t.uop(seq)
-	at, ok := t.readyAt(u)
 	switch {
-	case !ok:
+	case u.waits > 0:
 		return math.MaxUint64
-	case at > t.cycle:
-		return at
+	case u.at > t.cycle:
+		return u.at
 	}
 	lsu := -1
 	for i, freeAt := range t.lsuFreeAt {
@@ -610,6 +600,9 @@ func (t *TM) issueMem(w *workCounts) uint64 {
 	return math.MaxUint64
 }
 
+// issueUop sends µop seq to a functional unit and wakes its consumers. A
+// consumer left with no producer to wait for that has already dispatched to
+// a non-memory station moves from blocked into rs.
 func (t *TM) issueUop(seq, lat uint64, w *workCounts) {
 	u := t.uop(seq)
 	u.issued = true
@@ -622,6 +615,31 @@ func (t *TM) issueUop(seq, lat uint64, w *workCounts) {
 	if u.kind == microcode.UBr {
 		t.pendingBranches = append(t.pendingBranches, seq)
 	}
+	for e := u.cons; e != 0; {
+		c := (e - 1) / 3
+		cu := t.uop(c)
+		e = cu.next[(e-1)%3]
+		cu.at = max(cu.at, u.doneCycle)
+		if cu.waits--; cu.waits == 0 && c < t.robTail && !cu.isMem {
+			t.blocked--
+			t.wakeStation(c)
+		}
+	}
+	u.cons = 0
+}
+
+// wakeStation inserts µop seq into rs in age order. Its producer is older
+// and issuing, so during issue's scan the insertion point lies past the
+// scan's place: the search from the young end stops at the producer at the
+// latest, before the stations the scan has already moved down.
+func (t *TM) wakeStation(seq uint64) {
+	rs := append(t.rs, seq)
+	i := len(rs) - 1
+	for ; i > 0 && rs[i-1] > seq; i-- {
+		rs[i] = rs[i-1]
+	}
+	rs[i] = seq
+	t.rs = rs
 }
 
 // memLatency models the data-side access: dTLB, then the blocking dL1/L2/
@@ -649,7 +667,9 @@ func (t *TM) memLatency(u *uop) uint64 {
 	return lat
 }
 
-// dispatch renames µops into the ROB/RS/LSQ, up to IssueWidth per cycle.
+// dispatch renames µops into the ROB/RS/LSQ, up to IssueWidth per cycle. A
+// non-memory µop goes to rs once its producers have all issued and counts
+// as blocked until then.
 func (t *TM) dispatch(w *workCounts) {
 	for n := 0; n < t.cfg.IssueWidth; n++ {
 		seq, ok := t.uopQ.Peek(t.cycle)
@@ -660,7 +680,7 @@ func (t *TM) dispatch(w *workCounts) {
 			t.Stats.ROBFullStalls++
 			return
 		}
-		if len(t.rs)+int(t.memTail-t.memHead) >= t.cfg.RSEntries {
+		if len(t.rs)+t.blocked+int(t.memTail-t.memHead) >= t.cfg.RSEntries {
 			t.Stats.RSFullStalls++
 			return
 		}
@@ -669,14 +689,17 @@ func (t *TM) dispatch(w *workCounts) {
 			t.Stats.LSQFullStalls++
 			return
 		}
-		t.uopQ.Get(t.cycle)
+		t.uopQ.pop(t.cycle)
 		t.robTail++ // rename is in order: seq was the head of the rename queue
-		if u.isMem {
+		switch {
+		case u.isMem:
 			t.memQ[t.memTail&t.memMask] = seq
 			t.memTail++
 			t.lsqCount++
-		} else {
-			t.rs = append(t.rs, seq)
+		case u.waits == 0:
+			t.rs = append(t.rs, seq) // the youngest station: age order holds
+		default:
+			t.blocked++
 		}
 		t.wake = 0 // a new station can issue next cycle
 		w.renamed++
@@ -711,8 +734,10 @@ func (t *TM) decode(w *workCounts) {
 
 // crack fills the next µop ring slot with the decode cursor's µop — the
 // entry's instantiated microcode, walked once per REP iteration — and renames
-// it: producers are linked through the register writer table (data
-// dependencies only — names, not values: §2's orthogonality).
+// it: producers are found through the register writer table (data
+// dependencies only — names, not values: §2's orthogonality) and linked
+// (link). The slot's fields are written in place: a uop literal would be
+// built aside and copied into the slot whole.
 func (t *TM) crack() {
 	e := &t.instr(t.decIns).e
 	// An entry without µops is the FM's fetch-fault placeholder. It cracks
@@ -726,23 +751,24 @@ func (t *TM) crack() {
 		}
 	}
 	t.decLeft--
-	u := t.uop(t.nextUop)
-	*u = uop{
-		ins:   t.decIns,
-		kind:  mu.Kind,
-		class: mu.Kind.Class(),
-		last:  t.decLeft == 0,
-		isMem: mu.Kind == microcode.ULoad || mu.Kind == microcode.UStore,
-	}
+	seq := t.nextUop
+	u := t.uop(seq)
+	u.ins = t.decIns
+	u.kind, u.class = mu.Kind, mu.Kind.Class()
+	u.last = t.decLeft == 0
+	u.isMem = mu.Kind == microcode.ULoad || mu.Kind == microcode.UStore
+	u.issued = false
+	u.at, u.cons, u.waits = 0, 0, 0
+	u.deps = [3]uint64{}
 	t.nextUop++
 	if mu.A != microcode.MRegNone {
-		u.deps[0] = t.regWriter[mu.A]
+		t.link(u, seq, 0, t.regWriter[mu.A])
 	}
 	if mu.B != microcode.MRegNone {
-		u.deps[1] = t.regWriter[mu.B]
+		t.link(u, seq, 1, t.regWriter[mu.B])
 	}
 	if mu.Kind == microcode.UBr && e.ReadsCC {
-		u.deps[2] = t.ccWriter
+		t.link(u, seq, 2, t.ccWriter)
 	}
 	if mu.Dst != microcode.MRegNone {
 		t.regWriter[mu.Dst] = t.nextUop
@@ -750,6 +776,26 @@ func (t *TM) crack() {
 	if mu.WritesCC {
 		t.ccWriter = t.nextUop
 	}
+}
+
+// link records producer d (sequence number + 1, 0 = none) as dependence i
+// of µop seq. A producer at or below robHead has committed — it completed
+// in this cycle or an earlier one — and its slot may already hold a younger
+// µop, so it is not consulted. One that has issued gives its doneCycle to
+// u.at; one that has not gets an edge on its consumer list.
+func (t *TM) link(u *uop, seq uint64, i int, d uint64) {
+	u.deps[i] = d
+	if d <= t.robHead {
+		return
+	}
+	p := t.uop(d - 1)
+	if p.issued {
+		u.at = max(u.at, p.doneCycle)
+		return
+	}
+	u.next[i] = p.cons
+	p.cons = seq*3 + uint64(i) + 1
+	u.waits++
 }
 
 // fetch brings instructions from the trace source into the pipeline,
