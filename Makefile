@@ -40,8 +40,8 @@ test:
 
 # The FM steady state (execute, journal, commit, rollback) and a TM target
 # cycle (everything in flight lives in rings built once) allocate nothing;
-# the FM's predecode and superblock tables allocate the slot groups a run
-# fills and a Precrack one µop slice; and a Configure allocates its engine's
+# the FM's predecode table, which superblocks walk, allocates the slot groups
+# a run fills and a Precrack one µop slice; and a Configure allocates its engine's
 # fixed state and the pages its image occupies, not the target's memory.
 # `make test` already runs these; naming them keeps the guarantee visible
 # in the gate and re-checks it uncached.

@@ -50,8 +50,8 @@ type Multicore struct {
 }
 
 // NewMulticore builds an N-core simulator from the per-core configuration:
-// one shared physical memory with one predecode and superblock table on the
-// FM side, one shared L2 + directory on the TM side, and N inline Sims
+// one shared physical memory with one predecode table (which superblocks
+// walk) on the FM side, one shared L2 + directory on the TM side, and N inline Sims
 // around them.
 func NewMulticore(cfg Config, mc MulticoreConfig) (*Multicore, error) {
 	if mc.Cores < 1 || mc.Cores > 64 {

@@ -48,7 +48,7 @@ var reference = hostRow{name: "reference", workers: 8}
 // below; workers 8, snapshots off and each knob's default are the reference
 // row. Values of different axes share a row, so the table costs renderings
 // rather than launches: the axes are independent mechanisms (fleet
-// scheduling, trace-buffer publish, FM fetch path, FM block formation,
+// scheduling, trace-buffer publish, FM fetch path, FM superblock walk,
 // snapshot restore), a leak in any one still shows, and the row name lists
 // what to bisect. The one dependent pair gets separate rows: with the
 // predecode cache off superblocks are off too, so "icache off" and

@@ -25,7 +25,7 @@ func (m *Model) Step() (trace.Entry, bool) {
 // step is Step leaving the entry in the Model's scratch entry, where it
 // stays valid until the next instruction.
 func (m *Model) step() bool {
-	m.cut.blk = nil
+	m.cut.left = 0
 	if m.halted || m.fatal != nil {
 		return false
 	}
@@ -807,8 +807,8 @@ func (m *Model) execStringLoad(inst isa.Inst, iters int, e *trace.Entry) (int, *
 // architectural register names and the two opcode-table bits execute reads
 // (so it never copies the table row). It is computed once per static
 // instruction by predecode and is the one record the whole front end passes
-// around — a predecode-cache slot embeds it, a superblock op is an offset
-// plus one, and the cache-off fetch returns the Model's scratch copy.
+// around — a predecode-cache slot embeds it, a superblock walks the slots,
+// and the cache-off fetch returns the Model's scratch copy.
 type predecoded struct {
 	inst isa.Inst
 	pre  microcode.Precracked
@@ -816,6 +816,7 @@ type predecoded struct {
 	srcA, srcB, dst   isa.Reg
 	readsCC, writesCC bool
 	priv, cond        bool // kernel-only; conditional control transfer
+	ends              bool // blockTerminator: the instruction ends a superblock
 }
 
 // undecoded stands in for the instruction of a fetch fault: nothing was
@@ -828,7 +829,7 @@ var table = sync.OnceValue(microcode.NewTable)
 
 // predecode derives inst's static record.
 func predecode(inst isa.Inst) predecoded {
-	p := predecoded{inst: inst, pre: table().Precrack(inst)}
+	p := predecoded{inst: inst, pre: table().Precrack(inst), ends: blockTerminator(inst.Op)}
 	fillRegs(inst, &p)
 	return p
 }

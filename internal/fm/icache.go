@@ -25,18 +25,16 @@ import (
 //   - Stores: each physical page that backs a cached instruction has a
 //     record of its store generation and a mask of its 64-byte lines, a
 //     bit set for every line holding bytes of one. A store that overlaps a
-//     marked line bumps its page's generation; entries and superblocks
-//     record the generation of the page they were fetched from and miss
-//     when it disagrees. A store next to code — into a line of the page
+//     marked line bumps its page's generation; an entry records the
+//     generation of the page it was fetched from and misses when it
+//     disagrees. A store next to code — into a line of the page
 //     that holds no cached instruction byte — leaves them valid. Every
 //     store reaches the same hook, whichever core makes it: a model's own
 //     (including each run of a rep movs/stos) and the memory undo of a
 //     rollback, so an undone store into code invalidates as the store did.
 //
-//   - Program load: LoadProgram rewrites memory wholesale and flushes.
-//     A flush moves every page's generation on rather than restarting it,
-//     so a generation never repeats (superblock.go's resume cursor relies
-//     on that).
+//   - Program load: LoadProgram rewrites memory wholesale and flushes,
+//     dropping the slots and the page records alike.
 //
 // probe, noteStore and flush are nil-receiver-safe; a disabled cache
 // (Config.ICacheEntries == 0) costs one nil check on the fetch path and
@@ -184,10 +182,17 @@ func (c *icache) probe(pa isa.Word) (*icEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
+	return c.probeOn(pa, c.page(pa>>fullsys.PageShift))
+}
+
+// probeOn is probe with pa's page record pg already read (nil while its
+// group holds no code), the way a superblock walk reads it once. A miss
+// returns the slot pa indexes, nil while unallocated.
+func (c *icache) probeOn(pa isa.Word, pg *pageCode) (*icEntry, bool) {
 	e := c.slots.peek(pa & c.mask)
-	if e == nil || e.inst.Size == 0 || e.pa != pa || e.gen != c.gen(pa>>fullsys.PageShift) {
+	if e == nil || e.inst.Size == 0 || e.pa != pa || pg == nil || e.gen != pg.gen {
 		c.misses++
-		return nil, false
+		return e, false
 	}
 	c.hits++
 	return e, true
@@ -219,22 +224,12 @@ func (c *icache) noteStore(pa isa.Word, n int) {
 	c.noteLines(pa, end)
 }
 
-// flush empties the table (program load) and moves every page's generation
-// on, forgetting its code lines.
+// flush empties the table (program load): its slots and page records.
 func (c *icache) flush() {
 	if c == nil {
 		return
 	}
 	c.slots.drop()
-	for _, g := range c.pages.groups {
-		if g == nil {
-			continue
-		}
-		for i := range g {
-			for j, pc := range g[i] {
-				g[i][j] = pageCode{gen: pc.gen + 1}
-			}
-		}
-	}
+	c.pages.drop()
 	c.flushes++
 }

@@ -315,9 +315,9 @@ func (j *journalEngine) commit(m *Model, in uint64) {
 // setPC pops records until the model sits at a record boundary at or below
 // in, then — when in falls *inside* a block record — replays forward to in
 // by re-executing from the restored state. The replay is deterministic: the
-// restored state is bit-identical to the original block entry, and block
-// formation guarantees no device event or interrupt could fire inside the
-// span. Replayed instructions are a host-side artifact of block-granular
+// restored state is bit-identical to the original block entry, and the
+// block's entry check guarantees no device event or interrupt could fire
+// inside the span. Replayed instructions are a host-side artifact of block-granular
 // records, not the paper's §3.1 αBA re-execution, so they are *not* counted
 // in ReExecuted (m.replay suppresses all statistics).
 func (j *journalEngine) setPC(m *Model, in uint64, pc uint32) error {
@@ -589,7 +589,7 @@ func (m *Model) SetPC(in uint64, pc uint32) error {
 	if in > m.in {
 		return fmt.Errorf("fm: set_pc(%d) beyond produced instructions (next %d)", in, m.in)
 	}
-	m.cut.blk = nil
+	m.cut.left = 0
 	m.Rollbacks++
 	m.obs.rollbacks.Inc()
 	m.obs.journalDepth.Observe(float64(m.engine.window(m)))

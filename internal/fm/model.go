@@ -18,9 +18,9 @@
 // The front end has one of each thing. predecode derives one record per
 // static instruction (predecoded: the decoded form, its µop instantiation,
 // the trace's register names); a predecode-cache slot embeds it, a superblock
-// op carries a copy, and a fetch the cache does not serve — cache off, or an
+// walks the slots, and a fetch the cache does not serve — cache off, or an
 // instruction spanning two pages — returns it from a scratch. Both fetch
-// paths, per instruction and superblock formation, decode through one
+// paths, per instruction and the superblock walk, decode through one
 // page-bounded decode. Step
 // and Produce run every instruction through one body (issue) that assembles
 // the trace entry in the Model's one scratch entry and finishes it in place;
@@ -83,8 +83,8 @@ type Config struct {
 	// bit-identical at any value — the knob trades host memory for FM
 	// speed only.
 	ICacheEntries int
-	// SuperblockLen caps superblock length (superblock.go): straight-line
-	// runs of predecoded instructions executed back to back with one
+	// SuperblockLen caps superblock length (superblock.go): walks over
+	// straight-line predecoded instructions executed back to back with one
 	// rollback/interrupt/device check per block. 0 disables
 	// superblocks; they also require the predecode cache (ICacheEntries >
 	// 0) and the journal rollback engine — under RollbackCheckpoint,
@@ -119,24 +119,23 @@ type Config struct {
 }
 
 // Shared is a target's physical memory with the decoded code over it: the
-// predecode table (icache.go) and the superblock table (superblock.go).
-// Every model over the memory probes and fills the same tables, so a block
-// is formed once for all cores and a store by any core, or a rollback's
-// undo of one, bumps one page generation.
+// predecode table (icache.go), which superblocks walk (superblock.go).
+// Every model over the memory probes and fills the one table, so code is
+// decoded once for all cores and a store by any core, or a rollback's undo
+// of one, bumps one page generation.
 type Shared struct {
-	Mem *fullsys.Memory
-	ic  *icTable // nil when the predecode cache is disabled
-	sb  *sbTable // nil when superblocks are
+	Mem   *fullsys.Memory
+	ic    *icTable // nil when the predecode cache is disabled
+	sbLen int      // superblock length cap; 0 when superblocks are disabled
 }
 
-// NewShared builds the memory and tables cfg sizes.
+// NewShared builds the memory and table cfg sizes.
 func NewShared(cfg Config) *Shared {
 	s := &Shared{Mem: fullsys.NewMemory(cmp.Or(cfg.MemBytes, DefaultMemBytes))}
 	if cfg.ICacheEntries > 0 {
 		s.ic = newICTable(cfg.ICacheEntries, s.Mem.Size())
 		if cfg.SuperblockLen > 0 && cfg.Rollback != RollbackCheckpoint {
-			// One block slot per predecode slot.
-			s.sb = &sbTable{slots: newLazyTable[sbBlock](int(s.ic.mask) + 1), mask: s.ic.mask, maxLen: cfg.SuperblockLen}
+			s.sbLen = cfg.SuperblockLen
 		}
 	}
 	return s
@@ -150,7 +149,7 @@ type Model struct {
 	Bus *fullsys.Bus
 
 	icache *icache  // view of the predecode table; nil when disabled
-	sb     *sbCache // view of the superblock table; nil when disabled
+	sb     *sbCache // superblock walker; nil when disabled
 	cut    sbCursor // the superblock the sink last stopped mid-way
 	// ent is the one scratch trace entry every instruction is assembled in
 	// (issue, finishEntry) and Produce's sink is pointed at; it is copied out
@@ -209,8 +208,8 @@ func New(cfg Config) *Model {
 	}
 	if sh.ic != nil {
 		m.icache = &icache{icTable: sh.ic}
-		if sh.sb != nil && m.jeng != nil {
-			m.sb = &sbCache{sbTable: sh.sb, ic: m.icache}
+		if sh.sbLen > 0 && m.jeng != nil {
+			m.sb = &sbCache{maxLen: sh.sbLen}
 		}
 	}
 	m.obs.attach(cfg.Telemetry, m.series())
@@ -297,7 +296,7 @@ func (m *Model) LoadProgram(p *isa.Program) {
 		m.Mem.Load(p.Base, p.Code)
 		m.FlushCode()
 	}
-	m.cut.blk = nil
+	m.cut.left = 0
 	m.PC = p.Entry
 }
 
@@ -306,10 +305,7 @@ func (m *Model) LoadProgram(p *isa.Program) {
 // counts one flush in fm_icache_flushes_total. Every model over a shared
 // memory sees the one table emptied, so whoever rewrites that memory calls
 // it once, on one of them.
-func (m *Model) FlushCode() {
-	m.icache.flush()
-	m.sb.flush()
-}
+func (m *Model) FlushCode() { m.icache.flush() }
 
 // Encoding returns the resolved trace encoding the model counts
 // TraceWords with.

@@ -14,11 +14,11 @@ package fm
 // The encoding covers architected scalars, physical memory (sparse,
 // zero-page-elided), the TLB, the whole device bus, and the model's
 // cumulative statistics, so a resumed run continues every counter exactly
-// where the cold run left it. Host-side accelerator caches (predecode
-// icache, superblock cache) are deliberately excluded: they are
-// bit-invariant by contract and rebuild on demand; a load flushes them
-// (FlushCode) where it walks the memory: here when the model owns it, in
-// the container once for a shared one.
+// where the cold run left it. The host-side predecode table, which
+// superblocks walk, is deliberately excluded: it is bit-invariant by
+// contract and rebuilds on demand; a load flushes it (FlushCode) where it
+// walks the memory: here when the model owns it, in the container once for
+// a shared one.
 
 import "repro/internal/snap"
 
@@ -100,5 +100,5 @@ func (m *Model) State(c *snap.Codec) {
 	if ownMem {
 		m.FlushCode()
 	}
-	m.cut.blk = nil
+	m.cut.left = 0
 }

@@ -6,47 +6,39 @@ import (
 	"repro/internal/trace"
 )
 
-// Superblock execution, built on top of the predecode cache (icache.go):
-// straight-line runs of predecoded instructions are formed once and then
-// executed back to back with ONE rollback record, ONE interrupt/device
-// check and ONE translation per block instead of one per instruction —
-// however often the sink cuts the block (see resuming, below). Each
-// instruction runs through Model.issue — the body Step shares — which
-// assembles its trace entry in the Model's one scratch entry; the finished
-// entry is handed by pointer to the caller's sink, which enforces the
-// coupling loop's per-entry predicates (budget, buffer occupancy) so a
-// block stops at exactly the instruction a per-instruction loop would have
-// stopped at — the property that keeps every architected and modeled
-// number bit-identical at any SuperblockLen.
+// Superblock execution, built on the predecode table (icache.go): a
+// superblock is a walk over that table — straight-line predecoded
+// instructions executed back to back with ONE rollback record, ONE
+// interrupt/device check and ONE translation per block instead of one per
+// instruction, however often the sink cuts the block (see resuming, below).
+// There is no second table: QEMU keeps one translation of each code block,
+// and so does the FM. Each instruction runs through Model.issue — the body
+// Step shares — which assembles its trace entry in the Model's one scratch
+// entry; the finished entry is handed by pointer to the caller's sink, which
+// enforces the coupling loop's per-entry predicates (budget, buffer
+// occupancy) so a block stops at exactly the instruction a per-instruction
+// loop would have stopped at — the property that keeps every architected and
+// modeled number bit-identical at any SuperblockLen.
 //
-// Block formation walks physical memory forward from the entry PC's
-// translation, reusing (and filling) the predecode cache per candidate —
-// a miss decodes through Model.decode, as the per-instruction fetch does —
-// and stops at:
+// The walk starts at the entry PC's translation, issues the op in the
+// predecode slot there, then steps the physical address by the instruction
+// size and probes the next slot — a miss decodes through Model.decode and
+// fills, as the per-instruction fetch does. The probe of an op follows the
+// execution of the one before it, so a store into code on the block's page
+// (any store, the block's own included) needs no split logic: the next slot's
+// generation check misses and re-decodes the fresh bytes, exactly as
+// per-instruction stepping would. The walk ends after:
 //
-//   - a terminator instruction (included as the block's last op): any
-//     branch/call/ret/trap, HALT, ll/sc (the link register must see
-//     per-boundary semantics, and multicore converge-at-boundary rides
-//     on that), TLB/CR writes (they can change translation), port I/O
-//     and STI (they can change device/interrupt state mid-block);
-//   - a physical page end (blocks never span pages, so ONE page
-//     generation compare validates a whole block), and an instruction that
-//     spans two pages, which the per-instruction path decodes at each fetch;
-//   - a decode failure (the per-instruction path raises the fault);
-//   - the configured length cap.
-//
-// Like the predecode table, the block table belongs to the physical memory
-// (Shared): the cores of a multicore target enter and form one table.
-// Invalidation rides the predecode table's per-physical-page generation
-// counters: stores into a line holding cached code (any core's, or
-// rollback memory undo) bump the page generation, and a block whose
-// fill-time generation disagrees re-forms. Every instruction of a block
-// went through the predecode cache, so its lines are marked. A store
-// *inside* a running block is caught by a post-instruction generation
-// compare and splits the block (the executed prefix is correct; the stale
-// suffix never runs). LoadProgram drops the blocks with the predecode
-// slots; the flush also moves every page generation on, so a block that
-// outlived it could never match again anyway.
+//   - a terminator instruction (predecoded.ends): any branch/call/ret/trap,
+//     HALT, ll/sc (the link register must see per-boundary semantics, and
+//     multicore converge-at-boundary rides on that), TLB/CR writes (they can
+//     change translation), port I/O and STI (they can change device/interrupt
+//     state mid-block);
+//   - the last instruction on the physical page (a block never spans pages,
+//     so the page record is read once per walk), and before an instruction
+//     that cannot be cached — one that spans two pages or does not decode —
+//     which the per-instruction path decodes or faults on;
+//   - the configured length cap, or the sink stopping it.
 //
 // Entry conditions (checked once per block, replacing the per-instruction
 // Bus.NextDue/Tick and interrupt-delivery checks of Step):
@@ -60,27 +52,32 @@ import (
 //     re-ticks before touching a device, so skipping them is
 //     unobservable.
 //
-// When any condition fails, Produce degrades to a single Step().
+// When any condition fails, or the walk would be empty, Produce degrades to
+// a single Step().
 //
-// A block the sink stops before its last op is resumed, not re-entered: the
-// model keeps a cursor (block, its pa and generation, next op, IN, PC) and
-// the next Produce continues at that op when the IN and PC are unchanged,
-// the slot still holds the block's pa and its page's generation is still
-// the block's, and nothing but the timing model ran on this core in
+// A block the sink stops before its end is resumed, not re-entered: the
+// model keeps a cursor (IN, PC, the next op's physical address, the ops the
+// cap still allows) and the next Produce continues the walk there when the IN
+// and PC are unchanged and nothing but the timing model ran on this core in
 // between — SetPC, a state load, LoadProgram and step clear the cursor;
-// Commit may run. Another core may have re-formed the shared slot in the
-// meantime: at another pa, which the pa compare rejects, or at this pa from
-// bytes stored since, which the generation compare rejects (generations
-// only grow, a flush included). A slot re-formed at the same pa and
-// generation holds the same ops. A resumed segment skips translation,
-// the probe and the entry conditions: the entry check already covered the
-// block's whole tick span (Now advanced only by the ops executed since), and
-// only the model's own port I/O, a terminator, changes its bus or FlagI. The
-// segment keeps appending to the block's record, the journal ring's tail
-// (a Commit may have released it, emptying the ring; then it opens one),
-// so a superblock costs one entry check and one record however often the
-// coupling cuts it. fm_superblock_hits_total and _misses_total count probed
-// entries only; block entries are hits + misses + resumes.
+// Commit may run. The cursor holds no decoded code, so another core's fill,
+// store or flush can never leave it stale: the resumed walk probes the slot
+// like any other. A resumed segment skips translation and the entry
+// conditions: the entry check already covered the block's whole tick span
+// (Now advanced only by the ops executed since), and only the model's own
+// port I/O, a terminator, changes its bus or FlagI. The segment keeps
+// appending to the block's record, the journal ring's tail (a Commit may have
+// released it, emptying the ring; then it opens one), so a superblock costs
+// one entry check and one record however often the coupling cuts it.
+//
+// Every slot the walk probes counts in fm_icache_hits_total or
+// _misses_total. fm_superblock_hits_total and _misses_total classify block
+// entries by their first slot's probe, and _invalidations_total counts the
+// entry misses a stale page generation caused; _resumes_total counts resumed
+// segments, so block entries are hits + misses + resumes. _splits_total
+// counts the probes past a block's entry that found their slot filled under
+// an older page generation — a store into the block's page since the fill,
+// which the walk re-decodes.
 
 // DefaultSuperblockLen is the superblock length cap a zero
 // sim.Params.SuperblockLen and core.DefaultConfig select. Like
@@ -88,93 +85,33 @@ import (
 // architected results are identical at any value, including 0 (disabled).
 const DefaultSuperblockLen = 32
 
-// sbOp is one instruction inside a superblock: its predecoded record, copied
-// out of the predecode-cache slot at formation time (slots are direct-mapped
-// and unstable), and where it sits in the block.
-type sbOp struct {
-	off isa.Word // byte offset from the block's first instruction
-	predecoded
-}
-
-// sbBlock is one direct-mapped superblock-cache slot. len(ops) == 0 marks
-// an empty slot.
-type sbBlock struct {
-	pa  isa.Word // physical address of the first instruction byte
-	gen uint32   // its page's store generation at formation time
-	ops []sbOp
-}
-
-// sbTable is the direct-mapped superblock table of one physical memory. It
-// shares the predecode table's per-page generation counters, so every
-// invalidation path (stores, rollback memory undo) covers blocks for free.
-type sbTable struct {
-	slots  lazyTable[sbBlock]
-	mask   isa.Word
-	maxLen int
-}
-
-// sbCache is one model's view of its memory's superblock table: the table,
-// the model's predecode view that formation probes through, form's scratch
-// and the model's own counters.
+// sbCache is one model's superblock walker: its length cap and its
+// counters, published as fm_superblock_* by Model.PublishTelemetry.
 type sbCache struct {
-	*sbTable
-	ic      *icache
-	forming []sbOp // form's scratch: a block is copied into its slot's own ops array
+	maxLen int
 
-	// Statistics, published as fm_superblock_* by Model.PublishTelemetry.
-	// Block entries are hits + misses + resumes.
-	hits          uint64
-	misses        uint64
-	resumes       uint64 // cut blocks continued without a probe
-	splits        uint64 // blocks ended early by an in-block store (SMC)
-	invalidations uint64 // probes rejected by a stale page generation
+	hits          uint64 // block entries whose first slot hit
+	misses        uint64 // block entries whose first slot missed
+	resumes       uint64 // cut blocks continued
+	splits        uint64 // probes past an entry rejected by a stale page generation
+	invalidations uint64 // entry probes rejected by a stale page generation
 }
 
-// sbCursor is where the sink stopped a block before its last op: the model
-// must still be at IN in and PC pc, and blk must still hold the block
-// formed at pa under page generation gen. blk == nil means there is
-// nothing to resume.
+// sbCursor is where the sink stopped a block before its end: the model
+// must still be at IN in and PC pc, and the walk continues at physical
+// address pa with left ops to go. left == 0 means there is nothing to
+// resume.
 type sbCursor struct {
-	blk  *sbBlock
-	next int
 	in   uint64
 	pc   isa.Word
 	pa   isa.Word
-	gen  uint32
-}
-
-// probe looks up the block starting at physical address pa.
-func (c *sbCache) probe(pa isa.Word) *sbBlock {
-	e := c.slots.peek(pa & c.mask)
-	if e == nil || len(e.ops) == 0 || e.pa != pa {
-		c.misses++
-		return nil
-	}
-	if c.stale(e) {
-		c.invalidations++
-		c.misses++
-		return nil
-	}
-	c.hits++
-	return e
-}
-
-// stale reports whether a store has hit the block's page since formation
-// (checked after every executed instruction to catch in-block SMC). Blocks
-// never span pages, so the page is the first byte's.
-func (c *sbCache) stale(e *sbBlock) bool { return e.gen != c.ic.gen(e.pa>>fullsys.PageShift) }
-
-// flush empties the block table (program load).
-func (c *sbCache) flush() {
-	if c == nil {
-		return
-	}
-	c.slots.drop()
+	left int
 }
 
 // blockTerminator reports whether op must end a superblock: anything that
 // redirects the PC, halts, touches the ll/sc link, changes translation
-// state, or can change device/interrupt state mid-block.
+// state, or can change device/interrupt state mid-block. predecode caches
+// the answer as predecoded.ends.
 func blockTerminator(op isa.Op) bool {
 	switch op {
 	case isa.OpJmp, isa.OpJz, isa.OpJnz, isa.OpJl, isa.OpJge, isa.OpJg,
@@ -189,90 +126,91 @@ func blockTerminator(op isa.Op) bool {
 	return false
 }
 
-// form builds, installs and returns the superblock starting at (pc, pa),
-// or nil when not even one instruction qualifies. Every candidate goes
-// through the predecode cache — probed, and decoded and filled on a miss, so
-// formation leaves the per-instruction path's cache warm too — and its slot's
-// record is copied into the block. A fault or a spanning instruction ends the
-// walk: the per-instruction path raises the one and decodes the other.
-func (c *sbCache) form(m *Model, pc, pa isa.Word) *sbBlock {
-	page := pa >> fullsys.PageShift
-	pageEnd := (page + 1) << fullsys.PageShift
-	ops := c.forming[:0]
-	off := isa.Word(0)
-	for len(ops) < c.maxLen {
-		cur := pa + off
-		if cur >= pageEnd || !m.Mem.InRange(cur, 1) {
-			break
-		}
-		ce, ok := c.ic.probe(cur)
-		if !ok {
-			inst, spans, f := m.decode(pc+off, cur)
-			if f != nil || spans {
-				break
-			}
-			ce = c.ic.fill(cur, inst)
-		}
-		ops = append(ops, sbOp{off: off, predecoded: ce.predecoded})
-		if blockTerminator(ce.inst.Op) {
-			break
-		}
-		off += isa.Word(ce.inst.Size)
+// refill is the walk's probe miss at physical address pa, whose slot e
+// (nil while unallocated) the probe rejected: it counts a stale slot —
+// filled at pa under an older page generation — in *stale, then decodes the
+// instruction at the PC through Model.decode and fills its slot. It returns
+// nil when the instruction cannot be cached — outside memory, a decode
+// fault, or one spanning two pages — which ends the walk: the
+// per-instruction path raises the fault or decodes the spanning instruction.
+func (m *Model) refill(e *icEntry, pa isa.Word, stale *uint64) *icEntry {
+	if e != nil && e.pa == pa && e.inst.Size != 0 {
+		*stale++
 	}
-	c.forming = ops[:0]
-	if len(ops) == 0 {
+	if !m.Mem.InRange(pa, 1) {
 		return nil
 	}
-	e := c.slots.slot(pa & c.mask)
-	*e = sbBlock{pa: pa, gen: c.ic.gen(page), ops: append(e.ops[:0], ops...)}
-	return e
+	inst, spans, f := m.decode(m.PC, pa)
+	if f != nil || spans {
+		return nil
+	}
+	return m.icache.fill(pa, inst)
 }
 
-// blockReady returns the superblock at the current PC when the block fast
-// path may run right now, nil when the caller must take the
+// blockReady returns the physical address of the PC when a new block may
+// start there right now, false when the caller must take the
 // per-instruction path: superblocks disabled, target halted/fatal, an
 // interrupt deliverable (or able to become deliverable mid-block), a
-// device event due inside the block's device-time span, a fetch that
-// faults (the per-instruction path raises it), or no formable block.
-func (m *Model) blockReady() *sbBlock {
+// device event due inside the block's device-time span, or a fetch that
+// faults (the per-instruction path raises it).
+func (m *Model) blockReady() (isa.Word, bool) {
 	c := m.sb
 	if c == nil || m.halted || m.fatal != nil {
-		return nil
+		return 0, false
 	}
 	if !m.cfg.DisableInterrupts && m.Flags&isa.FlagI != 0 && m.Bus.Pending() >= 0 {
-		return nil
+		return 0, false
 	}
-	now := m.Now()
-	if m.Bus.NextDue() <= now+uint64(c.maxLen) {
-		return nil
+	if m.Bus.NextDue() <= m.Now()+uint64(c.maxLen) {
+		return 0, false
 	}
 	pa, f := m.translate(m.PC, false)
 	if f != nil || !m.Mem.InRange(pa, 1) {
-		return nil
+		return 0, false
 	}
-	if e := c.probe(pa); e != nil {
-		return e
-	}
-	return c.form(m, m.PC, pa)
+	return pa, true
 }
 
-// resume returns the block and op index a cut block continues at, or nil
-// when there is none or anything but the timing model ran since the cut.
-// It consumes the cursor. Nothing pushes a journal record between a cut and
-// a resume, and Commit releases from the head, so the block's record is the
-// ring's tail unless the ring is empty; then the segment opens one.
-func (m *Model) resume() (*sbBlock, int) {
+// enter starts the walk Produce takes: the cut block's, resumed at its next
+// op when nothing but the timing model ran since the cut, else a new block's
+// at the PC when blockReady allows one. It returns the walk's first slot, its
+// physical address and how many ops the block may still run; a nil slot
+// sends Produce down the per-instruction path. It consumes the cursor.
+// Nothing pushes a journal record between a cut and a resume, and Commit
+// releases from the head, so the block's record is the ring's tail unless
+// the ring is empty; then the resumed segment opens one.
+func (m *Model) enter() (*icEntry, isa.Word, int) {
+	c, ic := m.sb, m.icache
 	cut := m.cut
-	m.cut.blk = nil
-	if cut.blk == nil || cut.in != m.in || cut.pc != m.PC ||
-		cut.blk.pa != cut.pa || cut.gen != m.icache.gen(cut.pa>>fullsys.PageShift) {
-		return nil, 0
+	m.cut.left = 0
+	if cut.left > 0 && cut.in == m.in && cut.pc == m.PC {
+		e, hit := ic.probe(cut.pa)
+		if !hit {
+			if e = m.refill(e, cut.pa, &c.splits); e == nil {
+				return nil, 0, 0
+			}
+		}
+		if m.jeng.recs.len() == 0 {
+			m.jeng.begin(m)
+		}
+		c.resumes++
+		return e, cut.pa, cut.left
 	}
-	if m.jeng.recs.len() == 0 {
-		m.jeng.begin(m)
+	pa, ok := m.blockReady()
+	if !ok {
+		return nil, 0, 0
 	}
-	m.sb.resumes++
-	return cut.blk, cut.next
+	e, hit := ic.probe(pa)
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+		if e = m.refill(e, pa, &c.invalidations); e == nil {
+			return nil, 0, 0
+		}
+	}
+	m.jeng.begin(m)
+	return e, pa, c.maxLen
 }
 
 // Produce executes up to one superblock of dynamic instructions, invoking
@@ -289,22 +227,20 @@ func (m *Model) resume() (*sbBlock, int) {
 // a caller looping over Produce is behaviourally identical to one looping
 // over Step, just faster.
 func (m *Model) Produce(sink func(*trace.Entry) bool) int {
-	blk, i := m.resume()
-	if blk == nil {
-		if blk = m.blockReady(); blk == nil {
-			if !m.step() {
-				return 0
-			}
-			sink(&m.ent)
-			return 1
+	e, pa, left := m.enter()
+	if e == nil {
+		if !m.step() {
+			return 0
 		}
-		m.jeng.begin(m)
+		sink(&m.ent)
+		return 1
 	}
+	ic := m.icache
+	pg := ic.page(pa >> fullsys.PageShift) // filled with e's slot, so never nil
+	last := pa | (fullsys.PageSize - 1)
 	retired := 0
-	basePC := m.PC - blk.ops[i].off
-	for i < len(blk.ops) {
-		op := &blk.ops[i]
-		if f := m.issue(&op.predecoded, basePC+op.off, blk.pa+op.off); f != nil || m.fatal != nil {
+	for {
+		if f := m.issue(&e.predecoded, m.PC, pa); f != nil || m.fatal != nil {
 			// Rare slow path: an exception (or a fatal condition) inside the
 			// block. The block journal record cannot undo just the faulting
 			// instruction's partial effects without per-instruction
@@ -316,27 +252,27 @@ func (m *Model) Produce(sink func(*trace.Entry) bool) int {
 			// Exceptions counter and the fatal abort.
 			return m.replayFault(sink, retired)
 		}
-		m.finishEntry(&m.ent, &op.predecoded)
+		m.finishEntry(&m.ent, &e.predecoded)
 		retired++
-		i++
+		left--
+		pa += isa.Word(e.inst.Size)
+		more := left > 0 && !e.ends && pa <= last
 		if !sink(&m.ent) {
-			if i < len(blk.ops) {
-				m.cut = sbCursor{blk: blk, next: i, in: m.in, pc: m.PC, pa: blk.pa, gen: blk.gen}
+			if more {
+				m.cut = sbCursor{in: m.in, pc: m.PC, pa: pa, left: left}
 			}
-			break
+			return retired
 		}
-		if m.halted {
-			break
+		if !more {
+			return retired
 		}
-		if m.sb.stale(blk) {
-			// An in-block store hit this block's page: the executed prefix
-			// is correct, the predecoded suffix may not be. Split here; the
-			// next probe re-forms from fresh bytes.
-			m.sb.splits++
-			break
+		var hit bool
+		if e, hit = ic.probeOn(pa, pg); !hit {
+			if e = m.refill(e, pa, &m.sb.splits); e == nil {
+				return retired
+			}
 		}
 	}
-	return retired
 }
 
 // StepBlock is Produce handing the sink each entry by value.
@@ -350,8 +286,9 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 // earlier segments' of a resumed block — is re-executed silently, and the
 // faulting instruction re-runs through Step on the per-instruction path.
 // Replay is deterministic — blockReady proved no interrupt or device event
-// falls in the block's window, and the prefix cannot have patched its own
-// block (the staleness check splits first).
+// falls in the block's window, and the undo restored the memory the prefix
+// fetched from, so a prefix that stored into its own block's code replays
+// the bytes it ran the first time.
 func (m *Model) replayFault(sink func(*trace.Entry) bool, retired int) int {
 	faulting := m.in
 	m.jeng.undoTop(m)
@@ -378,9 +315,9 @@ func (m *Model) replayFault(sink func(*trace.Entry) bool, retired int) int {
 // present); without it Produce is Step behind a sink.
 func (m *Model) SuperblocksEnabled() bool { return m.sb != nil }
 
-// SuperblockStats reports the superblock-cache counters (all zero when
-// disabled): block probe hits, misses, SMC splits and generation-stale
-// probe invalidations.
+// SuperblockStats reports the superblock counters (all zero when disabled):
+// block entries whose first slot hit and missed, walk probes past an entry
+// and entry probes rejected by a stale page generation.
 func (m *Model) SuperblockStats() (hits, misses, splits, invalidations uint64) {
 	if m.sb == nil {
 		return 0, 0, 0, 0

@@ -83,9 +83,9 @@ func sbCompare(t *testing.T, name string, got, want []trace.Entry, gotM, wantM *
 
 // TestSuperblockSMCSplitsHotBlock patches an instruction inside the hot
 // loop body itself: the patch store lands on the block's own page while the
-// block is running, so the executor must split the block at the store and
-// re-form from fresh bytes — and the trace must match per-instruction
-// execution exactly.
+// block is running, so the walk must re-decode every slot after the store
+// from fresh bytes (counted as splits) — and the trace must match
+// per-instruction execution exactly.
 func TestSuperblockSMCSplitsHotBlock(t *testing.T) {
 	prog := isa.MustAssemble(`
 		movi r6, 0
@@ -230,15 +230,43 @@ func TestSuperblockLLSCTerminatesBlock(t *testing.T) {
 	}
 }
 
+// evictedSlot is TestSuperblockResume's evicted-slot program: core 0 runs
+// the loop at 0x1000 while core 1 runs the one at 0x1040, one 64-slot table
+// size further on the same page, whose instructions have the same sizes and
+// so index the same slots.
+const evictedSlot = `
+		movi r6, 0
+	loop:
+		addi r1, 3
+		addi r2, 5
+		addi r3, 7
+		addi r6, 1
+		cmpi r6, 20
+		jl   loop
+		halt
+		.org 0x1040
+	alias:
+		movi r6, 0
+	aliasLoop:
+		addi r4, 30
+		addi r5, 50
+		addi r7, 70
+		addi r6, 1
+		cmpi r6, 20
+		jl   aliasLoop
+		jmp  aliasLoop`
+
 // TestSuperblockResume: a block the sink stops after every entry is resumed
 // op by op, not re-entered — block entries are hits + misses + resumes, and
 // each block keeps one journal record across its segments — and the trace,
 // final state and fatal stop equal per-instruction stepping. The fault row
 // faults inside a block entered in earlier segments, so the fault replays
-// the prefix every segment delivered. In the other-core row a second model
-// over the same one-slot tables enters its own block between every two
-// calls, re-forming the cut block's slot at another pa: the cut block must
-// never resume.
+// the prefix every segment delivered. In the peer rows a second model over
+// the same predecode table runs a block between every two calls, refilling
+// the slot the cut walk continues at with an aliasing instruction — at
+// another pa on another page (other core, one slot), or on the same page
+// and generation (evicted slot): every probe of the cut walk must find the
+// alias and re-decode its own instruction.
 func TestSuperblockResume(t *testing.T) {
 	loop := `
 		movi r6, 0
@@ -249,12 +277,18 @@ func TestSuperblockResume(t *testing.T) {
 		addi r6, 1
 		cmpi r6, 50
 		jl   loop
-		halt`
+		halt
+		.org 0x3000
+	spin:
+		addi r1, 1
+		addi r2, 2
+		jmp  spin`
 	for _, tc := range []struct {
 		name, src string
-		peer      bool
+		entries   int      // predecode slots
+		peer      isa.Word // core 1's entry; 0 = no second core
 	}{
-		{"loop", loop, false},
+		{"loop", loop, 64, 0},
 		{"fault", `
 		movi r0, 7
 		addi r0, 1
@@ -262,8 +296,9 @@ func TestSuperblockResume(t *testing.T) {
 		addi r0, 2
 		div  r0, r2
 		addi r0, 3
-		halt`, false},
-		{"other core", loop, true},
+		halt`, 64, 0},
+		{"other core", loop, 1, 0x3000},
+		{"evicted slot", evictedSlot, 64, 0x1040},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			prog := isa.MustAssemble(tc.src, 0x1000)
@@ -277,17 +312,12 @@ func TestSuperblockResume(t *testing.T) {
 				}
 				want = append(want, e)
 			}
-			m, peer := sbModel(prog, DefaultSuperblockLen), (*Model)(nil)
-			if tc.peer {
-				shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: 1, SuperblockLen: DefaultSuperblockLen})
-				m = New(Config{Shared: shared, DisableInterrupts: true})
+			shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: tc.entries, SuperblockLen: DefaultSuperblockLen})
+			m, peer := New(Config{Shared: shared, DisableInterrupts: true}), (*Model)(nil)
+			m.LoadProgram(prog)
+			if tc.peer != 0 {
 				peer = New(Config{Shared: shared, CoreID: 1, DisableInterrupts: true})
-				m.LoadProgram(prog)
-				peer.LoadProgram(isa.MustAssemble(`
-				spin:
-					addi r1, 1
-					addi r2, 2
-					jmp  spin`, 0x3000))
+				peer.LoadProgram(&isa.Program{Entry: tc.peer})
 			}
 			var got []trace.Entry
 			calls := uint64(0)
@@ -302,8 +332,11 @@ func TestSuperblockResume(t *testing.T) {
 				t.Fatalf("fatal: block path %v, reference %v", m.Fatal(), ref.Fatal())
 			}
 			hits, misses, _, _ := m.SuperblockStats()
-			if (m.sb.resumes == 0) != tc.peer || hits+misses+m.sb.resumes != calls {
+			if m.sb.resumes == 0 || hits+misses+m.sb.resumes != calls {
 				t.Errorf("%d block entries: %d hits + %d misses + %d resumes", calls, hits, misses, m.sb.resumes)
+			}
+			if icHits, _, _, _ := m.ICacheStats(); peer != nil && icHits != 0 {
+				t.Errorf("%d predecode hits: the peer refilled every slot between two calls", icHits)
 			}
 			if m.Fatal() == nil && uint64(m.jeng.recs.len()) != hits+misses {
 				t.Errorf("%d journal records for %d entered blocks", m.jeng.recs.len(), hits+misses)
@@ -312,9 +345,10 @@ func TestSuperblockResume(t *testing.T) {
 	}
 }
 
-// TestSharedFlushEndsCursors: a program load by one model over shared
-// tables rewrites the bytes under another model's cut block, which then
-// runs the new bytes instead of resuming its old ops.
+// TestSharedFlushEndsCursors: a program load by one model over a shared
+// table rewrites the bytes under another model's cut block. The cut walk
+// holds no decoded code, so it resumes; its probes find the table flushed
+// and it runs the new bytes.
 func TestSharedFlushEndsCursors(t *testing.T) {
 	shared := NewShared(Config{MemBytes: 1 << 20, ICacheEntries: 64, SuperblockLen: DefaultSuperblockLen})
 	m := New(Config{Shared: shared, DisableInterrupts: true})
@@ -325,15 +359,15 @@ func TestSharedFlushEndsCursors(t *testing.T) {
 	peer.LoadProgram(isa.MustAssemble(fmt.Sprintf(src, 7, 9), 0x1000))
 	for m.StepBlock(func(trace.Entry) bool { return true }) > 0 {
 	}
-	if m.GPR[2] != 7 || m.GPR[3] != 9 || m.sb.resumes != 0 {
-		t.Errorf("r2 = %d, r3 = %d after %d resumes; want 7, 9 after none", m.GPR[2], m.GPR[3], m.sb.resumes)
+	if m.GPR[2] != 7 || m.GPR[3] != 9 || m.sb.resumes != 1 {
+		t.Errorf("r2 = %d, r3 = %d after %d resumes; want 7, 9 after one", m.GPR[2], m.GPR[3], m.sb.resumes)
 	}
 }
 
 // FuzzSuperblockForm is the differential property behind every superblock
 // test: executing arbitrary byte soup block-at-a-time must produce exactly
 // the per-instruction model's trace and final state — faults, fatal stops
-// and all — and never panic. Block formation over garbage exercises decode
+// and all — and never panic. Walking garbage exercises decode
 // failures, length caps, page-end clipping and terminator detection. Every
 // input runs twice: loaded at 0x1000, and straddling the 0x2000 page end
 // (loaded at 0x2000 − len(code)/2), where blocks end at the boundary and
@@ -408,6 +442,8 @@ func FuzzSuperblockForm(f *testing.F) {
 		dec  r0
 		jnz  loop
 		halt`, 0x1000).Code, []byte{})
+	// Both loops of TestSuperblockResume's evicted-slot row.
+	f.Add(isa.MustAssemble(evictedSlot, 0x1000).Code, []byte{})
 	f.Add([]byte{0x00, 0x01, 0x02, 0x03}, []byte{})
 	f.Add([]byte{}, []byte{})
 
@@ -481,7 +517,7 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 		setPC := func(in uint64, pc isa.Word) {
 			t.Helper()
 			both(func(x *Model) error { return x.SetPC(in, pc) })
-			if m.cut.blk != nil {
+			if m.cut.left != 0 {
 				t.Fatal("SetPC left a superblock to resume")
 			}
 		}

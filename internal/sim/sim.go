@@ -111,8 +111,10 @@ type Params struct {
 	// ICacheEntries sizes the functional model's predecode cache
 	// (direct-mapped slots keyed by physical address, rounded up to a
 	// power of two): code is decoded and µop-instantiated once and
-	// replayed from the cache until a store, rollback or mapping change
-	// invalidates it. 0 = the engine default (fm.DefaultICacheEntries),
+	// replayed from the cache until a store into its bytes (or a
+	// rollback's undo of one) invalidates it; a mapping change needs no
+	// invalidation, since the next fetch translates afresh. 0 = the
+	// engine default (fm.DefaultICacheEntries),
 	// N>0 = N slots, Off (or any negative value) disables the cache.
 	// Architected state, the emitted trace and every modeled number are
 	// bit-identical at any value — the knob trades host memory for FM
@@ -120,8 +122,9 @@ type Params struct {
 	ICacheEntries int `json:"icache_entries,omitempty"`
 
 	// SuperblockLen caps the functional model's superblock length:
-	// straight-line runs of predecoded instructions executed as a fused
-	// closure chain with one rollback/interrupt/device check per block.
+	// straight-line runs of predecoded instructions, walked in the
+	// predecode cache and executed back to back with one
+	// rollback/interrupt/device check per block.
 	// 0 = the engine default (fm.DefaultSuperblockLen), N>0 = N, Off (or
 	// any negative value) disables superblocks; they additionally require
 	// the predecode cache and are ignored under Rollback "checkpoint".

@@ -28,29 +28,27 @@ type Snapshot struct {
 	Blob []byte
 }
 
-// snapshotArtifactV versions the Encode wrapper, independently of the core
-// blob's own layer versions.
+// snapshotArtifactV versions the artifact's State walk, independently of the
+// core blob's own layer versions.
 const snapshotArtifactV = 1
 
-// Encode serializes the artifact for a blob store.
-func (s Snapshot) Encode() []byte {
-	w := snap.NewWriter(len(s.Blob) + len(s.Prefix) + 16)
-	w.U8(snapshotArtifactV)
-	w.U64(s.IN)
-	w.String(s.Prefix)
-	w.Bytes32(s.Blob)
-	return w.Bytes()
+// State walks the artifact: the one field list Encode and DecodeSnapshot
+// share.
+func (s *Snapshot) State(c *snap.Codec) {
+	c.Version("snapshot artifact", snapshotArtifactV)
+	c.U64(&s.IN)
+	c.String(&s.Prefix)
+	c.Bytes(&s.Blob)
 }
+
+// Encode serializes the artifact for a blob store.
+func (s Snapshot) Encode() []byte { return snap.Marshal(&s) }
 
 // DecodeSnapshot rejects truncated or corrupt artifacts without panicking;
 // the embedded core blob is validated later, layer by layer, at restore.
 func DecodeSnapshot(raw []byte) (Snapshot, error) {
-	r := snap.NewReader(raw)
-	if v := r.U8(); r.Err() == nil && v != snapshotArtifactV {
-		return Snapshot{}, snap.Corruptf("snapshot artifact version %d, want %d", v, snapshotArtifactV)
-	}
-	s := Snapshot{IN: r.U64(), Prefix: r.String(), Blob: r.Bytes32()}
-	if err := r.Close(); err != nil {
+	var s Snapshot
+	if err := snap.Unmarshal(raw, &s); err != nil {
 		return Snapshot{}, err
 	}
 	return s, nil

@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"sync"
@@ -78,11 +79,19 @@ func TestSnapshotPrefixSharesBootAcrossCaps(t *testing.T) {
 	}
 }
 
-// TestSnapshotEncodeDecode round-trips the artifact wrapper and checks
-// the decode-don't-panic contract on mangled inputs.
+// TestSnapshotEncodeDecode pins the artifact's byte layout — version byte,
+// little-endian IN, then the prefix and the blob, each behind a uint32
+// length — round-trips it and checks the decode-don't-panic contract on
+// mangled inputs.
 func TestSnapshotEncodeDecode(t *testing.T) {
 	s := Snapshot{Prefix: "abc123", IN: 98765, Blob: []byte{1, 2, 3, 4, 5}}
 	raw := s.Encode()
+	want := binary.LittleEndian.AppendUint64([]byte{1}, s.IN)
+	want = append(binary.LittleEndian.AppendUint32(want, uint32(len(s.Prefix))), s.Prefix...)
+	want = append(binary.LittleEndian.AppendUint32(want, uint32(len(s.Blob))), s.Blob...)
+	if !bytes.Equal(raw, want) {
+		t.Fatalf("artifact bytes\n got %x\nwant %x", raw, want)
+	}
 	got, err := DecodeSnapshot(raw)
 	if err != nil {
 		t.Fatal(err)

@@ -49,7 +49,7 @@ type Stater interface {
 
 // Marshal encodes x through its State walk.
 func Marshal(x Stater) []byte {
-	c := Codec{w: NewWriter(1 << 16)}
+	c := Codec{w: newWriter(1 << 16)}
 	x.State(&c)
 	return c.w.Bytes()
 }
@@ -57,7 +57,7 @@ func Marshal(x Stater) []byte {
 // Unmarshal decodes blob onto x through the same walk and requires the blob
 // to be consumed exactly. On error x is undefined (see the package comment).
 func Unmarshal(blob []byte, x Stater) error {
-	c := Codec{r: NewReader(blob)}
+	c := Codec{r: newReader(blob)}
 	x.State(&c)
 	return c.r.Close()
 }
@@ -237,14 +237,13 @@ func SortedKeys[V any](m map[uint32]V) []uint32 {
 }
 
 // Writer accumulates a deterministic binary encoding: the encoding half of
-// a Codec, also used directly for flat wrappers. The zero value is ready to
-// use.
+// a Codec.
 type Writer struct {
 	buf []byte
 }
 
-// NewWriter returns a writer with capacity preallocated.
-func NewWriter(capacity int) *Writer {
+// newWriter returns a writer with capacity preallocated.
+func newWriter(capacity int) *Writer {
 	return &Writer{buf: make([]byte, 0, capacity)}
 }
 
@@ -304,8 +303,8 @@ type Reader struct {
 	err  error
 }
 
-// NewReader wraps blob for decoding.
-func NewReader(blob []byte) *Reader { return &Reader{data: blob} }
+// newReader wraps blob for decoding.
+func newReader(blob []byte) *Reader { return &Reader{data: blob} }
 
 // Err returns the first decode error, or nil.
 func (r *Reader) Err() error { return r.err }

@@ -54,6 +54,7 @@ func agree(t testing.TB, entries []trace.Entry, cfg Config) {
 		t.Helper()
 		t.Fatalf("cycle %d: %s differs\n got: %v\nwant: %v", want.Cycle()-1, what, g, w)
 	}
+	var gotSnap, wantSnap Snapshot // refilled every cycle
 	for !want.Done() {
 		if want.Cycle() > 2_000_000 {
 			t.Fatalf("oracle did not drain in %d cycles", want.Cycle())
@@ -70,7 +71,9 @@ func agree(t testing.TB, entries []trace.Entry, cfg Config) {
 		if got.HostCycles() != want.HostCycles() {
 			differs("HostCycles", got.HostCycles(), want.HostCycles())
 		}
-		if g, w := got.Snapshot(), want.Snapshot(); !sameSnapshot(g, w) {
+		got.snapshotInto(&gotSnap)
+		want.snapshotInto(&wantSnap)
+		if g, w := gotSnap, wantSnap; !sameSnapshot(g, w) {
 			differs("Snapshot", fmt.Sprint(g.DecodeBuf, " ", g), fmt.Sprint(w.DecodeBuf, " ", w))
 		}
 		// ConnectorReport renders exactly these (compared once, below).
@@ -96,9 +99,9 @@ func agree(t testing.TB, entries []trace.Entry, cfg Config) {
 // no producer left to wait for, oldest first, and blocked counts the other
 // dispatched non-memory ones; every live µop's waits is its number of live
 // unissued producers, and its at is no earlier than any live issued
-// producer's doneCycle.
+// producer's doneCycle. It runs every cycle, so it skips t.Helper, whose
+// runtime.Callers was a tenth of a fuzz run's CPU.
 func checkStations(t testing.TB, m *TM) {
-	t.Helper()
 	var ready []uint64
 	blocked := 0
 	for s := m.robHead; s < m.nextUop; s++ {

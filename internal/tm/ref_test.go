@@ -801,15 +801,11 @@ func (t *refTM) ConnectorReport() string {
 		report(t.uopQ.Name(), t.uopQ.Stats(), t.uopQ.Config())
 }
 
-// Snapshot captures the current pipeline state.
-func (t *refTM) Snapshot() Snapshot {
-	s := Snapshot{
-		Cycle:      t.cycle,
-		FetchIN:    t.fetchIN,
-		DecodeBuf:  len(t.decodeBuf),
-		Recovering: t.recovering,
-		DrainFor:   t.recoverIN,
-	}
+// snapshotInto captures the current pipeline state into s, reusing its
+// slices, as TM.snapshotInto does.
+func (t *refTM) snapshotInto(s *Snapshot) {
+	*s = Snapshot{Cycle: t.cycle, FetchIN: t.fetchIN, DecodeBuf: len(t.decodeBuf), Recovering: t.recovering,
+		DrainFor: t.recoverIN, FetchQ: s.FetchQ[:0], RenameQ: s.RenameQ[:0], ROB: s.ROB[:0]}
 	for _, it := range t.fetchQ.items {
 		s.FetchQ = append(s.FetchQ, it.v.e.IN)
 	}
@@ -824,5 +820,4 @@ func (t *refTM) Snapshot() Snapshot {
 			Done:   u.done && u.doneCycle <= t.cycle,
 		})
 	}
-	return s
 }

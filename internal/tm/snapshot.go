@@ -29,14 +29,16 @@ type ROBSlot struct {
 }
 
 // Snapshot captures the current pipeline state.
-func (t *TM) Snapshot() Snapshot {
-	s := Snapshot{
-		Cycle:      t.cycle,
-		FetchIN:    t.fetchIN,
-		DecodeBuf:  int(t.decLeft),
-		Recovering: t.recovering,
-		DrainFor:   t.recoverIN,
-	}
+func (t *TM) Snapshot() (s Snapshot) {
+	t.snapshotInto(&s)
+	return s
+}
+
+// snapshotInto captures the current pipeline state into s, reusing its
+// slices: the agreement tests compare one every cycle.
+func (t *TM) snapshotInto(s *Snapshot) {
+	*s = Snapshot{Cycle: t.cycle, FetchIN: t.fetchIN, DecodeBuf: int(t.decLeft), Recovering: t.recovering,
+		DrainFor: t.recoverIN, FetchQ: s.FetchQ[:0], RenameQ: s.RenameQ[:0], ROB: s.ROB[:0]}
 	in := func(u *uop) uint64 { return t.instr(u.ins).e.IN }
 	for i := 0; i < t.fetchQ.Len(); i++ {
 		s.FetchQ = append(s.FetchQ, t.instr(t.fetchQ.at(i).v).e.IN)
@@ -46,14 +48,8 @@ func (t *TM) Snapshot() Snapshot {
 	}
 	for seq := t.robHead; seq < t.robTail; seq++ {
 		u := t.uop(seq)
-		s.ROB = append(s.ROB, ROBSlot{
-			IN:     in(u),
-			Kind:   u.kind.String(),
-			Issued: u.issued,
-			Done:   u.doneBy(t.cycle),
-		})
+		s.ROB = append(s.ROB, ROBSlot{IN: in(u), Kind: u.kind.String(), Issued: u.issued, Done: u.doneBy(t.cycle)})
 	}
-	return s
 }
 
 func (s Snapshot) String() string {
