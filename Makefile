@@ -67,9 +67,12 @@ race:
 
 # Fuzz smokes, exactly as CI's static job runs them: each target is a
 # never-panic check plus its own oracle, one package:target:seconds entry
-# per line — a new fuzz target is one more line. Minimisation is capped
-# because the snapshot blobs FuzzRestore mutates are hundreds of KB: at the
-# default 60 s per new interesting input it would eat the whole smoke.
+# per line — a new fuzz target is one more line. Minimisation is capped by
+# count, 10 execs per new interesting input, not by time: a time cap is
+# charged per input, and a target that finds a few dozen inputs in its
+# first seconds (FuzzTMAgreement: ~17) spent the whole smoke minimising
+# them — ~40 execs in 20 s on 2 vCPUs under 2 s per input, ~1 100 under 10
+# execs (FuzzRestore, whose snapshot blobs are hundreds of KB: ~740 → ~10 500).
 FUZZ_SMOKES := \
 	./internal/isa:FuzzDecode:30 \
 	./internal/sim:FuzzDecodeParams:20 \
@@ -91,7 +94,7 @@ fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \
 		pkg=$${smoke%%:*}; rest=$${smoke#*:}; \
 		echo "fuzz smoke: $$pkg $${rest%%:*} ($${rest#*:}s)"; \
-		$(GO) test -run '^$$' -fuzz "^$${rest%%:*}\$$" -fuzztime "$${rest#*:}s" -fuzzminimizetime 2s "$$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$${rest%%:*}\$$" -fuzztime "$${rest#*:}s" -fuzzminimizetime 10x "$$pkg"; \
 	done
 
 # The one way code size is counted here (non-blank, non-comment, non-test

@@ -11,6 +11,7 @@ import (
 	"repro/internal/isa"
 	"repro/internal/tm"
 	"repro/internal/trace"
+	"repro/internal/workload"
 )
 
 const prog = `
@@ -176,5 +177,50 @@ func TestReplayCancelled(t *testing.T) {
 	cancel()
 	if _, err := Replay(ctx, load(), tm.DefaultConfig(), fmCfg(), 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestFMAndTMAgreeOnUops ties Table 1's µop count to the timing model's: a
+// right-path replay run to completion must crack every committed instruction
+// into as many µops in the timing model as the functional model counted into
+// its coverage statistics. shell-fork's giant REP stores hold the iteration
+// expansion to the same count on both sides.
+func TestFMAndTMAgreeOnUops(t *testing.T) {
+	for _, name := range []string{"logwrite", "shell-fork", "nicserv", "Linux-2.4"} {
+		t.Run(name, func(t *testing.T) {
+			spec, ok := workload.ByName(name)
+			if !ok {
+				t.Fatalf("no workload %q", name)
+			}
+			boot, err := spec.Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := fm.New(fm.Config{
+				ICacheEntries: fm.DefaultICacheEntries,
+				SuperblockLen: fm.DefaultSuperblockLen,
+				Devices:       boot.Devices(),
+			})
+			m.LoadProgram(boot.Kernel)
+			s := &stream{ctx: context.Background(), m: m, chunk: make([]trace.Entry, 0, streamChunk)}
+			model, err := tm.New(tm.DefaultConfig(), s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			model.Run(math.MaxUint64)
+			if s.err != nil {
+				t.Fatal(s.err)
+			}
+			if !m.Halted() {
+				t.Fatalf("replay stopped at IN %d before the target halted", m.IN())
+			}
+			if got, want := model.Stats.Instructions, m.Coverage.Instructions; got != want {
+				t.Errorf("TM committed %d instructions, FM counted %d", got, want)
+			}
+			if got, want := model.Stats.UOps, m.Coverage.UOps; got != want {
+				t.Errorf("TM cracked %d µops, FM counted %d", got, want)
+			}
+			t.Logf("%d instructions, %d µops", model.Stats.Instructions, model.Stats.UOps)
+		})
 	}
 }

@@ -87,8 +87,7 @@ func (m *Model) issue(p *predecoded, pc, ppc isa.Word) *fault {
 	*e = trace.Entry{}
 	e.IN, e.PC, e.PPC, e.Kernel = m.in, pc, ppc, m.Kernel()
 	e.Op, e.Size = p.inst.Op, uint8(p.inst.Size)
-	e.SrcA, e.SrcB, e.Dst = p.srcA, p.srcB, p.dst
-	e.ReadsCC, e.WritesCC = p.readsCC, p.writesCC
+	e.ReadsCC = p.readsCC
 	return m.execute(p, pc+isa.Word(p.inst.Size), e)
 }
 
@@ -196,18 +195,12 @@ func (m *Model) finishEntry(e *trace.Entry, p *predecoded) {
 		if !m.replay {
 			m.Coverage.Add(c)
 		}
-		e.UopCount = uint32(c.Count)
 		e.UOps = c.UOps
-		e.Microcode = c.Valid
-	} else {
+	} else if !m.replay {
 		// Fetch fault placeholder: one µop, valid.
-		e.UopCount = 1
-		e.Microcode = true
-		if !m.replay {
-			m.Coverage.Instructions++
-			m.Coverage.Covered++
-			m.Coverage.UOps++
-		}
+		m.Coverage.Instructions++
+		m.Coverage.Covered++
+		m.Coverage.UOps++
 	}
 	if !m.replay {
 		m.TraceWords += uint64(m.cfg.Encoding.Words(e))
@@ -542,7 +535,7 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 			Write: val&fullsys.TLBFlagWrite != 0,
 		}
 		m.TLB.Insert(entry)
-		e.TLBWrite, e.TLBVPN, e.TLBPFN = true, vpn, val
+		e.TLBWrite, e.TLBVPN = true, vpn
 	case isa.OpTlbFl:
 		m.engine.noteTLB(m)
 		m.TLB.Reset()
@@ -803,20 +796,20 @@ func (m *Model) execStringLoad(inst isa.Inst, iters int, e *trace.Entry) (int, *
 }
 
 // predecoded is everything the FM derives from an instruction's bytes alone:
-// the decoded instruction, its µop instantiation, the trace entry's
-// architectural register names and the two opcode-table bits execute reads
-// (so it never copies the table row). It is computed once per static
-// instruction by predecode and is the one record the whole front end passes
-// around — a predecode-cache slot embeds it, a superblock walks the slots,
-// and the cache-off fetch returns the Model's scratch copy.
+// the decoded instruction, its µop instantiation (which carries the
+// architectural register names the TM renames from) and the opcode-table
+// bits issue and execute read (so neither copies the table row). It is
+// computed once per static instruction by predecode and is the one record
+// the whole front end passes around — a predecode-cache slot embeds it, a
+// superblock walks the slots, and the cache-off fetch returns the Model's
+// scratch copy.
 type predecoded struct {
 	inst isa.Inst
 	pre  microcode.Precracked
 
-	srcA, srcB, dst   isa.Reg
-	readsCC, writesCC bool
-	priv, cond        bool // kernel-only; conditional control transfer
-	ends              bool // blockTerminator: the instruction ends a superblock
+	readsCC    bool
+	priv, cond bool // kernel-only; conditional control transfer
+	ends       bool // blockTerminator: the instruction ends a superblock
 }
 
 // undecoded stands in for the instruction of a fetch fault: nothing was
@@ -829,68 +822,10 @@ var table = sync.OnceValue(microcode.NewTable)
 
 // predecode derives inst's static record.
 func predecode(inst isa.Inst) predecoded {
-	p := predecoded{inst: inst, pre: table().Precrack(inst), ends: blockTerminator(inst.Op)}
-	fillRegs(inst, &p)
-	return p
-}
-
-// fillRegs derives the trace's architectural register names from the
-// decoded instruction (§2: "source, destination and condition code
-// architectural register names"), and the opcode-table bits execute reads.
-func fillRegs(inst isa.Inst, p *predecoded) {
 	in := inst.Info()
-	p.readsCC, p.writesCC = in.ReadsCC, in.WritesCC
-	p.priv, p.cond = in.Priv, in.Cond
-	p.srcA, p.srcB, p.dst = isa.RegNone, isa.RegNone, isa.RegNone
-	switch inst.Op {
-	case isa.OpMovRR, isa.OpFMov, isa.OpI2F, isa.OpF2I, isa.OpFSqrt, isa.OpFAbs, isa.OpFNeg:
-		p.srcA, p.dst = inst.Rs, inst.Rd
-	case isa.OpMovRI, isa.OpMovRI8, isa.OpFLdI, isa.OpCpuid, isa.OpMovRC:
-		p.dst = inst.Rd
-	case isa.OpLea:
-		p.srcA, p.dst = inst.Rs, inst.Rd
-	case isa.OpLdW, isa.OpLdH, isa.OpLdB, isa.OpFLd, isa.OpLl:
-		p.srcA, p.dst = inst.Rs, inst.Rd
-	case isa.OpStW, isa.OpStH, isa.OpStB, isa.OpFSt:
-		p.srcA, p.srcB = inst.Rs, inst.Rd
-	case isa.OpSc:
-		// Reads the address base and the store value, writes the success
-		// flag back into rd.
-		p.srcA, p.srcB, p.dst = inst.Rs, inst.Rd, inst.Rd
-	case isa.OpPush:
-		p.srcA, p.srcB, p.dst = isa.RegSP, inst.Rd, isa.RegSP
-	case isa.OpPop:
-		p.srcA, p.dst = isa.RegSP, inst.Rd
-	case isa.OpJmpR, isa.OpCallR:
-		p.srcA = inst.Rd
-		if inst.Op == isa.OpCallR {
-			p.dst = isa.RegLR
-		}
-	case isa.OpCall, isa.OpCallFar:
-		p.dst = isa.RegLR
-	case isa.OpRet:
-		p.srcA = isa.RegLR
-	case isa.OpCmpRR, isa.OpTestRR, isa.OpFCmp:
-		p.srcA, p.srcB = inst.Rd, inst.Rs
-	case isa.OpCmpRI:
-		p.srcA = inst.Rd
-	case isa.OpLoop:
-		p.srcA, p.dst = 2, 2 // implicit count register
-	case isa.OpMovs, isa.OpStos, isa.OpLods, isa.OpCmps, isa.OpScas:
-		p.srcA, p.srcB = 0, 1 // fixed string registers
-		p.dst = 3
-	case isa.OpMovCR, isa.OpOut, isa.OpTlbWr:
-		p.srcA = inst.Rd
-		if inst.Op == isa.OpTlbWr {
-			p.srcB = inst.Rs
-		}
-	case isa.OpIn:
-		p.dst = inst.Rd
-	default:
-		if in.Format == isa.FmtRR {
-			p.srcA, p.srcB, p.dst = inst.Rd, inst.Rs, inst.Rd
-		} else if in.Format == isa.FmtR || in.Format == isa.FmtRI8 || in.Format == isa.FmtRI32 {
-			p.srcA, p.dst = inst.Rd, inst.Rd
-		}
+	return predecoded{
+		inst: inst, pre: table().Precrack(inst),
+		readsCC: in.ReadsCC, priv: in.Priv, cond: in.Cond,
+		ends: blockTerminator(inst.Op),
 	}
 }

@@ -184,9 +184,6 @@ func New(cfg Config) *Model {
 	if cfg.RepCap == 0 {
 		cfg.RepCap = 65536
 	}
-	if cfg.Encoding == (trace.EncodeOptions{}) {
-		cfg.Encoding = trace.DefaultEncoding
-	}
 	devs := cfg.Devices
 	if devs == nil {
 		devs = []fullsys.Device{fullsys.NewConsole(), fullsys.NewTimer()}

@@ -291,16 +291,15 @@ func (c Class) String() string {
 
 // Info is the static description of one opcode.
 type Info struct {
-	Op       Op
-	Name     string
-	Format   Format
-	Class    Class
-	Branch   bool // any control transfer
-	Cond     bool // conditional control transfer
-	FP       bool // floating-point unit instruction
-	Priv     bool // kernel-mode only
-	WritesCC bool
-	ReadsCC  bool
+	Op      Op
+	Name    string
+	Format  Format
+	Class   Class
+	Branch  bool // any control transfer
+	Cond    bool // conditional control transfer
+	FP      bool // floating-point unit instruction
+	Priv    bool // kernel-mode only
+	ReadsCC bool
 }
 
 var infoTable [NumOpcodes]Info
@@ -314,7 +313,6 @@ func define(op Op, name string, f Format, c Class, set func(*Info)) {
 }
 
 func init() {
-	ccW := func(i *Info) { i.WritesCC = true }
 	br := func(i *Info) { i.Branch = true }
 	brc := func(i *Info) { i.Branch = true; i.Cond = true; i.ReadsCC = true }
 	priv := func(i *Info) { i.Priv = true }
@@ -325,32 +323,32 @@ func init() {
 	define(OpMovRR, "mov", FmtRR, ClassALU, nil)
 	define(OpMovRI, "movi", FmtRI32, ClassALU, nil)
 	define(OpMovRI8, "movi8", FmtRI8, ClassALU, nil)
-	define(OpAddRR, "add", FmtRR, ClassALU, ccW)
-	define(OpAddRI, "addi", FmtRI32, ClassALU, ccW)
-	define(OpSubRR, "sub", FmtRR, ClassALU, ccW)
-	define(OpSubRI, "subi", FmtRI32, ClassALU, ccW)
-	define(OpAndRR, "and", FmtRR, ClassALU, ccW)
-	define(OpAndRI, "andi", FmtRI32, ClassALU, ccW)
-	define(OpOrRR, "or", FmtRR, ClassALU, ccW)
-	define(OpOrRI, "ori", FmtRI32, ClassALU, ccW)
-	define(OpXorRR, "xor", FmtRR, ClassALU, ccW)
-	define(OpXorRI, "xori", FmtRI32, ClassALU, ccW)
-	define(OpShlRR, "shl", FmtRR, ClassALU, ccW)
-	define(OpShlRI8, "shli", FmtRI8, ClassALU, ccW)
-	define(OpShrRR, "shr", FmtRR, ClassALU, ccW)
-	define(OpShrRI8, "shri", FmtRI8, ClassALU, ccW)
-	define(OpSarRR, "sar", FmtRR, ClassALU, ccW)
-	define(OpSarRI8, "sari", FmtRI8, ClassALU, ccW)
-	define(OpMulRR, "mul", FmtRR, ClassALU, ccW)
-	define(OpDivRR, "div", FmtRR, ClassALU, ccW)
-	define(OpModRR, "mod", FmtRR, ClassALU, ccW)
-	define(OpNegR, "neg", FmtR, ClassALU, ccW)
-	define(OpNotR, "not", FmtR, ClassALU, ccW)
-	define(OpIncR, "inc", FmtR, ClassALU, ccW)
-	define(OpDecR, "dec", FmtR, ClassALU, ccW)
-	define(OpCmpRR, "cmp", FmtRR, ClassALU, ccW)
-	define(OpCmpRI, "cmpi", FmtRI32, ClassALU, ccW)
-	define(OpTestRR, "test", FmtRR, ClassALU, ccW)
+	define(OpAddRR, "add", FmtRR, ClassALU, nil)
+	define(OpAddRI, "addi", FmtRI32, ClassALU, nil)
+	define(OpSubRR, "sub", FmtRR, ClassALU, nil)
+	define(OpSubRI, "subi", FmtRI32, ClassALU, nil)
+	define(OpAndRR, "and", FmtRR, ClassALU, nil)
+	define(OpAndRI, "andi", FmtRI32, ClassALU, nil)
+	define(OpOrRR, "or", FmtRR, ClassALU, nil)
+	define(OpOrRI, "ori", FmtRI32, ClassALU, nil)
+	define(OpXorRR, "xor", FmtRR, ClassALU, nil)
+	define(OpXorRI, "xori", FmtRI32, ClassALU, nil)
+	define(OpShlRR, "shl", FmtRR, ClassALU, nil)
+	define(OpShlRI8, "shli", FmtRI8, ClassALU, nil)
+	define(OpShrRR, "shr", FmtRR, ClassALU, nil)
+	define(OpShrRI8, "shri", FmtRI8, ClassALU, nil)
+	define(OpSarRR, "sar", FmtRR, ClassALU, nil)
+	define(OpSarRI8, "sari", FmtRI8, ClassALU, nil)
+	define(OpMulRR, "mul", FmtRR, ClassALU, nil)
+	define(OpDivRR, "div", FmtRR, ClassALU, nil)
+	define(OpModRR, "mod", FmtRR, ClassALU, nil)
+	define(OpNegR, "neg", FmtR, ClassALU, nil)
+	define(OpNotR, "not", FmtR, ClassALU, nil)
+	define(OpIncR, "inc", FmtR, ClassALU, nil)
+	define(OpDecR, "dec", FmtR, ClassALU, nil)
+	define(OpCmpRR, "cmp", FmtRR, ClassALU, nil)
+	define(OpCmpRI, "cmpi", FmtRI32, ClassALU, nil)
+	define(OpTestRR, "test", FmtRR, ClassALU, nil)
 	define(OpLea, "lea", FmtRM, ClassALU, nil)
 	define(OpLdW, "ldw", FmtRM, ClassLoad, nil)
 	define(OpLdH, "ldh", FmtRM, ClassLoad, nil)
@@ -376,13 +374,12 @@ func init() {
 	define(OpLoop, "loop", FmtRel16, ClassBranch, func(i *Info) {
 		i.Branch = true
 		i.Cond = true // condition comes from the counter register, not CC
-		i.WritesCC = true
 	})
 	define(OpMovs, "movs", FmtNone, ClassString, nil)
 	define(OpStos, "stos", FmtNone, ClassString, nil)
 	define(OpLods, "lods", FmtNone, ClassString, nil)
-	define(OpCmps, "cmps", FmtNone, ClassString, ccW)
-	define(OpScas, "scas", FmtNone, ClassString, ccW)
+	define(OpCmps, "cmps", FmtNone, ClassString, nil)
+	define(OpScas, "scas", FmtNone, ClassString, nil)
 	define(OpSyscall, "syscall", FmtNone, ClassSystem, br)
 	define(OpIret, "iret", FmtNone, ClassSystem, func(i *Info) {
 		i.Branch = true
@@ -400,17 +397,17 @@ func init() {
 	define(OpCpuid, "cpuid", FmtR, ClassALU, nil)
 	define(OpPause, "pause", FmtNone, ClassALU, nil)
 	define(OpLl, "ll", FmtRM, ClassLoad, nil)
-	define(OpSc, "sc", FmtRM, ClassStore, ccW)
+	define(OpSc, "sc", FmtRM, ClassStore, nil)
 
-	define(OpFAdd, "fadd", FmtRR, ClassFPU, func(i *Info) { fp(i); ccW(i) })
-	define(OpFSub, "fsub", FmtRR, ClassFPU, func(i *Info) { fp(i); ccW(i) })
-	define(OpFMul, "fmul", FmtRR, ClassFPU, func(i *Info) { fp(i); ccW(i) })
-	define(OpFDiv, "fdiv", FmtRR, ClassFPU, func(i *Info) { fp(i); ccW(i) })
+	define(OpFAdd, "fadd", FmtRR, ClassFPU, fp)
+	define(OpFSub, "fsub", FmtRR, ClassFPU, fp)
+	define(OpFMul, "fmul", FmtRR, ClassFPU, fp)
+	define(OpFDiv, "fdiv", FmtRR, ClassFPU, fp)
 	define(OpFSqrt, "fsqrt", FmtRR, ClassFPU, fp)
 	define(OpFAbs, "fabs", FmtRR, ClassFPU, fp)
 	define(OpFNeg, "fneg", FmtRR, ClassFPU, fp)
 	define(OpFMov, "fmov", FmtRR, ClassFPU, fp)
-	define(OpFCmp, "fcmp", FmtRR, ClassFPU, func(i *Info) { fp(i); ccW(i) })
+	define(OpFCmp, "fcmp", FmtRR, ClassFPU, fp)
 	define(OpFLd, "fld", FmtRM, ClassLoad, fp)
 	define(OpFSt, "fst", FmtRM, ClassStore, fp)
 	define(OpFLdI, "fldi", FmtFI64, ClassFPU, fp)

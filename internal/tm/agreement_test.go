@@ -152,13 +152,11 @@ func repStoreTrace(iters uint32) []trace.Entry {
 	movi := tab.Crack(isa.Inst{Op: isa.OpMovRI, Rd: 1, Rs: isa.RegNone}, 1)
 	rep := tab.Crack(isa.Inst{Op: isa.OpStos, Rep: true, Rd: isa.RegNone, Rs: isa.RegNone}, int(iters))
 	return []trace.Entry{
-		{IN: 0, PC: 0x1000, PPC: 0x1000, Op: isa.OpMovRI, Size: 6, Kernel: true, Microcode: true,
-			UOps: movi.UOps, UopCount: uint32(movi.Count)},
-		{IN: 1, PC: 0x1006, PPC: 0x1006, Op: isa.OpStos, Size: 2, Kernel: true, Microcode: true,
+		{IN: 0, PC: 0x1000, PPC: 0x1000, Op: isa.OpMovRI, Size: 6, Kernel: true, UOps: movi.UOps},
+		{IN: 1, PC: 0x1006, PPC: 0x1006, Op: isa.OpStos, Size: 2, Kernel: true,
 			MemVA: 0x3000, MemPA: 0x3000, MemSize: 4, IsStore: true, RepIterations: iters,
-			UOps: rep.UOps, UopCount: uint32(rep.Count)},
-		{IN: 2, PC: 0x1008, PPC: 0x1008, Op: isa.OpMovRI, Size: 6, Kernel: true, Microcode: true,
-			UOps: movi.UOps, UopCount: uint32(movi.Count)},
+			UOps: rep.UOps},
+		{IN: 2, PC: 0x1008, PPC: 0x1008, Op: isa.OpMovRI, Size: 6, Kernel: true, UOps: movi.UOps},
 	}
 }
 
@@ -232,15 +230,15 @@ func TestTMAgreement(t *testing.T) {
 		// cold-miss load of r0 and a reader of r0, so the nop's place in the
 		// dependence chain shows in the timing.
 		"fetch-fault": {
-			{IN: 0, PC: 0x1000, PPC: 0x1000, Op: isa.OpLdW, Size: 4, Kernel: true, Microcode: true, UopCount: 2,
+			{IN: 0, PC: 0x1000, PPC: 0x1000, Op: isa.OpLdW, Size: 4, Kernel: true,
 				MemVA: 0x8000, MemPA: 0x8000, MemSize: 4,
 				UOps: microcode.NewTable().Crack(isa.Inst{Op: isa.OpLdW, Rd: 0, Rs: 2}, 1).UOps},
-			{IN: 1, PC: 0x1004, PPC: 0x1004, Kernel: true, Microcode: true, UopCount: 1},
-			{IN: 2, PC: 0x1008, PPC: 0x1008, Op: isa.OpAddRR, Size: 2, Kernel: true, Microcode: true, UopCount: 1,
+			{IN: 1, PC: 0x1004, PPC: 0x1004, Kernel: true},
+			{IN: 2, PC: 0x1008, PPC: 0x1008, Op: isa.OpAddRR, Size: 2, Kernel: true,
 				UOps: microcode.NewTable().Crack(isa.Inst{Op: isa.OpAddRR, Rd: 1, Rs: 0}, 1).UOps},
-			{IN: 3, PC: 0x100a, PPC: 0x100a, Kernel: true, Microcode: true, UopCount: 1,
+			{IN: 3, PC: 0x100a, PPC: 0x100a, Kernel: true,
 				Exception: true, ExcVector: 14},
-			{IN: 4, PC: 0x400, PPC: 0x400, Op: isa.OpAddRR, Size: 2, Kernel: true, Microcode: true, UopCount: 1,
+			{IN: 4, PC: 0x400, PPC: 0x400, Op: isa.OpAddRR, Size: 2, Kernel: true,
 				UOps: microcode.NewTable().Crack(isa.Inst{Op: isa.OpAddRR, Rd: 1, Rs: 0}, 1).UOps},
 		},
 	}
@@ -331,7 +329,7 @@ func fuzzCase(data []byte, repBase uint32) ([]trace.Entry, Config) {
 		inst.Rd, inst.Rs = isa.Reg(flags&3), isa.Reg(flags>>2&3)
 		e := trace.Entry{
 			IN: uint64(len(entries)), PC: pc, PPC: pc & 0xFFFFF, Op: inst.Op, Size: 4,
-			Kernel: flags&0x10 != 0, ReadsCC: flags&0x20 != 0, Microcode: true,
+			Kernel: flags&0x10 != 0, ReadsCC: flags&0x20 != 0,
 			Exception: flags >= 0xF8, Interrupt: flags >= 0xF0 && flags < 0xF8,
 			NextPC: pc + 4,
 		}

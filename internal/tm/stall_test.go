@@ -106,9 +106,9 @@ func TestTLBWriteMirrors(t *testing.T) {
 	crack := func(inst isa.Inst) []microcode.UOp { return tab.Crack(inst, 1).UOps }
 	entries := []trace.Entry{
 		{IN: 0, Op: isa.OpTlbWr, Size: 2, TLBWrite: true, TLBVPN: 0x42, Kernel: true,
-			Microcode: true, UOps: crack(isa.Inst{Op: isa.OpTlbWr, Rd: 1, Rs: 2}), UopCount: 1},
+			UOps: crack(isa.Inst{Op: isa.OpTlbWr, Rd: 1, Rs: 2})},
 		{IN: 1, Op: isa.OpHalt, Size: 1, Kernel: true,
-			Microcode: true, UOps: crack(isa.Inst{Op: isa.OpHalt, Rd: isa.RegNone, Rs: isa.RegNone}), UopCount: 1},
+			UOps: crack(isa.Inst{Op: isa.OpHalt, Rd: isa.RegNone, Rs: isa.RegNone})},
 	}
 	model, err := New(DefaultConfig(), &SliceSource{Entries: entries}, nil)
 	if err != nil {
@@ -139,8 +139,7 @@ func TestDTLBMissPenalty(t *testing.T) {
 			entries = append(entries, trace.Entry{
 				IN: uint64(i), PC: pc, PPC: pc, Op: isa.OpLdW, Size: 4,
 				MemVA: va, MemPA: va % (1 << 20), MemSize: 4,
-				Kernel: false, Microcode: true, UopCount: 2,
-				UOps: ldw,
+				Kernel: false, UOps: ldw,
 			})
 			pc += 4
 		}

@@ -10,6 +10,11 @@
 // source, destination and condition code architectural register names,
 // instruction and data virtual addresses and data written to special
 // registers, such as software-filled TLB entries."
+//
+// The architectural register names travel in the entry's instantiated µops
+// (Entry.UOps: each µop's sources and destination, and whether it writes the
+// condition codes), which the timing model renames from; Entry itself holds
+// only what some consumer reads.
 package trace
 
 import (
@@ -27,11 +32,9 @@ type Entry struct {
 	Op   isa.Op   // compressed 11-bit opcode
 	Size uint8    // encoded instruction length in bytes
 
-	// Architectural register names (not values): sources, destination and
-	// whether condition codes are read/written.
-	SrcA, SrcB, Dst isa.Reg
-	ReadsCC         bool
-	WritesCC        bool
+	// ReadsCC marks a branch that reads the condition codes; the register
+	// names themselves ride in UOps.
+	ReadsCC bool
 
 	// Control flow.
 	Branch bool
@@ -48,13 +51,12 @@ type Entry struct {
 	// String-instruction dynamics.
 	RepIterations uint32
 
-	// Microcode cracking (µop count includes REP iterations). UOps holds
-	// one iteration's instantiated µops; on the FPGA these come from the
-	// microcode table indexed by the 11-bit opcode, so they are NOT extra
-	// trace bandwidth — carrying them here just saves the TM a re-crack.
-	UopCount  uint32
-	UOps      []microcode.UOp
-	Microcode bool // table entry valid (not NOP-replaced)
+	// UOps holds one iteration's instantiated µops, carrying the
+	// architectural source, destination and condition-code register names;
+	// on the FPGA these come from the microcode table indexed by the 11-bit
+	// opcode, so they are NOT extra trace bandwidth — carrying them here
+	// just saves the TM a re-crack.
+	UOps []microcode.UOp
 
 	// Interrupt marks that an external interrupt was delivered immediately
 	// before this instruction (it is the first handler instruction).
@@ -70,7 +72,6 @@ type Entry struct {
 	// in the trace so the TM's TLB timing models can mirror them.
 	TLBWrite bool
 	TLBVPN   isa.Word
-	TLBPFN   isa.Word
 
 	// Kernel-mode marker (lets statistics separate OS from user code).
 	Kernel bool
@@ -106,25 +107,21 @@ func (e Entry) String() string {
 //	word 2: PC (always sent; the TM needs it for fetch modeling)
 //	word 3: next-PC (branches only)
 //	word 4: data virtual address (memory ops only)
-//	word 5: data physical address (memory ops only; redundant-info option)
+//	word 5: data physical address (memory ops only; redundant info, §2)
 //	word 6,7: TLB fill data (TLB writes only)
 //
 // Branch-free ALU instructions therefore cost 3 words, memory operations 5,
 // and the dynamic mix lands near the paper's four words per instruction.
 
-// EncodeOptions selects the trace compression level (ablation A5).
+// EncodeOptions selects the trace compression level (ablation A5). The zero
+// value is the prototype's compressed encoding, physical addresses included
+// (redundant information that simplifies the TM, §2).
 type EncodeOptions struct {
-	// SendPhysical includes physical addresses (redundant information that
-	// simplifies the TM at the cost of a larger trace, §2).
-	SendPhysical bool
 	// Uncompressed models the naive encoding: the raw instruction bytes
 	// plus full 32-bit fields, as if no opcode/field compression had been
 	// implemented.
 	Uncompressed bool
 }
-
-// DefaultEncoding is the prototype's compressed encoding.
-var DefaultEncoding = EncodeOptions{SendPhysical: true}
 
 // Words returns how many 32-bit words e occupies on the host link under o.
 func (o EncodeOptions) Words(e *Entry) int {
@@ -140,10 +137,7 @@ func (o EncodeOptions) Words(e *Entry) int {
 		n++
 	}
 	if e.MemSize != 0 {
-		n++
-		if o.SendPhysical {
-			n++
-		}
+		n += 2 // virtual and physical address
 	}
 	if e.TLBWrite {
 		n += 2

@@ -105,7 +105,7 @@ func TestBufferPanicsOnMisuse(t *testing.T) {
 }
 
 func TestEncodingWords(t *testing.T) {
-	o := DefaultEncoding
+	var o EncodeOptions
 	alu := Entry{Op: isa.OpAddRR, Size: 2}
 	if w := o.Words(&alu); w != 3 {
 		t.Errorf("ALU entry = %d words, want 3", w)
@@ -117,10 +117,6 @@ func TestEncodingWords(t *testing.T) {
 	mem := Entry{Op: isa.OpLdW, Size: 4, MemSize: 4}
 	if w := o.Words(&mem); w != 5 {
 		t.Errorf("mem entry = %d words, want 5 (with PA)", w)
-	}
-	noPA := EncodeOptions{SendPhysical: false}
-	if w := noPA.Words(&mem); w != 4 {
-		t.Errorf("mem entry without PA = %d words, want 4", w)
 	}
 	tlb := Entry{Op: isa.OpTlbWr, Size: 2, TLBWrite: true}
 	if w := o.Words(&tlb); w != 5 {
@@ -136,7 +132,7 @@ func TestEncodingCompressionWins(t *testing.T) {
 		if mem {
 			e.MemSize = 4
 		}
-		c := DefaultEncoding.Words(&e)
+		c := EncodeOptions{}.Words(&e)
 		u := EncodeOptions{Uncompressed: true}.Words(&e)
 		return c <= u
 	}
