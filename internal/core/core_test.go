@@ -3,7 +3,6 @@ package core
 import (
 	"testing"
 
-	"repro/internal/fm"
 	"repro/internal/hostlink"
 	"repro/internal/isa"
 )
@@ -270,7 +269,6 @@ func TestCheckpointEngineCoupled(t *testing.T) {
 					cfg.TBCapacity = 32
 				}
 				if checkpoint {
-					cfg.FM.Rollback = fm.RollbackCheckpoint
 					cfg.FM.CheckpointInterval = 32
 				}
 				s, err := pol.new(cfg)

@@ -131,7 +131,6 @@ func TestPolicyMatrix(t *testing.T) {
 			for _, blocks := range []string{"superblocks", "nosuperblocks"} {
 				variant := func(cfg Config) Config {
 					if rollback == "checkpoint" {
-						cfg.FM.Rollback = fm.RollbackCheckpoint
 						cfg.FM.CheckpointInterval = 32
 					}
 					if blocks == "nosuperblocks" {
@@ -298,7 +297,6 @@ func TestApplyChargesResteer(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				cfg := DefaultConfig()
 				cfg.FM.DisableInterrupts = true
-				cfg.FM.Rollback = fm.RollbackCheckpoint
 				cfg.FM.CheckpointInterval = 32
 				cfg.BPP = bpp
 				cfg.Telemetry = obs.NewWithTrace()

@@ -42,7 +42,7 @@ func TestLLSCOutcomes(t *testing.T) {
 
 // TestLLSCRollbackReplay rolls the model back into the middle of the ll/sc
 // sequences (between link and store-conditional, and before the link) under
-// both rollback engines: the re-executed sequence must reproduce the
+// both rollback modes: the re-executed sequence must reproduce the
 // reference trace exactly, because the link register lives in Scalars and
 // the journal restores the linked word in memory.
 func TestLLSCRollbackReplay(t *testing.T) {
@@ -65,7 +65,7 @@ func TestLLSCRollbackReplay(t *testing.T) {
 	}{
 		{"journal", Config{MemBytes: 1 << 20, DisableInterrupts: true}},
 		{"checkpoint", Config{MemBytes: 1 << 20, DisableInterrupts: true,
-			Rollback: RollbackCheckpoint, CheckpointInterval: 4}},
+			CheckpointInterval: 4}},
 	} {
 		// Roll back to: between ll and sc (4), the ll itself (3), the
 		// successful sc (5), and between the second ll and the breaking

@@ -8,11 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
-// checkpointed builds a model using the leapfrog-checkpoint engine.
+// checkpointed builds a model whose journal takes a leapfrog checkpoint
+// every interval instructions.
 func checkpointed(prog *isa.Program, interval int) *Model {
 	m := New(Config{
 		MemBytes: 1 << 20, DisableInterrupts: true,
-		Rollback: RollbackCheckpoint, CheckpointInterval: interval,
+		CheckpointInterval: interval,
 	})
 	m.LoadProgram(prog)
 	return m
@@ -38,10 +39,10 @@ loop:
 	halt
 `
 
-// TestCheckpointEquivalence is the engine-equivalence property: under an
-// identical random re-steer schedule, the journal engine and the
-// leapfrog-checkpoint engine produce the same trace and the same final
-// state.
+// TestCheckpointEquivalence is the mode-equivalence property: under an
+// identical random re-steer schedule, the journal with a record per
+// instruction and with leapfrog checkpoints produces the same trace and the
+// same final state.
 func TestCheckpointEquivalence(t *testing.T) {
 	prog := isa.MustAssemble(checkpointSrc, 0x1000)
 
@@ -102,7 +103,7 @@ func TestCheckpointEquivalence(t *testing.T) {
 		}
 	}
 	if refRun.m.ReExecuted() != 0 {
-		t.Error("journal engine should never re-execute")
+		t.Error("a record per instruction should never re-execute")
 	}
 }
 
@@ -239,7 +240,7 @@ func TestCheckpointWithDevicesAndIdle(t *testing.T) {
 	ref.LoadProgram(prog)
 	refEntries, refState := run(ref, false)
 
-	cp := New(Config{MemBytes: 1 << 20, Rollback: RollbackCheckpoint, CheckpointInterval: 16})
+	cp := New(Config{MemBytes: 1 << 20, CheckpointInterval: 16})
 	cp.LoadProgram(prog)
 	cpEntries, cpState := run(cp, true)
 
@@ -251,5 +252,56 @@ func TestCheckpointWithDevicesAndIdle(t *testing.T) {
 	}
 	if cp.GPR[10] != 4 {
 		t.Errorf("timer handler ran %d times, want 4", cp.GPR[10])
+	}
+}
+
+// TestCheckpointReplayFollowsRedirects: a redirect is an input to the
+// model, like idle ticks. Here a checkpoint opens right after a wrong-path
+// redirect, so it holds the wrong PC; the re-steer to the right path at the
+// same IN supersedes it, and a rollback inside the right path must then
+// re-execute the right path, as the journal, which re-executes nothing, sees.
+func TestCheckpointReplayFollowsRedirects(t *testing.T) {
+	prog := isa.MustAssemble(`
+		movi r1, 1
+		movi r2, 2
+	right:	addi r1, 10
+		addi r2, 20
+		addi r1, 1
+		halt
+	wrong:	movi r1, 99
+		movi r2, 99
+		halt
+	`, 0x1000)
+	right, wrong := prog.Symbols["right"], prog.Symbols["wrong"]
+	var final []Scalars
+	for _, interval := range []int{0, 2} {
+		m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, CheckpointInterval: interval})
+		m.LoadProgram(prog)
+		step := func() trace.Entry {
+			e, ok := m.Step()
+			if !ok {
+				t.Fatalf("interval %d: stopped at IN %d", interval, m.IN())
+			}
+			return e
+		}
+		step()
+		step()
+		for _, pc := range []isa.Word{wrong, right} { // mispredict, then resolve
+			if err := m.SetPC(2, pc); err != nil {
+				t.Fatal(err)
+			}
+			step()
+		}
+		e := step() // IN 3
+		if err := m.SetPC(e.IN, e.PC); err != nil {
+			t.Fatal(err)
+		}
+		for m.Step(); !m.Halted(); m.Step() {
+		}
+		final = append(final, m.Scalars)
+	}
+	if final[0] != final[1] || final[0].GPR[1] != 12 || final[0].GPR[2] != 22 {
+		t.Errorf("after a rollback across a re-steered IN: r1 %d r2 %d with the journal, r1 %d r2 %d with checkpoints; want 12 and 22",
+			final[0].GPR[1], final[0].GPR[2], final[1].GPR[1], final[1].GPR[2])
 	}
 }

@@ -29,10 +29,10 @@ func (m *Model) step() bool {
 	if m.halted || m.fatal != nil {
 		return false
 	}
-	m.engine.begin(m)
+	m.journal.begin(m)
 	now := m.Now()
 	if m.Bus.NextDue() <= now {
-		m.engine.noteBus(m)
+		m.journal.noteBus(m)
 	}
 	m.Bus.Tick(now)
 
@@ -47,7 +47,7 @@ func (m *Model) step() bool {
 				m.Interrupts++
 			}
 			if !m.deliverTrap(uint8(isa.VecIRQBase+line), m.PC, 0) {
-				m.engine.abort(m)
+				m.journal.abort(m)
 				return false
 			}
 			interrupted = true
@@ -70,7 +70,7 @@ func (m *Model) step() bool {
 	}
 	if m.fatal != nil {
 		// An unhandled trap, raised by the instruction or for its fault.
-		m.engine.abort(m)
+		m.journal.abort(m)
 		return false
 	}
 	m.finishEntry(e, p)
@@ -470,7 +470,7 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 		ok := m.LLValid && va == m.LLAddr && isa.Word(m.Mem.Read(pa, 4)) == m.LLVal
 		m.LLValid = false // the link is consumed either way
 		if ok {
-			m.engine.noteMem(m, pa, 4)
+			m.journal.noteMem(m, pa, 4)
 			m.icache.noteStore(pa, 4)
 			m.Mem.Write(pa, uint64(m.GPR[inst.Rd]), 4)
 			m.GPR[inst.Rd] = 1
@@ -524,7 +524,7 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 	case isa.OpSti:
 		m.Flags |= isa.FlagI
 	case isa.OpTlbWr:
-		m.engine.noteTLB(m)
+		m.journal.noteTLB(m)
 		vpn := m.GPR[inst.Rd]
 		val := m.GPR[inst.Rs]
 		entry := fullsys.TLBEntry{
@@ -537,7 +537,7 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 		m.TLB.Insert(entry)
 		e.TLBWrite, e.TLBVPN = true, vpn
 	case isa.OpTlbFl:
-		m.engine.noteTLB(m)
+		m.journal.noteTLB(m)
 		m.TLB.Reset()
 	case isa.OpMovCR:
 		if int(inst.Imm) < isa.NumCR {
@@ -555,10 +555,10 @@ func (m *Model) execute(p *predecoded, nextPC isa.Word, e *trace.Entry) *fault {
 			}
 		}
 	case isa.OpIn:
-		m.engine.noteBus(m)
+		m.journal.noteBus(m)
 		m.GPR[inst.Rd] = m.Bus.In(uint16(inst.Imm), m.Now())
 	case isa.OpOut:
-		m.engine.noteBus(m)
+		m.journal.noteBus(m)
 		m.Bus.Out(uint16(inst.Imm), m.GPR[inst.Rd], m.Now())
 	case isa.OpCpuid:
 		m.GPR[inst.Rd] = 0x46495341 // "FISA"
@@ -729,7 +729,7 @@ func (m *Model) execStringStore(movs bool, iters int, e *trace.Entry) (int, *fau
 		if f != nil {
 			return done, f
 		}
-		m.engine.noteMem(m, dpa, n)
+		m.journal.noteMem(m, dpa, n)
 		m.icache.noteStore(dpa, n)
 		if movs {
 			m.Mem.CopyForward(dpa, spa, n)

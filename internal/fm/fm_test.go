@@ -772,7 +772,7 @@ func TestHaltWakeByInterrupt(t *testing.T) {
 // that wakes it) must be rewound when a re-steer rolls back across the HALT.
 // The target sleeps on the timer eight times; after each wake the driver
 // lets five instructions run (the handler and the return), rolls back to
-// four instructions before the HALT and carries on. Every rollback engine
+// four instructions before the HALT and carries on. Every rollback mode
 // must reproduce the straight run exactly: same instruction count, device
 // time, final state and — per HALT — the same idle period before and after
 // the rollback.
@@ -861,7 +861,7 @@ func TestRollbackAcrossIdle(t *testing.T) {
 	}{
 		{"journal", Config{}},
 		{"journal+superblocks", Config{ICacheEntries: 64, SuperblockLen: 8}},
-		{"checkpoint", Config{Rollback: RollbackCheckpoint, CheckpointInterval: 16}},
+		{"checkpoint", Config{CheckpointInterval: 16}},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			got := drive(t, row.cfg, true)
@@ -947,26 +947,35 @@ func TestRandomMemoryNeverPanics(t *testing.T) {
 }
 
 // TestRepFaultCountRegister drives the partial-progress semantics directly
-// through the model API (no OS): iterate a REP across a protection fault
-// and check R2.
+// through the model API (no OS, one trap vector): iterate a REP across a
+// protection fault and check the registers its handler sees.
 func TestRepFaultCountRegister(t *testing.T) {
 	m := New(Config{MemBytes: 1 << 16, DisableInterrupts: true})
 	// Copy 64 bytes where the destination runs off the end of physical
-	// memory after 32 iterations: store to 0xFFE0..0xFFFF ok, then fault.
-	m.LoadProgram(isa.MustAssemble(`
+	// memory after 32 iterations: store to 0xFFE0..0xFFFF ok, then fault
+	// into a handler that halts.
+	prog := isa.MustAssemble(`
 		movi r0, 0x8000
 		movi r1, 0xFFE0
 		movi r2, 64
-		rep movs
+	copy:	rep movs
 		halt
-	`, 0x1000))
+	handler:
+		halt
+	`, 0x1000)
+	m.LoadProgram(prog)
+	m.Mem.Write(isa.Word(isa.VecProt)*isa.VectorStride, uint64(prog.Symbols["handler"]), 4)
 	for {
 		if _, ok := m.Step(); !ok {
 			break
 		}
 	}
-	if m.Fatal() == nil {
-		t.Fatal("expected unhandled protection fault")
+	if m.Fatal() != nil {
+		t.Fatal(m.Fatal())
+	}
+	if m.CR[isa.CREPC] != prog.Symbols["copy"] || m.CR[isa.CRECause] != isa.VecProt {
+		t.Fatalf("EPC %#x cause %d, want the rep movs at %#x and vector %d",
+			m.CR[isa.CREPC], m.CR[isa.CRECause], prog.Symbols["copy"], isa.VecProt)
 	}
 	if m.GPR[2] != 64-32 {
 		t.Errorf("count register = %d, want 32 remaining after partial REP", m.GPR[2])

@@ -179,7 +179,7 @@ func TestICacheRollbackPastCodeStore(t *testing.T) {
 	for _, cfg := range []Config{
 		{MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64},
 		{MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64,
-			Rollback: RollbackCheckpoint, CheckpointInterval: 4},
+			CheckpointInterval: 4},
 		{MemBytes: 1 << 20, DisableInterrupts: true},
 	} {
 		m := New(cfg)
@@ -274,7 +274,7 @@ func TestICacheRollbackReplayEquivalence(t *testing.T) {
 	for name, cfg := range map[string]Config{
 		"journal": {MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64},
 		"checkpoint": {MemBytes: 1 << 20, DisableInterrupts: true, ICacheEntries: 64,
-			Rollback: RollbackCheckpoint, CheckpointInterval: 8},
+			CheckpointInterval: 8},
 	} {
 		m := New(cfg)
 		m.LoadProgram(prog)

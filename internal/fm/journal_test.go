@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"repro/internal/fullsys"
 	"repro/internal/isa"
@@ -145,7 +146,7 @@ func TestRepStoreMatchesByteLoop(t *testing.T) {
 			m := repTestModel(int64(trial), paged, repCap)
 			before := memCopy(m, 0, m.Mem.Size())
 			m.GPR[0], m.GPR[1], m.GPR[2], m.GPR[3] = src, dst, isa.Word(count), isa.Word(trial)
-			m.engine.begin(m)
+			m.journal.begin(m)
 			var e trace.Entry
 			f := exec(m, inst, &e)
 			return m, e, f, before
@@ -166,7 +167,7 @@ func TestRepStoreMatchesByteLoop(t *testing.T) {
 			t.Fatalf("%s: memory differs from the byte loop", name)
 		}
 		for _, m := range []*Model{got, want} {
-			m.jeng.undoTop(m)
+			m.journal.undoTop(m)
 			if !bytes.Equal(memCopy(m, 0, m.Mem.Size()), before) {
 				t.Fatalf("%s: undo did not restore memory", name)
 			}
@@ -283,8 +284,8 @@ fin:
 
 // TestRepRollbackDifferential runs random descriptor tables on repOS three
 // ways — straight-line with no host caches (the reference), on the journal
-// engine with superblocks under random SetPC rollbacks and Commit
-// frontiers, and on the checkpoint engine under the same kind of schedule —
+// with superblocks under random SetPC rollbacks and Commit frontiers, and
+// with checkpoints 24 instructions apart under the same kind of schedule —
 // and requires identical traces, registers, memory, TLB and device state.
 func TestRepRollbackDifferential(t *testing.T) {
 	prog := isa.MustAssemble(repOS, 0)
@@ -369,7 +370,7 @@ func TestRepRollbackDifferential(t *testing.T) {
 		for name, cfg := range map[string]Config{
 			"journal+superblocks": {ICacheEntries: 256, SuperblockLen: 16},
 			"journal":             {ICacheEntries: 256},
-			"checkpoint":          {ICacheEntries: 256, Rollback: RollbackCheckpoint, CheckpointInterval: 24},
+			"checkpoint":          {ICacheEntries: 256, CheckpointInterval: 24},
 		} {
 			got := run(cfg, true)
 			sbCompare(t, fmt.Sprintf("seed %d %s", seed, name), got.entries, ref.entries, got.m, ref.m)
@@ -480,11 +481,11 @@ func TestJournalRingWindows(t *testing.T) {
 
 // TestJournalAbortAtWrap aborts an instruction whose record is the first of
 // a new lap of the ring and already holds log bytes: a rep movs that runs
-// off the end of memory with no IVT, so the trap is fatal and the partial
-// copy stays in place. The model is redirected past it, runs on, rolls
-// back across the aborted slot (replaying into the same abort) and
-// finishes; everything must match a model that never committed, never
-// wrapped and never rolled back.
+// off the end of memory with no IVT, so the trap is fatal and abort undoes
+// the partial copy. The model is redirected past it, runs on, rolls back
+// across the aborted slot (replaying into the same abort) and finishes;
+// everything must match a model that never committed, never wrapped and
+// never rolled back.
 func TestJournalAbortAtWrap(t *testing.T) {
 	src := "movi r4, 0x4000\nmovi r0, 0x1000\nmovi r1, 0xFFE0\nmovi r2, 64\n"
 	for i := 0; i < 30; i++ {
@@ -512,7 +513,7 @@ func TestJournalAbortAtWrap(t *testing.T) {
 				m.Commit(uint64(i - 8))
 			}
 		}
-		if j := m.jeng; wrap && (len(j.recs.buf) != 64 || j.recs.tail != 64) {
+		if j := &m.journal; wrap && (len(j.recs.buf) != 64 || j.recs.tail != 64) {
 			t.Fatalf("ring not at its wrap point: cap %d tail %d", len(j.recs.buf), j.recs.tail)
 		}
 		abort := func() {
@@ -520,7 +521,7 @@ func TestJournalAbortAtWrap(t *testing.T) {
 			if _, ok := m.Step(); ok || m.Fatal() == nil {
 				t.Fatal("rep movs past the end of memory without an IVT did not stop the model")
 			}
-			if m.JournalLen() != window || m.GPR[2] != 32 {
+			if m.JournalLen() != window || m.GPR[2] != 64 {
 				t.Fatalf("abort: window %d (was %d), count register %d", m.JournalLen(), window, m.GPR[2])
 			}
 			if err := m.SetPC(64, prog.Symbols["resume"]); err != nil {
@@ -558,8 +559,84 @@ func TestJournalAbortAtWrap(t *testing.T) {
 	if !bytes.Equal(memCopy(wrapped, 0, 1<<16), memCopy(plain, 0, 1<<16)) {
 		t.Fatal("memory after abort at the wrap point differs")
 	}
-	if !bytes.Equal(memCopy(plain, 0xFFE0, 32), memCopy(plain, 0x1000, 32)) {
-		t.Fatal("the aborted rep's partial copy was not left in place")
+	if !bytes.Equal(memCopy(plain, 0xFFE0, 32), make([]byte, 32)) {
+		t.Fatal("the aborted rep's partial copy was left in place")
+	}
+}
+
+// TestFatalStopUndoesPartialEffects: a rep stos that runs off the end of
+// memory with no IVT stops the model fatally after storing part of its run.
+// The stop must leave the model exactly as it was before the instruction —
+// registers and memory — at every checkpoint interval, so that neither a
+// pure redirect at its IN nor a rollback below it inherits the partial
+// stores; and the re-execution a checkpoint abort needs is not charged.
+func TestFatalStopUndoesPartialEffects(t *testing.T) {
+	prog := isa.MustAssemble(`
+		movi r4, 0x4000
+		movi r5, 7
+		stw  r5, [r4]
+		movi r1, 0xFFF0
+		movi r2, 64
+		movi r3, 0xAA
+		rep stos         ; IN 6: 16 bytes fit, then an unhandled protection fault
+		halt
+	other:
+		halt
+	`, 0x1000)
+	for _, interval := range []int{0, 4, DefaultCheckpointInterval} {
+		for _, rollback := range []bool{false, true} {
+			name := fmt.Sprintf("interval %d rollback %v", interval, rollback)
+			m := New(Config{MemBytes: 1 << 16, DisableInterrupts: true, CheckpointInterval: interval})
+			m.LoadProgram(prog)
+			var pcs []isa.Word
+			var pre []Scalars
+			for i := 0; i < 6; i++ {
+				pre = append(pre, m.Scalars)
+				e, ok := m.Step()
+				if !ok {
+					t.Fatalf("%s: stopped at IN %d", name, i)
+				}
+				pcs = append(pcs, e.PC)
+			}
+			pre = append(pre, m.Scalars)
+			clean := memCopy(m, 0, 1<<16)
+			if _, ok := m.Step(); ok || m.Fatal() == nil {
+				t.Fatalf("%s: rep stos past the end of memory without an IVT did not stop the model", name)
+			}
+			if m.IN() != 6 || m.Scalars != pre[6] || !bytes.Equal(memCopy(m, 0, 1<<16), clean) {
+				t.Fatalf("%s: fatal stop at IN %d left r1 %#x r2 %d and stored bytes behind",
+					name, m.IN(), m.GPR[1], m.GPR[2])
+			}
+			if m.ReExecuted() != 0 {
+				t.Errorf("%s: the abort charged %d re-executed instructions", name, m.ReExecuted())
+			}
+			in, pc := m.IN(), prog.Symbols["other"]
+			if rollback {
+				in, pc = 2, pcs[2]
+			}
+			if err := m.SetPC(in, pc); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			stored := uint64(7) // by the stw at IN 2
+			if in <= 2 {
+				stored = 0
+			}
+			if m.Scalars.GPR != pre[in].GPR || m.Mem.Read(0xFFF0, 4) != 0 || m.Mem.Read(0x4000, 4) != stored {
+				t.Fatalf("%s: after SetPC(%d): r1 %#x r2 %d, [0xFFF0] %#x, [0x4000] %d",
+					name, in, m.GPR[1], m.GPR[2], m.Mem.Read(0xFFF0, 4), m.Mem.Read(0x4000, 4))
+			}
+			if _, ok := m.Step(); !ok || m.Fatal() != nil {
+				t.Fatalf("%s: no instruction after SetPC(%d): %v", name, in, m.Fatal())
+			}
+		}
+	}
+}
+
+// TestUndoRecordSize: the record ring is most of what a long uncommitted
+// window costs, so checkpoint bookkeeping must fit in the record's padding.
+func TestUndoRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(undoRecord{}); n > 216 {
+		t.Errorf("undoRecord is %d bytes, want at most 216", n)
 	}
 }
 
@@ -571,8 +648,8 @@ func TestJournalReleaseDropsReferences(t *testing.T) {
 	m.LoadProgram(isa.MustAssemble(storeLoop, 0x1000))
 	live := func() int {
 		n := 0
-		for i := range m.jeng.side.buf {
-			if !reflect.ValueOf(m.jeng.side.buf[i].bus).IsZero() {
+		for i := range m.journal.side.buf {
+			if !reflect.ValueOf(m.journal.side.buf[i].bus).IsZero() {
 				n++
 			}
 		}
@@ -588,13 +665,13 @@ func TestJournalReleaseDropsReferences(t *testing.T) {
 	if err := m.SetPC(250, 0x1000); err != nil {
 		t.Fatal(err)
 	}
-	if got, want := live(), m.jeng.side.len(); got != want {
+	if got, want := live(), m.journal.side.len(); got != want {
 		t.Fatalf("%d captures reachable, %d side entries live", got, want)
 	}
 	m.Commit(m.IN() - 1)
-	if live() != 0 || m.jeng.side.len() != 0 || m.jeng.mem.head != 0 || len(m.jeng.mem.buf) != 0 {
+	if live() != 0 || m.journal.side.len() != 0 || m.journal.mem.head != 0 || len(m.journal.mem.buf) != 0 {
 		t.Fatalf("drained journal still holds %d captures, %d side entries, %d log bytes",
-			live(), m.jeng.side.len(), len(m.jeng.mem.buf))
+			live(), m.journal.side.len(), len(m.journal.mem.buf))
 	}
 }
 
@@ -606,7 +683,7 @@ func TestRestoreOverRolledBackWindow(t *testing.T) {
 	prog := isa.MustAssemble(storeLoop, 0x1000)
 	for _, cfg := range []Config{
 		{ICacheEntries: 64, SuperblockLen: 8},
-		{Rollback: RollbackCheckpoint, CheckpointInterval: 16},
+		{CheckpointInterval: 16},
 	} {
 		cfg.MemBytes, cfg.DisableInterrupts = 1<<20, true
 		fresh := func() *Model {
@@ -634,7 +711,7 @@ func TestRestoreOverRolledBackWindow(t *testing.T) {
 			if err := snap.Unmarshal(blob, m); err != nil {
 				t.Fatal(err)
 			}
-			if m.jeng != nil && m.JournalLen() != 0 {
+			if m.journal.interval == 0 && m.JournalLen() != 0 {
 				t.Fatalf("window %d after restore, want 0", m.JournalLen())
 			}
 			if err := m.SetPC(m.IN()-1, 0x1000); err == nil {
@@ -709,7 +786,7 @@ poll:
 
 // TestSteadyStateZeroAllocs: once the stores have reached their working
 // size, the FM loop with commits on allocates nothing — per-instruction and
-// block-at-a-time, under both rollback engines, rollbacks included, driven
+// block-at-a-time, with and without checkpoints, rollbacks included, driven
 // by hand or through Run, and with device I/O on every few instructions. The
 // cut rows' sink stops every block after one instruction, so each block is
 // resumed op by op.
@@ -728,17 +805,17 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			return []fullsys.Device{fullsys.NewTimer(), disk}
 		}},
 	} {
-		for _, mode := range []RollbackMode{RollbackJournal, RollbackCheckpoint} {
+		for _, interval := range []int{0, DefaultCheckpointInterval} {
 			for _, row := range []struct {
 				sblen int
 				cut   bool
 			}{{0, false}, {DefaultSuperblockLen, false}, {DefaultSuperblockLen, true}} {
-				name := fmt.Sprintf("%s/%s/superblock len %d", sub.name, []string{"journal", "checkpoint"}[mode], row.sblen)
+				name := fmt.Sprintf("%s/checkpoint interval %d/superblock len %d", sub.name, interval, row.sblen)
 				if row.cut {
 					name += "/cut after every entry"
 				}
 				m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, Devices: sub.devices(),
-					Rollback: mode, ICacheEntries: DefaultICacheEntries, SuperblockLen: row.sblen})
+					CheckpointInterval: interval, ICacheEntries: DefaultICacheEntries, SuperblockLen: row.sblen})
 				m.LoadProgram(isa.MustAssemble(sub.src, 0x1000))
 				sink := func(trace.Entry) bool { return !row.cut }
 				chunk := func() {
@@ -807,13 +884,13 @@ func TestMemLogZeroRun(t *testing.T) {
 		for i := 0; i < 6; i++ {
 			m.Step()
 		}
-		before, logged := memCopy(m, 0x17F8, 0x1000), len(m.jeng.mem.buf)
+		before, logged := memCopy(m, 0x17F8, 0x1000), len(m.journal.mem.buf)
 		e, _ := m.Step()
 		want := 2 * memLogHeader
 		if old != 0 {
 			want += 0x1000
 		}
-		if got := len(m.jeng.mem.buf) - logged; got != want {
+		if got := len(m.journal.mem.buf) - logged; got != want {
 			t.Errorf("old bytes %#x: rep stos logged %d bytes, want %d", old, got, want)
 		}
 		if err := m.SetPC(e.IN, e.PC); err != nil {

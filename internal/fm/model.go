@@ -8,12 +8,15 @@
 // software checkpoints of architectural state along with memory and I/O
 // logging", keeping "at least two checkpoints that leapfrog each other ...
 // to ensure that the functional model can rollback to any non-committed
-// instruction". We implement the same contract with a per-instruction undo
-// journal: each record holds the pre-instruction scalar state plus memory,
-// TLB and device undo data, and records are released as the timing model
-// commits — functionally identical to leapfrog checkpoints + logs (a
-// checkpoint interval of one), and it makes the "rollback to any
-// non-committed instruction" invariant directly testable.
+// instruction". We implement it as one engine, the journal (journal.go): a
+// record is a checkpoint — the state at its first instruction plus the
+// memory, TLB and device log of the instructions it covers — and records
+// are released as the timing model commits. By default a record
+// opens per instruction (per superblock on the block path): a checkpoint
+// interval of one, which rolls back without re-executing and makes the
+// "rollback to any non-committed instruction" invariant directly testable.
+// Config.CheckpointInterval spaces checkpoints out as the paper's prototype
+// did, at the cost of re-execution on rollback (ablation A7).
 //
 // The front end has one of each thing. predecode derives one record per
 // static instruction (predecoded: the decoded form, its µop instantiation,
@@ -87,9 +90,9 @@ type Config struct {
 	// straight-line predecoded instructions executed back to back with one
 	// rollback/interrupt/device check per block. 0 disables
 	// superblocks; they also require the predecode cache (ICacheEntries >
-	// 0) and the journal rollback engine — under RollbackCheckpoint,
-	// block-granular accounting would move checkpoint placement and hence
-	// the modeled re-execution cost, so the knob is ignored there. Like
+	// 0) and a CheckpointInterval of 0 — with checkpoints spaced out,
+	// block-granular accounting would move their placement and hence the
+	// modeled re-execution cost, so the knob is ignored there. Like
 	// ICacheEntries, architected state and the emitted trace are
 	// bit-identical at any value.
 	SuperblockLen int
@@ -98,11 +101,12 @@ type Config struct {
 	// DisableInterrupts prevents autonomous interrupt delivery; used by
 	// unit tests that want pure sequential semantics.
 	DisableInterrupts bool
-	// Rollback selects the rollback engine: the per-instruction undo
-	// journal (default) or the paper's leapfrog checkpoints + replay.
-	Rollback RollbackMode
-	// CheckpointInterval is the instruction distance between leapfrog
-	// checkpoints (RollbackCheckpoint only; 0 = DefaultCheckpointInterval).
+	// CheckpointInterval is the instruction distance between the rollback
+	// journal's checkpoints (journal.go). 0 opens one per instruction, or
+	// per superblock, and rolls back without re-executing; N > 0 is the
+	// paper's leapfrog checkpoints, whose rollbacks re-execute forward from
+	// the checkpoint below their target (ablation A7, counted in
+	// ReExecuted).
 	CheckpointInterval int
 	// Telemetry, when non-nil, receives rollback/re-execution counters and
 	// the journal-depth distribution (fm_* series). Nil telemetry costs one
@@ -134,7 +138,7 @@ func NewShared(cfg Config) *Shared {
 	s := &Shared{Mem: fullsys.NewMemory(cmp.Or(cfg.MemBytes, DefaultMemBytes))}
 	if cfg.ICacheEntries > 0 {
 		s.ic = newICTable(cfg.ICacheEntries, s.Mem.Size())
-		if cfg.SuperblockLen > 0 && cfg.Rollback != RollbackCheckpoint {
+		if cfg.SuperblockLen > 0 && cfg.CheckpointInterval <= 0 {
 			s.sbLen = cfg.SuperblockLen
 		}
 	}
@@ -164,11 +168,10 @@ type Model struct {
 	halted bool
 	idle   uint64 // device-time ticks accumulated while halted
 	fatal  error  // unrecoverable condition (unhandled trap)
-	replay bool   // inside a checkpoint-engine replay: skip statistics
+	replay bool   // inside a rollback's re-execution: skip statistics
 
-	engine rollbackEngine
-	jeng   *journalEngine // engine when journal mode; nil under checkpoints
-	obs    fmInstruments
+	journal journal
+	obs     fmInstruments
 
 	// Statistics.
 	Coverage   microcode.CoverageStats
@@ -193,19 +196,14 @@ func New(cfg Config) *Model {
 		sh = NewShared(cfg)
 	}
 	m := &Model{
-		Mem: sh.Mem,
-		Bus: fullsys.NewBus(devs...),
-		cfg: cfg,
-	}
-	if cfg.Rollback == RollbackCheckpoint {
-		m.engine = newCheckpointEngine(cfg.CheckpointInterval)
-	} else {
-		m.jeng = &journalEngine{}
-		m.engine = m.jeng
+		Mem:     sh.Mem,
+		Bus:     fullsys.NewBus(devs...),
+		cfg:     cfg,
+		journal: journal{interval: max(cfg.CheckpointInterval, 0)},
 	}
 	if sh.ic != nil {
 		m.icache = &icache{icTable: sh.ic}
-		if sh.sbLen > 0 && m.jeng != nil {
+		if sh.sbLen > 0 && m.journal.interval == 0 {
 			m.sb = &sbCache{maxLen: sh.sbLen}
 		}
 	}
@@ -333,7 +331,7 @@ func (m *Model) AdvanceIdle(n uint64) bool {
 	if !m.halted {
 		return true
 	}
-	m.engine.noteIdle(m, n)
+	m.journal.noteIdle(m, n)
 	m.idle += n
 	m.Bus.Tick(m.Now())
 	if m.cfg.DisableInterrupts {
@@ -432,7 +430,7 @@ func (m *Model) store(va isa.Word, v uint64, n int) (isa.Word, *fault) {
 	if !m.Mem.InRange(pa, n) {
 		return 0, &fault{vector: isa.VecProt, faultVA: va, retry: true}
 	}
-	m.engine.noteMem(m, pa, n)
+	m.journal.noteMem(m, pa, n)
 	m.icache.noteStore(pa, n)
 	m.Mem.Write(pa, v, n)
 	return pa, nil

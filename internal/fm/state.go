@@ -4,12 +4,11 @@ package fm
 // legal only at a quiescent boundary — every produced instruction
 // committed by the timing model, no wrong-path speculation in flight —
 // which the coupled simulator (internal/core) verifies before it marshals.
-// At such a boundary the rollback window is semantically empty, so the
-// journal contributes nothing; the only engine state that must survive is
-// the checkpoint engine's phase (distance into the current leapfrog
-// segment) and its cumulative re-execution count, without which a resumed
-// run would place future checkpoints differently and drift from the cold
-// run's modeled cost.
+// At such a boundary the rollback window is semantically empty, so no
+// record is carried; with checkpoints spaced out, what must survive is the
+// phase (how far the open checkpoint has got) and the cumulative
+// re-execution count, without which a resumed run would place future
+// checkpoints differently and drift from the cold run's modeled cost.
 //
 // The encoding covers architected scalars, physical memory (sparse,
 // zero-page-elided), the TLB, the whole device bus, and the model's
@@ -28,7 +27,7 @@ const fmStateV = 1
 // memory (single-core) carries it; cores of a multicore target share one
 // Memory (Config.Shared), which the container walks once. The target
 // of a load must have been built with the same workload-shaping
-// configuration (memory geometry, device complement, rollback mode) —
+// configuration (memory geometry, device complement, checkpoint mode) —
 // mismatches are decode errors, not silent divergence.
 func (m *Model) State(c *snap.Codec) {
 	c.Version("fm", fmStateV)
@@ -58,20 +57,23 @@ func (m *Model) State(c *snap.Codec) {
 	c.U64(&m.Interrupts)
 	c.U64(&m.Exceptions)
 
-	// Rollback-engine phase.
-	mode := uint8(m.cfg.Rollback)
+	// Checkpoint phase: a mode byte (1 = checkpoints spaced out), then in
+	// that mode the re-execution count and the open checkpoint's depth.
+	j := &m.journal
+	checkpoints := j.interval > 0
+	mode := uint8(min(j.interval, 1))
+	want := mode
 	c.U8(&mode)
-	if RollbackMode(mode) != m.cfg.Rollback {
-		c.Failf("rollback mode %d, model configured for %d", mode, m.cfg.Rollback)
+	if mode != want {
+		c.Failf("rollback mode %d, model configured for %d", mode, want)
 	}
-	ck, _ := m.engine.(*checkpointEngine)
-	segCount := 0
-	if ck != nil {
-		if ck.segs.len() > 0 {
-			segCount = ck.segs.back().count
+	depth := 0
+	if checkpoints {
+		if j.recs.len() > 0 {
+			depth = j.covered(m)
 		}
-		c.U64(&ck.reExecuted)
-		c.Int32(&segCount)
+		c.U64(&j.reExecuted)
+		c.Int32(&depth)
 	}
 
 	m.TLB.State(c)
@@ -86,15 +88,13 @@ func (m *Model) State(c *snap.Codec) {
 		return
 	}
 	m.fatal = nil
-	if ck != nil {
-		// Rebuild the leapfrog phase: one segment anchored at the restored
-		// state, already segCount instructions deep, so the next checkpoint
-		// lands exactly where the cold run's would have.
-		ck.segs.tail = ck.segs.head
-		ck.mem.reset()
-		ck.take(m, segCount)
-	} else {
-		m.jeng.reset()
+	j.reset()
+	if checkpoints {
+		// Rebuild the leapfrog phase: one checkpoint anchored at the restored
+		// state, already depth instructions deep, so the next one lands
+		// exactly where the cold run's would have.
+		j.open(m)
+		j.base = depth
 	}
 	// Memory contents changed under the host-side caches: rebuild on demand.
 	if ownMem {

@@ -190,8 +190,8 @@ func (m *Model) enter() (*icEntry, isa.Word, int) {
 				return nil, 0, 0
 			}
 		}
-		if m.jeng.recs.len() == 0 {
-			m.jeng.begin(m)
+		if m.journal.recs.len() == 0 {
+			m.journal.begin(m)
 		}
 		c.resumes++
 		return e, cut.pa, cut.left
@@ -209,7 +209,7 @@ func (m *Model) enter() (*icEntry, isa.Word, int) {
 			return nil, 0, 0
 		}
 	}
-	m.jeng.begin(m)
+	m.journal.begin(m)
 	return e, pa, c.maxLen
 }
 
@@ -281,27 +281,19 @@ func (m *Model) StepBlock(sink func(trace.Entry) bool) int {
 }
 
 // replayFault recovers from an exception or fatal condition raised inside
-// a superblock: the open block record is rolled back wholesale, the
-// already-delivered prefix it covers — this call's retired entries and any
-// earlier segments' of a resumed block — is re-executed silently, and the
-// faulting instruction re-runs through Step on the per-instruction path.
-// Replay is deterministic — blockReady proved no interrupt or device event
-// falls in the block's window, and the undo restored the memory the prefix
-// fetched from, so a prefix that stored into its own block's code replays
-// the bytes it ran the first time.
+// a superblock: the journal rewinds to the faulting instruction — the open
+// block record is rolled back wholesale and the already-delivered prefix it
+// covers, this call's retired entries and any earlier segments' of a
+// resumed block, is re-executed silently — and the faulting instruction
+// re-runs through Step on the per-instruction path. Replay is deterministic
+// — blockReady proved no interrupt or device event falls in the block's
+// window, and the undo restored the memory the prefix fetched from, so a
+// prefix that stored into its own block's code replays the bytes it ran the
+// first time.
 func (m *Model) replayFault(sink func(*trace.Entry) bool, retired int) int {
-	faulting := m.in
-	m.jeng.undoTop(m)
 	m.fatal = nil
-	if m.in < faulting {
-		m.replay = true
-		for m.in < faulting {
-			if !m.step() {
-				m.replay = false
-				panic("fm: superblock prefix replay diverged")
-			}
-		}
-		m.replay = false
+	if _, err := m.journal.rewind(m, m.in, true); err != nil {
+		panic("fm: superblock prefix replay diverged")
 	}
 	if m.step() {
 		retired++
@@ -311,8 +303,8 @@ func (m *Model) replayFault(sink func(*trace.Entry) bool, retired int) int {
 }
 
 // SuperblocksEnabled reports whether the block fast path exists at all
-// (Config.SuperblockLen > 0 with the predecode cache and journal engine
-// present); without it Produce is Step behind a sink.
+// (Config.SuperblockLen > 0 with the predecode cache and a checkpoint
+// interval of 0); without it Produce is Step behind a sink.
 func (m *Model) SuperblocksEnabled() bool { return m.sb != nil }
 
 // SuperblockStats reports the superblock counters (all zero when disabled):

@@ -1,12 +1,14 @@
 package fm
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/snap"
 	"repro/internal/trace"
 )
 
@@ -339,8 +341,8 @@ func TestSuperblockResume(t *testing.T) {
 			if icHits, _, _, _ := m.ICacheStats(); peer != nil && icHits != 0 {
 				t.Errorf("%d predecode hits: the peer refilled every slot between two calls", icHits)
 			}
-			if m.Fatal() == nil && uint64(m.jeng.recs.len()) != hits+misses {
-				t.Errorf("%d journal records for %d entered blocks", m.jeng.recs.len(), hits+misses)
+			if m.Fatal() == nil && uint64(m.journal.recs.len()) != hits+misses {
+				t.Errorf("%d journal records for %d entered blocks", m.journal.recs.len(), hits+misses)
 			}
 		})
 	}
@@ -368,7 +370,10 @@ func TestSharedFlushEndsCursors(t *testing.T) {
 // FuzzSuperblockForm is the differential property behind every superblock
 // test: executing arbitrary byte soup block-at-a-time must produce exactly
 // the per-instruction model's trace and final state — faults, fatal stops
-// and all — and never panic. Walking garbage exercises decode
+// and all — and never panic. A third model steps per instruction with
+// checkpoints 1..64 instructions apart, so the journal's two modes meet the
+// same rollbacks and fatal stops, and all three must end with the same
+// memory. Walking garbage exercises decode
 // failures, length caps, page-end clipping and terminator detection. Every
 // input runs twice: loaded at 0x1000, and straddling the 0x2000 page end
 // (loaded at 0x2000 − len(code)/2), where blocks end at the boundary and
@@ -379,9 +384,9 @@ func TestSharedFlushEndsCursors(t *testing.T) {
 // accepts before it stops the block, and whose next three pick what runs
 // before the next call — nothing, a Commit, a pure-redirect SetPC to the
 // same or another PC, a real rollback to the original or another PC, or a
-// write of the exported PC. The per-instruction reference steps once per
-// entry delivered and gets the same operations. An exhausted schedule
-// never cuts.
+// write of the exported PC. The per-instruction models step once per
+// entry delivered and get the same operations. An exhausted schedule
+// never cuts. The schedule's first byte also picks the checkpoint interval.
 func FuzzSuperblockForm(f *testing.F) {
 	for _, src := range []string{
 		`movi r0, 3
@@ -476,6 +481,12 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 	m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true,
 		ICacheEntries: 16, SuperblockLen: 8})
 	m.LoadProgram(prog)
+	interval := DefaultCheckpointInterval
+	if len(sched) > 0 {
+		interval = 1 + int(sched[0]%64)
+	}
+	cp := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, CheckpointInterval: interval})
+	cp.LoadProgram(prog)
 	var pcs []isa.Word // the PC of every entry, by IN
 	produced := 0
 	for produced < max {
@@ -490,6 +501,9 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 			if !entriesEqual(*e, want) {
 				t.Fatalf("entry %d differs:\n got %+v\nwant %+v", e.IN, *e, want)
 			}
+			if got, ok := cp.Step(); !ok || !entriesEqual(got, want) {
+				t.Fatalf("checkpoint entry %d differs:\n got %+v\nwant %+v", e.IN, got, want)
+			}
 			pcs = append(pcs[:e.IN], e.PC)
 			left--
 			return !cut || left > 0
@@ -500,6 +514,9 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 			if _, ok := ref.Step(); ok {
 				t.Fatalf("block path stopped at IN %d, the reference did not", m.IN())
 			}
+			if _, ok := cp.Step(); ok {
+				t.Fatalf("block path stopped at IN %d, the checkpoint model did not", m.IN())
+			}
 		}
 		if n == 0 {
 			break
@@ -508,16 +525,16 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 		if !cut {
 			continue
 		}
-		both := func(op func(*Model) error) {
+		all := func(op func(*Model) error) {
 			t.Helper()
-			errM, errR := op(m), op(ref)
-			if (errM == nil) != (errR == nil) {
-				t.Fatalf("operation error: block %v, reference %v", errM, errR)
+			errM, errR, errC := op(m), op(ref), op(cp)
+			if (errM == nil) != (errR == nil) || (errC == nil) != (errR == nil) {
+				t.Fatalf("operation error: block %v, reference %v, checkpoint %v", errM, errR, errC)
 			}
 		}
 		setPC := func(in uint64, pc isa.Word) {
 			t.Helper()
-			both(func(x *Model) error { return x.SetPC(in, pc) })
+			all(func(x *Model) error { return x.SetPC(in, pc) })
 			if m.cut.left != 0 {
 				t.Fatal("SetPC left a superblock to resume")
 			}
@@ -526,7 +543,7 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 		switch op := s >> 3 & 7; op {
 		case 2:
 			in := m.IN() - min(m.IN(), uint64(next()%4))
-			both(func(x *Model) error { x.Commit(in); return nil })
+			all(func(x *Model) error { x.Commit(in); return nil })
 		case 3:
 			setPC(m.IN(), m.PC)
 		case 4:
@@ -540,14 +557,24 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 				setPC(in, pc)
 			}
 		case 7:
-			both(func(x *Model) error { x.PC = pc; return nil })
+			m.PC, ref.PC, cp.PC = pc, pc, pc
+			if cp.Fatal() == nil {
+				// A running checkpoint model re-executes across what it was
+				// not told of, so it takes the write as the redirect it is.
+				cp.SetPC(cp.IN(), pc)
+			}
 		}
 	}
-	if !sameScalars(m.Scalars, ref.Scalars) {
-		t.Fatalf("scalar state differs:\n got %+v\nwant %+v", m.Scalars, ref.Scalars)
-	}
-	if (m.Fatal() != nil) != (ref.Fatal() != nil) {
-		t.Fatalf("fatal mismatch: block %v, reference %v", m.Fatal(), ref.Fatal())
+	for _, x := range []*Model{m, cp} {
+		if !sameScalars(x.Scalars, ref.Scalars) {
+			t.Fatalf("scalar state differs:\n got %+v\nwant %+v", x.Scalars, ref.Scalars)
+		}
+		if (x.Fatal() != nil) != (ref.Fatal() != nil) {
+			t.Fatalf("fatal mismatch: %v, reference %v", x.Fatal(), ref.Fatal())
+		}
+		if !bytes.Equal(snap.Marshal(x.Mem), snap.Marshal(ref.Mem)) {
+			t.Fatal("memory differs")
+		}
 	}
 }
 

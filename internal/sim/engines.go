@@ -141,16 +141,13 @@ func (e *fastEngine) Configure(p Params) error {
 	cfg := core.DefaultConfig()
 	cfg.TM = p.tmConfig()
 	cfg.FM = fmCfg
+	cfg.FM.CheckpointInterval = p.CheckpointInterval // 0 unless Rollback is "checkpoint"
 	cfg.Link = links[p.Link]()
 	cfg.BPP = p.BPP
 	cfg.MaxInstructions = p.MaxInstructions
 	cfg.TraceChunk = p.TraceChunk
 	cfg.Telemetry = p.Telemetry
 	cfg.PollEveryBBs = max(p.PollEveryBBs, 0) // core spells PollOnResteer as 0
-	if p.Rollback == "checkpoint" {
-		cfg.FM.Rollback = fm.RollbackCheckpoint
-		cfg.FM.CheckpointInterval = p.CheckpointInterval
-	}
 	if p.UncompressedTrace {
 		cfg.FM.Encoding.Uncompressed = true
 	}

@@ -49,6 +49,24 @@ func FuzzEngineAgreement(f *testing.F) {
 		// engines used to idle towards MaxCycles instead.
 		`sti
 		halt`,
+		// A wrong-path rep stos runs off the end of memory with no IVT: the
+		// fatal stop used to leave r1, r2 and the stored bytes behind for
+		// the right path, which then looped on the clobbered r2 and read
+		// 0xAA back.
+		`movi r1, 0xFFFFF0
+		movi r2, 64
+		movi r3, 0xAA
+		movi r5, 0
+		cmpi r5, 0
+		jz   right
+		rep stos
+		halt
+	right:	mov  r0, r2
+	loop:	dec  r0
+		jnz  loop
+		movi r5, 0xFFFFF0
+		ldb  r6, [r5]
+		halt`,
 	} {
 		f.Add(isa.MustAssemble(src, 0x1000).Code)
 	}

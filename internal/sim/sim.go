@@ -133,12 +133,15 @@ type Params struct {
 	// FAST engines only.
 	SuperblockLen int `json:"superblock_len,omitempty"`
 
-	// Rollback selects the FM recovery mechanism: "" or "journal" (the
-	// per-instruction undo journal), "checkpoint" (periodic register-file
-	// checkpoints, ablation A7). FAST engines only.
+	// Rollback selects how far apart the FM's rollback journal takes its
+	// checkpoints (fm.Config.CheckpointInterval): "" or "journal" (a
+	// record per instruction, or per superblock: nothing re-executes),
+	// "checkpoint" (the paper's leapfrog checkpoints every
+	// CheckpointInterval instructions, re-executed forward on rollback:
+	// ablation A7). FAST engines only.
 	Rollback string `json:"rollback,omitempty"`
 	// CheckpointInterval is the instructions-per-checkpoint spacing when
-	// Rollback is "checkpoint"; 0 = the FM default.
+	// Rollback is "checkpoint"; 0 = fm.DefaultCheckpointInterval.
 	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
 	// UncompressedTrace disables the trace-word compression of §2.2, so
 	// every entry ships full-width over the link (ablation A5). FAST
@@ -192,7 +195,7 @@ func (p Params) Resolved() Params {
 	p.TraceChunk = min(cmp.Or(p.TraceChunk, trace.DefaultChunk), def.TBCapacity)
 	p.ICacheEntries = cmp.Or(p.ICacheEntries, def.FM.ICacheEntries)
 	p.SuperblockLen = cmp.Or(p.SuperblockLen, def.FM.SuperblockLen)
-	p.Rollback = cmp.Or(p.Rollback, "journal") // fm's zero RollbackMode
+	p.Rollback = cmp.Or(p.Rollback, "journal") // fm.Config.CheckpointInterval 0
 	p.CheckpointInterval = cmp.Or(p.CheckpointInterval, fm.DefaultCheckpointInterval)
 	if p.Program != nil {
 		// A raw image replaces the named workload and boots no devices.
