@@ -19,7 +19,7 @@ func BenchmarkPolicy(b *testing.B) {
 		}
 		spec, _ := workload.ByName("164.gzip")
 		if !p.single() {
-			spec = workload.SMP(p.cores)
+			spec = workload.SMP(p.cores, false)
 		}
 		maxInst := 20_000 * uint64(max(p.cores, 1)) // 20k per core
 		b.Run(p.name, func(b *testing.B) {

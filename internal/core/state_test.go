@@ -112,7 +112,7 @@ func smpSleepCfg(t testing.TB, n, iters int) (Config, *workload.Boot) {
 	k := workload.FastBoot()
 	k.Cores = n
 	k.SMPUser = true
-	boot, err := workload.BuildBoot(k, workload.SMPSleepProgram(iters, n))
+	boot, err := workload.BuildBoot(k, workload.SMPProgram(iters, n, true))
 	if err != nil {
 		t.Fatal(err)
 	}

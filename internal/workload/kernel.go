@@ -63,7 +63,7 @@ type KernelConfig struct {
 
 	// FS grows the kernel with the toyFS subsystem: a sector cache,
 	// file/process/log/NIC syscalls, and per-process address spaces (see
-	// fskernel.go). FS kernels are uniprocessor-only — BuildBoot rejects
+	// fskernel.go). FS kernels are uniprocessor-only — Spec.Build rejects
 	// FS with Cores > 1. At FS=false the generated source is byte-
 	// identical to the pre-FS kernel.
 	FS bool
@@ -515,16 +515,6 @@ func (b *Boot) Fork(diskLatency uint64) *Boot {
 // image onto the disk, and returns the bootable system.
 func BuildBoot(k KernelConfig, userAsm string) (*Boot, error) {
 	return buildBoot(k, userAsm, nil, nil)
-}
-
-// BuildBootFS builds an FS-kernel boot: on top of BuildBoot it mkfs's the
-// given root files into a toyFS image on the disk (sectors fs.Base and
-// up, after the boot payload) and scripts NIC arrivals.
-func BuildBootFS(k KernelConfig, userAsm string, files map[string][]byte, arrivals []fullsys.ScriptedInput) (*Boot, error) {
-	if !k.FS {
-		return nil, fmt.Errorf("workload: BuildBootFS requires KernelConfig.FS")
-	}
-	return buildBoot(k, userAsm, files, arrivals)
 }
 
 func buildBoot(k KernelConfig, userAsm string, files map[string][]byte, arrivals []fullsys.ScriptedInput) (*Boot, error) {

@@ -36,6 +36,13 @@ func (e *emitter) guards(reg string, label string, n int) {
 	}
 }
 
+// sleep halts the calling context for one timer tick (syssleep).
+func (e *emitter) sleep() {
+	e.p("	movi r0, 4")
+	e.p("	movi r1, 1       ; sleep one tick")
+	e.p("	syscall")
+}
+
 func (e *emitter) exit() {
 	e.p("	movi r0, 0")
 	e.p("	syscall")
@@ -99,7 +106,13 @@ func InitProgram() string {
 // the counter saw every increment ('K' to the console, 'X' on a lost
 // update). The spin loops make lock contention — and therefore the modeled
 // interconnect latency — visible in the timing results.
-func SMPProgram(iters, cores int) string {
+//
+// With sleep, every core sleeps one timer tick after each lock release and
+// core 0 sleeps instead of pausing while it waits for its siblings, so all
+// cores spend most of each timer interval halted in syssleep: the whole
+// target is periodically simultaneously quiescent — the boundary the
+// warm-start snapshot capture of a multicore run needs.
+func SMPProgram(iters, cores int, sleep bool) string {
 	e := &emitter{}
 	// Shared words at dataVA: [lock, counter, done]; per-core private work
 	// areas at dataVA2 + CPUID*0x1000.
@@ -136,6 +149,9 @@ func SMPProgram(iters, cores int) string {
 	e.p("	stw  r3, [r6+4]  ; shared counter")
 	e.p("	movi r4, 0")
 	e.p("	stw  r4, [r6]    ; release (plain store)")
+	if sleep {
+		e.sleep()
+	}
 	e.p("	dec  r8")
 	e.p("	jnz  work")
 	e.p("	jmp  fin")
@@ -152,82 +168,11 @@ func SMPProgram(iters, cores int) string {
 	e.p("	jnz  bye         ; secondaries exit")
 	// Core 0: wait for the siblings, then verify the reduction.
 	e.p("waitall:")
-	e.p("	pause")
-	e.p("	ldw  r4, [r6+8]")
-	e.p("	cmpi r4, %d", cores)
-	e.p("	jl   waitall")
-	e.p("	ldw  r3, [r6+4]")
-	e.p("	movi r1, 'K'")
-	e.p("	cmpi r3, %d", cores*iters)
-	e.p("	jz   verified")
-	e.p("	movi r1, 'X'     ; lost update")
-	e.p("verified:")
-	e.p("	movi r0, 1")
-	e.p("	syscall          ; putc verdict")
-	e.p("bye:")
-	e.exit()
-	return e.b.String()
-}
-
-// SMPSleepProgram is SMPProgram with a sleep system call in every
-// iteration of each core's work loop, outside the critical section. All
-// cores spend most of each timer interval halted in syssleep, so the whole
-// target is periodically simultaneously quiescent — the boundary the
-// warm-start snapshot capture of a multicore run needs.
-func SMPSleepProgram(iters, cores int) string {
-	e := &emitter{}
-	e.p("start:")
-	e.p("	mov  r9, r1      ; CPUID")
-	e.p("	movi r8, %d", iters)
-	e.p("	movi r6, %#x", dataVA)
-	e.p("	mov  r7, r9")
-	e.p("	shli r7, 12")
-	e.p("	addi r7, %#x", dataVA2)
-	e.p("	movi r5, 48271")
-	e.p("	add  r5, r9      ; per-core RNG stream")
-	e.p("work:")
-	e.lcg("r5")
-	e.p("	mov  r2, r5")
-	e.p("	shri r2, 10")
-	e.p("	andi r2, 0x3FC")
-	e.p("	add  r2, r7")
-	e.p("	ldw  r3, [r2]")
-	e.p("	inc  r3")
-	e.p("	stw  r3, [r2]")
-	e.p("acq:")
-	e.p("	ll   r4, [r6]")
-	e.p("	cmpi r4, 0")
-	e.p("	jnz  spinw       ; held: back off")
-	e.p("	movi r4, 1")
-	e.p("	sc   r4, [r6]")
-	e.p("	jz   acq         ; lost the race: retry")
-	e.p("	ldw  r3, [r6+4]")
-	e.p("	inc  r3")
-	e.p("	stw  r3, [r6+4]  ; shared counter")
-	e.p("	movi r4, 0")
-	e.p("	stw  r4, [r6]    ; release (plain store)")
-	// Sleep outside the lock: every core halts until its timer fires,
-	// giving the target its simultaneous quiescent windows.
-	e.p("	movi r0, 4")
-	e.p("	movi r1, 1       ; sleep one tick")
-	e.p("	syscall")
-	e.p("	dec  r8")
-	e.p("	jnz  work")
-	e.p("	jmp  fin")
-	e.p("spinw:")
-	e.p("	pause")
-	e.p("	jmp  acq")
-	e.p("fin:")
-	e.p("	ll   r4, [r6+8]")
-	e.p("	inc  r4")
-	e.p("	sc   r4, [r6+8]")
-	e.p("	jz   fin")
-	e.p("	cmpi r9, 0")
-	e.p("	jnz  bye         ; secondaries exit")
-	e.p("waitall:")
-	e.p("	movi r0, 4")
-	e.p("	movi r1, 1       ; sleep while waiting for the siblings")
-	e.p("	syscall")
+	if sleep {
+		e.sleep()
+	} else {
+		e.p("	pause")
+	}
 	e.p("	ldw  r4, [r6+8]")
 	e.p("	cmpi r4, %d", cores)
 	e.p("	jl   waitall")
@@ -699,9 +644,7 @@ func PerlbmkProgram(iters int) string {
 	e.p("	mov  r3, r9")
 	e.p("	andi r3, 1")
 	e.p("	jnz  nosleep")
-	e.p("	movi r0, 4")
-	e.p("	movi r1, 1       ; sleep one tick")
-	e.p("	syscall")
+	e.sleep()
 	e.p("	movi r0, 5")
 	e.p("	syscall          ; gettime")
 	e.p("nosleep:")

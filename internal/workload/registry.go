@@ -13,7 +13,7 @@ type Entry struct {
 	// workloads bake the count into the user program and rebuild; the
 	// rest leave single-core configs untouched and set Kernel.Cores only
 	// above one (idle secondaries park in the kernel). FS workloads are
-	// uniprocessor-only and reject Cores > 1 when the boot is built.
+	// uniprocessor-only: their builder ignores the count.
 	Build func(cores int) Spec
 }
 
@@ -28,11 +28,19 @@ func tableEntry(spec Spec, desc string) Entry {
 	}}
 }
 
-// fsEntry wraps a server-class FS workload (uniprocessor-only; the core
-// count is validated when the boot is built).
+// fsEntry wraps a server-class FS workload (uniprocessor-only, so the core
+// count is ignored).
 func fsEntry(desc string, build func() Spec) Entry {
 	s := build()
 	return Entry{Name: s.Name, Description: desc, Build: func(int) Spec { return build() }}
+}
+
+// smpEntry wraps one of the multicore pair, which bakes the core count
+// (at least one) into its user program.
+func smpEntry(sleep bool, desc string) Entry {
+	return Entry{Name: SMP(1, sleep).Name, Description: desc, Build: func(cores int) Spec {
+		return SMP(max(cores, 1), sleep)
+	}}
 }
 
 // Registry returns every runnable workload in listing order: the sixteen
@@ -56,22 +64,8 @@ var registry = sync.OnceValue(func() []Entry {
 	}
 	entries = append(entries,
 		tableEntry(WindowsXP(), "Windows-class boot with a wider instruction mix (Figures 4-5)"),
-		Entry{Name: SMPName,
-			Description: "N cores contending on an ll/sc spinlock over the modeled interconnect",
-			Build: func(cores int) Spec {
-				if cores < 1 {
-					cores = 1
-				}
-				return SMP(cores)
-			}},
-		Entry{Name: SMPSleepName,
-			Description: "smp-lock with a sleep per iteration so all-quiescent snapshot boundaries occur",
-			Build: func(cores int) Spec {
-				if cores < 1 {
-					cores = 1
-				}
-				return SMPSleep(cores)
-			}},
+		smpEntry(false, "N cores contending on an ll/sc spinlock over the modeled interconnect"),
+		smpEntry(true, "smp-lock with a sleep per iteration so all-quiescent snapshot boundaries occur"),
 		fsEntry("FS kernel: fork 8 children exec'd from the toyFS file \"child\", reap their statuses", ShellFork),
 		fsEntry("FS kernel: create/append a file across block boundaries, then stress the commit log", LogWrite),
 		fsEntry("FS kernel: polled NIC request/response server with hashed buckets and an audit log", NICServ),

@@ -25,6 +25,22 @@ const LogWriteName = "logwrite"
 // table, two reply words per request, and periodic log appends.
 const NICServName = "nicserv"
 
+// verdict ends a server program: falling in prints 'K', a jump to bad
+// prints 'X', then a newline, then the program exits.
+func (e *emitter) verdict() {
+	e.p("	movi r1, 'K'")
+	e.p("	jmp  report")
+	e.p("bad:")
+	e.p("	movi r1, 'X'")
+	e.p("report:")
+	e.p("	movi r0, 1")
+	e.p("	syscall")
+	e.p("	movi r1, 10")
+	e.p("	movi r0, 1")
+	e.p("	syscall")
+	e.exit()
+}
+
 // ShellForkChildren is how many children shell-fork spawns and reaps.
 const ShellForkChildren = 8
 
@@ -127,17 +143,7 @@ func shellForkProgram() string {
 	e.p("check:")
 	e.p("	cmpi r8, %d", expected)
 	e.p("	jnz  bad")
-	e.p("	movi r1, 'K'")
-	e.p("	jmp  report")
-	e.p("bad:")
-	e.p("	movi r1, 'X'")
-	e.p("report:")
-	e.p("	movi r0, 1")
-	e.p("	syscall")
-	e.p("	movi r1, 10")
-	e.p("	movi r0, 1")
-	e.p("	syscall")
-	e.exit()
+	e.verdict()
 	e.p("child:")
 	e.p("	movi r1, path")
 	e.p("	movi r0, 12")
@@ -210,17 +216,7 @@ func logWriteProgram() string {
 	e.p("	inc  r7")
 	e.p("	cmpi r7, 32")
 	e.p("	jl   logloop")
-	e.p("	movi r1, 'K'")
-	e.p("	jmp  report")
-	e.p("bad:")
-	e.p("	movi r1, 'X'")
-	e.p("report:")
-	e.p("	movi r0, 1")
-	e.p("	syscall")
-	e.p("	movi r1, 10")
-	e.p("	movi r0, 1")
-	e.p("	syscall")
-	e.exit()
+	e.verdict()
 	e.p("pseed:")
 	e.p("	.asciz \"seed\"")
 	e.p("pout:")
@@ -303,17 +299,7 @@ func nicServProgram(nreq int) string {
 	e.p("	inc  r7")
 	e.p("	cmpi r7, %d", nreq)
 	e.p("	jl   reqloop")
-	e.p("	movi r1, 'K'")
-	e.p("	jmp  report")
-	e.p("bad:")
-	e.p("	movi r1, 'X'")
-	e.p("report:")
-	e.p("	movi r0, 1")
-	e.p("	syscall")
-	e.p("	movi r1, 10")
-	e.p("	movi r0, 1")
-	e.p("	syscall")
-	e.exit()
+	e.verdict()
 	e.p("pconf:")
 	e.p("	.asciz \"conf\"")
 	return e.b.String()

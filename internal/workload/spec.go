@@ -30,17 +30,11 @@ type Spec struct {
 
 // Build assembles the bootable system for the spec.
 func (s Spec) Build() (*Boot, error) {
-	var b *Boot
-	var err error
-	if s.Kernel.FS {
-		var files map[string][]byte
-		if s.Files != nil {
-			files = s.Files()
-		}
-		b, err = BuildBootFS(s.Kernel, s.UserAsm(), files, s.Arrivals)
-	} else {
-		b, err = BuildBoot(s.Kernel, s.UserAsm())
+	var files map[string][]byte
+	if s.Files != nil {
+		files = s.Files()
 	}
+	b, err := buildBoot(s.Kernel, s.UserAsm(), files, s.Arrivals)
 	if err != nil {
 		return nil, fmt.Errorf("workload %s: %w", s.Name, err)
 	}
@@ -117,44 +111,35 @@ func WindowsXP() Spec {
 	}
 }
 
-// SMPName is the multicore workload's name. It is not part of All():
-// Table 1 and the single-core figures predate it.
-const SMPName = "smp-lock"
-
-// SMP builds the multicore workload for a core count: a fast boot into N
-// user contexts contending on an ll/sc spinlock (see SMPProgram). The core
-// count is baked into the user program (the completion barrier and the
-// final reduction check need it), so callers must rebuild the spec when it
-// changes rather than patch the kernel config.
-func SMP(cores int) Spec {
-	k := FastBoot()
-	k.Cores = cores
-	k.SMPUser = true
-	return Spec{
-		Name:    SMPName,
-		Kernel:  k,
-		UserAsm: func() string { return SMPProgram(2000, cores) },
-	}
-}
-
-// SMPSleepName is the sleeping multicore workload's name — SMPProgram's
-// structure with a sleep system call per work iteration, so every core
+// SMPName and SMPSleepName are the multicore workloads' names. They are
+// not part of All(): Table 1 and the single-core figures predate them.
+// smp-sleep is smp-lock with a sleep per work iteration, so every core
 // periodically idles in syssleep. It exists for the warm-start path: the
 // all-cores-quiescent boundaries a multicore snapshot capture needs never
 // occur under the pause-spinning smp-lock workload.
-const SMPSleepName = "smp-sleep"
+const (
+	SMPName      = "smp-lock"
+	SMPSleepName = "smp-sleep"
+)
 
-// SMPSleep builds the sleeping multicore workload for a core count; like
-// SMP, the count is baked into the user program, so the spec must be
-// rebuilt when it changes.
-func SMPSleep(cores int) Spec {
+// SMP builds a multicore workload for a core count: a fast boot into N
+// user contexts contending on an ll/sc spinlock (see SMPProgram), smp-sleep
+// with sleep and smp-lock without. The core count is baked into the user
+// program (the completion barrier and the final reduction check need it),
+// so callers must rebuild the spec when it changes rather than patch the
+// kernel config.
+func SMP(cores int, sleep bool) Spec {
 	k := FastBoot()
 	k.Cores = cores
 	k.SMPUser = true
+	name, iters := SMPName, 2000
+	if sleep {
+		name, iters = SMPSleepName, 200
+	}
 	return Spec{
-		Name:    SMPSleepName,
+		Name:    name,
 		Kernel:  k,
-		UserAsm: func() string { return SMPSleepProgram(200, cores) },
+		UserAsm: func() string { return SMPProgram(iters, cores, sleep) },
 	}
 }
 
