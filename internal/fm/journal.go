@@ -433,6 +433,17 @@ func (j *journal) rewind(m *Model, in uint64, at bool) (uint64, error) {
 // the timing model, checkpoints are released and others are taken", §3.2).
 func (m *Model) Commit(in uint64) { m.journal.commit(m, in) }
 
+// Checkpoint opens a fresh checkpoint at the model's current state once
+// the open one covers an instruction, so no later rollback restores a
+// state from before this point: the multicore quantum boundary, past which
+// other cores read and overwrite what this core stored. At an interval of
+// 0 every record already ends at an instruction.
+func (m *Model) Checkpoint() {
+	if j := &m.journal; j.interval > 0 && j.recs.len() > 0 && m.in > j.recs.back().startIN {
+		j.open(m)
+	}
+}
+
 // JournalLen reports the number of uncommitted instructions (rollback
 // window size), counting a snapshot-anchored record's base.
 func (m *Model) JournalLen() int {
