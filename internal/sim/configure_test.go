@@ -15,7 +15,9 @@ import (
 // booted workload allocates, cold and warm-started: the per-engine caches'
 // fixed parts and the pages the kernel image (or the snapshot) occupies —
 // not the target's 16 MiB, not a reassembled kernel, and not a predecode or
-// superblock slot before a run fills it.
+// superblock slot before a run fills it. The object count is checked only
+// in an uninstrumented build: a coverage build's Configure allocates some
+// 90 objects more, in about the same bytes.
 func TestConfigureBudget(t *testing.T) {
 	const maxBytes, maxObjects, runs = 320_000, 150, 10
 	cold, warm := configurePoints(t) // also assembles the image, once
@@ -33,7 +35,7 @@ func TestConfigureBudget(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		size, objects := (after.TotalAlloc-before.TotalAlloc)/runs, (after.Mallocs-before.Mallocs)/runs
 		t.Logf("%s Configure: %d bytes in %d objects", tc.name, size, objects)
-		if size > maxBytes || objects > maxObjects {
+		if size > maxBytes || (objects > maxObjects && testing.CoverMode() == "") {
 			t.Errorf("%s Configure allocates %d bytes in %d objects, budget %d in %d",
 				tc.name, size, objects, maxBytes, maxObjects)
 		}
