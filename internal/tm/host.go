@@ -7,11 +7,8 @@ import "repro/internal/fpga"
 // cycles and if there are many bubbles, those host cycles add up and become
 // a bottleneck").
 type workCounts struct {
-	fetched   int
 	decoded   int
-	renamed   int
 	issued    int
-	committed int
 	predicted bool
 	memIssued bool
 }

@@ -331,10 +331,10 @@ func (t *refTM) Run(maxCycles uint64) uint64 {
 // consumed next cycle).
 func (t *refTM) Step() {
 	w := workCounts{}
-	t.commit(&w)
+	t.commit()
 	t.resolveBranches()
 	t.issue(&w)
-	t.dispatch(&w)
+	t.dispatch()
 	t.decode(&w)
 	t.fetch(&w)
 	t.host.account(w)
@@ -346,7 +346,7 @@ func (t *refTM) Step() {
 }
 
 // commit retires completed µops in order, up to IssueWidth per cycle.
-func (t *refTM) commit(w *workCounts) {
+func (t *refTM) commit() {
 	n := 0
 	for n < t.cfg.IssueWidth && len(t.rob) > 0 {
 		u := t.rob[0]
@@ -375,7 +375,6 @@ func (t *refTM) commit(w *workCounts) {
 			}
 		}
 	}
-	w.committed = n
 }
 
 // resolveBranches processes branch µops whose execution completed: train
@@ -546,7 +545,7 @@ func (t *refTM) memLatency(u *refUop) uint64 {
 }
 
 // dispatch renames µops into the ROB/RS/LSQ, up to IssueWidth per cycle.
-func (t *refTM) dispatch(w *workCounts) {
+func (t *refTM) dispatch() {
 	for n := 0; n < t.cfg.IssueWidth; n++ {
 		u, ok := t.uopQ.Peek(t.cycle)
 		if !ok {
@@ -571,7 +570,6 @@ func (t *refTM) dispatch(w *workCounts) {
 		if u.isMem {
 			t.lsqCount++
 		}
-		w.renamed++
 	}
 }
 
@@ -763,7 +761,6 @@ func (t *refTM) fetch(w *workCounts) {
 		}
 		t.fetchQ.Put(t.cycle, ins)
 		t.fetchIN = e.IN + 1
-		w.fetched++
 
 		takenBranch := e.Branch && e.Taken
 

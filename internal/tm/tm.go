@@ -392,10 +392,10 @@ func (t *TM) Run(maxCycles uint64) uint64 {
 // consumed next cycle).
 func (t *TM) Step() {
 	w := workCounts{}
-	t.commit(&w)
+	t.commit()
 	t.resolveBranches()
 	t.issue(&w)
-	t.dispatch(&w)
+	t.dispatch()
 	t.decode(&w)
 	t.fetch(&w)
 	t.host.account(w)
@@ -407,7 +407,7 @@ func (t *TM) Step() {
 }
 
 // commit retires completed µops in order, up to IssueWidth per cycle.
-func (t *TM) commit(w *workCounts) {
+func (t *TM) commit() {
 	n := 0
 	for n < t.cfg.IssueWidth && t.robHead < t.robTail {
 		u := t.uop(t.robHead)
@@ -436,7 +436,6 @@ func (t *TM) commit(w *workCounts) {
 			}
 		}
 	}
-	w.committed = n
 }
 
 // resolveBranches processes branch µops whose execution completed: train
@@ -670,7 +669,7 @@ func (t *TM) memLatency(u *uop) uint64 {
 // dispatch renames µops into the ROB/RS/LSQ, up to IssueWidth per cycle. A
 // non-memory µop goes to rs once its producers have all issued and counts
 // as blocked until then.
-func (t *TM) dispatch(w *workCounts) {
+func (t *TM) dispatch() {
 	for n := 0; n < t.cfg.IssueWidth; n++ {
 		seq, ok := t.uopQ.Peek(t.cycle)
 		if !ok {
@@ -702,7 +701,6 @@ func (t *TM) dispatch(w *workCounts) {
 			t.blocked++
 		}
 		t.wake = 0 // a new station can issue next cycle
-		w.renamed++
 	}
 }
 
@@ -903,7 +901,6 @@ func (t *TM) fetch(w *workCounts) {
 		t.fetchQ.Put(t.cycle, t.nextInstr)
 		t.nextInstr++
 		t.fetchIN = e.IN + 1
-		w.fetched++
 
 		takenBranch := e.Branch && e.Taken
 
