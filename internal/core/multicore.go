@@ -30,7 +30,8 @@ type MulticoreConfig struct {
 //     simulation, including wrong-path FM run-ahead into shared memory.
 //   - At the quantum boundary the core's TM has consumed every produced
 //     entry and no wrong-path episode is in flight, so every store it has
-//     made is final — nothing a later re-steer could undo remains visible.
+//     made is final — nothing a later re-steer could undo remains visible,
+//     and the FM checkpoints there, so no rollback restores it either.
 //   - Only then does the next core run. Cross-core visibility therefore
 //     happens exclusively at quantum boundaries (bounded lag), and the
 //     whole schedule is a deterministic function of the configuration —

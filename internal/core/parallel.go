@@ -178,7 +178,7 @@ func (s *Sim) produce() {
 				continue
 			}
 		}
-		if s.terminal() || idleTicks > idleLimit {
+		if s.FM.Terminal() || idleTicks > idleLimit {
 			// The FM can do nothing more on its own. This is NOT
 			// necessarily the end of the run: the TM may still re-steer
 			// us into a wrong path (a mispredicted branch it has not
@@ -193,7 +193,7 @@ func (s *Sim) produce() {
 			select {
 			case c := <-a.cmds:
 				serve(c)
-				if !s.terminal() {
+				if !s.FM.Terminal() {
 					idleTicks = 0
 				}
 			case <-a.done:

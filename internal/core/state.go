@@ -35,7 +35,7 @@ const (
 func (s *Sim) Quiescent() bool {
 	return !s.wrongPath &&
 		s.FM.Fatal() == nil &&
-		s.FM.Halted() && !s.terminal() &&
+		s.FM.Halted() && !s.FM.Terminal() &&
 		s.app.Pending() == 0 &&
 		s.TB.Occupancy() == 0 &&
 		s.TM.Quiescent() &&
@@ -120,7 +120,7 @@ func (m *Multicore) Quiescent() bool {
 		// A terminal core (idle-halted forever, or exited) is stable once
 		// its pipeline has drained — its TM may legitimately be ended,
 		// which the TM encoding preserves — so it does not block capture.
-		if s.terminal() {
+		if s.FM.Terminal() {
 			if s.wrongPath || s.app.Pending() != 0 || s.TB.Occupancy() != 0 || !s.TM.Drained() {
 				return false
 			}
