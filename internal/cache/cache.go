@@ -5,7 +5,10 @@
 // memory", Figure 3).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Level is anything an access can be forwarded to: a lower cache or memory.
 type Level interface {
@@ -86,7 +89,6 @@ func DefaultL2() Config {
 // Cache is a blocking set-associative cache.
 type Cache struct {
 	cfg   Config
-	sets  int
 	tags  []uint32
 	valid []bool
 	dirty []bool
@@ -94,6 +96,9 @@ type Cache struct {
 	rrPtr []uint8 // per-set round-robin pointer
 	next  Level
 	stats Stats
+	// The set count, and the log2 of the line size (LineOf checks that it
+	// is one) and of the set count.
+	sets, lineShift, setShift int
 }
 
 // New builds a cache over the given next level.
@@ -108,6 +113,7 @@ func New(cfg Config, next Level) *Cache {
 	n := sets * cfg.Ways
 	return &Cache{
 		cfg: cfg, sets: sets, next: next,
+		lineShift: bits.TrailingZeros(uint(cfg.LineBytes)), setShift: bits.TrailingZeros(uint(sets)),
 		tags: make([]uint32, n), valid: make([]bool, n),
 		dirty: make([]bool, n), meta: make([]uint8, n),
 		rrPtr: make([]uint8, sets),
@@ -123,9 +129,18 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats implements Level.
 func (c *Cache) Stats() Stats { return c.stats }
 
+// LineOf returns addr's line number: a shift when the line size is a power
+// of two, as every default is, and a divide otherwise.
+func (c *Cache) LineOf(addr uint32) uint32 {
+	if c.cfg.LineBytes == 1<<c.lineShift {
+		return addr >> c.lineShift
+	}
+	return addr / uint32(c.cfg.LineBytes)
+}
+
 func (c *Cache) index(addr uint32) (set int, tag uint32) {
-	line := addr / uint32(c.cfg.LineBytes)
-	return int(line) & (c.sets - 1), line / uint32(c.sets)
+	line := c.LineOf(addr)
+	return int(line) & (c.sets - 1), line >> c.setShift
 }
 
 // Access implements Level: LRU/RR lookup, miss fill from the next level.

@@ -26,6 +26,25 @@ func TestHitAfterMiss(t *testing.T) {
 	}
 }
 
+// TestLineOf: a line number is a shift for a power-of-two line size and a
+// divide for any other, so every geometry New accepts keeps its indexing:
+// the line and set an address falls in, and the address a victim writes
+// back to.
+func TestLineOf(t *testing.T) {
+	for _, line := range []int{1, 4, 24, 48, 64, 96, 256} {
+		c := New(Config{Name: "t", SizeBytes: 4 * 2 * line, Ways: 2, LineBytes: line, HitLatency: 1}, NewFixedMemory(10))
+		for _, addr := range []uint32{0, 1, 47, 48, 63, 64, 1000, 0xFFFF_FFFF} {
+			if got, want := c.LineOf(addr), addr/uint32(line); got != want {
+				t.Errorf("%d-byte lines: LineOf(%#x) = %d, want %d", line, addr, got, want)
+			}
+			set, tag := c.index(addr)
+			if l := addr / uint32(line); set != int(l%4) || tag != l/4 {
+				t.Errorf("%d-byte lines: index(%#x) = set %d tag %d", line, addr, set, tag)
+			}
+		}
+	}
+}
+
 func TestLRUWithinSet(t *testing.T) {
 	cfg := Config{Name: "t", SizeBytes: 8 * 64, Ways: 2, LineBytes: 64, HitLatency: 1}
 	c := New(cfg, NewFixedMemory(10)) // 4 sets × 2 ways

@@ -840,7 +840,7 @@ func (t *TM) fetch(w *workCounts) {
 			t.icacheStallUntil = t.cycle + uint64(t.cfg.TLBMissPenalty)
 		}
 		// One iL1 line per cycle: a second line ends the fetch group.
-		line := e.PPC / isa.Word(t.cfg.L1I.LineBytes)
+		line := t.IL1.LineOf(e.PPC)
 		if haveLine && line != lastLine {
 			return
 		}
