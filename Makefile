@@ -83,6 +83,7 @@ cover:
 # execs (FuzzRestore, whose snapshot blobs are hundreds of KB: ~740 → ~10 500).
 FUZZ_SMOKES := \
 	./internal/isa:FuzzDecode:30 \
+	./internal/microcode:FuzzCompile:20 \
 	./internal/sim:FuzzDecodeParams:20 \
 	./internal/fm:FuzzSuperblockForm:20 \
 	./internal/fullsys:FuzzSnapshotDecode:20 \
