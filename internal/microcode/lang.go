@@ -17,15 +17,10 @@ import (
 //
 // Terms: rd rs fd fs sp lr pc, temporaries t0..t15, integer literals, and
 // the instruction fields imm / disp. Operators: + - & | ^ << >> >>> * / %
-// with C-like precedence, unary - and ~. Intrinsics:
-//
-//	loadN(addr), storeN(addr, v)  N ∈ {8,16,32,64}
-//	agen(base, off)               address generation (off must be imm/disp/literal)
-//	cc(x)                         update condition codes from x
-//	jump(), jumpr(x)              branch µop (direct / register-indirect)
-//	fadd(a,b) fsub fmul fdiv fsqrt(a) fmov(a) fcvt(a) fcmp(a,b)
-//	sys(code), sysr(code, x)      privileged operation
-//	ioin(port), ioout(port, x)    port I/O
+// with C-like precedence, unary - and ~. Intrinsics — loads and stores,
+// agen, cc, cmp, jumps, FP operations, system operations and port I/O — are
+// the rows of the intrinsics table in compile.go: each names the µop kind a
+// call compiles to, its operand shape, and when it gets a destination.
 //
 // The compiler allocates temporaries, folds condition-code updates into the
 // producing µop, propagates copies, and eliminates dead temporaries — the
