@@ -2,6 +2,7 @@ package fullsys
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/snap"
 )
@@ -81,69 +82,27 @@ const (
 	IRQNIC   = 3
 )
 
-// PIC is the interrupt controller: it aggregates device IRQ lines behind an
-// enable mask and presents the highest-priority pending line.
-type PIC struct {
-	devices []Device
-	mask    uint32 // enabled lines
-}
-
-// NewPIC builds a controller over devs; each device's IRQ() value is its
-// line number.
-func NewPIC(devs ...Device) *PIC {
-	return &PIC{devices: devs, mask: 0xFFFFFFFF}
-}
-
-// Tick advances all devices.
-func (p *PIC) Tick(now uint64) {
-	for _, d := range p.devices {
-		d.Tick(now)
-	}
-}
-
-// In implements the PIC's own ports.
-func (p *PIC) In(port uint16) uint32 {
-	switch port {
-	case PortPICPending:
-		var bits uint32
-		for _, d := range p.devices {
-			if line := d.IRQ(); line >= 0 {
-				bits |= 1 << uint(line)
-			}
-		}
-		return bits & p.mask
-	case PortPICMask:
-		return p.mask
-	}
-	return 0
-}
-
-// Out implements the PIC's own ports.
-func (p *PIC) Out(port uint16, v uint32) {
-	if port == PortPICMask {
-		p.mask = v
-	}
-	// PortPICAck is a no-op at the controller: lines are level-triggered
-	// and acknowledged at the device.
-}
-
-// Bus routes port I/O to the PIC and devices. It keeps the two questions
-// the functional model asks before every instruction or superblock — the
-// pending line and the next device event — as fields, recomputed by the
-// only things that can change a device's answer or the mask: a port access,
-// a Tick that reaches the next event, a rollback capture restored, and a
-// state load. Devices are reached only through the bus once attached.
+// Bus routes port I/O to the devices and is the interrupt controller
+// itself: it aggregates the devices' IRQ lines behind an enable mask (ports
+// PortPICPending..PortPICAck) and presents the lowest pending line. It keeps
+// the two questions the functional model asks before every instruction or
+// superblock — the pending line and the next device event — as fields,
+// recomputed by the only things that can change a device's answer or the
+// mask: a port access, a Tick that reaches the next event, a rollback
+// capture restored, and a state load. Devices are reached only through the
+// bus once attached; each device's IRQ() value is its line number.
 type Bus struct {
-	PIC     *PIC
 	Devices []Device
 	routes  map[uint16]Device
-	pending int    // lowest pending & enabled line, or -1
+	mask    uint32 // enabled lines
+	lines   uint32 // raised lines, enabled or not
+	pending int    // lowest raised & enabled line, or -1
 	due     uint64 // earliest device NextDue, or NoNextEvent
 }
 
-// NewBus wires devices and the controller into a port-decoding bus.
+// NewBus wires devices into a port-decoding bus with every line enabled.
 func NewBus(devs ...Device) *Bus {
-	b := &Bus{PIC: NewPIC(devs...), Devices: devs, routes: make(map[uint16]Device)}
+	b := &Bus{Devices: devs, routes: make(map[uint16]Device), mask: 0xFFFFFFFF}
 	for _, d := range devs {
 		for _, p := range d.Ports() {
 			if prev, dup := b.routes[p]; dup {
@@ -156,14 +115,25 @@ func NewBus(devs ...Device) *Bus {
 	return b
 }
 
-// rescan recomputes pending and due from the devices and the PIC mask.
+// rescan recomputes lines, pending and due from the devices and the mask.
 func (b *Bus) rescan() {
-	b.pending, b.due = -1, NoNextEvent
+	b.lines, b.due = 0, NoNextEvent
 	for _, d := range b.Devices {
 		b.due = min(b.due, d.NextDue())
-		if line := d.IRQ(); line >= 0 && b.PIC.mask&(1<<uint(line)) != 0 && (b.pending < 0 || line < b.pending) {
-			b.pending = line
+		if line := d.IRQ(); line >= 0 {
+			b.lines |= 1 << uint(line)
 		}
+	}
+	b.pending = -1
+	if on := b.lines & b.mask; on != 0 {
+		b.pending = bits.TrailingZeros32(on)
+	}
+}
+
+// tickDevices advances every device to time now.
+func (b *Bus) tickDevices(now uint64) {
+	for _, d := range b.Devices {
+		d.Tick(now)
 	}
 }
 
@@ -171,12 +141,20 @@ func (b *Bus) rescan() {
 // whether or not an event is due: a read can depend on a device's clock (the
 // timer's count port).
 func (b *Bus) In(port uint16, now uint64) uint32 {
-	b.PIC.Tick(now)
+	b.tickDevices(now)
 	v := uint32(0xFFFFFFFF) // open bus
-	if port <= PortPICAck {
-		v = b.PIC.In(port)
-	} else if d, ok := b.routes[port]; ok {
-		v = d.In(port)
+	switch port {
+	case PortPICPending:
+		b.rescan() // the tick may have raised a line
+		return b.lines & b.mask
+	case PortPICMask:
+		v = b.mask
+	case PortPICAck:
+		v = 0
+	default:
+		if d, ok := b.routes[port]; ok {
+			v = d.In(port)
+		}
 	}
 	b.rescan()
 	return v
@@ -184,12 +162,18 @@ func (b *Bus) In(port uint16, now uint64) uint32 {
 
 // Out performs a port write at device-time now, ticking every device first
 // as In does (a command's completion time counts from the device's clock).
+// PortPICAck is a no-op at the controller: lines are level-triggered and
+// acknowledged at the device.
 func (b *Bus) Out(port uint16, v uint32, now uint64) {
-	b.PIC.Tick(now)
-	if port <= PortPICAck {
-		b.PIC.Out(port, v)
-	} else if d, ok := b.routes[port]; ok {
-		d.Out(port, v)
+	b.tickDevices(now)
+	switch port {
+	case PortPICMask:
+		b.mask = v
+	case PortPICPending, PortPICAck:
+	default:
+		if d, ok := b.routes[port]; ok {
+			d.Out(port, v)
+		}
 	}
 	b.rescan()
 }
@@ -202,7 +186,7 @@ func (b *Bus) Tick(now uint64) {
 	if now < b.due {
 		return
 	}
-	b.PIC.Tick(now)
+	b.tickDevices(now)
 	b.rescan()
 }
 
@@ -227,7 +211,7 @@ type BusUndo struct {
 
 // SaveUndo captures the bus into u.
 func (b *Bus) SaveUndo(u *BusUndo) {
-	u.mask = b.PIC.mask
+	u.mask = b.mask
 	for _, d := range b.Devices {
 		d.saveUndo(u)
 	}
@@ -235,7 +219,7 @@ func (b *Bus) SaveUndo(u *BusUndo) {
 
 // RestoreUndo reinstates the bus to the state SaveUndo captured in u.
 func (b *Bus) RestoreUndo(u *BusUndo) {
-	b.PIC.mask = u.mask
+	b.mask = u.mask
 	for _, d := range b.Devices {
 		d.restoreUndo(u)
 	}

@@ -376,7 +376,7 @@ func scanBus(b *Bus) (due uint64, pending int) {
 	due, pending = NoNextEvent, -1
 	for _, d := range b.Devices {
 		due = min(due, d.NextDue())
-		if line := d.IRQ(); line >= 0 && b.PIC.mask&(1<<uint(line)) != 0 && (pending < 0 || line < pending) {
+		if line := d.IRQ(); line >= 0 && b.mask&(1<<uint(line)) != 0 && (pending < 0 || line < pending) {
 			pending = line
 		}
 	}

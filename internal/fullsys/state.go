@@ -134,7 +134,7 @@ func (n *NIC) State(c *snap.Codec) {
 // encode/decode on the FM hot path.
 func (b *Bus) State(c *snap.Codec) {
 	c.Version("bus", busStateV)
-	c.U32(&b.PIC.mask)
+	c.U32(&b.mask)
 	c.Len("bus devices", len(b.Devices))
 	for _, d := range b.Devices {
 		c.Tag("bus device", d.Name())

@@ -44,7 +44,7 @@ func populatedBus(rng *rand.Rand) *Bus {
 	nic.tx = []uint32{rng.Uint32()}
 
 	b := NewBus(con, tim, disk, nic)
-	b.PIC.mask = rng.Uint32() & 0xFF
+	b.mask = rng.Uint32() & 0xFF
 	return b
 }
 
@@ -72,8 +72,8 @@ func TestBusSnapshotRoundTrip(t *testing.T) {
 		if !bytes.Equal(blob, again) {
 			t.Fatalf("seed %d: snapshot not canonical after round trip", seed)
 		}
-		if dst.PIC.mask != src.PIC.mask {
-			t.Fatalf("seed %d: PIC mask %d, want %d", seed, dst.PIC.mask, src.PIC.mask)
+		if dst.mask != src.mask {
+			t.Fatalf("seed %d: PIC mask %d, want %d", seed, dst.mask, src.mask)
 		}
 
 		// Every truncation must error, never panic or succeed.

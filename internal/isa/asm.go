@@ -311,8 +311,10 @@ resolved:
 			return verr
 		}
 		// Displacement is relative to the next instruction; the length of
-		// a FmtRel16 instruction is fixed, so this is known in pass 1 too.
-		next := int64(a.pc) + int64(encodedLen(inst))
+		// a FmtRel16 instruction is fixed, so this is known in pass 1 too
+		// (Imm is still 0 here, so the encoding cannot fail).
+		enc, _ := Encode(nil, inst)
+		next := int64(a.pc) + int64(len(enc))
 		inst.Imm = v - next
 		if a.pass == 2 && (inst.Imm < math.MinInt16 || inst.Imm > math.MaxInt16) {
 			return fmt.Errorf("branch target %#x out of rel16 range from %#x", v, a.pc)
@@ -355,13 +357,16 @@ resolved:
 			return err
 		}
 	}
-	if a.pass == 1 {
-		a.pc += Word(encodedLen(inst))
-		return nil
-	}
+	// Pass 1 sizes the instruction by encoding it with the values it has
+	// so far (0 for a symbol not yet defined): lengths depend only on the
+	// format, so labels are laid out exactly.
 	buf, eerr := Encode(nil, inst)
 	if eerr != nil {
 		return eerr
+	}
+	if a.pass == 1 {
+		a.pc += Word(len(buf))
+		return nil
 	}
 	a.emit(buf...)
 	return nil
@@ -372,37 +377,6 @@ func (a *assembler) wantOps(mnem string, ops []string, n int) error {
 		return fmt.Errorf("%s wants %d operands, got %d", mnem, n, len(ops))
 	}
 	return nil
-}
-
-// encodedLen returns the byte length of inst without encoding it. Lengths
-// depend only on the format, so pass 1 can lay out labels exactly.
-func encodedLen(inst Inst) int {
-	n := 1
-	if inst.Rep {
-		n++
-	}
-	if inst.Lock {
-		n++
-	}
-	if inst.Op >= opSecondaryBase {
-		n++
-	}
-	switch Lookup(inst.Op).Format {
-	case FmtNone:
-	case FmtR, FmtRR:
-		n++
-	case FmtRI8, FmtI8R, FmtRel16:
-		n += 2
-	case FmtRM, FmtI16R:
-		n += 3
-	case FmtI32:
-		n += 4
-	case FmtRI32:
-		n += 5
-	case FmtFI64:
-		n += 9
-	}
-	return n
 }
 
 func (a *assembler) parseMem(s string) (base Reg, disp int32, err error) {

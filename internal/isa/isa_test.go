@@ -139,20 +139,6 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEncodedLenMatchesEncode(t *testing.T) {
-	r := rand.New(rand.NewSource(2))
-	for i := 0; i < 5000; i++ {
-		inst := randomInst(r)
-		buf, err := Encode(nil, inst)
-		if err != nil {
-			t.Fatalf("Encode(%v): %v", inst, err)
-		}
-		if n := encodedLen(inst); n != len(buf) {
-			t.Fatalf("encodedLen(%v) = %d, Encode produced %d bytes", inst, n, len(buf))
-		}
-	}
-}
-
 func TestDecodeErrors(t *testing.T) {
 	cases := []struct {
 		name string
