@@ -67,10 +67,11 @@ type KernelConfig struct {
 	// FS with Cores > 1. At FS=false the generated source is byte-
 	// identical to the pre-FS kernel.
 	FS bool
-	// DiskLatency overrides the disk device latency in target time units;
-	// 0 keeps the package default. It scales every disk access — boot
-	// payload loading and, under FS, every syscall-driven sector I/O —
-	// which is what experiments.Runner.Servers sweeps.
+	// DiskLatency overrides the built disk's latency in target time units;
+	// 0 keeps the package default. The engines leave it 0: a job's latency
+	// (sim.Params.DiskLatency, what experiments.Runner.Servers sweeps)
+	// reaches the disk through Boot.Fork instead, over an image built once.
+	// The bench/ yardstick sets it when it builds an image by itself.
 	DiskLatency uint64
 }
 
