@@ -387,7 +387,10 @@ func TestSharedFlushEndsCursors(t *testing.T) {
 // write of the exported PC. The per-instruction models step once per
 // entry delivered and get the same operations. An exhausted schedule
 // never cuts. The schedule's first byte also picks the checkpoint interval.
-// The models must end with the same registers, memory and TLB.
+// The models must end with the same registers, memory and TLB — and so must
+// a fourth, which never rolls back: it steps straight through the redirects
+// and PC writes that no rollback undid, so an undo fault the journal's
+// modes share does not pass.
 func FuzzSuperblockForm(f *testing.F) {
 	for _, src := range []string{
 		`movi r0, 3
@@ -476,6 +479,19 @@ func FuzzSuperblockForm(f *testing.F) {
 	} {
 		f.Add(straight, sched)
 	}
+	// A TLB write and a flush, each rolled back and skipped by a redirect
+	// past both, so the journal alone must restore the TLB: re-executing
+	// either would hide an undo that restores nothing.
+	tlb := isa.MustAssemble(`
+		movi  r9, 0x20
+		movi  r10, 0x21003
+		tlbwr r9, r10
+		tlbfl
+	skip:	movi  r0, 1
+		halt`, 0x1000)
+	skip := byte(tlb.Symbols["skip"] - tlb.Base)
+	f.Add(tlb.Code, []byte{6<<3 | 2, skip, 0})
+	f.Add(tlb.Code, []byte{6<<3 | 3, skip, 0})
 	// Loaded across the page end (at 0x1FEF), the 6-byte movi r7 spans it at
 	// 0x1FFB..0x2000, and the stb patches its immediate's last byte, in the
 	// tail page, before each trip round the loop runs it again.
@@ -528,6 +544,21 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 	cp := New(Config{MemBytes: 1 << 20, DisableInterrupts: true, CheckpointInterval: interval})
 	cp.LoadProgram(prog)
 	var pcs []isa.Word // the PC of every entry, by IN
+	// hist is every redirect and PC write that no later rollback undid, in
+	// IN order: the history a model that never rolls back steps through.
+	type write struct {
+		in    uint64
+		pc    isa.Word
+		fault bool // the models had faulted at in before the write
+	}
+	var hist []write
+	note := func(w write) {
+		i := len(hist)
+		for i > 0 && hist[i-1].in >= w.in {
+			i--
+		}
+		hist = append(hist[:i], w)
+	}
 	produced := 0
 	for produced < max {
 		cut := len(sched) > 0
@@ -565,16 +596,19 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 		if !cut {
 			continue
 		}
-		all := func(op func(*Model) error) {
+		all := func(op func(*Model) error) bool {
 			t.Helper()
 			errM, errR, errC := op(m), op(ref), op(cp)
 			if (errM == nil) != (errR == nil) || (errC == nil) != (errR == nil) {
 				t.Fatalf("operation error: block %v, reference %v, checkpoint %v", errM, errR, errC)
 			}
+			return errR == nil
 		}
 		setPC := func(in uint64, pc isa.Word) {
 			t.Helper()
-			all(func(x *Model) error { return x.SetPC(in, pc) })
+			if all(func(x *Model) error { return x.SetPC(in, pc) }) {
+				note(write{in: in, pc: pc})
+			}
 			if m.cut.left != 0 {
 				t.Fatal("SetPC left a superblock to resume")
 			}
@@ -597,6 +631,7 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 				setPC(in, pc)
 			}
 		case 7:
+			note(write{in: ref.IN(), pc: pc, fault: ref.Fatal() != nil})
 			m.PC, ref.PC, cp.PC = pc, pc, pc
 			if cp.Fatal() == nil {
 				// A running checkpoint model re-executes across what it was
@@ -605,18 +640,46 @@ func superblockForm(t *testing.T, code, sched []byte, base isa.Word) {
 			}
 		}
 	}
-	for _, x := range []*Model{m, cp} {
+	// The journal's reference: a model with no host caches steps straight
+	// through the surviving history, never rolling back, so an undo fault
+	// the three models above share still shows.
+	fresh := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
+	fresh.LoadProgram(prog)
+	stepTo := func(in uint64, fault bool) {
+		t.Helper()
+		for fresh.IN() < in {
+			if _, ok := fresh.Step(); !ok {
+				t.Fatalf("straight-line model stopped at IN %d short of %d", fresh.IN(), in)
+			}
+		}
+		if !fault {
+			return
+		}
+		if _, ok := fresh.Step(); ok {
+			t.Fatalf("straight-line model ran IN %d where the others faulted", in)
+		}
+	}
+	for _, w := range hist {
+		stepTo(w.in, w.fault)
+		fresh.PC = w.pc
+	}
+	stepTo(ref.IN(), ref.Fatal() != nil)
+	for _, c := range []struct {
+		name string
+		x    *Model
+	}{{"block", m}, {"checkpoint", cp}, {"straight-line", fresh}} {
+		name, x := c.name, c.x
 		if !sameScalars(x.Scalars, ref.Scalars) {
-			t.Fatalf("scalar state differs:\n got %+v\nwant %+v", x.Scalars, ref.Scalars)
+			t.Fatalf("%s model's scalar state differs:\n got %+v\nwant %+v", name, x.Scalars, ref.Scalars)
 		}
 		if (x.Fatal() != nil) != (ref.Fatal() != nil) {
-			t.Fatalf("fatal mismatch: %v, reference %v", x.Fatal(), ref.Fatal())
+			t.Fatalf("%s model's fatal mismatch: %v, reference %v", name, x.Fatal(), ref.Fatal())
 		}
 		if !bytes.Equal(snap.Marshal(x.Mem), snap.Marshal(ref.Mem)) {
-			t.Fatal("memory differs")
+			t.Fatalf("%s model's memory differs", name)
 		}
 		if x.TLB != ref.TLB {
-			t.Fatal("TLB differs")
+			t.Fatalf("%s model's TLB differs", name)
 		}
 	}
 }
