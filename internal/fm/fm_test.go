@@ -306,6 +306,37 @@ func TestDivideByZeroFaultsWithoutIVT(t *testing.T) {
 	}
 }
 
+// TestRefusedSetPCChangesNothing: a SetPC below the committed window is
+// refused before it touches the model — the fault it would have superseded,
+// the rollback counters and the IN all stay as they were.
+func TestRefusedSetPCChangesNothing(t *testing.T) {
+	m := New(Config{MemBytes: 1 << 20, DisableInterrupts: true})
+	m.LoadProgram(isa.MustAssemble(`
+		movi r0, 1
+		movi r1, 0
+		nop
+		div  r0, r1
+		halt
+	`, 0x1000))
+	for {
+		if _, ok := m.Step(); !ok {
+			break
+		}
+	}
+	if m.Fatal() == nil || m.IN() != 3 {
+		t.Fatalf("want a fault at IN 3, got IN %d, fatal %v", m.IN(), m.Fatal())
+	}
+	m.Commit(2)
+	fatal, rollbacks, rolledBack := m.Fatal(), m.Rollbacks, m.RolledBack
+	if err := m.SetPC(0, 0x1000); err == nil {
+		t.Fatal("SetPC below the committed window succeeded")
+	}
+	if m.Fatal() != fatal || m.Rollbacks != rollbacks || m.RolledBack != rolledBack || m.IN() != 3 {
+		t.Errorf("refused SetPC changed the model: fatal %v, Rollbacks %d → %d, RolledBack %d → %d, IN %d",
+			m.Fatal(), rollbacks, m.Rollbacks, rolledBack, m.RolledBack, m.IN())
+	}
+}
+
 func TestTrapAndIret(t *testing.T) {
 	// Install an IVT and a divide-error handler that fixes up R1 and
 	// returns; EPC for div faults points at the faulting instruction.

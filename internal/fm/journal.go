@@ -542,6 +542,14 @@ func (m *Model) SetPC(in uint64, pc uint32) error {
 	if in > m.in {
 		return fmt.Errorf("fm: set_pc(%d) beyond produced instructions (next %d)", in, m.in)
 	}
+	j := &m.journal
+	base := m.in
+	if j.recs.len() > 0 {
+		base = j.recs.front().startIN
+	}
+	if in < base {
+		return fmt.Errorf("fm: set_pc(%d) below committed window (base %d)", in, base)
+	}
 	m.cut.left = 0
 	m.Rollbacks++
 	m.obs.rollbacks.Inc()
@@ -552,18 +560,10 @@ func (m *Model) SetPC(in uint64, pc uint32) error {
 	// instruction and IN did not advance, so redirecting supersedes it. A
 	// right-path fatal re-arises deterministically on re-execution.
 	m.fatal = nil
-	j := &m.journal
 	if in < m.in {
 		undone := m.in - in
 		m.RolledBack += undone
 		m.obs.rolledBack.Add(undone)
-		base := m.in
-		if j.recs.len() > 0 {
-			base = j.recs.front().startIN
-		}
-		if in < base {
-			return fmt.Errorf("fm: set_pc(%d) below committed window (base %d)", in, base)
-		}
 		replayed, err := j.rewind(m, in, false)
 		if j.interval > 0 {
 			j.reExecuted += replayed
