@@ -41,15 +41,16 @@ test:
 # The FM steady state (execute, journal, commit, rollback) and a TM target
 # cycle (everything in flight lives in rings built once) allocate nothing;
 # the FM's predecode table, which superblocks walk, allocates the slot groups
-# a run fills and a Precrack one µop slice; a Configure allocates its engine's
-# fixed state and the pages its image occupies, not the target's memory; and
-# a whole run of smp-lock on 4 cores or of 181.mcf stays within its measured
-# bytes plus 10 % (the undo journal's records and pre-images are most of what
-# a run grows). `make test` already runs these; naming them keeps the
+# a run fills, a BTB the 640 B entry groups its branches fill, and a Precrack
+# one µop slice; a Configure allocates its engine's fixed state and the pages
+# its image occupies, not the target's memory; and a whole run of smp-lock
+# on 4 cores or of 181.mcf stays within its measured bytes plus 10 % (the
+# undo journal's records and pre-images are most of what a run grows). `make test` already runs these; naming them keeps the
 # guarantee visible in the gate and re-checks it uncached.
 zero-alloc:
 	$(GO) test -count=1 -run '^(TestSteadyStateZeroAllocs|TestCachesAllocateWhatTheyFill)$$' ./internal/fm
 	$(GO) test -count=1 -run '^TestPrecrackOneAllocation$$' ./internal/microcode
+	$(GO) test -count=1 -run '^TestBTBAllocatesWhatItFills$$' ./internal/bpred
 	$(GO) test -count=1 -run '^TestTMSteadyStateZeroAllocs$$' ./internal/tm
 	$(GO) test -count=1 -run '^(TestConfigureBudget|TestRunAllocBudget)$$' ./internal/sim
 
@@ -97,7 +98,8 @@ FUZZ_SMOKES := \
 	./internal/fullsys:FuzzMemoryAgreement:20 \
 	./internal/fullsys:FuzzBusRollback:20 \
 	./internal/cache:FuzzTLBAgreement:20 \
-	./internal/trace:FuzzBufferAgreement:20
+	./internal/trace:FuzzBufferAgreement:20 \
+	./internal/bpred:FuzzBTBAgreement:20
 
 fuzz-smoke:
 	@set -e; for smoke in $(FUZZ_SMOKES); do \

@@ -141,14 +141,27 @@ func (c *counter) train(taken bool) {
 	}
 }
 
-// BTB is a set-associative branch target buffer with LRU replacement.
+// BTB is a set-associative branch target buffer with LRU replacement. Its
+// entries are allocated by group on first insert: a run's branches reach a
+// few dozen of the paper's 8K entries, and a group nobody filled reads as
+// the all-invalid entries it would hold.
 type BTB struct {
 	sets    int
 	ways    int
-	tags    []isa.Word // sets × ways
-	targets []isa.Word
-	valid   []bool
-	lru     []uint8
+	entries int
+	groups  []*btbGroup // entries / groupEntries, rounded up; nil = never filled
+}
+
+// groupEntries is how many consecutive entries of the sets × ways order a
+// btbGroup holds: groupEntries/ways whole sets.
+const groupEntries = 64
+
+// btbGroup is the BTB's unit of allocation (640 B).
+type btbGroup struct {
+	tags    [groupEntries]isa.Word
+	targets [groupEntries]isa.Word
+	valid   [groupEntries]bool
+	lru     [groupEntries]uint8
 }
 
 // NewBTB builds a BTB with entries total entries, ways-way associative.
@@ -156,28 +169,38 @@ func NewBTB(entries, ways int) *BTB {
 	if entries%ways != 0 {
 		panic("bpred: BTB entries must divide by ways")
 	}
+	if groupEntries%ways != 0 {
+		panic(fmt.Sprintf("bpred: BTB ways must divide %d", groupEntries))
+	}
 	sets := entries / ways
 	if sets&(sets-1) != 0 {
 		panic("bpred: BTB set count must be a power of two")
 	}
-	n := sets * ways
 	return &BTB{
-		sets: sets, ways: ways,
-		tags: make([]isa.Word, n), targets: make([]isa.Word, n),
-		valid: make([]bool, n), lru: make([]uint8, n),
+		sets: sets, ways: ways, entries: entries,
+		groups: make([]*btbGroup, (entries+groupEntries-1)/groupEntries),
 	}
 }
 
-func (b *BTB) set(pc isa.Word) int { return int(pc>>1) & (b.sets - 1) }
+// slot returns the group index of pc's set and the set's first entry within
+// that group.
+func (b *BTB) slot(pc isa.Word) (int, int) {
+	base := uint(int(pc>>1)&(b.sets-1)) * uint(b.ways)
+	return int(base / groupEntries), int(base % groupEntries)
+}
 
 // Lookup returns the stored target for pc.
 func (b *BTB) Lookup(pc isa.Word) (isa.Word, bool) {
-	base := b.set(pc) * b.ways
+	k, base := b.slot(pc)
+	g := b.groups[k]
+	if g == nil {
+		return 0, false
+	}
 	for w := 0; w < b.ways; w++ {
 		i := base + w
-		if b.valid[i] && b.tags[i] == pc {
-			b.touch(base, w)
-			return b.targets[i], true
+		if g.valid[i] && g.tags[i] == pc {
+			g.touch(base, w, b.ways)
+			return g.targets[i], true
 		}
 	}
 	return 0, false
@@ -185,38 +208,47 @@ func (b *BTB) Lookup(pc isa.Word) (isa.Word, bool) {
 
 // Insert stores pc→target, evicting LRU.
 func (b *BTB) Insert(pc, target isa.Word) {
-	base := b.set(pc) * b.ways
+	k, base := b.slot(pc)
+	g := b.groups[k]
+	if g == nil {
+		g = new(btbGroup)
+		b.groups[k] = g
+	}
 	victim, oldest := 0, uint8(0)
 	for w := 0; w < b.ways; w++ {
 		i := base + w
-		if b.valid[i] && b.tags[i] == pc {
-			b.targets[i] = target
-			b.touch(base, w)
+		if g.valid[i] && g.tags[i] == pc {
+			g.targets[i] = target
+			g.touch(base, w, b.ways)
 			return
 		}
-		if !b.valid[i] {
+		if !g.valid[i] {
 			victim = w
 			oldest = 255
 			break
 		}
-		if b.lru[i] >= oldest {
-			victim, oldest = w, b.lru[i]
+		if g.lru[i] >= oldest {
+			victim, oldest = w, g.lru[i]
 		}
 	}
 	i := base + victim
-	b.tags[i], b.targets[i], b.valid[i] = pc, target, true
-	b.touch(base, victim)
+	g.tags[i], g.targets[i], g.valid[i] = pc, target, true
+	g.touch(base, victim, b.ways)
 }
 
 // appendSet appends to dst pc's set: each way's tag, target, valid bit and
-// LRU age.
+// LRU age, all zero in a group never filled.
 func (b *BTB) appendSet(dst []byte, pc isa.Word) []byte {
-	base := b.set(pc) * b.ways
+	k, base := b.slot(pc)
+	g := b.groups[k]
+	if g == nil {
+		return append(dst, make([]byte, 10*b.ways)...)
+	}
 	for i := base; i < base+b.ways; i++ {
-		dst = binary.LittleEndian.AppendUint32(dst, b.tags[i])
-		dst = binary.LittleEndian.AppendUint32(dst, b.targets[i])
-		dst = append(dst, b.lru[i])
-		if b.valid[i] {
+		dst = binary.LittleEndian.AppendUint32(dst, g.tags[i])
+		dst = binary.LittleEndian.AppendUint32(dst, g.targets[i])
+		dst = append(dst, g.lru[i])
+		if g.valid[i] {
 			dst = append(dst, 1)
 		} else {
 			dst = append(dst, 0)
@@ -225,14 +257,14 @@ func (b *BTB) appendSet(dst []byte, pc isa.Word) []byte {
 	return dst
 }
 
-// touch marks way w most recently used within its set.
-func (b *BTB) touch(base, w int) {
-	for k := 0; k < b.ways; k++ {
-		if b.lru[base+k] < 255 {
-			b.lru[base+k]++
+// touch marks way w of the set at base most recently used.
+func (g *btbGroup) touch(base, w, ways int) {
+	for k := base; k < base+ways; k++ {
+		if g.lru[k] < 255 {
+			g.lru[k]++
 		}
 	}
-	b.lru[base+w] = 0
+	g.lru[base+w] = 0
 }
 
 // TwoBit is a per-PC table of 2-bit saturating counters with a BTB.

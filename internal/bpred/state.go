@@ -9,17 +9,53 @@ package bpred
 // and the fixed predictor's branch count.
 
 import (
+	"repro/internal/isa"
 	"repro/internal/snap"
 )
 
 const predStateV = 1
 
+// state walks the BTB as the four whole sets × ways arrays it once was —
+// tags, targets, valid bits, LRU ages, each in entry order — so the blob
+// does not depend on which groups a run filled: an absent group encodes as
+// zeros, and one that decodes to all zeros stays absent.
 func (b *BTB) state(c *snap.Codec) {
-	c.Len("btb entries", len(b.tags))
-	c.U32s(b.tags)
-	c.U32s(b.targets)
-	c.Bools(b.valid)
-	c.Raw(b.lru)
+	c.Len("btb entries", b.entries)
+	var scratch *btbGroup // decoding: where an absent group's part is read
+	if c.Loading() {
+		clear(b.groups)
+		scratch = new(btbGroup)
+	}
+	groupField(c, b, scratch, func(g *btbGroup) *[groupEntries]isa.Word { return &g.tags }, c.U32s)
+	groupField(c, b, scratch, func(g *btbGroup) *[groupEntries]isa.Word { return &g.targets }, c.U32s)
+	groupField(c, b, scratch, func(g *btbGroup) *[groupEntries]bool { return &g.valid }, c.Bools)
+	groupField(c, b, scratch, func(g *btbGroup) *[groupEntries]uint8 { return &g.lru }, c.Raw)
+}
+
+// zeroGroup is what an absent group encodes as; nothing writes it.
+var zeroGroup btbGroup
+
+// groupField walks one of the BTB's arrays group by group through walk. A
+// group present (or any group, encoding) is walked in place; an absent
+// group's part is decoded into scratch and materialises the group only if
+// it is not all zeros.
+func groupField[T comparable](c *snap.Codec, b *BTB, scratch *btbGroup, field func(*btbGroup) *[groupEntries]T, walk func([]T)) {
+	for k, g := range b.groups {
+		n := min(groupEntries, b.entries-k*groupEntries)
+		if g != nil || !c.Loading() {
+			if g == nil {
+				g = &zeroGroup
+			}
+			walk(field(g)[:n])
+			continue
+		}
+		buf := field(scratch)
+		if walk(buf[:n]); *buf != [groupEntries]T{} {
+			g = new(btbGroup)
+			b.groups[k] = g
+			*field(g), *buf = *buf, [groupEntries]T{}
+		}
+	}
 }
 
 // counters walks a table of saturating counters, one byte each.
