@@ -137,6 +137,21 @@ func checkStations(t testing.TB, m *TM) {
 	if m.blocked != blocked {
 		t.Fatalf("cycle %d: blocked = %d, want %d", m.cycle, m.blocked, blocked)
 	}
+	// The instruction ring's bound (New): the live instructions run from the
+	// owner of the oldest live µop, or else the decode cursor's, or else the
+	// fetch queue's head, to nextInstr.
+	oldest := m.nextInstr
+	switch {
+	case m.robHead < m.nextUop:
+		oldest = m.uop(m.robHead).ins
+	case m.decLeft > 0:
+		oldest = m.decIns
+	case m.fetchQ.Len() > 0:
+		oldest = m.fetchQ.at(0).v
+	}
+	if bound := 2*m.fetchQ.cfg.MaxTransactions + 1 + m.cfg.ROBEntries; m.nextInstr-oldest > uint64(bound) {
+		t.Fatalf("cycle %d: %d instructions live, bound %d", m.cycle, m.nextInstr-oldest, bound)
+	}
 }
 
 // Drained mirrors TM.Drained for the oracle.
@@ -361,6 +376,18 @@ func fuzzCase(data []byte, repBase uint32) ([]trace.Entry, Config) {
 // target configuration all come from the fuzz input.
 func FuzzTMAgreement(f *testing.F) {
 	addFuzzSeeds(f)
+	// Issue width 4 and an 8-µop ROB (configuration byte 8): four dependent
+	// cold loads hold the ROB's head while independent movs fill the ROB,
+	// the rename queue, the decode cursor and the fetch queue — 41 live
+	// instructions, exactly the instruction ring's bound.
+	full := []byte{8}
+	for i := range 4 {
+		full = append(full, 5, 0x15, byte(0x40+i*3), byte(i*16))
+	}
+	for i := range 80 {
+		full = append(full, 0, 0x10|byte(2+i%2), 0, 0)
+	}
+	f.Add(full)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		entries, cfg := fuzzCase(data, 0)
 		agree(t, entries, cfg)

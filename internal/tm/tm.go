@@ -274,12 +274,16 @@ func New(cfg Config, src Source, ctl Control) (*TM, error) {
 		next = l2
 	}
 	// Ring capacities, the smallest power of two above the most that can be
-	// live: every live µop is in the ROB or the rename queue, and every live
-	// instruction is in the fetch queue, under the decode cursor or owns at
-	// least one live µop.
+	// live. Every live µop is in the ROB or the rename queue: at most
+	// ROBEntries + queue. Every live instruction is in the fetch queue (at
+	// most queue), under the decode cursor (1) or owns a live µop (at most
+	// ROBEntries + queue owners). Instructions are numbered at fetch and
+	// leave in order, each owning at least one µop, so the live ones are
+	// the contiguous range below nextInstr, at most 2·queue + 1 +
+	// ROBEntries long.
 	queue := 4 * cfg.IssueWidth
 	uopCap := 1 << bits.Len(uint(cfg.ROBEntries+queue))
-	instrCap := 1 << bits.Len(uint(queue+1+uopCap))
+	instrCap := 1 << bits.Len(uint(2*queue+1+cfg.ROBEntries))
 	memCap := 1 << bits.Len(uint(cfg.RSEntries-1))
 	t := &TM{
 		cfg:       cfg,
