@@ -98,7 +98,9 @@ func regFor(name string) (MReg, bool) {
 			if name[i] < '0' || name[i] > '9' {
 				return MRegNone, false
 			}
-			n = n*10 + int(name[i]-'0')
+			if n = n*10 + int(name[i]-'0'); n > NumTmps+isa.NumGPR {
+				return MRegNone, false // no such register, and n cannot overflow
+			}
 		}
 		if name[0] == 't' && n < NumTmps {
 			return Tmp(n), true
