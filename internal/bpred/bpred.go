@@ -143,13 +143,12 @@ func (c *counter) train(taken bool) {
 
 // BTB is a set-associative branch target buffer with LRU replacement. Its
 // entries are allocated by group on first insert: a run's branches reach a
-// few dozen of the paper's 8K entries, and a group nobody filled reads as
+// small part of the paper's 8K entries, and a group nobody filled reads as
 // the all-invalid entries it would hold.
 type BTB struct {
-	sets    int
-	ways    int
-	entries int
-	groups  []*btbGroup // entries / groupEntries, rounded up; nil = never filled
+	sets   int
+	ways   int
+	groups []*btbGroup // sets × ways / groupEntries, rounded up; nil = never filled
 }
 
 // groupEntries is how many consecutive entries of the sets × ways order a
@@ -164,6 +163,9 @@ type btbGroup struct {
 	lru     [groupEntries]uint8
 }
 
+// zeroGroup is what a group never filled reads as; nothing writes it.
+var zeroGroup btbGroup
+
 // NewBTB builds a BTB with entries total entries, ways-way associative.
 func NewBTB(entries, ways int) *BTB {
 	if entries%ways != 0 {
@@ -176,10 +178,7 @@ func NewBTB(entries, ways int) *BTB {
 	if sets&(sets-1) != 0 {
 		panic("bpred: BTB set count must be a power of two")
 	}
-	return &BTB{
-		sets: sets, ways: ways, entries: entries,
-		groups: make([]*btbGroup, (entries+groupEntries-1)/groupEntries),
-	}
+	return &BTB{sets: sets, ways: ways, groups: make([]*btbGroup, (entries+groupEntries-1)/groupEntries)}
 }
 
 // slot returns the group index of pc's set and the set's first entry within
@@ -242,7 +241,7 @@ func (b *BTB) appendSet(dst []byte, pc isa.Word) []byte {
 	k, base := b.slot(pc)
 	g := b.groups[k]
 	if g == nil {
-		return append(dst, make([]byte, 10*b.ways)...)
+		g = &zeroGroup
 	}
 	for i := base; i < base+b.ways; i++ {
 		dst = binary.LittleEndian.AppendUint32(dst, g.tags[i])

@@ -162,6 +162,7 @@ func TestBTBConstructionPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { NewBTB(10, 4) }, // not divisible
 		func() { NewBTB(24, 4) }, // sets not power of two
+		func() { NewBTB(96, 3) }, // ways do not divide a group
 	} {
 		func() {
 			defer func() {

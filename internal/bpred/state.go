@@ -20,7 +20,7 @@ const predStateV = 1
 // does not depend on which groups a run filled: an absent group encodes as
 // zeros, and one that decodes to all zeros stays absent.
 func (b *BTB) state(c *snap.Codec) {
-	c.Len("btb entries", b.entries)
+	c.Len("btb entries", b.sets*b.ways)
 	var scratch *btbGroup // decoding: where an absent group's part is read
 	if c.Loading() {
 		clear(b.groups)
@@ -32,16 +32,13 @@ func (b *BTB) state(c *snap.Codec) {
 	groupField(c, b, scratch, func(g *btbGroup) *[groupEntries]uint8 { return &g.lru }, c.Raw)
 }
 
-// zeroGroup is what an absent group encodes as; nothing writes it.
-var zeroGroup btbGroup
-
 // groupField walks one of the BTB's arrays group by group through walk. A
 // group present (or any group, encoding) is walked in place; an absent
 // group's part is decoded into scratch and materialises the group only if
 // it is not all zeros.
 func groupField[T comparable](c *snap.Codec, b *BTB, scratch *btbGroup, field func(*btbGroup) *[groupEntries]T, walk func([]T)) {
 	for k, g := range b.groups {
-		n := min(groupEntries, b.entries-k*groupEntries)
+		n := min(groupEntries, b.sets*b.ways-k*groupEntries)
 		if g != nil || !c.Loading() {
 			if g == nil {
 				g = &zeroGroup
