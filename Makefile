@@ -45,8 +45,9 @@ test:
 # one µop slice; a Configure allocates its engine's fixed state and the pages
 # its image occupies, not the target's memory; and a whole run of smp-lock
 # on 4 cores or of 181.mcf stays within its measured bytes plus 10 % (the
-# undo journal's records and pre-images are most of what a run grows). `make test` already runs these; naming them keeps the
-# guarantee visible in the gate and re-checks it uncached.
+# undo journal's records and pre-images are most of what a run grows).
+# `make test` already runs these; naming them keeps the guarantee visible in
+# the gate and re-checks it uncached.
 zero-alloc:
 	$(GO) test -count=1 -run '^(TestSteadyStateZeroAllocs|TestCachesAllocateWhatTheyFill)$$' ./internal/fm
 	$(GO) test -count=1 -run '^TestPrecrackOneAllocation$$' ./internal/microcode
